@@ -6,11 +6,11 @@ The package implements the paper's PerforAD tool from scratch — symbolic
 stencil differentiation plus the scatter-to-gather loop transformation that
 makes reverse-mode AD of stencil loops parallelisable — together with every
 substrate its evaluation needs: code generators (C/OpenMP, Fortran,
-Python/NumPy), an executable kernel runtime with shared-memory parallel
-executors, conventional-AD baselines (scatter, atomics, value stack), a
-calibrated machine performance model for the paper's Broadwell and KNL
-systems, a verification suite, and the wave/Burgers/heat/convolution
-application test cases.
+Python/NumPy), an executable kernel runtime with one plan/bind/run
+execution route, conventional-AD baselines (scatter, atomics, value
+stack), a calibrated machine performance model for the paper's Broadwell
+and KNL systems, a verification suite, and the
+wave/Burgers/heat/convolution application test cases.
 
 Quick start::
 
@@ -69,13 +69,11 @@ from .runtime import (
     ExecutionConfig,
     ExecutionPlan,
     KernelCache,
-    ParallelExecutor,
     assert_disjoint_writes,
     clear_kernel_cache,
     compile_nests,
     get_kernel_cache,
     interpret_nests,
-    run_tiled,
     stack_arrays,
 )
 from .tape import StencilOp, Variable
@@ -102,7 +100,6 @@ __all__ = [
     "KNL",
     "LoopNest",
     "MachineModel",
-    "ParallelExecutor",
     "StackAdjoint",
     "Statement",
     "StencilProblem",
@@ -134,7 +131,6 @@ __all__ = [
     "print_function_cuda",
     "print_function_fortran",
     "print_function_python",
-    "run_tiled",
     "schedule",
     "second_order_nests",
     "tapenade_style_adjoint",

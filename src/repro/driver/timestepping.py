@@ -52,9 +52,8 @@ def make_stencil_steps(
     adjoint of ``output`` and accumulates the adjoint of ``prev``.
 
     ``forward_run``/``reverse_run`` are any array-dict runners — a
-    :class:`~repro.runtime.compiler.CompiledKernel`, a planned
-    :meth:`~repro.runtime.plan.ExecutionPlan.run`, or a partial over a
-    :class:`~repro.runtime.parallel.ParallelExecutor` — so one time loop
+    :class:`~repro.runtime.compiler.CompiledKernel` or a planned
+    :meth:`~repro.runtime.plan.ExecutionPlan.run` — so one time loop
     composes with every execution discipline the runtime offers.  The
     persistent work arrays are allocated in ``dtype``, keeping
     reduced-precision sweeps reduced-precision end to end.

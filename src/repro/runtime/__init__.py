@@ -1,4 +1,4 @@
-"""Execution substrate: kernel compiler, plan/cache runtime, executors."""
+"""Execution substrate: kernel compiler, plan/bind runtime, execution tiers."""
 
 from . import faults
 from ..errors import (
@@ -27,7 +27,6 @@ from .cache import (
     native_cache_dir,
 )
 from .distributed import (
-    DistributedExecutor,
     RankSlab,
     ShardedPlan,
     decompose,
@@ -47,14 +46,12 @@ from .compiler import (
     compile_nests,
 )
 from .interpreter import interpret_nests
-from .parallel import ParallelExecutor
 from .plan import (
     ExecutionConfig,
     ExecutionPlan,
     ShardSpec,
     validate_scatter_kernel,
 )
-from .profiler import KernelProfile, RegionProfile, profile_kernel
 from .server import KernelServer, seeded_state, state_shapes
 from .client import KernelClient, ServeResult
 from .scheduler import (
@@ -63,7 +60,7 @@ from .scheduler import (
     safe_split_axis,
     split_box,
 )
-from .tiling import run_tiled, safe_to_tile, tile_box
+from .tiling import safe_to_tile, tile_box
 
 __all__ = [
     "Bindings",
@@ -83,7 +80,6 @@ __all__ = [
     "ValidationError",
     "faults",
     "CompiledKernel",
-    "DistributedExecutor",
     "EnsemblePlan",
     "ExecutionConfig",
     "ExecutionPlan",
@@ -97,12 +93,8 @@ __all__ = [
     "RankSlab",
     "decompose",
     "KernelError",
-    "KernelProfile",
     "NativeLibrary",
-    "ParallelExecutor",
-    "RegionProfile",
     "SnapshotPool",
-    "profile_kernel",
     "RegionKernel",
     "assert_disjoint_writes",
     "choose_split_axis",
@@ -115,7 +107,6 @@ __all__ = [
     "native_cache_dir",
     "native_thread_count",
     "native_toolchain",
-    "run_tiled",
     "safe_split_axis",
     "safe_to_tile",
     "seeded_state",

@@ -4,9 +4,11 @@ The paper's measured regime is steady state — one compiled adjoint
 stencil executed for thousands of timesteps on fixed-size arrays — where
 per-iteration overhead, not compilation, decides throughput.  The
 :class:`~repro.runtime.plan.ExecutionPlan` (PR 1) froze the work
-*decomposition*; this module freezes the work *bindings*: everything an
-``ExecutionPlan.run`` call used to redo per timestep that is invariant
-for a fixed set of arrays.
+*decomposition*; this module freezes the work *bindings*: everything
+that is invariant for a fixed set of arrays, so a timestep redoes none
+of it.  ``BoundPlan.run()`` is the one route by which this repository
+executes a kernel — every tier (ensemble, checkpoint, shard, server)
+runs bound units.
 
 :meth:`ExecutionPlan.bind(arrays) <repro.runtime.plan.ExecutionPlan.bind>`
 resolves, once per (plan, arrays):
@@ -15,8 +17,8 @@ resolves, once per (plan, arrays):
   reshape geometry ``_frame_view``/``_target_view_and_missing`` used to
   rebuild on every call;
 * **counter arrays** — bare loop counters materialise as ``np.arange``
-  arrays cached process-wide per ``(axis, lo, hi, dim, dtype)`` instead
-  of being reallocated per statement per call;
+  arrays shared per ``(axis, lo, hi, dim, dtype)`` among all live
+  bindings instead of being reallocated per statement per call;
 * a per-statement **ufunc slot pool** so the expression itself evaluates
   through ``out=``-style in-place NumPy ops (see below);
 * for the scatter discipline, **persistent thread-private scratch**
@@ -67,13 +69,13 @@ never invalidate a binding.
 Threading caveats: slot pools and scatter scratch are private to one
 work task, so one ``BoundPlan`` may run its own tasks concurrently; but
 a single ``BoundPlan`` must not be entered by two *callers* at once (the
-same is true of the unbound path, which mutates the same arrays).
+same arrays would be mutated from both).
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -110,7 +112,10 @@ Box = tuple[tuple[int, int], ...]
 
 # -- cached counter arrays ----------------------------------------------------
 
-_COUNTER_CACHE: dict[tuple, np.ndarray] = {}
+# Weak-valued: the bound statements using an array keep it alive, and the
+# entry dies with the last of them (a strong dict would pin every
+# full-frame counter array ever bound for the life of the process).
+_COUNTER_CACHE = weakref.WeakValueDictionary()  # key tuple -> ndarray
 _COUNTER_LOCK = threading.Lock()
 
 
@@ -124,8 +129,8 @@ def _counter_array(
 ) -> np.ndarray:
     """The frame-aligned counter values for one bare loop counter.
 
-    Cached process-wide and marked read-only: every plan bound over the
-    same (axis, range, rank, dtype) shares one array instead of
+    Shared among live bindings and marked read-only: every plan bound
+    over the same (axis, range, rank, dtype) shares one array instead of
     materialising a fresh ``np.arange`` per statement per call.  With
     *frame_shape*, the values are materialised full-frame and contiguous
     (what the in-place ufunc path needs — broadcast operands would make
@@ -485,17 +490,12 @@ class _BoundTask:
 class _BoundRegion:
     """All tasks of one region, plus its scheduling metadata."""
 
-    __slots__ = ("region", "tasks", "barrier", "parallel")
+    __slots__ = ("tasks", "barrier", "parallel")
 
-    def __init__(self, region, tasks, barrier, parallel) -> None:
-        self.region = region
+    def __init__(self, tasks, barrier, parallel) -> None:
         self.tasks = tasks
         self.barrier = barrier
         self.parallel = parallel
-
-    def run_serial(self) -> None:
-        for t in self.tasks:
-            t.run()
 
 
 # -- the bound plan --------------------------------------------------------------
@@ -612,13 +612,13 @@ class BoundPlan:
                 task = _BoundTask(items, scratch)
                 tasks.append(task)
                 flat.extend(stmts)
-            regions.append(_BoundRegion(rp.region, tuple(tasks), barrier, rp.parallel))
+            regions.append(_BoundRegion(tuple(tasks), barrier, rp.parallel))
         self._sources = sources
         self._regions: tuple[_BoundRegion, ...] = tuple(regions)
         self._flat: tuple = tuple(flat)
         # Dependence-aware fusion is a post-pass over the serial stream:
-        # per-statement binds stay (counters, profiler, the reference
-        # oracle); fused groups substitute contiguous slices of the
+        # per-statement binds stay (counters, the reference oracle);
+        # fused groups substitute contiguous slices of the
         # execution stream only.  Restricted to serial untiled native
         # bindings — the fused nests bake their geometry, so per-tile or
         # per-thread boxes would mean one compile per tile.
@@ -742,11 +742,6 @@ class BoundPlan:
     # -- queries -----------------------------------------------------------
 
     @property
-    def regions(self) -> tuple[_BoundRegion, ...]:
-        """Bound regions in execution order (used by the profiler)."""
-        return self._regions
-
-    @property
     def statement_count(self) -> int:
         return len(self._flat)
 
@@ -816,8 +811,8 @@ class BoundPlan:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, pool: ThreadPoolExecutor | None = None) -> None:
-        """Execute the bound kernel (all disciplines, like the plan's run).
+    def run(self) -> None:
+        """Execute the bound kernel with the plan's discipline.
 
         With ``ExecutionConfig(transactional=True)``, a statement
         raising mid-run restores every written array to its pre-call
@@ -830,7 +825,7 @@ class BoundPlan:
         """
         self._step += 1
         if not self.plan.config.transactional:
-            self._run_inner(pool)
+            self._run_inner()
             return
         backups = self._backups
         if backups is None:
@@ -840,7 +835,7 @@ class BoundPlan:
         for arr, buf in backups:
             np.copyto(buf, arr)
         try:
-            self._run_inner(pool)
+            self._run_inner()
         except BaseException as exc:
             for arr, buf in backups:
                 np.copyto(arr, buf)
@@ -851,20 +846,20 @@ class BoundPlan:
                 f"mid-execution; user arrays were restored: {exc}"
             ) from exc
 
-    def _run_inner(self, pool: ThreadPoolExecutor | None) -> None:
+    def _run_inner(self) -> None:
         config = self.plan.config
         if config.scatter and config.num_threads > 1:
-            self._run_scatter(pool)
+            self._run_scatter()
         elif config.num_threads > 1:
-            self._run_threaded(pool)
+            self._run_threaded()
         else:
             for s in self._serial_items:
                 faults.check("bound.run")
                 s.run()
 
-    def _run_threaded(self, pool: ThreadPoolExecutor | None) -> None:
+    def _run_threaded(self) -> None:
         """Gather discipline: concurrent tasks, barriers where regions conflict."""
-        pool = pool or self.plan._ensure_pool()
+        pool = self.plan._ensure_pool()
         futures = []
         for br in self._regions:
             if br.barrier and futures:
@@ -880,7 +875,7 @@ class BoundPlan:
         for f in futures:
             f.result()
 
-    def _run_scatter(self, pool: ThreadPoolExecutor | None) -> None:
+    def _run_scatter(self) -> None:
         """Scatter discipline: private accumulation, deterministic merge.
 
         Tasks zero and fill their persistent thread-private scratch
@@ -888,7 +883,7 @@ class BoundPlan:
         the global arrays in task-submission order, so threaded scatter
         runs are reproducible call to call.
         """
-        pool = pool or self.plan._ensure_pool()
+        pool = self.plan._ensure_pool()
         pending: list[_BoundTask] = []
         futures = []
 

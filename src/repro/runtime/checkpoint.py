@@ -40,6 +40,14 @@ axis through :class:`~repro.runtime.ensemble.EnsemblePlan` bindings:
 one revolve action sequence advances and reverses the whole ensemble,
 member ``m`` bitwise identical to its single-scenario checkpointed run.
 
+The sweep itself — rotation, adjoint shift, the four schedule handlers,
+``run_forward`` and ``adjoint`` — is written once, in
+:class:`_RevolveDriver`, over opaque buffer handles.
+:class:`CheckpointedAdjointPlan` stores each buffer as a NumPy array it
+owns; :class:`ShardedCheckpointedAdjoint` stores it as a named buffer
+block-decomposed across a
+:class:`~repro.runtime.distributed.ShardedPlan`.
+
 >>> import numpy as np
 >>> from repro.apps import heat_problem
 >>> prob = heat_problem(1)
@@ -158,17 +166,238 @@ class SnapshotPool:
             np.copyto(arr, buf)
 
 
-def _kernel_array_names(plan) -> set[str]:
-    """All array names a plan's kernel touches."""
+def _array_names(regions) -> set[str]:
+    """All array names the statements of *regions* touch."""
     return {
         name
-        for rp in plan.region_plans
-        for st in rp.region.statements
+        for region in regions
+        for st in region.statements
         for name in (st.target.name, *(acc.name for acc in st.reads))
     }
 
 
-class CheckpointedAdjointPlan:
+class _RevolveDriver:
+    """The revolve sweep over ``h + 1`` rotating state buffers.
+
+    Holds everything the two public plans share: the state-model
+    validation, the rotation and adjoint-shift bookkeeping, the four
+    schedule action handlers and the ``run_forward``/``adjoint`` entry
+    points.  A *buffer* is an opaque handle here.  A subclass decides
+    where buffers live and how a step runs by providing
+
+    * the handles ``_rot`` (the ``h + 1`` rotating state buffers; buffer
+      ``_live`` holds the newest state component, ``_live - 1`` the one
+      before, and so on mod ``h + 1`` — a forward step writes the oldest
+      buffer, so rotation is a pointer move, never a copy), ``_seed``
+      (the output adjoint), ``_hist_adj`` (one accumulator per history
+      field) and ``_const_adj`` (the constant-adjoint accumulators, in
+      ``_const_adj_names`` order);
+    * the buffer store ``_load(buf, values)``, ``_zero(buf)``,
+      ``_copy(dst, src)``, ``_snapshot(slot, bufs)``,
+      ``_restore(slot, bufs)`` and ``_read(bufs)``;
+    * ``_step_forward(p)`` (zero buffer ``p``, then run the primal
+      writing it), ``_step_reverse(q)`` (run the adjoint with the newest
+      state in buffer ``q``) and ``_gradients()``, what ``adjoint``
+      returns.
+    """
+
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        rev_names: set[str],
+        *,
+        steps: int,
+        snaps: int,
+        output: str,
+        history: Sequence[str],
+        constants: Mapping[str, np.ndarray],
+        adjoint_map: Mapping[str, str] | None,
+        dtype,
+    ) -> None:
+        if steps < 1:
+            raise ValueError("steps must be >= 1")
+        if snaps < 1:
+            raise ValueError("snaps must be >= 1")
+        history = tuple(history)
+        if not history:
+            raise ValueError("need at least one history field")
+        self.steps = steps
+        self.snaps = snaps
+        self.output = output
+        self.history = history
+        self.dtype = np.dtype(dtype)
+        self._shape = shape
+        for name, arr in constants.items():
+            if tuple(arr.shape) != shape:
+                raise ValueError(
+                    f"constant {name!r} has shape {arr.shape}, expected "
+                    f"{shape} (the member axis leads in ensemble mode)"
+                )
+            if arr.dtype != self.dtype:
+                raise ValueError(
+                    f"constant {name!r} is {arr.dtype}, expected "
+                    f"{self.dtype}: a promoted constant would break the "
+                    f"end-to-end reduced-precision contract; cast it first"
+                )
+        adjoint_map = dict(adjoint_map or {})
+        adj = lambda name: adjoint_map.get(name, f"{name}_b")  # noqa: E731
+        self._adj = adj
+        self._seed_name = adj(output)
+        self._hist_adj_names = tuple(adj(name) for name in history)
+        self._const_adj_names = tuple(
+            adj(name) for name in sorted(constants) if adj(name) in rev_names
+        )
+        self._pool = SnapshotPool(snaps, shape, self.dtype, fields=len(history))
+        self._actions = tuple(schedule(steps, snaps))
+        self.evaluation_cost = schedule_cost(list(self._actions))
+        self.forward_steps = 0  # actual primal runs of the last sweep
+        self._live = 0  # rotation pointer: buffer holding the newest state
+        self._fresh_seed = True  # next reverse consumes the seed directly
+
+    # -- queries -----------------------------------------------------------
+
+    @property
+    def actions(self) -> tuple:
+        """The revolve action sequence executed per :meth:`adjoint` call."""
+        return self._actions
+
+    @property
+    def snapshot_pool(self) -> SnapshotPool:
+        return self._pool
+
+    # -- state plumbing ----------------------------------------------------
+
+    def _live_state(self) -> list:
+        """The live state's buffers, newest first."""
+        m = len(self._rot)
+        return [self._rot[(self._live - k) % m] for k in range(len(self.history))]
+
+    def _load_state0(self, state0: Sequence[np.ndarray]) -> None:
+        h = len(self.history)
+        state0 = list(state0)
+        if len(state0) != h:
+            raise ValueError(
+                f"state0 must hold {h} array(s) (newest first, one per "
+                f"history field {self.history}), got {len(state0)}"
+            )
+        for arr in state0:
+            if tuple(np.shape(arr)) != self._shape:
+                raise ValueError(
+                    f"state0 arrays must have shape {self._shape}, "
+                    f"got {tuple(np.shape(arr))}"
+                )
+        self._live = 0
+        self.forward_steps = 0
+        for k, arr in enumerate(state0):
+            self._load(self._rot[(-k) % len(self._rot)], arr)
+
+    def _advance(self, count: int) -> None:
+        m = len(self._rot)
+        for _ in range(count):
+            p = (self._live + 1) % m
+            self._step_forward(p)
+            self._live = p
+        self.forward_steps += count
+
+    def _begin_reverse(self, seed: np.ndarray) -> None:
+        self._load(self._seed, seed)
+        for buf in (*self._hist_adj, *self._const_adj):
+            self._zero(buf)
+        self._fresh_seed = True
+
+    def _rotate_adjoint(self) -> None:
+        # lambda state for step t from step t+1: the output adjoint is
+        # the previous newest history adjoint; each history adjoint
+        # accumulator is preloaded with the next-older one (the pure
+        # "shift" part of the state adjoint); the oldest starts at 0.
+        self._copy(self._seed, self._hist_adj[0])
+        for k in range(len(self._hist_adj) - 1):
+            self._copy(self._hist_adj[k], self._hist_adj[k + 1])
+        self._zero(self._hist_adj[-1])
+
+    def _check_seed(self, seed: np.ndarray) -> None:
+        if tuple(np.shape(seed)) != self._shape:
+            raise ValueError(
+                f"seed must have shape {self._shape}, got "
+                f"{tuple(np.shape(seed))}"
+            )
+
+    # -- schedule action handlers (bound once, reused every sweep) ---------
+
+    def _on_snapshot(self, slot: int, step: int) -> None:
+        self._snapshot(slot, self._live_state())
+
+    def _on_advance(self, begin: int, end: int) -> None:
+        self._advance(end - begin)
+
+    def _on_restore(self, slot: int, step: int) -> None:
+        self._restore(slot, self._live_state())
+
+    def _on_reverse(self, step: int) -> None:
+        # The first reverse of a sweep consumes the caller's seed
+        # directly; every later one first shifts the adjoint state.
+        if self._fresh_seed:
+            self._fresh_seed = False
+        else:
+            self._rotate_adjoint()
+        self._step_reverse(self._live)
+
+    # -- execution ---------------------------------------------------------
+
+    def run_forward(self, state0: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Run the primal ``steps`` steps; returns fresh arrays holding
+        the final state (newest first — the final output field leads)."""
+        self._load_state0(state0)
+        self._advance(self.steps)
+        return self._read(self._live_state())
+
+    def adjoint(
+        self, state0: Sequence[np.ndarray], seed: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """One checkpointed adjoint sweep: revolve with bound runs.
+
+        *state0* holds the initial state (newest first, one array per
+        history field); *seed* is the adjoint of the final output
+        (``dJ/du^T``).  Returns the adjoint of initial-state component
+        ``k`` under the adjoint name of ``history[k]``, plus accumulated
+        constant adjoints.  Bitwise identical to a store-all sweep by
+        construction — the reverse sweep consumes exactly the same
+        primal states.
+        """
+        self._check_seed(seed)
+        self._load_state0(state0)
+        self._begin_reverse(seed)
+        try:
+            execute_schedule(
+                self._actions,
+                snapshot=self._on_snapshot,
+                advance=self._on_advance,
+                restore=self._on_restore,
+                reverse=self._on_reverse,
+            )
+        except ReproError:
+            # Already typed (CheckpointError from the pool, KernelError
+            # from a bound run, ...).  The caller's arrays are untouched
+            # either way: the sweep works exclusively on plan-owned
+            # buffers, and the next adjoint() call reloads and re-zeros
+            # all of them, so a failed sweep leaves no poisoned state.
+            raise
+        except Exception as exc:
+            raise CheckpointError(
+                f"checkpointed adjoint sweep failed mid-schedule: {exc}; "
+                "the plan is reusable — the next adjoint() call reloads "
+                "all state"
+            ) from exc
+        return self._gradients()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class CheckpointedAdjointPlan(_RevolveDriver):
     """A revolve schedule executed entirely through bound plan runs.
 
     Parameters
@@ -236,15 +465,8 @@ class CheckpointedAdjointPlan:
         members: int | None = None,
         workers: int = 1,
     ) -> None:
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
-        if snaps < 1:
-            raise ValueError("snaps must be >= 1")
         if members is not None and members < 1:
             raise ValueError("members must be >= 1")
-        history = tuple(history)
-        if not history:
-            raise ValueError("need at least one history field")
         if forward_plan.config.scatter or reverse_plan.config.scatter:
             raise KernelError(
                 "checkpointed adjoints do not support scatter plans: the "
@@ -252,23 +474,21 @@ class CheckpointedAdjointPlan:
                 "are rejected outright; use the gather discipline"
             )
         constants = dict(constants or {})
-        adjoint_map = dict(adjoint_map or {})
-        adj = lambda name: adjoint_map.get(name, f"{name}_b")  # noqa: E731
-
-        self.steps = steps
-        self.snaps = snaps
-        self.members = members
-        self.output = output
-        self.history = history
-        self.dtype = np.dtype(dtype)
         shape = tuple(shape)
         full_shape = shape if members is None else (members, *shape)
-        self._full_shape = full_shape
+        rev_names = _array_names(rp.region for rp in reverse_plan.region_plans)
+        super().__init__(
+            full_shape, rev_names, steps=steps, snaps=snaps, output=output,
+            history=history, constants=constants, adjoint_map=adjoint_map,
+            dtype=dtype,
+        )
+        self.members = members
+        history, adj = self.history, self._adj
         h = len(history)
 
         # Validate the plans against the state model up front: a missing
         # field would otherwise surface as a bare KeyError from binding.
-        fwd_names = _kernel_array_names(forward_plan)
+        fwd_names = _array_names(rp.region for rp in forward_plan.region_plans)
         allowed_fwd = {output, *history, *constants}
         if not fwd_names <= allowed_fwd:
             raise KernelError(
@@ -277,7 +497,6 @@ class CheckpointedAdjointPlan:
                 f"stepping state (output={output!r}, history={history}, "
                 f"constants={sorted(constants)})"
             )
-        rev_names = _kernel_array_names(reverse_plan)
         # The reverse binding holds the saved history, the constants and
         # the adjoint working set — *not* the primal output, which the
         # repository's adjoint kernels never read (they consume its
@@ -292,45 +511,23 @@ class CheckpointedAdjointPlan:
                 f"{sorted(rev_names - allowed_rev)} outside the adjoint "
                 f"state (allowed: {sorted(allowed_rev)})"
             )
-        for name, arr in constants.items():
-            if tuple(arr.shape) != full_shape:
-                raise ValueError(
-                    f"constant {name!r} has shape {arr.shape}, expected "
-                    f"{full_shape} (the member axis leads in ensemble mode)"
-                )
-            if arr.dtype != self.dtype:
-                raise ValueError(
-                    f"constant {name!r} is {arr.dtype}, expected "
-                    f"{self.dtype}: a promoted constant would break the "
-                    f"end-to-end reduced-precision contract; cast it first"
-                )
 
-        # h + 1 rotating state buffers; buffer q holds the *newest*
-        # state component, q-1 the one before, and so on (mod h + 1).
-        # A forward step writes the oldest buffer, so rotation is a
-        # pointer move, never a copy, and each parity's role assignment
-        # is a fixed arrays dict that binds once.
-        self._rot = tuple(
-            np.zeros(full_shape, dtype=self.dtype) for _ in range(h + 1)
-        )
-        self._pool = SnapshotPool(snaps, full_shape, self.dtype, fields=h)
+        # Every buffer is a NumPy array owned here.  Each rotation
+        # parity's role assignment is a fixed arrays dict that binds
+        # once.
+        def zeros() -> np.ndarray:
+            return np.zeros(full_shape, dtype=self.dtype)
 
-        # Reverse working set: the output-adjoint seed buffer and one
-        # accumulator per history field, plus the constant adjoints.
-        self._seed_buf = np.zeros(full_shape, dtype=self.dtype)
-        self._hist_adj = tuple(
-            np.zeros(full_shape, dtype=self.dtype) for _ in range(h)
+        self._rot = tuple(zeros() for _ in range(h + 1))
+        self._seed = zeros()
+        self._hist_adj = tuple(zeros() for _ in range(h))
+        self._const_adj = tuple(zeros() for _ in self._const_adj_names)
+        self._result = dict(
+            zip(
+                (*self._hist_adj_names, *self._const_adj_names),
+                (*self._hist_adj, *self._const_adj),
+            )
         )
-        self._const = constants
-        self._const_adj = {
-            adj(name): np.zeros(full_shape, dtype=self.dtype)
-            for name in sorted(constants)
-            if adj(name) in rev_names
-        }
-        self._result = {
-            **{adj(history[k]): self._hist_adj[k] for k in range(h)},
-            **self._const_adj,
-        }
 
         # One scheduler serves every parity binding: each schedule
         # action runs exactly one binding at a time, so per-binding
@@ -369,10 +566,7 @@ class CheckpointedAdjointPlan:
             for p in range(m)
         )
         rev_arrays_base = {
-            adj(output): self._seed_buf,
-            **{adj(history[k]): self._hist_adj[k] for k in range(h)},
-            **constants,
-            **self._const_adj,
+            self._seed_name: self._seed, **self._result, **constants
         }
         self._rev = tuple(
             bind(
@@ -385,22 +579,7 @@ class CheckpointedAdjointPlan:
             for q in range(m)
         )
 
-        self._actions = tuple(schedule(steps, snaps))
-        self.evaluation_cost = schedule_cost(list(self._actions))
-        self.forward_steps = 0  # actual primal runs of the last sweep
-        self._live = 0  # rotation pointer: buffer holding the newest state
-        self._fresh_seed = True  # next reverse consumes the seed directly
-
     # -- queries -----------------------------------------------------------
-
-    @property
-    def actions(self) -> tuple:
-        """The revolve action sequence executed per :meth:`adjoint` call."""
-        return self._actions
-
-    @property
-    def snapshot_pool(self) -> SnapshotPool:
-        return self._pool
 
     @property
     def snapshot_bytes(self) -> int:
@@ -411,136 +590,39 @@ class CheckpointedAdjointPlan:
     def store_all_bytes(self) -> int:
         """State bytes a store-all sweep keeps (``steps`` saved states)."""
         per_state = len(self.history) * int(
-            np.prod(self._full_shape, dtype=np.int64)
+            np.prod(self._shape, dtype=np.int64)
         ) * self.dtype.itemsize
         return self.steps * per_state
 
-    # -- state plumbing ----------------------------------------------------
+    # -- buffer store: NumPy arrays ----------------------------------------
 
-    def _live_state(self) -> list[np.ndarray]:
-        """The live state's arrays, newest first."""
-        m = len(self._rot)
-        return [self._rot[(self._live - k) % m] for k in range(len(self.history))]
+    _load = _copy = staticmethod(np.copyto)
 
-    def _load_state0(self, state0: Sequence[np.ndarray]) -> None:
-        h = len(self.history)
-        state0 = list(state0)
-        if len(state0) != h:
-            raise ValueError(
-                f"state0 must hold {h} array(s) (newest first, one per "
-                f"history field {self.history}), got {len(state0)}"
-            )
-        for arr in state0:
-            if tuple(np.shape(arr)) != self._full_shape:
-                raise ValueError(
-                    f"state0 arrays must have shape {self._full_shape}, "
-                    f"got {tuple(np.shape(arr))}"
-                )
-        self._live = 0
-        for k, arr in enumerate(state0):
-            np.copyto(self._rot[(-k) % len(self._rot)], arr)
+    @staticmethod
+    def _zero(buf: np.ndarray) -> None:
+        buf[...] = 0
 
-    def _advance(self, count: int) -> None:
-        m = len(self._rot)
-        for _ in range(count):
-            p = (self._live + 1) % m
-            out = self._rot[p]
-            out[...] = 0
-            self._fwd[p].run()
-            self._live = p
-        self.forward_steps += count
+    def _snapshot(self, slot: int, bufs: Sequence[np.ndarray]) -> None:
+        self._pool.store(slot, bufs)
 
-    def _begin_reverse(self, seed: np.ndarray) -> None:
-        np.copyto(self._seed_buf, seed)
-        for buf in self._hist_adj:
-            buf[...] = 0
-        for buf in self._const_adj.values():
-            buf[...] = 0
+    def _restore(self, slot: int, bufs: Sequence[np.ndarray]) -> None:
+        self._pool.load(slot, bufs)
 
-    def _rotate_adjoint(self) -> None:
-        # lambda state for step t from step t+1: the output adjoint is
-        # the previous newest history adjoint; each history adjoint
-        # accumulator is preloaded with the next-older one (the pure
-        # "shift" part of the state adjoint); the oldest starts at 0.
-        np.copyto(self._seed_buf, self._hist_adj[0])
-        for k in range(len(self._hist_adj) - 1):
-            np.copyto(self._hist_adj[k], self._hist_adj[k + 1])
-        self._hist_adj[-1][...] = 0
+    @staticmethod
+    def _read(bufs: Sequence[np.ndarray]) -> list[np.ndarray]:
+        return [buf.copy() for buf in bufs]
 
-    # -- schedule action handlers (bound once, reused every sweep) ---------
+    def _step_forward(self, p: int) -> None:
+        self._rot[p][...] = 0
+        self._fwd[p].run()
 
-    def _on_snapshot(self, slot: int, step: int) -> None:
-        self._pool.store(slot, self._live_state())
+    def _step_reverse(self, q: int) -> None:
+        self._rev[q].run()
 
-    def _on_advance(self, begin: int, end: int) -> None:
-        self._advance(end - begin)
-
-    def _on_restore(self, slot: int, step: int) -> None:
-        self._pool.load(slot, self._live_state())
-
-    def _on_reverse(self, step: int) -> None:
-        # The first reverse of a sweep consumes the caller's seed
-        # directly; every later one first shifts the adjoint state.
-        if self._fresh_seed:
-            self._fresh_seed = False
-        else:
-            self._rotate_adjoint()
-        self._rev[self._live].run()
+    def _gradients(self) -> dict[str, np.ndarray]:
+        return self._result
 
     # -- execution ---------------------------------------------------------
-
-    def run_forward(self, state0: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Run the primal ``steps`` steps; returns copies of the final
-        state (newest first — the final output field leads)."""
-        self._load_state0(state0)
-        self.forward_steps = 0
-        self._advance(self.steps)
-        return [arr.copy() for arr in self._live_state()]
-
-    def adjoint(
-        self, state0: Sequence[np.ndarray], seed: np.ndarray
-    ) -> dict[str, np.ndarray]:
-        """One checkpointed adjoint sweep: revolve with bound runs.
-
-        *state0* holds the initial state (newest first, one array per
-        history field); *seed* is the adjoint of the final output
-        (``dJ/du^T``).  Returns the plan's persistent result buffers:
-        the adjoint of initial-state component ``k`` under the adjoint
-        name of ``history[k]``, plus accumulated constant adjoints.
-        Bitwise identical to :meth:`run_store_all` by construction —
-        the reverse sweep consumes exactly the same primal states.
-        """
-        if tuple(np.shape(seed)) != self._full_shape:
-            raise ValueError(
-                f"seed must have shape {self._full_shape}, got "
-                f"{tuple(np.shape(seed))}"
-            )
-        self._load_state0(state0)
-        self.forward_steps = 0
-        self._begin_reverse(seed)
-        self._fresh_seed = True
-        try:
-            execute_schedule(
-                self._actions,
-                snapshot=self._on_snapshot,
-                advance=self._on_advance,
-                restore=self._on_restore,
-                reverse=self._on_reverse,
-            )
-        except ReproError:
-            # Already typed (CheckpointError from the pool, KernelError
-            # from a bound run, ...).  The caller's arrays are untouched
-            # either way: the sweep works exclusively on plan-owned
-            # buffers, and the next adjoint() call reloads and re-zeros
-            # all of them, so a failed sweep leaves no poisoned state.
-            raise
-        except Exception as exc:
-            raise CheckpointError(
-                f"checkpointed adjoint sweep failed mid-schedule: {exc}; "
-                "the plan is reusable — the next adjoint() call reloads "
-                "all state"
-            ) from exc
-        return self._result
 
     def run_store_all(
         self, state0: Sequence[np.ndarray], seed: np.ndarray
@@ -554,19 +636,13 @@ class CheckpointedAdjointPlan:
         the bitwise reference and benchmark baseline, not a steady-state
         path.
         """
-        if tuple(np.shape(seed)) != self._full_shape:
-            raise ValueError(
-                f"seed must have shape {self._full_shape}, got "
-                f"{tuple(np.shape(seed))}"
-            )
+        self._check_seed(seed)
         self._load_state0(state0)
-        self.forward_steps = 0
         history = []
         for _ in range(self.steps):
-            history.append([arr.copy() for arr in self._live_state()])
+            history.append(self._read(self._live_state()))
             self._advance(1)
         self._begin_reverse(seed)
-        self._fresh_seed = True
         for t in reversed(range(self.steps)):
             for arr, saved in zip(self._live_state(), history[t]):
                 np.copyto(arr, saved)
@@ -588,14 +664,8 @@ class CheckpointedAdjointPlan:
             self._scheduler.close()
             self._scheduler = None
 
-    def __enter__(self) -> "CheckpointedAdjointPlan":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ShardedCheckpointedAdjoint:
+class ShardedCheckpointedAdjoint(_RevolveDriver):
     """Checkpointed adjoint sweeps over a block-decomposed sharded grid.
 
     The sharded sibling of :class:`CheckpointedAdjointPlan`: the same
@@ -639,59 +709,30 @@ class ShardedCheckpointedAdjoint:
     ) -> None:
         from .distributed import ShardedPlan  # avoids import cycle
 
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
-        if snaps < 1:
-            raise ValueError("snaps must be >= 1")
-        history = tuple(history)
-        if not history:
-            raise ValueError("need at least one history field")
         constants = dict(constants or {})
-        adjoint_map = dict(adjoint_map or {})
-        adj = lambda name: adjoint_map.get(name, f"{name}_b")  # noqa: E731
-
-        self.steps = steps
-        self.snaps = snaps
-        self.output = output
-        self.history = history
-        self.dtype = np.dtype(dtype)
         shape = tuple(shape)
-        self._shape = shape
+        super().__init__(
+            shape, _array_names(reverse_kernel.regions), steps=steps,
+            snaps=snaps, output=output, history=history, constants=constants,
+            adjoint_map=adjoint_map, dtype=dtype,
+        )
+        history = self.history
         h = len(history)
         m = h + 1
-        for name, arr in constants.items():
-            if tuple(arr.shape) != shape:
-                raise ValueError(
-                    f"constant {name!r} has shape {arr.shape}, expected "
-                    f"{shape}"
-                )
-            if arr.dtype != self.dtype:
-                raise ValueError(
-                    f"constant {name!r} is {arr.dtype}, expected "
-                    f"{self.dtype}: a promoted constant would break the "
-                    f"end-to-end reduced-precision contract; cast it first"
-                )
 
-        rev_names = {
-            name
-            for region in reverse_kernel.regions
-            for st in region.statements
-            for name in (st.target.name, *(acc.name for acc in st.reads))
-        }
-        # Physical buffer namespace: h + 1 rotating state buffers, the
-        # reverse working set, and the constants.  Role assignment per
-        # rotation parity happens through the ShardedPlan alias maps.
+        # Every buffer is a name in one ShardedPlan namespace: h + 1
+        # rotating state buffers, the reverse working set, and the
+        # constants.  Role assignment per rotation parity happens
+        # through the ShardedPlan alias maps.
         self._rot = tuple(f"__rot{k}" for k in range(m))
-        self._seed_name = adj(output)
-        self._hist_adj = tuple(adj(name) for name in history)
-        self._const_adj = tuple(
-            adj(name) for name in sorted(constants) if adj(name) in rev_names
-        )
+        self._seed = self._seed_name
+        self._hist_adj = self._hist_adj_names
+        self._const_adj = self._const_adj_names
         arrays: dict[str, np.ndarray] = {
             name: np.zeros(shape, dtype=self.dtype)
             for name in (
                 *self._rot,
-                self._seed_name,
+                self._seed,
                 *self._hist_adj,
                 *self._const_adj,
             )
@@ -725,174 +766,67 @@ class ShardedCheckpointedAdjoint:
         )
         self.nranks = self._plan.nranks
         self.effective_nranks = self._plan.effective_nranks
-
-        # Snapshots hold global assemblies, so one pool serves any rank
-        # count and survives a mid-sweep single-shard degradation.
-        self._pool = SnapshotPool(snaps, shape, self.dtype, fields=h)
+        # Snapshots hold global assemblies (staged through _scratch), so
+        # one pool serves any rank count and survives a mid-sweep
+        # single-shard degradation.
         self._scratch = tuple(
             np.empty(shape, dtype=self.dtype) for _ in range(h)
         )
-        self._actions = tuple(schedule(steps, snaps))
-        self.evaluation_cost = schedule_cost(list(self._actions))
-        self.forward_steps = 0
-        self._live = 0
-        self._fresh_seed = True
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def actions(self) -> tuple:
-        """The revolve action sequence executed per :meth:`adjoint` call."""
-        return self._actions
-
-    @property
-    def snapshot_pool(self) -> SnapshotPool:
-        return self._pool
 
     @property
     def degraded(self) -> bool:
         """Whether the underlying sharded plan fell back to one shard."""
         return self._plan.degraded
 
-    # -- state plumbing ----------------------------------------------------
+    # -- buffer store: names in the ShardedPlan ----------------------------
 
-    def _live_names(self) -> list[str]:
-        """Physical buffer names of the live state, newest first."""
-        m = len(self._rot)
-        return [
-            self._rot[(self._live - k) % m] for k in range(len(self.history))
-        ]
+    def _load(self, name: str, values: np.ndarray) -> None:
+        self._plan.load(name, values)
 
-    def _load_state0(self, state0: Sequence[np.ndarray]) -> None:
-        h = len(self.history)
-        state0 = list(state0)
-        if len(state0) != h:
-            raise ValueError(
-                f"state0 must hold {h} array(s) (newest first, one per "
-                f"history field {self.history}), got {len(state0)}"
-            )
-        for arr in state0:
-            if tuple(np.shape(arr)) != self._shape:
-                raise ValueError(
-                    f"state0 arrays must have shape {self._shape}, got "
-                    f"{tuple(np.shape(arr))}"
-                )
-        self._live = 0
-        for k, arr in enumerate(state0):
-            self._plan.load(self._rot[(-k) % len(self._rot)], arr)
+    def _copy(self, dst: str, src: str) -> None:
+        self._plan.copy(dst, src)
 
-    def _advance(self, count: int) -> None:
-        h = len(self.history)
-        m = len(self._rot)
-        for _ in range(count):
-            p = (self._live + 1) % m
-            self._plan.fill(self._rot[p], 0.0)
-            self._plan.step(
-                ("fwd", p),
-                exchange=[self._rot[(p - 1 - k) % m] for k in range(h)],
-            )
-            self._live = p
-        self.forward_steps += count
+    def _zero(self, name: str) -> None:
+        self._plan.fill(name, 0.0)
 
-    def _begin_reverse(self, seed: np.ndarray) -> None:
-        self._plan.load(self._seed_name, seed)
-        for name in (*self._hist_adj, *self._const_adj):
-            self._plan.fill(name, 0.0)
-
-    def _rotate_adjoint(self) -> None:
-        self._plan.copy(self._seed_name, self._hist_adj[0])
-        for k in range(len(self._hist_adj) - 1):
-            self._plan.copy(self._hist_adj[k], self._hist_adj[k + 1])
-        self._plan.fill(self._hist_adj[-1], 0.0)
-
-    # -- schedule action handlers ------------------------------------------
-
-    def _on_snapshot(self, slot: int, step: int) -> None:
-        for name, dst in zip(self._live_names(), self._scratch):
+    def _snapshot(self, slot: int, names: Sequence[str]) -> None:
+        for name, dst in zip(names, self._scratch):
             self._plan.gather_into(name, dst)
         self._pool.store(slot, self._scratch)
 
-    def _on_advance(self, begin: int, end: int) -> None:
-        self._advance(end - begin)
-
-    def _on_restore(self, slot: int, step: int) -> None:
+    def _restore(self, slot: int, names: Sequence[str]) -> None:
         self._pool.load(slot, self._scratch)
-        for name, src in zip(self._live_names(), self._scratch):
+        for name, src in zip(names, self._scratch):
             self._plan.load(name, src)
 
-    def _on_reverse(self, step: int) -> None:
-        if self._fresh_seed:
-            self._fresh_seed = False
-        else:
-            self._rotate_adjoint()
+    def _read(self, names: Sequence[str]) -> list[np.ndarray]:
+        gathered = self._plan.gather(names)
+        return [gathered[name] for name in names]
+
+    def _step_forward(self, p: int) -> None:
         h = len(self.history)
         m = len(self._rot)
-        q = self._live
+        self._plan.fill(self._rot[p], 0.0)
+        self._plan.step(
+            ("fwd", p),
+            exchange=[self._rot[(p - 1 - k) % m] for k in range(h)],
+        )
+
+    def _step_reverse(self, q: int) -> None:
+        h = len(self.history)
+        m = len(self._rot)
         self._plan.step(
             ("rev", q),
             exchange=[
-                self._seed_name,
+                self._seed,
                 *(self._rot[(q - k) % m] for k in range(h)),
             ],
             accumulate=[*self._hist_adj, *self._const_adj],
         )
 
-    # -- execution ---------------------------------------------------------
-
-    def run_forward(self, state0: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Run the primal ``steps`` steps; returns the gathered final
-        state (newest first — the final output field leads)."""
-        self._load_state0(state0)
-        self.forward_steps = 0
-        self._advance(self.steps)
-        gathered = self._plan.gather(self._live_names())
-        return [gathered[name] for name in self._live_names()]
-
-    def adjoint(
-        self, state0: Sequence[np.ndarray], seed: np.ndarray
-    ) -> dict[str, np.ndarray]:
-        """One sharded checkpointed adjoint sweep.
-
-        Same calling convention as
-        :meth:`CheckpointedAdjointPlan.adjoint`; returns freshly
-        gathered global adjoint arrays (the initial-state adjoints under
-        the history-field adjoint names, plus constant adjoints).
-        """
-        if tuple(np.shape(seed)) != self._shape:
-            raise ValueError(
-                f"seed must have shape {self._shape}, got "
-                f"{tuple(np.shape(seed))}"
-            )
-        self._load_state0(state0)
-        self.forward_steps = 0
-        self._begin_reverse(seed)
-        self._fresh_seed = True
-        try:
-            execute_schedule(
-                self._actions,
-                snapshot=self._on_snapshot,
-                advance=self._on_advance,
-                restore=self._on_restore,
-                reverse=self._on_reverse,
-            )
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise CheckpointError(
-                f"sharded checkpointed adjoint sweep failed mid-schedule: "
-                f"{exc}; the plan is reusable — the next adjoint() call "
-                f"reloads all state"
-            ) from exc
+    def _gradients(self) -> dict[str, np.ndarray]:
         return self._plan.gather([*self._hist_adj, *self._const_adj])
-
-    # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Stop shard workers and release shared-memory segments."""
         self._plan.close()
-
-    def __enter__(self) -> "ShardedCheckpointedAdjoint":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -467,53 +467,30 @@ class CompiledKernel:
     _native_mt: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, arrays: Mapping[str, np.ndarray]) -> None:
-        # Serial execution also goes through the (memoised) plan, so the
-        # guard-intersected statement boxes are computed once per kernel
-        # rather than once per call.
+        # Shorthand for the one execution route: the default serial
+        # plan, bound (and memoised) against *arrays*, then run.
         self.plan().run(arrays)
 
     def total_iterations(self) -> int:
         return sum(rk.iteration_count() for rk in self.regions)
 
-    def plan(
-        self,
-        num_threads: int = 1,
-        tile_shape: Sequence[int] | None = None,
-        scatter: bool = False,
-        min_block_iterations: int = 1024,
-        backend: str = "python",
-        fusion: str = "auto",
-        check: str = "none",
-        transactional: bool = False,
-        native_threads: int | None = None,
-    ) -> "ExecutionPlan":
+    def plan(self, **config) -> "ExecutionPlan":
         """The cached :class:`~repro.runtime.plan.ExecutionPlan` for a config.
 
-        Plans precompute guard boxes, split axes, thread blocks and tiles
+        *config* holds :class:`~repro.runtime.plan.ExecutionConfig`
+        fields (``num_threads``, ``tile_shape``, ``scatter``,
+        ``backend``, ... — documented and validated there).  Plans
+        precompute guard boxes, split axes, thread blocks and tiles
         once; repeated calls with an equal configuration return the same
         plan object, so every timestep of a run reuses the decomposition.
-        ``backend="native"`` makes bindings of the plan dispatch through
-        JIT-built C statement kernels (see :mod:`repro.runtime.native`);
-        ``fusion="off"`` pins those bindings to the per-statement path
-        instead of fusing dependence-legal statement chains.
         """
         from .plan import ExecutionConfig, ExecutionPlan  # avoids cycle
 
-        config = ExecutionConfig(
-            num_threads=num_threads,
-            tile_shape=tuple(tile_shape) if tile_shape is not None else None,
-            scatter=scatter,
-            min_block_iterations=min_block_iterations,
-            backend=backend,
-            fusion=fusion,
-            check=check,
-            transactional=transactional,
-            native_threads=native_threads,
-        )
-        plan = self._plans.get(config)
+        key = ExecutionConfig(**config)
+        plan = self._plans.get(key)
         if plan is None:
-            plan = ExecutionPlan.build(self, config)
-            self._plans[config] = plan
+            plan = ExecutionPlan.build(self, key)
+            self._plans[key] = plan
         return plan
 
 

@@ -2,24 +2,20 @@
 
 The paper's related work covers AD of MPI-parallel programs (Hovland
 [13]) and notes that stencil compilers "can parallelise in MPI or shared
-memory" given the stencil structure.  This module provides that
-distributed-memory substrate in two layers:
+memory" given the stencil structure.  :class:`ShardedPlan` is that
+distributed-memory substrate, wired into the plan/bind runtime (no MPI
+in this environment, so transport is shared-memory copies while the
+communication pattern and data ownership stay exact).  The domain is
+block-decomposed along the outermost axis; every rank owns an interior
+slab plus a halo of the stencil radius.  Each rank's slab lives in a
+``multiprocessing.shared_memory`` segment; one
+:class:`~repro.runtime.bound.BoundPlan` per shard (python or native
+backend) is bound against the slab views and executed by a forked
+worker process (or in-process with ``use_workers=False``); the parent
+performs the forward ghost-cell exchange and the adjoint accumulate-back
+between steps.
 
-* :class:`DistributedExecutor` — the simulated substrate (per DESIGN.md
-  §4: no MPI in this environment, so network transport is replaced by
-  array copies between per-rank storage while the communication pattern
-  and data ownership stay exact).  The domain is block-decomposed along
-  the outermost axis; every rank owns an interior slab plus a halo of
-  the stencil radius.
-* :class:`ShardedPlan` — real multi-process execution wired into the
-  plan/bind runtime.  Each rank's slab lives in a
-  ``multiprocessing.shared_memory`` segment; one
-  :class:`~repro.runtime.bound.BoundPlan` per shard (python or native
-  backend) is bound against the slab views and executed by a forked
-  worker process; the parent performs the forward ghost-cell exchange
-  and the adjoint accumulate-back between steps.
-
-The communication pattern, in both layers:
+The communication pattern:
 
 * **forward**: ranks exchange interior boundary layers into neighbours'
   halos (the classic ghost-cell exchange), then run the kernel on their
@@ -66,7 +62,6 @@ from .plan import ExecutionConfig, ExecutionPlan, ShardSpec
 
 __all__ = [
     "RankSlab",
-    "DistributedExecutor",
     "ShardedPlan",
     "decompose",
 ]
@@ -176,121 +171,6 @@ def _accumulate_pairs(
             if block.any():
                 la[l_own_hi + 1 - h : l_own_hi + 1] += block
             ra[r_own_lo - h : r_own_lo] = 0.0
-
-
-class DistributedExecutor:
-    """Execute compiled kernels on a block-decomposed domain.
-
-    Parameters
-    ----------
-    nranks:
-        Number of simulated ranks requested.  When the extent is smaller
-        the decomposition clamps; :attr:`effective_nranks` records the
-        rank count actually used (one warning per executor).
-    halo:
-        Halo width (the stencil radius; must cover every access offset of
-        the kernels run through this executor).
-    """
-
-    def __init__(self, nranks: int, halo: int):
-        if halo < 0:
-            raise ValueError("halo must be >= 0")
-        self.nranks = nranks
-        self.halo = halo
-        self.effective_nranks: int | None = None
-        self._warned_clamp = False
-
-    # -- setup -----------------------------------------------------------------
-
-    def scatter(self, global_arrays: Mapping[str, np.ndarray]) -> list[RankSlab]:
-        """Distribute global arrays into per-rank slabs (with halos)."""
-        shapes = {a.shape for a in global_arrays.values()}
-        if len(shapes) != 1:
-            raise ValueError("all arrays must share one shape")
-        extent = next(iter(shapes))[0]
-        ranges = decompose(extent, self.nranks)
-        self.effective_nranks = len(ranges)
-        if self.effective_nranks < self.nranks and not self._warned_clamp:
-            self._warned_clamp = True
-            warnings.warn(
-                f"requested {self.nranks} ranks but the axis-0 extent is "
-                f"{extent}; using {self.effective_nranks} rank(s)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        _validate_halo(ranges, self.halo)
-        slabs = []
-        for r, (lo, hi) in enumerate(ranges):
-            slab_lo = max(0, lo - self.halo)
-            slab_hi = min(extent - 1, hi + self.halo)
-            local = {
-                name: arr[slab_lo : slab_hi + 1].copy()
-                for name, arr in global_arrays.items()
-            }
-            slabs.append(
-                RankSlab(
-                    rank=r, own_lo=lo, own_hi=hi, halo=self.halo,
-                    slab_lo=slab_lo, arrays=local,
-                )
-            )
-        return slabs
-
-    def gather(
-        self, slabs: Sequence[RankSlab], names: Sequence[str], extent: int
-    ) -> dict[str, np.ndarray]:
-        """Assemble owned rows of each rank back into global arrays."""
-        out = {
-            name: np.zeros(
-                (extent,) + slabs[0].arrays[name].shape[1:],
-                dtype=slabs[0].arrays[name].dtype,
-            )
-            for name in names
-        }
-        for slab in slabs:
-            lo, hi = slab.own_lo, slab.own_hi
-            a = lo - slab.slab_lo
-            for name in names:
-                out[name][lo : hi + 1] = slab.arrays[name][a : a + hi - lo + 1]
-        return out
-
-    # -- communication ------------------------------------------------------------
-
-    def halo_exchange(self, slabs: Sequence[RankSlab], names: Sequence[str]) -> None:
-        """Forward ghost-cell exchange: copy neighbours' interior rows into
-        each rank's halo layers (both directions)."""
-        _exchange_pairs(slabs, names, self.halo)
-
-    def halo_accumulate_back(
-        self, slabs: Sequence[RankSlab], names: Sequence[str]
-    ) -> None:
-        """Adjoint of the halo exchange: add each rank's halo contributions
-        into the owning neighbour's interior, then zero the halo (a send
-        in the primal becomes a receive-and-increment in the adjoint)."""
-        _accumulate_pairs(slabs, names, self.halo)
-
-    # -- execution -------------------------------------------------------------
-
-    def run(
-        self,
-        kernel: CompiledKernel,
-        slabs: Sequence[RankSlab],
-    ) -> None:
-        """Run *kernel* on every rank's owned portion of each region.
-
-        Region bounds (global indices) are intersected with the rank's
-        owned rows along axis 0 and translated to local indices.
-        """
-        for slab in slabs:
-            shift = slab.slab_lo
-            for region in kernel.regions:
-                bounds = list(region.bounds)
-                lo, hi = bounds[0]
-                lo = max(lo, slab.own_lo)
-                hi = min(hi, slab.own_hi)
-                if lo > hi:
-                    continue
-                bounds[0] = (lo - shift, hi - shift)
-                region.execute(slab.arrays, tuple(bounds))
 
 
 # -- sharded plan/bind execution -----------------------------------------------

@@ -2,28 +2,27 @@
 
 The paper's measured workflow fixes the execution configuration (thread
 count, problem size) once and then runs the compiled kernel for every
-timestep and repetition.  The reproduction previously redid the per-run
-bookkeeping — guard-box intersection, safe-split-axis selection, thread
-blocking, tile decomposition — inside every ``execute`` call, through
-four separate dispatch paths (serial ``CompiledKernel.__call__``,
-``ParallelExecutor.run``/``run_scatter``, ``run_tiled``).
+timestep and repetition.  Redoing the per-run bookkeeping — guard-box
+intersection, safe-split-axis selection, thread blocking, tile
+decomposition — inside every call would dominate small-grid steps.
 
 An :class:`ExecutionPlan` is built once per ``(kernel, ExecutionConfig)``
 (PyOP2's parallel-plan idea): it freezes the full work decomposition —
 per-region thread tasks, per-task tiles, per-tile guard-intersected
-statement boxes — and exposes a single :meth:`ExecutionPlan.run` entry
-point covering all four disciplines, including fused tiled+threaded
-execution.  Plans are memoised on the kernel via
+statement boxes — for every discipline (serial, threaded, tiled,
+tiled+threaded, scatter).  Plans are memoised on the kernel via
 :meth:`~repro.runtime.compiler.CompiledKernel.plan`.
 
-On top of the decomposition, :meth:`ExecutionPlan.bind` resolves the
-plan against concrete arrays into a
-:class:`~repro.runtime.bound.BoundPlan` (PyOP2's plan/bind split): all
-views, counter arrays and scratch are materialised once, and steady-
-state runs touch only compute.  :meth:`run` binds transparently and
-memoises the binding per arrays identity (bounded, identity-validated),
-so existing callers that reuse an arrays dict across timesteps get
-allocation-free steady-state execution without code changes.
+There is one route to the machine: ``kernel.plan(...)`` →
+:meth:`ExecutionPlan.bind` → :meth:`BoundPlan.run()
+<repro.runtime.bound.BoundPlan.run>` (PyOP2's plan/bind split).  Binding
+materialises all views, counter arrays and scratch once, and steady-
+state runs touch only compute.  :meth:`ExecutionPlan.run` is that route
+with the binding memoised per arrays identity (bounded, identity-
+validated), for callers that hold an arrays dict rather than a binding.
+:meth:`ExecutionPlan.run_unbound` is not a second route but the
+allocating serial *reference* the bound path is bitwise-verified
+against.
 
 Regions whose tasks would race — a region reading or overwriting what an
 earlier, still-in-flight region writes — are separated by barriers
@@ -45,7 +44,7 @@ import operator
 import threading
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -82,10 +81,6 @@ StmtBoxes = tuple[Box | None, ...]
 # arrays container — cannot be weak-referenced, so the memo validates
 # array identity on every hit instead.)
 _BOUND_MEMO_SIZE = 2
-# Sightings of arrays identities that have run once unbound; the second
-# sighting triggers binding.  Weak references only — bookkeeping must
-# not keep anybody's arrays alive.
-_SEEN_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -335,9 +330,8 @@ class ExecutionPlan:
     Build via :meth:`CompiledKernel.plan` (memoised) or
     :meth:`ExecutionPlan.build`; execute with :meth:`run` (which binds
     and memoises per arrays identity) or hold a long-lived binding
-    explicitly via :meth:`bind`.  The plan owns a lazily created thread
-    pool for standalone parallel runs; callers with their own pool
-    (e.g. ``ParallelExecutor``) pass it to ``run``.
+    explicitly via :meth:`bind`.  The plan owns the lazily created
+    thread pool its threaded and scatter bindings run on.
 
     >>> from repro import heat_problem
     >>> from repro.runtime import compile_nests
@@ -365,7 +359,6 @@ class ExecutionPlan:
         self._pool: ThreadPoolExecutor | None = None
         self._pool_finalizer: weakref.finalize | None = None
         self._bound_memo: OrderedDict[int, "BoundPlan"] = OrderedDict()
-        self._seen: OrderedDict[int, dict[str, weakref.ref]] = OrderedDict()
         # Guards the memo bookkeeping: plans are memoised per kernel, so
         # one plan may be run from several threads (on their own arrays).
         self._memo_lock = threading.Lock()
@@ -633,52 +626,17 @@ class ExecutionPlan:
             self, reverse_plan, shape, steps=steps, snaps=snaps, **kwargs
         )
 
-    def _seen_before(self, arrays: Mapping[str, np.ndarray]) -> bool:
-        """Record a sighting of *arrays*; True when seen intact before.
-
-        Binding costs roughly one unbound call's geometry work plus its
-        staging copies, so it only pays off for arrays that come back.
-        ``run`` therefore executes first-time arrays unbound and binds
-        from the second sighting on.  Sightings hold only weak
-        references (arrays cannot be kept alive by mere bookkeeping);
-        a dead or mismatched weakref — a freed dict whose id was reused
-        — resets the sighting.
-        """
-        key = id(arrays)
-        seen = self._seen
-        sig = seen.get(key)
-        if sig is not None:
-            if len(sig) == len(arrays) and all(
-                ref() is arrays.get(name) for name, ref in sig.items()
-            ):
-                seen.move_to_end(key)
-                return True
-            del seen[key]
-        try:
-            sig = {name: weakref.ref(arr) for name, arr in arrays.items()}
-        except TypeError:  # non-weakref-able array values: never bind
-            return False
-        seen[key] = sig
-        while len(seen) > _SEEN_MEMO_SIZE:
-            seen.popitem(last=False)
-        return False
-
     # -- execution ---------------------------------------------------------
 
-    def run(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        pool: ThreadPoolExecutor | None = None,
-    ) -> None:
-        """Execute the planned kernel on *arrays*.
+    def run(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Execute the planned kernel on *arrays*: bind (memoised) and run.
 
         One entry point for all disciplines; which one runs was fixed at
-        plan-build time by the :class:`ExecutionConfig`.  Arrays seen
-        for the first time run unbound (one-shot callers pay nothing
-        extra); from the second sighting of the same intact arrays dict
-        the call binds, memoises per arrays identity and replays the
-        allocation-free steady-state path — so timestep loops that reuse
-        their arrays speed up transparently.
+        plan-build time by the :class:`ExecutionConfig`.  The first call
+        on an arrays dict binds it (see :meth:`bound_for`); every later
+        call on the same intact dict replays the allocation-free
+        steady-state path — so timestep loops that reuse their arrays
+        pay the bind once.
 
         >>> import numpy as np
         >>> from repro import heat_problem
@@ -688,120 +646,59 @@ class ExecutionPlan:
         >>> arrays = prob.allocate(16)
         >>> check = {k: v.copy() for k, v in arrays.items()}
         >>> plan = kernel.plan()
-        >>> for _ in range(3):     # binds transparently from the 2nd call
+        >>> for _ in range(3):     # binds on the first call
         ...     plan.run(arrays)
         >>> for _ in range(3):
-        ...     plan.run_unbound(check)    # the per-call reference path
+        ...     plan.run_unbound(check)    # the allocating reference
         >>> all(np.array_equal(arrays[k], check[k]) for k in arrays)
         True
         """
-        with self._memo_lock:
-            key = id(arrays)
-            memo = self._bound_memo
-            bound = memo.get(key)
-            if bound is not None and not bound.matches(arrays):
-                del memo[key]  # stale: stop pinning the replaced arrays
-                bound = None
-            if bound is not None:
-                memo.move_to_end(key)
-            seen = bound is not None or self._seen_before(arrays)
-        if bound is not None:
-            bound.run(pool=pool)
-        elif seen:
-            self.bound_for(arrays).run(pool=pool)
-        else:
-            self.run_unbound(arrays, pool)
+        self.bound_for(arrays).run()
 
-    def run_unbound(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        pool: ThreadPoolExecutor | None = None,
-    ) -> None:
-        """Execute without binding: per-call views and temporaries.
+    def run_unbound(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """The allocating reference: per-call views and temporaries.
 
-        The PR 1 execution path, kept as the baseline the bound path is
-        benchmarked (and bitwise-verified) against.
+        Executes the plan's decomposition serially, in task order, with
+        no binding and no threads — the baseline the bound path is
+        benchmarked (and bitwise-verified) against.  Serial execution
+        defines the same bits as the threaded disciplines: gather tasks
+        write disjoint boxes, and the scatter merge order is task order.
         """
         if self.config.scatter and self.config.num_threads > 1:
-            self._run_scatter(arrays, pool)
-        elif self.config.num_threads > 1:
-            self._run_threaded(arrays, pool)
-        else:
-            self._run_serial(arrays)
-
-    def _run_serial(self, arrays: Mapping[str, np.ndarray]) -> None:
+            self._run_scatter(arrays)
+            return
         for rp in self.region_plans:
             for task in rp.tasks:
                 for unit in task:
                     rp.region.execute_boxes(arrays, unit)
 
-    @staticmethod
-    def _run_task(
-        region: RegionKernel,
-        task: tuple[StmtBoxes, ...],
-        arrays: Mapping[str, np.ndarray],
-    ) -> None:
-        for unit in task:
-            region.execute_boxes(arrays, unit)
+    def _run_scatter(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Scatter reference: private accumulation, deterministic merge.
 
-    def _run_threaded(
-        self, arrays: Mapping[str, np.ndarray], pool: ThreadPoolExecutor | None
-    ) -> None:
-        """Gather discipline: concurrent tasks, barriers only on conflicts."""
-        pool = pool or self._ensure_pool()
-        futures = []
-        for rp, barrier in zip(self.region_plans, self.barriers):
-            if barrier and futures:
-                done, _ = wait(futures)
-                for f in done:
-                    f.result()
-                futures.clear()
-            if rp.parallel:
-                for task in rp.tasks:
-                    futures.append(pool.submit(self._run_task, rp.region, task, arrays))
-            else:
-                for task in rp.tasks:
-                    self._run_task(rp.region, task, arrays)
-        done, _ = wait(futures)
-        for f in done:
-            f.result()  # propagate exceptions
-
-    def _run_scatter(
-        self, arrays: Mapping[str, np.ndarray], pool: ThreadPoolExecutor | None
-    ) -> None:
-        """Scatter discipline: private accumulation, deterministic merge.
-
-        Blocks compute into zero-seeded private scratch concurrently and
-        the coordinating thread merges the scratches in task-submission
-        order — reproducible run to run, unlike a merge ordered by task
-        completion.
+        Each task computes into zero-seeded private scratch; the
+        scratches merge into *arrays* in task order, at the plan's
+        barriers and at the end — the order that defines the
+        discipline's bits (the bound path reproduces it with threads).
         """
-        pool = pool or self._ensure_pool()
-
-        def compute(region: RegionKernel, task: tuple[StmtBoxes, ...]):
-            written = {st.target.name for st in region.statements}
-            scratch = {
-                name: (np.zeros_like(arr) if name in written else arr)
-                for name, arr in arrays.items()
-            }
-            for unit in task:
-                region.execute_boxes(scratch, unit)
-            return sorted(written), scratch
-
-        futures = []
+        pending: list[tuple[list[str], dict[str, np.ndarray]]] = []
 
         def drain() -> None:
-            for f in futures:
-                written, scratch = f.result()
+            for written, scratch in pending:
                 for name in written:
                     arrays[name] += scratch[name]
-            futures.clear()
+            pending.clear()
 
         for rp, barrier in zip(self.region_plans, self.barriers):
-            if barrier and futures:
+            if barrier:
                 drain()
+            written = sorted({st.target.name for st in rp.region.statements})
             for task in rp.tasks:
-                futures.append(pool.submit(compute, rp.region, task))
+                scratch = dict(arrays)
+                for name in written:
+                    scratch[name] = np.zeros_like(arrays[name])
+                for unit in task:
+                    rp.region.execute_boxes(scratch, unit)
+                pending.append((written, scratch))
         drain()
 
     # -- pool lifecycle ----------------------------------------------------
@@ -825,13 +722,10 @@ class ExecutionPlan:
         be the whole process.  Call ``close`` (or use the plan as a
         context manager) when a burst of runs is over; the pool is
         lazily recreated on the next run.  Dropping the bind memo also
-        releases the references it holds to bound arrays.  Callers that
-        manage their own pool (``ParallelExecutor``) pass it to
-        :meth:`run` and are unaffected.
+        releases the references it holds to bound arrays.
         """
         with self._memo_lock:
             self._bound_memo.clear()
-            self._seen.clear()
         if self._pool is not None:
             if self._pool_finalizer is not None:
                 self._pool_finalizer.detach()

@@ -8,22 +8,20 @@ a region's iteration box executes the same element-wise expressions and
 is bitwise identical to the untiled execution — which the tests assert —
 while improving temporal locality for grids larger than cache.
 
-``run_tiled`` is a thin wrapper over the plan layer: it builds (or
-reuses) the kernel's serial tiled :class:`~repro.runtime.plan.ExecutionPlan`
-and runs it.  Fused tiled+threaded execution is available by planning
-with both ``tile_shape`` and ``num_threads``.
+Tiling is a plan transform: ``kernel.plan(tile_shape=...)`` freezes the
+tile decomposition (``plan.unit_count`` tiles) and its bindings execute
+it; combine with ``num_threads`` for fused tiled+threaded execution.
+This module holds the geometry the planner uses.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Sequence
 
-import numpy as np
+from .compiler import RegionKernel
 
-from .compiler import CompiledKernel, RegionKernel
-
-__all__ = ["tile_box", "run_tiled", "safe_to_tile"]
+__all__ = ["tile_box", "safe_to_tile"]
 
 Box = tuple[tuple[int, int], ...]
 
@@ -52,24 +50,6 @@ def tile_box(bounds: Box, tile_shape: Sequence[int]) -> list[Box]:
     return [tuple(combo) for combo in itertools.product(*per_dim)]
 
 
-def run_tiled(
-    kernel: CompiledKernel,
-    arrays: Mapping[str, np.ndarray],
-    tile_shape: Sequence[int],
-) -> int:
-    """Execute every region of *kernel* tile by tile; returns tile count.
-
-    Only regions whose statements all write at full rank are tiled (a
-    reduced write target would accumulate differently across tiles for
-    '=' semantics); other regions run untiled.  Delegates to the memoised
-    serial tiled :class:`~repro.runtime.plan.ExecutionPlan`, so the tile
-    decomposition is computed once per (kernel, tile shape).
-    """
-    plan = kernel.plan(tile_shape=tuple(tile_shape))
-    plan.run(arrays)
-    return plan.unit_count
-
-
 def safe_to_tile(region: RegionKernel) -> bool:
     """True when every statement of *region* writes at full rank.
 
@@ -84,6 +64,3 @@ def safe_to_tile(region: RegionKernel) -> bool:
             return False
     return True
 
-
-# Backwards-compatible alias (pre-plan internal name).
-_safe_to_tile = safe_to_tile

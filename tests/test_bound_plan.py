@@ -9,6 +9,7 @@ suite also pins down the invalidation contract: replacing an array in
 the mapping rebinds, updating values in place does not.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.apps import heat_problem, wave_problem
 from repro.baselines.scatter import tapenade_style_adjoint
 from repro.core import adjoint_loops, make_loop_nest
 from repro.runtime import Bindings, compile_nests
+from repro.runtime.bound import _COUNTER_CACHE
 
 
 def _seed_serial(kernel, arrays):
@@ -51,7 +53,8 @@ CONFIGS = [
 def test_bound_bitwise_identical_to_seed_serial(
     any_problem, rng, dtype, label, config
 ):
-    """Bound runs equal the seed serial path bitwise, first run and replay."""
+    """Unbound reference and bound runs (first run and replay) equal the
+    seed serial path bitwise."""
     prob, n = any_problem
     kernel, base = _adjoint_case(prob, n, rng, dtype)
 
@@ -61,6 +64,14 @@ def test_bound_bitwise_identical_to_seed_serial(
     got = {k: v.copy() for k, v in base.items()}
     plan = kernel.plan(**config)
     try:
+        # The allocating reference walks this config's decomposition
+        # serially and never binds.
+        plan.close()
+        unbound = {k: v.copy() for k, v in base.items()}
+        plan.run_unbound(unbound)
+        assert not plan._bound_memo
+        for name in ref:
+            np.testing.assert_array_equal(ref[name], unbound[name])
         bound = plan.bind(got)
         bound.run()
         for name in ref:
@@ -109,8 +120,7 @@ def test_bound_scatter_matches_unbound(rng, threads):
         plan.close()
 
 
-def test_bound_statement_with_bare_counter_matches_seed(rng):
-    """Cached/materialised counter arrays reproduce per-call aranges."""
+def _bare_counter_kernel(size):
     i = sp.Symbol("i", integer=True)
     j = sp.Symbol("j", integer=True)
     n = sp.Symbol("n", integer=True)
@@ -121,7 +131,12 @@ def test_bound_statement_with_bare_counter_matches_seed(rng):
         counters=[i, j],
         bounds={i: [0, n], j: [0, n]},
     )
-    kernel = compile_nests([nest], Bindings(sizes={n: 19}), cache=False)
+    return compile_nests([nest], Bindings(sizes={n: size}), cache=False)
+
+
+def test_bound_statement_with_bare_counter_matches_seed(rng):
+    """Cached/materialised counter arrays reproduce per-call aranges."""
+    kernel = _bare_counter_kernel(19)
     base = {"u": rng.standard_normal((20, 20)), "r": np.zeros((20, 20))}
     ref = {k: v.copy() for k, v in base.items()}
     _seed_serial(kernel, ref)
@@ -132,6 +147,20 @@ def test_bound_statement_with_bare_counter_matches_seed(rng):
     got["r"][...] = 0.0
     bound.run()
     np.testing.assert_array_equal(ref["r"], got["r"])
+
+
+def test_counter_cache_entries_die_with_their_last_binding():
+    """Regression: the shared counter-array cache was a strong dict, so
+    every full-frame counter array ever bound stayed pinned for the life
+    of the process.  Entries must die with the last binding using them."""
+    before = set(_COUNTER_CACHE.keys())
+    kernel = _bare_counter_kernel(40)  # a frame no other test binds
+    bound = kernel.plan().bind({"u": np.ones((41, 41)), "r": np.zeros((41, 41))})
+    added = set(_COUNTER_CACHE.keys()) - before
+    assert added  # the binding's counter arrays are shared through the cache
+    del bound, kernel
+    gc.collect()
+    assert not added & set(_COUNTER_CACHE.keys())
 
 
 def test_steady_state_run_performs_no_array_allocations():
@@ -176,8 +205,7 @@ def test_plan_run_rebinds_after_array_replacement(rng):
     kernel, base = _adjoint_case(prob, n, rng, np.float64)
     arrays = {k: v.copy() for k, v in base.items()}
     plan = kernel.plan()
-    plan.run(arrays)  # first sighting: unbound
-    plan.run(arrays)  # second sighting: binds and memoises
+    plan.run(arrays)  # first call: binds and memoises
     first = plan.bound_for(arrays)
     assert first.matches(arrays)
 
@@ -211,9 +239,9 @@ def test_plan_run_memoises_binding_for_stable_arrays(rng):
     arrays = {k: v.copy() for k, v in base.items()}
     plan = kernel.plan()
     plan.close()  # plans memoise on cached kernels: drop earlier bindings
-    plan.run(arrays)  # first sighting: unbound
     assert not plan._bound_memo
-    plan.run(arrays)  # second sighting: binds
+    plan.run(arrays)  # first call binds
+    assert len(plan._bound_memo) == 1
     bound = plan.bound_for(arrays)
     arrays[next(iter(arrays))][...] *= 1.0  # in-place update: still valid
     plan.run(arrays)

@@ -1,7 +1,7 @@
 """Seeded random-kernel fuzzing: one semantics across every execution path.
 
-The runtime's layered execution paths — per-call unbound plans, bound
-slot-tape replay, the JIT-built C backend (per-statement and with the
+The runtime's layered execution paths — the allocating unbound
+reference, first-call ``plan.run``, bound slot-tape replay, the JIT-built C backend (per-statement and with the
 dependence-aware fusion pass), batched ensembles — all claim
 *bitwise* identity with the plain serial path by construction.  The
 hand-written suites assert that for the application kernels; this fuzz
@@ -136,14 +136,24 @@ def _mismatch(nest: LoopNest, dtype: np.dtype) -> str | None:
     plan = kernel.plan()
 
     ref = {k: v.copy() for k, v in base.items()}
-    for _ in range(RUNS):
+    plan.run_unbound(ref)
+    first = {k: v.copy() for k, v in ref.items()}  # one application
+    for _ in range(RUNS - 1):
         plan.run_unbound(ref)
 
-    def check(label: str, final: dict[str, np.ndarray]) -> str | None:
-        for name in ref:
-            if ref[name].tobytes() != final[name].tobytes():
+    def check(label: str, final: dict[str, np.ndarray], want=ref) -> str | None:
+        for name in want:
+            if want[name].tobytes() != final[name].tobytes():
                 return f"{label} diverged on {name!r} ({dtype})"
         return None
+
+    # ExecutionPlan.run binds on its first call: a one-shot caller on
+    # fresh arrays sees exactly the reference's first application.
+    fresh = {k: v.copy() for k, v in base.items()}
+    plan.run(fresh)
+    fail = check("first-call plan.run", fresh, first)
+    if fail:
+        return fail
 
     bound_arrays = {k: v.copy() for k, v in base.items()}
     bound = plan.bind(bound_arrays)

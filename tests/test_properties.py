@@ -28,7 +28,7 @@ from repro.core import adjoint_loops, make_loop_nest
 from repro.core.diff import adjoint_scatter_loop, adjoint_scatter_statements
 from repro.core.regions import split_disjoint
 from repro.core.shift import shift_all
-from repro.runtime import Bindings, ParallelExecutor, compile_nests
+from repro.runtime import Bindings, compile_nests
 
 N_VAL = 16  # concrete grid size for executions
 n = sp.Symbol("n", integer=True)
@@ -197,8 +197,7 @@ def test_parallel_determinism(params, threads):
     ref = {"u": uv, "r_b": w.copy(), "u_b": np.zeros(shape)}
     kernel(ref)
     par = {"u": uv, "r_b": w.copy(), "u_b": np.zeros(shape)}
-    with ParallelExecutor(num_threads=threads, min_block_iterations=1) as ex:
-        ex.run(kernel, par)
+    kernel.plan(num_threads=threads, min_block_iterations=1).bind(par).run()
     np.testing.assert_array_equal(ref["u_b"], par["u_b"])  # bitwise
 
 

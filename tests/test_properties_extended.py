@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import adjoint_loops, make_loop_nest, tangent_loop
 from repro.frontend import parse_stencil, to_source
-from repro.runtime import Bindings, compile_nests, run_tiled, split_box
+from repro.runtime import Bindings, compile_nests, split_box
 
 N_VAL = 14
 n = sp.Symbol("n", integer=True)
@@ -106,7 +106,7 @@ def test_tiled_adjoint_invariance(params, tile):
     ref = {k: v.copy() for k, v in base.items()}
     kernel(ref)
     tiled = {k: v.copy() for k, v in base.items()}
-    run_tiled(kernel, tiled, tile[:dim])
+    kernel.plan(tile_shape=tile[:dim]).bind(tiled).run()
     np.testing.assert_array_equal(ref["u_b"], tiled["u_b"])
 
 

@@ -1,4 +1,4 @@
-"""Parallel executor and scheduler tests.
+"""Threaded plan and scheduler tests.
 
 On this machine the thread pool exercises the decomposition and
 synchronisation structure (the results must be identical for any thread
@@ -15,11 +15,19 @@ from repro.core.loopnest import LoopNest, Statement
 from repro.runtime import (
     Bindings,
     KernelError,
-    ParallelExecutor,
     compile_nests,
     split_box,
 )
 from repro.runtime.scheduler import choose_split_axis
+
+
+def _run(kernel, arrays, threads, scatter=False, min_block_iterations=1):
+    """The one execution route, at a given thread count and discipline."""
+    kernel.plan(
+        num_threads=threads,
+        scatter=scatter,
+        min_block_iterations=min_block_iterations,
+    ).bind(arrays).run()
 
 
 # -- scheduler ---------------------------------------------------------------
@@ -81,8 +89,7 @@ def test_gather_identical_across_thread_counts(any_problem, rng, threads):
     kernel(serial)
 
     parallel = {k: v.copy() for k, v in base.items()}
-    with ParallelExecutor(num_threads=threads, min_block_iterations=1) as ex:
-        ex.run(kernel, parallel)
+    _run(kernel, parallel, threads)
 
     name_map = prob.adjoint_name_map()
     for prim in prob.active_input_names():
@@ -104,8 +111,7 @@ def test_scatter_locked_execution_matches_serial(rng):
     serial = {k: v.copy() for k, v in base.items()}
     kernel(serial)
     parallel = {k: v.copy() for k, v in base.items()}
-    with ParallelExecutor(num_threads=4, min_block_iterations=1) as ex:
-        ex.run_scatter(kernel, parallel)
+    _run(kernel, parallel, 4, scatter=True)
     np.testing.assert_allclose(
         serial["u_1_b"], parallel["u_1_b"], rtol=1e-12, atol=1e-13
     )
@@ -134,13 +140,12 @@ def _mixed_op_kernel(N: int):
 
 
 def test_scatter_rejects_mixed_assignment_kernel(rng):
-    """run_scatter must refuse kernels whose merge would corrupt results."""
+    """Scatter plans must refuse kernels whose merge would corrupt results."""
     N = 64
     kernel = _mixed_op_kernel(N)
     arrays = {"u": rng.standard_normal(N + 1), "r": rng.standard_normal(N + 1)}
-    with ParallelExecutor(num_threads=2, min_block_iterations=1) as ex:
-        with pytest.raises(KernelError, match="scatter"):
-            ex.run_scatter(kernel, arrays)
+    with pytest.raises(KernelError, match="scatter"):
+        _run(kernel, arrays, 2, scatter=True)
 
 
 def test_scatter_single_thread_runs_mixed_kernel(rng):
@@ -151,8 +156,7 @@ def test_scatter_single_thread_runs_mixed_kernel(rng):
     serial = {k: v.copy() for k, v in base.items()}
     kernel(serial)
     scat = {k: v.copy() for k, v in base.items()}
-    with ParallelExecutor(num_threads=1) as ex:
-        ex.run_scatter(kernel, scat)
+    _run(kernel, scat, 1, scatter=True)
     np.testing.assert_array_equal(serial["r"], scat["r"])
 
 
@@ -168,14 +172,13 @@ def test_scatter_rejects_read_of_written_array():
     )
     kernel = compile_nests([nest], Bindings(sizes={n: 32}), cache=False)
     arrays = {"u": np.ones(33), "r": np.zeros(33)}
-    with ParallelExecutor(num_threads=2, min_block_iterations=1) as ex:
-        with pytest.raises(KernelError, match="reads"):
-            ex.run_scatter(kernel, arrays)
+    with pytest.raises(KernelError, match="reads"):
+        _run(kernel, arrays, 2, scatter=True)
 
 
 def test_invalid_thread_count():
     with pytest.raises(ValueError):
-        ParallelExecutor(num_threads=0)
+        _run(_mixed_op_kernel(8), {}, 0)
 
 
 def test_small_regions_run_inline(rng):
@@ -191,8 +194,7 @@ def test_small_regions_run_inline(rng):
     serial = {k: v.copy() for k, v in base.items()}
     kernel(serial)
     par = {k: v.copy() for k, v in base.items()}
-    with ParallelExecutor(num_threads=4, min_block_iterations=10**9) as ex:
-        ex.run(kernel, par)
+    _run(kernel, par, 4, min_block_iterations=10**9)
     np.testing.assert_array_equal(serial["u_1_b"], par["u_1_b"])
 
 
@@ -209,6 +211,5 @@ def test_exceptions_propagate():
     )
     kernel = compile_nests([nest], Bindings(sizes={nsym: 4000}))
     arrays = {"u": np.zeros(4001), "r": np.zeros(4001)}  # u(i-1) at i=0 OOB
-    with ParallelExecutor(num_threads=2, min_block_iterations=1) as ex:
-        with pytest.raises(Exception):
-            ex.run(kernel, arrays)
+    with pytest.raises(Exception):
+        _run(kernel, arrays, 2)

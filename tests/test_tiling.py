@@ -6,7 +6,7 @@ import pytest
 from repro.apps import heat_problem, wave_problem
 from repro.core import adjoint_loops
 from repro.runtime import compile_nests
-from repro.runtime.tiling import run_tiled, tile_box
+from repro.runtime.tiling import tile_box
 
 
 def test_tile_box_partitions():
@@ -53,8 +53,9 @@ def test_tiled_adjoint_bitwise_equal(rng, tile):
     ref = {k: v.copy() for k, v in base.items()}
     kernel(ref)
     tiled = {k: v.copy() for k, v in base.items()}
-    count = run_tiled(kernel, tiled, tile)
-    assert count > len(kernel.regions) - 1  # actually tiled something
+    plan = kernel.plan(tile_shape=tile)
+    plan.bind(tiled).run()
+    assert plan.unit_count > len(kernel.regions) - 1  # actually tiled something
     np.testing.assert_array_equal(ref["u_1_b"], tiled["u_1_b"])
 
 
@@ -66,7 +67,7 @@ def test_tiled_primal_3d(rng):
     ref = {k: v.copy() for k, v in arrays.items()}
     kernel(ref)
     tiled = {k: v.copy() for k, v in arrays.items()}
-    run_tiled(kernel, tiled, (8, 8, 8))
+    kernel.plan(tile_shape=(8, 8, 8)).bind(tiled).run()
     np.testing.assert_array_equal(ref["u"], tiled["u"])
 
 
@@ -90,6 +91,7 @@ def test_reduction_regions_not_tiled(rng):
     ref = {"u": uv, "r": np.zeros(N + 1)}
     kernel(ref)
     tiled = {"u": uv, "r": np.zeros(N + 1)}
-    count = run_tiled(kernel, tiled, (2, 2))
-    assert count == 1  # executed once, untiled
+    plan = kernel.plan(tile_shape=(2, 2))
+    plan.bind(tiled).run()
+    assert plan.unit_count == 1  # executed once, untiled
     np.testing.assert_array_equal(ref["r"], tiled["r"])
