@@ -13,13 +13,6 @@ Commands
     Regenerate the paper's performance figures (Figures 8–15).
 ``loop-counts``
     Print the Section 3.3.4 loop-nest counts for the built-in problems.
-``bench``
-    Measure steady-state per-timestep runtime of the bound execution
-    path against the unbound plan path and write ``BENCH_runtime.json``
-    (the perf-trajectory record).  ``--backend native`` measures the
-    JIT-compiled C backend; ``--baseline benchmarks/baseline_runtime.json``
-    turns the run into the CI perf-regression gate, failing on a
-    >--max-slowdown per-timestep slowdown or lost bitwise identity.
 ``fuse``
     Show the dependence-aware fusion plan (``docs/fusion.md``) for a
     problem's adjoint: which statement chains merge into single native
@@ -32,15 +25,11 @@ Commands
     the naive per-member loop of bound plans, extract per-member
     gradients, and write ``BENCH_ensemble.json``.  Exits non-zero when
     any member diverges bitwise from its single-scenario run.
-    ``--baseline benchmarks/baseline_ensemble.json`` is the ensemble CI
-    perf gate.
 ``adjoint``
     Run a revolve-checkpointed adjoint time loop (memory O(snaps)
     instead of O(steps); see ``docs/checkpointing.md``) against its
     store-all reference, verify bitwise identity, the snapshot-memory
     ratio and the recompute count, and write ``BENCH_checkpoint.json``.
-    ``--baseline benchmarks/baseline_checkpoint.json`` is the
-    checkpoint CI perf gate (machine-corrected like ``bench``/``sweep``).
 ``serve``
     Run the kernel-as-a-service daemon (``docs/serving.md``): a
     persistent process listening on a Unix-domain socket that parses
@@ -55,9 +44,11 @@ Commands
     (``docs/sharding.md``) at one or more rank counts, hard-assert that
     forward state and adjoint gradients are bitwise identical to the
     single-shard run, report per-timestep times and write
-    ``BENCH_shard.json``.  ``--baseline benchmarks/baseline_shard.json``
-    is the shard CI perf gate (machine-corrected via the single-shard
-    time of the same run).
+    ``BENCH_shard.json``.
+
+Timings these commands print are a report, not a gate: the one place two
+commits' timings are compared is ``bench/run.py --compare`` (README,
+"Performance gate").
 """
 
 from __future__ import annotations
@@ -197,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate primal/adjoint code")
+    gen.set_defaults(func=_cmd_generate)
     src = gen.add_mutually_exclusive_group(required=True)
     src.add_argument("--problem", choices=sorted(_PROBLEMS), help="built-in problem")
     src.add_argument("--file", help="stencil source file (front-end language)")
@@ -212,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output", help="write to file instead of stdout")
 
     ver = sub.add_parser("verify", help="run the Section 3.6 verification")
+    ver.set_defaults(func=_cmd_verify)
     ver.add_argument("--problem", choices=sorted(_PROBLEMS), default=None)
     ver.add_argument(
         "--chaos", action="store_true",
@@ -240,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fig = sub.add_parser("figures", help="regenerate Figures 8-15")
+    fig.set_defaults(func=_cmd_figures)
     fig.add_argument(
         "--figure",
         choices=["fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
@@ -247,48 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
 
-    sub.add_parser("loop-counts", help="Section 3.3.4 loop-nest counts")
-
-    ben = sub.add_parser(
-        "bench", help="steady-state runtime benchmark (writes BENCH_runtime.json)"
-    )
-    ben.add_argument("--problem", choices=sorted(_PROBLEMS), default="heat2d")
-    ben.add_argument("--n", type=int, default=24, help="grid size")
-    ben.add_argument(
-        "--quick", action="store_true",
-        help="fewer repetitions and serial discipline only (CI smoke)",
-    )
-    ben.add_argument(
-        "--backend", choices=["python", "native"], default="python",
-        help="bound-execution backend to measure (native falls back to "
-        "python, with a warning, when no C compiler is available)",
-    )
-    ben.add_argument(
-        "--fusion", choices=["auto", "off"], default="auto",
-        help="dependence-aware statement fusion for the serial native "
-        "path (default: auto; 'off' forces the per-statement reference "
-        "path; inert for --backend python)",
-    )
-    ben.add_argument(
-        "--output", default="BENCH_runtime.json",
-        help="where to write the JSON record (default: ./BENCH_runtime.json)",
-    )
-    ben.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="perf-regression gate: compare per-timestep bound runtimes "
-        "against this recorded JSON and fail the run on a slowdown "
-        "beyond --max-slowdown or on lost bitwise identity",
-    )
-    ben.add_argument(
-        "--max-slowdown", type=float, default=1.5, metavar="FACTOR",
-        help="largest tolerated bound_us_per_call ratio vs the baseline "
-        "(default: 1.5)",
-    )
+    sub.add_parser(
+        "loop-counts", help="Section 3.3.4 loop-nest counts"
+    ).set_defaults(func=_cmd_loop_counts)
 
     fus = sub.add_parser(
         "fuse",
         help="show the dependence-aware fusion plan for a problem's adjoint",
     )
+    fus.set_defaults(func=_cmd_fuse)
     fus.add_argument("--problem", choices=sorted(_PROBLEMS), default="heat2d")
     fus.add_argument("--n", type=int, default=None, help="grid size")
     fus.add_argument(
@@ -310,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="batched ensemble run / parameter sweep "
         "(writes BENCH_ensemble.json)",
     )
+    swp.set_defaults(func=_cmd_sweep)
     swp.add_argument("--problem", choices=sorted(_PROBLEMS), default="heat2d")
     swp.add_argument("--n", type=int, default=None, help="grid size")
     swp.add_argument(
@@ -345,22 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     swp.add_argument(
         "--quick", action="store_true",
-        help="fewer repetitions (CI smoke / perf gate)",
+        help="fewer repetitions (CI smoke)",
     )
     swp.add_argument(
         "--output", default="BENCH_ensemble.json",
         help="where to write the JSON record (default: ./BENCH_ensemble.json)",
-    )
-    swp.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="ensemble perf-regression gate: compare per-member-timestep "
-        "throughput against this recorded JSON and fail beyond "
-        "--max-slowdown or on lost bitwise identity",
-    )
-    swp.add_argument(
-        "--max-slowdown", type=float, default=1.5, metavar="FACTOR",
-        help="largest tolerated machine-corrected ensemble_us_per_member_step "
-        "ratio vs the baseline (default: 1.5)",
     )
 
     adj = sub.add_parser(
@@ -368,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="revolve-checkpointed adjoint time loop "
         "(writes BENCH_checkpoint.json)",
     )
+    adj.set_defaults(func=_cmd_adjoint)
     adj.add_argument("--problem", choices=sorted(_PROBLEMS), default="burgers1d")
     adj.add_argument("--n", type=int, default=None, help="grid size")
     adj.add_argument(
@@ -403,31 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     adj.add_argument(
         "--quick", action="store_true",
-        help="fewer repetitions (CI smoke / perf gate)",
+        help="fewer repetitions (CI smoke)",
     )
     adj.add_argument(
         "--output", default="BENCH_checkpoint.json",
         help="where to write the JSON record (default: ./BENCH_checkpoint.json)",
-    )
-    adj.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="checkpoint perf-regression gate: compare the checkpointed "
-        "per-sweep time against this recorded JSON (machine-corrected "
-        "via the store-all sweep of the same run) and fail beyond "
-        "--max-slowdown, on lost bitwise identity, on a snapshot-memory "
-        "ratio above snaps/steps, or on recompute above the revolve "
-        "optimum",
-    )
-    adj.add_argument(
-        "--max-slowdown", type=float, default=1.5, metavar="FACTOR",
-        help="largest tolerated machine-corrected checkpointed_us_per_sweep "
-        "ratio vs the baseline (default: 1.5)",
     )
 
     srv = sub.add_parser(
         "serve",
         help="run the compile-and-serve daemon (see docs/serving.md)",
     )
+    srv.set_defaults(func=_cmd_serve)
     srv.add_argument(
         "--socket", required=True, metavar="PATH",
         help="Unix-domain socket path to listen on (created fresh; "
@@ -453,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         "request",
         help="send one run request to a serve daemon and print the result",
     )
+    req.set_defaults(func=_cmd_request)
     req.add_argument(
         "--socket", required=True, metavar="PATH",
         help="the daemon's Unix-domain socket",
@@ -487,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharded multi-process execution: bitwise contract + "
         "per-step timings (writes BENCH_shard.json)",
     )
+    shd.set_defaults(func=_cmd_shard)
     shd.add_argument("--problem", choices=sorted(_PROBLEMS), default="heat2d")
     shd.add_argument(
         "--ranks", action="append", type=int, default=None, metavar="N",
@@ -509,29 +450,16 @@ def build_parser() -> argparse.ArgumentParser:
     shd.add_argument(
         "--reps", type=int, default=5,
         help="timing repetitions, best-of (default: 5; per-step worker "
-        "dispatch is scheduling-noisy, so the gate needs best-of "
-        "sampling even with --quick)",
+        "dispatch is scheduling-noisy, so --quick keeps best-of "
+        "sampling)",
     )
     shd.add_argument(
         "--quick", action="store_true",
-        help="small grid, fewer steps and repetitions (CI smoke / gate)",
+        help="small grid, fewer steps and repetitions (CI smoke)",
     )
     shd.add_argument(
         "--output", default="BENCH_shard.json",
         help="where to write the JSON record (default: ./BENCH_shard.json)",
-    )
-    shd.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="shard perf-regression gate: compare the sharded per-step "
-        "time against this recorded JSON (machine-corrected via the "
-        "single-shard time of the same run) and fail beyond "
-        "--max-slowdown or on lost bitwise identity",
-    )
-    shd.add_argument(
-        "--max-slowdown", type=float, default=2.0, metavar="FACTOR",
-        help="largest tolerated machine-corrected sharded_us_per_step "
-        "ratio vs the baseline (default: 2.0; per-step worker dispatch "
-        "is noisier than the in-process paths the other gates time)",
     )
     return parser
 
@@ -693,165 +621,6 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-    import os
-    import time
-
-    import numpy as np
-
-    from .core import adjoint_loops
-    from .experiments.steady import measure_steady_state
-    from .runtime import ExecutionConfig, compile_nests, native_thread_count
-    from .runtime import native as _native
-
-    prob = _PROBLEMS[args.problem]()
-    n = args.n
-    reps = 30 if args.quick else 200
-    nests = adjoint_loops(prob.primal, prob.adjoint_map)
-    kernel = compile_nests(nests, prob.bindings(n), name="bench")
-    rng = np.random.default_rng(0)
-    base = prob.allocate(n, rng=rng)
-    base.update(prob.allocate_adjoints(n, rng=rng))
-
-    configs = {"serial": {}}
-    if not args.quick:
-        configs["threads2"] = dict(num_threads=2, min_block_iterations=1)
-        tile = tuple([8] * prob.dim)
-        configs["tiled"] = dict(tile_shape=tile)
-
-    cases = {}
-    for label, cfg in configs.items():
-        plan = kernel.plan(backend=args.backend, fusion=args.fusion, **cfg)
-        arrays = {k: v.copy() for k, v in base.items()}
-        cases[label] = measure_steady_state(plan, arrays, base, reps)
-        plan.close()
-
-    # Host facts a reader needs to judge the timings: core count, the
-    # effective in-kernel thread width (REPRO_NATIVE_THREADS at bind
-    # time) and which compiler built the native statements.
-    cc = _native.native_toolchain() if args.backend == "native" else None
-    record = {
-        "benchmark": "steady_state_bound_plan",
-        "problem": prob.name,
-        "n": n,
-        "reps": reps,
-        "backend": args.backend,
-        "fusion": args.fusion,
-        "cpu_count": os.cpu_count(),
-        "native_threads": native_thread_count(ExecutionConfig()),
-        "compiler": _native._compiler_id(cc) if cc else None,
-        "iterations_per_call": kernel.total_iterations(),
-        "unix_time": round(time.time(), 1),
-        "cases": cases,
-    }
-    with open(args.output, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.output} (backend={args.backend})")
-    for label, case in cases.items():
-        print(
-            f"  {label:10s} unbound {case['unbound_us_per_call']:8.1f} us  "
-            f"bound {case['bound_us_per_call']:8.1f} us  "
-            f"speedup {case['speedup']:5.2f}x  "
-            f"steady alloc {case['steady_net_alloc_bytes']} B  "
-            f"native {case['native_statements']}/{case['total_statements']}  "
-            f"sweeps {case['sweeps_per_timestep']}  "
-            f"bitwise={'ok' if case['bitwise_identical'] else 'MISMATCH'}"
-        )
-    ok = all(c["bitwise_identical"] for c in cases.values())
-    if args.baseline is not None:
-        ok = _check_baseline(record, args.baseline, args.max_slowdown) and ok
-    return 0 if ok else 1
-
-
-def _load_baseline(record, baseline_path: str, context_keys, gate_name: str):
-    """Load a baseline record and check its context matches this run.
-
-    Shared by every perf gate: a baseline recorded with different
-    options (and therefore non-comparable timings) is rejected outright
-    rather than compared apples to oranges.  Returns the parsed
-    baseline, or None (after printing the FAIL verdict) on mismatch.
-    """
-    import json
-
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    for key in context_keys:
-        ours, theirs = record.get(key), baseline.get(key)
-        if ours != theirs:
-            print(
-                f"  FAIL: baseline {key}={theirs!r} does not match this "
-                f"run's {key}={ours!r}; regenerate the baseline with the "
-                f"same options"
-            )
-            print(f"  {gate_name}: FAIL")
-            return None
-    return baseline
-
-
-def _corrected_slowdown(ours, base, ours_ref, base_ref):
-    """(raw, machine, corrected) slowdown of a metric vs its baseline.
-
-    The machine factor comes from a reference workload measured in the
-    same run on the same machine as each metric, so the corrected ratio
-    tracks regressions in the gated path itself — a baseline recorded
-    on a fast dev box does not fail a slower CI runner on hardware
-    class alone.
-    """
-    raw = ours / base
-    machine = ours_ref / base_ref
-    return raw, machine, raw / machine
-
-
-def _check_baseline(record, baseline_path: str, max_slowdown: float) -> bool:
-    """The CI perf-regression gate: current record vs a checked-in one.
-
-    Fails (returns False, printing per-case verdicts) when any case
-    shared with the baseline got more than *max_slowdown* times slower
-    per bound timestep — machine-corrected via the unbound per-call
-    time of the same run (see :func:`_corrected_slowdown`) — or lost
-    bitwise identity.  Context mismatches are rejected outright
-    (:func:`_load_baseline`).  Cases absent from the baseline pass with
-    a note, so adding a discipline does not require regenerating the
-    baseline in the same commit.
-    """
-    print(f"baseline gate vs {baseline_path} (max slowdown {max_slowdown}x):")
-    baseline = _load_baseline(
-        record, baseline_path,
-        ("benchmark", "problem", "n", "reps", "backend"),
-        "baseline gate",
-    )
-    if baseline is None:
-        return False
-    base_cases = baseline.get("cases", {})
-    ok = True
-    for label, case in record["cases"].items():
-        if not case["bitwise_identical"]:
-            print(f"  {label:10s} FAIL: lost bitwise identity")
-            ok = False
-            continue
-        base = base_cases.get(label)
-        if base is None:
-            print(f"  {label:10s} pass (no baseline case)")
-            continue
-        raw, machine, slowdown = _corrected_slowdown(
-            case["bound_us_per_call"], base["bound_us_per_call"],
-            case["unbound_us_per_call"], base["unbound_us_per_call"],
-        )
-        verdict = "pass" if slowdown <= max_slowdown else "FAIL"
-        print(
-            f"  {label:10s} {verdict}: bound {case['bound_us_per_call']:.1f} us "
-            f"vs baseline {base['bound_us_per_call']:.1f} us "
-            f"({raw:.2f}x raw, {machine:.2f}x machine factor, "
-            f"{slowdown:.2f}x corrected)"
-        )
-        if slowdown > max_slowdown:
-            ok = False
-    print("  baseline gate: " + ("PASS" if ok else "FAIL"))
-    return ok
-
-
 def _cmd_fuse(args) -> int:
     """Print the fusion plan the native backend would use for a problem."""
     import numpy as np
@@ -906,8 +675,8 @@ def _cmd_sweep(args) -> int:
     n = args.n or _DEFAULT_N[args.problem]
     members = args.members
     if members < 1:
-        print("sweep needs at least one member")
-        return 2
+        print("sweep needs at least one member", file=sys.stderr)
+        return EXIT_USAGE
     reps = max(1, args.reps // 4) if args.quick else args.reps
     dtype = np.float64 if args.dtype == "f64" else np.float32
 
@@ -917,9 +686,10 @@ def _cmd_sweep(args) -> int:
     if unknown:
         print(
             f"unknown parameter(s) {unknown} for {prob.name}; "
-            f"available: {sorted(prob.param_defaults)}"
+            f"available: {sorted(prob.param_defaults)}",
+            file=sys.stderr,
         )
-        return 2
+        return EXIT_USAGE
     combos = [
         dict(zip(grid_names, values))
         for values in itertools.product(*(vals for _, vals in args.param))
@@ -998,54 +768,11 @@ def _cmd_sweep(args) -> int:
         f"bitwise={'ok' if bitwise else 'MISMATCH'}"
     )
     ok = bitwise
-    if args.baseline is not None:
-        ok = _check_ensemble_baseline(record, args.baseline, args.max_slowdown) and ok
     return 0 if ok else 1
 
 
-def _check_ensemble_baseline(record, baseline_path: str, max_slowdown: float) -> bool:
-    """The ensemble CI perf gate: current sweep record vs a checked-in one.
-
-    Mirrors :func:`_check_baseline` through the same helpers: the gated
-    quantity is the batched ensemble per-member-timestep time
-    machine-corrected via the naive per-member loop measured in the
-    same run (:func:`_corrected_slowdown`); a baseline whose context —
-    including the parameter grid, which changes how members group into
-    plans and therefore the fusion width — differs from the current run
-    fails outright (:func:`_load_baseline`).
-    """
-    print(f"ensemble baseline gate vs {baseline_path} (max slowdown {max_slowdown}x):")
-    baseline = _load_baseline(
-        record, baseline_path,
-        ("benchmark", "problem", "n", "members", "reps", "backend",
-         "workers", "dtype", "param_grid"),
-        "ensemble baseline gate",
-    )
-    if baseline is None:
-        return False
-    if not record["bitwise_identical"]:
-        print("  FAIL: lost bitwise identity")
-        print("  ensemble baseline gate: FAIL")
-        return False
-    raw, machine, slowdown = _corrected_slowdown(
-        record["ensemble_us_per_member_step"],
-        baseline["ensemble_us_per_member_step"],
-        record["loop_us_per_member_step"],
-        baseline["loop_us_per_member_step"],
-    )
-    ok = slowdown <= max_slowdown
-    print(
-        f"  ensemble {record['ensemble_us_per_member_step']:.1f} us/member-step "
-        f"vs baseline {baseline['ensemble_us_per_member_step']:.1f} "
-        f"({raw:.2f}x raw, {machine:.2f}x machine factor, "
-        f"{slowdown:.2f}x corrected)"
-    )
-    print("  ensemble baseline gate: " + ("PASS" if ok else "FAIL"))
-    return ok
-
-
 def _cmd_adjoint(args) -> int:
-    """Checkpointed adjoint time loop: verify, measure, gate, JSON."""
+    """Checkpointed adjoint time loop: verify, measure, JSON."""
     import json
     import time
 
@@ -1054,14 +781,14 @@ def _cmd_adjoint(args) -> int:
     from .experiments.steady import _best_of, bitwise_equal
 
     if args.steps < 1:
-        print("adjoint needs at least one time step")
-        return 2
+        print("adjoint needs at least one time step", file=sys.stderr)
+        return EXIT_USAGE
     if args.snaps < 1:
-        print("adjoint needs at least one snapshot slot")
-        return 2
+        print("adjoint needs at least one snapshot slot", file=sys.stderr)
+        return EXIT_USAGE
     if args.members < 1:
-        print("adjoint needs at least one member")
-        return 2
+        print("adjoint needs at least one member", file=sys.stderr)
+        return EXIT_USAGE
     prob = _PROBLEMS[args.problem]()
     n = args.n or _DEFAULT_N[args.problem]
     steps, snaps = args.steps, args.snaps
@@ -1163,49 +890,7 @@ def _cmd_adjoint(args) -> int:
             f"snaps/steps = {snaps / steps:.6f}"
         )
         ok = False
-    if args.baseline is not None:
-        ok = _check_checkpoint_baseline(
-            record, args.baseline, args.max_slowdown
-        ) and ok
     return 0 if ok else 1
-
-
-def _check_checkpoint_baseline(record, baseline_path: str, max_slowdown: float) -> bool:
-    """The checkpoint CI perf gate: current adjoint record vs a checked-in one.
-
-    Mirrors :func:`_check_baseline` through the same helpers: the gated
-    quantity is the checkpointed per-sweep time, machine-corrected via
-    the store-all sweep measured in the same run (it runs the same
-    kernels through the same bound plans, so it is the ideal in-run
-    hardware reference); context mismatches fail outright.
-    """
-    print(
-        f"checkpoint baseline gate vs {baseline_path} "
-        f"(max slowdown {max_slowdown}x):"
-    )
-    baseline = _load_baseline(
-        record, baseline_path,
-        ("benchmark", "problem", "n", "steps", "snaps", "members",
-         "workers", "backend", "dtype", "reps"),
-        "checkpoint baseline gate",
-    )
-    if baseline is None:
-        return False
-    raw, machine, slowdown = _corrected_slowdown(
-        record["checkpointed_us_per_sweep"],
-        baseline["checkpointed_us_per_sweep"],
-        record["store_all_us_per_sweep"],
-        baseline["store_all_us_per_sweep"],
-    )
-    ok = slowdown <= max_slowdown
-    print(
-        f"  checkpointed {record['checkpointed_us_per_sweep']:.1f} us/sweep "
-        f"vs baseline {baseline['checkpointed_us_per_sweep']:.1f} "
-        f"({raw:.2f}x raw, {machine:.2f}x machine factor, "
-        f"{slowdown:.2f}x corrected)"
-    )
-    print("  checkpoint baseline gate: " + ("PASS" if ok else "FAIL"))
-    return ok
 
 
 def _pairs(items, label: str, cast):
@@ -1377,8 +1062,8 @@ def _cmd_shard(args) -> int:
     )
     accumulate = [t for t in rev_targets if t != seed_name]
 
-    # Single-shard references: the bitwise oracle and, re-measured in
-    # this run, the machine-speed reference for the baseline gate.
+    # Single-shard references: the bitwise oracle and the per-step time
+    # the sharded runs are reported beside.
     ref = prob.allocate(n, rng=np.random.default_rng(11), dtype=dtype)
     fwd_plan = fwd.plan(backend=args.backend)
     bound = fwd_plan.bind(ref)
@@ -1478,55 +1163,7 @@ def _cmd_shard(args) -> int:
         print("VERDICT: sharded == single-shard, bitwise, at every rank count")
     else:
         print("VERDICT: bitwise contract VIOLATED")
-    if args.baseline is not None:
-        all_ok = _check_shard_baseline(
-            record, args.baseline, args.max_slowdown
-        ) and all_ok
     return 0 if all_ok else 1
-
-
-def _check_shard_baseline(record, baseline_path: str, max_slowdown: float) -> bool:
-    """The shard CI perf gate: current record vs a checked-in one.
-
-    Bitwise identity is absolute; the per-step time is compared
-    machine-corrected, with the single-shard per-step time of the same
-    run as the hardware reference (:func:`_corrected_slowdown`), so a
-    slower CI runner fails only on a real sharding regression.
-    """
-    print(f"shard baseline gate vs {baseline_path} (max slowdown {max_slowdown}x):")
-    baseline = _load_baseline(
-        record, baseline_path,
-        ("benchmark", "problem", "n", "steps", "backend", "dtype"),
-        "shard baseline gate",
-    )
-    if baseline is None:
-        return False
-    base_cases = baseline.get("cases", {})
-    ok = True
-    for label, case in record["cases"].items():
-        if not (case["forward_bitwise"] and case["adjoint_bitwise"]):
-            print(f"  {label:8s} FAIL: lost bitwise identity")
-            ok = False
-            continue
-        base = base_cases.get(label)
-        if base is None:
-            print(f"  {label:8s} pass (no baseline case)")
-            continue
-        raw, machine, slowdown = _corrected_slowdown(
-            case["sharded_us_per_step"], base["sharded_us_per_step"],
-            record["single_us_per_step"], baseline["single_us_per_step"],
-        )
-        verdict = "pass" if slowdown <= max_slowdown else "FAIL"
-        print(
-            f"  {label:8s} {verdict}: {case['sharded_us_per_step']:.1f} "
-            f"us/step vs baseline {base['sharded_us_per_step']:.1f} us/step "
-            f"({raw:.2f}x raw, {machine:.2f}x machine factor, "
-            f"{slowdown:.2f}x corrected)"
-        )
-        if slowdown > max_slowdown:
-            ok = False
-    print("  shard baseline gate: " + ("PASS" if ok else "FAIL"))
-    return ok
 
 
 def _cmd_loop_counts(args) -> int:
@@ -1538,36 +1175,10 @@ def _cmd_loop_counts(args) -> int:
     return 0
 
 
-def _dispatch(args) -> int:
-    if args.command == "generate":
-        return _cmd_generate(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "figures":
-        return _cmd_figures(args)
-    if args.command == "loop-counts":
-        return _cmd_loop_counts(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "fuse":
-        return _cmd_fuse(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "adjoint":
-        return _cmd_adjoint(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "request":
-        return _cmd_request(args)
-    if args.command == "shard":
-        return _cmd_shard(args)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

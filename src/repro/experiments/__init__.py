@@ -16,11 +16,10 @@ from .figures import (
     wave_descriptors,
 )
 from .report import render_all, render_bars, render_factors, render_speedup
-from .steady import bitwise_equal, measure_steady_state
+from .steady import bitwise_equal
 
 __all__ = [
     "bitwise_equal",
-    "measure_steady_state",
     "PAPER",
     "FigureSeries",
     "RuntimeBars",

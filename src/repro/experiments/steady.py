@@ -1,11 +1,10 @@
-"""Shared steady-state measurement harness for bound execution plans.
+"""Shared measurement helpers for the CLI's tier reports.
 
-One protocol — warm-up, best-of timing loops, ``tracemalloc``
-allocation accounting, bitwise verification — used by both the CLI
-(``python -m repro bench``, which writes ``BENCH_runtime.json``) and
-``benchmarks/bench_bound_plan.py`` (the pytest-benchmark acceptance
-gate), so the CI smoke record and the benchmark numbers cannot drift
-apart protocol-wise.
+``repro sweep`` and ``repro adjoint`` print timings beside their bitwise
+verdicts; the warm-up, best-of timing loop, ``tracemalloc`` allocation
+accounting and bitwise comparison they share live here.  These numbers
+are a report for the user, not a gate: cross-commit timing comparison is
+``bench/run.py --compare`` only.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["bitwise_equal", "measure_steady_state", "measure_ensemble"]
+__all__ = ["bitwise_equal", "measure_ensemble"]
 
 _WARMUP_CALLS = 3
 _TIMING_ROUNDS = 3
@@ -41,60 +40,6 @@ def _best_of(fn, reps: int, rounds: int = _TIMING_ROUNDS) -> float:
             fn()
         best = min(best, time.perf_counter() - t0)
     return best / reps
-
-
-def measure_steady_state(
-    plan,
-    arrays: dict[str, np.ndarray],
-    base: Mapping[str, np.ndarray],
-    reps: int,
-) -> dict:
-    """Steady-state unbound-vs-bound measurement of one plan.
-
-    *arrays* is the mutable working set (same shapes/dtypes as *base*);
-    *base* supplies the pristine values for the bitwise check.  Returns
-    a JSON-ready record: per-call timings, speedup, steady-state
-    allocation counters and the bitwise verdict.
-    """
-    bound = plan.bind(arrays)
-    for _ in range(_WARMUP_CALLS):  # sizes replay buffers, warms caches
-        plan.run_unbound(arrays)
-        bound.run()
-
-    t_unbound = _best_of(lambda: plan.run_unbound(arrays), reps)
-    t_bound = _best_of(bound.run, reps)
-
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    before = tracemalloc.get_traced_memory()[0]
-    for _ in range(_ALLOC_CALLS):
-        bound.run()
-    current, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-
-    # Bitwise check on fresh values: bound equals unbound.
-    ref = {name: arr.copy() for name, arr in base.items()}
-    plan.run_unbound(ref)
-    for name, arr in base.items():
-        arrays[name][...] = arr
-    bound.run()
-    bitwise = all(bitwise_equal(ref[name], arrays[name]) for name in ref)
-
-    return {
-        "unbound_us_per_call": round(t_unbound * 1e6, 3),
-        "bound_us_per_call": round(t_bound * 1e6, 3),
-        "speedup": round(t_unbound / t_bound, 3),
-        "steady_alloc_calls": _ALLOC_CALLS,
-        "steady_net_alloc_bytes": current - before,
-        "steady_peak_alloc_bytes": peak - before,
-        "bitwise_identical": bitwise,
-        "inplace_statements": bound.inplace_statement_count,
-        "native_statements": bound.native_statement_count,
-        "total_statements": bound.statement_count,
-        "fused_groups": getattr(bound, "fused_group_count", 0),
-        "fused_statements": getattr(bound, "fused_statement_count", 0),
-        "sweeps_per_timestep": getattr(bound, "sweep_count", bound.statement_count),
-    }
 
 
 def measure_ensemble(

@@ -440,8 +440,7 @@ class CheckpointedAdjointPlan(_RevolveDriver):
     working set, and a :class:`SnapshotPool` sized ``snaps`` from the
     revolve schedule.  Steady-state :meth:`adjoint` calls (after the
     first, which records the slot tapes) perform **zero array
-    allocations** — asserted by ``tests/test_checkpoint_plan.py`` and
-    recorded by ``benchmarks/bench_checkpoint.py``.
+    allocations** — asserted by ``tests/test_checkpoint_plan.py``.
 
     The returned mapping holds the plan's persistent result buffers
     (adjoints of the step-0 state in the history-adjoint names, plus

@@ -82,25 +82,6 @@ def test_loop_counts(capsys):
     assert "wave3d" in out and "53" in out
 
 
-def test_bench_quick_writes_runtime_record(tmp_path, capsys):
-    import json
-
-    out_file = tmp_path / "BENCH_runtime.json"
-    assert main([
-        "bench", "--quick", "--problem", "heat1d", "--n", "24",
-        "--output", str(out_file),
-    ]) == 0
-    record = json.loads(out_file.read_text())
-    assert record["benchmark"] == "steady_state_bound_plan"
-    assert record["problem"] == "heat1d"
-    case = record["cases"]["serial"]
-    assert case["bitwise_identical"] is True
-    assert case["steady_net_alloc_bytes"] == 0
-    assert case["bound_us_per_call"] > 0
-    out = capsys.readouterr().out
-    assert "speedup" in out and "bitwise=ok" in out
-
-
 def test_sweep_quick_writes_ensemble_record(tmp_path, capsys):
     import json
 
@@ -128,41 +109,12 @@ def test_sweep_quick_writes_ensemble_record(tmp_path, capsys):
     assert "throughput" in out and "bitwise=ok" in out
 
 
-def test_sweep_baseline_gate(tmp_path, capsys):
-    out_file = tmp_path / "BENCH_ensemble.json"
-    base_file = tmp_path / "baseline.json"
-    args = [
-        "sweep", "--quick", "--problem", "heat1d", "--n", "16",
-        "--members", "4",
-    ]
-    assert main([*args, "--output", str(base_file)]) == 0
-    capsys.readouterr()
-    assert main([
-        *args, "--output", str(out_file), "--baseline", str(base_file),
-    ]) == 0
-    assert "ensemble baseline gate: PASS" in capsys.readouterr().out
-    # mismatched context is rejected outright
-    assert main([
-        "sweep", "--quick", "--problem", "heat1d", "--n", "16",
-        "--members", "8", "--output", str(out_file),
-        "--baseline", str(base_file),
-    ]) == 1
-    assert "does not match" in capsys.readouterr().out
-    # ... including a different parameter grid (different member
-    # grouping, different fusion width: timings are not comparable)
-    assert main([
-        *args, "--param", "alpha=0.1,0.2", "--output", str(out_file),
-        "--baseline", str(base_file),
-    ]) == 1
-    assert "param_grid" in capsys.readouterr().out
-
-
 def test_sweep_rejects_unknown_parameter(capsys):
     assert main([
         "sweep", "--quick", "--problem", "heat1d", "--members", "2",
         "--param", "nosuch=1.0",
     ]) == 2
-    assert "unknown parameter" in capsys.readouterr().out
+    assert "unknown parameter" in capsys.readouterr().err
 
 
 def test_sweep_native_backend_falls_back_cleanly(tmp_path, monkeypatch):
@@ -204,20 +156,18 @@ def test_adjoint_writes_checkpoint_record(tmp_path, capsys):
     assert "bitwise=ok" in out
 
 
-def test_adjoint_ensemble_members_and_baseline_gate(tmp_path, capsys):
+def test_adjoint_ensemble_members(tmp_path):
+    import json
+
     out_file = tmp_path / "BENCH_checkpoint.json"
-    baseline = tmp_path / "baseline_checkpoint.json"
-    argv = [
+    assert main([
         "adjoint", "--problem", "burgers1d", "--n", "20", "--steps", "5",
         "--snaps", "2", "--members", "3", "--reps", "1",
-    ]
-    assert main(argv + ["--output", str(baseline)]) == 0
-    assert main(
-        argv + ["--output", str(out_file), "--baseline", str(baseline),
-                "--max-slowdown", "1000"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "checkpoint baseline gate: PASS" in out
+        "--output", str(out_file),
+    ]) == 0
+    record = json.loads(out_file.read_text())
+    assert record["members"] == 3
+    assert record["bitwise_identical"] is True
 
 
 def test_missing_command_rejected():

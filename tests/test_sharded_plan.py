@@ -4,7 +4,9 @@ failure modes follow the graceful-degradation contract (see
 docs/sharding.md; the chaos-registry coverage of the two ``shard.*``
 fault points lives in tests/test_faults.py)."""
 
+import glob
 import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -366,6 +368,41 @@ def test_worker_failure_mid_step_raises_typed_shard_error():
                 sp.step(exchange=["u_1"])
     assert excinfo.value.rank == 0
     assert "rank 0" in str(excinfo.value)
+
+
+@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+@pytest.mark.parametrize("ending", ["closed", "worker_killed", "exception"])
+def test_no_shared_memory_segment_outlives_its_plan(ending):
+    """However a multi-process plan ends — closed normally, closed after
+    degrading on a dead worker, or abandoned by an exception inside the
+    ``with`` block — its /dev/shm segments are unlinked."""
+    def segments():
+        return set(glob.glob("/dev/shm/repro_shard_*"))
+
+    prob = heat_problem(2)
+    fwd, _ = _kernels(prob, 16)
+    state = prob.allocate(16, rng=np.random.default_rng(8))
+    before = segments()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the degrade warning
+        try:
+            with ShardedPlan(fwd, state, nranks=3, halo=1) as sp:
+                assert sp.multiprocess
+                # Only this plan's segments: other processes' come and go.
+                mine = segments() - before
+                assert mine  # the check below is not vacuous
+                sp.step(exchange=["u_1"])
+                if ending == "worker_killed":
+                    sp._workers[1].kill()
+                    sp._workers[1].join()
+                    sp.step(exchange=["u_1"])
+                    assert sp.degraded
+                elif ending == "exception":
+                    raise RuntimeError("abandoned mid-run")
+        except RuntimeError:
+            assert ending == "exception"
+    assert not (mine & segments())
 
 
 # -- sharded checkpointed adjoints ------------------------------------------
