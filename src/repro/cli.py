@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     swp.add_argument(
         "--workers", type=_thread_count, default=1,
-        help="ensemble worker threads (work-stealing member scheduler; "
-        "default: 1 = one fully fused chunk)",
+        help="ensemble worker threads (member chunks on the plan's "
+        "worker pool; default: 1 = one fully fused chunk)",
     )
     swp.add_argument(
         "--backend", choices=["python", "native"], default="python",

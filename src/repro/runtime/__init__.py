@@ -55,7 +55,7 @@ from .plan import (
 from .server import KernelServer, seeded_state, state_shapes
 from .client import KernelClient, ServeResult
 from .scheduler import (
-    WorkStealingScheduler,
+    WorkerPool,
     choose_split_axis,
     safe_split_axis,
     split_box,
@@ -87,7 +87,7 @@ __all__ = [
     "KernelClient",
     "KernelServer",
     "ServeResult",
-    "WorkStealingScheduler",
+    "WorkerPool",
     "batch_safe_statement",
     "stack_arrays",
     "RankSlab",

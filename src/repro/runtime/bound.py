@@ -69,7 +69,14 @@ never invalidate a binding.
 Threading caveats: slot pools and scatter scratch are private to one
 work task, so one ``BoundPlan`` may run its own tasks concurrently; but
 a single ``BoundPlan`` must not be entered by two *callers* at once (the
-same arrays would be mutated from both).
+same arrays would be mutated from both).  Two callers running their
+*own* bindings of one plan share the plan's worker pool safely: each
+``run()`` is its own :class:`~repro.runtime.scheduler.Batch`.
+
+Threaded and scatter runs go through one method,
+:meth:`BoundPlan._run_parallel`; it is the only place this module
+submits to a pool, and every policy about worker threads, joins and
+failing tasks lives in :mod:`repro.runtime.scheduler`.
 """
 
 from __future__ import annotations
@@ -477,7 +484,7 @@ class _BoundTask:
         self.items = tuple(items)
         self.scratch = scratch  # {name: persistent private array} | None
 
-    def run(self) -> None:
+    def __call__(self) -> None:
         scratch = self.scratch
         if scratch is not None:
             for buf in scratch.values():
@@ -485,17 +492,6 @@ class _BoundTask:
         for s in self.items:
             faults.check("bound.run")
             s.run()
-
-
-class _BoundRegion:
-    """All tasks of one region, plus its scheduling metadata."""
-
-    __slots__ = ("tasks", "barrier", "parallel")
-
-    def __init__(self, tasks, barrier, parallel) -> None:
-        self.tasks = tasks
-        self.barrier = barrier
-        self.parallel = parallel
 
 
 # -- the bound plan --------------------------------------------------------------
@@ -575,7 +571,8 @@ class BoundPlan:
         # chaining and fusion would hide which statement produced the
         # first non-finite value, so both stay off under check="nan".
         check_mode = config.check == "nan"
-        regions: list[_BoundRegion] = []
+        # Per region: (tasks, barrier before it, tasks may run concurrently).
+        regions: list[tuple[tuple[_BoundTask, ...], bool, bool]] = []
         flat: list = []
         meta: list = []  # (region, statement, eff box) aligned with flat
         for rp, barrier in zip(plan.region_plans, plan.barriers):
@@ -612,9 +609,9 @@ class BoundPlan:
                 task = _BoundTask(items, scratch)
                 tasks.append(task)
                 flat.extend(stmts)
-            regions.append(_BoundRegion(tuple(tasks), barrier, rp.parallel))
+            regions.append((tuple(tasks), barrier, rp.parallel))
         self._sources = sources
-        self._regions: tuple[_BoundRegion, ...] = tuple(regions)
+        self._regions = tuple(regions)
         self._flat: tuple = tuple(flat)
         # Dependence-aware fusion is a post-pass over the serial stream:
         # per-statement binds stay (counters, the reference oracle);
@@ -669,8 +666,8 @@ class BoundPlan:
                 )
                 return _CheckedStatement(bound, target, labels[id(bound)], self)
 
-            for br in regions:
-                for task in br.tasks:
+            for tasks, _barrier, _parallel in regions:
+                for task in tasks:
                     task.items = tuple(_wrap(s) for s in task.items)
             stream = [_wrap(s) for s in stream]
         # Serial execution order is the flat statement order, so chain
@@ -847,53 +844,33 @@ class BoundPlan:
             ) from exc
 
     def _run_inner(self) -> None:
-        config = self.plan.config
-        if config.scatter and config.num_threads > 1:
-            self._run_scatter()
-        elif config.num_threads > 1:
-            self._run_threaded()
+        if self.plan.config.num_threads > 1:
+            self._run_parallel()
         else:
             for s in self._serial_items:
                 faults.check("bound.run")
                 s.run()
 
-    def _run_threaded(self) -> None:
-        """Gather discipline: concurrent tasks, barriers where regions conflict."""
-        pool = self.plan._ensure_pool()
-        futures = []
-        for br in self._regions:
-            if br.barrier and futures:
-                for f in futures:
-                    f.result()
-                futures.clear()
-            if br.parallel:
-                for task in br.tasks:
-                    futures.append(pool.submit(task.run))
-            else:
-                for task in br.tasks:
-                    task.run()
-        for f in futures:
-            f.result()
+    def _run_parallel(self) -> None:
+        """Gather and scatter disciplines: one batch on the plan's pool.
 
-    def _run_scatter(self) -> None:
-        """Scatter discipline: private accumulation, deterministic merge.
-
-        Tasks zero and fill their persistent thread-private scratch
-        concurrently; the coordinating thread merges the scratches into
-        the global arrays in task-submission order, so threaded scatter
-        runs are reproducible call to call.
+        Parallel regions' tasks are submitted as they are reached and
+        joined at the plan's barriers and at the end — for disjoint-
+        write gather regions, the paper's single final join.  Other
+        regions run inline on this thread *between* submissions (the
+        barrier table only tracks in-flight parallel regions, so moving
+        them into the batch would race).  Whatever fails, the batch is
+        joined before the failure leaves the ``with`` block, so
+        :meth:`run`'s transactional restore sees quiescent arrays.
         """
-        pool = self.plan._ensure_pool()
-        pending: list[_BoundTask] = []
-        futures = []
+        config = self.plan.config
+        unmerged: list[_BoundTask] = []  # scatter tasks, submission order
 
-        def drain() -> None:
-            for f in futures:
-                f.result()
-            futures.clear()
-            for task in pending:
-                # The deterministic merge: scratches fold into the
-                # global arrays in task-submission order.  A failure
+        def join() -> None:
+            batch.join()
+            for task in unmerged:
+                # The deterministic merge: private scratches fold into
+                # the global arrays in task-submission order.  A failure
                 # here leaves the arrays partially merged — exactly the
                 # state the transactional guard exists to restore, so
                 # the fault point sits inside the loop.
@@ -901,12 +878,17 @@ class BoundPlan:
                 for name, buf in task.scratch.items():
                     tgt = self._sources[name]
                     np.add(tgt, buf, out=tgt)
-            pending.clear()
+            unmerged.clear()
 
-        for br in self._regions:
-            if br.barrier and futures:
-                drain()
-            for task in br.tasks:
-                futures.append(pool.submit(task.run))
-                pending.append(task)
-        drain()
+        with self.plan.worker_pool(config.num_threads).batch() as batch:
+            for tasks, barrier, parallel in self._regions:
+                if barrier:
+                    join()
+                if parallel:
+                    batch.submit(tasks)
+                    if config.scatter:
+                        unmerged.extend(tasks)
+                else:
+                    for task in tasks:
+                        task()
+            join()

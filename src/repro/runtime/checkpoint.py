@@ -64,7 +64,6 @@ True
 
 from __future__ import annotations
 
-import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -528,27 +527,12 @@ class CheckpointedAdjointPlan(_RevolveDriver):
             )
         )
 
-        # One scheduler serves every parity binding: each schedule
-        # action runs exactly one binding at a time, so per-binding
-        # worker pools would be 2 * (h + 1) idle thread sets.
-        self._scheduler = None
-        self._scheduler_finalizer = None
-        if members is not None and workers > 1:
-            from .scheduler import WorkStealingScheduler
-
-            self._scheduler = WorkStealingScheduler(workers)
-            self._scheduler_finalizer = weakref.finalize(
-                self, self._scheduler.close
-            )
-
+        # Ensemble bindings borrow their plan's worker pool, so the
+        # h + 1 parity bindings of each plan share one set of threads.
         def bind(plan, arrays):
             if members is None:
                 return plan.bind(arrays)
-            from .ensemble import EnsemblePlan  # avoids import cycle
-
-            return EnsemblePlan(
-                plan, arrays, workers=workers, scheduler=self._scheduler
-            )
+            return plan.ensemble(arrays, workers=workers)
 
         # One forward binding per parity p (output lands in buffer p),
         # one reverse binding per live pointer q (newest state in q).
@@ -651,17 +635,9 @@ class CheckpointedAdjointPlan(_RevolveDriver):
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release ensemble worker threads (no-op in single mode)."""
-        for bound in (*self._fwd, *self._rev):
-            close = getattr(bound, "close", None)
-            if close is not None:
-                close()
-        if self._scheduler is not None:
-            if self._scheduler_finalizer is not None:
-                self._scheduler_finalizer.detach()
-                self._scheduler_finalizer = None
-            self._scheduler.close()
-            self._scheduler = None
+        """Release the forward and reverse plans' worker threads."""
+        self._fwd[0].plan.close()
+        self._rev[0].plan.close()
 
 
 class ShardedCheckpointedAdjoint(_RevolveDriver):

@@ -460,11 +460,10 @@ class CompiledKernel:
     regions: tuple[RegionKernel, ...]
     counters: tuple[sp.Symbol, ...]
     _plans: dict = field(default_factory=dict, repr=False, compare=False)
-    # (toolchain, NativeLibrary | None) memo filled by runtime.native.
-    _native: tuple | None = field(default=None, repr=False, compare=False)
-    # {(toolchain, nthreads): NativeLibrary | None} memo for the
-    # OpenMP-threaded library variants (runtime.native, nthreads > 1).
-    _native_mt: dict = field(default_factory=dict, repr=False, compare=False)
+    # {nthreads: NativeLibrary | None} memo filled by runtime.native
+    # (1 is the serial library), valid for the toolchain `_native_cc`.
+    _native: dict | None = field(default=None, repr=False, compare=False)
+    _native_cc: str | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, arrays: Mapping[str, np.ndarray]) -> None:
         # Shorthand for the one execution route: the default serial

@@ -57,12 +57,13 @@ Member chunks and scheduling
 
 Members are split into contiguous chunks (``split_box`` over the member
 range).  With ``workers == 1`` there is a single chunk — maximal
-fusion, no threads.  With ``workers > 1`` the chunks (about four per
-worker, so stealing has slack to rebalance) are driven by a
-:class:`~repro.runtime.scheduler.WorkStealingScheduler`; chunks touch
-disjoint member slices, so they need no synchronisation beyond the
-final join.  Results are bitwise independent of ``workers`` and chunk
-count.
+fusion, no threads.  With ``workers > 1`` the chunks (four per worker,
+capped at one per member, so a slow chunk leaves slack to rebalance)
+run as one batch on the member plan's
+:class:`~repro.runtime.scheduler.WorkerPool` — the same pool its
+threaded bindings use; chunks touch disjoint member slices, so they
+need no synchronisation beyond the final join.  Results are bitwise
+independent of ``workers``.
 
 Example
 -------
@@ -86,7 +87,6 @@ True
 
 from __future__ import annotations
 
-import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -105,7 +105,7 @@ from .native import (
     make_native_statement,
     native_thread_count,
 )
-from .scheduler import WorkStealingScheduler, split_box
+from .scheduler import split_box
 
 __all__ = ["EnsemblePlan", "stack_arrays", "batch_safe_statement"]
 
@@ -244,14 +244,12 @@ class _MemberChunk:
     members is free because member slices are disjoint.
     """
 
-    __slots__ = ("lo", "hi", "items")
+    __slots__ = ("items",)
 
-    def __init__(self, lo: int, hi: int, items: Sequence) -> None:
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, items: Sequence) -> None:
         self.items = tuple(items)
 
-    def run(self) -> None:
+    def __call__(self) -> None:
         for item in self.items:
             item.run()
 
@@ -283,19 +281,9 @@ class EnsemblePlan:
         :func:`stack_arrays`).
     workers:
         Ensemble worker threads.  ``1`` (default) runs a single fused
-        chunk on the calling thread; ``> 1`` splits members into chunks
-        driven by a work-stealing scheduler.
-    chunks:
-        Override the chunk count (default: 1 for serial, about four per
-        worker otherwise).  More chunks mean finer stealing granularity
-        but less fusion per ufunc call.
-    scheduler:
-        An externally owned
-        :class:`~repro.runtime.scheduler.WorkStealingScheduler` to run
-        chunks on, shared between several ensembles (the checkpointed
-        adjoint runtime binds one plan per rotation parity and drives
-        them all through one scheduler).  The caller keeps ownership:
-        :meth:`close` leaves a shared scheduler running.
+        chunk on the calling thread; ``> 1`` splits members into
+        ``min(members, 4 * workers)`` chunks run on *plan*'s worker
+        pool, which every ensemble of the same plan and width shares.
     """
 
     def __init__(
@@ -304,8 +292,6 @@ class EnsemblePlan:
         batched: Mapping[str, np.ndarray],
         *,
         workers: int = 1,
-        chunks: int | None = None,
-        scheduler: WorkStealingScheduler | None = None,
     ) -> None:
         config = plan.config
         if config.scatter:
@@ -347,9 +333,7 @@ class EnsemblePlan:
             {name: self._batched[name][m] for name in names}
             for m in range(members)
         ]
-        if chunks is None:
-            chunks = 1 if workers == 1 else min(members, workers * 4)
-        chunks = max(1, min(chunks, members))
+        chunks = 1 if workers == 1 else min(members, 4 * workers)
         # Member kernels inherit in-kernel OpenMP threading through the
         # member plan's config; with multiple ensemble workers the
         # parallelism multiplies (workers x native threads), which the
@@ -401,9 +385,6 @@ class EnsemblePlan:
             self._bind_chunk(lo, hi, native_lib, shifted_memo)
             for ((lo, hi),) in split_box(((0, members - 1),), chunks)
         )
-        self._shared_scheduler = scheduler
-        self._scheduler: WorkStealingScheduler | None = None
-        self._scheduler_finalizer: weakref.finalize | None = None
 
     # -- binding -----------------------------------------------------------
 
@@ -489,7 +470,7 @@ class EnsemblePlan:
                             region, si, st, eff,
                         )
                 pos += n
-        return _MemberChunk(lo, hi, chain_runnables(native_lib, items))
+        return _MemberChunk(chain_runnables(native_lib, items))
 
     def _bind_stmt_members(
         self, items, lo, hi, native_lib, shifted_memo, region, si, st, eff
@@ -569,41 +550,21 @@ class EnsemblePlan:
     def run(self) -> None:
         """Advance every member by one kernel application.
 
-        Chunks run on the work-stealing workers when ``workers > 1``
-        (and there is more than one chunk), otherwise inline on the
-        calling thread.  Results are bitwise identical either way.
+        Several chunks run as one batch on the plan's worker pool, a
+        single chunk inline on the calling thread.  Results are bitwise
+        identical either way.
         """
         chunks = self._chunks
-        if self.workers > 1 and len(chunks) > 1:
-            self._ensure_scheduler().run([chunk.run for chunk in chunks])
+        if len(chunks) > 1:
+            self.plan.worker_pool(self.workers).run(chunks)
         else:
-            for chunk in chunks:
-                chunk.run()
-
-    def _ensure_scheduler(self) -> WorkStealingScheduler:
-        if self._shared_scheduler is not None:
-            return self._shared_scheduler
-        if self._scheduler is None:
-            self._scheduler = WorkStealingScheduler(self.workers)
-            # Ensembles held by memoised plans can outlive their users;
-            # release the worker threads with the ensemble object.
-            self._scheduler_finalizer = weakref.finalize(
-                self, self._scheduler.close
-            )
-        return self._scheduler
+            chunks[0]()
 
     def close(self) -> None:
-        """Shut down owned worker threads (recreated lazily on next run).
-
-        A shared scheduler passed at construction stays running — its
-        owner closes it.
-        """
-        if self._scheduler is not None:
-            if self._scheduler_finalizer is not None:
-                self._scheduler_finalizer.detach()
-                self._scheduler_finalizer = None
-            self._scheduler.close()
-            self._scheduler = None
+        """Release the member plan's worker threads (see
+        :meth:`ExecutionPlan.close <repro.runtime.plan.ExecutionPlan.close>`;
+        recreated lazily on the next run)."""
+        self.plan.close()
 
     def __enter__(self) -> "EnsemblePlan":
         return self

@@ -560,69 +560,47 @@ class NativeLibrary:
 def library_for_kernel(kernel, nthreads: int = 1) -> NativeLibrary | None:
     """The (memoised) native library for *kernel*, or None on fallback.
 
-    Memoised on the kernel object together with the toolchain used, so a
-    kernel cached across a toolchain change (e.g. tests pinning
-    ``REPRO_CC``) revalidates instead of reusing a stale verdict.
-    Returns None — warning once per process per reason — when no
-    toolchain exists or the build fails.
+    Memoised on the kernel object per thread count, together with the
+    toolchain used, so a kernel cached across a toolchain change (e.g.
+    tests pinning ``REPRO_CC``) revalidates instead of reusing a stale
+    verdict.  Returns None — warning once per process per reason — when
+    no toolchain exists or the build fails.
 
-    ``nthreads > 1`` requests the OpenMP-threaded library variant
-    (memoised separately per ``(toolchain, nthreads)``).  The threaded
-    ladder degrades one rung at a time, bitwise-identically at each:
-    no OpenMP support or a failed threaded build falls back to the
-    *serial native* library (warning once), and only a missing
+    ``nthreads > 1`` requests the OpenMP-threaded library variant.  The
+    threaded ladder degrades one rung at a time, bitwise-identically at
+    each: no OpenMP support or a failed threaded build falls back to
+    the *serial native* library (warning once), and only a missing
     toolchain or failed serial build falls all the way to the python
     path.
     """
     cc = native_toolchain()
-    if nthreads <= 1:
-        memo = getattr(kernel, "_native", None)
-        if memo is not None and memo[0] == cc:
-            return memo[1]
-        lib: NativeLibrary | None = None
-        if cc is None:
-            _warn_once(
-                "no-toolchain",
-                "backend='native' requested but no C compiler was found "
-                "(checked REPRO_CC, cc, gcc, clang); falling back to the "
-                "python backend — results are identical, only slower",
-            )
-        else:
-            try:
-                source, manifest = generate_native_source(kernel)
-                cdll, so_path = _build_and_load(source, cc)
-                lib = NativeLibrary(kernel, cdll, manifest, so_path)
-            except (NativeBuildError, OSError) as exc:
-                # OSError covers a cache entry that stays unloadable even
-                # after _build_and_load's one-shot self-heal rebuild.
-                _warn_once(
-                    f"build-failed:{kernel.name}",
-                    f"native build of kernel {kernel.name!r} failed "
-                    f"(cache: {native_cache_dir()}); falling back to the "
-                    f"python backend — results are identical, only slower: "
-                    f"{exc}",
-                )
-                lib = None
-        kernel._native = (cc, lib)
-        return lib
-    if cc is None:
-        # The serial path owns the no-toolchain warning and verdict.
-        return library_for_kernel(kernel, 1)
-    memo_mt = getattr(kernel, "_native_mt", None)
-    if memo_mt is None:
-        memo_mt = kernel._native_mt = {}
-    key = (cc, nthreads)
-    if key in memo_mt:
-        return memo_mt[key]
-    omp = _omp_cflags(cc)
+    nthreads = max(nthreads, 1)
+    if kernel._native is None or kernel._native_cc != cc:
+        kernel._native_cc, kernel._native = cc, {}
+    memo = kernel._native
+    if nthreads in memo:
+        return memo[nthreads]
+    lib: NativeLibrary | None = None
+    omp: tuple[str, ...] | None = ()
+    if nthreads > 1:
+        # The serial rung owns the no-toolchain warning and verdict.
+        omp = None if cc is None else _omp_cflags(cc)
     if omp is None:
-        _warn_once(
-            f"no-openmp:{cc}",
-            f"native_threads={nthreads} requested but {cc} cannot build "
-            f"OpenMP code (the -fopenmp probe failed); falling back to "
-            f"the serial native path — results are identical",
-        )
+        if cc is not None:
+            _warn_once(
+                f"no-openmp:{cc}",
+                f"native_threads={nthreads} requested but {cc} cannot "
+                f"build OpenMP code (the -fopenmp probe failed); falling "
+                f"back to the serial native path — results are identical",
+            )
         lib = library_for_kernel(kernel, 1)
+    elif cc is None:
+        _warn_once(
+            "no-toolchain",
+            "backend='native' requested but no C compiler was found "
+            "(checked REPRO_CC, cc, gcc, clang); falling back to the "
+            "python backend — results are identical, only slower",
+        )
     else:
         try:
             source, manifest = generate_native_source(kernel, nthreads)
@@ -631,14 +609,22 @@ def library_for_kernel(kernel, nthreads: int = 1) -> NativeLibrary | None:
                 kernel, cdll, manifest, so_path, nthreads=nthreads
             )
         except (NativeBuildError, OSError) as exc:
+            # OSError covers a cache entry that stays unloadable even
+            # after _build_and_load's one-shot self-heal rebuild.
+            if nthreads > 1:
+                key, what = "mt-build-failed", "threaded native build"
+                rung = "serial native path — results are identical"
+            else:
+                key, what = "build-failed", "native build"
+                rung = "python backend — results are identical, only slower"
             _warn_once(
-                f"mt-build-failed:{kernel.name}",
-                f"threaded native build of kernel {kernel.name!r} failed "
-                f"(cache: {native_cache_dir()}); falling back to the "
-                f"serial native path — results are identical: {exc}",
+                f"{key}:{kernel.name}",
+                f"{what} of kernel {kernel.name!r} failed (cache: "
+                f"{native_cache_dir()}); falling back to the {rung}: {exc}",
             )
-            lib = library_for_kernel(kernel, 1)
-    memo_mt[key] = lib
+            if nthreads > 1:
+                lib = library_for_kernel(kernel, 1)
+    memo[nthreads] = lib
     return lib
 
 

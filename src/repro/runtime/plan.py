@@ -44,7 +44,6 @@ import operator
 import threading
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -57,7 +56,7 @@ from .compiler import (
     RegionKernel,
     _boxes_overlap,
 )
-from .scheduler import safe_split_axis, split_box
+from .scheduler import WorkerPool, safe_split_axis, split_box
 from .tiling import safe_to_tile, tile_box
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -330,8 +329,9 @@ class ExecutionPlan:
     Build via :meth:`CompiledKernel.plan` (memoised) or
     :meth:`ExecutionPlan.build`; execute with :meth:`run` (which binds
     and memoises per arrays identity) or hold a long-lived binding
-    explicitly via :meth:`bind`.  The plan owns the lazily created
-    thread pool its threaded and scatter bindings run on.
+    explicitly via :meth:`bind`.  The plan owns the worker pools its
+    threaded and scatter bindings and its ensembles borrow (see
+    :meth:`worker_pool`).
 
     >>> from repro import heat_problem
     >>> from repro.runtime import compile_nests
@@ -356,11 +356,15 @@ class ExecutionPlan:
         self.region_plans = region_plans
         self.shard = shard
         self.barriers = self._compute_barriers(region_plans)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_finalizer: weakref.finalize | None = None
+        # Plans memoised on cached kernels can outlive their users; the
+        # finalizer releases whatever worker threads exist when the plan
+        # itself is collected (e.g. on kernel-cache eviction).
+        self._pools: dict[int, WorkerPool] = {}
+        weakref.finalize(self, _close_pools, self._pools)
         self._bound_memo: OrderedDict[int, "BoundPlan"] = OrderedDict()
-        # Guards the memo bookkeeping: plans are memoised per kernel, so
-        # one plan may be run from several threads (on their own arrays).
+        # Guards the memo and pool bookkeeping: plans are memoised per
+        # kernel, so one plan may be run from several threads (on their
+        # own arrays).
         self._memo_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------
@@ -560,7 +564,6 @@ class ExecutionPlan:
         batched: Mapping[str, np.ndarray],
         *,
         workers: int = 1,
-        chunks: int | None = None,
     ) -> "EnsemblePlan":
         """Bind this plan against a stacked ensemble of scenarios.
 
@@ -586,7 +589,7 @@ class ExecutionPlan:
         """
         from .ensemble import EnsemblePlan  # avoids cycle
 
-        return EnsemblePlan(self, batched, workers=workers, chunks=chunks)
+        return EnsemblePlan(self, batched, workers=workers)
 
     def checkpointed_adjoint(
         self,
@@ -703,38 +706,43 @@ class ExecutionPlan:
 
     # -- pool lifecycle ----------------------------------------------------
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.config.num_threads)
-            # Plans memoised on cached kernels can outlive their users;
-            # the finalizer releases the worker threads as soon as the
-            # plan itself is collected (e.g. on kernel-cache eviction).
-            self._pool_finalizer = weakref.finalize(
-                self, self._pool.shutdown, wait=False
-            )
-        return self._pool
+    def worker_pool(self, width: int) -> WorkerPool:
+        """This plan's pool of *width* workers, created on first use.
+
+        Every binding of the plan borrows it — threaded and scatter
+        bound plans at ``config.num_threads``, ensembles at their
+        ``workers`` — one :class:`~repro.runtime.scheduler.Batch` per
+        run.  Called from ``run()`` only, never at build or bind time:
+        ``ShardedPlan`` forks after binding, and threads do not survive
+        a fork.
+        """
+        with self._memo_lock:
+            pool = self._pools.get(width)
+            if pool is None:
+                pool = self._pools[width] = WorkerPool(width)
+        return pool
 
     def close(self) -> None:
-        """Shut down the plan's thread pool and drop memoised bindings.
+        """Shut down the plan's worker pools and drop memoised bindings.
 
-        The pool otherwise lives as long as the plan — which, for plans
+        The pools otherwise live as long as the plan — which, for plans
         memoised via :meth:`CompiledKernel.plan` on a cached kernel, can
         be the whole process.  Call ``close`` (or use the plan as a
-        context manager) when a burst of runs is over; the pool is
+        context manager) when a burst of runs is over; pools are
         lazily recreated on the next run.  Dropping the bind memo also
         releases the references it holds to bound arrays.
         """
         with self._memo_lock:
             self._bound_memo.clear()
-        if self._pool is not None:
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        _close_pools(self._pools)
 
     def __enter__(self) -> "ExecutionPlan":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _close_pools(pools: dict[int, WorkerPool]) -> None:
+    while pools:
+        pools.popitem()[1].close()

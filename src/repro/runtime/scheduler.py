@@ -1,4 +1,4 @@
-"""Scheduling: static box splitting and a work-stealing task scheduler.
+"""Scheduling: static box splitting and the runtime's one worker pool.
 
 Two schedulers live here, one per parallelism axis of the runtime:
 
@@ -8,19 +8,20 @@ Two schedulers live here, one per parallelism axis of the runtime:
   partition the box, so for gather kernels (distinct write indices per
   iteration) chunk execution is race-free — the property that makes the
   PerforAD adjoint parallelisable "in the same way as the primal".
-* :class:`WorkStealingScheduler` drives *independent* runnables (the
-  member chunks of an :class:`~repro.runtime.ensemble.EnsemblePlan`)
-  over a fixed set of persistent worker threads.  Each worker owns a
-  deque seeded round-robin; owners pop from the front, idle workers
-  steal from the back of the fullest other deque, so an unlucky worker
-  whose chunks run long does not serialise the whole step.
+* :class:`WorkerPool` runs those chunks — and scatter tasks, ensemble
+  member chunks and checkpointed-ensemble members — on persistent
+  threads, as :class:`Batch` es with one join contract: in-flight tasks
+  drain, queued tasks of the failed batch are cancelled, and the first
+  failure surfaces typed.  This is the only place the runtime decides
+  who owns worker threads, when a batch is joined, and what a failing
+  task does to its siblings and its caller.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from ..errors import ReproError, SchedulerError
 from . import faults
@@ -29,7 +30,8 @@ __all__ = [
     "split_box",
     "choose_split_axis",
     "safe_split_axis",
-    "WorkStealingScheduler",
+    "Batch",
+    "WorkerPool",
 ]
 
 Box = tuple[tuple[int, int], ...]
@@ -61,34 +63,111 @@ def choose_split_axis(bounds: Box) -> int:
     return extents.index(best)
 
 
-class WorkStealingScheduler:
-    """Persistent worker threads running independent tasks with stealing.
+class Batch:
+    """Tasks submitted to a :class:`WorkerPool` and joined together.
 
-    Tasks are argument-less callables with no ordering constraints among
-    them (ensemble member chunks: every chunk touches disjoint member
-    slices).  :meth:`run` distributes them round-robin over per-worker
-    deques and blocks until all have finished; workers that drain their
-    own deque steal from the back of the fullest other deque.  The
-    workers are created once and reused across calls, so a steady-state
-    caller (one :meth:`run` per ensemble timestep) pays no thread
-    creation per step.
+    Join state — pending count, first failure, cancelled count — lives
+    here, not on the pool, so any number of callers may have batches in
+    flight on one pool at once.  As a context manager, leaving the block
+    joins the batch, and an exception raised *inside* the block counts
+    as the batch's failure, so whatever propagates does so only once
+    the workers are quiescent.
+    """
 
-    The scheduler is *not* reentrant: one :meth:`run` call at a time.
-    The first task exception is re-raised in the caller after the batch
-    drains.  Tasks already *running* on other workers complete (they
-    cannot be interrupted mid-flight), but queued-but-unstarted tasks
-    are **cancelled**: once a failure is recorded, the next dequeue
-    drains every deque, so a poisoned batch fails fast instead of
-    burning a full batch of work whose results the caller will discard.
-    :attr:`last_cancelled` reports how many tasks the previous
-    :meth:`run` abandoned.
+    __slots__ = ("_pool", "_pending", "_failure", "cancelled")
+
+    def __init__(self, pool: "WorkerPool") -> None:
+        self._pool = pool
+        self._pending = 0
+        self._failure: BaseException | None = None
+        self.cancelled = 0
+
+    def submit(self, tasks: Iterable[Callable[[], None]]) -> None:
+        """Queue *tasks*; a batch that already failed cancels them unrun."""
+        tasks = list(tasks)
+        pool = self._pool
+        with pool._lock:
+            if pool._closed:
+                raise RuntimeError("worker pool is closed")
+            if self._failure is not None:
+                self.cancelled += len(tasks)
+                return
+            pool._queue.extend((self, task) for task in tasks)
+            self._pending += len(tasks)
+            pool._work.notify(len(tasks))
+
+    def _fail(self, exc: BaseException) -> None:
+        """Record the first failure and cancel this batch's queued tasks
+        (whose results :meth:`join`'s caller would discard anyway).
+        Caller holds the pool lock."""
+        if self._failure is not None:
+            return
+        self._failure = exc
+        queue = self._pool._queue
+        kept = [entry for entry in queue if entry[0] is not self]
+        dropped = len(queue) - len(kept)
+        if dropped:
+            queue.clear()
+            queue.extend(kept)
+            self.cancelled += dropped
+            self._pending -= dropped
+
+    def join(self) -> None:
+        """Wait for every submitted task; re-raise the first failure.
+
+        Tasks already *running* when a sibling fails complete (they
+        cannot be interrupted mid-flight); tasks of this batch still
+        queued at that moment were dropped unrun and counted in
+        :attr:`cancelled`.  A failure that is not already a typed
+        :class:`~repro.errors.ReproError` is wrapped in
+        :class:`~repro.errors.SchedulerError` (itself a
+        ``RuntimeError``); typed errors — a member's
+        :class:`~repro.errors.NumericalDivergenceError`, say — and
+        ``BaseException``s like ``KeyboardInterrupt`` pass unchanged.
+        """
+        pool = self._pool
+        with pool._lock:
+            while self._pending:
+                pool._idle.wait()
+            failure, self._failure = self._failure, None
+        if failure is None:
+            return
+        if isinstance(failure, ReproError) or not isinstance(failure, Exception):
+            raise failure
+        raise SchedulerError(
+            f"task failed ({self.cancelled} queued task(s) cancelled): "
+            f"{failure}"
+        ) from failure
+
+    def __enter__(self) -> "Batch":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc is not None:
+            with self._pool._lock:
+                self._fail(exc)
+        self.join()
+
+
+class WorkerPool:
+    """Persistent worker threads: the runtime's one thread pool.
+
+    Threaded and scatter bound plans, ensemble member chunks and the
+    members of a checkpointed ensemble all run here, as per-call
+    :class:`Batch` es — :meth:`batch` to submit region by region and
+    join at barriers, :meth:`run` for submit-all-then-join.  Tasks are
+    argument-less callables taken first-in first-out from one shared
+    deque, so a worker whose task runs long strands nothing behind it.
+    The workers are created once and reused: a steady-state caller
+    (one batch per timestep) pays no thread creation per step.  An
+    :class:`~repro.runtime.plan.ExecutionPlan` owns its pools.
 
     Example — four tasks over two workers:
 
-    >>> from repro.runtime.scheduler import WorkStealingScheduler
+    >>> from repro.runtime.scheduler import WorkerPool
     >>> hits = []
-    >>> with WorkStealingScheduler(2) as sched:
-    ...     sched.run([lambda i=i: hits.append(i) for i in range(4)])
+    >>> with WorkerPool(2) as pool:
+    ...     pool.run([lambda i=i: hits.append(i) for i in range(4)])
     >>> sorted(hits)
     [0, 1, 2, 3]
     """
@@ -97,160 +176,74 @@ class WorkStealingScheduler:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers
-        self._queues: list[deque] = [deque() for _ in range(num_workers)]
+        self._queue: deque = deque()  # (batch, task), first in first out
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
-        self._idle = threading.Condition(self._lock)
-        self._generation = 0
-        self._pending = 0
-        self._failure: BaseException | None = None
-        self._cancelled = 0
+        self._work = threading.Condition(self._lock)  # queue non-empty / closed
+        self._idle = threading.Condition(self._lock)  # some batch drained
         self._closed = False
+        self.last_cancelled = 0
         self._threads = [
             threading.Thread(
-                target=self._worker_loop,
-                args=(w,),
-                name=f"repro-steal-{w}",
-                daemon=True,
+                target=self._worker_loop, name=f"repro-pool-{w}", daemon=True
             )
             for w in range(num_workers)
         ]
         for t in self._threads:
             t.start()
 
-    # -- worker side -------------------------------------------------------
-
-    def _take(self, worker: int):
-        """Pop the worker's next task, stealing when its deque is empty.
-
-        Owners take from the front of their own deque (cache-friendly
-        seeding order); thieves take from the *back* of the fullest
-        victim, the classic split that keeps owner and thief off the
-        same end.
-
-        Caller MUST hold the lock (both call sites do): the victim
-        length snapshot below is only consistent under it — two thieves
-        scanning concurrently could both pick the same near-empty
-        victim and race a double-pop, and the cancellation bookkeeping
-        (``_cancelled``/``_pending``) must move atomically with the
-        deque drain.
-        """
-        if self._failure is not None:
-            # First failure already recorded: cancel everything not yet
-            # started.  The caller re-raises that failure and discards
-            # the batch's results, so running the remaining tasks would
-            # only burn time (and possibly cascade the same error).
-            dropped = sum(len(q) for q in self._queues)
-            if dropped:
-                for q in self._queues:
-                    q.clear()
-                self._cancelled += dropped
-                self._pending -= dropped
-                if self._pending == 0:
-                    self._idle.notify_all()
-            return None
-        own = self._queues[worker]
-        if own:
-            return own.popleft()
-        # Explicit length snapshot, taken while the lock is held, so the
-        # fullest-victim choice and the pop see the same queue state.
-        lengths = [len(q) for q in self._queues]
-        victim = self._queues[max(range(len(lengths)), key=lengths.__getitem__)]
-        if victim:
-            return victim.pop()
-        return None
-
-    def _worker_loop(self, worker: int) -> None:
-        seen_generation = 0
+    def _worker_loop(self) -> None:
+        queue = self._queue
         while True:
-            with self._work:
-                while self._generation == seen_generation and not self._closed:
+            with self._lock:
+                while not queue:
+                    if self._closed:
+                        return
                     self._work.wait()
-                if self._closed:
-                    return
-                seen_generation = self._generation
-            while True:
-                with self._lock:
-                    task = self._take(worker)
-                if task is None:
-                    break
-                try:
-                    faults.check("scheduler.task")
-                    task()
-                except BaseException as exc:  # noqa: BLE001 - re-raised in run()
-                    with self._lock:
-                        if self._failure is None:
-                            self._failure = exc
-                finally:
-                    with self._lock:
-                        self._pending -= 1
-                        if self._pending == 0:
-                            self._idle.notify_all()
+                batch, task = queue.popleft()
+            failure = None
+            try:
+                faults.check("scheduler.task")
+                task()
+            except BaseException as exc:  # noqa: BLE001 - re-raised by join()
+                failure = exc
+            with self._lock:
+                if failure is not None:
+                    batch._fail(failure)
+                batch._pending -= 1
+                if not batch._pending:
+                    self._idle.notify_all()
+            # An idle worker must not pin the last task (and, through
+            # it, the bound arrays and the owning plan) until the next
+            # one arrives.
+            del batch, task, failure
 
-    # -- caller side -------------------------------------------------------
+    def batch(self) -> Batch:
+        """A new empty :class:`Batch` on this pool."""
+        return Batch(self)
 
-    @property
-    def last_cancelled(self) -> int:
-        """Tasks the previous :meth:`run` cancelled after its first failure."""
-        with self._lock:
-            return self._cancelled
+    def run(self, tasks: Iterable[Callable[[], None]]) -> None:
+        """Execute *tasks* as one batch: submit all, then :meth:`Batch.join`.
 
-    def run(self, tasks: Sequence[Callable[[], None]]) -> None:
-        """Execute *tasks*; re-raise the first failure, cancelling the rest.
-
-        On a clean batch every task runs.  When a task raises, its
-        exception propagates here after in-flight tasks drain, and
-        tasks still queued at that moment are dropped unrun (see the
-        class docstring; the count is exposed as :attr:`last_cancelled`).
-        A failure that is not already a typed
-        :class:`~repro.errors.ReproError` is wrapped in
-        :class:`~repro.errors.SchedulerError` (itself a
-        ``RuntimeError``) recording the cancellation count; typed
-        errors — a member's :class:`~repro.errors.NumericalDivergenceError`,
-        say — and ``BaseException``s like ``KeyboardInterrupt`` pass
-        through unchanged.
+        :attr:`last_cancelled` afterwards holds how many queued tasks
+        the batch abandoned after its first failure (0 on a clean run).
         """
-        tasks = list(tasks)
-        if not tasks:
-            return
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("scheduler is closed")
-            if self._pending:
-                raise RuntimeError("scheduler already running a batch")
-            self._failure = None
-            self._cancelled = 0
-            for idx, task in enumerate(tasks):
-                self._queues[idx % self.num_workers].append(task)
-            self._pending = len(tasks)
-            self._generation += 1
-            self._work.notify_all()
-            while self._pending:
-                self._idle.wait()
-            failure = self._failure
-            self._failure = None
-            cancelled = self._cancelled
-        if failure is not None:
-            if isinstance(failure, ReproError) or not isinstance(
-                failure, Exception
-            ):
-                raise failure
-            raise SchedulerError(
-                f"worker task failed ({cancelled} queued task(s) "
-                f"cancelled): {failure}"
-            ) from failure
+        batch = Batch(self)
+        batch.submit(tasks)
+        try:
+            batch.join()
+        finally:
+            self.last_cancelled = batch.cancelled
 
     def close(self) -> None:
-        """Shut the worker threads down (idempotent)."""
+        """Shut the workers down once the queue is empty (idempotent)."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
             self._work.notify_all()
         for t in self._threads:
-            t.join()
+            if t is not threading.current_thread():
+                t.join()
 
-    def __enter__(self) -> "WorkStealingScheduler":
+    def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc) -> None:

@@ -215,10 +215,42 @@ def _scenario_omp_probe() -> str:
     return "fired 1x; serial native fallback; bitwise-identical"
 
 
+def _transactional_scenario(plan, base, ref, point: str, skip: int = 0) -> None:
+    """Shared shape of the two transactional-run fault points.
+
+    Fires *point* inside a bound run of *plan* (``transactional=True``)
+    on a copy of *base* and asserts the contract: one typed
+    ``KernelError``, every array restored, and a clean re-run bitwise
+    equal to *ref*.  Closes *plan*.
+    """
+    got = {k: v.copy() for k, v in base.items()}
+    try:
+        bound = plan.bind(got)
+        with faults.inject(point, skip=skip) as inj:
+            try:
+                bound.run()
+                raise AssertionError(f"injected {point} fault did not propagate")
+            except KernelError:
+                pass
+            if inj.fired(point) != 1:
+                raise AssertionError(f"{point} fault never fired")
+        bad = _mismatches(base, got)
+        if bad:
+            raise AssertionError(
+                f"transactional restore missed {bad} after the {point} "
+                f"fault (num_threads={plan.config.num_threads})"
+            )
+        bound.run()
+        bad = _mismatches(ref, got)
+        if bad:
+            raise AssertionError(f"post-restore rerun diverged on {bad}")
+    finally:
+        plan.close()
+
+
 def _scenario_scatter_merge() -> str:
     from ..apps import heat_problem
     from ..baselines.scatter import tapenade_style_adjoint
-    from ..errors import KernelError as _KernelError
     from ..runtime import compile_nests
 
     prob = heat_problem(1)
@@ -230,32 +262,10 @@ def _scenario_scatter_merge() -> str:
     rng = np.random.default_rng(0)
     base = prob.allocate(n, rng=rng)
     base.update(prob.allocate_adjoints(n, rng=rng))
+    plan = kernel.plan(scatter=True, num_threads=2, transactional=True)
     ref = {k: v.copy() for k, v in base.items()}
-    plan_ref = kernel.plan(scatter=True, num_threads=2, transactional=True)
-    try:
-        plan_ref.bind(ref).run()
-        got = {k: v.copy() for k, v in base.items()}
-        snap = {k: v.copy() for k, v in got.items()}
-        bound = plan_ref.bind(got)
-        with faults.inject("scatter.merge") as inj:
-            try:
-                bound.run()
-                raise AssertionError("injected merge fault did not propagate")
-            except _KernelError:
-                pass
-            if inj.fired("scatter.merge") != 1:
-                raise AssertionError("merge fault never fired")
-        bad = _mismatches(snap, got)
-        if bad:
-            raise AssertionError(
-                f"transactional restore missed {bad} after the merge fault"
-            )
-        bound.run()
-        bad = _mismatches(ref, got)
-        if bad:
-            raise AssertionError(f"post-restore rerun diverged on {bad}")
-    finally:
-        plan_ref.close()
+    plan.bind(ref).run()
+    _transactional_scenario(plan, base, ref, "scatter.merge")
     return (
         "typed KernelError mid-merge; arrays restored; "
         "clean rerun bitwise-identical"
@@ -263,10 +273,10 @@ def _scenario_scatter_merge() -> str:
 
 
 def _scenario_scheduler_task() -> str:
-    from ..runtime.scheduler import WorkStealingScheduler
+    from ..runtime.scheduler import WorkerPool
 
     done: list[int] = []
-    with WorkStealingScheduler(2) as sched:
+    with WorkerPool(2) as sched:
         with faults.inject("scheduler.task") as inj:
             try:
                 sched.run([lambda i=i: done.append(i) for i in range(6)])
@@ -287,7 +297,7 @@ def _scenario_scheduler_task() -> str:
             raise AssertionError("scheduler did not survive the failure")
     return (
         f"typed SchedulerError; {cancelled} queued task(s) cancelled; "
-        f"scheduler reusable"
+        f"pool reusable"
     )
 
 
@@ -350,29 +360,17 @@ def _scenario_bound_run() -> str:
     kernel, base = _fresh_case()
     ref = {k: v.copy() for k, v in base.items()}
     kernel(ref)
-    got = {k: v.copy() for k, v in base.items()}
-    snap = {k: v.copy() for k, v in got.items()}
-    plan = kernel.plan(transactional=True)
-    try:
-        bound = plan.bind(got)
-        with faults.inject("bound.run", skip=1) as inj:
-            try:
-                bound.run()
-                raise AssertionError("injected run fault did not propagate")
-            except KernelError:
-                pass
-            if inj.fired("bound.run") != 1:
-                raise AssertionError("run fault never fired")
-        bad = _mismatches(snap, got)
-        if bad:
-            raise AssertionError(f"transactional restore missed {bad}")
-        bound.run()
-        bad = _mismatches(ref, got)
-        if bad:
-            raise AssertionError(f"post-restore rerun diverged on {bad}")
-    finally:
-        plan.close()
-    return "typed KernelError; arrays restored; clean rerun bitwise-identical"
+    # Serial, then threaded: a failing task must be joined with its
+    # siblings before the restore, or they write after it.
+    for threads in (1, 2):
+        plan = kernel.plan(
+            transactional=True, num_threads=threads, min_block_iterations=1
+        )
+        _transactional_scenario(plan, base, ref, "bound.run", skip=1)
+    return (
+        "typed KernelError; arrays restored; clean rerun bitwise-identical "
+        "(num_threads 1 and 2)"
+    )
 
 
 # -- the serving daemon's fault points ----------------------------------------

@@ -22,6 +22,21 @@ def rng():
 
 
 @pytest.fixture
+def new_pool_threads():
+    """Callable: the live worker-pool threads started since the test began
+    (memoised plans from earlier tests may still hold theirs)."""
+    import threading
+
+    def pool_threads():
+        return {
+            t for t in threading.enumerate() if t.name.startswith("repro-pool-")
+        }
+
+    before = pool_threads()
+    return lambda: pool_threads() - before
+
+
+@pytest.fixture
 def symbols_1d():
     """(i, n, u, c, r, u_b, r_b) for the paper's Section 3.2 example."""
     i = sp.Symbol("i", integer=True)

@@ -279,27 +279,23 @@ def test_ensemble_workers_do_not_change_bits():
             assert _bitwise(out[k], ref[k])
 
 
-def test_ensemble_bindings_share_one_scheduler():
-    """All parity bindings run on one plan-owned worker pool; none of
-    them spawns (or tears down) a private scheduler."""
-    prob = heat_problem(1)
-    n, members = 14, 8
+def test_checkpointed_ensemble_holds_one_pool_per_plan(new_pool_threads):
+    """The 2 * (h + 1) parity bindings borrow their plan's worker pool:
+    one pool for the forward plan, one for the reverse plan — never one
+    per binding — and ``close()`` releases both."""
+    prob = wave_problem(2)  # two history fields: 3 + 3 parity bindings
+    n, members, workers = 14, 8, 2
     shape = prob.array_shape(n)
     rng = np.random.default_rng(6)
-    plan = prob.checkpointed_adjoint(n, steps=6, snaps=2, members=members,
-                                     workers=2)
-    plan.adjoint(
-        [rng.standard_normal((members, *shape)) * 0.1],
-        rng.standard_normal((members, *shape)),
+    plan = prob.checkpointed_adjoint(
+        n, steps=6, snaps=2, members=members, workers=workers
     )
-    assert plan._scheduler is not None
-    for bound in (*plan._fwd, *plan._rev):
-        assert bound._shared_scheduler is plan._scheduler
-        assert bound._scheduler is None  # no private pool was created
-        bound.close()  # must leave the shared scheduler running
-    assert not plan._scheduler._closed  # alive until the plan closes
+    assert len(plan._fwd) + len(plan._rev) == 6
+    state0 = [rng.standard_normal((members, *shape)) * 0.1 for _ in range(2)]
+    plan.adjoint(state0, rng.standard_normal((members, *shape)))
+    assert 0 < len(new_pool_threads()) <= 2 * workers
     plan.close()
-    assert plan._scheduler is None
+    assert not new_pool_threads()
 
 
 def test_ensemble_helper_broadcasts_per_scenario_constants():

@@ -23,7 +23,7 @@ from repro.runtime import (
     Bindings,
     EnsemblePlan,
     KernelError,
-    WorkStealingScheduler,
+    WorkerPool,
     batch_safe_statement,
     compile_nests,
     native_available,
@@ -104,17 +104,23 @@ def test_batched_equals_looped_threaded_and_tiled_plans(backend):
             _assert_members_match(ensemble, refs)
 
 
-@pytest.mark.parametrize("workers,chunks", [(1, None), (2, None), (3, 5), (2, 4)])
-def test_worker_and_chunk_count_never_change_results(workers, chunks):
+@pytest.mark.parametrize(
+    "workers,members",
+    # None: the suite's usual 7 members.  11 x 2 and 17 x 3 split into
+    # uneven chunks (8 of 2,2,2,1,...; 12 of 2,2,2,2,2,1,...).
+    [(1, None), (2, None), (3, 5), (2, 4), (2, 11), (3, 17)],
+)
+def test_worker_and_chunk_count_never_change_results(workers, members):
     """Scheduler determinism: results are bitwise independent of threading."""
     prob = wave_problem(2)
     kernel = _kernel(prob, 10)
     plan = kernel.plan()
-    states = _member_states(prob, 10, members=7)
+    states = _member_states(prob, 10, members=members or 7)
     refs = _looped_reference(plan, states, steps=2)
-    with EnsemblePlan(
-        plan, stack_arrays(states), workers=workers, chunks=chunks
-    ) as ensemble:
+    with EnsemblePlan(plan, stack_arrays(states), workers=workers) as ensemble:
+        assert ensemble.chunk_count == (
+            1 if workers == 1 else min(len(states), 4 * workers)
+        )
         ensemble.run()
         ensemble.run()
         _assert_members_match(ensemble, refs)
@@ -300,7 +306,7 @@ def test_plan_ensemble_entry_point():
 
 
 def test_scheduler_runs_every_task_and_is_reusable():
-    with WorkStealingScheduler(3) as sched:
+    with WorkerPool(3) as sched:
         for _ in range(3):  # generations reuse the persistent workers
             hits = []
             lock = threading.Lock()
@@ -315,7 +321,7 @@ def test_scheduler_runs_every_task_and_is_reusable():
 
 def test_scheduler_steals_from_loaded_workers():
     """An unbalanced batch finishes on the thief, not behind the owner."""
-    with WorkStealingScheduler(2) as sched:
+    with WorkerPool(2) as sched:
         ran_by = {}
         lock = threading.Lock()
 
@@ -347,7 +353,7 @@ def test_scheduler_steals_from_loaded_workers():
 
 
 def test_scheduler_propagates_task_exceptions():
-    with WorkStealingScheduler(2) as sched:
+    with WorkerPool(2) as sched:
         done = []
 
         def boom():
@@ -365,14 +371,14 @@ def test_scheduler_propagates_task_exceptions():
 
 
 def test_scheduler_close_is_idempotent_and_final():
-    sched = WorkStealingScheduler(2)
+    sched = WorkerPool(2)
     sched.run([lambda: None])
     sched.close()
     sched.close()
     with pytest.raises(RuntimeError, match="closed"):
         sched.run([lambda: None])
     with pytest.raises(ValueError):
-        WorkStealingScheduler(0)
+        WorkerPool(0)
 
 
 # -- ensemble steady state ----------------------------------------------------

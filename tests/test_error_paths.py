@@ -102,26 +102,25 @@ def test_ensemble_member_arrays_bounds_checked():
 # -- degenerate worker/chunk configurations stay bitwise correct -------------------
 
 
-def _run_config(prob, kernel, n, members, **kwargs):
+def _run_config(prob, kernel, n, members=2, workers=1):
     states = [prob.allocate_state(n, seed=m) for m in range(members)]
     batched = stack_arrays(states)
-    with EnsemblePlan(kernel.plan(), batched, **kwargs) as ens:
+    with EnsemblePlan(kernel.plan(), batched, workers=workers) as ens:
         for _ in range(3):
             ens.run()
     return batched
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(workers=8),            # more workers than members
-    dict(chunks=1, workers=2),  # single chunk under threads
-    dict(chunks=99),            # more chunks than members: clamped
-    dict(workers=2, chunks=2),
+    dict(workers=8),             # more workers than members
+    dict(members=1, workers=2),  # single chunk under threads
+    dict(workers=99),            # more chunks wanted than members: clamped
+    dict(workers=2),
 ])
 def test_degenerate_configs_match_reference(kwargs):
     prob, kernel, n = _kernel()
-    members = 2
-    ref = _run_config(prob, kernel, n, members)
-    out = _run_config(prob, kernel, n, members, **kwargs)
+    ref = _run_config(prob, kernel, n, members=kwargs.get("members", 2))
+    out = _run_config(prob, kernel, n, **kwargs)
     for name in ref:
         assert ref[name].tobytes() == out[name].tobytes(), (name, kwargs)
 
@@ -129,8 +128,8 @@ def test_degenerate_configs_match_reference(kwargs):
 def test_chunk_count_clamped_to_members():
     prob, kernel, n = _kernel()
     batched = stack_arrays([prob.allocate_state(n, seed=m) for m in range(2)])
-    assert EnsemblePlan(kernel.plan(), batched, chunks=99).chunk_count == 2
-    assert EnsemblePlan(kernel.plan(), batched, chunks=0).chunk_count == 1
+    assert EnsemblePlan(kernel.plan(), batched, workers=99).chunk_count == 2
+    assert EnsemblePlan(kernel.plan(), batched, workers=1).chunk_count == 1
 
 
 # -- `repro adjoint` CLI argument validation ---------------------------------------

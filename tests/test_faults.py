@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import stat
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ import pytest
 
 from repro import cli
 from repro.apps import heat_problem
+from repro.baselines.scatter import tapenade_style_adjoint
 from repro.core import adjoint_loops
 from repro.core.validate import SpecLimits
 from repro.errors import (
@@ -52,7 +54,7 @@ from repro.runtime import (
 )
 from repro.runtime import native as native_mod
 from repro.runtime.cache import native_cache_dir
-from repro.runtime.scheduler import WorkStealingScheduler
+from repro.runtime.scheduler import WorkerPool
 from repro.verify.chaos import ChaosResult, _fresh_case, chaos_scenarios, run_chaos
 
 N = 12
@@ -422,7 +424,7 @@ def test_scheduler_cancels_queued_tasks_after_failure():
     def boom():
         raise ValueError("task 0 failed")
 
-    with WorkStealingScheduler(1) as sched:
+    with WorkerPool(1) as sched:
         tasks = [boom] + [lambda i=i: ran.append(i) for i in range(1, 4)]
         with pytest.raises(SchedulerError, match="task 0 failed"):
             sched.run(tasks)
@@ -434,15 +436,14 @@ def test_scheduler_cancels_queued_tasks_after_failure():
 
 
 def test_scheduler_first_failure_accounting_under_contention():
-    """Satellite: steal-victim selection snapshots lengths under the lock.
+    """Satellite: dequeue and cancellation move together under the lock.
 
-    With four workers all stealing from each other, whichever
-    interleaving the OS produces, first-failure cancellation must
-    account for every task exactly once: tasks that ran plus tasks
-    cancelled equals the batch size minus the failing task — no task
-    double-popped by racing thieves, none lost.
+    With four workers racing for the queue, whichever interleaving the
+    OS produces, first-failure cancellation must account for every task
+    exactly once: tasks that ran plus tasks cancelled equals the batch
+    size minus the failing task — no task double-popped, none lost.
     """
-    with WorkStealingScheduler(4) as sched:
+    with WorkerPool(4) as sched:
         for _ in range(20):
             ran = []
 
@@ -459,7 +460,7 @@ def test_scheduler_first_failure_accounting_under_contention():
 
 
 def test_scheduler_passes_typed_errors_through_unchanged():
-    with WorkStealingScheduler(1) as sched:
+    with WorkerPool(1) as sched:
 
         def diverge():
             raise NumericalDivergenceError("nan at step 3", step=3)
@@ -521,6 +522,46 @@ def test_transactional_run_restores_arrays_and_types_error():
         _assert_bitwise(base, got)  # rolled back to the pre-call state
         bound.run()
         _assert_bitwise(_reference(kernel, base), got)
+    finally:
+        plan.close()
+
+
+@pytest.mark.parametrize("discipline", ["gather", "scatter"])
+def test_transactional_restore_waits_for_sibling_tasks(discipline):
+    """A task failing under ``num_threads=2`` must not be rolled back
+    while its sibling is still writing: the arrays equal their pre-run
+    copies at the raise *and* once every thread has had time to finish.
+    """
+    prob = heat_problem(2)
+    n = 768  # large enough that the two tasks of a region overlap
+    if discipline == "gather":
+        nests = adjoint_loops(prob.primal, prob.adjoint_map)
+    else:
+        nests = [tapenade_style_adjoint(prob.primal, prob.adjoint_map)]
+    kernel = compile_nests(nests, prob.bindings(n), cache=False)
+    rng = np.random.default_rng(0)
+    base = prob.allocate(n, rng=rng)
+    base.update(prob.allocate_adjoints(n, rng=rng))
+    got = {k: v.copy() for k, v in base.items()}
+    plan = kernel.plan(
+        num_threads=2,
+        scatter=discipline == "scatter",
+        transactional=True,
+        min_block_iterations=1,
+    )
+    try:
+        bound = plan.bind(got)
+        with faults.inject("bound.run", skip=3) as inj:
+            with pytest.raises(KernelError):
+                bound.run()
+            assert inj.fired("bound.run") == 1
+        _assert_bitwise(base, got)
+        time.sleep(0.3)
+        _assert_bitwise(base, got)  # no straggler wrote after the restore
+        bound.run()
+        ref = {k: v.copy() for k, v in base.items()}
+        plan.run_unbound(ref)  # the serial reference of either discipline
+        _assert_bitwise(ref, got)
     finally:
         plan.close()
 

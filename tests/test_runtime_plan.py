@@ -6,10 +6,14 @@ evaluate the same expression trees element-wise, so agreement is exact
 (bitwise), and every planned discipline must preserve that.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from repro.apps import heat_problem
 from repro.core import adjoint_loops, make_loop_nest
 from repro.runtime import (
     Bindings,
@@ -17,6 +21,7 @@ from repro.runtime import (
     KernelError,
     compile_nests,
     interpret_nests,
+    stack_arrays,
 )
 
 CONFIGS = [
@@ -237,3 +242,72 @@ def test_threaded_plan_propagates_exceptions():
     with kernel.plan(num_threads=2, min_block_iterations=1) as plan:
         with pytest.raises(KernelError):
             plan.run(arrays)
+
+
+# -- the plan-owned worker pool ----------------------------------------------------
+
+
+def test_concurrent_callers_share_one_memoised_threaded_plan():
+    """Memoised plans are shared process-wide, so two callers may run
+    the same threaded plan at once (each on its own arrays and binding);
+    their batches share the plan's pool without mixing."""
+    prob = heat_problem(2)
+    n = 48
+    kernel = compile_nests(
+        adjoint_loops(prob.primal, prob.adjoint_map), prob.bindings(n)
+    )
+    states = [prob.allocate_state(n, seed=s) for s in range(2)]
+    refs = [{k: v.copy() for k, v in st.items()} for st in states]
+    for ref in refs:
+        bound = kernel.plan().bind(ref)
+        for _ in range(50):
+            bound.run()
+    plan = kernel.plan(num_threads=2, min_block_iterations=1)
+    assert kernel.plan(num_threads=2, min_block_iterations=1) is plan
+    errors = []
+
+    def drive(state):
+        try:
+            bound = plan.bind(state)
+            for _ in range(50):
+                bound.run()
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    callers = [threading.Thread(target=drive, args=(st,)) for st in states]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        plan.close()
+    assert not any(t.is_alive() for t in callers)
+    assert not errors, errors
+    for ref, state in zip(refs, states):
+        for name in ref:
+            assert ref[name].tobytes() == state[name].tobytes(), name
+
+
+def test_close_releases_the_plans_pool_threads(new_pool_threads):
+    prob = heat_problem(2)
+    n = 16
+    kernel = compile_nests(  # uncached: no earlier test holds its pools
+        adjoint_loops(prob.primal, prob.adjoint_map), prob.bindings(n),
+        cache=False,
+    )
+    plan = kernel.plan(num_threads=2, min_block_iterations=1)
+    plan.bind(prob.allocate_state(n, seed=0)).run()
+    assert len(new_pool_threads()) == 2
+    plan.close()
+    assert not new_pool_threads()
+
+    batched = stack_arrays([prob.allocate_state(n, seed=m) for m in range(6)])
+    ensemble = kernel.plan().ensemble(batched, workers=2)
+    ensemble.run()
+    assert len(new_pool_threads()) == 2
+    ensemble.close()
+    assert not new_pool_threads()

@@ -151,6 +151,35 @@ def test_forked_workers_bitwise(nranks):
 
 
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
+def test_forked_workers_threaded_plans_bitwise():
+    """Threaded per-shard plans create their worker pool on first run,
+    inside the forked worker — never at bind time, before the fork,
+    where the threads would not survive into the child."""
+    prob = heat_problem(2)
+    n = 24
+    fwd, _ = _kernels(prob, n)
+    ref = prob.allocate(n, rng=np.random.default_rng(4))
+    plan = fwd.plan()
+    bound = plan.bind(ref)
+    for _ in range(3):
+        bound.run()
+        np.copyto(ref["u_1"], ref["u"])
+    plan.close()
+
+    state = prob.allocate(n, rng=np.random.default_rng(4))
+    with ShardedPlan(
+        fwd, state, nranks=2, halo=1,
+        config=ExecutionConfig(num_threads=2, min_block_iterations=1),
+    ) as sp:
+        assert sp.multiprocess
+        for _ in range(3):
+            sp.step(exchange=["u_1"])
+            sp.copy("u_1", "u")
+        got = sp.gather(["u"])
+    np.testing.assert_array_equal(got["u"], ref["u"])
+
+
+@pytest.mark.skipif(not _FORK, reason="no fork start method")
 @pytest.mark.skipif(not native_available(), reason="no C toolchain")
 def test_forked_workers_native_backend_bitwise():
     """Native-backend bound plans survive the fork (the ctypes-loaded
