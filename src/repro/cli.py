@@ -644,7 +644,7 @@ def _cmd_fuse(args) -> int:
             f"fusion={args.fusion}"
         )
         if args.explain:
-            for line in bound.fusion_explain():
+            for line in bound.explain():
                 print(f"  {line}")
         else:
             print(

@@ -83,34 +83,19 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 import sympy as sp
 
-from ..codegen.native_c import native_eligibility
-from ..core.fusion import FusionEntry, describe_groups, plan_groups
-from ..errors import (
-    KernelError,
-    NumericalDivergenceError,
-    ReproError,
-    ValidationError,
-)
+from ..errors import KernelError, ReproError, ValidationError
 from . import faults
 from .compiler import (
     CompiledStatement,
-    RegionKernel,
     _frame_view,
     _target_view_and_missing,
 )
-from .native import (
-    NativeStatement,
-    chain_runnables,
-    library_for_kernel,
-    make_fused_statement,
-    make_native_statement,
-    native_thread_count,
-)
+from .decisions import Ladder, Lowered, serial_stream, task_stream
 
 __all__ = ["BoundPlan"]
 
@@ -405,71 +390,6 @@ class _BoundStatement:
             np.copyto(tview, rhs)
 
 
-def _bind_unit(
-    region: RegionKernel,
-    stmt_boxes: Sequence[Box | None],
-    arrays: Mapping[str, np.ndarray],
-    native_lib=None,
-) -> list:
-    """Bind one work unit's statements, native where possible.
-
-    With a native library, each statement that was lowered to C *and*
-    whose concrete arrays satisfy the lowering assumptions binds to a
-    :class:`~repro.runtime.native.NativeStatement`; everything else
-    keeps the Python slot-tape path.  Both expose ``run()``.  Returns
-    ``(bound, statement, eff_box)`` triples so the caller can feed the
-    fusion planner without re-deriving the statement stream.
-    """
-    out: list = []
-    for si, (st, eff) in enumerate(zip(region.statements, stmt_boxes)):
-        if eff is None:
-            continue
-        bound = None
-        if native_lib is not None:
-            bound = make_native_statement(native_lib, region, si, st, arrays, eff)
-        if bound is None:
-            bound = _BoundStatement(st, arrays, eff, region.dtype)
-        out.append((bound, st, eff))
-    return out
-
-
-class _CheckedStatement:
-    """Divergence-watchdog wrapper: scan the target after each statement.
-
-    Installed by ``ExecutionConfig(check="nan")`` bindings around every
-    runnable (fusion and native chaining are disabled there, so the
-    granularity is exactly one statement).  After the inner statement
-    runs, its written values are scanned; the first non-finite value
-    raises :class:`~repro.errors.NumericalDivergenceError` carrying the
-    plan's step counter and the statement's identity — turning "the
-    simulation went NaN somewhere" into "statement X at step N".
-    """
-
-    __slots__ = ("inner", "target", "label", "owner")
-
-    def __init__(self, inner, target: np.ndarray, label: str, owner) -> None:
-        self.inner = inner
-        self.target = target
-        self.label = label
-        self.owner = owner
-
-    def run(self) -> None:
-        self.inner.run()
-        finite = np.isfinite(self.target)
-        if not finite.all():
-            flat_idx = int(np.argmin(finite.ravel()))
-            idx = np.unravel_index(flat_idx, self.target.shape)
-            value = self.target[idx]
-            step = self.owner._step
-            raise NumericalDivergenceError(
-                f"non-finite value {value!r} first written at index "
-                f"{tuple(int(i) for i in idx)} by statement {self.label} "
-                f"during run #{step}",
-                step=step,
-                statement=self.label,
-            )
-
-
 class _BoundTask:
     """One schedulable task: its runnables plus optional scatter scratch.
 
@@ -497,7 +417,7 @@ class _BoundTask:
 # -- the bound plan --------------------------------------------------------------
 
 
-class BoundPlan:
+class BoundPlan(Lowered):
     """An :class:`~repro.runtime.plan.ExecutionPlan` resolved against arrays.
 
     Build via :meth:`ExecutionPlan.bind`; ``ExecutionPlan.run`` also
@@ -524,12 +444,9 @@ class BoundPlan:
 
     def __init__(self, plan, arrays: Mapping[str, np.ndarray]) -> None:
         self.plan = plan
-        config = plan.config
-        scatter_mode = config.scatter and config.num_threads > 1
-        native_lib = (
-            library_for_kernel(plan.kernel, native_thread_count(config))
-            if config.backend == "native"
-            else None
+        stmts = [st for rp in plan.region_plans for st in rp.region.statements]
+        names = sorted(
+            {n for st in stmts for n in (st.target.name, *(a.name for a in st.reads))}
         )
         shard = getattr(plan, "shard", None)
         if shard is not None:
@@ -538,12 +455,7 @@ class BoundPlan:
             # array must span exactly the shard's slab.  Catching a
             # mismatch here names the rank and the array instead of
             # surfacing as an opaque out-of-bounds view error.
-            names = set()
-            for rp in plan.region_plans:
-                for st in rp.region.statements:
-                    names.add(st.target.name)
-                    names.update(acc.name for acc in st.reads)
-            for name in sorted(names):
+            for name in names:
                 extent = arrays[name].shape[0]
                 if extent != shard.slab_extent:
                     raise ValidationError(
@@ -554,245 +466,60 @@ class BoundPlan:
                         f"{shard.slab_lo + shard.slab_extent - 1}]); "
                         f"bind slab-sized arrays"
                     )
-        sources: dict[str, np.ndarray] = {}
-
-        def resolve(name: str) -> np.ndarray:
-            arr = sources.get(name)
-            if arr is None:
-                arr = sources[name] = arrays[name]
-            return arr
-
-        # Serial configs execute through the cross-task _serial_items
-        # chain; threaded/scatter configs execute through per-task
-        # chains.  Pack only the variant this config's run() uses —
-        # the other would be dead ctypes-array weight per bind.
-        serial_mode = config.num_threads == 1
-        # The divergence watchdog needs per-statement granularity:
-        # chaining and fusion would hide which statement produced the
-        # first non-finite value, so both stay off under check="nan".
-        check_mode = config.check == "nan"
-        # Per region: (tasks, barrier before it, tasks may run concurrently).
-        regions: list[tuple[tuple[_BoundTask, ...], bool, bool]] = []
-        flat: list = []
-        meta: list = []  # (region, statement, eff box) aligned with flat
-        for rp, barrier in zip(plan.region_plans, plan.barriers):
-            names = {st.target.name for st in rp.region.statements}
-            names.update(
-                acc.name for st in rp.region.statements for acc in st.reads
-            )
-            local = {name: resolve(name) for name in sorted(names)}
-            written = sorted(
-                {st.target.name for st in rp.region.statements}
-            )
-            tasks = []
-            for task_boxes in rp.tasks:
-                if scatter_mode:
-                    scratch = {
-                        name: np.zeros_like(local[name]) for name in written
-                    }
-                    task_arrays = {**local, **scratch}
-                else:
-                    scratch = None
-                    task_arrays = local
-                stmts: list = []
-                for boxes in task_boxes:
-                    for bound, st, eff in _bind_unit(
-                        rp.region, boxes, task_arrays, native_lib
-                    ):
-                        stmts.append(bound)
-                        meta.append((rp.region, st, eff))
-                items = (
-                    stmts
-                    if serial_mode or check_mode
-                    else chain_runnables(native_lib, stmts)
-                )
-                task = _BoundTask(items, scratch)
-                tasks.append(task)
-                flat.extend(stmts)
-            regions.append((tuple(tasks), barrier, rp.parallel))
+        sources = {name: arrays[name] for name in names}
         self._sources = sources
-        self._regions = tuple(regions)
-        self._flat: tuple = tuple(flat)
-        # Dependence-aware fusion is a post-pass over the serial stream:
-        # per-statement binds stay (counters, the reference oracle);
-        # fused groups substitute contiguous slices of the
-        # execution stream only.  Restricted to serial untiled native
-        # bindings — the fused nests bake their geometry, so per-tile or
-        # per-thread boxes would mean one compile per tile.
-        self.fused_group_count = 0
-        self.fused_statement_count = 0
-        self._fusion_groups: tuple = ()
-        self._fusion_bound: tuple[bool, ...] = ()
-        # The *effective* thread count: the library's, after the OpenMP
-        # probe and build-failure fallbacks, so fused binds and
-        # introspection agree with what the C code actually does.
-        self.native_threads = native_lib.nthreads if native_lib else 1
-        stream: list = flat
-        if (
-            serial_mode
-            and native_lib is not None
-            and config.fusion != "off"
-            and config.tile_shape is None
-            and not scatter_mode
-            and not check_mode
-        ):
-            stream = self._apply_fusion(flat, meta)
         # Reliability bookkeeping: the run counter feeds the divergence
         # watchdog's reports; written-array identities and their lazily
         # allocated backups implement the transactional guard.
         self._step = 0
-        written_names = sorted(
-            {
-                st.target.name
-                for rp in plan.region_plans
-                for st in rp.region.statements
-            }
-        )
         self._written = tuple(
-            sources[name] for name in written_names if name in sources
+            sources[name] for name in sorted({st.target.name for st in stmts})
         )
         self._backups: tuple | None = None
-        if check_mode:
-            labels = {
-                id(b): f"{st.target.name!r} of region {region.name!r}"
-                for b, (region, st, _eff) in zip(flat, meta)
-            }
 
-            def _wrap(bound):
-                target = (
-                    bound.arrays[0]
-                    if isinstance(bound, NativeStatement)
-                    else bound.tview
-                )
-                return _CheckedStatement(bound, target, labels[id(bound)], self)
+        ladder = Ladder(plan, self)
+        self.mode = mode = ladder.mode
+        python: list[_BoundStatement] = []
 
-            for tasks, _barrier, _parallel in regions:
-                for task in tasks:
-                    task.items = tuple(_wrap(s) for s in task.items)
-            stream = [_wrap(s) for s in stream]
-        # Serial execution order is the flat statement order, so chain
-        # across region/task boundaries: a fully native kernel runs one
-        # FFI call per timestep.  (Unused — and unchained — for
-        # threaded/scatter configs, whose run() goes through the tasks.)
-        if serial_mode:
-            self._serial_items: tuple = (
-                tuple(stream)
-                if check_mode
-                else tuple(chain_runnables(native_lib, stream))
-            )
+        def lower(stream, arrays) -> list:
+            def python_rung(region, _si, st, eff):
+                python.append(_BoundStatement(st, arrays, eff, region.dtype))
+                return "python", python[-1:]
+
+            return ladder.lower(stream, {None: arrays}, python_rung)
+
+        # Serial execution order is the flat statement order, so a
+        # serial config lowers one stream across region/task boundaries:
+        # a fully native kernel runs one FFI call per timestep.
+        # Threaded/scatter configs lower per task.  Only the variant
+        # this config's run() uses is bound — the other would be dead
+        # ctypes-array weight per bind.
+        self._serial_items: tuple = ()
+        # Per region: (tasks, barrier before it, tasks may run concurrently).
+        regions: list[tuple[tuple[_BoundTask, ...], bool, bool]] = []
+        if mode.serial:
+            self._serial_items = tuple(lower(serial_stream(plan), sources))
         else:
-            self._serial_items = self._flat
-
-    def _apply_fusion(self, flat: list, meta: list) -> list:
-        """Substitute fused groups into the serial execution stream.
-
-        Plans groups over the bound statement stream (statements that
-        fell back to Python, or were never lowered, enter as blocked
-        singletons), then binds each multi-statement group to one
-        generated nest.  A group failing a bind-time gate or its build
-        keeps its original per-statement slice — fallback is per group,
-        never all-or-nothing.
-        """
-        kernel = self.plan.kernel
-        dim = len(kernel.counters)
-        entries = []
-        for bound, (region, st, eff) in zip(flat, meta):
-            dtype_name = (
-                getattr(region.dtype, "__name__", None) or str(region.dtype)
-            )
-            if isinstance(bound, NativeStatement):
-                blocker = None
-            else:
-                blocker = native_eligibility(st, dim, region.dtype) or (
-                    "bind-time native fallback (arrays failed a lowering gate)"
-                )
-            entries.append(
-                FusionEntry(
-                    stmt=st, box=eff, dim=dim, dtype=dtype_name, blocker=blocker
-                )
-            )
-        groups = plan_groups(entries)
-        stream: list = []
-        bound_flags: list[bool] = []
-        pos = 0
-        for group in groups:
-            n = len(group.entries)
-            fused = None
-            if group.fused:
-                fused = make_fused_statement(
-                    kernel, group.entries, self._sources,
-                    nthreads=self.native_threads,
-                )
-            if fused is not None:
-                stream.append(fused)
-                self.fused_group_count += 1
-                self.fused_statement_count += fused.members
-                bound_flags.append(True)
-            else:
-                stream.extend(flat[pos:pos + n])
-                bound_flags.append(False)
-            pos += n
-        self._fusion_groups = tuple(groups)
-        self._fusion_bound = tuple(bound_flags)
-        return stream
+            for rp, barrier in zip(plan.region_plans, plan.barriers):
+                written = sorted({st.target.name for st in rp.region.statements})
+                tasks = []
+                for task in rp.tasks:
+                    scratch = None
+                    if plan.config.scatter:
+                        scratch = {
+                            name: np.zeros_like(sources[name]) for name in written
+                        }
+                    items = lower(
+                        task_stream(rp.region, task), {**sources, **(scratch or {})}
+                    )
+                    tasks.append(_BoundTask(items, scratch))
+                regions.append((tuple(tasks), barrier, rp.parallel))
+        self._regions = tuple(regions)
+        self.decisions = tuple(ladder.decisions)
+        # Statements running through the allocation-free ufunc slots.
+        self.inplace_statement_count = sum(1 for b in python if b.inplace)
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def statement_count(self) -> int:
-        return len(self._flat)
-
-    @property
-    def inplace_statement_count(self) -> int:
-        """Statements running through the allocation-free ufunc slots."""
-        return sum(1 for s in self._flat if getattr(s, "inplace", False))
-
-    @property
-    def native_statement_count(self) -> int:
-        """Statements dispatched to JIT-built C (0 on the python backend)."""
-        return sum(1 for s in self._flat if isinstance(s, NativeStatement))
-
-    @property
-    def sweep_count(self) -> int:
-        """Memory sweeps per serial run after fusion.
-
-        Each unfused statement is one pass over its arrays; each fused
-        group is one.  Without fusion this equals ``statement_count``.
-        """
-        return (
-            self.statement_count
-            - self.fused_statement_count
-            + self.fused_group_count
-        )
-
-    def fusion_explain(self) -> list[str]:
-        """Human lines describing what fused and why the rest did not.
-
-        Backs ``repro fuse --explain``.  Groups that planned fusable but
-        failed a bind-time gate (aliasing arrays, a failed build) are
-        annotated — they execute per-statement.
-        """
-        if not self._fusion_groups:
-            return [
-                "fusion inactive for this binding (python backend, "
-                "threaded/tiled/scatter config, fusion='off', or no C "
-                "toolchain)"
-            ]
-        lines = describe_groups(self._fusion_groups)
-        for gi, (group, ok) in enumerate(
-            zip(self._fusion_groups, self._fusion_bound)
-        ):
-            if group.fused and not ok:
-                lines.append(
-                    f"group {gi}: planned fusable but failed a bind-time "
-                    f"gate; executing per-statement"
-                )
-        lines.append(
-            f"sweeps per timestep: {self.sweep_count} "
-            f"({self.statement_count} statements; {self.fused_group_count} "
-            f"fused groups covering {self.fused_statement_count})"
-        )
-        return lines
 
     def matches(self, arrays: Mapping[str, np.ndarray]) -> bool:
         """True while *arrays* still holds the exact bound array objects.

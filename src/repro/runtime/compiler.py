@@ -461,8 +461,10 @@ class CompiledKernel:
     counters: tuple[sp.Symbol, ...]
     _plans: dict = field(default_factory=dict, repr=False, compare=False)
     # {nthreads: NativeLibrary | None} memo filled by runtime.native
-    # (1 is the serial library), valid for the toolchain `_native_cc`.
+    # (1 is the serial library) with each entry's ladder verdict in
+    # `_native_why`, both valid for the toolchain `_native_cc`.
     _native: dict | None = field(default=None, repr=False, compare=False)
+    _native_why: dict | None = field(default=None, repr=False, compare=False)
     _native_cc: str | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, arrays: Mapping[str, np.ndarray]) -> None:

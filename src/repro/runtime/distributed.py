@@ -47,7 +47,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import secrets
-import warnings
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -58,6 +57,7 @@ import numpy as np
 from ..errors import ShardError, ValidationError
 from . import faults
 from .compiler import CompiledKernel
+from .decisions import Verdict, degraded
 from .plan import ExecutionConfig, ExecutionPlan, ShardSpec
 
 __all__ = [
@@ -320,12 +320,16 @@ class ShardedPlan:
         ranges = decompose(self.extent, nranks)
         self.nranks = nranks
         self.effective_nranks = len(ranges)
+        # Degradation verdicts of this plan, each warned once per plan
+        # (the once-set is the plan's, not the process's, so nothing
+        # leaks or collides across plans).
+        self.decisions: list[Verdict] = []
+        self._warned: set[str] = set()
         if self.effective_nranks < nranks:
-            warnings.warn(
+            self._degraded_to(
+                f"{self.effective_nranks} rank(s)",
                 f"requested {nranks} ranks but the axis-0 extent is "
                 f"{self.extent}; using {self.effective_nranks} rank(s)",
-                RuntimeWarning,
-                stacklevel=2,
             )
         _validate_halo(ranges, halo)
         self.halo = halo
@@ -577,12 +581,11 @@ class ShardedPlan:
         heartbeat runs before any dispatch), so gathering owned rows and
         re-binding unsharded plans continues the run bitwise-identically.
         """
-        warnings.warn(
+        self._degraded_to(
+            "single shard",
             f"sharded execution degraded to a single shard: {reason}; "
             f"owned rows were gathered and the run continues "
             f"bitwise-identically on one shard",
-            RuntimeWarning,
-            stacklevel=3,
         )
         for name in self._names:
             self._collect(name, self._globals[name])
@@ -598,6 +601,11 @@ class ShardedPlan:
         self._bound = []
         self.slabs = []
         _release(self._workers, self._conns, self._segments)
+
+    def _degraded_to(self, rung: str, reason: str) -> None:
+        self.decisions.append(
+            degraded("sharding", rung, reason, key=rung, seen=self._warned)
+        )
 
     def close(self) -> None:
         """Stop workers and release shared-memory segments (idempotent)."""

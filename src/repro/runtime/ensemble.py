@@ -15,25 +15,23 @@ statements, the plan's frozen decomposition and the scratch layout;
 per-member views are resolved once at bind time through the same
 machinery as :class:`~repro.runtime.bound.BoundPlan`.
 
-Three execution shapes, chosen per statement at bind time:
+Statements lower through the one degradation ladder
+(:mod:`repro.runtime.decisions`), every member of a chunk at once:
 
-* **Fused batched** (python backend) — statements whose expression
-  evaluates strictly elementwise (:func:`batch_safe_statement`) bind a
-  single :class:`~repro.runtime.bound._BoundStatement` whose geometry is
-  *batch-shifted*: the member axis becomes frame axis 0, every access
-  slot moves one axis right, and one ufunc call sweeps all members of a
-  chunk.  On small grids this amortises NumPy's per-call dispatch over
-  the whole ensemble — the dominant cost of a single-member steady
-  state — and is where the ensemble throughput win comes from.
-* **Native chained** (native backend) — each statement binds per member
-  to the JIT-built C entry (:mod:`repro.runtime.native`), and all
-  consecutive native statements of a chunk collapse into one
-  chain-runner FFI call: a whole member-timestep — in fact a whole
-  chunk-timestep — stays one C call.
-* **Per-member fallback** — statements that are neither (user-bound
-  functions whose NumPy implementations might mix members, e.g. via
-  reductions) bind one python statement per member against the member's
-  slice views.
+* **Native** (native backend) — fused nests and per-statement C entries
+  bind per member exactly as in a single-scenario run, and all
+  consecutive native runnables of a chunk collapse into one
+  chain-runner FFI call: a whole chunk-timestep stays one C call.
+* **Batched** — what reaches the python rung with a strictly
+  elementwise expression (:func:`batch_safe_statement`) binds a single
+  :class:`~repro.runtime.bound._BoundStatement` whose geometry is
+  *batch-shifted*: the member axis becomes frame axis 0 and one ufunc
+  call sweeps all members of a chunk.  On small grids this amortises
+  NumPy's per-call dispatch over the whole ensemble — where the
+  ensemble throughput win comes from.
+* **Per-member python** — everything else (user-bound functions whose
+  NumPy implementations might mix members) binds one python statement
+  per member against the member's slice views.
 
 Why per-member results are bitwise identical by construction
 ------------------------------------------------------------
@@ -92,19 +90,11 @@ from typing import Mapping, Sequence
 import numpy as np
 import sympy as sp
 
-from ..codegen.native_c import native_eligibility
-from ..core.fusion import FusionEntry, plan_groups
 from ..errors import EnsembleBindError, ReproError
 from . import faults
-from .bound import _ALLOWED_FUNCS, _BoundStatement, _supports_inplace
+from .bound import _ALLOWED_FUNCS, _BoundStatement, _BoundTask, _supports_inplace
 from .compiler import CompiledAccess, CompiledStatement, KernelError
-from .native import (
-    chain_runnables,
-    library_for_kernel,
-    make_fused_statement,
-    make_native_statement,
-    native_thread_count,
-)
+from .decisions import Ladder, Lowered, serial_stream
 from .scheduler import split_box
 
 __all__ = ["EnsemblePlan", "stack_arrays", "batch_safe_statement"]
@@ -233,28 +223,7 @@ def _batch_shifted(stmt: CompiledStatement) -> CompiledStatement:
     )
 
 
-class _MemberChunk:
-    """One schedulable unit: a contiguous member range, fully bound.
-
-    ``items`` are execution-ordered runnables — fused batched
-    statements over the chunk's member window, native chains, or
-    per-member python statements.  Statement order follows the plan's
-    flat serial order, so every member's statements run in the same
-    order as a single-scenario serial run; interleaving *across*
-    members is free because member slices are disjoint.
-    """
-
-    __slots__ = ("items",)
-
-    def __init__(self, items: Sequence) -> None:
-        self.items = tuple(items)
-
-    def __call__(self) -> None:
-        for item in self.items:
-            item.run()
-
-
-class EnsemblePlan:
+class EnsemblePlan(Lowered):
     """One execution plan bound against a stacked ensemble of scenarios.
 
     Build via :meth:`ExecutionPlan.ensemble
@@ -273,8 +242,10 @@ class EnsemblePlan:
         member in the plan's flat serial order (ensemble parallelism
         comes from ``workers``, not from the member plan's threads);
         ``backend="native"`` dispatches member statements to JIT-built C
-        and chains them across members.  Scatter plans are rejected:
-        their thread-private merge discipline has no batched equivalent.
+        and chains them across members; ``check="nan"`` watches every
+        member statement.  Scatter plans are rejected (their
+        thread-private merge has no batched equivalent), and so is
+        ``transactional=True`` (a backup of the stacked arrays per run).
     batched:
         Mapping of array name to ``(members, *shape)`` array; every
         kernel array must be present with the same leading extent (see
@@ -299,6 +270,13 @@ class EnsemblePlan:
                 "ensemble execution does not support scatter plans: the "
                 "thread-private zero-seeded merge has no batched "
                 "equivalent; use the gather discipline"
+            )
+        if config.transactional:
+            raise KernelError(
+                "ensemble execution does not support transactional=True: "
+                "backing up the stacked arrays is a second full sweep per "
+                "run; run members through plan.bind() for the restore "
+                "guarantee, or drop the knob"
             )
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -328,6 +306,7 @@ class EnsemblePlan:
         self.plan = plan
         self.members = members
         self.workers = workers
+        self._step = 0  # run counter, for the divergence watchdog's reports
         self._batched = {name: batched[name] for name in names}
         self._member_views = [
             {name: self._batched[name][m] for name in names}
@@ -339,65 +318,29 @@ class EnsemblePlan:
         # parallelism multiplies (workers x native threads), which the
         # bitwise contract tolerates — each member's arithmetic is
         # partition-invariant — but docs/threading.md flags for cost.
-        native_lib = (
-            library_for_kernel(plan.kernel, native_thread_count(config))
-            if config.backend == "native"
-            else None
-        )
-        self.native_threads = native_lib.nthreads if native_lib else 1
-        self.batched_statement_count = 0
-        self.native_statement_count = 0
-        self.member_statement_count = 0
-        self.fused_group_count = 0
-        self.fused_statement_count = 0
-        self._stream = tuple(self._flat_statements())
-        # Dependence-aware fusion (repro.core.fusion): groups planned
-        # once over the member plan's serial stream, bound per member.
-        # Same scope as BoundPlan — serial untiled native member plans;
-        # member views of one stacked array share strides, so every
-        # member's fused nest is one content-keyed build.
-        self._fusion_groups = None
-        if (
-            native_lib is not None
-            and config.fusion != "off"
-            and config.num_threads == 1
-            and config.tile_shape is None
-        ):
-            dim = len(plan.kernel.counters)
-            entries = []
-            for region, si, st, eff in self._stream:
-                dtype_name = (
-                    getattr(region.dtype, "__name__", None)
-                    or str(region.dtype)
-                )
-                entries.append(
-                    FusionEntry(
-                        stmt=st,
-                        box=eff,
-                        dim=dim,
-                        dtype=dtype_name,
-                        blocker=native_eligibility(st, dim, region.dtype),
-                    )
-                )
-            self._fusion_groups = plan_groups(entries)
+        ladder = Ladder(plan, self, guard=self._member_bind)
+        self.mode = ladder.mode
+        # One stream object for every chunk: the ladder plans fusion
+        # groups once per stream.  Member views of one stacked array
+        # share strides, so every member's fused nest is one build.
+        stream = serial_stream(plan)
         shifted_memo: dict[int, CompiledStatement] = {}
+        # A chunk is one bound task over a contiguous member range:
+        # statement order is the plan's flat serial order per member,
+        # and interleaving *across* members is free (disjoint slices).
         self._chunks = tuple(
-            self._bind_chunk(lo, hi, native_lib, shifted_memo)
+            _BoundTask(
+                ladder.lower(
+                    stream,
+                    {m: self._member_views[m] for m in range(lo, hi + 1)},
+                    self._python_rung(lo, hi, shifted_memo),
+                )
+            )
             for ((lo, hi),) in split_box(((0, members - 1),), chunks)
         )
+        self.decisions = tuple(ladder.decisions)
 
     # -- binding -----------------------------------------------------------
-
-    def _flat_statements(self):
-        """(region, si, st, eff) in the plan's flat serial order."""
-        for rp in self.plan.region_plans:
-            for task in rp.tasks:
-                for boxes in task:
-                    for si, (st, eff) in enumerate(
-                        zip(rp.region.statements, boxes)
-                    ):
-                        if eff is not None:
-                            yield rp.region, si, st, eff
 
     @staticmethod
     def _member_bind(m, fn):
@@ -419,104 +362,38 @@ class EnsemblePlan:
                 f"binding ensemble member {m} failed: {exc}", member=m
             ) from exc
 
-    def _bind_chunk(self, lo, hi, native_lib, shifted_memo) -> _MemberChunk:
-        """Bind members ``lo..hi``, fused-group-major.
+    def _python_rung(self, lo, hi, shifted_memo):
+        """The ladder's last rung for members ``lo..hi``: one batch-shifted
+        statement over the chunk when the expression is elementwise,
+        else one python statement per member."""
 
-        Fusable groups of the member plan's stream bind one generated
-        nest per member; everything else binds statement-major as
-        before: all members native when every member can (uniform
-        geometry makes that all-or-nothing in practice), else one fused
-        batch-shifted statement when the expression is elementwise, else
-        one python statement per member.  Consecutive native statements
-        — across members *and* statements — collapse into single
-        chain-runner calls.  Member slices are disjoint, so any
-        interleaving across members preserves per-member order.
-        """
-        items: list = []
-        if self._fusion_groups is None:
-            for region, si, st, eff in self._stream:
-                self._bind_stmt_members(
-                    items, lo, hi, native_lib, shifted_memo, region, si, st, eff
-                )
-        else:
-            pos = 0
-            for group in self._fusion_groups:
-                n = len(group.entries)
-                fused = None
-                if group.fused:
-                    fused = [
-                        self._member_bind(
-                            m,
-                            lambda m=m: make_fused_statement(
-                                self.plan.kernel,
-                                group.entries,
-                                self._member_views[m],
-                                nthreads=self.native_threads,
-                            ),
-                        )
-                        for m in range(lo, hi + 1)
-                    ]
-                    if any(fs is None for fs in fused):
-                        fused = None  # group-wise fallback, all members
-                if fused is not None:
-                    items.extend(fused)
-                    self.fused_group_count += len(fused)
-                    self.fused_statement_count += n * len(fused)
-                    self.native_statement_count += n * len(fused)
-                else:
-                    for region, si, st, eff in self._stream[pos:pos + n]:
-                        self._bind_stmt_members(
-                            items, lo, hi, native_lib, shifted_memo,
-                            region, si, st, eff,
-                        )
-                pos += n
-        return _MemberChunk(chain_runnables(native_lib, items))
-
-    def _bind_stmt_members(
-        self, items, lo, hi, native_lib, shifted_memo, region, si, st, eff
-    ) -> None:
-        """Bind one statement for members ``lo..hi`` (the unfused shapes)."""
-        if native_lib is not None:
-            native = [
+        def bind(region, _si, st, eff):
+            if batch_safe_statement(st):
+                shifted = shifted_memo.get(id(st))
+                if shifted is None:
+                    shifted = shifted_memo[id(st)] = _batch_shifted(st)
+                return "batched", [
+                    self._member_bind(
+                        f"{lo}..{hi}",
+                        lambda: _BoundStatement(
+                            shifted,
+                            self._batched,
+                            ((lo, hi),) + tuple(eff),
+                            region.dtype,
+                        ),
+                    )
+                ]
+            return "python", [
                 self._member_bind(
                     m,
-                    lambda m=m: make_native_statement(
-                        native_lib, region, si, st, self._member_views[m], eff
+                    lambda m=m: _BoundStatement(
+                        st, self._member_views[m], eff, region.dtype
                     ),
                 )
                 for m in range(lo, hi + 1)
             ]
-            if all(ns is not None for ns in native):
-                items.extend(native)
-                self.native_statement_count += len(native)
-                return
-        if batch_safe_statement(st):
-            shifted = shifted_memo.get(id(st))
-            if shifted is None:
-                shifted = shifted_memo[id(st)] = _batch_shifted(st)
-            items.append(
-                self._member_bind(
-                    f"{lo}..{hi}",
-                    lambda: _BoundStatement(
-                        shifted,
-                        self._batched,
-                        ((lo, hi),) + tuple(eff),
-                        region.dtype,
-                    ),
-                )
-            )
-            self.batched_statement_count += 1
-        else:
-            for m in range(lo, hi + 1):
-                items.append(
-                    self._member_bind(
-                        m,
-                        lambda m=m: _BoundStatement(
-                            st, self._member_views[m], eff, region.dtype
-                        ),
-                    )
-                )
-            self.member_statement_count += hi - lo + 1
+
+        return bind
 
     # -- queries -----------------------------------------------------------
 
@@ -526,13 +403,14 @@ class EnsemblePlan:
         return len(self._chunks)
 
     @property
-    def statement_count(self) -> int:
-        """Bound runnable statements across all chunks and members."""
-        return (
-            self.batched_statement_count
-            + self.native_statement_count
-            + self.member_statement_count
-        )
+    def batched_statement_count(self) -> int:
+        """Statements bound once per chunk, batch-shifted over its members."""
+        return self._count("batched")
+
+    @property
+    def member_statement_count(self) -> int:
+        """Statements bound once per member on the python path."""
+        return self._count("python")
 
     def member_arrays(self, m: int) -> dict[str, np.ndarray]:
         """Member *m*'s working set as views into the batched arrays.
@@ -554,6 +432,7 @@ class EnsemblePlan:
         single chunk inline on the calling thread.  Results are bitwise
         identical either way.
         """
+        self._step += 1
         chunks = self._chunks
         if len(chunks) > 1:
             self.plan.worker_pool(self.workers).run(chunks)

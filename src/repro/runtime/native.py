@@ -31,11 +31,8 @@ serial native library with one warning.  The threaded source text and
 flags differ, so the content-addressed ``.so`` cache keys the
 threading mode automatically.
 
-Fallback is graceful and total: no C toolchain, a failing compile, an
-ineligible statement (see :func:`~repro.codegen.native_c.native_eligibility`)
-or a bind-time mismatch (foreign dtype, unaligned strides) all leave the
-affected statements on the bound Python path, bitwise-identical by
-construction.  A missing toolchain warns once per process.
+Fallback is graceful and total, bitwise-identical at every rung, and
+decided in one place: :mod:`repro.runtime.decisions`.
 
 Toolchain discovery: the ``REPRO_CC`` environment variable wins (set it
 to a nonexistent path to force the fallback, e.g. in tests); otherwise
@@ -66,7 +63,6 @@ import subprocess
 import tempfile
 import threading
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +75,9 @@ from ..codegen.native_c import (
     generate_native_source,
 )
 from ..errors import NativeBuildError
-from . import faults
+
+# Mutual import, resolved at call time on both sides (see decisions.py).
+from . import decisions, faults
 from .cache import native_cache_dir
 
 __all__ = [
@@ -89,9 +87,9 @@ __all__ = [
     "NativeBuildError",
     "NativeLibrary",
     "library_for_kernel",
+    "library_verdict",
     "NativeStatement",
     "NativeChain",
-    "FusedStatement",
     "make_native_statement",
     "make_fused_statement",
     "chain_runnables",
@@ -111,29 +109,28 @@ _I64P = ctypes.POINTER(_I64)
 
 _toolchain_lock = threading.Lock()
 _toolchain_memo: dict[str | None, str | None] = {}
-_warned_lock = threading.Lock()
-_warned: set[str] = set()
+_flight_guard = threading.Lock()
+_flights: dict[tuple, threading.Lock] = {}
 
 
-def _warn_once(key: str, message: str) -> None:
-    """Warn once per process per *key*, safely under concurrent callers.
+def _flight(*key) -> threading.Lock:
+    """The lock making check → compute → publish for *key* single-flight.
 
-    Ensemble workers can race a fallback warning (each member bind can
-    fail independently on its own thread); the check-then-add on the
-    module-global set must be atomic or two threads both warn — or
-    worse, mutate the set mid-iteration elsewhere.
+    Bind threads (server and ensemble workers) race first uses of one
+    compiler or one build; under the key's lock the second finds the
+    first one's result.  Per key, so unrelated builds stay parallel.
     """
-    with _warned_lock:
-        if key in _warned:
-            return
-        _warned.add(key)
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
+    with _flight_guard:
+        return _flights.setdefault(key, threading.Lock())
 
 
-def _reset_warnings() -> None:
-    """Test hook: make the next fallback warn again."""
-    with _warned_lock:
-        _warned.clear()
+def _once(memo: dict, key, compute):
+    """``memo[key]``, computed single-flight on first use."""
+    if key not in memo:  # warm lookups (every build key) take no lock
+        with _flight(id(memo), key):
+            if key not in memo:
+                memo[key] = compute()
+    return memo[key]
 
 
 def native_toolchain() -> str | None:
@@ -192,18 +189,17 @@ def _compiler_id(cc: str) -> str:
     computation, including pure disk-cache hits, and a subprocess per
     lookup would dominate bind time for many small cached kernels.
     """
-    cached = _compiler_id_memo.get(cc)
-    if cached is not None:
-        return cached
-    try:
-        out = subprocess.run(
-            [cc, "--version"], capture_output=True, text=True, timeout=30
-        ).stdout
-    except (OSError, subprocess.SubprocessError):
-        out = ""
-    ident = out.splitlines()[0] if out else cc
-    _compiler_id_memo[cc] = ident
-    return ident
+
+    def probe() -> str:
+        try:
+            out = subprocess.run(
+                [cc, "--version"], capture_output=True, text=True, timeout=30
+            ).stdout
+        except (OSError, subprocess.SubprocessError):
+            out = ""
+        return out.splitlines()[0] if out else cc
+
+    return _once(_compiler_id_memo, cc, probe)
 
 
 # -- compiler invocation: timeout, bounded retry, backoff ---------------------
@@ -307,12 +303,14 @@ def _build_shared_object(
     """Compile *source* into the disk cache; return the ``.so`` path.
 
     Content-addressed: an existing object for the same (source,
-    compiler, flags) is reused without invoking the compiler.  The
-    compile itself targets a temporary file atomically renamed into
-    place, so a concurrent process building the same key either sees
-    nothing at the final path or a complete object, never a partial
-    write; racing builders produce identical bytes and the last rename
-    wins benignly.  The temporary carries a ``.so.tmp`` suffix so cache
+    compiler, flags) is reused without invoking the compiler; check,
+    compile and rename share the key's :func:`_flight` lock, so threads
+    binding one fresh kernel run the compiler once.  The compile
+    targets a temporary file atomically renamed into place, so a
+    concurrent *process* building the same key either sees nothing at
+    the final path or a complete object, never a partial write; racing
+    processes produce identical bytes and the last rename wins
+    benignly.  The temporary carries a ``.so.tmp`` suffix so cache
     scans matching ``*.so`` cannot pick up an in-flight object, and the
     finished file is opened up to the usual read bits (``mkstemp``
     creates mode 0600, which would break a cache shared between users).
@@ -320,48 +318,50 @@ def _build_shared_object(
     cache = native_cache_dir()
     key = _build_key(source, cc, flags)
     so_path = cache / f"{key}.so"
-    if so_path.exists():
-        return so_path
-    try:
-        faults.check("native.cache.write")
-        cache.mkdir(parents=True, exist_ok=True)
-        c_path = cache / f"{key}.c"
-        if not c_path.exists():
-            tmp_c = tempfile.NamedTemporaryFile(
-                "w", dir=cache, suffix=".c.tmp", delete=False
+    with _flight(str(so_path)):
+        if so_path.exists():
+            return so_path
+        try:
+            faults.check("native.cache.write")
+            cache.mkdir(parents=True, exist_ok=True)
+            c_path = cache / f"{key}.c"
+            if not c_path.exists():
+                tmp_c = tempfile.NamedTemporaryFile(
+                    "w", dir=cache, suffix=".c.tmp", delete=False
+                )
+                with tmp_c as fh:
+                    fh.write(source)
+                os.chmod(tmp_c.name, 0o644)
+                os.replace(tmp_c.name, c_path)
+            tmp_fd, tmp_so = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
+            os.close(tmp_fd)
+        except OSError as exc:
+            # Unwritable cache dir (read-only volume, permissions): a
+            # cache problem must degrade like a build problem, not
+            # crash the run.
+            raise NativeBuildError(
+                f"cannot write native cache at {cache}: {exc}"
+            ) from exc
+        cmd = [cc, *flags, "-o", tmp_so, str(c_path), "-lm"]
+        try:
+            proc = _invoke_cc(cmd, what=str(c_path))
+        except NativeBuildError:
+            _unlink_quiet(tmp_so)
+            raise
+        if proc.returncode != 0:
+            _unlink_quiet(tmp_so)
+            raise NativeBuildError(
+                f"{cc} failed (exit {proc.returncode}) on {c_path}:\n{proc.stderr}"
             )
-            with tmp_c as fh:
-                fh.write(source)
-            os.chmod(tmp_c.name, 0o644)
-            os.replace(tmp_c.name, c_path)
-        tmp_fd, tmp_so = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
-        os.close(tmp_fd)
-    except OSError as exc:
-        # Unwritable cache dir (read-only volume, permissions): a cache
-        # problem must degrade like a build problem, not crash the run.
-        raise NativeBuildError(
-            f"cannot write native cache at {cache}: {exc}"
-        ) from exc
-    cmd = [cc, *flags, "-o", tmp_so, str(c_path), "-lm"]
-    try:
-        proc = _invoke_cc(cmd, what=str(c_path))
-    except NativeBuildError:
-        _unlink_quiet(tmp_so)
-        raise
-    if proc.returncode != 0:
-        _unlink_quiet(tmp_so)
-        raise NativeBuildError(
-            f"{cc} failed (exit {proc.returncode}) on {c_path}:\n{proc.stderr}"
-        )
-    try:
-        os.chmod(tmp_so, 0o755)
-        os.replace(tmp_so, so_path)
-    except OSError as exc:
-        _unlink_quiet(tmp_so)
-        raise NativeBuildError(
-            f"cannot finalise native cache entry {so_path}: {exc}"
-        ) from exc
-    return so_path
+        try:
+            os.chmod(tmp_so, 0o755)
+            os.replace(tmp_so, so_path)
+        except OSError as exc:
+            _unlink_quiet(tmp_so)
+            raise NativeBuildError(
+                f"cannot finalise native cache entry {so_path}: {exc}"
+            ) from exc
+        return so_path
 
 
 def _unlink_quiet(path: str) -> None:
@@ -424,18 +424,18 @@ def _host_cflags(cc: str) -> tuple[str, ...]:
     compile because some toolchains/targets reject the flag; on failure
     fused builds silently use the baseline flags.
     """
-    cached = _host_flags_memo.get(cc)
-    if cached is not None:
-        return cached
-    flags: tuple[str, ...] = ("-march=native",)
-    try:
-        _build_shared_object(
-            "int repro_march_probe(void) { return 0; }\n", cc, _CFLAGS + flags
-        )
-    except NativeBuildError:
-        flags = ()
-    _host_flags_memo[cc] = flags
-    return flags
+
+    def probe() -> tuple[str, ...]:
+        flags = ("-march=native",)
+        try:
+            _build_shared_object(
+                "int repro_march_probe(void) { return 0; }\n", cc, _CFLAGS + flags
+            )
+        except NativeBuildError:
+            flags = ()
+        return flags
+
+    return _once(_host_flags_memo, cc, probe)
 
 
 # -- OpenMP capability and thread-count resolution ----------------------------
@@ -450,7 +450,6 @@ _OMP_PROBE_SOURCE = (
     "}\n"
 )
 
-_OMP_UNPROBED = object()
 _omp_flags_memo: dict[str, tuple[str, ...] | None] = {}
 
 
@@ -465,31 +464,29 @@ def _omp_cflags(cc: str) -> tuple[str, ...] | None:
     ``native.omp.probe`` fault point lets the chaos suite force that
     degradation deterministically.
     """
-    cached = _omp_flags_memo.get(cc, _OMP_UNPROBED)
-    if cached is not _OMP_UNPROBED:
-        return cached
-    flags: tuple[str, ...] | None = ("-fopenmp",)
-    try:
-        faults.check("native.omp.probe")
-        _build_shared_object(_OMP_PROBE_SOURCE, cc, _CFLAGS + flags)
-    except NativeBuildError:
-        flags = None
-    _omp_flags_memo[cc] = flags
-    return flags
+
+    def probe() -> tuple[str, ...] | None:
+        flags = ("-fopenmp",)
+        try:
+            faults.check("native.omp.probe")
+            _build_shared_object(_OMP_PROBE_SOURCE, cc, _CFLAGS + flags)
+        except NativeBuildError:
+            return None
+        return flags
+
+    return _once(_omp_flags_memo, cc, probe)
 
 
 def native_thread_count(config) -> int:
     """Resolved OpenMP thread count for a native binding of *config*.
 
-    Knob precedence, highest first: an explicit
-    ``ExecutionConfig(native_threads=…)``; the ``REPRO_NATIVE_THREADS``
-    environment variable (read here, at bind time); the serial default
-    of 1.  Invalid or non-positive values resolve to 1 — a
-    misconfigured knob must not take the run down.  Disciplines that
-    already own the parallelism or need per-statement granularity
-    resolve to serial regardless: python-threaded plans
-    (``num_threads > 1``), the scatter discipline, and the divergence
-    watchdog (``check="nan"``).
+    The ``threads`` field of the mode gate
+    (:func:`repro.runtime.decisions.lowering_mode`) before any library
+    verdict.  Precedence: ``ExecutionConfig(native_threads=…)``, then
+    ``REPRO_NATIVE_THREADS`` (read at bind time), then 1; invalid values
+    resolve to 1 — a misconfigured knob must not take the run down.
+    Python-threaded plans, the scatter discipline and the divergence
+    watchdog resolve to serial regardless.
 
     >>> from repro.runtime import ExecutionConfig, native_thread_count
     >>> native_thread_count(ExecutionConfig(backend="native", native_threads=4))
@@ -498,20 +495,7 @@ def native_thread_count(config) -> int:
     ...     ExecutionConfig(num_threads=2, scatter=True, native_threads=4))
     1
     """
-    nt = config.native_threads
-    if nt is None:
-        raw = os.environ.get("REPRO_NATIVE_THREADS", "")
-        try:
-            nt = int(raw)
-        except ValueError:
-            nt = 1
-    if nt < 1:
-        nt = 1
-    if nt > 1 and (
-        config.num_threads > 1 or config.scatter or config.check == "nan"
-    ):
-        return 1
-    return nt
+    return decisions.lowering_mode(config).threads
 
 
 # -- per-kernel native library ------------------------------------------------
@@ -557,45 +541,40 @@ class NativeLibrary:
         return self._fns.get((ri, si))
 
 
-def library_for_kernel(kernel, nthreads: int = 1) -> NativeLibrary | None:
-    """The (memoised) native library for *kernel*, or None on fallback.
+def library_verdict(kernel, nthreads: int = 1):
+    """``(library | None, Verdict)`` — the library rung of the ladder.
 
-    Memoised on the kernel object per thread count, together with the
-    toolchain used, so a kernel cached across a toolchain change (e.g.
-    tests pinning ``REPRO_CC``) revalidates instead of reusing a stale
-    verdict.  Returns None — warning once per process per reason — when
-    no toolchain exists or the build fails.
-
-    ``nthreads > 1`` requests the OpenMP-threaded library variant.  The
-    threaded ladder degrades one rung at a time, bitwise-identically at
-    each: no OpenMP support or a failed threaded build falls back to
-    the *serial native* library (warning once), and only a missing
-    toolchain or failed serial build falls all the way to the python
-    path.
+    Memoised on the kernel per thread count with the toolchain used, so
+    a memo hit reports the reason the first build did and a toolchain
+    change (tests pinning ``REPRO_CC``) revalidates.  Each refusal
+    warns once per process.  ``nthreads > 1`` requests the OpenMP
+    variant and degrades one rung at a time: no OpenMP or a failed
+    threaded build → the *serial native* library; only a missing
+    toolchain or failed serial build → python.
     """
     cc = native_toolchain()
     nthreads = max(nthreads, 1)
     if kernel._native is None or kernel._native_cc != cc:
-        kernel._native_cc, kernel._native = cc, {}
+        kernel._native_cc, kernel._native, kernel._native_why = cc, {}, {}
     memo = kernel._native
     if nthreads in memo:
-        return memo[nthreads]
+        return memo[nthreads], kernel._native_why[nthreads]
     lib: NativeLibrary | None = None
+    refusal: tuple[str, str] | None = None  # (warn-once key, reason)
     omp: tuple[str, ...] | None = ()
     if nthreads > 1:
         # The serial rung owns the no-toolchain warning and verdict.
         omp = None if cc is None else _omp_cflags(cc)
     if omp is None:
         if cc is not None:
-            _warn_once(
+            refusal = (
                 f"no-openmp:{cc}",
                 f"native_threads={nthreads} requested but {cc} cannot "
                 f"build OpenMP code (the -fopenmp probe failed); falling "
                 f"back to the serial native path — results are identical",
             )
-        lib = library_for_kernel(kernel, 1)
     elif cc is None:
-        _warn_once(
+        refusal = (
             "no-toolchain",
             "backend='native' requested but no C compiler was found "
             "(checked REPRO_CC, cc, gcc, clang); falling back to the "
@@ -617,15 +596,29 @@ def library_for_kernel(kernel, nthreads: int = 1) -> NativeLibrary | None:
             else:
                 key, what = "build-failed", "native build"
                 rung = "python backend — results are identical, only slower"
-            _warn_once(
+            refusal = (
                 f"{key}:{kernel.name}",
                 f"{what} of kernel {kernel.name!r} failed (cache: "
                 f"{native_cache_dir()}); falling back to the {rung}: {exc}",
             )
-            if nthreads > 1:
-                lib = library_for_kernel(kernel, 1)
-    memo[nthreads] = lib
-    return lib
+    verdict = decisions.Verdict("library", "native")
+    if lib is None:
+        rung = "serial native" if nthreads > 1 else "python"
+        if refusal is not None:
+            verdict = decisions.degraded(
+                "library", rung, refusal[1], key=refusal[0]
+            )
+        if nthreads > 1:
+            lib, serial = library_verdict(kernel, 1)
+            if lib is None or refusal is None:
+                verdict = serial
+    memo[nthreads], kernel._native_why[nthreads] = lib, verdict
+    return lib, verdict
+
+
+def library_for_kernel(kernel, nthreads: int = 1) -> NativeLibrary | None:
+    """The library half of :func:`library_verdict` (None on fallback)."""
+    return library_verdict(kernel, nthreads)[0]
 
 
 # -- bound native statements and chains ---------------------------------------
@@ -649,147 +642,75 @@ class NativeStatement:
         self.geom = geom
         self.arrays = arrays  # keepalive: pointers reference their data
 
+    @property
+    def tview(self) -> np.ndarray:
+        """The array this statement writes (the divergence watchdog's scan)."""
+        return self.arrays[0]
+
     def run(self) -> None:
         self.fn(self.ptrs, self.geom)
 
 
 def make_native_statement(
     lib: NativeLibrary, region, si: int, stmt, arrays, eff
-) -> NativeStatement | None:
-    """Bind statement *si* of *region* natively, or None to fall back.
-
-    Returns None when the library has no entry for the statement (it
-    was ineligible at lowering time) or when the concrete *arrays*
-    break a lowering assumption: dtype differing from the kernel dtype,
-    strides not a whole number of elements, or a read-only target.
+) -> tuple[NativeStatement | None, str | None]:
+    """Bind statement *si* of *region*: ``(statement, None)``, or
+    ``(None, reason)`` — no library entry (ineligible at lowering time)
+    or *arrays* failing :func:`~repro.runtime.decisions.array_gate`.
+    Lowering gated same-*name* self-reads; arrays aliasing the target
+    under a *different* name are only discoverable at the gate.
     """
     fn = lib.stmt_fn(region, si)
     if fn is None:
-        return None
-    expected = np.dtype(region.dtype)
-    target = arrays[stmt.target.name]
-    if not target.flags.writeable:
-        return None
-    involved = [target] + [arrays[acc.name] for acc in stmt.reads]
-    itemsize = expected.itemsize
-    geom_vals: list[int] = []
-    for lo, hi in eff:
-        geom_vals.extend((lo, hi))
-    for arr, acc in zip(involved[1:], stmt.reads):
-        # Lowering gated same-*name* self-reads (and emitted the loop
-        # without `restrict` for them); arrays aliasing the target under
-        # a *different* name are only discoverable here.  The fused C
-        # loop would read freshly written elements (and break the
-        # `restrict` promise), so fall back to the Python statement's
-        # snapshot semantics.  may_share_memory is the cheap bounds
-        # check: false positives merely cost the fallback.
-        if acc.name != stmt.target.name and np.may_share_memory(target, arr):
-            return None
-    for arr, acc in zip(involved, (stmt.target, *stmt.reads)):
-        if arr.dtype != expected:
-            return None
-        if arr.ndim != len(acc.slots):
-            # Rank mismatch: the Python path's view construction (one
-            # slot per array dimension) fails loudly on these; the C
-            # index formula would silently address only the leading
-            # dimensions.  Fall back so the error surfaces identically.
-            return None
-        strides = arr.strides
-        for slot, (axis, off) in enumerate(acc.slots):
-            lo, hi = eff[axis]
-            if lo + off < 0 or hi + 1 + off > arr.shape[slot]:
-                # Out-of-bounds access (e.g. arrays smaller than the
-                # kernel bounds): fall back so the Python statement's
-                # _frame_view raises the proper KernelError instead of
-                # the C loop scribbling past the buffer.
-                return None
-            stride = strides[slot]
-            if stride % itemsize:
-                return None  # misaligned view: NumPy path handles it
-            geom_vals.append(stride // itemsize)
+        return None, "not lowered to C"
+    accesses = (stmt.target, *stmt.reads)
+    why = decisions.array_gate(
+        [(acc, eff) for acc in accesses], arrays, region.dtype,
+        {stmt.target.name},
+    )
+    if why is not None:
+        return None, why
+    involved = tuple(arrays[acc.name] for acc in accesses)
+    itemsize = involved[0].itemsize
+    geom_vals = [bound for lo_hi in eff for bound in lo_hi]
+    for arr, acc in zip(involved, accesses):
+        geom_vals.extend(s // itemsize for s in arr.strides[: len(acc.slots)])
     ptrs = (ctypes.c_void_p * len(involved))(
         *(arr.ctypes.data for arr in involved)
     )
     geom = (_I64 * len(geom_vals))(*geom_vals)
-    return NativeStatement(fn, ptrs, geom, tuple(involved))
-
-
-class FusedStatement(NativeStatement):
-    """A whole fused statement group bound to one generated C loop nest.
-
-    Runs exactly like a :class:`NativeStatement` — same calling
-    convention, same keepalive discipline — so chains, counters and the
-    serial runner treat it uniformly; ``members`` records how many
-    source statements the nest replaces (the sweep-count bookkeeping).
-    """
-
-    __slots__ = ("members",)
-
-    def __init__(self, fn, ptrs, geom, arrays, members: int) -> None:
-        super().__init__(fn, ptrs, geom, arrays)
-        self.members = members
+    return NativeStatement(fn, ptrs, geom, involved), None
 
 
 def make_fused_statement(
     kernel, entries, arrays, nthreads: int = 1
-) -> FusedStatement | None:
-    """Bind one fusion group natively, or None to fall back group-wise.
+) -> tuple[NativeStatement | None, str | None]:
+    """Bind one fusion group to one generated nest, or ``(None, reason)``.
 
-    ``nthreads > 1`` requests an OpenMP-threaded nest; the generator
-    applies it only when the group's dependences allow partitioning the
-    outer axis (:func:`repro.core.fusion.parallel_safe_group`), and a
-    compiler without OpenMP support quietly builds the serial nest.
-
-    *entries* is the entry tuple of a fused
-    :class:`~repro.core.fusion.FusionGroup` (dependence-legal by
-    construction); *arrays* the concrete binding.  The bind gates mirror
-    :func:`make_native_statement` — dtype, rank, bounds, element-aligned
-    strides, writeable targets — plus the cross-name aliasing check
-    applied group-wide: the dependence analysis reasons per array
-    *name*, so any written array sharing memory with a differently-named
-    array of the group voids it.  Any gate failing, or the generate/
-    build step raising, leaves the group on the per-statement path
-    (native or Python), bitwise identical by construction.
+    *entries* is a fused :class:`~repro.core.fusion.FusionGroup`'s
+    entry tuple (dependence-legal by construction); *arrays* pass the
+    same :func:`~repro.runtime.decisions.array_gate` as one statement,
+    with every access and written name of the group.  The nest runs
+    like any :class:`NativeStatement`, so chains treat it uniformly.
+    ``nthreads > 1`` requests an OpenMP nest (applied only where
+    :func:`repro.core.fusion.parallel_safe_group` allows; a compiler
+    without OpenMP quietly builds the serial nest).  A refusal, or the
+    generate/build step raising (warns once), leaves the group on its
+    per-statement rungs.
     """
     cc = native_toolchain()
     if cc is None:
-        return None
-    expected = np.dtype(entries[0].dtype)
-    itemsize = expected.itemsize
-    order: list[str] = []
-    written: set[str] = set()
-    for entry in entries:
-        st = entry.stmt
-        for name in (st.target.name, *(acc.name for acc in st.reads)):
-            if name not in order:
-                order.append(name)
-        written.add(st.target.name)
-    involved: dict[str, np.ndarray] = {}
-    for name in order:
-        arr = arrays.get(name)
-        if arr is None or arr.dtype != expected:
-            return None
-        if any(s % itemsize for s in arr.strides):
-            return None
-        involved[name] = arr
-    for name in written:
-        if not involved[name].flags.writeable:
-            return None
-        for other in order:
-            if other != name and np.may_share_memory(
-                involved[name], involved[other]
-            ):
-                return None
-    for entry in entries:
-        st = entry.stmt
-        for acc in (st.target, *st.reads):
-            arr = involved[acc.name]
-            if arr.ndim != len(acc.slots):
-                return None
-            for slot, (axis, off) in enumerate(acc.slots):
-                lo, hi = entry.box[axis]
-                if lo + off < 0 or hi + 1 + off > arr.shape[slot]:
-                    return None
+        return None, "no C toolchain"
+    uses = [
+        (acc, entry.box)
+        for entry in entries
+        for acc in (entry.stmt.target, *entry.stmt.reads)
+    ]
+    why = decisions.array_gate(
+        uses, arrays, entries[0].dtype, {e.stmt.target.name for e in entries}
+    )
+    if why is not None:
+        return None, why
     flags = _CFLAGS + _host_cflags(cc)
     if nthreads > 1:
         omp = _omp_cflags(cc)
@@ -799,24 +720,26 @@ def make_fused_statement(
             flags += omp
     try:
         source, fn_name, ptr_order = generate_fused_source(
-            entries, involved, kernel.counters, nthreads
+            entries, arrays, kernel.counters, nthreads
         )
         cdll, _ = _build_and_load(source, cc, flags)
     except (CodegenError, NativeBuildError, OSError) as exc:
-        _warn_once(
-            f"fused-build-failed:{kernel.name}",
+        why = (
             f"fused native build for kernel {kernel.name!r} failed "
             f"(cache: {native_cache_dir()}); the group falls back to "
-            f"per-statement execution: {exc}",
+            f"per-statement execution: {exc}"
         )
-        return None
+        decisions.degraded(
+            "fused nest", "native", why, key=f"fused-build-failed:{kernel.name}"
+        )
+        return None, why
     fn = getattr(cdll, fn_name)
     fn.restype = None
     fn.argtypes = (ctypes.POINTER(ctypes.c_void_p), _I64P)
-    arrs = tuple(involved[name] for name in ptr_order)
+    arrs = tuple(arrays[name] for name in ptr_order)
     ptrs = (ctypes.c_void_p * len(arrs))(*(a.ctypes.data for a in arrs))
     geom = (_I64 * 1)(0)  # unused: the fused nest bakes its geometry
-    return FusedStatement(fn, ptrs, geom, arrs, len(entries))
+    return NativeStatement(fn, ptrs, geom, arrs), None
 
 
 class NativeChain:

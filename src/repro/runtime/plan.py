@@ -101,7 +101,9 @@ class ExecutionConfig:
     fusable statement chains of serial untiled native bindings into
     single C loop nests, ``"off"`` pins the per-statement path (the
     bitwise reference oracle).  The setting is inert for the python
-    backend and for threaded/tiled/scatter plans.
+    backend and for threaded/tiled/watchdog plans — one mode gate
+    decides (:func:`repro.runtime.decisions.lowering_mode`) and a
+    binding's ``explain()`` names the reason.
 
     Two opt-in reliability knobs (see ``docs/reliability.md``), both
     default-off because each costs a memory sweep the fused hot path
@@ -114,6 +116,12 @@ class ExecutionConfig:
     statement.  ``transactional=True`` makes a bound ``run()`` restore
     every written array to its pre-call contents when a statement
     raises mid-run, so user arrays are never left half-updated.
+    Ensembles (``plan.ensemble``, and the checkpointed and served tiers
+    built on them) honour ``check="nan"`` exactly like a bound plan —
+    the error's statement label names the member — and refuse
+    ``transactional=True`` with a
+    :class:`~repro.runtime.compiler.KernelError` at construction: a
+    per-run backup of the stacked arrays is a second full sweep.
 
     ``native_threads`` sets how many OpenMP threads the native
     backend's C loop nests use (``docs/threading.md``): ``None``

@@ -496,6 +496,7 @@ class KernelServer:
             "max_batch_seen": 0,
         }
         self._last_batch: dict | None = None
+        self._last_batch_fallback: str | None = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -574,6 +575,7 @@ class KernelServer:
             out["last_batch"] = (
                 dict(self._last_batch) if self._last_batch else None
             )
+            out["last_batch_fallback"] = self._last_batch_fallback
         out["workers"] = self.workers
         out["max_batch"] = self.max_batch
         out["batch_window_ms"] = self.batch_window * 1000.0
@@ -938,7 +940,7 @@ class KernelServer:
                         np.copyto(arr, views[name])
             finally:
                 ensemble.close()
-        except Exception:
+        except Exception as exc:
             # Contract "fallback": a batch that cannot bind (or fails
             # mid-run before any request array was written — member
             # state lives in the stacked copy until copy-out) degrades
@@ -947,6 +949,9 @@ class KernelServer:
             # are never poisoned.
             with self._lock:
                 self._counters["batch_fallbacks"] += 1
+                self._last_batch_fallback = (
+                    f"{type(exc).__name__}: {exc}"[:200]
+                )
             for pending in batch:
                 self._run_single(pending)
             return

@@ -86,23 +86,24 @@ def _mismatches(ref, got) -> list[str]:
     return sorted(k for k in ref if not np.array_equal(ref[k], got[k]))
 
 
-def _native_scenario(point: str, *, times: int = 1, expect_native: bool) -> str:
+def _native_scenario(point: str, *, times: int = 1, why: str | None) -> str:
     """Shared shape of the five native fault points.
 
     Runs the serial python reference, then the native-backend bound run
     with *point* armed, in a fresh cache directory (so the build really
-    happens) — and asserts the results are bitwise identical whether
-    the fault forced the python fallback (``expect_native=False``) or
-    the retry/self-heal machinery recovered the native path
-    (``expect_native=True``).
+    happens) — and asserts the results are bitwise identical and the
+    binding's library verdict says what happened: rung ``python`` with
+    *why* in its reason when the fault forces the fallback, rung
+    ``native`` (``why=None``) when retry/self-heal recovers.
     """
+    from ..runtime import decisions as _decisions
     from ..runtime import native as _native
 
     kernel, base = _fresh_case()
     ref = {k: v.copy() for k, v in base.items()}
     kernel(ref)
     got = {k: v.copy() for k, v in base.items()}
-    _native._reset_warnings()
+    _decisions._reset_warnings()
     with _native._toolchain_lock:
         _native._toolchain_memo.clear()
     with tempfile.TemporaryDirectory() as tmp, _env("REPRO_CACHE_DIR", tmp):
@@ -113,7 +114,8 @@ def _native_scenario(point: str, *, times: int = 1, expect_native: bool) -> str:
             with faults.inject(point, times=times) as inj:
                 plan = kernel.plan(backend="native")
                 try:
-                    plan.bind(got).run()
+                    bound = plan.bind(got)
+                    bound.run()
                 finally:
                     plan.close()
                 fired = inj.fired(point)
@@ -122,15 +124,18 @@ def _native_scenario(point: str, *, times: int = 1, expect_native: bool) -> str:
     bad = _mismatches(ref, got)
     if bad:
         raise AssertionError(f"degraded run diverged from reference on {bad}")
-    native_used = kernel._native[1] is not None
-    if expect_native and not native_used:
-        raise AssertionError("recovery expected the native path to survive")
-    mode = "native path recovered" if native_used else "python fallback"
+    library = bound.decisions[0]
+    rung = "native" if why is None else "python"
+    if library.rung != rung or (why or "") not in (library.reason or ""):
+        raise AssertionError(
+            f"expected a {rung} library verdict naming {why!r}, got {library}"
+        )
+    mode = "native path recovered" if why is None else "python fallback"
     return f"fired {fired}x; {mode}; bitwise-identical"
 
 
 def _scenario_toolchain() -> str:
-    return _native_scenario("native.toolchain", expect_native=False)
+    return _native_scenario("native.toolchain", why="no C compiler")
 
 
 def _scenario_cc_spawn() -> str:
@@ -142,50 +147,53 @@ def _scenario_cc_spawn() -> str:
     # no-toolchain fallback, which the toolchain scenario already
     # covers deterministically.
     if not native_available():
-        return _native_scenario("native.toolchain", expect_native=False)
-    return _native_scenario("native.cc.spawn", expect_native=True)
+        return _scenario_toolchain()
+    return _native_scenario("native.cc.spawn", why=None)
 
 
 def _scenario_cc_timeout() -> str:
     from ..runtime import native_available
 
     if not native_available():
-        return _native_scenario("native.toolchain", expect_native=False)
+        return _scenario_toolchain()
     # A hung compiler is not retried: the build fails, the run degrades.
-    return _native_scenario("native.cc.timeout", times=64, expect_native=False)
+    return _native_scenario("native.cc.timeout", times=64, why="timed out")
 
 
 def _scenario_cache_write() -> str:
     from ..runtime import native_available
 
     if not native_available():
-        return _native_scenario("native.toolchain", expect_native=False)
-    return _native_scenario("native.cache.write", times=64, expect_native=False)
+        return _scenario_toolchain()
+    return _native_scenario(
+        "native.cache.write", times=64, why="cannot write native cache"
+    )
 
 
 def _scenario_cache_load() -> str:
     from ..runtime import native_available
 
     if not native_available():
-        return _native_scenario("native.toolchain", expect_native=False)
+        return _scenario_toolchain()
     # One corrupt .so: the content-addressed entry is unlinked and
     # rebuilt once (self-heal), so the native path survives.
-    return _native_scenario("native.cache.load", expect_native=True)
+    return _native_scenario("native.cache.load", why=None)
 
 
 def _scenario_omp_probe() -> str:
+    from ..runtime import decisions as _decisions
     from ..runtime import native as _native
     from ..runtime import native_available
 
     if not native_available():
-        return _native_scenario("native.toolchain", expect_native=False)
+        return _scenario_toolchain()
     # A compiler without OpenMP: the threaded request degrades one rung,
     # to the *serial native* library, and stays bitwise-identical.
     kernel, base = _fresh_case()
     ref = {k: v.copy() for k, v in base.items()}
     kernel(ref)
     got = {k: v.copy() for k, v in base.items()}
-    _native._reset_warnings()
+    _decisions._reset_warnings()
     _native._omp_flags_memo.clear()
     try:
         with tempfile.TemporaryDirectory() as tmp, _env("REPRO_CACHE_DIR", tmp):
@@ -207,10 +215,16 @@ def _scenario_omp_probe() -> str:
     bad = _mismatches(ref, got)
     if bad:
         raise AssertionError(f"degraded run diverged from reference on {bad}")
-    lib = _native.library_for_kernel(kernel, 2)
-    if lib is None or lib.nthreads != 1:
+    lib, verdict = _native.library_verdict(kernel, 2)
+    if (
+        lib is None
+        or lib.nthreads != 1
+        or verdict.rung != "serial native"
+        or "-fopenmp" not in verdict.reason
+    ):
         raise AssertionError(
-            "expected the serial native library as the degraded verdict"
+            f"expected the serial native library as the degraded verdict, "
+            f"got {verdict}"
         )
     return "fired 1x; serial native fallback; bitwise-identical"
 
@@ -485,13 +499,16 @@ def _scenario_server_batch_bind() -> str:
             for t in threads:
                 t.join()
             fired = inj.fired("server.batch.bind")
-        fallbacks = server.stats()["batch_fallbacks"]
+        stats = server.stats()
+        fallbacks, reason = stats["batch_fallbacks"], stats["last_batch_fallback"]
     if errors:
         raise AssertionError(f"batch-bind fallback leaked errors: {errors}")
     if fired != 1:
         raise AssertionError(f"expected one batch-bind firing, got {fired}")
     if fallbacks != 1:
         raise AssertionError(f"expected one batch fallback, got {fallbacks}")
+    if not (reason or "").startswith("MemoryError: injected fault"):
+        raise AssertionError(f"batch fallback did not say why: {reason!r}")
     for seed, ref in refs.items():
         result = results[seed]
         if result.batched:
@@ -579,6 +596,7 @@ def _shard_scenario(point: str, skip: int) -> str:
                     )
                 fired = inj.fired(point)
                 degraded = sharded.degraded
+                verdicts = list(sharded.decisions)
                 got = sharded.gather()
     if fired != 1:
         raise AssertionError(f"expected one {point} firing, got {fired}")
@@ -586,6 +604,10 @@ def _shard_scenario(point: str, skip: int) -> str:
         raise AssertionError("injected fault did not degrade the plan")
     if sum("degraded" in str(w.message) for w in caught) != 1:
         raise AssertionError("degradation must warn exactly once")
+    if [v.rung for v in verdicts] != ["single shard"] or (
+        f"injected fault at {point}" not in verdicts[0].reason
+    ):
+        raise AssertionError(f"degrade verdict does not name {point}: {verdicts}")
     bad = _mismatches(ref, got)
     if bad:
         raise AssertionError(f"degraded run diverged from reference on {bad}")

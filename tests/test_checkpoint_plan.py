@@ -27,6 +27,7 @@ from repro.driver import optimal_cost
 from repro.experiments.steady import bitwise_equal as _bitwise
 from repro.runtime import (
     KernelError,
+    NumericalDivergenceError,
     SnapshotPool,
     compile_nests,
     native_available,
@@ -296,6 +297,40 @@ def test_checkpointed_ensemble_holds_one_pool_per_plan(new_pool_threads):
     assert 0 < len(new_pool_threads()) <= 2 * workers
     plan.close()
     assert not new_pool_threads()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dict(check="nan", backend=b) for b in BACKENDS] + [dict(transactional=True)],
+    ids=lambda c: "-".join(map(str, c.values())),
+)
+def test_ensemble_mode_honours_reliability_knobs(config):
+    """Regression: the member ensembles dropped ``check`` and
+    ``transactional`` silently, so every tier above them did too."""
+    prob = heat_problem(2)
+    n, members = 12, 2
+    fwd = compile_nests([prob.primal], prob.bindings(n))
+    rev = compile_nests(
+        adjoint_loops(prob.primal, prob.adjoint_map), prob.bindings(n)
+    )
+
+    def build():
+        return fwd.plan(**config).checkpointed_adjoint(
+            rev.plan(**config), prob.array_shape(n), steps=4, snaps=2,
+            members=members,
+        )
+
+    if config.get("transactional"):
+        with pytest.raises(KernelError, match="transactional"):
+            build()
+        return
+    state0, seed, _ = _inputs(prob, n)
+    stacked = [np.stack([f] * members) for f in state0]
+    stacked[0][1, 3, 3] = np.nan  # member 1 only
+    with build() as chk:
+        assert all(b.fused_group_count == 0 for b in (*chk._fwd, *chk._rev))
+        with pytest.raises(NumericalDivergenceError, match="'u' of region"):
+            chk.adjoint(stacked, np.stack([seed] * members))
 
 
 def test_ensemble_helper_broadcasts_per_scenario_constants():

@@ -23,6 +23,7 @@ from repro.runtime import (
     Bindings,
     EnsemblePlan,
     KernelError,
+    NumericalDivergenceError,
     WorkerPool,
     batch_safe_statement,
     compile_nests,
@@ -256,6 +257,10 @@ def test_ensemble_rejects_bad_batches_and_configs():
     ).plan(scatter=True)
     with pytest.raises(KernelError, match="scatter"):
         EnsemblePlan(scatter_plan, batched)
+    # A per-run backup of the stacked arrays is a sweep nobody asked
+    # for; silently dropping the knob (the parent's behaviour) is worse.
+    with pytest.raises(KernelError, match="transactional"):
+        kernel.plan(transactional=True).ensemble(batched)
 
 
 def tapenade_like_nest():
@@ -271,6 +276,43 @@ def tapenade_like_nest():
         op="+=",
         name="scatterish",
     )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_ensemble_honours_the_divergence_watchdog(backend):
+    """Regression: ``check="nan"`` was silently ignored by ensembles — a
+    NaN planted in one member ran to completion on both backends."""
+    prob = heat_problem(2)
+    kernel = _kernel(prob, 16)
+    states = _member_states(prob, 16, members=3)
+    states[1]["u_b"][5, 5] = np.nan
+    plan = kernel.plan(backend=backend, check="nan")
+    with plan.ensemble(stack_arrays(states)) as ensemble:
+        with pytest.raises(NumericalDivergenceError, match="'u_1_b' of region") as err:
+            ensemble.run()
+    # Member 1: named by the per-member native statement's label, or by
+    # the leading index into the batch-shifted python statement's target.
+    assert err.value.step == 1
+    assert "(member 1)" in err.value.statement or "index (1, " in str(err.value)
+    # The single-scenario binding of the same member says the same.
+    with pytest.raises(NumericalDivergenceError, match="'u_1_b' of region"):
+        plan.bind(states[1]).run()
+    plan.close()
+
+
+@pytest.mark.skipif(not native_available(), reason="no C toolchain")
+def test_ensemble_watchdog_stands_fusion_down_like_a_bound_plan():
+    """Regression: the ensemble's copy of the fusion gate had drifted —
+    it fused (4 groups, no watchdog) where ``BoundPlan`` refuses to."""
+    prob = wave_problem(2)
+    kernel = _kernel(prob, 24)
+    states = _member_states(prob, 24, members=2)
+    plan = kernel.plan(backend="native", check="nan")
+    bound = plan.bind({k: v.copy() for k, v in states[0].items()})
+    with plan.ensemble(stack_arrays(states)) as ensemble:
+        assert ensemble.fused_group_count == bound.fused_group_count == 0
+        assert ensemble.native_statement_count == 2 * bound.native_statement_count
+        assert ensemble.mode == bound.mode
 
 
 def test_member_arrays_are_live_views():

@@ -52,6 +52,7 @@ from repro.runtime import (
     native_available,
     stack_arrays,
 )
+from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
 from repro.runtime.cache import native_cache_dir
 from repro.runtime.scheduler import WorkerPool
@@ -181,11 +182,11 @@ def fresh_native(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     with native_mod._toolchain_lock:
         native_mod._toolchain_memo.clear()
-    native_mod._reset_warnings()
+    decisions_mod._reset_warnings()
     yield tmp_path
     with native_mod._toolchain_lock:
         native_mod._toolchain_memo.clear()
-    native_mod._reset_warnings()
+    decisions_mod._reset_warnings()
 
 
 def test_missing_compiler_falls_back_with_cache_path(fresh_native, monkeypatch):
@@ -289,13 +290,15 @@ def test_cc_limit_knobs_fall_back_on_invalid_values(monkeypatch):
 
 
 def test_warn_once_is_thread_safe():
-    native_mod._reset_warnings()
+    decisions_mod._reset_warnings()
     try:
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             threads = [
                 threading.Thread(
-                    target=native_mod._warn_once, args=("race-key", "only once")
+                    target=decisions_mod.degraded,
+                    args=("race", "python", "only once"),
+                    kwargs={"key": "race-key"},
                 )
                 for _ in range(16)
             ]
@@ -305,7 +308,7 @@ def test_warn_once_is_thread_safe():
                 t.join()
         assert len(rec) == 1
     finally:
-        native_mod._reset_warnings()
+        decisions_mod._reset_warnings()
 
 
 # -- .so cache corruption self-heals for every native consumer ----------------

@@ -35,6 +35,7 @@ from repro.runtime import (
     compile_nests,
     native_available,
 )
+from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
 
 needs_cc = pytest.mark.skipif(
@@ -326,15 +327,15 @@ def test_fusion_explain_reports_groups(rng):
     plan = kernel.plan(backend="native", fusion="auto")
     try:
         bound = plan.bind({k: v.copy() for k, v in base.items()})
-        lines = bound.fusion_explain()
+        lines = bound.explain()
         assert any("FUSED 17 statements" in line for line in lines)
         assert lines[-1].startswith("sweeps per timestep: 1")
     finally:
         plan.close()
     off = kernel.plan(backend="native", fusion="off")
     try:
-        lines = off.bind({k: v.copy() for k, v in base.items()}).fusion_explain()
-        assert any("inactive" in line for line in lines)
+        lines = off.bind({k: v.copy() for k, v in base.items()}).explain()
+        assert "  fuse: off — fusion='off'" in lines
     finally:
         off.close()
 
@@ -431,7 +432,7 @@ def test_fused_build_failure_falls_back_per_statement(rng, monkeypatch):
         raise native_mod.NativeBuildError("injected fused-build failure")
 
     monkeypatch.setattr(native_mod, "generate_fused_source", broken)
-    monkeypatch.setattr(native_mod, "_warned", set())
+    monkeypatch.setattr(decisions_mod, "_warned", set())
     with pytest.warns(RuntimeWarning, match="fused"):
         fused, fbound = _run_bound(kernel, base, fusion="auto")
     assert fbound.fused_group_count == 0

@@ -12,6 +12,7 @@ rests on (``x**2`` is ``x*x``, NumPy min/max tie-breaking) hold on this
 platform.
 """
 
+import threading
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.baselines.scatter import tapenade_style_adjoint
 from repro.codegen.native_c import generate_native_source, native_eligibility
 from repro.core import adjoint_loops, make_loop_nest
 from repro.runtime import Bindings, ExecutionConfig, compile_nests, native_available
+from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
 
 needs_cc = pytest.mark.skipif(
@@ -183,7 +185,7 @@ def test_no_compiler_falls_back_and_warns_once(rng, monkeypatch, tmp_path):
     """Pinned to a nonexistent compiler: one warning, identical results."""
     monkeypatch.setenv("REPRO_CC", str(tmp_path / "no-such-cc"))
     monkeypatch.setattr(native_mod, "_toolchain_memo", {})
-    monkeypatch.setattr(native_mod, "_warned", set())
+    monkeypatch.setattr(decisions_mod, "_warned", set())
     assert not native_available()
 
     prob = heat_problem(2)
@@ -223,7 +225,7 @@ def test_toolchain_change_revalidates_kernel_memo(rng, monkeypatch, tmp_path):
 
     monkeypatch.setenv("REPRO_CC", str(tmp_path / "no-such-cc"))
     monkeypatch.setattr(native_mod, "_toolchain_memo", {})
-    monkeypatch.setattr(native_mod, "_warned", set())
+    monkeypatch.setattr(decisions_mod, "_warned", set())
     with pytest.warns(RuntimeWarning):
         plan = kernel.plan(backend="native")
         assert plan.bind(dict(base)).native_statement_count == 0
@@ -278,6 +280,58 @@ def test_shared_object_disk_cache_reuses_builds(rng, monkeypatch, tmp_path):
     lib4 = native_mod.library_for_kernel(k4)
     assert lib4 is not None and calls["n"] == 2
     assert lib4.so_path != lib1.so_path
+
+
+@needs_cc
+def test_concurrent_first_binds_compile_once_per_object(monkeypatch, tmp_path):
+    """Regression: check → compile → rename was not under one lock, so
+    four threads binding one fresh kernel ran the compiler 8x, not 3x
+    (the library and its two fused nests)."""
+    real_cc = native_mod.native_toolchain()
+    log = tmp_path / "cc.log"
+    stub = tmp_path / "counting-cc"
+    stub.write_text(
+        f'#!/bin/sh\ncase " $* " in *" -shared "*) echo x >> "{log}";; esac\n'
+        f'exec "{real_cc}" "$@"\n'
+    )
+    stub.chmod(0o755)
+    monkeypatch.setenv("REPRO_CC", str(stub))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(native_mod, "_toolchain_memo", {})
+    native_mod._host_cflags(str(stub))  # the per-compiler probe is not the bind
+    log.write_text("")
+
+    prob = wave_problem(2)
+    kernel = compile_nests(
+        list(adjoint_loops(prob.primal, prob.adjoint_map)),
+        prob.bindings(32),
+        cache=False,
+    )
+    plan = kernel.plan(backend="native")
+    states = [prob.allocate_state(32, seed=0) for _ in range(4)]
+    bounds, errors = [None] * 4, []
+    go = threading.Barrier(4)
+
+    def first_bind(k):
+        try:
+            go.wait(timeout=30)
+            bounds[k] = plan.bind(states[k])
+            bounds[k].run()
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=first_bind, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(log.read_text().split()) == 3
+    assert all(b.fused_group_count == 2 for b in bounds)
+    for state in states[1:]:
+        for name in state:
+            assert state[name].tobytes() == states[0][name].tobytes()
+    plan.close()
 
 
 @needs_cc
@@ -449,30 +503,6 @@ def test_backend_config_validation():
     assert ExecutionConfig(backend="native").backend == "native"
 
 
-@needs_cc
-def test_rank_mismatched_arrays_fall_back(rng):
-    """Arrays with extra trailing dimensions bind python-side (and fail
-    there as loudly as the python backend does), never silently compute
-    on the leading dimensions natively."""
-    i = sp.Symbol("i", integer=True)
-    nsym = sp.Symbol("n", integer=True)
-    u, v = sp.Function("u"), sp.Function("v")
-    nest = make_loop_nest(
-        lhs=v(i), rhs=0.5 * u(i), counters=[i],
-        bounds={i: [1, nsym - 2]}, name="rank",
-    )
-    kernel = compile_nests([nest], Bindings(sizes={nsym: 16}), cache=False)
-    bad = {"u": rng.standard_normal((17, 3)), "v": np.zeros((17, 3))}
-    plan = kernel.plan(backend="native")
-    try:
-        bound = plan.bind(bad)
-        assert bound.native_statement_count == 0
-        with pytest.raises(ValueError):  # same failure as backend="python"
-            bound.run()
-    finally:
-        plan.close()
-
-
 def test_wide_minmax_is_gated():
     i = sp.Symbol("i", integer=True)
     expr = sp.Max(
@@ -484,82 +514,126 @@ def test_wide_minmax_is_gated():
     assert _expr_eligible(expr.args[0] + expr.args[1], "float64") is None
 
 
-@needs_cc
-def test_cross_name_aliased_arrays_fall_back(rng):
-    """One ndarray bound under two names must keep snapshot semantics.
+def _strided(arr):
+    """*arr*'s values behind a 12-byte stride: not a whole number of elements."""
+    raw = np.zeros(arr.size * 12, dtype=np.uint8)
+    view = np.ndarray(arr.shape, arr.dtype, buffer=raw, strides=(12,))
+    view[...] = arr
+    return view
 
-    A fused C loop over v[i] = 0.5*u[i+1] with u and v aliased would
-    read elements it just wrote; the bind-time may_share_memory guard
-    routes such statements to the Python path, which stages the whole
-    RHS before writing — so results still match the aliased reference.
-    """
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+# name -> (arrays from a fresh {u, v, w}, the gate's reason, which entries
+# refuse).  Only the group-wide aliasing rule is stricter than the
+# per-statement one: u aliasing w touches no single statement.
+_GATE_CASES = {
+    "foreign-dtype": (
+        lambda a: {k: x.astype(np.float32) for k, x in a.items()},
+        "v: dtype float32 != kernel float64",
+        {"statement", "fused"},
+    ),
+    "rank-mismatch": (
+        lambda a: {k: np.stack([x] * 3, axis=1) for k, x in a.items()},
+        "v: rank 2 != 1 slots",
+        {"statement", "fused"},
+    ),
+    "out-of-bounds": (
+        lambda a: {k: x[:-4].copy() for k, x in a.items()},
+        "v: slot 0 reads [1, 31) outside extent 29",
+        {"statement", "fused"},
+    ),
+    "non-element-stride": (
+        lambda a: {**a, "u": _strided(a["u"])},
+        "u: stride 12 not a multiple of itemsize 8",
+        {"statement", "fused"},
+    ),
+    "alias-in-statement": (
+        lambda a: {**a, "v": a["u"]},
+        "u: aliases target v",
+        {"statement", "fused"},
+    ),
+    "alias-across-group": (
+        lambda a: {**a, "w": a["u"]},
+        "u: aliases target w",
+        {"fused"},
+    ),
+    "read-only-target": (
+        lambda a: {**a, "w": _frozen(a["w"])},
+        "w: read-only",
+        {"statement", "fused"},
+    ),
+}
+
+
+@needs_cc
+@pytest.mark.parametrize("case", sorted(_GATE_CASES))
+def test_array_gate_names_its_reason_and_stays_exact(case):
+    """One gate behind both native entries: arrays that break a lowering
+    assumption are refused with the reason ``explain()`` then prints,
+    and the binding behaves exactly like the python plan — same bits,
+    or the same error where python refuses the arrays too."""
+    make, reason, refused_by = _GATE_CASES[case]
     i = sp.Symbol("i", integer=True)
     nsym = sp.Symbol("n", integer=True)
-    u, v = sp.Function("u"), sp.Function("v")
-    nest = make_loop_nest(
-        lhs=v(i), rhs=0.5 * u(i + 1), counters=[i],
-        bounds={i: [1, nsym - 2]}, name="alias",
+    u, v, w = sp.Function("u"), sp.Function("v"), sp.Function("w")
+    bounds = {i: [1, nsym - 2]}
+    kernel = compile_nests(
+        [
+            make_loop_nest(lhs=v(i), rhs=0.5 * u(i) + 0.25 * u(i - 1),
+                           counters=[i], bounds=bounds, name="produce"),
+            make_loop_nest(lhs=w(i), rhs=2.0 * v(i), counters=[i],
+                           bounds=bounds, name="consume"),
+        ],
+        Bindings(sizes={nsym: 32}),
+        cache=False,
     )
-    kernel = compile_nests([nest], Bindings(sizes={nsym: 32}), cache=False)
-    x = rng.standard_normal(33)
-    ref = x.copy()
-    kernel.plan().run_unbound({"u": ref, "v": ref})
-    got = x.copy()
-    plan = kernel.plan(backend="native")
-    try:
-        bound = plan.bind({"u": got, "v": got})
-        assert bound.native_statement_count == 0
-        bound.run()
-        assert ref.tobytes() == got.tobytes()
-        # Distinct arrays still dispatch natively.
-        assert (
-            plan.bind({"u": x.copy(), "v": np.zeros(33)}).native_statement_count
-            == 1
-        )
-    finally:
-        plan.close()
 
+    def fresh():
+        rng = np.random.default_rng(3)
+        return make({k: rng.standard_normal(33) for k in "uvw"})
 
-@needs_cc
-def test_undersized_arrays_raise_like_python_backend(rng):
-    """Arrays smaller than the kernel bounds must raise, not scribble.
+    def outcome(plan):
+        """('ok', arrays, bound) or (where it raised, exception type)."""
+        arrays = fresh()
+        try:
+            bound = plan.bind(arrays)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            return "bind", type(exc)
+        try:
+            bound.run()
+            bound.run()
+        except Exception as exc:  # noqa: BLE001 - compared below
+            return "run", type(exc), bound
+        return "ok", {k: x.tobytes() for k, x in arrays.items()}, bound
 
-    The native bind validates every access against the concrete array
-    shapes and falls back to the Python statement, whose view
-    construction raises the same KernelError the python backend gives.
-    """
-    from repro.runtime import KernelError
+    fused_plan = kernel.plan(backend="native")
+    good = fused_plan.bind({k: np.zeros(33) for k in "uvw"})
+    (group,) = [d.group for d in good.decisions if d.rung == "fused"]
+    lib = native_mod.library_for_kernel(kernel)
+    direct = {
+        "statement": [
+            native_mod.make_native_statement(lib, region, si, st, fresh(), eff)[1]
+            for region, si, st, eff in decisions_mod.serial_stream(fused_plan)
+        ],
+        "fused": [
+            native_mod.make_fused_statement(kernel, group.entries, fresh())[1]
+        ],
+    }
+    for entry, reasons in direct.items():
+        assert (reason in reasons) == (entry in refused_by), (entry, reasons)
 
-    prob = heat_problem(2)
-    kernel, base = _case(prob, 18, rng, with_primal=False)
-    small = {k: np.ascontiguousarray(v[:-2, :-2]) for k, v in base.items()}
-    py_plan = kernel.plan()
-    nat_plan = kernel.plan(backend="native")
-    try:
-        with pytest.raises(KernelError, match="out of bounds"):
-            py_plan.bind(small)
-        with pytest.raises(KernelError, match="out of bounds"):
-            nat_plan.bind(small)
-    finally:
-        py_plan.close()
-        nat_plan.close()
-
-
-@needs_cc
-def test_foreign_dtype_arrays_fall_back(rng):
-    """Arrays not matching the kernel dtype bind on the python path."""
-    prob = heat_problem(1)
-    kernel, base = _case(prob, 20, rng, with_primal=False)
-    cast = {k: v.astype(np.float32).astype(np.float64) for k, v in base.items()}
-    plan = kernel.plan(backend="native")
-    try:
-        assert plan.bind(cast).native_statement_count > 0
-        wrong = {k: v.astype(np.float32) for k, v in base.items()}
-        bound = plan.bind(wrong)
-        assert bound.native_statement_count == 0
-        bound.run()  # python fallback still executes correctly
-    finally:
-        plan.close()
+    want = outcome(kernel.plan())
+    for fusion, entry in (("off", "statement"), ("auto", "fused")):
+        got = outcome(kernel.plan(backend="native", fusion=fusion))
+        assert got[:2] == want[:2], f"fusion={fusion} diverged from python"
+        if got[0] != "bind":
+            assert got[2].fused_group_count == 0
+            said = reason in "\n".join(got[2].explain())
+            assert said == (entry in refused_by or "statement" in refused_by)
 
 
 # -- platform assumptions -----------------------------------------------------

@@ -49,6 +49,7 @@ from repro.runtime import (
     native_thread_count,
     stack_arrays,
 )
+from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
 
 needs_cc = pytest.mark.skipif(
@@ -211,7 +212,7 @@ def test_no_openmp_falls_back_one_rung_to_serial_native():
     # REPRO_NATIVE_THREADS (the CI thread matrix) cannot pre-probe.
     _, kernel, base = _case(*PROBLEMS[0][1:], cache=False)
     ref, _ = _run(kernel, base, native_threads=1)
-    native_mod._reset_warnings()
+    decisions_mod._reset_warnings()
     native_mod._omp_flags_memo.clear()
     try:
         with warnings.catch_warnings(record=True) as rec:
@@ -225,7 +226,7 @@ def test_no_openmp_falls_back_one_rung_to_serial_native():
         assert len(omp_warnings) == 1  # warned once, not per bind
     finally:
         native_mod._omp_flags_memo.clear()
-        native_mod._reset_warnings()
+        decisions_mod._reset_warnings()
 
 
 @needs_cc
@@ -288,7 +289,7 @@ def _fused_groups(kernel, base):
     plan = kernel.plan(backend="native", fusion="auto")
     try:
         bound = plan.bind(arrays)
-        groups = [g for g in bound._fusion_groups if g.fused]
+        groups = [v.group for v in bound.decisions if v.rung == "fused"]
         return groups, dict(bound._sources)
     finally:
         plan.close()
