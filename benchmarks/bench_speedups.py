@@ -14,6 +14,7 @@ that its paths leave bit-identical state before it times them::
 """
 
 import os
+import time
 from contextlib import ExitStack
 from functools import cache
 from typing import Callable, NamedTuple
@@ -23,8 +24,19 @@ import pytest
 
 from repro.apps import heat_problem
 from repro.core import adjoint_loops
-from repro.experiments.steady import _best_of, bitwise_equal
 from repro.runtime import ShardedPlan, compile_nests, native_available, stack_arrays
+from repro.verify import bitwise_equal
+
+
+def _best_of(fn, reps: int, rounds: int = 3) -> float:
+    """Best per-call seconds over *rounds* loops of *reps* calls."""
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        best = min(best, time.perf_counter() - t0)
+    return best / reps
 
 
 class Path(NamedTuple):

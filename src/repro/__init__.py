@@ -40,7 +40,6 @@ from .baselines import (
 )
 from .codegen import (
     print_function_c,
-    print_function_cuda,
     print_function_fortran,
     print_function_python,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "parse_stencil",
     "parse_stencils",
     "print_function_c",
-    "print_function_cuda",
     "print_function_fortran",
     "print_function_python",
     "schedule",

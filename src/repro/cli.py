@@ -21,15 +21,14 @@ Commands
 ``sweep``
     Run a batched ensemble (many scenarios — distinct initial
     conditions, optional parameter grids — through one kernel; see
-    ``docs/ensembles.md``), measure its steady-state throughput against
-    the naive per-member loop of bound plans, extract per-member
-    gradients, and write ``BENCH_ensemble.json``.  Exits non-zero when
-    any member diverges bitwise from its single-scenario run.
+    ``docs/ensembles.md``), extract per-member gradients and write them
+    to ``BENCH_ensemble.json``.  Exits non-zero when any member diverges
+    bitwise from its single-scenario run.
 ``adjoint``
     Run a revolve-checkpointed adjoint time loop (memory O(snaps)
     instead of O(steps); see ``docs/checkpointing.md``) against its
-    store-all reference, verify bitwise identity, the snapshot-memory
-    ratio and the recompute count, and write ``BENCH_checkpoint.json``.
+    store-all reference and verify bitwise identity, the snapshot-memory
+    ratio and the recompute count.
 ``serve``
     Run the kernel-as-a-service daemon (``docs/serving.md``): a
     persistent process listening on a Unix-domain socket that parses
@@ -41,14 +40,13 @@ Commands
     norms plus the batching evidence from the response.
 ``shard``
     Run a problem block-decomposed across shard worker processes
-    (``docs/sharding.md``) at one or more rank counts, hard-assert that
-    forward state and adjoint gradients are bitwise identical to the
-    single-shard run, report per-timestep times and write
-    ``BENCH_shard.json``.
+    (``docs/sharding.md``) at one or more rank counts and hard-assert
+    that forward state and adjoint gradients are bitwise identical to
+    the single-shard run.
 
-Timings these commands print are a report, not a gate: the one place two
-commits' timings are compared is ``bench/run.py --compare`` (README,
-"Performance gate").
+No command times anything: ``bench/run.py`` is the one stopwatch, and
+``bench/run.py --compare`` the one place two commits' timings are
+compared (README, "Performance gate").
 """
 
 from __future__ import annotations
@@ -57,10 +55,11 @@ import argparse
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .apps import burgers_problem, conv_problem, heat_problem, wave_problem
 from .codegen import (
     print_function_c,
-    print_function_cuda,
     print_function_fortran,
     print_function_python,
 )
@@ -77,21 +76,17 @@ __all__ = ["main", "build_parser", "exit_code_for"]
 # Exit-code contract (documented in docs/reliability.md): scripts
 # driving the CLI can distinguish *what* failed without parsing stderr.
 # 0 success, 1 any other failure, 2 usage (argparse's own convention,
-# kept), then one code per typed failure family.
-EXIT_OK = 0
-EXIT_ERROR = 1
+# kept), then one code per typed failure family — each the
+# ``exit_code`` of the error class it describes.
+EXIT_ERROR = ReproError.exit_code
 EXIT_USAGE = 2
-EXIT_VALIDATION = 3
-EXIT_BUILD = 4
-EXIT_DIVERGENCE = 5
+EXIT_VALIDATION = ValidationError.exit_code
+EXIT_BUILD = NativeBuildError.exit_code
+EXIT_DIVERGENCE = NumericalDivergenceError.exit_code
 
 
 def exit_code_for(exc: ReproError) -> int:
     """Map a typed runtime error onto the CLI exit-code contract.
-
-    Order matters: :class:`NativeBuildError` is a ``KernelError`` and
-    :class:`NumericalDivergenceError` a ``ReproError``, so the most
-    specific families are tested first.
 
     >>> from repro.errors import (NativeBuildError,
     ...     NumericalDivergenceError, ValidationError, KernelError)
@@ -104,40 +99,65 @@ def exit_code_for(exc: ReproError) -> int:
     >>> exit_code_for(KernelError("other"))
     1
     """
-    if isinstance(exc, NativeBuildError):
-        return EXIT_BUILD
-    if isinstance(exc, NumericalDivergenceError):
-        return EXIT_DIVERGENCE
-    if isinstance(exc, ValidationError):
-        return EXIT_VALIDATION
-    return EXIT_ERROR
+    return exc.exit_code
 
+
+# name -> (problem factory, default grid size)
 _PROBLEMS = {
-    "wave1d": lambda: wave_problem(1),
-    "wave2d": lambda: wave_problem(2),
-    "wave3d": lambda: wave_problem(3),
-    "burgers1d": lambda: burgers_problem(1),
-    "burgers2d": lambda: burgers_problem(2),
-    "heat1d": lambda: heat_problem(1),
-    "heat2d": lambda: heat_problem(2),
-    "heat3d": lambda: heat_problem(3),
-    "conv3x3": lambda: conv_problem(3),
-    "conv5x5": lambda: conv_problem(5),
+    "wave1d": (lambda: wave_problem(1), 40),
+    "wave2d": (lambda: wave_problem(2), 18),
+    "wave3d": (lambda: wave_problem(3), 12),
+    "burgers1d": (lambda: burgers_problem(1), 48),
+    "burgers2d": (lambda: burgers_problem(2), 16),
+    "heat1d": (lambda: heat_problem(1), 40),
+    "heat2d": (lambda: heat_problem(2), 18),
+    "heat3d": (lambda: heat_problem(3), 10),
+    "conv3x3": (lambda: conv_problem(3), 18),
+    "conv5x5": (lambda: conv_problem(5), 20),
 }
 
 _BACKENDS = {
     "c": print_function_c,
     "fortran": print_function_fortran,
     "python": print_function_python,
-    "cuda": print_function_cuda,
 }
 
-_DEFAULT_N = {
-    "wave3d": 12, "wave2d": 18, "wave1d": 40,
-    "burgers1d": 48, "burgers2d": 16,
-    "heat1d": 40, "heat2d": 18, "heat3d": 10,
-    "conv3x3": 18, "conv5x5": 20,
-}
+_DTYPES = {"f64": np.float64, "f32": np.float32}
+
+
+def _case(args):
+    """``(problem, grid size, dtype)`` selected by a sub-command's
+    ``--problem``, ``--n`` and (where it has one) ``--dtype``."""
+    factory, default_n = _PROBLEMS[args.problem]
+    return factory(), args.n or default_n, _DTYPES[getattr(args, "dtype", "f64")]
+
+
+def _adjoint_kernel(prob, n: int, dtype=np.float64, strategy="disjoint", params=None):
+    """The problem's compiled gather-form adjoint at grid size *n*."""
+    from .runtime import compile_nests
+
+    nests = adjoint_loops(prob.primal, prob.adjoint_map, strategy=strategy)
+    bindings = prob.bindings(n, dtype=dtype, **(params or {}))
+    return compile_nests(nests, bindings, name=prob.name + "_b")
+
+
+def _add_case_options(parser, problem: str, backend: str | None = None) -> None:
+    """The options :func:`_case` reads, defaulting to *problem*, plus
+    ``--backend`` where the command executes (*backend* is its help)."""
+    parser.add_argument("--problem", choices=sorted(_PROBLEMS), default=problem)
+    parser.add_argument(
+        "--n", type=int, default=None,
+        help="grid size (default: a small per-problem size)",
+    )
+    parser.add_argument(
+        "--dtype", choices=sorted(_DTYPES), default="f64",
+        help="kernel and state dtype (default: f64)",
+    )
+    if backend:
+        parser.add_argument(
+            "--backend", choices=["python", "native"], default="python",
+            help=backend,
+        )
 
 
 def _thread_count(value: str) -> int:
@@ -250,12 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="show the dependence-aware fusion plan for a problem's adjoint",
     )
     fus.set_defaults(func=_cmd_fuse)
-    fus.add_argument("--problem", choices=sorted(_PROBLEMS), default="heat2d")
-    fus.add_argument("--n", type=int, default=None, help="grid size")
-    fus.add_argument(
-        "--dtype", choices=["f64", "f32"], default="f64",
-        help="kernel dtype (default: f64); eligibility is dtype-dependent",
-    )
+    _add_case_options(fus, "heat2d")  # eligibility is dtype-dependent
     fus.add_argument(
         "--fusion", choices=["auto", "off"], default="auto",
         help="fusion mode to plan with (default: auto)",
@@ -268,12 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser(
         "sweep",
-        help="batched ensemble run / parameter sweep "
-        "(writes BENCH_ensemble.json)",
+        help="batched ensemble run / parameter sweep: per-member "
+        "gradients, bitwise vs the member loop (writes "
+        "BENCH_ensemble.json)",
     )
     swp.set_defaults(func=_cmd_sweep)
-    swp.add_argument("--problem", choices=sorted(_PROBLEMS), default="heat2d")
-    swp.add_argument("--n", type=int, default=None, help="grid size")
+    _add_case_options(
+        swp, "heat2d",
+        backend="member execution backend (native chains whole "
+        "member-timesteps into single C calls)",
+    )
     swp.add_argument(
         "--members", type=int, default=64,
         help="ensemble size (default: 64); member m gets the seed-m "
@@ -293,35 +312,21 @@ def build_parser() -> argparse.ArgumentParser:
         "worker pool; default: 1 = one fully fused chunk)",
     )
     swp.add_argument(
-        "--backend", choices=["python", "native"], default="python",
-        help="member execution backend (native chains whole "
-        "member-timesteps into single C calls)",
-    )
-    swp.add_argument(
-        "--dtype", choices=["f64", "f32"], default="f64",
-        help="kernel dtype (default: f64)",
-    )
-    swp.add_argument(
-        "--reps", type=int, default=60,
-        help="timing repetitions per round (default: 60)",
-    )
-    swp.add_argument(
-        "--quick", action="store_true",
-        help="fewer repetitions (CI smoke)",
-    )
-    swp.add_argument(
         "--output", default="BENCH_ensemble.json",
         help="where to write the JSON record (default: ./BENCH_ensemble.json)",
     )
 
     adj = sub.add_parser(
         "adjoint",
-        help="revolve-checkpointed adjoint time loop "
-        "(writes BENCH_checkpoint.json)",
+        help="revolve-checkpointed adjoint time loop: bitwise vs "
+        "store-all, recompute count, snapshot memory",
     )
     adj.set_defaults(func=_cmd_adjoint)
-    adj.add_argument("--problem", choices=sorted(_PROBLEMS), default="burgers1d")
-    adj.add_argument("--n", type=int, default=None, help="grid size")
+    _add_case_options(
+        adj, "burgers1d",
+        backend="bound-execution backend for both the forward and reverse "
+        "plans",
+    )
     adj.add_argument(
         "--steps", type=int, default=24,
         help="time steps to reverse (default: 24)",
@@ -339,27 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     adj.add_argument(
         "--workers", type=_thread_count, default=1,
         help="ensemble worker threads (only with --members > 1)",
-    )
-    adj.add_argument(
-        "--backend", choices=["python", "native"], default="python",
-        help="bound-execution backend for both the forward and reverse "
-        "plans",
-    )
-    adj.add_argument(
-        "--dtype", choices=["f64", "f32"], default="f64",
-        help="state dtype (default: f64)",
-    )
-    adj.add_argument(
-        "--reps", type=int, default=5,
-        help="timing repetitions per sweep variant (default: 5)",
-    )
-    adj.add_argument(
-        "--quick", action="store_true",
-        help="fewer repetitions (CI smoke)",
-    )
-    adj.add_argument(
-        "--output", default="BENCH_checkpoint.json",
-        help="where to write the JSON record (default: ./BENCH_checkpoint.json)",
     )
 
     srv = sub.add_parser(
@@ -414,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     req.add_argument("--seed", type=int, default=0,
                      help="seed for the generated initial state (default: 0)")
     req.add_argument(
-        "--dtype", choices=["f64", "f32"], default="f64",
+        "--dtype", choices=sorted(_DTYPES), default="f64",
         help="state dtype (default: f64)",
     )
     req.add_argument(
@@ -424,49 +408,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     shd = sub.add_parser(
         "shard",
-        help="sharded multi-process execution: bitwise contract + "
-        "per-step timings (writes BENCH_shard.json)",
+        help="sharded multi-process execution: forward and adjoint "
+        "bitwise vs the single shard (n=96, or 10 in 3-D, unless --n)",
     )
     shd.set_defaults(func=_cmd_shard)
-    shd.add_argument("--problem", choices=sorted(_PROBLEMS), default="heat2d")
+    _add_case_options(
+        shd, "heat2d",
+        backend="bound-execution backend on every shard (default: python)",
+    )
     shd.add_argument(
         "--ranks", action="append", type=int, default=None, metavar="N",
         help="shard count to test (repeatable; default: 1 2 4)",
     )
-    shd.add_argument("--n", type=int, default=None, help="grid size")
     shd.add_argument(
-        "--steps", type=int, default=None,
-        help="timesteps per measured run (default: 8 with --quick, 16 "
-        "otherwise)",
-    )
-    shd.add_argument(
-        "--backend", choices=["python", "native"], default="python",
-        help="bound-execution backend on every shard (default: python)",
-    )
-    shd.add_argument(
-        "--dtype", choices=["f64", "f32"], default="f64",
-        help="state dtype (default: f64)",
-    )
-    shd.add_argument(
-        "--reps", type=int, default=5,
-        help="timing repetitions, best-of (default: 5; per-step worker "
-        "dispatch is scheduling-noisy, so --quick keeps best-of "
-        "sampling)",
-    )
-    shd.add_argument(
-        "--quick", action="store_true",
-        help="small grid, fewer steps and repetitions (CI smoke)",
-    )
-    shd.add_argument(
-        "--output", default="BENCH_shard.json",
-        help="where to write the JSON record (default: ./BENCH_shard.json)",
+        "--steps", type=int, default=8,
+        help="forward timesteps per rank count (default: 8)",
     )
     return parser
 
 
 def _cmd_generate(args) -> int:
     if args.problem:
-        prob = _PROBLEMS[args.problem]()
+        prob = _PROBLEMS[args.problem][0]()
         nest = prob.primal
         adjoint_map = prob.adjoint_map
         name = prob.name
@@ -481,15 +444,10 @@ def _cmd_generate(args) -> int:
             print(f"cannot read spec file: {exc}", file=sys.stderr)
             return EXIT_USAGE
         name = nest.name or "stencil"
-        funcs = {}
         import sympy as sp
 
-        for arr in nest.written_arrays() + nest.read_arrays():
-            funcs[arr] = sp.Function(arr)
-        adjoint_map = {
-            funcs[a]: make_adjoint_function(funcs[a])
-            for a in nest.written_arrays() + nest.read_arrays()
-        }
+        funcs = map(sp.Function, nest.written_arrays() + nest.read_arrays())
+        adjoint_map = {f: make_adjoint_function(f) for f in funcs}
     backend = _BACKENDS[args.backend]
     chunks = []
     if args.kind in ("primal", "both"):
@@ -512,17 +470,10 @@ def _plan_vs_serial_diff(
     prob, n: int, strategy: str, threads: int, tile, backend: str = "python"
 ) -> float:
     """Max |planned - serial| over active adjoints for one plan config."""
-    import numpy as np
+    from .runtime import ExecutionConfig, ExecutionPlan
 
-    from .core import adjoint_loops
-    from .runtime import ExecutionConfig, ExecutionPlan, compile_nests
-
-    bindings = prob.bindings(n)
-    nests = adjoint_loops(prob.primal, prob.adjoint_map, strategy=strategy)
-    kernel = compile_nests(nests, bindings, name="gather")
-    rng = np.random.default_rng(0)
-    base = prob.allocate(n, rng=rng)
-    base.update(prob.allocate_adjoints(n, rng=rng))
+    kernel = _adjoint_kernel(prob, n, strategy=strategy)
+    base = prob.allocate_state(n, seed=0)
     serial = {k: v.copy() for k, v in base.items()}
     kernel(serial)
     planned = {k: v.copy() for k, v in base.items()}
@@ -574,8 +525,7 @@ def _cmd_verify(args) -> int:
     if args.problem is None:
         print("verify needs --problem (or --chaos)", file=sys.stderr)
         return EXIT_USAGE
-    prob = _PROBLEMS[args.problem]()
-    n = args.n or _DEFAULT_N[args.problem]
+    prob, n, _ = _case(args)
     cmp_ = compare_adjoints(prob, n=n, strategy=args.strategy)
     dp = dot_product_test(prob, n=n, strategy=args.strategy)
     fd = finite_difference_test(prob, n=n, strategy=args.strategy)
@@ -601,44 +551,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    from . import experiments as E
+    from .experiments import render_all, render_figure
 
-    if args.figure == "all":
-        print(E.render_all())
-        return 0
-    table = {
-        "fig08": (E.fig08_wave_broadwell, E.render_speedup),
-        "fig09": (E.fig09_burgers_broadwell, E.render_speedup),
-        "fig10": (E.fig10_wave_runtimes_broadwell, E.render_bars),
-        "fig11": (E.fig11_burgers_runtimes_broadwell, E.render_bars),
-        "fig12": (E.fig12_wave_knl, E.render_speedup),
-        "fig13": (E.fig13_burgers_knl, E.render_speedup),
-        "fig14": (E.fig14_wave_runtimes_knl, E.render_bars),
-        "fig15": (E.fig15_burgers_runtimes_knl, E.render_bars),
-    }
-    build, render = table[args.figure]
-    print(render(build()))
+    print(render_all() if args.figure == "all" else render_figure(args.figure))
     return 0
 
 
 def _cmd_fuse(args) -> int:
     """Print the fusion plan the native backend would use for a problem."""
-    import numpy as np
-
-    from .core import adjoint_loops
-    from .runtime import compile_nests
-
-    prob = _PROBLEMS[args.problem]()
-    n = args.n or _DEFAULT_N[args.problem]
-    dtype = np.float64 if args.dtype == "f64" else np.float32
-    nests = adjoint_loops(prob.primal, prob.adjoint_map)
-    kernel = compile_nests(nests, prob.bindings(n, dtype=dtype), name="fuse")
-    rng = np.random.default_rng(0)
-    arrays = prob.allocate(n, rng=rng, dtype=dtype)
-    arrays.update(prob.allocate_adjoints(n, rng=rng, dtype=dtype))
-    plan = kernel.plan(backend="native", fusion=args.fusion)
-    try:
-        bound = plan.bind(arrays)
+    prob, n, dtype = _case(args)
+    kernel = _adjoint_kernel(prob, n, dtype)
+    with kernel.plan(backend="native", fusion=args.fusion) as plan:
+        bound = plan.bind(prob.allocate_state(n, seed=0, dtype=dtype))
         print(
             f"problem {prob.name}, n={n}, dtype={args.dtype}, "
             f"fusion={args.fusion}"
@@ -654,31 +578,22 @@ def _cmd_fuse(args) -> int:
                 f"{bound.fused_statement_count} statements; "
                 f"use --explain for the per-group reasons)"
             )
-    finally:
-        plan.close()
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    """Batched ensemble run: parameter grid, throughput, gradients, JSON."""
+    """Batched ensemble run: parameter grid, bitwise check, gradients, JSON."""
     import itertools
     import json
-    import time
 
-    import numpy as np
+    from .runtime import stack_arrays
+    from .verify import bitwise_equal
 
-    from .core import adjoint_loops
-    from .experiments.steady import measure_ensemble
-    from .runtime import compile_nests
-
-    prob = _PROBLEMS[args.problem]()
-    n = args.n or _DEFAULT_N[args.problem]
+    prob, n, dtype = _case(args)
     members = args.members
     if members < 1:
         print("sweep needs at least one member", file=sys.stderr)
         return EXIT_USAGE
-    reps = max(1, args.reps // 4) if args.quick else args.reps
-    dtype = np.float64 if args.dtype == "f64" else np.float32
 
     # Cartesian parameter grid; member m takes grid point m % len(grid).
     grid_names = [name for name, _ in args.param]
@@ -694,32 +609,31 @@ def _cmd_sweep(args) -> int:
         dict(zip(grid_names, values))
         for values in itertools.product(*(vals for _, vals in args.param))
     ] or [{}]
-    groups: dict[int, list[int]] = {}
-    for m in range(members):
-        groups.setdefault(m % len(combos), []).append(m)
 
-    nests = adjoint_loops(prob.primal, prob.adjoint_map)
     name_map = prob.adjoint_name_map()
     grad_names = [name_map[a] for a in prob.active_input_names()]
     member_records: list[dict] = [None] * members  # type: ignore[list-item]
     group_records = []
-    total_loop_us = total_ensemble_us = 0.0
-    bitwise = True
-    for ci, member_ids in sorted(groups.items()):
-        params = combos[ci]
-        kernel = compile_nests(
-            nests, prob.bindings(n, dtype=dtype, **params), name="sweep"
-        )
-        plan = kernel.plan(backend=args.backend)
+    for ci, params in enumerate(combos[:members]):
+        member_ids = list(range(ci, members, len(combos)))
+        kernel = _adjoint_kernel(prob, n, dtype, params=params)
         states = [
             prob.allocate_state(n, seed=m, dtype=dtype) for m in member_ids
         ]
-        record, ensemble = measure_ensemble(
-            plan, states, reps, workers=args.workers
-        )
-        with ensemble:
-            for local, m in enumerate(member_ids):
+        # The contract: one ensemble run over the stacked members (copies)
+        # leaves each member where its own single-scenario bound run
+        # leaves that member's state, bit for bit.
+        with kernel.plan(backend=args.backend) as plan, plan.ensemble(
+            stack_arrays(states), workers=args.workers
+        ) as ensemble:
+            ensemble.run()
+            identical = True
+            for local, (m, state) in enumerate(zip(member_ids, states)):
+                plan.bind(state).run()
                 views = ensemble.member_arrays(local)
+                identical = identical and all(
+                    bitwise_equal(state[name], views[name]) for name in state
+                )
                 member_records[m] = {
                     "member": m,
                     "params": params,
@@ -728,28 +642,29 @@ def _cmd_sweep(args) -> int:
                         for name in grad_names
                     },
                 }
-        group_records.append({"params": params, "members": member_ids, **record})
-        total_loop_us += record["loop_us_per_member_step"] * len(member_ids)
-        total_ensemble_us += record["ensemble_us_per_member_step"] * len(member_ids)
-        bitwise = bitwise and record["bitwise_identical"]
-        plan.close()
+            group_records.append({
+                "params": params,
+                "members": member_ids,
+                "chunks": ensemble.chunk_count,
+                "bitwise_identical": identical,
+                "batched_statements": ensemble.batched_statement_count,
+                "native_statements": ensemble.native_statement_count,
+                "member_statements": ensemble.member_statement_count,
+                "fused_groups": ensemble.fused_group_count,
+                "fused_statements": ensemble.fused_statement_count,
+            })
 
-    speedup = total_loop_us / total_ensemble_us if total_ensemble_us else 0.0
+    bitwise = all(group["bitwise_identical"] for group in group_records)
     record = {
         "benchmark": "ensemble_sweep",
         "problem": prob.name,
         "n": n,
         "members": members,
-        "reps": reps,
         "backend": args.backend,
         "workers": args.workers,
         "dtype": args.dtype,
         "param_grid": {name: list(vals) for name, vals in args.param},
-        "loop_us_per_member_step": round(total_loop_us / members, 3),
-        "ensemble_us_per_member_step": round(total_ensemble_us / members, 3),
-        "speedup": round(speedup, 3),
         "bitwise_identical": bitwise,
-        "unix_time": round(time.time(), 1),
         "groups": group_records,
         "member_results": member_records,
     }
@@ -762,67 +677,38 @@ def _cmd_sweep(args) -> int:
         f"workers={args.workers})"
     )
     print(
-        f"  per-member loop  {record['loop_us_per_member_step']:8.1f} us/member-step\n"
-        f"  batched ensemble {record['ensemble_us_per_member_step']:8.1f} us/member-step\n"
-        f"  throughput       {record['speedup']:8.2f}x  "
+        "  ensemble vs per-member loop: "
         f"bitwise={'ok' if bitwise else 'MISMATCH'}"
     )
-    ok = bitwise
-    return 0 if ok else 1
+    return 0 if bitwise else 1
 
 
 def _cmd_adjoint(args) -> int:
-    """Checkpointed adjoint time loop: verify, measure, JSON."""
-    import json
-    import time
+    """Checkpointed adjoint time loop, verified against store-all."""
+    from .runtime import stack_arrays
+    from .verify import bitwise_equal
 
-    import numpy as np
-
-    from .experiments.steady import _best_of, bitwise_equal
-
-    if args.steps < 1:
-        print("adjoint needs at least one time step", file=sys.stderr)
-        return EXIT_USAGE
-    if args.snaps < 1:
-        print("adjoint needs at least one snapshot slot", file=sys.stderr)
-        return EXIT_USAGE
-    if args.members < 1:
-        print("adjoint needs at least one member", file=sys.stderr)
-        return EXIT_USAGE
-    prob = _PROBLEMS[args.problem]()
-    n = args.n or _DEFAULT_N[args.problem]
+    for value, what in (
+        (args.steps, "time step"), (args.snaps, "snapshot slot"),
+        (args.members, "member"),
+    ):
+        if value < 1:
+            print(f"adjoint needs at least one {what}", file=sys.stderr)
+            return EXIT_USAGE
+    prob, n, dtype = _case(args)
     steps, snaps = args.steps, args.snaps
-    reps = max(1, min(args.reps, 2)) if args.quick else args.reps
-    dtype = np.float64 if args.dtype == "f64" else np.float32
     members = None if args.members == 1 else args.members
 
     plan = prob.checkpointed_adjoint(
         n, steps=steps, snaps=snaps, dtype=dtype, backend=args.backend,
         members=members, workers=args.workers,
     )
-    shape = prob.array_shape(n)
-    name_map = prob.adjoint_name_map()
-
-    def member_case(m: int):
-        rng = np.random.default_rng(m)
-        state = [
-            (rng.standard_normal(shape) * 0.1).astype(dtype)
-            for _ in plan.history
-        ]
-        seed = prob.allocate_adjoints(
-            n, rng=np.random.default_rng(1000 + m), dtype=dtype
-        )[name_map[prob.output_name]]
-        return state, seed
-
-    if members is None:
-        state0, seed = member_case(0)
-    else:
-        cases = [member_case(m) for m in range(args.members)]
-        state0 = [
-            np.stack([case[0][k] for case in cases])
-            for k in range(len(plan.history))
-        ]
-        seed = np.stack([case[1] for case in cases])
+    # Member m starts from the seed-m scenario: its history fields are
+    # the initial state, its output adjoint the seed.
+    cases = [prob.allocate_state(n, seed=m, dtype=dtype) for m in range(args.members)]
+    arrays = cases[0] if members is None else stack_arrays(cases)
+    state0 = [arrays[name] for name in plan.history]
+    seed = arrays[prob.adjoint_name_map()[prob.output_name]]
 
     with plan:
         ref = {
@@ -831,50 +717,19 @@ def _cmd_adjoint(args) -> int:
         out = plan.adjoint(state0, seed)
         bitwise = all(bitwise_equal(ref[k], out[k]) for k in ref)
         forward_steps = plan.forward_steps
-        t_store = _best_of(lambda: plan.run_store_all(state0, seed), reps)
-        t_chk = _best_of(lambda: plan.adjoint(state0, seed), reps)
 
     predicted = plan.evaluation_cost - steps
     memory_ratio = plan.snapshot_bytes / plan.store_all_bytes
-    record = {
-        "benchmark": "checkpointed_adjoint",
-        "problem": prob.name,
-        "n": n,
-        "steps": steps,
-        "snaps": snaps,
-        "members": args.members,
-        "workers": args.workers,
-        "backend": args.backend,
-        "dtype": args.dtype,
-        "reps": reps,
-        "store_all_us_per_sweep": round(t_store * 1e6, 3),
-        "checkpointed_us_per_sweep": round(t_chk * 1e6, 3),
-        "overhead": round(t_chk / t_store, 3) if t_store else 0.0,
-        "snapshot_bytes": plan.snapshot_bytes,
-        "store_all_state_bytes": plan.store_all_bytes,
-        "memory_ratio": round(memory_ratio, 6),
-        "forward_steps_per_sweep": forward_steps,
-        "predicted_forward_steps": predicted,
-        "optimal_evaluations": plan.evaluation_cost,
-        "recompute_factor": round(forward_steps / steps, 3),
-        "bitwise_identical": bitwise,
-        "unix_time": round(time.time(), 1),
-    }
-    with open(args.output, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(
-        f"wrote {args.output} ({prob.name} n={n}, steps={steps}, "
-        f"snaps={snaps}, members={args.members}, backend={args.backend})"
+        f"adjoint: {prob.name} n={n}, steps={steps}, snaps={snaps}, "
+        f"members={args.members}, backend={args.backend}"
     )
     print(
-        f"  store-all    {record['store_all_us_per_sweep']:10.1f} us/sweep  "
-        f"memory {record['store_all_state_bytes']} B\n"
-        f"  checkpointed {record['checkpointed_us_per_sweep']:10.1f} us/sweep  "
-        f"memory {record['snapshot_bytes']} B "
+        f"  store-all    memory {plan.store_all_bytes} B\n"
+        f"  checkpointed memory {plan.snapshot_bytes} B "
         f"({memory_ratio:.3f}x, bound {snaps}/{steps})\n"
         f"  recompute    {forward_steps} forward steps "
-        f"(revolve optimum {predicted}, {record['recompute_factor']:.2f}x)  "
+        f"(revolve optimum {predicted}, {forward_steps / steps:.2f}x)  "
         f"bitwise={'ok' if bitwise else 'MISMATCH'}"
     )
     ok = bitwise
@@ -946,8 +801,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_request(args) -> int:
     """One remote run: parse locally, seed a state, print the evidence."""
-    import numpy as np
-
     from .frontend import parse_stencil
     from .runtime import Bindings, KernelClient, seeded_state
 
@@ -963,8 +816,7 @@ def _cmd_request(args) -> int:
     sizes = _pairs(args.size, "size", int)
     params = _pairs(args.param, "parameter", float)
     nest = parse_stencil(spec)
-    dtype = np.float64 if args.dtype == "f64" else np.float32
-    bindings = Bindings(sizes=sizes, params=params, dtype=dtype)
+    bindings = Bindings(sizes=sizes, params=params, dtype=_DTYPES[args.dtype])
     state = seeded_state(nest, bindings, seed=args.seed)
     with KernelClient(args.socket) as client:
         result = client.run(
@@ -990,49 +842,20 @@ def _cmd_request(args) -> int:
     return 0
 
 
-def _stencil_radius(*kernels) -> int:
-    """Widest axis-0 access offset across the kernels' statements — the
-    halo width a sharded run of them needs."""
-    radius = 0
-    for kernel in kernels:
-        for region in kernel.regions:
-            for st in region.statements:
-                for acc in (st.target, *st.reads):
-                    for axis, off in acc.slots:
-                        if axis == 0:
-                            radius = max(radius, abs(off))
-    return radius
-
-
 def _cmd_shard(args) -> int:
-    import json
-    import os
-    import time
-
-    import numpy as np
-
-    from .core import adjoint_loops
+    """Sharded forward and adjoint runs, bitwise against the single shard."""
     from .runtime import ExecutionConfig, ShardedPlan, compile_nests
+    from .verify import bitwise_equal
 
-    prob = _PROBLEMS[args.problem]()
-    dtype = np.float64 if args.dtype == "f64" else np.float32
-    if args.n is not None:
-        n = args.n
-    elif prob.dim >= 3:
-        n = 10 if args.quick else 16
-    else:
-        n = 96 if args.quick else 160
-    steps = args.steps if args.steps is not None else (8 if args.quick else 16)
-    reps = args.reps
-    ranks_list = args.ranks or [1, 2, 4]
-
-    bindings = prob.bindings(n, dtype=dtype)
-    fwd = compile_nests([prob.primal], bindings, name=prob.name)
-    rev = compile_nests(
-        adjoint_loops(prob.primal, prob.adjoint_map), bindings,
-        name=prob.name + "_b",
+    prob, n, dtype = _case(args)
+    if args.n is None:
+        # Enough rows that four ranks own real slabs, few enough that the
+        # check takes seconds.
+        n = 10 if prob.dim >= 3 else 96
+    fwd = compile_nests(
+        [prob.primal], prob.bindings(n, dtype=dtype), name=prob.name
     )
-    halo = _stencil_radius(fwd, rev)
+    rev = _adjoint_kernel(prob, n, dtype)
     config = ExecutionConfig(backend=args.backend)
 
     # The timestep rotation: newest history level <- output, older
@@ -1040,125 +863,59 @@ def _cmd_shard(args) -> int:
     # just apply the kernel repeatedly.
     hist = list(prob.history_fields())
     chain = [prob.output_name, *hist]
+    rotation = [(chain[i], chain[i - 1]) for i in range(len(chain) - 1, 0, -1)]
 
-    def rotate_np(state):
-        for i in range(len(chain) - 1, 0, -1):
-            np.copyto(state[chain[i]], state[chain[i - 1]])
+    # The adjoint step refreshes the halos of what the reverse kernel
+    # reads (primal inputs and the seed) and folds the halo
+    # contributions of what it writes (the input adjoints) back.
+    name_map = prob.adjoint_name_map()
+    adj_exchange = [*prob.input_names(), name_map[prob.output_name]]
+    grads = [name_map[a] for a in prob.active_input_names()]
 
-    def rotate_sharded(plan):
-        for i in range(len(chain) - 1, 0, -1):
-            plan.copy(chain[i], chain[i - 1])
-
-    # What the adjoint step exchanges and accumulates, derived from the
-    # compiled reverse kernel: reads get fresh halos, written adjoints
-    # (all targets except the seed) fold halo contributions back.
-    seed_name = prob.output_name + "_b"
-    rev_targets = sorted(
-        {st.target.name for rg in rev.regions for st in rg.statements}
-    )
-    rev_reads = sorted(
-        {acc.name for rg in rev.regions for st in rg.statements
-         for acc in st.reads}
-    )
-    accumulate = [t for t in rev_targets if t != seed_name]
-
-    # Single-shard references: the bitwise oracle and the per-step time
-    # the sharded runs are reported beside.
+    # Single-shard references: the bitwise oracle.
     ref = prob.allocate(n, rng=np.random.default_rng(11), dtype=dtype)
-    fwd_plan = fwd.plan(backend=args.backend)
-    bound = fwd_plan.bind(ref)
-    for _ in range(steps):
-        bound.run()
-        rotate_np(ref)
-    ref_after = {name: ref[name].copy() for name in chain}
-    single_times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        for _ in range(steps):
+    with fwd.plan(backend=args.backend) as fwd_plan:
+        bound = fwd_plan.bind(ref)
+        for _ in range(args.steps):
             bound.run()
-            rotate_np(ref)
-        single_times.append((time.perf_counter() - t0) / steps * 1e6)
-    single_us = min(single_times)
-    fwd_plan.close()
-
+            for dst, src in rotation:
+                np.copyto(ref[dst], ref[src])
     adj_ref = prob.allocate_state(n, seed=12, dtype=dtype)
-    rev_plan = rev.plan(backend=args.backend)
-    rev_plan.bind(adj_ref).run()
-    rev_plan.close()
+    with rev.plan(backend=args.backend) as rev_plan:
+        rev_plan.bind(adj_ref).run()
 
     print(
-        f"shard: {prob.name} n={n} steps={steps} backend={args.backend} "
+        f"shard: {prob.name} n={n} steps={args.steps} backend={args.backend} "
         f"dtype={args.dtype}"
     )
-    cases = {}
     all_ok = True
-    for nranks in ranks_list:
+    for nranks in args.ranks or [1, 2, 4]:
         state = prob.allocate(n, rng=np.random.default_rng(11), dtype=dtype)
         with ShardedPlan(
-            fwd, state, nranks=nranks, halo=halo, config=config
+            fwd, state, nranks=nranks, halo=prob.halo, config=config
         ) as plan:
-            for _ in range(steps):
+            for _ in range(args.steps):
                 plan.step(exchange=hist)
-                rotate_sharded(plan)
+                for dst, src in rotation:
+                    plan.copy(dst, src)
             got = plan.gather(chain)
-            fwd_ok = all(
-                np.array_equal(got[name], ref_after[name]) for name in chain
-            )
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                for _ in range(steps):
-                    plan.step(exchange=hist)
-                    rotate_sharded(plan)
-                times.append((time.perf_counter() - t0) / steps * 1e6)
-            sharded_us = min(times)
-            effective = plan.effective_nranks
-            multiprocess = plan.multiprocess
+        fwd_ok = all(bitwise_equal(got[name], ref[name]) for name in chain)
 
         astate = prob.allocate_state(n, seed=12, dtype=dtype)
         with ShardedPlan(
-            rev, astate, nranks=nranks, halo=halo, config=config
+            rev, astate, nranks=nranks, halo=prob.halo, config=config
         ) as aplan:
-            aplan.step(exchange=rev_reads, accumulate=accumulate)
-            agot = aplan.gather(rev_targets)
-        adj_ok = all(
-            np.array_equal(agot[name], adj_ref[name]) for name in rev_targets
-        )
+            aplan.step(exchange=adj_exchange, accumulate=grads)
+            agot = aplan.gather(grads)
+        adj_ok = all(bitwise_equal(agot[name], adj_ref[name]) for name in grads)
 
         print(
             f"  ranks={nranks}  "
             f"forward bitwise {'OK' if fwd_ok else 'MISMATCH'}  "
-            f"adjoint bitwise {'OK' if adj_ok else 'MISMATCH'}  "
-            f"{sharded_us / 1000:.2f} ms/step"
+            f"adjoint bitwise {'OK' if adj_ok else 'MISMATCH'}"
         )
-        cases[f"ranks{nranks}"] = {
-            "ranks": nranks,
-            "effective_nranks": effective,
-            "multiprocess": multiprocess,
-            "sharded_us_per_step": sharded_us,
-            "forward_bitwise": fwd_ok,
-            "adjoint_bitwise": adj_ok,
-        }
         all_ok = all_ok and fwd_ok and adj_ok
 
-    record = {
-        "benchmark": "sharded_plan",
-        "problem": prob.name,
-        "n": n,
-        "steps": steps,
-        "backend": args.backend,
-        "dtype": args.dtype,
-        "reps": reps,
-        "halo": halo,
-        "cpu_count": os.cpu_count(),
-        "single_us_per_step": single_us,
-        "unix_time": round(time.time(), 1),
-        "cases": cases,
-    }
-    with open(args.output, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.output} (backend={args.backend})")
     if all_ok:
         print("VERDICT: sharded == single-shard, bitwise, at every rank count")
     else:
@@ -1168,7 +925,7 @@ def _cmd_shard(args) -> int:
 
 def _cmd_loop_counts(args) -> int:
     print(f"{'problem':12s}{'adjoint loop nests':>20s}")
-    for name, factory in sorted(_PROBLEMS.items()):
+    for name, (factory, _n) in sorted(_PROBLEMS.items()):
         prob = factory()
         count = len(adjoint_loops(prob.primal, prob.adjoint_map))
         print(f"{name:12s}{count:>20d}")

@@ -2,7 +2,6 @@
 
 from .base import CodegenError, DerivativeCall, match_derivative_call
 from .c import CPrinter, generate_c, print_function_c
-from .cuda import CudaPrinter, print_function_cuda
 from .fortran import FortranPrinter, generate_fortran, print_function_fortran
 from .native_c import NativeCPrinter, generate_native_source, native_eligibility
 from .python_src import generate_python, print_function_python
@@ -10,7 +9,6 @@ from .python_src import generate_python, print_function_python
 __all__ = [
     "CPrinter",
     "CodegenError",
-    "CudaPrinter",
     "DerivativeCall",
     "FortranPrinter",
     "NativeCPrinter",
@@ -21,7 +19,6 @@ __all__ = [
     "match_derivative_call",
     "native_eligibility",
     "print_function_c",
-    "print_function_cuda",
     "print_function_fortran",
     "print_function_python",
 ]

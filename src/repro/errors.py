@@ -48,9 +48,14 @@ class ReproError(Exception):
     """Base of every typed error the repro runtime raises.
 
     Catching this is always sufficient to handle any runtime failure;
-    the subclasses exist so callers can *distinguish* failure classes
-    (the CLI maps them to distinct exit codes).
+    the subclasses exist so callers can *distinguish* failure classes.
+    ``exit_code`` is the process exit status the CLI (and a served error
+    reply) reports for the failure family — 0 success and 2 usage are
+    argparse's; a subclass overrides it where scripts need to tell the
+    family apart (``docs/reliability.md``).
     """
+
+    exit_code = 1
 
 
 class ValidationError(ReproError, ValueError):
@@ -61,6 +66,8 @@ class ValidationError(ReproError, ValueError):
     restriction violations, and the resource caps of
     :func:`repro.core.validate.validate_untrusted`.
     """
+
+    exit_code = 3
 
 
 class KernelError(ReproError, RuntimeError):
@@ -78,6 +85,8 @@ class NativeBuildError(KernelError):
     to do so (warning once); sites that cannot propagate it.
     """
 
+    exit_code = 4
+
 
 class NumericalDivergenceError(ReproError, FloatingPointError):
     """The opt-in divergence watchdog saw a non-finite value.
@@ -85,6 +94,8 @@ class NumericalDivergenceError(ReproError, FloatingPointError):
     Raised by ``ExecutionConfig(check="nan")`` runs; carries the step
     index and statement that first produced a NaN/Inf.
     """
+
+    exit_code = 5
 
     def __init__(
         self,

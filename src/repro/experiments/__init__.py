@@ -15,11 +15,15 @@ from .figures import (
     fig15_burgers_runtimes_knl,
     wave_descriptors,
 )
-from .report import render_all, render_bars, render_factors, render_speedup
-from .steady import bitwise_equal
+from .report import (
+    render_all,
+    render_bars,
+    render_factors,
+    render_figure,
+    render_speedup,
+)
 
 __all__ = [
-    "bitwise_equal",
     "PAPER",
     "FigureSeries",
     "RuntimeBars",
@@ -35,6 +39,7 @@ __all__ = [
     "render_all",
     "render_bars",
     "render_factors",
+    "render_figure",
     "render_speedup",
     "wave_descriptors",
 ]

@@ -11,7 +11,10 @@ import io
 
 from . import figures as F
 
-__all__ = ["render_speedup", "render_bars", "render_factors", "render_all"]
+__all__ = [
+    "render_speedup", "render_bars", "render_factors", "render_figure",
+    "render_all",
+]
 
 
 def render_speedup(fig: F.FigureSeries) -> str:
@@ -67,16 +70,23 @@ def render_factors() -> str:
     return out.getvalue()
 
 
+_FIGURES = {
+    "fig08": (F.fig08_wave_broadwell, render_speedup),
+    "fig09": (F.fig09_burgers_broadwell, render_speedup),
+    "fig10": (F.fig10_wave_runtimes_broadwell, render_bars),
+    "fig11": (F.fig11_burgers_runtimes_broadwell, render_bars),
+    "fig12": (F.fig12_wave_knl, render_speedup),
+    "fig13": (F.fig13_burgers_knl, render_speedup),
+    "fig14": (F.fig14_wave_runtimes_knl, render_bars),
+    "fig15": (F.fig15_burgers_runtimes_knl, render_bars),
+}
+
+
+def render_figure(name: str) -> str:
+    """One figure's table by its paper number, ``"fig08"`` .. ``"fig15"``."""
+    build, render = _FIGURES[name]
+    return render(build())
+
+
 def render_all() -> str:
-    parts = [
-        render_speedup(F.fig08_wave_broadwell()),
-        render_speedup(F.fig09_burgers_broadwell()),
-        render_bars(F.fig10_wave_runtimes_broadwell()),
-        render_bars(F.fig11_burgers_runtimes_broadwell()),
-        render_speedup(F.fig12_wave_knl()),
-        render_speedup(F.fig13_burgers_knl()),
-        render_bars(F.fig14_wave_runtimes_knl()),
-        render_bars(F.fig15_burgers_runtimes_knl()),
-        render_factors(),
-    ]
-    return "\n".join(parts)
+    return "\n".join([*map(render_figure, _FIGURES), render_factors()])

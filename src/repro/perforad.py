@@ -28,7 +28,6 @@ import sympy as sp
 
 from .codegen import (
     print_function_c,
-    print_function_cuda,
     print_function_fortran,
     print_function_python,
 )
@@ -39,7 +38,6 @@ __all__ = ["makeLoopNest", "printfunction", "LoopNest"]
 _BACKENDS = {
     "c": print_function_c,
     "fortran": print_function_fortran,
-    "cuda": print_function_cuda,
     "python": print_function_python,
 }
 

@@ -445,9 +445,14 @@ class BoundPlan(Lowered):
     def __init__(self, plan, arrays: Mapping[str, np.ndarray]) -> None:
         self.plan = plan
         stmts = [st for rp in plan.region_plans for st in rp.region.statements]
-        names = sorted(
-            {n for st in stmts for n in (st.target.name, *(a.name for a in st.reads))}
-        )
+        names = sorted(plan.kernel.array_names)
+        unbound = [n for n in names if not isinstance(arrays.get(n), np.ndarray)]
+        if unbound:
+            raise KernelError(
+                f"kernel {plan.kernel.name!r} needs arrays {unbound} that are "
+                f"missing from the binding or are not numpy arrays; it "
+                f"touches {names}"
+            )
         shard = getattr(plan, "shard", None)
         if shard is not None:
             # Shard-aware bind: the plan's statement boxes were

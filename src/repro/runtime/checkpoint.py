@@ -165,16 +165,6 @@ class SnapshotPool:
             np.copyto(arr, buf)
 
 
-def _array_names(regions) -> set[str]:
-    """All array names the statements of *regions* touch."""
-    return {
-        name
-        for region in regions
-        for st in region.statements
-        for name in (st.target.name, *(acc.name for acc in st.reads))
-    }
-
-
 class _RevolveDriver:
     """The revolve sweep over ``h + 1`` rotating state buffers.
 
@@ -203,7 +193,7 @@ class _RevolveDriver:
     def __init__(
         self,
         shape: tuple[int, ...],
-        rev_names: set[str],
+        rev_names: frozenset[str],
         *,
         steps: int,
         snaps: int,
@@ -474,7 +464,7 @@ class CheckpointedAdjointPlan(_RevolveDriver):
         constants = dict(constants or {})
         shape = tuple(shape)
         full_shape = shape if members is None else (members, *shape)
-        rev_names = _array_names(rp.region for rp in reverse_plan.region_plans)
+        rev_names = reverse_plan.kernel.array_names
         super().__init__(
             full_shape, rev_names, steps=steps, snaps=snaps, output=output,
             history=history, constants=constants, adjoint_map=adjoint_map,
@@ -486,7 +476,7 @@ class CheckpointedAdjointPlan(_RevolveDriver):
 
         # Validate the plans against the state model up front: a missing
         # field would otherwise surface as a bare KeyError from binding.
-        fwd_names = _array_names(rp.region for rp in forward_plan.region_plans)
+        fwd_names = forward_plan.kernel.array_names
         allowed_fwd = {output, *history, *constants}
         if not fwd_names <= allowed_fwd:
             raise KernelError(
@@ -687,7 +677,7 @@ class ShardedCheckpointedAdjoint(_RevolveDriver):
         constants = dict(constants or {})
         shape = tuple(shape)
         super().__init__(
-            shape, _array_names(reverse_kernel.regions), steps=steps,
+            shape, reverse_kernel.array_names, steps=steps,
             snaps=snaps, output=output, history=history, constants=constants,
             adjoint_map=adjoint_map, dtype=dtype,
         )

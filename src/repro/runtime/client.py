@@ -32,34 +32,22 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import (
-    CheckpointError,
-    EnsembleBindError,
-    KernelError,
-    NativeBuildError,
-    NumericalDivergenceError,
-    SchedulerError,
-    ServeError,
-    ValidationError,
-)
+from .. import errors
+from ..errors import ServeError, ValidationError
 from .server import encode_array, recv_frame, send_frame
 
 __all__ = ["KernelClient", "ServeResult"]
 
-#: Remote error-type names mapped back onto the local typed hierarchy.
-_ERROR_TYPES = {
-    "ValidationError": ValidationError,
-    "ParseError": ValidationError,
-    "LexError": ValidationError,
-    "StencilRestrictionError": ValidationError,
-    "KernelError": KernelError,
-    "NativeBuildError": NativeBuildError,
-    "EnsembleBindError": EnsembleBindError,
-    "SchedulerError": SchedulerError,
-    "CheckpointError": CheckpointError,
-    "NumericalDivergenceError": NumericalDivergenceError,
-    "ServeError": ServeError,
-}
+#: Remote error-type names mapped back onto the local typed hierarchy:
+#: every class ``repro.errors`` exports under its own name, plus the
+#: front-end's ValidationError subclasses (defined beside the lexer,
+#: parser and validator) under theirs.
+_ERROR_TYPES = {name: getattr(errors, name) for name in errors.__all__}
+_ERROR_TYPES.update(
+    dict.fromkeys(
+        ("ParseError", "LexError", "StencilRestrictionError"), ValidationError
+    )
+)
 
 
 @dataclass(frozen=True)

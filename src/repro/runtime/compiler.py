@@ -17,6 +17,7 @@ iteration space, which is how the shared-memory parallel executor
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -474,6 +475,17 @@ class CompiledKernel:
 
     def total_iterations(self) -> int:
         return sum(rk.iteration_count() for rk in self.regions)
+
+    @cached_property
+    def array_names(self) -> frozenset[str]:
+        """Every array the kernel's statements read or write — what a
+        binding of any tier must supply."""
+        return frozenset(
+            name
+            for region in self.regions
+            for st in region.statements
+            for name in (st.target.name, *(acc.name for acc in st.reads))
+        )
 
     def plan(self, **config) -> "ExecutionPlan":
         """The cached :class:`~repro.runtime.plan.ExecutionPlan` for a config.

@@ -48,7 +48,7 @@ import multiprocessing
 import os
 import secrets
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from typing import Mapping, Sequence
 
@@ -57,7 +57,7 @@ import numpy as np
 from ..errors import ShardError, ValidationError
 from . import faults
 from .compiler import CompiledKernel
-from .decisions import Verdict, degraded
+from .decisions import Verdict, degraded, lowering_mode
 from .plan import ExecutionConfig, ExecutionPlan, ShardSpec
 
 __all__ = [
@@ -174,15 +174,6 @@ def _accumulate_pairs(
 
 
 # -- sharded plan/bind execution -----------------------------------------------
-
-
-def _kernel_array_names(kernel: CompiledKernel) -> set[str]:
-    names: set[str] = set()
-    for region in kernel.regions:
-        for st in region.statements:
-            names.add(st.target.name)
-            names.update(acc.name for acc in st.reads)
-    return names
 
 
 def _worker_main(conn, plans) -> None:
@@ -309,7 +300,7 @@ class ShardedPlan:
         for key, kernel in self._kernels.items():
             amap = self._aliases[key]
             missing = {
-                amap.get(n, n) for n in _kernel_array_names(kernel)
+                amap.get(n, n) for n in kernel.array_names
             } - set(arrays)
             if missing:
                 raise ValidationError(
@@ -333,6 +324,28 @@ class ShardedPlan:
             )
         _validate_halo(ranges, halo)
         self.halo = halo
+        # Forked ranks are the parallelism, as num_threads > 1 and
+        # scatter are at the mode gate — and libgomp is not fork-safe:
+        # once the parent has entered one OpenMP region, a forked
+        # worker deadlocks in its first.  An explicit pin, so it beats
+        # REPRO_NATIVE_THREADS; in-process ranks and the single-shard
+        # continuation run in the parent and keep the caller's width.
+        forks = use_workers and "fork" in multiprocessing.get_all_start_methods()
+        self._rank_config = self.config
+        if (
+            forks
+            and self.config.backend == "native"
+            and lowering_mode(self.config).threads > 1
+        ):
+            self._rank_config = replace(self.config, native_threads=1)
+            self.decisions.append(
+                Verdict(
+                    "rank plans", "1 native thread",
+                    "forked shard workers own the parallelism (an OpenMP "
+                    "region in a forked child deadlocks once the parent "
+                    "has run one)",
+                )
+            )
         self._globals = dict(arrays)
         self._names = list(arrays)
         self._degraded = False
@@ -344,7 +357,7 @@ class ShardedPlan:
         try:
             self._build_slabs(ranges)
             self._bound = [self._bind_rank(slab) for slab in self.slabs]
-            if use_workers and "fork" in multiprocessing.get_all_start_methods():
+            if forks:
                 self._start_workers()
         except BaseException:
             _release(self._workers, self._conns, self._segments)
@@ -389,11 +402,11 @@ class ShardedPlan:
         )
         per_key = {}
         for key, kernel in self._kernels.items():
-            plan = ExecutionPlan.build(kernel, self.config, shard=spec)
+            plan = ExecutionPlan.build(kernel, self._rank_config, shard=spec)
             amap = self._aliases[key]
             local = {
                 name: slab.arrays[amap.get(name, name)]
-                for name in _kernel_array_names(kernel)
+                for name in kernel.array_names
             }
             per_key[key] = plan.bind(local)
         return per_key
@@ -594,7 +607,7 @@ class ShardedPlan:
             amap = self._aliases[key]
             local = {
                 name: self._globals[amap.get(name, name)]
-                for name in _kernel_array_names(kernel)
+                for name in kernel.array_names
             }
             self._single[key] = plan.bind(local)
         self._degraded = True

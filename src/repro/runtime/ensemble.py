@@ -280,13 +280,7 @@ class EnsemblePlan(Lowered):
             )
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        kernel_names = {
-            name
-            for rp in plan.region_plans
-            for st in rp.region.statements
-            for name in (st.target.name, *(acc.name for acc in st.reads))
-        }
-        missing = sorted(kernel_names - set(batched))
+        missing = sorted(plan.kernel.array_names - set(batched))
         if missing:
             raise KernelError(
                 f"batched arrays missing kernel arrays {missing}"

@@ -82,6 +82,7 @@ import socket
 import struct
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -112,6 +113,14 @@ __all__ = [
 #: Hard cap on one protocol frame; oversize frames are a typed error,
 #: never an allocation the peer controls.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Most kernels (each with its compiled code and warm arrays) a server
+#: keeps registered, least-recently-used evicted first — the
+#: ``KernelCache`` default.  Specs arrive from untrusted peers, so the
+#: table must not grow with the number of distinct ones ever seen; a
+#: by-id request for an evicted kernel gets the "send the spec once
+#: first" reply, which is already the client's recovery path.
+MAX_KERNELS = 256
 
 _HEADER = struct.Struct(">I")
 
@@ -412,15 +421,13 @@ class _Pending:
 
 
 def _error_payload(exc: BaseException) -> dict:
-    from ..cli import exit_code_for  # local import: cli imports runtime
-
     if not isinstance(exc, ReproError):
         exc = ServeError(f"{type(exc).__name__}: {exc}")
     return {
         "status": "error",
         "error": type(exc).__name__,
         "message": str(exc),
-        "exit_code": exit_code_for(exc),
+        "exit_code": exc.exit_code,
     }
 
 
@@ -475,7 +482,7 @@ class KernelServer:
         self.limits = limits
         self.request_timeout = request_timeout
         self._lock = threading.Lock()
-        self._kernels: dict[str, _ServedKernel] = {}
+        self._kernels: OrderedDict[str, _ServedKernel] = OrderedDict()
         self._queue: queue.Queue = queue.Queue()
         self._conns: set[socket.socket] = set()
         self._listener: socket.socket | None = None
@@ -703,14 +710,19 @@ class KernelServer:
             with self._lock:
                 served = self._kernels.get(kid)
                 if served is None:
-                    served = _ServedKernel(kid, nest, bindings)
-                    self._kernels[kid] = served
+                    served = self._kernels[kid] = _ServedKernel(kid, nest, bindings)
+                    while len(self._kernels) > MAX_KERNELS:
+                        self._kernels.popitem(last=False)
+                else:
+                    self._kernels.move_to_end(kid)
             return served
         kid = msg.get("kernel_id")
         if not isinstance(kid, str):
             raise ValidationError("run request needs 'spec' or 'kernel_id'")
         with self._lock:
             served = self._kernels.get(kid)
+            if served is not None:
+                self._kernels.move_to_end(kid)
         if served is None:
             raise ValidationError(
                 f"unknown kernel_id {kid[:16]!r}...; send the spec once first"

@@ -1,6 +1,6 @@
 """Verification suite: dot-product, finite differences, cross-compare."""
 
-from .compare import AdjointComparison, compare_adjoints
+from .compare import AdjointComparison, bitwise_equal, compare_adjoints
 from .dotproduct import DotProductResult, dot_product_test
 from .findiff import FinDiffResult, finite_difference_test
 from .hvp import gradient, hessian_vector_product
@@ -16,6 +16,7 @@ __all__ = [
     "FinDiffResult",
     "assemble_jacobian_adjoint",
     "assemble_jacobian_tangent",
+    "bitwise_equal",
     "compare_adjoints",
     "gradient",
     "hessian_vector_product",

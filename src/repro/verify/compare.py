@@ -27,7 +27,25 @@ from ..core.transform import adjoint_loops
 from ..runtime.compiler import assert_disjoint_writes, compile_nests
 from ..runtime.interpreter import interpret_nests
 
-__all__ = ["AdjointComparison", "compare_adjoints"]
+__all__ = ["AdjointComparison", "bitwise_equal", "compare_adjoints"]
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two arrays hold identical bits.
+
+    The runtime's contract between execution tiers is bitwise, so this
+    is stricter than ``np.array_equal``: NaNs with equal payloads
+    compare equal (they are the same bits) and ``-0.0`` differs from
+    ``+0.0``.
+
+    >>> import numpy as np
+    >>> from repro.verify import bitwise_equal
+    >>> bitwise_equal(np.array([0.0]), np.array([-0.0]))
+    False
+    >>> bitwise_equal(np.array([np.nan]), np.array([np.nan]))
+    True
+    """
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @dataclass(frozen=True)

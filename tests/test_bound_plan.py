@@ -19,7 +19,7 @@ import sympy as sp
 from repro.apps import heat_problem, wave_problem
 from repro.baselines.scatter import tapenade_style_adjoint
 from repro.core import adjoint_loops, make_loop_nest
-from repro.runtime import Bindings, compile_nests
+from repro.runtime import Bindings, KernelError, compile_nests
 from repro.runtime.bound import _COUNTER_CACHE
 
 
@@ -253,5 +253,5 @@ def test_bind_rejects_missing_array(rng):
     kernel, base = _adjoint_case(prob, 16, rng, np.float64)
     arrays = {k: v.copy() for k, v in base.items()}
     arrays.pop("u_1_b")
-    with pytest.raises(KeyError):
+    with pytest.raises(KernelError, match=r"needs arrays \['u_1_b'\]"):
         kernel.plan().bind(arrays)

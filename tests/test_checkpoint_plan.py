@@ -24,7 +24,7 @@ import pytest
 from repro.apps import burgers_problem, heat_problem, wave_problem
 from repro.core import adjoint_loops
 from repro.driver import optimal_cost
-from repro.experiments.steady import bitwise_equal as _bitwise
+from repro.verify import bitwise_equal as _bitwise
 from repro.runtime import (
     KernelError,
     NumericalDivergenceError,

@@ -187,6 +187,12 @@ def test_user_bound_functions_fall_back_per_member():
     with EnsemblePlan(plan, stack_arrays(states)) as ensemble:
         assert ensemble.batched_statement_count == 0
         assert ensemble.member_statement_count == 4
+        # the three shapes partition the bound statements
+        assert ensemble.statement_count == (
+            ensemble.batched_statement_count
+            + ensemble.native_statement_count
+            + ensemble.member_statement_count
+        )
         ensemble.run()
         ensemble.run()
         _assert_members_match(ensemble, refs)
@@ -447,27 +453,3 @@ def test_fused_steady_state_is_allocation_free():
         assert current - before < 2048, (
             f"steady-state ensemble allocated {current - before} bytes"
         )
-
-
-def test_measure_ensemble_record_contract():
-    from repro.experiments.steady import measure_ensemble
-
-    prob = heat_problem(1)
-    kernel = _kernel(prob, 12)
-    plan = kernel.plan()
-    states = _member_states(prob, 12, members=4)
-    record, ensemble = measure_ensemble(plan, states, reps=3)
-    with ensemble:
-        assert record["members"] == 4
-        assert record["bitwise_identical"] is True
-        assert record["ensemble_us_per_member_step"] > 0
-        assert record["loop_us_per_member_step"] > 0
-        assert (
-            record["batched_statements"]
-            + record["native_statements"]
-            + record["member_statements"]
-            == ensemble.statement_count
-        )
-        # the ensemble is left one application past the base state
-        refs = _looped_reference(plan, states)
-        _assert_members_match(ensemble, refs)

@@ -1,4 +1,4 @@
-"""Error-path coverage: ensemble stacking/binding and CLI validation.
+"""Error-path coverage: binding, ensemble stacking/binding and CLI validation.
 
 The happy paths of :func:`~repro.runtime.ensemble.stack_arrays`,
 :class:`~repro.runtime.ensemble.EnsemblePlan` and the CLI are covered by
@@ -29,6 +29,40 @@ def _kernel(n=10):
         ),
         n,
     )
+
+
+# -- the front door: bind / run / kernel() ---------------------------------------
+
+
+@pytest.mark.parametrize("backend", ["python", "native"])
+def test_missing_or_non_array_entries_are_one_typed_error(backend):
+    """Every tier names the arrays a binding lacks; the single-scenario
+    front door used to raise a bare KeyError('u_b') (AttributeError for a
+    list) from inside view construction."""
+    prob, kernel, n = _kernel()
+    assert kernel.array_names == {"u_b", "u_1_b"}
+    arrays = prob.allocate_state(n, seed=0)
+    del arrays["u_b"]
+    arrays["u_1_b"] = arrays["u_1_b"].tolist()
+    plan = kernel.plan(backend=backend)
+    for entry in (plan.bind, plan.run, kernel):
+        with pytest.raises(KernelError, match=r"needs arrays \['u_1_b', 'u_b'\]"):
+            entry(arrays)
+
+
+def test_cli_reports_a_kernel_error_without_a_traceback(monkeypatch, capsys):
+    from repro.apps.base import StencilProblem
+
+    real = StencilProblem.allocate_state
+
+    def without_seed(self, *args, **kwargs):
+        arrays = real(self, *args, **kwargs)
+        del arrays["u_b"]
+        return arrays
+
+    monkeypatch.setattr(StencilProblem, "allocate_state", without_seed)
+    assert main(["fuse", "--problem", "heat1d"]) == 1
+    assert "error: kernel 'heat1d_b' needs arrays ['u_b']" in capsys.readouterr().err
 
 
 # -- stack_arrays ---------------------------------------------------------------
@@ -141,10 +175,9 @@ def test_chunk_count_clamped_to_members():
     (["adjoint", "--snaps", "0"], "at least one snapshot slot"),
     (["adjoint", "--members", "0"], "at least one member"),
 ])
-def test_adjoint_cli_rejects_bad_counts(argv, message, capsys, tmp_path):
-    assert main(argv + ["--output", str(tmp_path / "b.json")]) == 2
+def test_adjoint_cli_rejects_bad_counts(argv, message, capsys):
+    assert main(argv) == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "b.json").exists()
 
 
 def test_adjoint_cli_rejects_unknown_problem_and_workers():

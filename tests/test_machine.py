@@ -198,3 +198,17 @@ def test_headline_factor_ordering():
     assert f_knl_burg > 100
     assert f_knl_wave > 15
     assert 2 < f_bdw_wave < 8
+
+
+def test_gpu_preset_extension_predictions():
+    """The V100 extension preset: PerforAD adjoint stays within ~2x of the
+    primal and atomics remain catastrophic — the paper's expectation for
+    GPUs stated in the conclusion."""
+    from repro.machine import V100
+
+    d = wave_descriptors()
+    t_primal = V100.best_time(d.primal, "gather")[1]
+    t_adjoint = V100.best_time(d.perforad, "gather")[1]
+    t_atomic = V100.best_time(d.scatter, "atomic")[1]
+    assert t_adjoint < 3.0 * t_primal
+    assert t_atomic > 10.0 * t_adjoint

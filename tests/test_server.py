@@ -294,6 +294,57 @@ def test_malformed_spec_is_a_client_side_validation_error(server_factory):
     assert server.stats()["errors"] == 1
 
 
+def test_kernel_table_is_bounded_lru(server_factory):
+    """Specs come from untrusted peers: distinct ones must not grow the
+    table without bound.  An evicted id answers like an unknown one, and
+    the client's recovery — send the spec again — serves it bitwise."""
+    from repro.runtime.server import MAX_KERNELS
+
+    server = server_factory()
+    state = make_state(DECAY, DECAY_SIZES, DECAY_PARAMS, seed=4)
+
+    def params(i):
+        return {"a": 0.5 + i / 1024, "b": 0.125}
+
+    with KernelClient(server.socket_path) as client:
+        kids = [
+            client.compile(DECAY, sizes=DECAY_SIZES, params=params(i))
+            for i in range(MAX_KERNELS + 44)
+        ]
+        assert len(set(kids)) == len(kids)
+        assert server.stats()["kernels"] == MAX_KERNELS == 256
+        with pytest.raises(ValidationError, match="send the spec once first"):
+            client.run(kernel_id=kids[0], state=state)
+        # the most recent ids survived, and using one keeps it resident
+        assert client.run(kernel_id=kids[44], state=state).kernel_id == kids[44]
+        client.compile(DECAY, sizes=DECAY_SIZES, params=params(-1))
+        assert client.run(kernel_id=kids[44], state=state).kernel_id == kids[44]
+        with pytest.raises(ValidationError, match="send the spec once first"):
+            client.run(kernel_id=kids[45], state=state)
+        again = client.run(
+            DECAY, sizes=DECAY_SIZES, params=params(0), state=state
+        )
+        assert again.kernel_id == kids[0]
+        assert_bitwise(reference(DECAY, DECAY_SIZES, params(0), state), again.state)
+    assert server.stats()["kernels"] == MAX_KERNELS
+
+
+def test_server_does_not_import_the_cli():
+    """The exit-code contract lives on the error classes, so the runtime
+    layer sits below the CLI: serving never loads the argument parser."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro.runtime.server, repro.runtime.client\n"
+        "from repro.errors import ValidationError\n"
+        "payload = repro.runtime.server._error_payload(ValidationError('x'))\n"
+        "assert payload['exit_code'] == 3, payload\n"
+        "assert 'repro.cli' not in sys.modules, 'runtime imports cli'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
 def test_unknown_kernel_id_rejected(server_factory):
     server = server_factory()
     with KernelClient(server.socket_path) as client:

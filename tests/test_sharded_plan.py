@@ -7,6 +7,9 @@ fault points lives in tests/test_faults.py)."""
 import glob
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -205,6 +208,83 @@ def test_forked_workers_native_backend_bitwise():
             sp.copy("u_1", "u")
         got = sp.gather(["u"])
     np.testing.assert_array_equal(got["u"], ref["u"])
+
+
+# libgomp is not fork-safe: once a process has entered one OpenMP region,
+# a forked child deadlocks in its first.  The parent below enters one (a
+# 2-thread native run), then shards the same kernel across forked ranks
+# whose config — explicitly, or through REPRO_NATIVE_THREADS — asks for
+# 2 OpenMP threads as well.  Run in its own process: the deadlock needs a
+# parent that has used OpenMP, and a hang must not take pytest with it.
+_OPENMP_THEN_FORK = """
+import sys
+import numpy as np
+from repro.apps import heat_problem
+from repro.runtime import ExecutionConfig, ShardedPlan, compile_nests
+
+threads = int(sys.argv[1]) if sys.argv[1:] else None
+prob = heat_problem(2)
+fwd = compile_nests([prob.primal], prob.bindings(64), name="heat2d")
+base = prob.allocate(64, rng=np.random.default_rng(1))
+ref = {k: v.copy() for k, v in base.items()}
+with fwd.plan(backend="native", native_threads=2) as plan:
+    bound = plan.bind(ref)
+    bound.run()
+    if bound.native_threads != 2:
+        raise SystemExit("SKIP: this toolchain has no OpenMP")
+state = {k: v.copy() for k, v in base.items()}
+config = ExecutionConfig(backend="native", native_threads=threads)
+with ShardedPlan(fwd, state, nranks=2, halo=1, config=config) as sharded:
+    assert sharded.multiprocess
+    (verdict,) = sharded.decisions
+    assert verdict.rung == "1 native thread" and "fork" in verdict.reason
+    sharded.step(exchange=["u_1"])
+    got = sharded.gather(["u"])
+assert got["u"].tobytes() == ref["u"].tobytes(), "sharded != single shard"
+print("BITWISE")
+"""
+
+
+@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@pytest.mark.skipif(not native_available(), reason="no C toolchain")
+@pytest.mark.parametrize("pinned_by", ["config", "environment"])
+def test_forked_ranks_survive_a_parent_openmp_region(pinned_by):
+    argv = [sys.executable, "-c", _OPENMP_THEN_FORK]
+    env = dict(os.environ)
+    if pinned_by == "config":
+        argv.append("2")
+    else:
+        env["REPRO_NATIVE_THREADS"] = "2"
+    # Own session, so a hang's orphaned rank workers die with it.
+    proc = subprocess.Popen(
+        argv, env=env, text=True, start_new_session=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("forked shard workers hung after the parent ran OpenMP")
+    if "SKIP" in err:
+        pytest.skip(err.strip())
+    assert proc.returncode == 0 and out.strip() == "BITWISE", err
+
+
+@pytest.mark.skipif(not native_available(), reason="no C toolchain")
+def test_in_process_ranks_keep_the_requested_native_width():
+    """The pin is for forked ranks only: in-process sharding runs in the
+    caller's process and keeps its OpenMP width, with no verdict."""
+    prob = heat_problem(2)
+    fwd, _ = _kernels(prob, 20)
+    with ShardedPlan(
+        fwd, prob.allocate(20), nranks=2, halo=1, use_workers=False,
+        config=ExecutionConfig(backend="native", native_threads=2),
+    ) as sp:
+        assert sp.decisions == []
+        assert {
+            plans["main"].plan.config.native_threads for plans in sp._bound
+        } == {2}
 
 
 def test_exchange_accumulate_transpose_identity():
