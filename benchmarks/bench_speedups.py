@@ -3,7 +3,8 @@
 Every optimisation layer of the runtime was accepted against a floor:
 cached beats cold, bound beats unbound, native beats python, the batched
 ensemble beats the member loop, fused beats per-statement, threads beat
-serial, sharding overhead shrinks with the grid.  Each row times its
+serial, sharding overhead shrinks with the grid, a checkpointed sweep
+recorded as one C program beats a bound run per schedule action.  Each row times its
 paths back to back in one process, so none needs a recorded baseline;
 comparing timings *across* commits is ``bench/run.py --compare`` and
 nothing else (README, "Performance gate"), and the bitwise and counting
@@ -15,7 +16,7 @@ that its paths leave bit-identical state before it times them::
 
 import os
 import time
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -24,7 +25,13 @@ import pytest
 
 from repro.apps import heat_problem
 from repro.core import adjoint_loops
-from repro.runtime import ShardedPlan, compile_nests, native_available, stack_arrays
+from repro.runtime import (
+    ShardedPlan,
+    compile_nests,
+    faults,
+    native_available,
+    stack_arrays,
+)
 from repro.verify import bitwise_equal
 
 
@@ -140,6 +147,28 @@ def _shard_paths(nranks):
     return paths
 
 
+def _sweep_paths(case, stack):
+    """One revolve-checkpointed gradient, 64 steps on 4 snapshots: a bound
+    run per schedule action (the rung an active fault injector selects)
+    vs the one recorded native program."""
+    u0, seed = case.base["u_1"], case.base["u_b"]
+
+    def sweep(rung):
+        plan = stack.enter_context(
+            case.prob.checkpointed_adjoint(case.n, steps=64, snaps=4, backend="native")
+        )
+        assert plan.sweep.rung == "program", plan.explain()[0]
+        out = {}
+
+        def run():
+            with rung():
+                out.update(plan.adjoint([u0], seed))
+
+        return Path(run, lambda: out)
+
+    return [sweep(lambda: faults.inject("bound.run", times=0)), sweep(nullcontext)]
+
+
 class Row(NamedTuple):
     id: str
     paths: Callable  # (case, stack) -> [slow, fast, ...]; the best fast counts
@@ -161,6 +190,7 @@ ROWS = [
     Row("ensemble", _ensemble_paths, n=18, reps=40, floor=2.0),
     Row("fused", _configs(_UNFUSED, _NATIVE), n=128, reps=100, floor=1.3,
         native=True),
+    Row("sweep", _sweep_paths, n=32, reps=20, floor=1.1, native=True),
     # Threads cannot beat serial without cores to spare: on 2 vCPUs the
     # best width measures 0.82x, so the floor engages from 4.
     Row("threads",

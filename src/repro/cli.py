@@ -730,7 +730,8 @@ def _cmd_adjoint(args) -> int:
         f"({memory_ratio:.3f}x, bound {snaps}/{steps})\n"
         f"  recompute    {forward_steps} forward steps "
         f"(revolve optimum {predicted}, {forward_steps / steps:.2f}x)  "
-        f"bitwise={'ok' if bitwise else 'MISMATCH'}"
+        f"bitwise={'ok' if bitwise else 'MISMATCH'}\n"
+        f"  {plan.explain()[0]}"
     )
     ok = bitwise
     if forward_steps != predicted:

@@ -40,7 +40,13 @@ by per-slot element strides for the target and each read.  A statement
 function runs its full loop nest over the box.  Each translation unit
 also contains one chain runner that executes a sequence of statement
 calls in a single C entry, so a steady-state timestep costs one FFI
-crossing instead of one per statement.
+crossing instead of one per statement; two whole-buffer memory
+statements with the same signature (``repro_copy``: ``memcpy(ptrs[0],
+ptrs[1], geom[0])``, ``repro_zero``: ``memset(ptrs[0], 0, geom[0])``);
+and the program runner, which walks an ``int32`` index array over a
+table of distinct calls — how a whole revolve sweep (kernel steps,
+snapshots, restores, adjoint shifts) runs as one FFI crossing
+(:class:`repro.runtime.native.NativeProgram`).
 """
 
 from __future__ import annotations
@@ -67,15 +73,21 @@ __all__ = [
     "generate_native_source",
     "generate_fused_source",
     "CHAIN_RUNNER_NAME",
+    "PROGRAM_RUNNER_NAME",
+    "COPY_FN_NAME",
+    "ZERO_FN_NAME",
     "FUSED_FN_NAME",
     "NATIVE_ABI_VERSION",
 ]
 
 # Bumped whenever the generated code's ABI or semantics change; folded
 # into the shared-object disk-cache key by the runtime build layer.
-NATIVE_ABI_VERSION = 1
+NATIVE_ABI_VERSION = 2
 
 CHAIN_RUNNER_NAME = "repro_run_chain"
+PROGRAM_RUNNER_NAME = "repro_run_program"
+COPY_FN_NAME = "repro_copy"
+ZERO_FN_NAME = "repro_zero"
 
 FUSED_FN_NAME = "repro_fused"
 
@@ -340,8 +352,9 @@ def generate_native_source(
     (duck-typed).  Returns ``(source, manifest)`` where ``manifest``
     maps ``(region_index, statement_index)`` to the emitted function
     name.  Ineligible statements are simply absent — the runtime keeps
-    them on the Python path.  The unit always contains the chain runner,
-    even when no statement is eligible.
+    them on the Python path.  The unit always contains the chain and
+    program runners and the two memory statements, even when no
+    statement is eligible.
 
     With ``nthreads > 1`` each statement passing
     :func:`parallel_eligibility` gets an OpenMP ``parallel for`` on its
@@ -359,6 +372,7 @@ def generate_native_source(
     if nthreads > 1:
         em.line(f"/* threaded variant: {nthreads} OpenMP threads */")
     em.line("#include <stdint.h>")
+    em.line("#include <string.h>")
     em.line("#include <math.h>")
     em.line()
     # geom layout per statement: [lo0, hi0, ..., lo{d-1}, hi{d-1},
@@ -445,6 +459,32 @@ def generate_native_source(
     em.line("for (int64_t k = 0; k < n; ++k) {")
     em.push()
     em.line("((repro_stmt_fn)fns[k])(ptrss[k], geoms[k]);")
+    em.pop()
+    em.line("}")
+    em.pop()
+    em.line("}")
+    em.line()
+    # Whole-buffer memory statements in the per-statement ABI (geom[0]
+    # is a byte count), so chains and programs run them like any other.
+    em.line(f"void {COPY_FN_NAME}(char **ptrs, const int64_t *geom) {{")
+    em.line("  memcpy(ptrs[0], ptrs[1], (size_t)geom[0]);")
+    em.line("}")
+    em.line()
+    em.line(f"void {ZERO_FN_NAME}(char **ptrs, const int64_t *geom) {{")
+    em.line("  memset(ptrs[0], 0, (size_t)geom[0]);")
+    em.line("}")
+    em.line()
+    # The program runner: idx[k] selects which of the table's distinct
+    # calls runs k-th, so a long schedule costs 4 bytes per entry.
+    em.line(
+        f"void {PROGRAM_RUNNER_NAME}(int64_t n, const int32_t *idx, "
+        "void **fns, char ***ptrss, const int64_t **geoms) {"
+    )
+    em.push()
+    em.line("for (int64_t k = 0; k < n; ++k) {")
+    em.push()
+    em.line("const int32_t j = idx[k];")
+    em.line("((repro_stmt_fn)fns[j])(ptrss[j], geoms[j]);")
     em.pop()
     em.line("}")
     em.pop()

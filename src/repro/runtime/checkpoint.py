@@ -48,6 +48,18 @@ owns; :class:`ShardedCheckpointedAdjoint` stores it as a named buffer
 block-decomposed across a
 :class:`~repro.runtime.distributed.ShardedPlan`.
 
+Nothing a sweep *does* depends on data: the schedule is fixed at
+construction, the rotation restarts at buffer 0 every sweep, and every
+buffer is plan-owned.  So when every parity binding is native
+(:func:`~repro.runtime.decisions.program_gate`), the plan replays the
+sweep once at construction through the same handlers over a third,
+*recording* store (:class:`_SweepRecorder`) and keeps the result as a
+:class:`~repro.runtime.native.NativeProgram`: ``adjoint()`` is then one
+GIL-released foreign call — per ensemble chunk, joined once — instead of
+one bound run per schedule action.  The per-action sweep stays as the
+lower rung and the oracle; an active fault injector selects it per call,
+since the program has no Python-visible failure site to fire at.
+
 >>> import numpy as np
 >>> from repro.apps import heat_problem
 >>> prob = heat_problem(1)
@@ -69,8 +81,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..driver.revolve import execute_schedule, schedule, schedule_cost
-from ..errors import CheckpointError, ReproError
-from . import faults
+from ..errors import CheckpointError, NativeBuildError, ReproError
+from . import decisions, faults, native
 from .compiler import KernelError
 
 __all__ = [
@@ -184,10 +196,10 @@ class _RevolveDriver:
     * the buffer store ``_load(buf, values)``, ``_zero(buf)``,
       ``_copy(dst, src)``, ``_snapshot(slot, bufs)``,
       ``_restore(slot, bufs)`` and ``_read(bufs)``;
-    * ``_step_forward(p)`` (zero buffer ``p``, then run the primal
-      writing it), ``_step_reverse(q)`` (run the adjoint with the newest
-      state in buffer ``q``) and ``_gradients()``, what ``adjoint``
-      returns.
+    * ``_step_forward(q)`` (from the state whose newest component is in
+      buffer ``q``: zero the buffer the step writes, then run the
+      primal), ``_step_reverse(q)`` (run the adjoint at that state) and
+      ``_gradients()``, what ``adjoint`` returns.
     """
 
     def __init__(
@@ -254,12 +266,24 @@ class _RevolveDriver:
     def snapshot_pool(self) -> SnapshotPool:
         return self._pool
 
+    # -- rotation: all of its modular arithmetic is these two helpers ------
+
+    def _state(self, q: int) -> list:
+        """The buffers of the state whose newest component is in buffer
+        *q*: one per history field, newest first."""
+        m = len(self._rot)
+        return [self._rot[(q - k) % m] for k in range(len(self.history))]
+
+    def _after(self, q: int) -> int:
+        """The buffer the step from state *q* writes — the oldest one,
+        which then holds the newest component."""
+        return (q + 1) % len(self._rot)
+
     # -- state plumbing ----------------------------------------------------
 
     def _live_state(self) -> list:
         """The live state's buffers, newest first."""
-        m = len(self._rot)
-        return [self._rot[(self._live - k) % m] for k in range(len(self.history))]
+        return self._state(self._live)
 
     def _load_state0(self, state0: Sequence[np.ndarray]) -> None:
         h = len(self.history)
@@ -277,15 +301,13 @@ class _RevolveDriver:
                 )
         self._live = 0
         self.forward_steps = 0
-        for k, arr in enumerate(state0):
-            self._load(self._rot[(-k) % len(self._rot)], arr)
+        for buf, arr in zip(self._state(0), state0):
+            self._load(buf, arr)
 
     def _advance(self, count: int) -> None:
-        m = len(self._rot)
         for _ in range(count):
-            p = (self._live + 1) % m
-            self._step_forward(p)
-            self._live = p
+            self._step_forward(self._live)
+            self._live = self._after(self._live)
         self.forward_steps += count
 
     def _begin_reverse(self, seed: np.ndarray) -> None:
@@ -333,11 +355,26 @@ class _RevolveDriver:
 
     # -- execution ---------------------------------------------------------
 
+    def _sweep(self, kind: str) -> None:
+        """Run the ``"forward"`` sweep (``steps`` primal steps) or the
+        ``"adjoint"`` sweep (the revolve schedule) on loaded buffers,
+        one store call per action."""
+        if kind == "forward":
+            self._advance(self.steps)
+        else:
+            execute_schedule(
+                self._actions,
+                snapshot=self._on_snapshot,
+                advance=self._on_advance,
+                restore=self._on_restore,
+                reverse=self._on_reverse,
+            )
+
     def run_forward(self, state0: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Run the primal ``steps`` steps; returns fresh arrays holding
         the final state (newest first — the final output field leads)."""
         self._load_state0(state0)
-        self._advance(self.steps)
+        self._sweep("forward")
         return self._read(self._live_state())
 
     def adjoint(
@@ -357,13 +394,7 @@ class _RevolveDriver:
         self._load_state0(state0)
         self._begin_reverse(seed)
         try:
-            execute_schedule(
-                self._actions,
-                snapshot=self._on_snapshot,
-                advance=self._on_advance,
-                restore=self._on_restore,
-                reverse=self._on_reverse,
-            )
+            self._sweep("adjoint")
         except ReproError:
             # Already typed (CheckpointError from the pool, KernelError
             # from a bound run, ...).  The caller's arrays are untouched
@@ -430,6 +461,12 @@ class CheckpointedAdjointPlan(_RevolveDriver):
     revolve schedule.  Steady-state :meth:`adjoint` calls (after the
     first, which records the slot tapes) perform **zero array
     allocations** — asserted by ``tests/test_checkpoint_plan.py``.
+
+    ``sweep`` is the :class:`~repro.runtime.decisions.Verdict` on how a
+    sweep runs: rung ``"program"`` (recorded at construction, one
+    foreign call per chunk) or ``"per-action"`` with the reason from
+    :func:`~repro.runtime.decisions.program_gate`; :meth:`explain`
+    prints it above the bindings' own lines.
 
     The returned mapping holds the plan's persistent result buffers
     (adjoints of the step-0 state in the history-adjoint names, plus
@@ -524,32 +561,64 @@ class CheckpointedAdjointPlan(_RevolveDriver):
                 return plan.bind(arrays)
             return plan.ensemble(arrays, workers=workers)
 
-        # One forward binding per parity p (output lands in buffer p),
-        # one reverse binding per live pointer q (newest state in q).
-        m = h + 1
+        # One forward and one reverse binding per live pointer q (the
+        # buffer holding the newest state component).
+        def roles(q: int) -> dict[str, np.ndarray]:
+            return dict(zip(history, self._state(q)))
+
         self._fwd = tuple(
             bind(
                 forward_plan,
-                {
-                    output: self._rot[p],
-                    **{history[k]: self._rot[(p - 1 - k) % m] for k in range(h)},
-                    **constants,
-                },
+                {output: self._rot[self._after(q)], **roles(q), **constants},
             )
-            for p in range(m)
+            for q in range(h + 1)
         )
         rev_arrays_base = {
             self._seed_name: self._seed, **self._result, **constants
         }
         self._rev = tuple(
-            bind(
-                reverse_plan,
-                {
-                    **rev_arrays_base,
-                    **{history[k]: self._rot[(q - k) % m] for k in range(h)},
-                },
+            bind(reverse_plan, {**rev_arrays_base, **roles(q)})
+            for q in range(h + 1)
+        )
+
+        # The sweep rung.  Each part is a member range no other part
+        # touches (everything, without members), so its whole sweep is
+        # one program; recording replays the driver's own handlers.
+        self._workers = workers
+        self._parts = (
+            (...,) if members is None
+            else tuple(slice(lo, hi + 1) for lo, hi in self._fwd[0].chunk_members)
+        )
+        self._programs: dict[str, tuple] = {}
+        why = decisions.program_gate((*self._fwd, *self._rev))
+        if why is None:
+            try:
+                self._programs = {
+                    kind: self._record(kind) for kind in ("adjoint", "forward")
+                }
+            except NativeBuildError as exc:
+                why = str(exc)
+        if why is None:
+            first = self._programs["adjoint"][0][0]
+            self.sweep = decisions.Verdict(
+                "sweep", "program", None, first.distinct, len(first)
             )
-            for q in range(m)
+        else:
+            self.sweep = decisions.Verdict("sweep", "per-action", why)
+
+    def _record(self, kind: str) -> tuple:
+        """``(one sealed program per part, end state)`` of sweep *kind*."""
+        head = self._fwd[0]
+        lib = native.library_for_kernel(head.plan.kernel, head.mode.threads)
+        recorders = [
+            _SweepRecorder(self, lib, index) for index in range(len(self._parts))
+        ]
+        for rec in recorders:
+            rec._sweep(kind)
+        end = recorders[0]
+        return (
+            tuple(rec.program.seal() for rec in recorders),
+            (end.forward_steps, end._live, end._fresh_seed),
         )
 
     # -- queries -----------------------------------------------------------
@@ -566,6 +635,33 @@ class CheckpointedAdjointPlan(_RevolveDriver):
             np.prod(self._shape, dtype=np.int64)
         ) * self.dtype.itemsize
         return self.steps * per_state
+
+    @property
+    def decisions(self) -> tuple:
+        """The sweep verdict, then the first forward and reverse
+        bindings' records (the parities lower alike)."""
+        return (self.sweep, *self._fwd[0].decisions, *self._rev[0].decisions)
+
+    def explain(self) -> list[str]:
+        """Human lines: how a sweep runs and why, then each binding's
+        own :meth:`~repro.runtime.decisions.Lowered.explain`."""
+        sweep = self.sweep
+        if sweep.reason is None:
+            programs = self._programs["adjoint"][0]
+            calls = programs[0].calls
+            line = (
+                f"sweep: program ({sweep.count:,} entries, {sweep.statements} "
+                f"distinct, {calls} call{'s' if calls > 1 else ''})"
+            )
+            if len(programs) > 1:
+                line += f" x {len(programs)} chunks, one join"
+        else:
+            line = f"sweep: per-action — {sweep.reason}"
+        lines = [line]
+        for label, bound in (("forward", self._fwd[0]), ("reverse", self._rev[0])):
+            lines.append(f"{label} binding:")
+            lines.extend(f"  {text}" for text in bound.explain())
+        return lines
 
     # -- buffer store: NumPy arrays ----------------------------------------
 
@@ -585,9 +681,9 @@ class CheckpointedAdjointPlan(_RevolveDriver):
     def _read(bufs: Sequence[np.ndarray]) -> list[np.ndarray]:
         return [buf.copy() for buf in bufs]
 
-    def _step_forward(self, p: int) -> None:
-        self._rot[p][...] = 0
-        self._fwd[p].run()
+    def _step_forward(self, q: int) -> None:
+        self._rot[self._after(q)][...] = 0
+        self._fwd[q].run()
 
     def _step_reverse(self, q: int) -> None:
         self._rev[q].run()
@@ -596,6 +692,22 @@ class CheckpointedAdjointPlan(_RevolveDriver):
         return self._result
 
     # -- execution ---------------------------------------------------------
+
+    def _sweep(self, kind: str) -> None:
+        recorded = self._programs.get(kind)
+        # An armed injector takes the per-action rung, where the fault
+        # points (checkpoint.snapshot, bound.run, scheduler.task) still
+        # sit on the executed path: it may change the rung, never bits.
+        if recorded is None or faults.active_injector() is not None:
+            super()._sweep(kind)
+            return
+        programs, end = recorded
+        if len(programs) == 1:
+            programs[0].run()
+        else:
+            pool = self._fwd[0].plan.worker_pool(self._workers)
+            pool.run([program.run for program in programs])
+        self.forward_steps, self._live, self._fresh_seed = end
 
     def run_store_all(
         self, state0: Sequence[np.ndarray], seed: np.ndarray
@@ -630,6 +742,61 @@ class CheckpointedAdjointPlan(_RevolveDriver):
         self._rev[0].plan.close()
 
 
+class _SweepRecorder(_RevolveDriver):
+    """A :class:`CheckpointedAdjointPlan`'s sweep over a store that
+    appends to a :class:`~repro.runtime.native.NativeProgram` instead of
+    executing: the same handlers, rotation and schedule, so the program
+    is the per-action sweep's call sequence by construction.
+
+    Records part *index* of the plan: memory entries cover that member
+    slice of each buffer, kernel entries are that chunk's runnables.
+    """
+
+    def __init__(self, plan: CheckpointedAdjointPlan, lib, index: int) -> None:
+        # The plan's handles, schedule and bindings, by reference; the
+        # rotation state is only ever rebound, so the plan's stays put.
+        self.__dict__.update(plan.__dict__)
+        self._live, self.forward_steps, self._fresh_seed = 0, 0, True
+        self._index = index
+        self._part = plan._parts[index]
+        snapshots = [buf for slot in self._pool._bufs for buf in slot]
+        self.program = native.NativeProgram(
+            lib,
+            frozenset(
+                map(id, (*self._rot, self._seed, *self._hist_adj, *snapshots))
+            ),
+        )
+
+    def _copy(self, dst: np.ndarray, src: np.ndarray) -> None:
+        self.program.copy(dst[self._part], src[self._part])
+
+    def _zero(self, buf: np.ndarray) -> None:
+        self.program.zero(buf[self._part])
+
+    def _snapshot(self, slot: int, bufs: Sequence[np.ndarray]) -> None:
+        for saved, buf in zip(self._pool._bufs[slot], bufs):
+            self._copy(saved, buf)
+
+    def _restore(self, slot: int, bufs: Sequence[np.ndarray]) -> None:
+        for saved, buf in zip(self._pool._bufs[slot], bufs):
+            self._copy(buf, saved)
+
+    def _run(self, bound) -> None:
+        items = (
+            bound._serial_items if self.members is None
+            else bound._chunks[self._index].items
+        )
+        for item in items:
+            self.program.call(item)
+
+    def _step_forward(self, q: int) -> None:
+        self._zero(self._rot[self._after(q)])
+        self._run(self._fwd[q])
+
+    def _step_reverse(self, q: int) -> None:
+        self._run(self._rev[q])
+
+
 class ShardedCheckpointedAdjoint(_RevolveDriver):
     """Checkpointed adjoint sweeps over a block-decomposed sharded grid.
 
@@ -638,7 +805,7 @@ class ShardedCheckpointedAdjoint(_RevolveDriver):
     revolve schedule, but every buffer is block-decomposed across the
     ranks of one :class:`~repro.runtime.distributed.ShardedPlan`, and
     every schedule action runs as one sharded step — per-shard bound
-    plans for each rotation parity (keys ``("fwd", p)`` / ``("rev", q)``
+    plans for each rotation parity (keys ``("fwd", q)`` / ``("rev", q)``
     with alias maps assigning the rotating physical buffers to kernel
     roles), a history-field halo exchange before each run, and the
     adjoint accumulate-back merged in fixed rank order after each
@@ -706,20 +873,15 @@ class ShardedCheckpointedAdjoint(_RevolveDriver):
 
         kernels = {}
         aliases = {}
-        for p in range(m):
-            kernels[("fwd", p)] = forward_kernel
-            aliases[("fwd", p)] = {
-                output: self._rot[p],
-                **{
-                    history[k]: self._rot[(p - 1 - k) % m]
-                    for k in range(h)
-                },
+        for q in range(m):
+            kernels[("fwd", q)] = forward_kernel
+            aliases[("fwd", q)] = {
+                output: self._rot[self._after(q)],
+                **dict(zip(history, self._state(q))),
             }
         for q in range(m):
             kernels[("rev", q)] = reverse_kernel
-            aliases[("rev", q)] = {
-                history[k]: self._rot[(q - k) % m] for k in range(h)
-            }
+            aliases[("rev", q)] = dict(zip(history, self._state(q)))
         self._plan = ShardedPlan(
             kernels,
             arrays,
@@ -768,24 +930,14 @@ class ShardedCheckpointedAdjoint(_RevolveDriver):
         gathered = self._plan.gather(names)
         return [gathered[name] for name in names]
 
-    def _step_forward(self, p: int) -> None:
-        h = len(self.history)
-        m = len(self._rot)
-        self._plan.fill(self._rot[p], 0.0)
-        self._plan.step(
-            ("fwd", p),
-            exchange=[self._rot[(p - 1 - k) % m] for k in range(h)],
-        )
+    def _step_forward(self, q: int) -> None:
+        self._plan.fill(self._rot[self._after(q)], 0.0)
+        self._plan.step(("fwd", q), exchange=self._state(q))
 
     def _step_reverse(self, q: int) -> None:
-        h = len(self.history)
-        m = len(self._rot)
         self._plan.step(
             ("rev", q),
-            exchange=[
-                self._seed,
-                *(self._rot[(q - k) % m] for k in range(h)),
-            ],
+            exchange=[self._seed, *self._state(q)],
             accumulate=[*self._hist_adj, *self._const_adj],
         )
 

@@ -467,6 +467,9 @@ class CompiledKernel:
     _native: dict | None = field(default=None, repr=False, compare=False)
     _native_why: dict | None = field(default=None, repr=False, compare=False)
     _native_cc: str | None = field(default=None, repr=False, compare=False)
+    # Loaded fused nests by (group, strides, threads, cc, flags), filled
+    # by runtime.native.make_fused_statement.
+    _fused: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __call__(self, arrays: Mapping[str, np.ndarray]) -> None:
         # Shorthand for the one execution route: the default serial

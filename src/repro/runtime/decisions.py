@@ -9,7 +9,11 @@ assumes, :class:`Ladder` lowers a statement stream against one or more
 array sets (one for a ``BoundPlan``, one per member for an
 ``EnsemblePlan`` chunk), and every decision leaves a :class:`Verdict`:
 :class:`Lowered` derives counters and ``explain()`` from those records,
-:func:`degraded` is their warning view.
+:func:`degraded` is their warning view.  One rung sits above the
+ladder: a checkpointed sweep whose bindings are native throughout runs
+as one C program instead of one bound run per schedule action
+(:func:`program_gate` for the bindings, :func:`memory_gate` for the
+buffers its copies touch).
 
 >>> from repro.runtime import ExecutionConfig
 >>> from repro.runtime.decisions import lowering_mode
@@ -38,7 +42,7 @@ from . import native
 
 __all__ = [
     "Verdict", "Mode", "Ladder", "Lowered", "lowering_mode", "array_gate",
-    "degraded", "serial_stream", "task_stream",
+    "program_gate", "memory_gate", "degraded", "serial_stream", "task_stream",
 ]
 
 
@@ -189,6 +193,64 @@ def array_gate(uses, arrays, dtype, written) -> str | None:
                     f"{acc.name}: stride {arr.strides[slot]} not a multiple "
                     f"of itemsize {expected.itemsize}"
                 )
+    return None
+
+
+# -- the sweep rung: a checkpointed sweep as one native program ------------------
+
+
+def program_gate(bindings) -> str | None:
+    """Why a sweep replaying *bindings* must stay one bound run per
+    schedule action, or None when it can run as one native program.
+
+    *bindings* are the ``BoundPlan``/``EnsemblePlan`` parity bindings of
+    a checkpointed plan.  A program is a flat sequence of native calls
+    entered once, so it has no place for a python statement, a pool
+    task, a per-statement scan or a per-run backup: each of those keeps
+    the per-action rung, where it keeps its per-*run* meaning.
+    """
+    for bound in bindings:
+        config, mode = bound.plan.config, bound.mode
+        if mode.native_off is not None:
+            return mode.native_off
+        if not mode.serial:
+            return "num_threads > 1: tasks run on the worker pool"
+        if mode.watch_off is None:
+            return "check='nan' scans after every statement of every run"
+        if config.transactional:
+            return "transactional=True backs up written arrays per run"
+        for verdict in bound.decisions[1:]:
+            if verdict.rung not in ("fused", "native"):
+                return _line(verdict)
+    return None
+
+
+def memory_gate(dst, src, owned) -> str | None:
+    """Why ``memcpy(dst, src)`` — ``memset(dst)`` with *src* None — may
+    not stand in for ``np.copyto``/``dst[...] = 0``, or None when it may.
+
+    The array gate of the program's memory statements: each operand is
+    one C-contiguous block inside a buffer whose id is in *owned* (its
+    pointer outlives the program and nothing else writes it), and a
+    copy moves exactly ``dst.nbytes`` bytes between disjoint blocks of
+    one dtype.  A wrong byte count is the off-by-one that bitwise tests
+    on small grids do not notice, so it is checked, not assumed.
+    """
+    for arr in (dst,) if src is None else (dst, src):
+        if not arr.flags.c_contiguous:
+            return f"memory operand of shape {arr.shape} is not C-contiguous"
+        if id(arr if arr.base is None else arr.base) not in owned:
+            return f"memory operand of shape {arr.shape} is not plan-owned"
+    if not dst.flags.writeable:
+        return "memory target is read-only"
+    if src is not None:
+        if (src.dtype, src.nbytes) != (dst.dtype, dst.nbytes):
+            return (
+                f"copy of {src.nbytes} bytes of {src.dtype} into "
+                f"{dst.nbytes} bytes of {dst.dtype}"
+            )
+        if np.may_share_memory(dst, src):
+            return "copy target shares memory with its source"
     return None
 
 

@@ -322,6 +322,9 @@ class EnsemblePlan(Lowered):
         # A chunk is one bound task over a contiguous member range:
         # statement order is the plan's flat serial order per member,
         # and interleaving *across* members is free (disjoint slices).
+        self.chunk_members = tuple(
+            span for (span,) in split_box(((0, members - 1),), chunks)
+        )
         self._chunks = tuple(
             _BoundTask(
                 ladder.lower(
@@ -330,7 +333,7 @@ class EnsemblePlan(Lowered):
                     self._python_rung(lo, hi, shifted_memo),
                 )
             )
-            for ((lo, hi),) in split_box(((0, members - 1),), chunks)
+            for lo, hi in self.chunk_members
         )
         self.decisions = tuple(ladder.decisions)
 

@@ -14,7 +14,9 @@ buffers and calls the native entry points per unit.
 
 Execution granularity: consecutive native statements of a task collapse
 into a single :class:`NativeChain` dispatched through one C chain-runner
-call, so a steady-state serial timestep costs one FFI crossing.
+call, so a steady-state serial timestep costs one FFI crossing; a
+:class:`NativeProgram` goes one level up and runs a whole recorded
+sequence of timesteps and buffer copies (a revolve sweep) in one.
 ``ctypes`` releases the GIL around calls, so threaded plans run native
 tasks genuinely in parallel.
 
@@ -70,7 +72,10 @@ import numpy as np
 from ..codegen.base import CodegenError
 from ..codegen.native_c import (
     CHAIN_RUNNER_NAME,
+    COPY_FN_NAME,
     NATIVE_ABI_VERSION,
+    PROGRAM_RUNNER_NAME,
+    ZERO_FN_NAME,
     generate_fused_source,
     generate_native_source,
 )
@@ -90,6 +95,7 @@ __all__ = [
     "library_verdict",
     "NativeStatement",
     "NativeChain",
+    "NativeProgram",
     "make_native_statement",
     "make_fused_statement",
     "chain_runnables",
@@ -505,9 +511,10 @@ class NativeLibrary:
     """The loaded native functions of one compiled kernel.
 
     Holds the per-statement entry points (keyed by region identity and
-    statement index) and the chain runner.  Constructed once per kernel
-    via :func:`library_for_kernel` and shared by every plan/binding of
-    that kernel.
+    statement index), the chain and program runners and the two memory
+    statements.  Constructed once per kernel via
+    :func:`library_for_kernel` and shared by every plan/binding of that
+    kernel.
     """
 
     def __init__(
@@ -520,14 +527,16 @@ class NativeLibrary:
         self._fns: dict[tuple[int, int], ctypes._CFuncPtr] = {}
         self._region_index = {id(r): ri for ri, r in enumerate(kernel.regions)}
         for (ri, si), fname in manifest.items():
-            fn = getattr(cdll, fname)
-            fn.restype = None
-            fn.argtypes = (ctypes.POINTER(ctypes.c_void_p), _I64P)
-            self._fns[(ri, si)] = fn
-        runner = getattr(cdll, CHAIN_RUNNER_NAME)
-        runner.restype = None
-        runner.argtypes = (_I64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-        self.run_chain = runner
+            self._fns[(ri, si)] = _stmt_fn(cdll, fname)
+        self.copy_fn = _stmt_fn(cdll, COPY_FN_NAME)
+        self.zero_fn = _stmt_fn(cdll, ZERO_FN_NAME)
+        blocks = (ctypes.c_void_p,) * 3  # fns, ptrss, geoms
+        self.run_chain = getattr(cdll, CHAIN_RUNNER_NAME)
+        self.run_chain.restype = None
+        self.run_chain.argtypes = (_I64, *blocks)
+        self.run_program = getattr(cdll, PROGRAM_RUNNER_NAME)
+        self.run_program.restype = None
+        self.run_program.argtypes = (_I64, ctypes.c_void_p, *blocks)
 
     @property
     def statement_count(self) -> int:
@@ -539,6 +548,14 @@ class NativeLibrary:
         if ri is None:
             return None
         return self._fns.get((ri, si))
+
+
+def _stmt_fn(cdll: ctypes.CDLL, name: str):
+    """The entry *name* of *cdll*, typed with the per-statement ABI."""
+    fn = getattr(cdll, name)
+    fn.restype = None
+    fn.argtypes = (ctypes.POINTER(ctypes.c_void_p), _I64P)
+    return fn
 
 
 def library_verdict(kernel, nthreads: int = 1):
@@ -697,6 +714,14 @@ def make_fused_statement(
     without OpenMP quietly builds the serial nest).  A refusal, or the
     generate/build step raising (warns once), leaves the group on its
     per-statement rungs.
+
+    The generated source depends on *arrays* only through their strides
+    (addresses enter through the per-binding pointer block), so the
+    loaded function is memoised on the kernel per (group, strides,
+    thread count, compiler, flags): the rotation parities of a
+    checkpointed plan and the members of an ensemble generate once.
+    The array gate still runs, and the pointer block is still packed,
+    per binding.
     """
     cc = native_toolchain()
     if cc is None:
@@ -718,28 +743,49 @@ def make_fused_statement(
             nthreads = 1
         else:
             flags += omp
-    try:
-        source, fn_name, ptr_order = generate_fused_source(
-            entries, arrays, kernel.counters, nthreads
-        )
-        cdll, _ = _build_and_load(source, cc, flags)
-    except (CodegenError, NativeBuildError, OSError) as exc:
-        why = (
-            f"fused native build for kernel {kernel.name!r} failed "
-            f"(cache: {native_cache_dir()}); the group falls back to "
-            f"per-statement execution: {exc}"
-        )
-        decisions.degraded(
-            "fused nest", "native", why, key=f"fused-build-failed:{kernel.name}"
-        )
-        return None, why
-    fn = getattr(cdll, fn_name)
-    fn.restype = None
-    fn.argtypes = (ctypes.POINTER(ctypes.c_void_p), _I64P)
-    arrs = tuple(arrays[name] for name in ptr_order)
+    # The memo entry holds *entries*, so the statement ids in its key
+    # cannot be reused while it lives; racing binds of one key build the
+    # same content-addressed object twice at worst.
+    names = dict.fromkeys(acc.name for acc, _box in uses)
+    key = (
+        tuple((id(entry.stmt), entry.box) for entry in entries),
+        tuple(arrays[name].strides for name in names),
+        nthreads, cc, flags,
+    )
+    built = kernel._fused.get(key)
+    if built is None:
+        try:
+            source, fn_name, order = generate_fused_source(
+                entries, arrays, kernel.counters, nthreads
+            )
+            cdll, _ = _build_and_load(source, cc, flags)
+        except (CodegenError, NativeBuildError, OSError) as exc:
+            why = (
+                f"fused native build for kernel {kernel.name!r} failed "
+                f"(cache: {native_cache_dir()}); the group falls back to "
+                f"per-statement execution: {exc}"
+            )
+            decisions.degraded(
+                "fused nest", "native", why, key=f"fused-build-failed:{kernel.name}"
+            )
+            return None, why
+        built = kernel._fused[key] = (_stmt_fn(cdll, fn_name), order, entries)
+    fn, order, _ = built
+    arrs = tuple(arrays[name] for name in order)
     ptrs = (ctypes.c_void_p * len(arrs))(*(a.ctypes.data for a in arrs))
     geom = (_I64 * 1)(0)  # unused: the fused nest bakes its geometry
     return NativeStatement(fn, ptrs, geom, arrs), None
+
+
+def _call_blocks(stmts) -> tuple:
+    """``(fns, ptrss, geoms)``: the statements' function pointers and
+    argument-block addresses, packed as the arrays the C runners index."""
+    block = ctypes.c_void_p * len(stmts)
+    return (
+        block(*(ctypes.cast(s.fn, ctypes.c_void_p).value for s in stmts)),
+        block(*(ctypes.addressof(s.ptrs) for s in stmts)),
+        block(*(ctypes.addressof(s.geom) for s in stmts)),
+    )
 
 
 class NativeChain:
@@ -757,18 +803,122 @@ class NativeChain:
         self.run_chain = run_chain
         self.n = len(stmts)
         self.stmts = tuple(stmts)  # keepalive for the argument blocks
-        self.fns = (ctypes.c_void_p * self.n)(
-            *(ctypes.cast(s.fn, ctypes.c_void_p).value for s in stmts)
-        )
-        self.ptrss = (ctypes.c_void_p * self.n)(
-            *(ctypes.addressof(s.ptrs) for s in stmts)
-        )
-        self.geoms = (ctypes.c_void_p * self.n)(
-            *(ctypes.addressof(s.geom) for s in stmts)
-        )
+        self.fns, self.ptrss, self.geoms = _call_blocks(stmts)
 
     def run(self) -> None:
         self.run_chain(self.n, self.fns, self.ptrss, self.geoms)
+
+
+# Program entries per foreign call: a long sweep stays interruptible
+# (Ctrl-C, SIGTERM) between slices, and the slice is long enough that
+# the crossings cost nothing.
+PROGRAM_SLICE = 4096
+
+
+class NativeProgram:
+    """A recorded sequence of native calls, walked by one C loop.
+
+    Where a :class:`NativeChain` is one timestep, a program is a whole
+    schedule of them — every kernel run, snapshot copy, restore, adjoint
+    shift and pre-step zero of a revolve sweep, in order.  Entries are
+    appended at plan-build time (:meth:`call`, :meth:`copy`,
+    :meth:`zero`) and interned: the table holds each distinct
+    ``(fn, ptrs, geom)`` once and the program proper is an ``int32``
+    index per entry, so a sweep of thousands of entries is a few KB.
+    After :meth:`seal`, :meth:`run` is one GIL-released call to the C
+    program runner per :data:`PROGRAM_SLICE` entries and allocates
+    nothing.
+
+    A memory operand must pass
+    :func:`~repro.runtime.decisions.memory_gate` against *owned* (the
+    ids of the buffers the program may touch); a refusal, like a
+    non-native runnable, raises :class:`~repro.errors.NativeBuildError`
+    carrying the gate's reason — the caller keeps its per-call rung.
+    """
+
+    def __init__(self, lib: NativeLibrary, owned: frozenset[int]) -> None:
+        self._lib = lib
+        self._owned = owned
+        self._slot: dict = {}  # entry key -> table position
+        self._table: list[NativeStatement] = []  # keepalive for the blocks
+        self._order: list[int] = []
+        self._slices: tuple[tuple[int, int], ...] = ()
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    @property
+    def distinct(self) -> int:
+        return len(self._table)
+
+    @property
+    def calls(self) -> int:
+        """Foreign calls per :meth:`run`."""
+        return -(-len(self._order) // PROGRAM_SLICE)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the sealed blocks the C runner reads."""
+        per_entry = (block for s in self._table for block in (s.ptrs, s.geom))
+        return sum(map(ctypes.sizeof, (self._idx, *self._blocks, *per_entry)))
+
+    def _append(self, key, make) -> None:
+        slot = self._slot.get(key)
+        if slot is None:
+            slot = self._slot[key] = len(self._table)
+            self._table.append(make())
+        self._order.append(slot)
+
+    def call(self, runnable) -> None:
+        """Append a bound runnable: a native statement, or a chain's
+        statements in order."""
+        for stmt in getattr(runnable, "stmts", (runnable,)):
+            if not isinstance(stmt, NativeStatement):
+                raise NativeBuildError(
+                    f"{type(stmt).__name__} is not a native runnable"
+                )
+            self._append(id(stmt), lambda: stmt)
+
+    def copy(self, dst: np.ndarray, src: np.ndarray) -> None:
+        """Append ``np.copyto(dst, src)`` as one ``memcpy``."""
+        self._memory(self._lib.copy_fn, dst, src)
+
+    def zero(self, buf: np.ndarray) -> None:
+        """Append ``buf[...] = 0`` as one ``memset``."""
+        self._memory(self._lib.zero_fn, buf)
+
+    def _memory(self, fn, dst, src=None) -> None:
+        # Gated on every append, keyed by address: callers pass fresh
+        # views of the same few buffers, and two views may share an
+        # address and a byte count without sharing a layout.
+        why = decisions.memory_gate(dst, src, self._owned)
+        if why is not None:
+            raise NativeBuildError(why)
+        operands = (dst,) if src is None else (dst, src)
+        address = tuple(arr.ctypes.data for arr in operands)
+
+        def make() -> NativeStatement:
+            ptrs = (ctypes.c_void_p * len(operands))(*address)
+            return NativeStatement(fn, ptrs, (_I64 * 1)(dst.nbytes), operands)
+
+        self._append((*address, dst.nbytes), make)
+
+    def seal(self) -> "NativeProgram":
+        """Pack the table and index blocks the C runner walks."""
+        n = len(self._order)
+        self._idx = (ctypes.c_int32 * n)(*self._order)
+        self._blocks = _call_blocks(self._table)
+        base = ctypes.addressof(self._idx)
+        self._slices = tuple(
+            (min(PROGRAM_SLICE, n - lo), base + 4 * lo)
+            for lo in range(0, n, PROGRAM_SLICE)
+        )
+        return self
+
+    def run(self) -> None:
+        run, blocks = self._lib.run_program, self._blocks
+        for count, idx in self._slices:
+            run(count, idx, *blocks)
 
 
 def chain_runnables(lib: NativeLibrary | None, stmts: list) -> list:

@@ -13,9 +13,13 @@ The contract of :class:`repro.runtime.checkpoint.CheckpointedAdjointPlan`:
   ``optimal_cost(steps, snaps) - steps`` exactly, and snapshot memory
   is ``snaps / steps`` of the store-all state bytes;
 * with ``members``, one schedule runs the whole ensemble, each member
-  bitwise identical to its single-scenario checkpointed run.
+  bitwise identical to its single-scenario checkpointed run;
+* an all-native plan runs a sweep as **one recorded C program** (one
+  foreign call per chunk, one join), bitwise identical to the per-action
+  sweep it was recorded from — which an active fault injector selects.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,9 +33,14 @@ from repro.runtime import (
     KernelError,
     NumericalDivergenceError,
     SnapshotPool,
+    clear_kernel_cache,
     compile_nests,
+    faults,
     native_available,
 )
+from repro.runtime import native as native_mod
+
+needs_cc = pytest.mark.skipif(not native_available(), reason="no C toolchain")
 
 PROBLEMS = {
     "heat1d": (lambda: heat_problem(1), 16),
@@ -145,11 +154,7 @@ def test_snapshot_counts_change_cost_not_bits(snaps):
     assert plan.store_all_bytes == steps * (n + 1) * 8
 
 
-def test_steady_state_sweeps_allocate_no_arrays():
-    """Post-warm-up adjoint sweeps must not allocate NumPy arrays."""
-    prob = heat_problem(1)
-    n = 2000  # one state array is 16 KB: any array allocation is visible
-    plan = prob.checkpointed_adjoint(n, steps=8, snaps=3)
+def _assert_steady_state_allocates_nothing(plan, prob, n):
     state0, seed, _ = _inputs(prob, n)
     plan.adjoint(state0, seed)  # records the slot tapes
     plan.adjoint(state0, seed)  # steady state reached
@@ -168,6 +173,15 @@ def test_steady_state_sweeps_allocate_no_arrays():
         f"steady-state sweep transiently allocated {peak - before} bytes "
         f"(>= one {state_bytes}-byte state array)"
     )
+
+
+def test_steady_state_sweeps_allocate_no_arrays():
+    """Post-warm-up adjoint sweeps must not allocate NumPy arrays."""
+    prob = heat_problem(1)
+    n = 2000  # one state array is 16 KB: any array allocation is visible
+    plan = prob.checkpointed_adjoint(n, steps=8, snaps=3)
+    assert plan.sweep.rung == "per-action"
+    _assert_steady_state_allocates_nothing(plan, prob, n)
 
 
 def test_result_buffers_are_stable_objects():
@@ -232,6 +246,188 @@ def test_checkpointed_gradient_verified_by_finite_differences():
     fd = (J(u0 + h * v) - J(u0 - h * v)) / (2 * h)
     ad = float(np.vdot(grad, v))
     assert abs(fd - ad) / max(abs(fd), 1e-30) < 1e-6
+
+
+# -- the sweep rung: one recorded native program ---------------------------------
+
+
+def _per_action():
+    """Force the per-action rung for the duration: an injector that is
+    active but armed with nothing."""
+    return faults.inject("bound.run", times=0)
+
+
+def _copied(result):
+    return {k: v.copy() for k, v in result.items()}
+
+
+@needs_cc
+@pytest.mark.parametrize(
+    "members, workers", [(None, 1), (3, 1), (3, 2)], ids=["single", "m3w1", "m3w2"]
+)
+@pytest.mark.parametrize("snaps", [1, 3, 7])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("label", ["heat1d", "heat2d", "wave2d"])
+def test_program_sweep_bitwise_identical_to_every_oracle(
+    label, dtype, snaps, members, workers
+):
+    """Program rung == per-action rung == store-all == the independent
+    unbound reference, for ``adjoint`` and ``run_forward``, and the
+    bookkeeping a sweep leaves behind is the per-action sweep's."""
+    factory, n = PROBLEMS[label]
+    prob = factory()
+    steps = 7
+    cases = [_inputs(prob, n, dtype, seed_offset=m) for m in range(members or 1)]
+    constants = cases[0][2]
+    if members is None:
+        state0, seed = cases[0][0], cases[0][1]
+    else:
+        state0 = [np.stack(fields) for fields in zip(*(c[0] for c in cases))]
+        seed = np.stack([c[1] for c in cases])
+    with prob.checkpointed_adjoint(
+        n, steps=steps, snaps=snaps, dtype=dtype, backend="native",
+        constants=constants, members=members, workers=workers,
+    ) as plan:
+        assert plan.sweep.rung == "program" and plan.sweep.reason is None
+        assert plan.explain()[0].startswith("sweep: program (")
+
+        out = _copied(plan.adjoint(state0, seed))
+        after = (plan.forward_steps, plan._live)
+        again = _copied(plan.adjoint(state0, seed))
+        final = plan.run_forward(state0)
+        after_forward = (plan.forward_steps, plan._live)
+        with _per_action():
+            oracle = _copied(plan.adjoint(state0, seed))
+            assert (plan.forward_steps, plan._live) == after
+            oracle_final = plan.run_forward(state0)
+            assert (plan.forward_steps, plan._live) == after_forward
+        store_all = _copied(plan.run_store_all(state0, seed))
+
+    assert after[0] == optimal_cost(steps, snaps) - steps
+    assert after_forward == (steps, steps % (len(state0) + 1))
+    assert sorted(out) == sorted(oracle)
+    for k in out:
+        assert _bitwise(out[k], oracle[k]), f"{k}: program != per-action"
+        assert _bitwise(again[k], oracle[k]), f"{k}: second program sweep"
+        assert _bitwise(out[k], store_all[k]), f"{k}: program != store-all"
+    for got, want in zip(final, oracle_final):
+        assert _bitwise(got, want), "run_forward: program != per-action"
+    for m, (s0, sd, _) in enumerate(cases):
+        indep = _reference_store_all(prob, n, steps, s0, sd, constants, dtype)
+        for k in indep:
+            member = out[k] if members is None else out[k][m]
+            assert _bitwise(member, indep[k]), f"{k}: member {m} != reference"
+
+
+@needs_cc
+def test_program_sweep_is_one_foreign_call(monkeypatch):
+    """One ``adjoint()`` and one ``run_forward()`` cross the FFI once —
+    and a sweep too long for one slice once per 4,096 entries, with the
+    program still a few KB."""
+    prob = heat_problem(1)
+    calls = []
+
+    def counted(plan):
+        lib = plan._programs["adjoint"][0][0]._lib  # at any native width
+        real = lib.run_program
+        monkeypatch.setattr(
+            lib, "run_program", lambda n, *blocks: (calls.append(n), real(n, *blocks))
+        )
+
+    plan = prob.checkpointed_adjoint(16, steps=12, snaps=3, backend="native")
+    counted(plan)
+    state0, seed, _ = _inputs(prob, 16)
+    plan.adjoint(state0, seed)
+    (program,), _ = plan._programs["adjoint"]
+    assert calls == [len(program)] and program.calls == 1
+    del calls[:]
+    plan.run_forward(state0)
+    assert calls == [len(plan._programs["forward"][0][0])]
+
+    # (400 steps, not thousands: the revolve planner's recurrence is
+    # recursive and quadratic in the step count.)
+    long = prob.checkpointed_adjoint(8, steps=400, snaps=3, backend="native")
+    counted(long)  # another grid, another kernel, another library
+    (program,), _ = long._programs["adjoint"]
+    assert 2 * native_mod.PROGRAM_SLICE == 8192 < len(program)
+    assert program.nbytes < 64 * 1024
+    state0, seed, _ = _inputs(prob, 8)
+    del calls[:]
+    out = _copied(long.adjoint(state0, seed))
+    assert len(calls) == program.calls == math.ceil(len(program) / 4096)
+    assert sum(calls) == len(program) and max(calls) == 4096
+    with _per_action():
+        oracle = long.adjoint(state0, seed)
+        assert all(_bitwise(out[k], oracle[k]) for k in oracle)
+
+
+@needs_cc
+def test_steady_state_program_sweeps_allocate_no_arrays():
+    prob = heat_problem(1)
+    n = 2000
+    plan = prob.checkpointed_adjoint(n, steps=8, snaps=3, backend="native")
+    assert plan.sweep.rung == "program"
+    _assert_steady_state_allocates_nothing(plan, prob, n)
+
+
+@needs_cc
+def test_ensemble_program_sweep_is_one_batch_one_join(monkeypatch):
+    """members=4, workers=2: every chunk's sweep is one task of a single
+    pool batch — one submit and one join per sweep, not one per run."""
+    prob = wave_problem(2)
+    n, members = 10, 4
+    with prob.checkpointed_adjoint(
+        n, steps=6, snaps=2, backend="native", members=members, workers=2
+    ) as plan:
+        assert plan.explain()[0].endswith("x 4 chunks, one join")
+        pool = plan._fwd[0].plan.worker_pool(2)
+        batches = []
+        real = pool.run
+        monkeypatch.setattr(
+            pool, "run", lambda tasks: (batches.append(len(tasks)), real(tasks))
+        )
+        rng = np.random.default_rng(3)
+        shape = (members, *prob.array_shape(n))
+        state0 = [rng.standard_normal(shape) * 0.1 for _ in range(2)]
+        plan.adjoint(state0, rng.standard_normal(shape))
+        assert batches == [4]
+        plan.run_forward(state0)
+        assert batches == [4, 4]
+
+
+@needs_cc
+@pytest.mark.parametrize("members", [None, 4], ids=["single", "members4"])
+def test_fused_source_is_generated_once_per_group(monkeypatch, members):
+    """The fused C depends on the arrays through their strides only, so
+    the rotation parities (and the ensemble members) of one build share
+    one generated nest per fusion group; a different stride regenerates."""
+    calls = []
+    real = native_mod.generate_fused_source
+    monkeypatch.setattr(
+        native_mod, "generate_fused_source",
+        lambda *a, **k: (calls.append(1), real(*a, **k))[1],
+    )
+    clear_kernel_cache()  # a warm kernel already carries its nests
+    prob = wave_problem(2)
+    plan = prob.checkpointed_adjoint(
+        10, steps=4, snaps=2, backend="native", members=members
+    )
+    groups = sum(b.fused_group_count for b in (plan._fwd[0], plan._rev[0]))
+    if members:
+        groups //= members
+    assert groups == 2 and len(calls) == groups
+    plan.close()
+
+    # Same kernel, same group, Fortran-ordered arrays: new strides, new C.
+    rev_plan = plan._rev[0].plan
+    shape = prob.array_shape(10)
+    arrays = {
+        name: np.asfortranarray(np.zeros(shape)) for name in rev_plan.kernel.array_names
+    }
+    rev_plan.bind(arrays)
+    assert len(calls) == 2 * groups
+    rev_plan.bind({name: arr.copy(order="F") for name, arr in arrays.items()})
+    assert len(calls) == 2 * groups  # same strides again: memo hit
 
 
 # -- ensemble mode ---------------------------------------------------------------

@@ -180,6 +180,7 @@ def test_adjoint_prints_checkpoint_verdicts(tmp_path, monkeypatch, capsys):
     recompute = optimal_cost(6, 2) - 6
     assert f"recompute    {recompute} forward steps (revolve optimum {recompute}," in out
     assert "(0.333x, bound 2/6)" in out
+    assert out.endswith("  sweep: per-action — python backend\n")
     assert not list(tmp_path.iterdir())  # a verdict, not a record
 
 
@@ -190,6 +191,24 @@ def test_adjoint_ensemble_members(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "members=3" in out and "bitwise=ok" in out
+
+
+def test_adjoint_native_reports_the_program_rung(capsys):
+    """The line CI greps: a silent fall to per-action is a performance
+    regression no bitwise check sees."""
+    from repro.runtime import native_available
+
+    if not native_available():
+        pytest.skip("no C toolchain on this machine")
+    for extra, tail in (
+        ([], "1 call)\n"),
+        (["--members", "4", "--workers", "2"], "1 call) x 4 chunks, one join\n"),
+    ):
+        assert main([*_ADJOINT, "--backend", "native", *extra]) == 0
+        out = capsys.readouterr().out
+        assert "bitwise=ok" in out
+        last = out.splitlines(keepends=True)[-1]
+        assert last.startswith("  sweep: program (") and last.endswith(tail)
 
 
 def test_adjoint_exit_code_follows_each_hard_check(monkeypatch, capsys):

@@ -417,6 +417,33 @@ def test_so_cache_corruption_self_heals(consumer, fresh_native):
         _assert_bitwise(ref, drive())
 
 
+@pytest.mark.skipif(not native_available(), reason="needs a real C compiler")
+def test_snapshot_fault_on_a_native_plan_fires_on_the_per_action_rung():
+    """Native twin of the ``checkpoint.snapshot`` chaos scenario (which
+    runs on python): the program rung has no failure site, so an armed
+    injector runs the per-action sweep — the fault fires once, types as
+    :class:`CheckpointError`, and the next, un-injected sweep is the
+    program again and bitwise."""
+    prob = heat_problem(1)
+    u0 = prob.allocate_state(N, seed=0)["u_1"]
+    seed = prob.allocate_adjoints(N)["u_b"]
+    with prob.checkpointed_adjoint(N, steps=6, snaps=2, backend="native") as plan:
+        assert plan.sweep.rung == "program"
+        (program,), _ = plan._programs["adjoint"]
+        runs = []
+        real_run = program.run
+        program.run = lambda: (runs.append(1), real_run())
+        ref = {k: v.copy() for k, v in plan.adjoint([u0], seed).items()}
+        assert runs == [1]
+        with faults.inject("checkpoint.snapshot") as inj:
+            with pytest.raises(CheckpointError, match="pool slot"):
+                plan.adjoint([u0], seed)
+            assert inj.fired("checkpoint.snapshot") == 1
+        assert runs == [1]  # the armed sweep never entered the program
+        _assert_bitwise(ref, plan.adjoint([u0], seed))
+        assert runs == [1, 1]
+
+
 # -- scheduler cancellation ---------------------------------------------------
 
 
