@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--workers", type=_thread_count, default=2,
-        help="executor threads running batched/single kernel dispatches "
+        help="most request groups (batched or single) executing at once "
         "(default: 2)",
     )
     srv.add_argument(

@@ -55,7 +55,6 @@ from typing import Sequence
 
 import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
-from sympy.simplify.cse_main import cse as _cse
 
 from ..core.fusion import parallel_safe_group
 from .base import CodegenError, Emitter
@@ -398,14 +397,14 @@ def generate_native_source(
             for axis in stmt.bare_axes:
                 symbol_map[counters[axis]] = f"(({real})i{axis})"
             printer = NativeCPrinter(symbol_map, real=real)
-            # The Python path's eval_fn is lambdified with cse=True, and
-            # CSE substitution can *regroup* a product (x0 = 0.2*Min(...)
-            # pulls the third factor ahead of the second), changing the
-            # rounding sequence.  Run the identical CSE pass and emit its
-            # temporaries as locals so the C performs the same ops in
-            # the same order as the generated Python, not as the
-            # pre-CSE expression tree.
-            cses, reduced = _cse(stmt.rhs_expr, list=False)
+            # The Python path's eval_fn was lambdified from the
+            # statement's CSE program, and CSE substitution can *regroup*
+            # a product (x0 = 0.2*Min(...) pulls the third factor ahead
+            # of the second), changing the rounding sequence.  Print that
+            # same program, temporaries as locals, so the C performs the
+            # same ops in the same order as the generated Python, not as
+            # the pre-CSE expression tree.
+            cses, reduced = stmt.cse
             try:
                 temp_lines = []
                 for sym, sub in cses:
@@ -537,7 +536,7 @@ def generate_fused_source(
     ranges.  Both shapes respect the pairwise lexicographic dependence
     conditions checked by the fusion planner.
 
-    The bitwise contract is unchanged: the same CSE replay, constant
+    The bitwise contract is unchanged: the same stored CSE program, constant
     printing, Min/Max ternaries and float32 casts as the per-statement
     emitter, and the build layer keeps ``-ffp-contract=off``.  A
     statement the printer cannot lower raises
@@ -650,7 +649,7 @@ def generate_fused_source(
             for axis in st.bare_axes:
                 symbol_map[counters[axis]] = f"(({real})i{axis})"
             printer = NativeCPrinter(symbol_map, real=real)
-            cses, reduced = _cse(st.rhs_expr, list=False)
+            cses, reduced = st.cse
             for sym, sub in cses:
                 em.line(f"const {real} f{k}_{sym} = {printer.doprint(sub)};")
                 symbol_map[sym] = f"f{k}_{sym}"

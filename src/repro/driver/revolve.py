@@ -9,8 +9,9 @@ sub-sweeps from strategically placed snapshots so that the total number
 of primal step evaluations is minimal (binomial in the step count).
 
 :func:`schedule` emits the optimal action sequence; :func:`optimal_cost`
-computes the provably minimal evaluation count by dynamic programming,
-which the test suite uses to certify the emitted schedule's optimality
+gives the provably minimal evaluation count (the binomial closed form of
+the recurrence below, which the test suite checks against the recurrence
+itself), and certifies the emitted schedule's optimality
 (``schedule_cost(schedule(l, s)) == optimal_cost(l, s)``).
 :class:`repro.driver.timestepping.CheckpointedAdjoint` executes schedules
 against real stencil kernels.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = [
     "Action",
@@ -56,18 +56,25 @@ class Action:
     slot: int = -1
 
 
-@lru_cache(maxsize=None)
 def _cost(steps: int, snaps: int) -> float:
+    """``t(steps, snaps)`` in closed form (Griewank's binomial formula).
+
+    With ``r`` the smallest repetition count whose binomial reach
+    ``C(snaps + r, snaps)`` covers *steps*, the recurrence's minimum is
+    ``r * steps - C(snaps + r, snaps + 1)`` advances plus one evaluation
+    per reverse.  No table, no recursion: planning a sweep costs
+    ``O(steps log steps)`` of these.
+    """
     if steps in (0, 1):
         return float(steps)
     if snaps < 1:
         return math.inf
     if snaps == 1:
         return steps * (steps + 1) / 2
-    return min(
-        mid + _cost(steps - mid, snaps - 1) + _cost(mid, snaps)
-        for mid in range(1, steps)
-    )
+    r = 1
+    while math.comb(snaps + r, snaps) < steps:
+        r += 1
+    return float((r + 1) * steps - math.comb(snaps + r, snaps + 1))
 
 
 def optimal_cost(steps: int, snaps: int) -> int:
@@ -82,14 +89,25 @@ def optimal_cost(steps: int, snaps: int) -> int:
 
 
 def _best_split(steps: int, snaps: int) -> int:
-    """Arg-min of the revolve recurrence (smallest optimal split)."""
-    best_mid, best_cost = None, math.inf
-    for mid in range(1, steps):
-        cost = mid + _cost(steps - mid, snaps - 1) + _cost(mid, snaps)
-        if cost < best_cost:
-            best_mid, best_cost = mid, cost
-    assert best_mid is not None
-    return best_mid
+    """Arg-min of the revolve recurrence (smallest optimal split).
+
+    ``t(., s)`` is convex in the step count (piecewise linear, slopes
+    ``r + 1`` non-decreasing), so the split cost is convex in ``mid``
+    and its smallest minimiser is the first ``mid`` whose successor is
+    no cheaper — found by bisection instead of a scan.
+    """
+
+    def cost(mid: int) -> float:
+        return mid + _cost(steps - mid, snaps - 1) + _cost(mid, snaps)
+
+    lo, hi = 1, steps - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cost(mid + 1) < cost(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def schedule(steps: int, snaps: int) -> list[Action]:
@@ -106,43 +124,42 @@ def schedule(steps: int, snaps: int) -> list[Action]:
         raise ValueError("snaps must be >= 1")
     actions: list[Action] = []
     free_slots = list(range(snaps))
-
-    def rec(begin: int, end: int, snap_slot: int | None) -> None:
-        """Reverse steps [begin, end); live state is at ``begin``.
-
-        ``snap_slot`` holds a snapshot of step ``begin`` if not None (and
-        stays resident for the caller).
-        """
-        length = end - begin
-        if length == 1:
+    # The recurrence, unrolled onto a work stack popped in execution
+    # order (its depth would otherwise grow with ``steps``): a range
+    # ``(begin, end, slot)`` still to reverse — live state at ``begin``,
+    # ``slot`` holding a snapshot of it or None — an Action to emit
+    # after the ranges pushed above it, or a slot number to give back
+    # once the range that took it is done.
+    todo: list = [(0, steps, None)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Action):
+            actions.append(item)
+            continue
+        if isinstance(item, int):
+            free_slots.append(item)
+            continue
+        begin, end, slot = item
+        if end - begin == 1:
             actions.append(Action("reverse", begin))
-            return
-        own = False
-        if snap_slot is None:
-            if not free_slots:
-                raise AssertionError("schedule recursion exhausted slots")
-            snap_slot = free_slots.pop()
-            own = True
-            actions.append(Action("snapshot", begin, slot=snap_slot))
-        # Total slots for this subproblem: free ones plus the held one.
-        s = len(free_slots) + 1
-        if s == 1:
-            # Triangular sweep from the held snapshot.
+            continue
+        if slot is None:
+            slot = free_slots.pop()
+            actions.append(Action("snapshot", begin, slot=slot))
+            todo.append(slot)
+        if not free_slots:
+            # One slot in all, the held one: triangular sweep from it.
             for target in range(end - 1, begin, -1):
                 actions.append(Action("advance", begin, target))
                 actions.append(Action("reverse", target))
-                actions.append(Action("restore", begin, slot=snap_slot))
+                actions.append(Action("restore", begin, slot=slot))
             actions.append(Action("reverse", begin))
         else:
-            mid = begin + _best_split(length, s)
+            mid = begin + _best_split(end - begin, len(free_slots) + 1)
             actions.append(Action("advance", begin, mid))
-            rec(mid, end, None)
-            actions.append(Action("restore", begin, slot=snap_slot))
-            rec(begin, mid, snap_slot)
-        if own:
-            free_slots.append(snap_slot)
-
-    rec(0, steps, None)
+            todo.append((begin, mid, slot))
+            todo.append(Action("restore", begin, slot=slot))
+            todo.append((mid, end, None))
     return actions
 
 

@@ -5,8 +5,10 @@ speaks the length-prefixed JSON protocol.  State arrays at or above
 ``shm_threshold`` bytes travel zero-copy through
 ``multiprocessing.shared_memory`` segments the client creates (and
 always unlinks — the client owns segment lifecycle end to end); smaller
-arrays spill to inline base64, which is bitwise-exact, unlike printing
-floats through JSON.
+arrays travel inline through the server's one array codec
+(:func:`~repro.runtime.server.encode_array` /
+:func:`~repro.runtime.server.decode_array`: the raw bytes, bitwise-exact,
+unlike printing floats through JSON).
 
 Error responses are re-raised as the matching typed
 :class:`~repro.errors.ReproError` subclass, so remote failures are
@@ -34,7 +36,7 @@ import numpy as np
 
 from .. import errors
 from ..errors import ServeError, ValidationError
-from .server import encode_array, recv_frame, send_frame
+from .server import decode_array, encode_array, recv_frame, send_frame
 
 __all__ = ["KernelClient", "ServeResult"]
 
@@ -255,21 +257,20 @@ class KernelClient:
             by_name = {seg.name: seg for seg in segments}
             out: dict[str, np.ndarray] = {}
             for name, meta in resp.get("state", {}).items():
-                shape = tuple(int(s) for s in meta["shape"])
-                dt = np.dtype(str(meta["dtype"]))
-                if "shm" in meta:
-                    seg = by_name.get(meta["shm"])
-                    if seg is None:
-                        raise ServeError(
-                            f"response references unknown segment "
-                            f"{meta['shm']!r}"
-                        )
-                    out[name] = np.ndarray(
-                        shape, dtype=dt, buffer=seg.buf
-                    ).copy()
-                else:
-                    raw = _decode_wire(meta, name)
-                    out[name] = raw
+                if not (isinstance(meta, dict) and "shm" in meta):
+                    out[name] = decode_array(meta, name, error=ServeError)
+                    continue
+                seg = by_name.get(meta["shm"])
+                if seg is None:
+                    raise ServeError(
+                        f"response references unknown segment "
+                        f"{meta['shm']!r}"
+                    )
+                out[name] = np.ndarray(
+                    tuple(int(s) for s in meta["shape"]),
+                    dtype=np.dtype(str(meta["dtype"])),
+                    buffer=seg.buf,
+                ).copy()
             return ServeResult(
                 state=out,
                 kernel_id=resp.get("kernel_id", ""),
@@ -291,17 +292,3 @@ class KernelClient:
 
 def _plain(mapping: Mapping | None) -> dict:
     return {str(k): v for k, v in (mapping or {}).items()}
-
-
-def _decode_wire(meta: Mapping, name: str) -> np.ndarray:
-    import base64
-
-    try:
-        shape = tuple(int(s) for s in meta["shape"])
-        dt = np.dtype(str(meta["dtype"]))
-        raw = base64.b64decode(meta["data"], validate=True)
-    except Exception as exc:
-        raise ServeError(
-            f"response array {name!r} is undecodable: {exc}"
-        ) from exc
-    return np.frombuffer(raw, dtype=dt).reshape(shape).copy()

@@ -64,7 +64,23 @@ class CompiledAccess:
 
 @dataclass
 class CompiledStatement:
-    """One statement of a region, ready to execute on NumPy arrays."""
+    """One statement of a region, ready to execute on NumPy arrays.
+
+    Array accesses become ``__accN`` placeholders (``reads`` says which
+    access each one is), and the right-hand side goes through common
+    subexpression elimination exactly once:
+
+    >>> from repro.frontend import parse_stencil
+    >>> from repro.runtime import Bindings, compile_nests
+    >>> nest = parse_stencil("stencil s { iterate i = 1 .. n-2"
+    ...     "  u[i] += (v[i-1] + v[i+1])/(1.0 + (v[i-1] + v[i+1])) }")
+    >>> kernel = compile_nests([nest], Bindings(sizes={"n": 8}), cache=False)
+    >>> st = kernel.regions[0].statements[0]
+    >>> st.rhs_expr
+    (__acc0 + __acc1)/(__acc0 + __acc1 + 1.0)
+    >>> st.cse      # what eval_fn evaluates and the C emitters print
+    ([(x0, __acc0 + __acc1)], x0/(x0 + 1.0))
+    """
 
     target: CompiledAccess
     op: str
@@ -77,6 +93,11 @@ class CompiledStatement:
     # bound-execution layer (:mod:`repro.runtime.bound`) inspects it to
     # decide whether the statement can run through in-place ufunc slots.
     rhs_expr: sp.Expr | None = None
+    # The statement's one CSE pass over ``rhs_expr``: ``(temporaries,
+    # reduced)``.  eval_fn was lambdified from it and both C emitters
+    # print it, so the Python and C paths perform the same operations
+    # in the same order by construction, not by re-running the pass.
+    cse: tuple | None = None
     # Lazily filled by repro.runtime.bound (memoised eligibility check).
     inplace_ok: bool | None = None
     # Lazily filled by repro.runtime.ensemble: True when the expression
@@ -214,11 +235,18 @@ def _compile_statement(
         )
 
     modules = [dict(_NUMPY_FALLBACKS), dict(bindings.functions), "numpy"]
-    # cse=True shares repeated subexpressions inside the generated code.
+    # CSE shares repeated subexpressions inside the generated code.
     # Sharing an identical subexpression is bitwise-neutral (the same ops
     # on the same operands run once instead of twice), and the bound
     # execution layer relies on the op-site sequence being fixed per call.
-    eval_fn = sp.lambdify(placeholders + bare, rhs_sub, modules=modules, cse=True)
+    # Substitution can regroup a product, though (x0 = 0.2*Min(...) pulls
+    # the third factor ahead of the second), so the pass runs once, here,
+    # and every consumer takes its result: lambdify through its ``cse=``
+    # callable, the native emitters from the statement.
+    program = sp.cse(rhs_sub, list=False)
+    eval_fn = sp.lambdify(
+        placeholders + bare, rhs_sub, modules=modules, cse=lambda _expr: program
+    )
 
     guard_box = None
     if stmt.guard is not None:
@@ -233,6 +261,7 @@ def _compile_statement(
         guard_box=guard_box,
         dim=dim,
         rhs_expr=rhs_sub,
+        cse=program,
     )
 
 

@@ -218,6 +218,7 @@ def _batch_shifted(stmt: CompiledStatement) -> CompiledStatement:
         guard_box=None,  # boxes arrive pre-intersected from the plan
         dim=stmt.dim + 1,
         rhs_expr=stmt.rhs_expr,
+        cse=stmt.cse,
         inplace_ok=stmt.inplace_ok,
         batch_safe=stmt.batch_safe,
     )

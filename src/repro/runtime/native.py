@@ -60,6 +60,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -102,6 +103,10 @@ __all__ = [
 ]
 
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+# Added for fused nests where the compiler takes it (_host_cflags); the
+# one flag whose meaning depends on the machine, so builds using it are
+# keyed by the host's ISA as well (_build_key).
+_HOST_FLAG = "-march=native"
 
 _I64 = ctypes.c_int64
 _I64P = ctypes.POINTER(_I64)
@@ -292,15 +297,16 @@ _lib_memo: dict[str, ctypes.CDLL] = {}
 
 
 def _build_key(source: str, cc: str, flags: tuple[str, ...] = _CFLAGS) -> str:
-    payload = "\n".join(
-        [
-            f"abi={NATIVE_ABI_VERSION}",
-            f"cc={_compiler_id(cc)}",
-            f"flags={' '.join(flags)}",
-            source,
-        ]
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+    parts = [
+        f"abi={NATIVE_ABI_VERSION}",
+        f"cc={_compiler_id(cc)}",
+        f"flags={' '.join(flags)}",
+    ]
+    if _HOST_FLAG in flags:
+        # The flag's text is the same on every machine; the code it
+        # selects is not.  Baseline builds keep their host-free key.
+        parts.append(f"host={_host_isa()}")
+    return hashlib.sha256("\n".join([*parts, source]).encode()).hexdigest()
 
 
 def _build_shared_object(
@@ -415,6 +421,32 @@ def _build_and_load(
 # -- host-targeted flags for fused builds -------------------------------------
 
 _host_flags_memo: dict[str, tuple[str, ...]] = {}
+_host_isa_memo: dict[str, str] = {}
+
+
+def _host_isa() -> str:
+    """Identity of the instruction set ``-march=native`` resolves to here.
+
+    Part of the cache key of every host-targeted build: hosts with
+    different ISAs can share one cache directory (a restored CI cache,
+    an NFS home), and an object built for the wider one is a ``SIGILL``
+    on the other, not a fallback.  Read without a subprocess — the
+    kernel's feature line where there is one, else the platform's own
+    description — and memoised like :func:`_compiler_id`; empty when
+    neither can be read.
+    """
+
+    def probe() -> str:
+        try:
+            with open("/proc/cpuinfo") as fh:
+                for line in fh:
+                    if line.startswith(("flags", "Features")):
+                        return line.partition(":")[2].strip()
+        except OSError:
+            pass
+        return f"{platform.machine()} {platform.processor()}".strip()
+
+    return _once(_host_isa_memo, "host", probe)
 
 
 def _host_cflags(cc: str) -> tuple[str, ...]:
@@ -428,11 +460,14 @@ def _host_cflags(cc: str) -> tuple[str, ...]:
     code would, libm calls stay scalar (no ``-ffast-math``), and the
     fuzz suite asserts identity empirically.  Probed with a one-line
     compile because some toolchains/targets reject the flag; on failure
-    fused builds silently use the baseline flags.
+    — or on a host whose ISA cannot be identified for the cache key
+    (:func:`_host_isa`) — fused builds silently use the baseline flags.
     """
 
     def probe() -> tuple[str, ...]:
-        flags = ("-march=native",)
+        flags = (_HOST_FLAG,)
+        if not _host_isa():
+            return ()
         try:
             _build_shared_object(
                 "int repro_march_probe(void) { return 0; }\n", cc, _CFLAGS + flags

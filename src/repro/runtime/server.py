@@ -7,8 +7,8 @@ content-addressed native ``.so`` cache, member-axis
 process pays cold-start compilation and every request runs alone.
 :class:`KernelServer` is the inference-server move: one long-lived
 process owns the warm caches and accepts requests over a Unix-domain
-socket, and a batching queue coalesces concurrent requests for the
-*same kernel* into one ensemble run over the member axis.
+socket, and concurrent requests for the *same kernel* coalesce into one
+ensemble run over the member axis.
 
 Protocol
 --------
@@ -31,18 +31,26 @@ Batching semantics
 ------------------
 
 Requests are grouped by ``(kernel_id, backend, steps, state
-signature)``.  A group flushes when it reaches ``max_batch`` members or
-its oldest request has waited ``batch_window_ms``; a flushed group of
-two or more becomes **one** :class:`EnsemblePlan` run over stacked
-member state (bitwise identical to per-member bound runs by
-construction), a group of one runs through a warm per-kernel
-:class:`~repro.runtime.bound.BoundPlan` kept keyed by state signature.
-``batch_window_ms=0`` disables coalescing entirely.
+signature)``, on the connection threads themselves: the first request
+of a group is its *leader* — it holds the group open for
+``batch_window_ms`` (cut short when a follower fills it to
+``max_batch``), then runs it on its own thread — and every later one a
+*follower* that appends itself and waits for the leader's result.
+There is no queue, no dispatcher and no executor: a started server owns
+the accept thread plus one thread per open connection, and at most
+``workers`` groups execute at once.  A group of any size runs through
+**one** warm :class:`EnsemblePlan` kept per ``(backend, state
+signature, members)`` — persistent ``(members, *shape)`` arrays bound
+once, request state copied in and out — bitwise identical to per-member
+bound runs by construction; each kernel keeps at most ``MAX_WARM`` of
+them, least recently used evicted first.  ``batch_window_ms=0`` is the
+same path with a group of one and no wait.
 
 Failure contract (PR 7): typed errors map onto the existing exit-code
-scheme, a failed member never poisons its batchmates (a batch whose
-bind fails falls back to per-request single runs), and every response
-reports per-request status.  Fault points ``server.accept``,
+scheme, a failed member never poisons its batchmates (a group of two or
+more that fails to bind or run falls back to its members as groups of
+one), a leader that dies answers its followers with a typed error, and
+every response reports per-request status.  Fault points ``server.accept``,
 ``server.batch.bind`` and ``server.shm.attach`` make the contract
 testable (see :mod:`repro.runtime.faults` and the chaos suite).
 
@@ -77,13 +85,10 @@ from __future__ import annotations
 
 import base64
 import json
-import queue
 import socket
 import struct
 import threading
-import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Mapping
@@ -98,11 +103,13 @@ from . import faults
 from .bindings import Bindings
 from .cache import kernel_key
 from .compiler import compile_nests
-from .ensemble import EnsemblePlan, stack_arrays
+from .ensemble import EnsemblePlan
 
 __all__ = [
     "KernelServer",
     "MAX_FRAME_BYTES",
+    "MAX_WARM",
+    "decode_array",
     "encode_array",
     "recv_frame",
     "send_frame",
@@ -122,11 +129,16 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: first" reply, which is already the client's recovery path.
 MAX_KERNELS = 256
 
+#: Most warm bindings (persistent arrays + the ensemble bound over them)
+#: one served kernel keeps, least-recently-used evicted first.  The key
+#: holds the *client's* array shapes — any shape covering the kernel is
+#: served — so like ``MAX_KERNELS`` the table may not grow with what
+#: peers send; an evicted shape rebinds on its next request.
+MAX_WARM = 8
+
 _HEADER = struct.Struct(">I")
 
 _DTYPES = {"f64": np.float64, "f32": np.float32}
-
-_STOP = object()
 
 
 # -- framing ------------------------------------------------------------------
@@ -198,41 +210,51 @@ def encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _array_meta(meta, name: str) -> tuple[tuple[int, ...], np.dtype, int]:
-    """Validate one request array's shape/dtype metadata."""
+def _array_meta(
+    meta, name: str, error=ValidationError
+) -> tuple[tuple[int, ...], np.dtype, int]:
+    """Validate one wire array's shape/dtype metadata."""
     if not isinstance(meta, dict):
-        raise ValidationError(f"state entry {name!r} must be an object")
+        raise error(f"state entry {name!r} must be an object")
     try:
         shape = tuple(int(s) for s in meta["shape"])
         dtype = np.dtype(str(meta["dtype"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(
+        raise error(
             f"state entry {name!r} has invalid shape/dtype: {exc}"
         ) from exc
     if any(s < 0 for s in shape):
-        raise ValidationError(f"state entry {name!r} has a negative extent")
+        raise error(f"state entry {name!r} has a negative extent")
     if dtype.kind not in "fiu":
-        raise ValidationError(
+        raise error(
             f"state entry {name!r} has unsupported dtype {dtype.str!r}"
         )
     nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
     if nbytes > MAX_FRAME_BYTES:
-        raise ValidationError(
-            f"state entry {name!r} is {nbytes} bytes, over the cap"
-        )
+        raise error(f"state entry {name!r} is {nbytes} bytes, over the cap")
     return shape, dtype, nbytes
 
 
-def _decode_inline(meta, name: str) -> np.ndarray:
-    shape, dtype, nbytes = _array_meta(meta, name)
+def decode_array(meta, name: str, error=ValidationError) -> np.ndarray:
+    """Inverse of :func:`encode_array`: a fresh array from its wire form.
+
+    Malformed input raises *error* — the server's requests are a
+    :class:`ValidationError`, the client's responses a
+    :class:`ServeError`.
+
+    >>> import numpy as np
+    >>> decode_array(encode_array(np.array([1.5, -2.25])), "u")
+    array([ 1.5 , -2.25])
+    """
+    shape, dtype, nbytes = _array_meta(meta, name, error)
     try:
         raw = base64.b64decode(meta["data"], validate=True)
     except Exception as exc:
-        raise ValidationError(
+        raise error(
             f"state entry {name!r} carries undecodable data: {exc}"
         ) from exc
     if len(raw) != nbytes:
-        raise ValidationError(
+        raise error(
             f"state entry {name!r}: got {len(raw)} bytes, expected {nbytes}"
         )
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
@@ -326,24 +348,38 @@ def _state_signature(arrays: Mapping[str, np.ndarray]) -> tuple:
 # -- served kernels -----------------------------------------------------------
 
 
-class _WarmBound:
-    """One warm binding: persistent arrays + the BoundPlan over them."""
+class _Warm:
+    """One warm binding: persistent ``(members, *shape)`` arrays and the
+    :class:`EnsemblePlan` bound over them once."""
 
-    __slots__ = ("lock", "arrays", "bound")
+    __slots__ = ("lock", "ensemble", "slots")
 
-    def __init__(self, plan, arrays: Mapping[str, np.ndarray]) -> None:
+    def __init__(self, plan, sig: tuple, members: int) -> None:
         self.lock = threading.Lock()
-        self.arrays = {k: np.zeros_like(v) for k, v in arrays.items()}
-        self.bound = plan.bind(self.arrays)
+        self.ensemble = EnsemblePlan(
+            plan,
+            {
+                name: np.zeros((members, *shape), dtype=dtype)
+                for name, shape, dtype in sig
+            },
+        )
+        # Member m's arrays, as views into the stacked ones.
+        self.slots = [self.ensemble.member_arrays(m) for m in range(members)]
 
-    def run(self, request_arrays: Mapping[str, np.ndarray], steps: int) -> None:
+    def run(self, batch: list["_Pending"], steps: int) -> None:
+        """Copy each request into its member slot, run, copy out.
+
+        Request arrays are written only after the last step, so a
+        failure mid-run leaves every batchmate's arrays untouched."""
         with self.lock:
-            for name, arr in request_arrays.items():
-                np.copyto(self.arrays[name], arr)
+            for slot, pending in zip(self.slots, batch):
+                for name, arr in pending.arrays.items():
+                    np.copyto(slot[name], arr)
             for _ in range(steps):
-                self.bound.run()
-            for name, arr in request_arrays.items():
-                np.copyto(arr, self.arrays[name])
+                self.ensemble.run()
+            for slot, pending in zip(self.slots, batch):
+                for name, arr in pending.arrays.items():
+                    np.copyto(arr, slot[name])
 
 
 class _ServedKernel:
@@ -356,7 +392,7 @@ class _ServedKernel:
         self.required = set(nest.written_arrays()) | set(nest.read_arrays())
         self._lock = threading.Lock()
         self._kernel = None
-        self._warm: dict[tuple, _WarmBound] = {}
+        self._warm: OrderedDict[tuple, _Warm] = OrderedDict()
 
     def kernel(self):
         with self._lock:
@@ -367,40 +403,41 @@ class _ServedKernel:
                 )
             return self._kernel
 
-    def plan(self, backend: str):
-        return self.kernel().plan(backend=backend)
-
-    def warm_bound(self, backend: str, arrays: Mapping[str, np.ndarray]):
-        key = (backend, _state_signature(arrays))
+    def warm(self, backend: str, sig: tuple, members: int) -> _Warm:
+        """The warm binding for a group of *members* requests of one
+        state signature; bound on first use, at most ``MAX_WARM`` kept."""
+        key = (backend, sig, members)
         with self._lock:
             warm = self._warm.get(key)
-        if warm is not None:
-            return warm
-        plan = self.plan(backend)  # may compile: outside our own lock
+            if warm is not None:
+                self._warm.move_to_end(key)
+                return warm
+        plan = self.kernel().plan(backend=backend)  # may compile: outside our lock
         with self._lock:
             warm = self._warm.get(key)
             if warm is None:
-                warm = _WarmBound(plan, arrays)
-                self._warm[key] = warm
+                warm = self._warm[key] = _Warm(plan, sig, members)
+                while len(self._warm) > MAX_WARM:
+                    self._warm.popitem(last=False)
             return warm
 
 
 class _Pending:
-    """One decoded run request travelling through the batching queue."""
+    """One decoded run request: the unit a group is made of."""
 
     __slots__ = (
-        "served", "backend", "steps", "arrays", "sources", "segments",
+        "served", "backend", "steps", "arrays", "shm", "segments",
         "sig", "event", "meta", "error",
     )
 
-    def __init__(self, served, backend, steps, arrays, sources, segments):
+    def __init__(self, served: _ServedKernel, backend: str, steps: int):
         self.served = served
         self.backend = backend
         self.steps = steps
-        self.arrays = arrays
-        self.sources = sources
-        self.segments = segments
-        self.sig = _state_signature(arrays)
+        self.arrays: dict[str, np.ndarray] = {}
+        self.shm: dict[str, str] = {}  # array name -> its segment's name
+        self.segments: list[shared_memory.SharedMemory] = []
+        self.sig: tuple = ()
         self.event = threading.Event()
         self.meta: dict | None = None
         self.error: BaseException | None = None
@@ -412,10 +449,9 @@ class _Pending:
     def release(self) -> None:
         """Drop array views, then detach shared-memory segments."""
         self.arrays.clear()
-        segments, self.segments = self.segments, []
-        for seg in segments:
+        while self.segments:
             try:
-                seg.close()
+                self.segments.pop().close()
             except BufferError:  # pragma: no cover - a view still alive
                 pass
 
@@ -443,7 +479,7 @@ class KernelServer:
         Filesystem path to listen on; created on :meth:`start`,
         unlinked on :meth:`close`.
     workers:
-        Threads executing flushed request groups.
+        Most request groups executing at once.
     max_batch:
         A group flushes as soon as it holds this many requests.
     batch_window_ms:
@@ -453,8 +489,8 @@ class KernelServer:
         :class:`SpecLimits` applied to every inbound spec (``None``
         trusts the peer — only for in-process tests).
     request_timeout:
-        Seconds a connection handler waits for its request's group to
-        execute before answering with a typed timeout error.
+        Seconds a request waits for the group it joined to be executed
+        by its leader before answering with a typed timeout error.
     """
 
     def __init__(
@@ -483,11 +519,14 @@ class KernelServer:
         self.request_timeout = request_timeout
         self._lock = threading.Lock()
         self._kernels: OrderedDict[str, _ServedKernel] = OrderedDict()
-        self._queue: queue.Queue = queue.Queue()
-        self._conns: set[socket.socket] = set()
+        # Open groups by group key.  batch[0] is the leader, and its
+        # event is the group's: set when the group fills or the server
+        # closes, to cut the leader's window wait short.
+        self._groups: dict[tuple, list[_Pending]] = {}
+        self._slots = threading.BoundedSemaphore(workers)
+        self._conns: dict[socket.socket, threading.Thread] = {}
         self._listener: socket.socket | None = None
-        self._pool: ThreadPoolExecutor | None = None
-        self._threads: list[threading.Thread] = []
+        self._acceptor: threading.Thread | None = None
         self._running = False
         self._closed = False
         self._stop_event = threading.Event()
@@ -508,7 +547,7 @@ class KernelServer:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Bind the socket and launch accept/dispatch threads."""
+        """Bind the socket and launch the accept thread."""
         if self._listener is not None:
             raise ServeError("server already started")
         path = Path(self.socket_path)
@@ -519,28 +558,17 @@ class KernelServer:
         listener.listen(64)
         listener.settimeout(0.2)  # poll _running without a wake-up pipe
         self._listener = listener
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve-worker"
-        )
         self._running = True
-        for target, name in (
-            (self._accept_loop, "repro-serve-accept"),
-            (self._dispatch_loop, "repro-serve-dispatch"),
-        ):
-            t = threading.Thread(target=target, name=name, daemon=True)
-            t.start()
-            self._threads.append(t)
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name="repro-serve-accept", daemon=True
+        )
+        self._acceptor.start()
 
     def wait(self) -> None:
         """Block until a ``shutdown`` request (or :meth:`close`) arrives."""
         self._stop_event.wait()
 
-    def close(self) -> None:
-        """Stop serving, join threads, unlink the socket.  Idempotent."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+    def _stop_accepting(self) -> None:
         self._running = False
         self._stop_event.set()
         if self._listener is not None:
@@ -548,19 +576,30 @@ class KernelServer:
                 self._listener.close()
             except OSError:  # pragma: no cover
                 pass
-        self._queue.put(_STOP)
-        for t in self._threads:
-            t.join(timeout=10.0)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+
+    def close(self) -> None:
+        """Stop serving, answer what is in flight, join threads, unlink
+        the socket.  Idempotent."""
         with self._lock:
-            conns = list(self._conns)
-            self._conns.clear()
+            if self._closed:
+                return
+            self._closed = True
+        self._stop_accepting()
+        if self._acceptor is not None:
+            self._acceptor.join(timeout=10.0)
+        with self._lock:
+            conns = dict(self._conns)
+            for batch in self._groups.values():
+                batch[0].event.set()  # flush open windows now
         for conn in conns:
+            # Wake idle readers with EOF; the write side stays open so
+            # a request in flight still gets its reply.
             try:
-                conn.close()
-            except OSError:  # pragma: no cover
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
                 pass
+        for thread in conns.values():
+            thread.join(timeout=10.0)
         try:
             Path(self.socket_path).unlink()
         except OSError:
@@ -611,14 +650,15 @@ class KernelServer:
                 except OSError:  # pragma: no cover
                     pass
                 continue
-            with self._lock:
-                self._conns.add(conn)
-            threading.Thread(
+            thread = threading.Thread(
                 target=self._handle_conn,
                 args=(conn,),
                 name="repro-serve-conn",
                 daemon=True,
-            ).start()
+            )
+            with self._lock:
+                self._conns[conn] = thread
+            thread.start()
 
     def _handle_conn(self, conn: socket.socket) -> None:
         try:
@@ -647,7 +687,7 @@ class KernelServer:
             pass
         finally:
             with self._lock:
-                self._conns.discard(conn)
+                self._conns.pop(conn, None)
             try:
                 conn.close()
             except OSError:  # pragma: no cover
@@ -664,13 +704,7 @@ class KernelServer:
             served = self._resolve_kernel(msg)
             return {"status": "ok", "kernel_id": served.kernel_id}
         if op == "shutdown":
-            self._running = False
-            self._stop_event.set()
-            if self._listener is not None:
-                try:
-                    self._listener.close()
-                except OSError:  # pragma: no cover
-                    pass
+            self._stop_accepting()
             return {"status": "ok", "op": "shutdown"}
         if op == "run":
             return self._serve_run(msg)
@@ -729,56 +763,39 @@ class KernelServer:
             )
         return served
 
-    def _attach_state(self, state) -> tuple[dict, list, dict]:
+    def _attach_state(self, state, pending: _Pending) -> None:
+        """Decode or attach every array of *state* into *pending*."""
         if not isinstance(state, dict) or not state:
             raise ValidationError(
                 "run request needs a non-empty 'state' mapping"
             )
-        arrays: dict[str, np.ndarray] = {}
-        segments: list[shared_memory.SharedMemory] = []
-        sources: dict[str, dict] = {}
-        try:
-            for name in sorted(state):
-                if not isinstance(name, str) or not name.isidentifier():
-                    raise ValidationError(f"bad array name {name!r}")
-                meta = state[name]
-                if isinstance(meta, dict) and "shm" in meta:
-                    shape, dtype, nbytes = _array_meta(meta, name)
-                    try:
-                        faults.check("server.shm.attach")
-                        seg = shared_memory.SharedMemory(name=str(meta["shm"]))
-                    except Exception as exc:
-                        # Contract "typed-error": this request fails with
-                        # one ReproError; batchmates are untouched since
-                        # attach happens before grouping.
-                        raise ServeError(
-                            f"cannot attach shared-memory segment "
-                            f"{meta['shm']!r} for array {name!r}: {exc}"
-                        ) from exc
-                    if seg.size < nbytes:
-                        seg.close()
-                        raise ServeError(
-                            f"segment {meta['shm']!r} holds {seg.size} bytes,"
-                            f" array {name!r} needs {nbytes}"
-                        )
-                    segments.append(seg)
-                    arrays[name] = np.ndarray(
-                        shape, dtype=dtype, buffer=seg.buf
-                    )
-                else:
-                    arrays[name] = _decode_inline(meta, name)
-                sources[name] = {"shm": meta["shm"]} if (
-                    isinstance(meta, dict) and "shm" in meta
-                ) else {}
-        except BaseException:
-            arrays.clear()
-            for seg in segments:
-                try:
-                    seg.close()
-                except BufferError:  # pragma: no cover
-                    pass
-            raise
-        return arrays, segments, sources
+        for name in sorted(state):
+            if not isinstance(name, str) or not name.isidentifier():
+                raise ValidationError(f"bad array name {name!r}")
+            meta = state[name]
+            if not (isinstance(meta, dict) and "shm" in meta):
+                pending.arrays[name] = decode_array(meta, name)
+                continue
+            shape, dtype, nbytes = _array_meta(meta, name)
+            try:
+                faults.check("server.shm.attach")
+                seg = shared_memory.SharedMemory(name=str(meta["shm"]))
+            except Exception as exc:
+                # Contract "typed-error": this request fails with one
+                # ReproError; batchmates are untouched since attach
+                # happens before grouping.
+                raise ServeError(
+                    f"cannot attach shared-memory segment "
+                    f"{meta['shm']!r} for array {name!r}: {exc}"
+                ) from exc
+            pending.segments.append(seg)
+            if seg.size < nbytes:
+                raise ServeError(
+                    f"segment {meta['shm']!r} holds {seg.size} bytes,"
+                    f" array {name!r} needs {nbytes}"
+                )
+            pending.arrays[name] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
+            pending.shm[name] = meta["shm"]
 
     def _decode_run(self, msg: dict) -> _Pending:
         steps = msg.get("steps", 1)
@@ -792,8 +809,10 @@ class KernelServer:
                 f"backend must be 'python' or 'native', got {backend!r}"
             )
         served = self._resolve_kernel(msg)
-        arrays, segments, sources = self._attach_state(msg.get("state"))
+        pending = _Pending(served, backend, steps)
         try:
+            self._attach_state(msg.get("state"), pending)
+            arrays = pending.arrays
             missing = sorted(served.required - set(arrays))
             if missing:
                 raise ValidationError(
@@ -815,15 +834,11 @@ class KernelServer:
                         f"array {name!r} has dtype {arr.dtype.str}, kernel "
                         f"is bound for {want_dtype.str}"
                     )
+            pending.sig = _state_signature(arrays)
         except BaseException:
-            arrays.clear()
-            for seg in segments:
-                try:
-                    seg.close()
-                except BufferError:  # pragma: no cover
-                    pass
+            pending.release()
             raise
-        return _Pending(served, backend, steps, arrays, sources, segments)
+        return pending
 
     # -- run execution -------------------------------------------------------
 
@@ -836,12 +851,8 @@ class KernelServer:
             with self._lock:
                 self._counters["errors"] += 1
             raise
-        self._queue.put(pending)
-        if not pending.event.wait(self.request_timeout):
-            pending.error = ServeError(
-                f"request timed out after {self.request_timeout}s"
-            )
         try:
+            self._execute(pending)
             resp = self._build_response(pending)
         finally:
             pending.release()
@@ -856,14 +867,13 @@ class KernelServer:
         state_meta: dict[str, dict] = {}
         for name in sorted(pending.arrays):
             arr = pending.arrays[name]
-            src = pending.sources[name]
-            if "shm" in src:
+            if name in pending.shm:
                 # Zero-copy: the result was written into the segment in
                 # place; echo the reference, not the bytes.
                 state_meta[name] = {
                     "shape": list(arr.shape),
                     "dtype": arr.dtype.str,
-                    "shm": src["shm"],
+                    "shm": pending.shm[name],
                 }
             else:
                 state_meta[name] = encode_array(arr)
@@ -877,108 +887,97 @@ class KernelServer:
             "state": state_meta,
         }
 
-    def _dispatch_loop(self) -> None:
-        """Coalesce queued requests per group, flush on size or deadline."""
-        groups: dict[tuple, list[_Pending]] = {}
-        deadlines: dict[tuple, float] = {}
+    def _execute(self, pending: _Pending) -> None:
+        """Lead *pending*'s group on this thread, or follow an open one.
 
-        def flush(key: tuple) -> None:
-            batch = groups.pop(key)
-            deadlines.pop(key, None)
-            self._pool.submit(self._run_group, batch)
-
-        while True:
-            timeout = None
-            if deadlines:
-                timeout = max(0.0, min(deadlines.values()) - time.monotonic())
-            try:
-                item = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                item = None
-            if item is _STOP:
-                for key in list(groups):
-                    flush(key)
-                return
-            if item is not None:
-                if self.batch_window <= 0 or self.max_batch <= 1:
-                    self._pool.submit(self._run_group, [item])
-                else:
-                    key = item.group_key
-                    batch = groups.setdefault(key, [])
-                    batch.append(item)
-                    deadlines.setdefault(
-                        key, time.monotonic() + self.batch_window
+        Returns with ``pending.meta`` or ``pending.error`` set.  The
+        leader — the first request of its group key, and every request
+        when coalescing is off — holds the group open for the batch
+        window, then runs it here, on its connection's thread; a
+        follower's only hand-off is the wait for that run.
+        """
+        key = pending.group_key
+        with self._lock:
+            batch = self._groups.get(key)
+            leads = batch is None
+            if leads:
+                batch = [pending]
+                coalesce = self._running and self.max_batch > 1
+                window = self.batch_window if coalesce else 0.0
+                if window:
+                    self._groups[key] = batch
+            else:
+                batch.append(pending)
+                if len(batch) >= self.max_batch:
+                    del self._groups[key]
+                    batch[0].event.set()  # full: the leader need not wait
+        if not leads:
+            if not pending.event.wait(self.request_timeout):
+                pending.error = ServeError(
+                    f"request timed out after {self.request_timeout}s"
+                )
+            return
+        failure: BaseException | None = None
+        try:
+            if window:
+                pending.event.wait(window)
+                with self._lock:
+                    if self._groups.get(key) is batch:
+                        del self._groups[key]
+            with self._slots:
+                self._run_group(batch)
+        except Exception as exc:
+            failure = exc
+        finally:
+            # Whatever happened above, nobody waits out request_timeout
+            # for a leader that is gone.
+            for member in batch:
+                if member.meta is None and member.error is None:
+                    member.error = failure or ServeError(
+                        "the request's group leader stopped before running it"
                     )
-                    if len(batch) >= self.max_batch:
-                        flush(key)
-            now = time.monotonic()
-            for key in [k for k, d in deadlines.items() if d <= now]:
-                flush(key)
+                member.event.set()
 
     def _run_group(self, batch: list[_Pending]) -> None:
+        """Execute one flushed group, of any size, on its warm binding."""
+        first, size = batch[0], len(batch)
         try:
-            if len(batch) == 1:
-                self._run_single(batch[0])
-            else:
-                self._run_batch(batch)
-        finally:
-            for pending in batch:
-                pending.event.set()
-
-    def _run_single(self, pending: _Pending) -> None:
-        try:
-            warm = pending.served.warm_bound(pending.backend, pending.arrays)
-            warm.run(pending.arrays, pending.steps)
+            if size > 1:
+                faults.check("server.batch.bind")
+            warm = first.served.warm(first.backend, first.sig, size)
+            warm.run(batch, first.steps)
         except Exception as exc:
-            pending.error = exc
-            return
-        pending.meta = {"batched": False, "batch_size": 1}
-        with self._lock:
-            self._counters["single_runs"] += 1
-
-    def _run_batch(self, batch: list[_Pending]) -> None:
-        served = batch[0].served
-        try:
-            faults.check("server.batch.bind")
-            batched = stack_arrays([p.arrays for p in batch])
-            plan = served.plan(batch[0].backend)
-            ensemble = EnsemblePlan(plan, batched)
-            try:
-                for _ in range(batch[0].steps):
-                    ensemble.run()
-                for m, pending in enumerate(batch):
-                    views = ensemble.member_arrays(m)
-                    for name, arr in pending.arrays.items():
-                        np.copyto(arr, views[name])
-            finally:
-                ensemble.close()
-        except Exception as exc:
-            # Contract "fallback": a batch that cannot bind (or fails
-            # mid-run before any request array was written — member
-            # state lives in the stacked copy until copy-out) degrades
-            # to per-request single runs.  A deterministic per-request
-            # failure then surfaces on that request alone: batchmates
-            # are never poisoned.
+            if size == 1:
+                first.error = exc
+                return
+            # Contract "fallback": a group that cannot bind (or fails
+            # mid-run — request arrays are written only at copy-out)
+            # degrades to its members as groups of one.  A deterministic
+            # per-request failure then surfaces on that request alone:
+            # batchmates are never poisoned.
             with self._lock:
                 self._counters["batch_fallbacks"] += 1
                 self._last_batch_fallback = (
                     f"{type(exc).__name__}: {exc}"[:200]
                 )
             for pending in batch:
-                self._run_single(pending)
+                self._run_group([pending])
             return
-        meta = {"batched": True, "batch_size": len(batch)}
         for pending in batch:
-            pending.meta = dict(meta)
+            pending.meta = {"batched": size > 1, "batch_size": size}
         with self._lock:
+            if size == 1:
+                self._counters["single_runs"] += 1
+                return
             self._counters["batched_runs"] += 1
-            self._counters["batched_requests"] += len(batch)
+            self._counters["batched_requests"] += size
             self._counters["max_batch_seen"] = max(
-                self._counters["max_batch_seen"], len(batch)
+                self._counters["max_batch_seen"], size
             )
+            ensemble = warm.ensemble
             self._last_batch = {
                 "members": ensemble.members,
-                "kernel_id": served.kernel_id,
+                "kernel_id": first.served.kernel_id,
                 "batched_statements": ensemble.batched_statement_count,
                 "native_statements": ensemble.native_statement_count,
                 "member_statements": ensemble.member_statement_count,

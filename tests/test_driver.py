@@ -123,6 +123,84 @@ def test_schedule_rejects_bad_args():
         schedule(5, 0)
 
 
+def recurrence_tables(max_steps, max_snaps):
+    """``t(l, s)`` and its smallest optimal split, tabulated straight from
+    Griewank's recurrence — the oracle for the closed form."""
+    cost, split = {}, {}
+    for s in range(1, max_snaps + 1):
+        for l in range(max_steps + 1):
+            if l <= 1:
+                cost[l, s] = l
+            elif s == 1:
+                cost[l, s] = l * (l + 1) // 2
+            else:
+                def total(m):
+                    return m + cost[l - m, s - 1] + cost[m, s]
+
+                split[l, s] = min(range(1, l), key=total)  # first minimum
+                cost[l, s] = total(split[l, s])
+    return cost, split
+
+
+def recursive_schedule(steps, snaps, split):
+    """The recurrence unrolled by plain recursion over *split* — the
+    action order every recorded program and bitwise suite was built on."""
+    actions, free = [], list(range(snaps))
+
+    def rec(begin, end, slot):
+        if end - begin == 1:
+            actions.append(Action("reverse", begin))
+            return
+        own = slot is None
+        if own:
+            slot = free.pop()
+            actions.append(Action("snapshot", begin, slot=slot))
+        s = len(free) + 1
+        if s == 1:
+            for target in range(end - 1, begin, -1):
+                actions.append(Action("advance", begin, target))
+                actions.append(Action("reverse", target))
+                actions.append(Action("restore", begin, slot=slot))
+            actions.append(Action("reverse", begin))
+        else:
+            mid = begin + split[end - begin, s]
+            actions.append(Action("advance", begin, mid))
+            rec(mid, end, None)
+            actions.append(Action("restore", begin, slot=slot))
+            rec(begin, mid, slot)
+        if own:
+            free.append(slot)
+
+    rec(0, steps, None)
+    return actions
+
+
+def test_closed_form_planner_emits_the_recurrences_schedule():
+    cost, split = recurrence_tables(64, 6)
+    for (steps, snaps), want in cost.items():
+        assert optimal_cost(steps, snaps) == want, (steps, snaps)
+    for snaps in range(1, 7):
+        for steps in range(1, 65):
+            assert schedule(steps, snaps) == recursive_schedule(
+                steps, snaps, split
+            ), f"action list moved for steps={steps}, snaps={snaps}"
+
+
+@pytest.mark.parametrize(
+    "steps,snaps", [(2000, 10), (2000, 50), (3000, 3000)]
+)
+def test_planning_a_long_sweep_is_fast_at_any_depth(steps, snaps):
+    """Was a memoised recursion scanning every split: 5.8 s, 36 s and a
+    RecursionError (its depth grew with ``steps``) on these three."""
+    import time
+
+    t0 = time.perf_counter()
+    acts = schedule(steps, snaps)
+    assert time.perf_counter() - t0 < 1.0
+    assert schedule_cost(acts) == optimal_cost(steps, snaps)
+    simulate_schedule(acts, steps, snaps)
+
+
 # -- the shared schedule executor -------------------------------------------------
 
 

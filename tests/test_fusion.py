@@ -393,6 +393,53 @@ def test_corrupt_cache_entry_self_heals(monkeypatch, tmp_path):
 
 
 @needs_cc
+def test_host_targeted_objects_are_keyed_by_the_host_isa(monkeypatch, tmp_path):
+    """``-march=native`` spells the same on every machine: two hosts
+    sharing a cache directory must not share the objects built with it
+    (the narrower one would dlopen code it cannot run).  The
+    per-statement library takes no host flag, so its key stays put."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    cc = native_mod.native_toolchain()
+    if not native_mod._host_cflags(cc):
+        pytest.skip("this compiler rejects -march=native")
+    prob = heat_problem(2)
+    nests = adjoint_loops(prob.primal, prob.adjoint_map)
+
+    def objects_built_on(host):
+        monkeypatch.setattr(native_mod, "_host_isa", lambda: host)
+        before = set(native_mod.native_cache_dir().glob("*.so"))
+        kernel = compile_nests(nests, prob.bindings(12), cache=False)
+        plan = kernel.plan(backend="native", fusion="auto")
+        try:
+            bound = plan.bind(prob.allocate_state(12, seed=0))
+            assert bound.fused_group_count >= 1
+        finally:
+            plan.close()
+        return {
+            p.name for p in set(native_mod.native_cache_dir().glob("*.so")) - before
+        }
+
+    narrow = objects_built_on("sse2 avx2")
+    wide = objects_built_on("sse2 avx2 avx512f")
+    # first host: the statement library and the fused nests; second
+    # host: its own fused nests only, the library was a cache hit
+    assert wide and len(narrow) == len(wide) + 1
+    assert not narrow & wide
+    source = "int repro_key_probe(void) { return 0; }\n"
+    host_flags = native_mod._CFLAGS + (native_mod._HOST_FLAG,)
+    monkeypatch.setattr(native_mod, "_host_isa", lambda: "sse2 avx2")
+    baseline = native_mod._build_key(source, cc)
+    targeted = native_mod._build_key(source, cc, host_flags)
+    monkeypatch.setattr(native_mod, "_host_isa", lambda: "sse2 avx2 avx512f")
+    assert native_mod._build_key(source, cc) == baseline
+    assert native_mod._build_key(source, cc, host_flags) != targeted
+    # a host that cannot be identified gets no host-targeted code at all
+    monkeypatch.setattr(native_mod, "_host_isa", lambda: "")
+    monkeypatch.setattr(native_mod, "_host_flags_memo", {})
+    assert native_mod._host_cflags(cc) == ()
+
+
+@needs_cc
 def test_build_leaves_no_partial_objects(monkeypatch, tmp_path):
     """In-flight compiles carry a .so.tmp suffix, so a concurrent cache
     scan matching *.so can only ever see complete objects; the finished

@@ -648,3 +648,70 @@ def test_platform_pow_assumptions():
     assert (pos**0.5).tobytes() == np.sqrt(pos).tobytes()
     xf = x.astype(np.float32)
     assert (xf**2).tobytes() == (xf * xf).tobytes()
+
+
+# -- one CSE pass per statement -----------------------------------------------
+
+
+def _wave2d_adjoint(n=18):
+    prob = wave_problem(2)
+    kernel = compile_nests(
+        list(adjoint_loops(prob.primal, prob.adjoint_map)),
+        prob.bindings(n),
+        cache=False,
+    )
+    return prob, kernel
+
+
+@needs_cc
+def test_cse_runs_once_per_statement_for_python_and_both_c_emitters(
+    monkeypatch,
+):
+    """eval_fn, the per-statement C and the fused C all take the program
+    ``_compile_statement`` computed: three passes that had to agree on
+    their temporaries (and their order) are one."""
+    import importlib
+
+    # cse() reaches tree_cse through its module globals on every call,
+    # however the caller imported cse itself.
+    cse_main = importlib.import_module("sympy.simplify.cse_main")
+    passes = []
+    real = cse_main.tree_cse
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cse_main, "tree_cse", counted)
+    prob, kernel = _wave2d_adjoint()
+    statements = sum(len(r.statements) for r in kernel.regions)
+    plan = kernel.plan(backend="native", fusion="auto")
+    try:
+        bound = plan.bind(prob.allocate_state(18, seed=0))
+        assert bound.native_statement_count == statements
+        assert bound.fused_group_count >= 1  # both emitters ran
+    finally:
+        plan.close()
+    assert len(passes) == statements == 35
+
+
+def test_c_emitter_prints_the_statements_stored_cse_program():
+    prob = burgers_problem(2)  # upwinding repeats Min/Max subexpressions
+    kernel = compile_nests(
+        list(adjoint_loops(prob.primal, prob.adjoint_map)),
+        prob.bindings(12),
+        cache=False,
+    )
+    st = next(
+        st for r in kernel.regions for st in r.statements if st.cse[0]
+    )
+    temporaries, reduced = st.cse
+    renamed = {
+        sym: sp.Symbol(f"shared{k}") for k, (sym, _) in enumerate(temporaries)
+    }
+    st.cse = (
+        [(renamed[sym], sub.xreplace(renamed)) for sym, sub in temporaries],
+        reduced.xreplace(renamed),
+    )
+    source, _ = generate_native_source(kernel)
+    assert "shared0 =" in source

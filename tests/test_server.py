@@ -14,6 +14,7 @@ import socket
 import struct
 import tempfile
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,9 +23,13 @@ from repro.errors import ServeError, ValidationError
 from repro.frontend import parse_stencil
 from repro.runtime import Bindings, compile_nests, faults
 from repro.runtime.client import KernelClient
+from repro.runtime.ensemble import EnsemblePlan
 from repro.runtime.server import (
     KernelServer,
     MAX_FRAME_BYTES,
+    MAX_WARM,
+    decode_array,
+    encode_array,
     recv_frame,
     seeded_state,
     state_shapes,
@@ -533,3 +538,247 @@ def test_fault_shm_attach_is_typed_and_arrays_intact(server_factory):
             SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state
         )
     assert_bitwise(ref, result.state)
+
+
+# -- one request, one thread, one path ----------------------------------------
+
+
+def serve_threads():
+    return {
+        t for t in threading.enumerate() if t.name.startswith("repro-serve-")
+    }
+
+
+def fire(server, states, spec=SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS):
+    """One client thread per state, all in flight at once; returns
+    ``{key: ServeResult | exception}`` once every reply is in."""
+    out: dict = {}
+
+    def worker(key):
+        try:
+            with KernelClient(server.socket_path) as client:
+                out[key] = client.run(
+                    spec, sizes=sizes, params=params, state=states[key]
+                )
+        except Exception as exc:  # asserted by the caller
+            out[key] = exc
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in states]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    return out
+
+
+def smooth_states(*seeds):
+    return {
+        s: make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=s)
+        for s in seeds
+    }
+
+
+def test_a_started_server_owns_one_thread_plus_one_per_connection(
+    server_factory,
+):
+    before = serve_threads()
+    server = server_factory(batch_window_ms=2.0)
+    with KernelClient(server.socket_path) as a, KernelClient(
+        server.socket_path
+    ) as b:
+        assert a.ping() and b.ping()
+        names = sorted(t.name for t in serve_threads() - before)
+        assert names == [
+            "repro-serve-accept", "repro-serve-conn", "repro-serve-conn",
+        ]
+    server.close()
+    assert serve_threads() - before == set()
+
+
+def test_requests_execute_on_their_connection_thread(
+    server_factory, monkeypatch
+):
+    ran_on = []
+    real_run = EnsemblePlan.run
+
+    def spy(self):
+        ran_on.append(threading.current_thread().name)
+        real_run(self)
+
+    monkeypatch.setattr(EnsemblePlan, "run", spy)
+    states = smooth_states(0, 1)
+    # window 0: every request leads a group of one
+    immediate = server_factory(batch_window_ms=0.0)
+    with KernelClient(immediate.socket_path) as client:
+        client.run(
+            SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=states[0]
+        )
+    assert ran_on == ["repro-serve-conn"]
+    # a group of two: one run, on the leader's connection thread
+    del ran_on[:]
+    batching = server_factory(max_batch=2, batch_window_ms=30_000.0)
+    results = fire(batching, states)
+    assert [r.batch_size for r in results.values()] == [2, 2]
+    assert ran_on == ["repro-serve-conn"]
+
+
+def test_a_leader_that_dies_answers_itself_and_its_follower(
+    server_factory, monkeypatch
+):
+    server = server_factory(
+        max_batch=2, batch_window_ms=30_000.0, request_timeout=120.0
+    )
+
+    def boom(batch):
+        raise RuntimeError("leader fell over")
+
+    monkeypatch.setattr(server, "_run_group", boom)
+    t0 = time.monotonic()
+    results = fire(server, smooth_states(0, 1))
+    assert time.monotonic() - t0 < 30.0  # not request_timeout
+    assert sorted(results) == [0, 1]
+    for reply in results.values():
+        assert isinstance(reply, ServeError)
+        assert "leader fell over" in str(reply)
+    assert server.stats()["errors"] == 2
+    # the group table and the execution slot were both given back
+    monkeypatch.undo()
+    states = smooth_states(2, 3)
+    results = fire(server, states)
+    for seed, state in states.items():
+        assert results[seed].batch_size == 2
+        assert_bitwise(
+            reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state),
+            results[seed].state,
+        )
+
+
+def test_close_flushes_an_open_window_and_leaves_nothing(server_factory):
+    before = serve_threads()
+    server = server_factory(max_batch=8, batch_window_ms=60_000.0)
+    states = smooth_states(0, 1)
+    refs = {
+        s: reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, states[s])
+        for s in states
+    }
+    results: dict = {}
+    clients = threading.Thread(
+        target=lambda: results.update(fire(server, states))
+    )
+    t0 = time.monotonic()
+    clients.start()
+    while time.monotonic() - t0 < 60.0:  # both requests sit in one open group
+        if [len(b) for b in server._groups.values()] == [2]:
+            break
+        time.sleep(0.01)
+    server.close()
+    clients.join(timeout=60.0)
+    assert not clients.is_alive()
+    assert time.monotonic() - t0 < 60.0  # flushed, not waited out
+    for seed in states:
+        assert results[seed].batch_size == 2
+        assert_bitwise(refs[seed], results[seed].state)
+    assert serve_threads() - before == set()
+    assert not server._conns and not server._groups
+    assert not os.path.exists(server.socket_path)
+
+
+def test_warm_table_is_bounded_by_a_constant(server_factory):
+    """Any array shape covering the kernel is served, so the client picks
+    the warm key: 300 lengths must not leave 300 warm bindings."""
+    server = server_factory()
+    nest = parse_stencil(DECAY)
+    kernel = compile_nests(
+        [nest], Bindings(sizes=DECAY_SIZES, params=DECAY_PARAMS), name=nest.name
+    )
+    rng = np.random.default_rng(7)
+    with KernelClient(server.socket_path) as client:
+        kid = client.compile(DECAY, sizes=DECAY_SIZES, params=DECAY_PARAMS)
+        for extra in range(300):
+            n = DECAY_SIZES["n"] + extra
+            state = {name: rng.standard_normal(n) for name in "wrs"}
+            want = {k: v.copy() for k, v in state.items()}
+            kernel.plan().bind(want).run()
+            assert_bitwise(want, client.run(kernel_id=kid, state=state).state)
+    (served,) = server._kernels.values()
+    assert len(served._warm) == MAX_WARM == 8
+    assert server.stats()["single_runs"] == 300
+
+
+def test_a_group_of_two_reuses_the_previous_groups_warm_binding(
+    server_factory, monkeypatch
+):
+    binds = []
+    real_init = EnsemblePlan.__init__
+
+    def counting_init(self, plan, batched, **kwargs):
+        binds.append(next(iter(batched.values())).shape[0])
+        real_init(self, plan, batched, **kwargs)
+
+    monkeypatch.setattr(EnsemblePlan, "__init__", counting_init)
+    server = server_factory(max_batch=2, batch_window_ms=30_000.0)
+    for round_ in range(10):
+        states = smooth_states(2 * round_, 2 * round_ + 1)
+        results = fire(server, states)
+        for seed, state in states.items():
+            assert results[seed].batch_size == 2
+            assert_bitwise(
+                reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state),
+                results[seed].state,
+            )
+    assert binds == [2]  # bound once, for two members
+    assert server.stats()["batched_runs"] == 10
+
+
+def test_workers_bounds_the_groups_executing_at_once(
+    server_factory, monkeypatch
+):
+    lock = threading.Lock()
+    live = peak = 0
+    real_run = EnsemblePlan.run
+
+    def slow_run(self):
+        nonlocal live, peak
+        with lock:
+            live += 1
+            peak = max(peak, live)
+        time.sleep(0.05)
+        real_run(self)
+        with lock:
+            live -= 1
+
+    monkeypatch.setattr(EnsemblePlan, "run", slow_run)
+    server = server_factory(workers=1, batch_window_ms=0.0)
+    jobs = {
+        "smooth": (SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS),
+        "decay": (DECAY, DECAY_SIZES, DECAY_PARAMS),
+    }
+    out: dict = {}
+
+    def client(name):
+        spec, sizes, params = jobs[name]
+        state = make_state(spec, sizes, params, seed=1)
+        with KernelClient(server.socket_path) as c:
+            for _ in range(4):
+                out[name] = c.run(spec, sizes=sizes, params=params, state=state)
+
+    threads = [threading.Thread(target=client, args=(n,)) for n in jobs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert sorted(out) == ["decay", "smooth"]
+    assert server.stats()["single_runs"] == 8
+    assert peak == 1  # two kernels, two warm bindings, one slot
+
+
+def test_one_array_codec_types_its_error_for_each_side():
+    arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+    back = decode_array(encode_array(arr), "u")
+    assert back.dtype == arr.dtype and back.tobytes() == arr.tobytes()
+    bad = dict(encode_array(arr), data="not base64!")
+    with pytest.raises(ValidationError, match="undecodable"):
+        decode_array(bad, "u")
+    with pytest.raises(ServeError, match="undecodable"):
+        decode_array(bad, "u", error=ServeError)
