@@ -8,7 +8,7 @@ Shape assertions: PerforAD is slower than the conventional adjoint in
 *serial* (the paper's 64% overhead) but wins with threads (3.4x at best).
 """
 
-from repro.experiments import PAPER, fig10_wave_runtimes_broadwell, render_bars
+from repro.experiments import fig10_wave_runtimes_broadwell, render_bars
 
 
 def test_fig10_wave_runtime_bars(benchmark, capsys, wave_case):

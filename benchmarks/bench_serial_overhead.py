@@ -11,7 +11,6 @@ small in serial, exactly as in the paper (5.43 s vs 8.52 s — same order).
 
 import time
 
-import numpy as np
 
 
 def _best_of(fn, arrays_factory, reps=5):

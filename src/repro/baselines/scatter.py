@@ -17,14 +17,13 @@ three-way verification — PerforAD vs conventional AD vs finite differences
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import sympy as sp
 
 from ..core.diff import adjoint_scatter_loop
 from ..core.loopnest import LoopNest
-from ..ir import function_from_nests
-from ..codegen.c import CPrinter, generate_c
+from ..codegen.c import CPrinter
 
 __all__ = ["tapenade_style_adjoint", "print_function_c_atomic", "cse_statements"]
 

@@ -70,6 +70,7 @@ from .errors import (
     ReproError,
     ValidationError,
 )
+from .runtime.server import _DTYPES
 
 __all__ = ["main", "build_parser", "exit_code_for"]
 
@@ -122,7 +123,6 @@ _BACKENDS = {
     "python": print_function_python,
 }
 
-_DTYPES = {"f64": np.float64, "f32": np.float32}
 
 
 def _case(args):

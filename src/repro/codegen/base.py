@@ -9,7 +9,6 @@ emitter with indentation management.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import sympy as sp
 from sympy.core.function import AppliedUndef

@@ -23,7 +23,6 @@ from sympy.printing.pycode import PythonCodePrinter
 
 from ..core.accesses import extract_access
 from ..core.loopnest import LoopNest, Statement
-from ..core.strategies import statement_valid_box
 from .base import CodegenError, Emitter, match_derivative_call
 
 __all__ = ["generate_python", "print_function_python"]

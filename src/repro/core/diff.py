@@ -21,10 +21,9 @@ turn them into gather stencils.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import sympy as sp
-from sympy.core.function import AppliedUndef
 
 from .accesses import classify_applied, extract_access
 from .loopnest import LoopNest, Statement

@@ -10,13 +10,12 @@ in Section 3.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import sympy as sp
 from sympy.core.function import AppliedUndef
 
-from .accesses import extract_access
 from .symbols import array_name
 
 __all__ = ["Statement", "LoopNest", "make_loop_nest"]

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy.core.function import AppliedUndef
 
 from ..errors import ValidationError
 from .accesses import InvalidAccessError, classify_applied, extract_access

@@ -18,7 +18,7 @@ Series naming follows the figure legends:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..apps import burgers_problem, wave_problem

@@ -17,7 +17,6 @@ objects.  Grammar (see :mod:`repro.frontend.parser`)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..errors import ValidationError
 

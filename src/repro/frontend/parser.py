@@ -37,7 +37,7 @@ from ..core.validate import (
     validate_untrusted,
 )
 from ..errors import ValidationError
-from .lexer import LexError, Token, tokenize
+from .lexer import Token, tokenize
 
 __all__ = ["ParseError", "parse_stencils", "parse_stencil"]
 

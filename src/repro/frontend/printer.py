@@ -8,7 +8,6 @@ survive print -> parse -> print unchanged.
 
 from __future__ import annotations
 
-import sympy as sp
 from sympy.core.function import AppliedUndef
 from sympy.printing.str import StrPrinter
 

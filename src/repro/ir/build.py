@@ -9,10 +9,9 @@ one ``Function``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import sympy as sp
-from sympy.core.function import AppliedUndef
 
 from ..core.accesses import classify_applied
 from ..core.loopnest import LoopNest, Statement

@@ -8,11 +8,9 @@ Python) lowers from the same structure.  Nodes are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import sympy as sp
-from sympy.core.function import AppliedUndef
 
 __all__ = ["Node", "Assign", "Guard", "Loop", "Block", "Function", "Comment"]
 

@@ -2,9 +2,11 @@
 
 A :class:`KernelClient` holds one persistent Unix-domain connection and
 speaks the length-prefixed JSON protocol.  State arrays at or above
-``shm_threshold`` bytes travel zero-copy through
-``multiprocessing.shared_memory`` segments the client creates (and
-always unlinks — the client owns segment lifecycle end to end); smaller
+``shm_threshold`` bytes travel through ``multiprocessing.shared_memory``
+segments the client owns end to end: it *leases* them — creates one
+per page-rounded byte size on first use, reuses it on every later
+request that got an ``ok`` reply, and unlinks it on :meth:`close`, on a
+failed request, or when the pool passes ``MAX_LEASES``; smaller
 arrays travel inline through the server's one array codec
 (:func:`~repro.runtime.server.encode_array` /
 :func:`~repro.runtime.server.decode_array`: the raw bytes, bitwise-exact,
@@ -27,7 +29,10 @@ ServeError: ...
 
 from __future__ import annotations
 
+import mmap
 import socket
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Mapping
@@ -36,7 +41,7 @@ import numpy as np
 
 from .. import errors
 from ..errors import ServeError, ValidationError
-from .server import decode_array, encode_array, recv_frame, send_frame
+from .server import MAX_LEASES, decode_array, encode_array, recv_frame, send_frame
 
 __all__ = ["KernelClient", "ServeResult"]
 
@@ -93,6 +98,12 @@ class KernelClient:
         self.timeout = timeout
         self.retries = max(0, retries)
         self._sock: socket.socket | None = None
+        # Leased segments by byte size, least recently used first.
+        self._leases: OrderedDict[int, list[shared_memory.SharedMemory]] = (
+            OrderedDict()
+        )
+        # Safety net for a client that is never closed.
+        self._finalizer = weakref.finalize(self, _release, self._leases)
 
     # -- connection management ----------------------------------------------
 
@@ -119,13 +130,48 @@ class KernelClient:
             self._sock = None
 
     def close(self) -> None:
+        """Close the connection and unlink every leased segment."""
         self._drop_connection()
+        _release(self._leases)
 
     def __enter__(self) -> "KernelClient":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # -- leased shared memory ------------------------------------------------
+
+    def _lease(
+        self, nbytes: int, taken: list[shared_memory.SharedMemory]
+    ) -> shared_memory.SharedMemory:
+        """A segment of at least *nbytes* that this request has not
+        *taken* yet: a free lease of that page-rounded size, else a new
+        one."""
+        size = -(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        pool = self._leases.setdefault(size, [])
+        self._leases.move_to_end(size)
+        for seg in pool:
+            if not any(seg is t for t in taken):
+                return seg
+        seg = shared_memory.SharedMemory(create=True, size=size)
+        pool.append(seg)
+        return seg
+
+    def _settle(self, taken: list[shared_memory.SharedMemory], ok: bool) -> None:
+        """End a request's hold on its leases: keep them after an ``ok``
+        reply, unlink them after any other ending (a server that never
+        answered may still write into them); then keep at most
+        ``MAX_LEASES``, the most recently used sizes first."""
+        kept, doomed, room = OrderedDict(), {}, MAX_LEASES
+        for size in reversed(self._leases):
+            for seg in self._leases[size]:
+                keep = room > 0 and (ok or not any(seg is t for t in taken))
+                (kept if keep else doomed).setdefault(size, []).append(seg)
+                room -= keep
+        self._leases.clear()
+        self._leases.update(reversed(kept.items()))
+        _release(doomed)
 
     def _request(self, payload: Mapping, *, allow_retry: bool = True) -> dict:
         attempts = (self.retries if allow_retry else 0) + 1
@@ -215,7 +261,8 @@ class KernelClient:
         """
         if spec is None and kernel_id is None:
             raise ValidationError("run() needs a spec or a kernel_id")
-        segments: list[shared_memory.SharedMemory] = []
+        taken: list[shared_memory.SharedMemory] = []
+        ok = False
         try:
             enc_state: dict[str, dict] = {}
             for name, arr in state.items():
@@ -224,13 +271,11 @@ class KernelClient:
                     self.shm_threshold is not None
                     and 0 < self.shm_threshold <= arr.nbytes
                 ):
-                    seg = shared_memory.SharedMemory(
-                        create=True, size=arr.nbytes
-                    )
+                    seg = self._lease(arr.nbytes, taken)
+                    taken.append(seg)
                     np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)[
                         ...
                     ] = arr
-                    segments.append(seg)
                     enc_state[name] = {
                         "shape": list(arr.shape),
                         "dtype": arr.dtype.str,
@@ -251,10 +296,11 @@ class KernelClient:
                 payload["dtype"] = dtype
             else:
                 payload["kernel_id"] = kernel_id
-            resp = self._request(payload, allow_retry=not segments)
-            if resp.get("status") != "ok":
+            resp = self._request(payload, allow_retry=not taken)
+            ok = resp.get("status") == "ok"
+            if not ok:
                 self._raise_remote(resp)
-            by_name = {seg.name: seg for seg in segments}
+            by_name = {seg.name: seg for seg in taken}
             out: dict[str, np.ndarray] = {}
             for name, meta in resp.get("state", {}).items():
                 if not (isinstance(meta, dict) and "shm" in meta):
@@ -279,15 +325,28 @@ class KernelClient:
                 steps=steps,
             )
         finally:
-            for seg in segments:
-                try:
-                    seg.close()
-                except BufferError:  # pragma: no cover
-                    pass
-                try:
-                    seg.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
+            self._settle(taken, ok)
+
+
+def _release(leases: dict) -> None:
+    """Close and unlink every segment of *leases* (byte size -> list of
+    segments), and empty it.
+
+    Module-level (not a method) so the ``weakref.finalize`` safety net
+    can call it without keeping the client alive; emptying the mapping
+    makes a second call — finalizer after :meth:`KernelClient.close` — a
+    no-op.
+    """
+    while leases:
+        for seg in leases.popitem()[1]:
+            try:
+                seg.close()
+            except BufferError:  # pragma: no cover - a view still alive
+                pass
+            try:
+                seg.unlink()
+            except FileNotFoundError:  # pragma: no cover
+                pass
 
 
 def _plain(mapping: Mapping | None) -> dict:

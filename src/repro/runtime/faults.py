@@ -45,7 +45,7 @@ import random
 import subprocess
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import NativeBuildError

@@ -16,7 +16,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import sympy as sp
 
-from ..codegen.base import match_derivative_call
 from ..core.accesses import classify_applied, extract_access
 from ..core.loopnest import LoopNest
 from .bindings import Bindings

@@ -24,8 +24,10 @@ path) plus ``sizes``/``params``/``dtype``, or by the content-addressed
 ``kernel_id`` a previous response returned.  State arrays travel either
 inline (base64 of the raw bytes, bitwise-exact) or zero-copy as named
 ``multiprocessing.shared_memory`` segments the server attaches and
-writes results back into.  ``docs/serving.md`` specifies the frame and
-message formats in full.
+writes results back into.  Segments are *leases*: the client reuses
+them request after request, and the server keeps each attachment for
+the life of the connection, so a steady request maps nothing.
+``docs/serving.md`` specifies the frame and message formats in full.
 
 Batching semantics
 ------------------
@@ -85,9 +87,12 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import re
 import socket
 import struct
 import threading
+import time
 from collections import OrderedDict
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -108,6 +113,7 @@ from .ensemble import EnsemblePlan
 __all__ = [
     "KernelServer",
     "MAX_FRAME_BYTES",
+    "MAX_LEASES",
     "MAX_WARM",
     "decode_array",
     "encode_array",
@@ -135,6 +141,21 @@ MAX_KERNELS = 256
 #: served — so like ``MAX_KERNELS`` the table may not grow with what
 #: peers send; an evicted shape rebinds on its next request.
 MAX_WARM = 8
+
+#: Most shared-memory segments one connection keeps leased: the
+#: client's pool of free segments and the server's table of attachments
+#: alike, least-recently-used dropped first.  The peer is untrusted, so
+#: like ``MAX_WARM`` the table may not grow with what it sends; a
+#: dropped lease is created or attached again on its next use.
+MAX_LEASES = 16
+
+#: Segment names a peer may send: what ``multiprocessing`` and the
+#: sharded tier create, and never a path.
+_SEGMENT_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]{0,199}")
+
+#: Where POSIX shared memory shows up as files (Linux): a segment's
+#: identity is the inode of its entry there.
+_SHM_DIR = "/dev/shm"
 
 _HEADER = struct.Struct(">I")
 
@@ -345,6 +366,57 @@ def _state_signature(arrays: Mapping[str, np.ndarray]) -> tuple:
     )
 
 
+# -- leased shared memory -----------------------------------------------------
+
+
+def _segment_identity(name: str) -> tuple[int, int] | None:
+    """``(device, inode)`` of the object *name* names now; ``None`` when
+    that cannot be told (no such segment, or no ``/dev/shm``)."""
+    try:
+        st = os.stat(os.path.join(_SHM_DIR, name))
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+def _detach(seg: shared_memory.SharedMemory) -> None:
+    try:
+        seg.close()
+    except BufferError:  # pragma: no cover - a view still alive
+        pass
+
+
+def _attach_segment(
+    attached: OrderedDict, name: str, nbytes: int, held
+) -> shared_memory.SharedMemory:
+    """The connection's mapping of segment *name*, attached on first use.
+
+    *attached* maps segment name -> ``(mapping, identity)``.  A mapping
+    is reused only while *name* still names the object it maps and it
+    holds *nbytes*; the identity is read *before* attaching, so a name
+    re-created in between costs one more attach, never a stale mapping.
+    At most ``MAX_LEASES`` are kept, least-recently-used dropped first,
+    never one the current request *held* already.
+    """
+    if name in held:  # a second array of this request in the same segment
+        return attached[name][0]
+    ident = _segment_identity(name)
+    kept = attached.pop(name, None)
+    if kept is not None:
+        seg, was = kept
+        if ident is not None and ident == was and seg.size >= nbytes:
+            attached[name] = kept
+            return seg
+        _detach(seg)
+    faults.check("server.shm.attach")
+    seg = shared_memory.SharedMemory(name=name)
+    attached[name] = (seg, ident)
+    spare = [n for n in attached if n not in held and n != name]
+    for victim in spare[: max(0, len(attached) - MAX_LEASES)]:
+        _detach(attached.pop(victim)[0])
+    return seg
+
+
 # -- served kernels -----------------------------------------------------------
 
 
@@ -392,7 +464,15 @@ class _ServedKernel:
         self.required = set(nest.written_arrays()) | set(nest.read_arrays())
         self._lock = threading.Lock()
         self._kernel = None
+        self._shapes: dict[str, tuple[int, ...]] | None = None
         self._warm: OrderedDict[tuple, _Warm] = OrderedDict()
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """:func:`state_shapes` of the kernel, computed on first use.  A
+        failure is not kept: a bad kernel fails every request alike."""
+        if self._shapes is None:
+            self._shapes = state_shapes(self.nest, self.bindings)
+        return self._shapes
 
     def kernel(self):
         with self._lock:
@@ -426,7 +506,7 @@ class _Pending:
     """One decoded run request: the unit a group is made of."""
 
     __slots__ = (
-        "served", "backend", "steps", "arrays", "shm", "segments",
+        "served", "backend", "steps", "arrays", "shm",
         "sig", "event", "meta", "error",
     )
 
@@ -436,7 +516,6 @@ class _Pending:
         self.steps = steps
         self.arrays: dict[str, np.ndarray] = {}
         self.shm: dict[str, str] = {}  # array name -> its segment's name
-        self.segments: list[shared_memory.SharedMemory] = []
         self.sig: tuple = ()
         self.event = threading.Event()
         self.meta: dict | None = None
@@ -447,13 +526,9 @@ class _Pending:
         return (self.served.kernel_id, self.backend, self.steps, self.sig)
 
     def release(self) -> None:
-        """Drop array views, then detach shared-memory segments."""
+        """Drop the array views; the segments they map stay attached to
+        the connection."""
         self.arrays.clear()
-        while self.segments:
-            try:
-                self.segments.pop().close()
-            except BufferError:  # pragma: no cover - a view still alive
-                pass
 
 
 def _error_payload(exc: BaseException) -> dict:
@@ -556,7 +631,6 @@ class KernelServer:
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         listener.bind(self.socket_path)
         listener.listen(64)
-        listener.settimeout(0.2)  # poll _running without a wake-up pipe
         self._listener = listener
         self._running = True
         self._acceptor = threading.Thread(
@@ -573,20 +647,32 @@ class KernelServer:
         self._stop_event.set()
         if self._listener is not None:
             try:
+                # Wakes the acceptor's blocking accept(); close() alone
+                # does not.  Fails harmlessly once the listener is closed.
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
                 self._listener.close()
             except OSError:  # pragma: no cover
                 pass
 
     def close(self) -> None:
-        """Stop serving, answer what is in flight, join threads, unlink
-        the socket.  Idempotent."""
+        """Stop serving, answer what is in flight, join threads, drop
+        the served kernels, unlink the socket.  Idempotent; waits at
+        most 10 s for threads in all."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self._stop_accepting()
+        deadline = time.monotonic() + 10.0
+
+        def join(thread: threading.Thread) -> None:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+
         if self._acceptor is not None:
-            self._acceptor.join(timeout=10.0)
+            join(self._acceptor)
         with self._lock:
             conns = dict(self._conns)
             for batch in self._groups.values():
@@ -599,7 +685,11 @@ class KernelServer:
             except OSError:
                 pass
         for thread in conns.values():
-            thread.join(timeout=10.0)
+            join(thread)
+        with self._lock:
+            # Compiled code and warm arrays go now, not with the last
+            # reference to a server that can never serve again.
+            self._kernels.clear()
         try:
             Path(self.socket_path).unlink()
         except OSError:
@@ -633,9 +723,7 @@ class KernelServer:
         while self._running:
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # shut down by _stop_accepting
                 break
             try:
                 faults.check("server.accept")
@@ -661,6 +749,9 @@ class KernelServer:
             thread.start()
 
     def _handle_conn(self, conn: socket.socket) -> None:
+        # This connection's segment attachments: name -> (mapping,
+        # identity), kept from request to request until it closes.
+        attached: OrderedDict = OrderedDict()
         try:
             while self._running:
                 try:
@@ -677,7 +768,7 @@ class KernelServer:
                     break
                 op = msg.get("op")
                 try:
-                    resp = self._handle_op(op, msg)
+                    resp = self._handle_op(op, msg, attached)
                 except Exception as exc:  # typed per-request status
                     resp = _error_payload(exc)
                 send_frame(conn, resp)
@@ -686,6 +777,8 @@ class KernelServer:
         except OSError:
             pass
         finally:
+            while attached:
+                _detach(attached.popitem()[1][0])
             with self._lock:
                 self._conns.pop(conn, None)
             try:
@@ -693,7 +786,7 @@ class KernelServer:
             except OSError:  # pragma: no cover
                 pass
 
-    def _handle_op(self, op, msg: dict) -> dict:
+    def _handle_op(self, op, msg: dict, attached: OrderedDict) -> dict:
         if op == "ping":
             return {"status": "ok", "op": "ping"}
         if op == "stats":
@@ -707,7 +800,7 @@ class KernelServer:
             self._stop_accepting()
             return {"status": "ok", "op": "shutdown"}
         if op == "run":
-            return self._serve_run(msg)
+            return self._serve_run(msg, attached)
         raise ValidationError(f"unknown op {op!r}")
 
     # -- request decoding ----------------------------------------------------
@@ -763,8 +856,11 @@ class KernelServer:
             )
         return served
 
-    def _attach_state(self, state, pending: _Pending) -> None:
-        """Decode or attach every array of *state* into *pending*."""
+    def _attach_state(
+        self, state, pending: _Pending, attached: OrderedDict
+    ) -> None:
+        """Decode every inline array of *state* into *pending*, and map
+        every shared-memory one through the connection's *attached*."""
         if not isinstance(state, dict) or not state:
             raise ValidationError(
                 "run request needs a non-empty 'state' mapping"
@@ -777,27 +873,34 @@ class KernelServer:
                 pending.arrays[name] = decode_array(meta, name)
                 continue
             shape, dtype, nbytes = _array_meta(meta, name)
+            segment = meta["shm"]
+            if not (
+                isinstance(segment, str) and _SEGMENT_NAME.fullmatch(segment)
+            ):
+                raise ValidationError(
+                    f"array {name!r} names a bad segment {segment!r:.64}"
+                )
             try:
-                faults.check("server.shm.attach")
-                seg = shared_memory.SharedMemory(name=str(meta["shm"]))
+                seg = _attach_segment(
+                    attached, segment, nbytes, set(pending.shm.values())
+                )
             except Exception as exc:
                 # Contract "typed-error": this request fails with one
                 # ReproError; batchmates are untouched since attach
                 # happens before grouping.
                 raise ServeError(
                     f"cannot attach shared-memory segment "
-                    f"{meta['shm']!r} for array {name!r}: {exc}"
+                    f"{segment!r} for array {name!r}: {exc}"
                 ) from exc
-            pending.segments.append(seg)
             if seg.size < nbytes:
                 raise ServeError(
-                    f"segment {meta['shm']!r} holds {seg.size} bytes,"
+                    f"segment {segment!r} holds {seg.size} bytes,"
                     f" array {name!r} needs {nbytes}"
                 )
             pending.arrays[name] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-            pending.shm[name] = meta["shm"]
+            pending.shm[name] = segment
 
-    def _decode_run(self, msg: dict) -> _Pending:
+    def _decode_run(self, msg: dict, attached: OrderedDict) -> _Pending:
         steps = msg.get("steps", 1)
         if not isinstance(steps, int) or not 1 <= steps <= 1_000_000:
             raise ValidationError(
@@ -811,14 +914,14 @@ class KernelServer:
         served = self._resolve_kernel(msg)
         pending = _Pending(served, backend, steps)
         try:
-            self._attach_state(msg.get("state"), pending)
+            self._attach_state(msg.get("state"), pending, attached)
             arrays = pending.arrays
             missing = sorted(served.required - set(arrays))
             if missing:
                 raise ValidationError(
                     f"state is missing kernel arrays: {missing}"
                 )
-            shapes = state_shapes(served.nest, served.bindings)
+            shapes = served.shapes()
             want_dtype = np.dtype(served.bindings.dtype)
             for name, minimal in shapes.items():
                 arr = arrays[name]
@@ -842,11 +945,11 @@ class KernelServer:
 
     # -- run execution -------------------------------------------------------
 
-    def _serve_run(self, msg: dict) -> dict:
+    def _serve_run(self, msg: dict, attached: OrderedDict) -> dict:
         with self._lock:
             self._counters["requests"] += 1
         try:
-            pending = self._decode_run(msg)
+            pending = self._decode_run(msg, attached)
         except Exception:
             with self._lock:
                 self._counters["errors"] += 1

@@ -14,7 +14,6 @@ gradient and runs the adjoint stencil loops.
 
 from __future__ import annotations
 
-from typing import Mapping
 
 import numpy as np
 

@@ -14,7 +14,6 @@ truncation-limited finite-difference check wherever possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 import sympy as sp

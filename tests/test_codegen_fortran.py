@@ -1,10 +1,9 @@
 """Fortran back-end tests."""
 
 import sympy as sp
-import pytest
 
 from repro.apps import burgers_problem, wave_problem
-from repro.codegen import CodegenError, print_function_fortran
+from repro.codegen import print_function_fortran
 from repro.codegen.fortran import FortranPrinter
 from repro.core import adjoint_loops
 

@@ -2,13 +2,12 @@
 with the directly compiled kernels."""
 
 import numpy as np
-import sympy as sp
 import pytest
 
 from repro.apps import burgers_problem, heat_problem, wave_problem
 from repro.codegen import print_function_python
 from repro.core import adjoint_loops
-from repro.runtime import Bindings, compile_nests
+from repro.runtime import compile_nests
 
 
 def exec_generated(code: str, fname: str):

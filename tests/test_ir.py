@@ -5,7 +5,6 @@ import sympy as sp
 from repro.core import Statement, make_loop_nest
 from repro.ir import (
     Assign,
-    Block,
     Comment,
     Guard,
     Loop,

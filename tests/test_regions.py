@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 import sympy as sp
 import pytest
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 import sympy as sp
-import pytest
 
 from repro.core import adjoint_loops, make_loop_nest
 from repro.runtime import Bindings, compile_nests, interpret_nests

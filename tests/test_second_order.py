@@ -1,7 +1,6 @@
 """Tests for Hessian-vector products via tangent-over-adjoint."""
 
 import numpy as np
-import pytest
 import sympy as sp
 
 from repro.apps import burgers_problem, heat_problem, wave_problem

@@ -8,6 +8,7 @@ fault points.  The batching assertions are plan-level: the server's
 :class:`~repro.runtime.EnsemblePlan` run covered.
 """
 
+import gc
 import json
 import os
 import socket
@@ -15,10 +16,12 @@ import struct
 import tempfile
 import threading
 import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+import repro.runtime.server as server_module
 from repro.errors import ServeError, ValidationError
 from repro.frontend import parse_stencil
 from repro.runtime import Bindings, compile_nests, faults
@@ -27,11 +30,13 @@ from repro.runtime.ensemble import EnsemblePlan
 from repro.runtime.server import (
     KernelServer,
     MAX_FRAME_BYTES,
+    MAX_LEASES,
     MAX_WARM,
     decode_array,
     encode_array,
     recv_frame,
     seeded_state,
+    send_frame,
     state_shapes,
 )
 
@@ -782,3 +787,304 @@ def test_one_array_codec_types_its_error_for_each_side():
         decode_array(bad, "u")
     with pytest.raises(ServeError, match="undecodable"):
         decode_array(bad, "u", error=ServeError)
+
+
+# -- leased shared memory -----------------------------------------------------
+
+# The three kernels of the serve_bulk benchmark: arrays of n-2, n-1 and
+# n elements, one page-rounded byte size.
+BENCH_KERNELS = [
+    (SMOOTH, {"c": 0.25}),
+    ("stencil blend {\n  iterate i = 1 .. n-2\n"
+     "  w[i] = a*r[i-1] + b*r[i+1]\n}\n", {"a": 0.5, "b": 0.125}),
+    ("stencil drift {\n  iterate i = 2 .. n-3\n"
+     "  u[i] += c*(v[i-2] - v[i+2])\n}\n", {"c": 0.0625}),
+]
+
+
+@pytest.fixture
+def segment_calls(monkeypatch):
+    """Every shared-memory create, attach and unlink in this process —
+    client and server alike — as ``(kind, segment name)``."""
+    calls = []
+    real_init = shared_memory.SharedMemory.__init__
+    real_unlink = shared_memory.SharedMemory.unlink
+
+    def init(self, name=None, create=False, size=0, **kwargs):
+        if not create:
+            calls.append(("attach", name))
+        real_init(self, name=name, create=create, size=size, **kwargs)
+        if create:
+            calls.append(("create", self.name))
+
+    def unlink(self):
+        calls.append(("unlink", self.name))
+        real_unlink(self)
+
+    monkeypatch.setattr(shared_memory.SharedMemory, "__init__", init)
+    monkeypatch.setattr(shared_memory.SharedMemory, "unlink", unlink)
+    return calls
+
+
+def kinds(calls, kind):
+    return [name for k, name in calls if k == kind]
+
+
+@pytest.fixture
+def shapes_calls(monkeypatch):
+    """How many times the server runs :func:`state_shapes`."""
+    calls = []
+
+    def counting(nest, bindings):
+        calls.append(nest.name)
+        return state_shapes(nest, bindings)
+
+    monkeypatch.setattr(server_module, "state_shapes", counting)
+    return calls
+
+
+def mappings(names):
+    """``{name: lines of /proc/self/maps mapping it}``."""
+    with open("/proc/self/maps") as f:
+        text = f.read()
+    return {name: text.count(name) for name in names}
+
+
+needs_proc_maps = pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"),
+    reason="counts mappings in /proc/self/maps (Linux only)",
+)
+needs_dev_shm = pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"),
+    reason="looks for segments in /dev/shm (Linux only)",
+)
+
+
+def wait_for_no_connections(server):
+    deadline = time.monotonic() + 10.0
+    while server._conns and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert not server._conns
+
+
+def test_steady_by_id_requests_reuse_two_leases(
+    server_factory, segment_calls, shapes_calls
+):
+    server = server_factory()
+    states = smooth_states(*range(20))
+    del shapes_calls[:]  # seeded_state's own
+    with KernelClient(server.socket_path, shm_threshold=1) as client:
+        kid = client.compile(SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS)
+        for state in states.values():
+            result = client.run(kernel_id=kid, state=state)
+            assert_bitwise(
+                reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state),
+                result.state,
+            )
+        # twenty requests: two segments created, two attached, none unlinked
+        assert len(kinds(segment_calls, "create")) == 2
+        assert kinds(segment_calls, "attach") == kinds(segment_calls, "create")
+        assert kinds(segment_calls, "unlink") == []
+    assert sorted(kinds(segment_calls, "unlink")) == sorted(
+        kinds(segment_calls, "create")
+    )
+    assert shapes_calls == ["smooth"]
+
+
+def test_bench_kernel_shapes_share_one_pair_of_segments(
+    server_factory, segment_calls, shapes_calls
+):
+    server = server_factory()
+    sizes = {"n": 4096}
+    states = [
+        [make_state(spec, sizes, params, seed) for spec, params in BENCH_KERNELS]
+        for seed in range(3)
+    ]
+    del shapes_calls[:]  # seeded_state's own
+    with KernelClient(server.socket_path, shm_threshold=1) as client:
+        for round_ in states:
+            for (spec, params), state in zip(BENCH_KERNELS, round_):
+                assert_bitwise(
+                    reference(spec, sizes, params, state),
+                    client.run(spec, sizes=sizes, params=params, state=state).state,
+                )
+    assert len(kinds(segment_calls, "create")) == 2
+    assert len(kinds(segment_calls, "attach")) == 2
+    assert shapes_calls == ["smooth", "blend", "drift"]  # once per kernel
+
+
+def test_a_failed_request_unlinks_its_leases_and_the_next_is_served(
+    server_factory, segment_calls
+):
+    server = server_factory()
+    state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=4)
+    ref = reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state)
+    with KernelClient(server.socket_path, shm_threshold=1) as client:
+        with faults.inject("server.shm.attach") as inj:
+            with pytest.raises(ServeError):
+                client.run(
+                    SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state
+                )
+            assert inj.fired("server.shm.attach") == 1
+        failed = kinds(segment_calls, "create")
+        assert len(failed) == 2
+        assert sorted(kinds(segment_calls, "unlink")) == sorted(failed)
+        assert not client._leases
+        # same connection, next request: fresh leases, served bitwise
+        result = client.run(
+            SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state
+        )
+        assert_bitwise(ref, result.state)
+        assert set(kinds(segment_calls, "create")[2:]).isdisjoint(failed)
+
+
+@needs_proc_maps
+def test_a_dropped_connection_detaches_the_servers_mappings(
+    server_factory, segment_calls
+):
+    server = server_factory()
+    state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=1)
+    client = KernelClient(server.socket_path, shm_threshold=1)
+    try:
+        client.run(SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state)
+        names = kinds(segment_calls, "create")
+        # each segment is mapped twice: by the client and by the server
+        assert mappings(names) == dict.fromkeys(names, 2)
+        client._drop_connection()
+        wait_for_no_connections(server)
+        assert mappings(names) == dict.fromkeys(names, 1)  # the client's
+    finally:
+        client.close()
+    assert mappings(names) == dict.fromkeys(names, 0)
+
+
+@needs_proc_maps
+def test_lease_tables_are_bounded_by_a_constant(server_factory, segment_calls):
+    """The peer picks the segments: forty distinct ones on one connection
+    must not leave forty mappings on either side."""
+    server = server_factory()
+    rng = np.random.default_rng(3)
+    with KernelClient(server.socket_path, shm_threshold=1) as client:
+        kid = client.compile(SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS)
+        for pages in range(1, 21):  # a new byte size every request
+            n = pages * 512
+            state = {"u": rng.standard_normal(n - 1), "v": rng.standard_normal(n)}
+            assert_bitwise(
+                reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state),
+                client.run(kernel_id=kid, state=state).state,
+            )
+        names = kinds(segment_calls, "create")
+        assert len(names) == 40
+        assert sum(map(len, client._leases.values())) == MAX_LEASES == 16
+        assert sum(mappings(names).values()) <= 2 * MAX_LEASES
+
+
+def test_a_segment_recreated_under_its_name_is_attached_again(
+    server_factory, segment_calls
+):
+    server = server_factory()
+    name = f"repro_lease_test_{os.getpid()}"
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.connect(server.socket_path)
+
+    def serve(seed):
+        """One request, ``u`` in segment *name* and ``v`` inline."""
+        state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=seed)
+        want = reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state)
+        u = np.ndarray(state["u"].shape, dtype=state["u"].dtype, buffer=seg.buf)
+        u[...] = state["u"]
+        send_frame(raw, {
+            "op": "run", "spec": SMOOTH, "sizes": SMOOTH_SIZES,
+            "params": SMOOTH_PARAMS,
+            "state": {
+                "u": {"shape": list(u.shape), "dtype": u.dtype.str, "shm": name},
+                "v": encode_array(state["v"]),
+            },
+        })
+        resp = recv_frame(raw)
+        assert resp["status"] == "ok", resp
+        assert u.tobytes() == want["u"].tobytes()
+        assert decode_array(resp["state"]["v"], "v").tobytes() == want["v"].tobytes()
+
+    seg = shared_memory.SharedMemory(name=name, create=True, size=512)
+    try:
+        serve(0)
+        serve(1)  # the same object: still attached
+        seg.close()
+        seg.unlink()
+        seg = shared_memory.SharedMemory(name=name, create=True, size=512)
+        serve(2)  # a new object under the old name: attached again
+    finally:
+        seg.close()
+        seg.unlink()
+        raw.close()
+    assert kinds(segment_calls, "attach") == [name, name]
+
+
+@needs_dev_shm
+def test_closed_and_collected_clients_leave_no_segments(
+    server_factory, segment_calls
+):
+    server = server_factory()
+    state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=2)
+
+    def live(names):
+        return [n for n in names if os.path.exists(os.path.join("/dev/shm", n))]
+
+    closed = KernelClient(server.socket_path, shm_threshold=1)
+    closed.run(SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state)
+    names = kinds(segment_calls, "create")
+    assert live(names) == names  # a lease outlives its request...
+    closed.close()
+    assert live(names) == []  # ...and dies with its client
+    collected = KernelClient(server.socket_path, shm_threshold=1)
+    collected.run(SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state)
+    names = kinds(segment_calls, "create")[2:]
+    assert live(names) == names
+    collected._drop_connection()  # leave only the leases to the collector
+    del collected
+    gc.collect()
+    assert live(names) == []
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["../psm_x", "dir/psm_x", "", "p" * 201],
+    ids=["dot-dot", "slash", "empty", "over-long"],
+)
+def test_bad_segment_names_never_reach_shared_memory(
+    server_factory, segment_calls, name
+):
+    server = server_factory()
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.connect(server.socket_path)
+    try:
+        send_frame(raw, {
+            "op": "run", "spec": SMOOTH, "sizes": SMOOTH_SIZES,
+            "params": SMOOTH_PARAMS,
+            "state": {
+                "u": {"shape": [31], "dtype": "<f8", "shm": name},
+                "v": encode_array(np.zeros(32)),
+            },
+        })
+        resp = recv_frame(raw)
+    finally:
+        raw.close()
+    assert resp["status"] == "error"
+    assert resp["error"] == "ValidationError", resp
+    assert segment_calls == []
+
+
+def test_close_returns_at_once_idle_or_with_an_idle_client(server_factory):
+    before = serve_threads()
+    idle = server_factory()
+    t0 = time.monotonic()
+    idle.close()
+    assert time.monotonic() - t0 < 0.05
+    busy = server_factory()
+    with KernelClient(busy.socket_path) as client:
+        assert client.ping()
+        t0 = time.monotonic()
+        busy.close()
+        assert time.monotonic() - t0 < 0.05
+    assert serve_threads() - before == set()

@@ -3,7 +3,7 @@
 import sympy as sp
 import pytest
 
-from repro.core import LoopNest, Statement, adjoint_loops, make_loop_nest
+from repro.core import Statement, adjoint_loops, make_loop_nest
 from repro.core.transform import merge_statements
 
 i = sp.Symbol("i", integer=True)
