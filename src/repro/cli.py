@@ -58,11 +58,6 @@ from typing import Sequence
 import numpy as np
 
 from .apps import burgers_problem, conv_problem, heat_problem, wave_problem
-from .codegen import (
-    print_function_c,
-    print_function_fortran,
-    print_function_python,
-)
 from .core import adjoint_loops
 from .errors import (
     NativeBuildError,
@@ -70,6 +65,7 @@ from .errors import (
     ReproError,
     ValidationError,
 )
+from .perforad import _BACKENDS
 from .runtime.server import _DTYPES
 
 __all__ = ["main", "build_parser", "exit_code_for"]
@@ -116,13 +112,6 @@ _PROBLEMS = {
     "conv3x3": (lambda: conv_problem(3), 18),
     "conv5x5": (lambda: conv_problem(5), 20),
 }
-
-_BACKENDS = {
-    "c": print_function_c,
-    "fortran": print_function_fortran,
-    "python": print_function_python,
-}
-
 
 
 def _case(args):

@@ -21,12 +21,18 @@ request names its kernel either by inline ``spec`` source (parsed with
 :func:`~repro.frontend.parser.parse_stencil` under
 :class:`~repro.core.validate.SpecLimits` — this is an untrusted input
 path) plus ``sizes``/``params``/``dtype``, or by the content-addressed
-``kernel_id`` a previous response returned.  State arrays travel either
+``kernel_id`` a previous response returned.  A spec is parsed once: the
+nest is memoised by the spec's SHA-256 digest and the limits in force
+(at most ``MAX_KERNELS`` of them), and every check after the parse runs
+on each request, so a steady by-spec request costs a by-id one plus a
+hash.  State arrays travel either
 inline (base64 of the raw bytes, bitwise-exact) or zero-copy as named
-``multiprocessing.shared_memory`` segments the server attaches and
+``multiprocessing.shared_memory`` segments the server maps and
 writes results back into.  Segments are *leases*: the client reuses
-them request after request, and the server keeps each attachment for
-the life of the connection, so a steady request maps nothing.
+them request after request, and the server keeps each mapping for
+the life of the connection, so a steady request maps nothing.  The
+server maps a segment without registering it with its resource
+tracker: the client owns it, and only the client unlinks it.
 ``docs/serving.md`` specifies the frame and message formats in full.
 
 Batching semantics
@@ -86,7 +92,9 @@ array([0., 0., 0., 0., 0., 0., 0., 0.])
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
+import mmap
 import os
 import re
 import socket
@@ -94,13 +102,13 @@ import struct
 import threading
 import time
 from collections import OrderedDict
-from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 import sympy as sp
 
+from ..core.loopnest import LoopNest
 from ..core.validate import DEFAULT_SPEC_LIMITS, SpecLimits
 from ..errors import ReproError, ServeError, ValidationError
 from ..frontend.parser import parse_stencil
@@ -132,7 +140,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: ``KernelCache`` default.  Specs arrive from untrusted peers, so the
 #: table must not grow with the number of distinct ones ever seen; a
 #: by-id request for an evicted kernel gets the "send the spec once
-#: first" reply, which is already the client's recovery path.
+#: first" reply, which is already the client's recovery path.  The same
+#: cap bounds the memo of parsed specs; an evicted spec parses again.
 MAX_KERNELS = 256
 
 #: Most warm bindings (persistent arrays + the ensemble bound over them)
@@ -379,7 +388,25 @@ def _segment_identity(name: str) -> tuple[int, int] | None:
     return st.st_dev, st.st_ino
 
 
-def _detach(seg: shared_memory.SharedMemory) -> None:
+def _map_segment(name: str) -> tuple[mmap.mmap, tuple[int, int]]:
+    """Map segment *name*; returns the mapping and the identity of the
+    object it maps, read from the same descriptor.
+
+    ``SharedMemory(name=...)`` would register the segment with this
+    process's resource tracker (before Python 3.13), which unlinks it
+    when this process exits — while the client that owns it still
+    leases it.  Opening the ``/dev/shm`` entry directly registers
+    nothing, and the mapping holds no descriptor once made.
+    """
+    fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDWR)
+    try:
+        st = os.fstat(fd)
+        return mmap.mmap(fd, st.st_size), (st.st_dev, st.st_ino)
+    finally:
+        os.close(fd)
+
+
+def _detach(seg: mmap.mmap) -> None:
     try:
         seg.close()
     except BufferError:  # pragma: no cover - a view still alive
@@ -388,33 +415,30 @@ def _detach(seg: shared_memory.SharedMemory) -> None:
 
 def _attach_segment(
     attached: OrderedDict, name: str, nbytes: int, held
-) -> shared_memory.SharedMemory:
+) -> mmap.mmap:
     """The connection's mapping of segment *name*, attached on first use.
 
     *attached* maps segment name -> ``(mapping, identity)``.  A mapping
     is reused only while *name* still names the object it maps and it
-    holds *nbytes*; the identity is read *before* attaching, so a name
-    re-created in between costs one more attach, never a stale mapping.
-    At most ``MAX_LEASES`` are kept, least-recently-used dropped first,
-    never one the current request *held* already.
+    holds *nbytes*; a name re-created since costs one more attach, never
+    a stale mapping.  At most ``MAX_LEASES`` are kept, least-recently-used
+    dropped first, never one the current request *held* already.
     """
     if name in held:  # a second array of this request in the same segment
         return attached[name][0]
-    ident = _segment_identity(name)
     kept = attached.pop(name, None)
     if kept is not None:
         seg, was = kept
-        if ident is not None and ident == was and seg.size >= nbytes:
+        if _segment_identity(name) == was and len(seg) >= nbytes:
             attached[name] = kept
             return seg
         _detach(seg)
     faults.check("server.shm.attach")
-    seg = shared_memory.SharedMemory(name=name)
-    attached[name] = (seg, ident)
+    attached[name] = _map_segment(name)
     spare = [n for n in attached if n not in held and n != name]
     for victim in spare[: max(0, len(attached) - MAX_LEASES)]:
         _detach(attached.pop(victim)[0])
-    return seg
+    return attached[name][0]
 
 
 # -- served kernels -----------------------------------------------------------
@@ -594,6 +618,8 @@ class KernelServer:
         self.request_timeout = request_timeout
         self._lock = threading.Lock()
         self._kernels: OrderedDict[str, _ServedKernel] = OrderedDict()
+        # Parsed nests by (sha256 of the spec, limits): see _parse.
+        self._nests: OrderedDict[tuple, LoopNest] = OrderedDict()
         # Open groups by group key.  batch[0] is the leader, and its
         # event is the group's: set when the group fills or the server
         # closes, to cut the leader's window wait short.
@@ -690,6 +716,7 @@ class KernelServer:
             # Compiled code and warm arrays go now, not with the last
             # reference to a server that can never serve again.
             self._kernels.clear()
+            self._nests.clear()
         try:
             Path(self.socket_path).unlink()
         except OSError:
@@ -805,6 +832,37 @@ class KernelServer:
 
     # -- request decoding ----------------------------------------------------
 
+    def _parse(self, spec: str) -> LoopNest:
+        """*spec* parsed under ``self.limits``, memoised.
+
+        The key is the spec's SHA-256 digest, not its text (so the memo
+        pins no peer-sized strings), and the limits in force: tightening
+        them makes every spec parse — and be judged — again.  At most
+        ``MAX_KERNELS`` nests are kept, least-recently-used evicted
+        first.  Only successful parses are kept, so a bad spec raises
+        the same typed error on every request.  The parse runs outside
+        the lock; two concurrent misses may both parse, and the first
+        insert wins.
+        """
+        limits = self.limits
+        # A JSON string may hold lone surrogates; hash them rather than
+        # fail here, and let the parser reject them as it always has.
+        key = (
+            hashlib.sha256(spec.encode("utf-8", "surrogatepass")).digest(),
+            limits,
+        )
+        with self._lock:
+            nest = self._nests.get(key)
+            if nest is not None:
+                self._nests.move_to_end(key)
+                return nest
+        nest = parse_stencil(spec, limits=limits)
+        with self._lock:
+            nest = self._nests.setdefault(key, nest)
+            while len(self._nests) > MAX_KERNELS:
+                self._nests.popitem(last=False)
+        return nest
+
     def _resolve_kernel(self, msg: dict) -> _ServedKernel:
         spec = msg.get("spec")
         if spec is not None:
@@ -817,7 +875,7 @@ class KernelServer:
                 raise ValidationError(
                     f"dtype must be one of {sorted(_DTYPES)}, got {dtype_tag!r}"
                 )
-            nest = parse_stencil(spec, limits=self.limits)
+            nest = self._parse(spec)
             missing = [
                 s.name for s in nest.size_symbols() if s.name not in sizes
             ]
@@ -892,12 +950,12 @@ class KernelServer:
                     f"cannot attach shared-memory segment "
                     f"{segment!r} for array {name!r}: {exc}"
                 ) from exc
-            if seg.size < nbytes:
+            if len(seg) < nbytes:
                 raise ServeError(
-                    f"segment {segment!r} holds {seg.size} bytes,"
+                    f"segment {segment!r} holds {len(seg)} bytes,"
                     f" array {name!r} needs {nbytes}"
                 )
-            pending.arrays[name] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
+            pending.arrays[name] = np.ndarray(shape, dtype=dtype, buffer=seg)
             pending.shm[name] = segment
 
     def _decode_run(self, msg: dict, attached: OrderedDict) -> _Pending:

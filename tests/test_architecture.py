@@ -146,6 +146,32 @@ def test_client_unlinks_segments_only_in_its_release_helper():
     )
 
 
+def test_server_maps_segments_only_in_its_tracker_free_helper():
+    owners = [
+        owner
+        for owner, call in calls_by_function(RUNTIME / "server.py")
+        if called_name(call) in ("SharedMemory", "mmap")
+    ]
+    assert owners == ["_map_segment"], (
+        f"server.py maps a client's segments only in _map_segment, which"
+        f" registers nothing with the resource tracker: {owners}"
+    )
+
+
+# -- one parse per spec: the server's parser call sits behind its memo ---------
+
+
+def test_server_parses_specs_only_in_its_memo():
+    owners = [
+        owner
+        for owner, call in calls_by_function(RUNTIME / "server.py")
+        if called_name(call) == "parse_stencil"
+    ]
+    assert owners == ["_parse"], (
+        f"server.py calls parse_stencil once, in its memo helper _parse: {owners}"
+    )
+
+
 # -- no unused imports: ruff's F401, for where ruff is not installed ----------
 
 

@@ -13,6 +13,8 @@ import json
 import os
 import socket
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.runtime.server as server_module
+from repro.core.validate import SpecLimits
 from repro.errors import ServeError, ValidationError
 from repro.frontend import parse_stencil
 from repro.runtime import Bindings, compile_nests, faults
@@ -805,10 +808,12 @@ BENCH_KERNELS = [
 @pytest.fixture
 def segment_calls(monkeypatch):
     """Every shared-memory create, attach and unlink in this process —
-    client and server alike — as ``(kind, segment name)``."""
+    client and server alike — as ``(kind, segment name)``.  The server
+    attaches through its own tracker-free helper, not ``SharedMemory``."""
     calls = []
     real_init = shared_memory.SharedMemory.__init__
     real_unlink = shared_memory.SharedMemory.unlink
+    real_map = server_module._map_segment
 
     def init(self, name=None, create=False, size=0, **kwargs):
         if not create:
@@ -821,8 +826,13 @@ def segment_calls(monkeypatch):
         calls.append(("unlink", self.name))
         real_unlink(self)
 
+    def map_segment(name):
+        calls.append(("attach", name))
+        return real_map(name)
+
     monkeypatch.setattr(shared_memory.SharedMemory, "__init__", init)
     monkeypatch.setattr(shared_memory.SharedMemory, "unlink", unlink)
+    monkeypatch.setattr(server_module, "_map_segment", map_segment)
     return calls
 
 
@@ -1088,3 +1098,308 @@ def test_close_returns_at_once_idle_or_with_an_idle_client(server_factory):
         busy.close()
         assert time.monotonic() - t0 < 0.05
     assert serve_threads() - before == set()
+
+
+# -- one parse per spec -------------------------------------------------------
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Every spec the server parses, in order — failed parses included."""
+    calls = []
+    real = server_module.parse_stencil
+
+    def counting(spec, **kwargs):
+        calls.append(spec)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(server_module, "parse_stencil", counting)
+    return calls
+
+
+def test_twenty_by_spec_runs_parse_the_spec_once(server_factory, parse_calls):
+    server = server_factory()
+    with KernelClient(server.socket_path) as client:
+        for state in smooth_states(*range(20)).values():
+            result = client.run(
+                SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state
+            )
+            assert_bitwise(
+                reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state),
+                result.state,
+            )
+    assert parse_calls == [SMOOTH]
+
+
+def test_one_parse_backs_every_binding_of_a_spec(server_factory, parse_calls):
+    server = server_factory()
+    cases = [
+        ({"n": 24}, DECAY_PARAMS),
+        ({"n": 40}, DECAY_PARAMS),
+        ({"n": 24}, {"a": -1.5, "b": 0.25}),
+    ]
+    kids = []
+    with KernelClient(server.socket_path) as client:
+        for seed, (sizes, params) in enumerate(cases):
+            state = make_state(DECAY, sizes, params, seed)
+            result = client.run(DECAY, sizes=sizes, params=params, state=state)
+            assert_bitwise(reference(DECAY, sizes, params, state), result.state)
+            kids.append(result.kernel_id)
+    assert len(set(kids)) == 3
+    assert server.stats()["kernels"] == 3
+    assert parse_calls == [DECAY]
+
+
+def test_compile_then_by_spec_run_parse_once(server_factory, parse_calls):
+    server = server_factory()
+    state = make_state(DECAY, DECAY_SIZES, DECAY_PARAMS, seed=6)
+    with KernelClient(server.socket_path) as client:
+        kid = client.compile(DECAY, sizes=DECAY_SIZES, params=DECAY_PARAMS)
+        result = client.run(
+            DECAY, sizes=DECAY_SIZES, params=DECAY_PARAMS, state=state
+        )
+    assert result.kernel_id == kid
+    assert_bitwise(reference(DECAY, DECAY_SIZES, DECAY_PARAMS, state), result.state)
+    assert parse_calls == [DECAY]
+
+
+def test_tightened_limits_parse_again_and_reject(server_factory, parse_calls):
+    """``limits`` is public: a nest accepted under looser limits is never
+    served once they are tightened, and trusting the peer is its own key."""
+    server = server_factory()
+    state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=7)
+    want = reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state)
+    kwargs = dict(sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state)
+    with KernelClient(server.socket_path) as client:
+        client.run(SMOOTH, **kwargs)
+        assert_bitwise(want, client.run(SMOOTH, **kwargs).state)  # a hit
+        assert len(parse_calls) == 1
+        loose = server.limits
+        server.limits = SpecLimits(max_source_bytes=len(SMOOTH) - 1)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="the limit is"):
+                client.run(SMOOTH, **kwargs)
+        assert len(parse_calls) == 3  # judged on each request, never kept
+        server.limits = None
+        assert_bitwise(want, client.run(SMOOTH, **kwargs).state)
+        assert len(parse_calls) == 4
+        server.limits = loose
+        assert_bitwise(want, client.run(SMOOTH, **kwargs).state)
+    assert len(parse_calls) == 4  # the first nest is still memoised
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "stencil broken {\n  iterate i = 1 .. n-2\n  u[i] +=\n}\n",
+        "stencil s {\n  iterate i = 1 .. n-2\n  u[i] += v[i] \ud800\n}\n",
+    ],
+    ids=["truncated", "lone-surrogate"],
+)
+def test_a_malformed_spec_is_rejected_alike_and_never_kept(
+    server_factory, parse_calls, bad
+):
+    server = server_factory()
+    messages = []
+    with KernelClient(server.socket_path) as client:
+        for _ in range(2):
+            with pytest.raises(ValidationError) as info:
+                client.run(bad, sizes={"n": 8}, state={"u": np.zeros(8)})
+            messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert parse_calls == [bad, bad]
+    assert not server._nests
+
+
+def test_the_parse_memo_is_bounded_by_max_kernels(server_factory, parse_calls):
+    from repro.runtime.server import MAX_KERNELS
+
+    server = server_factory()
+    specs = [DECAY.replace("decay", f"decay{i}") for i in range(300)]
+    with KernelClient(server.socket_path) as client:
+        for spec in specs:
+            client.compile(spec, sizes=DECAY_SIZES, params=DECAY_PARAMS)
+        assert len(server._nests) == MAX_KERNELS == 256
+        assert len(parse_calls) == 300
+        client.compile(specs[-1], sizes=DECAY_SIZES, params=DECAY_PARAMS)
+        assert len(parse_calls) == 300  # resident: a hit
+        client.compile(specs[0], sizes=DECAY_SIZES, params=DECAY_PARAMS)
+        assert parse_calls[-1] == specs[0]  # evicted: parsed again
+        assert len(parse_calls) == 301
+    assert len(server._nests) == MAX_KERNELS
+
+
+def test_an_evicted_kernel_is_registered_again_from_the_memo(
+    server_factory, parse_calls
+):
+    from repro.runtime.server import MAX_KERNELS
+
+    server = server_factory()
+    state = make_state(DECAY, DECAY_SIZES, DECAY_PARAMS, seed=8)
+
+    def params(i):
+        return {"a": 0.5 + i / 1024, "b": 0.125}
+
+    with KernelClient(server.socket_path) as client:
+        first = client.compile(DECAY, sizes=DECAY_SIZES, params=params(0))
+        for i in range(1, MAX_KERNELS + 1):
+            client.compile(DECAY, sizes=DECAY_SIZES, params=params(i))
+        with pytest.raises(ValidationError, match="send the spec once first"):
+            client.run(kernel_id=first, state=state)
+        again = client.run(
+            DECAY, sizes=DECAY_SIZES, params=params(0), state=state
+        )
+    assert again.kernel_id == first
+    assert_bitwise(reference(DECAY, DECAY_SIZES, params(0), state), again.state)
+    assert parse_calls == [DECAY]
+
+
+def test_close_empties_the_parse_memo(server_factory):
+    server = server_factory()
+    with KernelClient(server.socket_path) as client:
+        client.compile(SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS)
+        client.compile(DECAY, sizes=DECAY_SIZES, params=DECAY_PARAMS)
+    assert len(server._nests) == 2
+    server.close()
+    assert not server._nests and not server._kernels
+
+
+def test_eight_threads_on_three_specs_parse_each_at_most_once_a_thread(
+    server_factory, parse_calls
+):
+    server = server_factory(workers=4, max_batch=8, batch_window_ms=1.0)
+    sizes = {"n": 64}
+    states, refs = {}, {}
+    for t in range(8):
+        for k, (spec, params) in enumerate(BENCH_KERNELS):
+            states[t, k] = make_state(spec, sizes, params, seed=8 * k + t)
+            refs[t, k] = reference(spec, sizes, params, states[t, k])
+    errors: list[BaseException] = []
+
+    def worker(t):
+        try:
+            with KernelClient(server.socket_path) as client:
+                for i in range(50):
+                    k = (t + i) % 3
+                    spec, params = BENCH_KERNELS[k]
+                    result = client.run(
+                        spec, sizes=sizes, params=params, state=states[t, k]
+                    )
+                    assert_bitwise(refs[t, k], result.state)
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave memo lookups and inserts
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert server.stats()["ok"] == 400
+    assert sorted(set(parse_calls)) == sorted(spec for spec, _ in BENCH_KERNELS)
+    assert len(parse_calls) <= 8 * 3
+
+
+# -- a client's segments belong to the client ---------------------------------
+
+
+def on_dev_shm(names):
+    return [os.path.exists(os.path.join("/dev/shm", n)) for n in names]
+
+
+@needs_dev_shm
+def test_a_server_process_exiting_leaves_its_clients_leases(
+    segment_calls, tmp_path
+):
+    """``SharedMemory(name=...)`` registers the segment with the attaching
+    process's resource tracker, which unlinks it when that process
+    exits; the server must map its clients' segments without that."""
+    path = str(tmp_path / "serve.sock")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--socket", path,
+         "--batch-window-ms", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 120.0
+        while not os.path.exists(path):
+            assert server.poll() is None, server.communicate()
+            assert time.monotonic() < deadline, "server never listened"
+            time.sleep(0.05)
+        sizes = {"n": 1 << 16}  # two arrays of 512 KiB
+        state = make_state(SMOOTH, sizes, SMOOTH_PARAMS, seed=1)
+        client = KernelClient(path, shm_threshold=1)
+        try:
+            result = client.run(
+                SMOOTH, sizes=sizes, params=SMOOTH_PARAMS, state=state
+            )
+            assert_bitwise(
+                reference(SMOOTH, sizes, SMOOTH_PARAMS, state), result.state
+            )
+            names = kinds(segment_calls, "create")
+            assert len(names) == 2
+            client.shutdown()
+            # EOF on the server's stderr comes once every process holding
+            # it has exited — a resource tracker of its own included.
+            _, err = server.communicate(timeout=120)
+            assert server.returncode == 0, err
+            assert on_dev_shm(names) == [True, True]  # still leased
+            assert "resource_tracker" not in err and "leaked" not in err, err
+        finally:
+            client.close()
+        assert on_dev_shm(names) == [False, False]
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+
+
+_SERVE_IN_ONE_PROCESS = """
+import json, os, tempfile
+from multiprocessing import resource_tracker
+
+registered = []
+real_register = resource_tracker.register
+
+def register(name, rtype):
+    registered.append(name.lstrip("/"))
+    real_register(name, rtype)
+
+resource_tracker.register = register
+
+from repro.frontend import parse_stencil
+from repro.runtime import Bindings, KernelClient, KernelServer, seeded_state
+
+spec = "stencil s { iterate i = 1 .. n-2  u[i] += c*(v[i-1] - v[i+1]) }"
+sizes, params = {"n": 4096}, {"c": 0.25}
+state = seeded_state(parse_stencil(spec), Bindings(sizes=sizes, params=params))
+path = os.path.join(tempfile.mkdtemp(), "serve.sock")
+with KernelServer(path, workers=1, batch_window_ms=0.0):
+    with KernelClient(path, shm_threshold=1) as client:
+        for _ in range(3):
+            client.run(spec, sizes=sizes, params=params, state=state)
+print(json.dumps(registered))
+"""
+
+
+@needs_dev_shm
+def test_one_process_serving_itself_registers_each_segment_once():
+    """Server and client in one process (tests, benches) share one
+    resource tracker: the client's registration is the only one, and
+    its ``close()`` retires it without a warning at exit."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SERVE_IN_ONE_PROCESS],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    registered = json.loads(proc.stdout.splitlines()[-1])
+    assert len(registered) == len(set(registered)) == 2, registered
+    assert on_dev_shm(registered) == [False, False]
+    assert "resource_tracker" not in proc.stderr, proc.stderr
+    assert "leaked" not in proc.stderr, proc.stderr
