@@ -37,16 +37,17 @@ The emitted calling convention is uniform for every statement::
 ``ptrs`` holds the target array's data pointer followed by one pointer
 per read access; ``geom`` packs the inclusive per-axis bounds followed
 by per-slot element strides for the target and each read.  A statement
-function runs its full loop nest over the box.  Each translation unit
-also contains one chain runner that executes a sequence of statement
-calls in a single C entry, so a steady-state timestep costs one FFI
-crossing instead of one per statement; two whole-buffer memory
-statements with the same signature (``repro_copy``: ``memcpy(ptrs[0],
-ptrs[1], geom[0])``, ``repro_zero``: ``memset(ptrs[0], 0, geom[0])``);
-and the program runner, which walks an ``int32`` index array over a
-table of distinct calls — how a whole revolve sweep (kernel steps,
-snapshots, restores, adjoint shifts) runs as one FFI crossing
-(:class:`repro.runtime.native.NativeProgram`).
+function runs its full loop nest over the box.  The kernel-independent
+runners live in a translation unit of their own
+(:func:`generate_runtime_source`): one chain runner that executes a
+sequence of statement calls in a single C entry, so a steady-state
+timestep costs one FFI crossing instead of one per statement; two
+whole-buffer memory statements with the same signature (``repro_copy``:
+``memcpy(ptrs[0], ptrs[1], geom[0])``, ``repro_zero``:
+``memset(ptrs[0], 0, geom[0])``); and the program runner, which walks
+an ``int32`` index array over a table of distinct calls — how a whole
+revolve sweep (kernel steps, snapshots, restores, adjoint shifts) runs
+as one FFI crossing (:class:`repro.runtime.native.NativeProgram`).
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ __all__ = [
     "native_eligibility",
     "parallel_eligibility",
     "generate_native_source",
+    "generate_runtime_source",
     "generate_fused_source",
     "CHAIN_RUNNER_NAME",
     "PROGRAM_RUNNER_NAME",
@@ -81,7 +83,7 @@ __all__ = [
 
 # Bumped whenever the generated code's ABI or semantics change; folded
 # into the shared-object disk-cache key by the runtime build layer.
-NATIVE_ABI_VERSION = 2
+NATIVE_ABI_VERSION = 3
 
 CHAIN_RUNNER_NAME = "repro_run_chain"
 PROGRAM_RUNNER_NAME = "repro_run_program"
@@ -351,15 +353,15 @@ def generate_native_source(
     (duck-typed).  Returns ``(source, manifest)`` where ``manifest``
     maps ``(region_index, statement_index)`` to the emitted function
     name.  Ineligible statements are simply absent — the runtime keeps
-    them on the Python path.  The unit always contains the chain and
-    program runners and the two memory statements, even when no
-    statement is eligible.
+    them on the Python path.  The runners that call these functions are
+    not part of the unit (:func:`generate_runtime_source`), so a kernel
+    whose statements all run fused never needs it built.
 
     With ``nthreads > 1`` each statement passing
     :func:`parallel_eligibility` gets an OpenMP ``parallel for`` on its
     outermost loop (the build layer adds ``-fopenmp`` after probing the
     compiler); ineligible statements keep their serial nest in the same
-    unit.  The chain runner stays a serial loop over statement calls —
+    unit.  The chain runner is a serial loop over statement calls —
     each call is internally parallel and the implicit barrier at the
     end of its parallel region preserves statement order, so the
     results are bitwise identical to the serial build at any thread
@@ -371,7 +373,6 @@ def generate_native_source(
     if nthreads > 1:
         em.line(f"/* threaded variant: {nthreads} OpenMP threads */")
     em.line("#include <stdint.h>")
-    em.line("#include <string.h>")
     em.line("#include <math.h>")
     em.line()
     # geom layout per statement: [lo0, hi0, ..., lo{d-1}, hi{d-1},
@@ -448,6 +449,26 @@ def generate_native_source(
             em.line("}")
             em.line()
             manifest[(ri, si)] = name
+    return em.code(), manifest
+
+
+def generate_runtime_source() -> str:
+    """The kernel-independent runners as one C translation unit.
+
+    The chain runner executes a sequence of statement calls in a single
+    C entry; the program runner walks an ``int32`` index array over a
+    table of distinct calls; ``repro_copy``/``repro_zero`` are the two
+    whole-buffer memory statements.  None of them depends on a kernel,
+    so every library shares one object built from this source, and a
+    kernel whose statements all run fused never builds its
+    :func:`generate_native_source` unit.
+    """
+    em = Emitter(indent="  ")
+    em.line("/* Generated by repro.codegen.native_c (runners) — do not edit. */")
+    em.line(f"/* ABI v{NATIVE_ABI_VERSION} */")
+    em.line("#include <stdint.h>")
+    em.line("#include <string.h>")
+    em.line()
     em.line("typedef void (*repro_stmt_fn)(char **, const int64_t *);")
     em.line()
     em.line(
@@ -488,7 +509,7 @@ def generate_native_source(
     em.line("}")
     em.pop()
     em.line("}")
-    return em.code(), manifest
+    return em.code()
 
 
 # -- fused-group generation ----------------------------------------------------

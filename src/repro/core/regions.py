@@ -164,4 +164,5 @@ def split_disjoint(
             del fixed[c]
 
     rec(tuple(stmts), 0, {}, True)
+    del rec  # empties the cell rec closes over: no cycle outlives the call
     return regions

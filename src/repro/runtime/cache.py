@@ -182,13 +182,15 @@ class KernelCache:
             kernel = factory()
             self._entries[key] = kernel
             if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+                _release(self._entries.popitem(last=False)[1])
             return kernel
         self.hits += 1
         self._entries.move_to_end(key)
         return kernel
 
     def clear(self) -> None:
+        for kernel in self._entries.values():
+            _release(kernel)
         self._entries.clear()
         self.hits = 0
         self.misses = 0
@@ -199,6 +201,13 @@ class KernelCache:
             "misses": self.misses,
             "entries": len(self._entries),
         }
+
+
+def _release(kernel) -> None:
+    """Let a dropped kernel go at once (``CompiledKernel.release``)."""
+    release = getattr(kernel, "release", None)
+    if release is not None:
+        release()
 
 
 _GLOBAL_CACHE = KernelCache()

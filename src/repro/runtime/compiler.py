@@ -490,11 +490,10 @@ class CompiledKernel:
     regions: tuple[RegionKernel, ...]
     counters: tuple[sp.Symbol, ...]
     _plans: dict = field(default_factory=dict, repr=False, compare=False)
-    # {nthreads: NativeLibrary | None} memo filled by runtime.native
-    # (1 is the serial library) with each entry's ladder verdict in
-    # `_native_why`, both valid for the toolchain `_native_cc`.
+    # {nthreads: (NativeLibrary | None, ladder verdict)} memo filled by
+    # runtime.native (1 is the serial library), valid for the toolchain
+    # `_native_cc`.
     _native: dict | None = field(default=None, repr=False, compare=False)
-    _native_why: dict | None = field(default=None, repr=False, compare=False)
     _native_cc: str | None = field(default=None, repr=False, compare=False)
     # Loaded fused nests by (group, strides, threads, cc, flags), filled
     # by runtime.native.make_fused_statement.
@@ -507,6 +506,19 @@ class CompiledKernel:
 
     def total_iterations(self) -> int:
         return sum(rk.iteration_count() for rk in self.regions)
+
+    def release(self) -> None:
+        """Drop the plan, native-library and fused-nest memos.
+
+        Called by every owner that drops the kernel (a cache evicting or
+        clearing it, the server evicting or closing): each plan refers
+        back to its kernel, so without this a dropped kernel and all it
+        built are freed only by a full garbage collection.  A kernel
+        still in use stays correct — it plans and loads again on demand.
+        """
+        self._plans = {}
+        self._native = None
+        self._fused = {}
 
     @cached_property
     def array_names(self) -> frozenset[str]:

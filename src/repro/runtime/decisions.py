@@ -33,7 +33,7 @@ import numpy as np
 
 from ..codegen.native_c import native_eligibility
 from ..core.fusion import FusionEntry, FusionGroup, describe_groups, plan_groups
-from ..errors import NumericalDivergenceError
+from ..errors import NativeBuildError, NumericalDivergenceError
 
 # Mutual import, resolved at call time on both sides: native.py reports
 # its library rung through Verdict/degraded and shares array_gate; the
@@ -349,6 +349,31 @@ class Ladder:
             out.append(runnable)
         return out, None
 
+    def _refusal(self, members, check) -> str | None:
+        """The first member's ``check(arrays)`` reason, or None."""
+        for member, arrays in members.items():
+            why = self.guard(member, lambda: check(arrays))
+            if why is not None:
+                return why
+        return None
+
+    def _entry(self, region, si):
+        """``(fn, reason)``: the per-statement entry of a statement that
+        passed the native gate, its unit built on first need.  A failed
+        build degrades one rung at a time and says why — a threaded unit
+        to the serial library's entry, a serial one to python
+        (``(None, reason)``)."""
+        lib, why = self.lib, None
+        while lib is not None:
+            try:
+                return lib.stmt_fn(region, si), why
+            except NativeBuildError as exc:
+                key, why = native.build_refusal(self.kernel.name, lib.nthreads, exc)
+                serial = lib.nthreads == 1
+                degraded("statement", "python" if serial else "native", why, key=key)
+                lib = None if serial else native.library_for_kernel(self.kernel, 1)
+        return None, why
+
     def _groups(self, stream, refusals) -> Sequence[FusionGroup]:
         """Fusion groups over *stream*, planned once per stream object:
         an ensemble's first chunk plans for the rest (members share
@@ -383,21 +408,19 @@ class Ladder:
         """
         mode, lib, kernel = self.mode, self.lib, self.kernel
         dim = len(kernel.counters)
-        # Per-statement native binds first: a refusal here is what
-        # blocks a statement from fusing, and an unfused or refused
-        # group executes exactly these.
-        natives: list = []
+        # The native gate first, building nothing: a refusal here is what
+        # blocks a statement from fusing.  Entries are resolved (and the
+        # per-statement unit built) only for what no fused nest covers.
         refusals: list[str | None] = []
         for region, si, st, eff in stream:
-            bound, why = None, mode.native_off
+            why = mode.native_off
             if why is None:
-                bound, why = self._every(
+                why = self._refusal(
                     members,
-                    lambda a: native.make_native_statement(lib, region, si, st, a, eff),
+                    lambda a: native.native_gate(lib, region, si, st, a, eff),
                 )
-                if bound is None:
+                if why is not None:
                     why = native_eligibility(st, dim, region.dtype) or why
-            natives.append(bound)
             refusals.append(why)
         if mode.fuse_off is None:
             spans = [(len(g.entries), g) for g in self._groups(stream, refusals)]
@@ -427,10 +450,17 @@ class Ladder:
                 continue
             for i in range(pos, pos + n):
                 region, si, st, eff = stream[i]
-                rung, bound, why = "native", natives[i], unfused
+                rung, bound, why = "native", None, refusals[i]
+                if why is None:
+                    fn, degraded_why = self._entry(region, si)
+                    why = degraded_why or unfused
+                    if fn is not None:
+                        bound = [
+                            self.guard(m, lambda: native.make_native_statement(fn, st, a, eff))
+                            for m, a in members.items()
+                        ]
                 if bound is None:
                     rung, bound = python_rung(region, si, st, eff)
-                    why = refusals[i]
                 self.decisions.append(
                     Verdict(f"statement {_name(stream[i])}", rung, why, 1, len(bound), group)
                 )
@@ -480,7 +510,9 @@ class Lowered:
     @property
     def native_threads(self) -> int:
         """The *effective* OpenMP width: the library's, after the probe
-        and build-failure fallbacks — what the C code actually does."""
+        and build-failure fallbacks — what the C code actually does (a
+        statement whose threaded per-statement library failed to build
+        runs the serial one, and its verdict says so)."""
         return self.mode.threads
 
     @property

@@ -79,6 +79,7 @@ from ..codegen.native_c import (
     ZERO_FN_NAME,
     generate_fused_source,
     generate_native_source,
+    generate_runtime_source,
 )
 from ..errors import NativeBuildError
 
@@ -97,8 +98,10 @@ __all__ = [
     "NativeStatement",
     "NativeChain",
     "NativeProgram",
+    "native_gate",
     "make_native_statement",
     "make_fused_statement",
+    "build_refusal",
     "chain_runnables",
 ]
 
@@ -545,44 +548,90 @@ def native_thread_count(config) -> int:
 class NativeLibrary:
     """The loaded native functions of one compiled kernel.
 
-    Holds the per-statement entry points (keyed by region identity and
-    statement index), the chain and program runners and the two memory
-    statements.  Constructed once per kernel via
-    :func:`library_for_kernel` and shared by every plan/binding of that
-    kernel.
+    The chain and program runners and the two memory statements come
+    from the one kernel-independent runners object
+    (:func:`~repro.codegen.native_c.generate_runtime_source`), loaded
+    when the library is made.  The per-statement entry points (keyed by
+    region identity and statement index) live in the kernel's own
+    translation unit, generated eagerly so the manifest is exact but
+    built and loaded single-flight on the first :meth:`stmt_fn` that
+    needs one: a kernel whose statements all run fused never compiles
+    it.  Constructed once per kernel via :func:`library_for_kernel` and
+    shared by every plan/binding of that kernel; it holds no reference
+    to the kernel.
     """
 
     def __init__(
-        self, kernel, cdll: ctypes.CDLL, manifest, so_path: Path,
-        nthreads: int = 1,
+        self, kernel, runners: ctypes.CDLL, source: str, manifest,
+        cc: str, flags: tuple[str, ...], nthreads: int = 1,
     ):
-        self.kernel = kernel
-        self.so_path = so_path
         self.nthreads = nthreads
-        self._fns: dict[tuple[int, int], ctypes._CFuncPtr] = {}
         self._region_index = {id(r): ri for ri, r in enumerate(kernel.regions)}
-        for (ri, si), fname in manifest.items():
-            self._fns[(ri, si)] = _stmt_fn(cdll, fname)
-        self.copy_fn = _stmt_fn(cdll, COPY_FN_NAME)
-        self.zero_fn = _stmt_fn(cdll, ZERO_FN_NAME)
+        self._manifest = manifest
+        self._unit = (source, cc, flags)  # dropped once built
+        self._lock = threading.Lock()
+        self._fns: dict[tuple[int, int], ctypes._CFuncPtr] | None = None
+        self._so_path: Path | None = None
+        self._failure: str | None = None
+        self.copy_fn = _stmt_fn(runners, COPY_FN_NAME)
+        self.zero_fn = _stmt_fn(runners, ZERO_FN_NAME)
         blocks = (ctypes.c_void_p,) * 3  # fns, ptrss, geoms
-        self.run_chain = getattr(cdll, CHAIN_RUNNER_NAME)
+        self.run_chain = getattr(runners, CHAIN_RUNNER_NAME)
         self.run_chain.restype = None
         self.run_chain.argtypes = (_I64, *blocks)
-        self.run_program = getattr(cdll, PROGRAM_RUNNER_NAME)
+        self.run_program = getattr(runners, PROGRAM_RUNNER_NAME)
         self.run_program.restype = None
         self.run_program.argtypes = (_I64, ctypes.c_void_p, *blocks)
 
     @property
     def statement_count(self) -> int:
-        return len(self._fns)
+        return len(self._manifest)
+
+    @property
+    def so_path(self) -> Path:
+        """The per-statement object, built on first access."""
+        self._entries()
+        return self._so_path
+
+    def _entries(self) -> dict:
+        """The per-statement entries, building the unit on first use.
+
+        Single-flight per library; a failure is kept and raised again
+        as :class:`~repro.errors.NativeBuildError` on every later use.
+        """
+        if self._fns is None:
+            with self._lock:
+                if self._fns is None and self._failure is None:
+                    try:
+                        cdll, so_path = _build_and_load(*self._unit)
+                    except (NativeBuildError, OSError) as exc:
+                        # OSError: an entry still unloadable after
+                        # _build_and_load's one-shot self-heal rebuild.
+                        self._failure = str(exc)
+                    else:
+                        self._so_path = so_path
+                        self._fns = {
+                            key: _stmt_fn(cdll, name)
+                            for key, name in self._manifest.items()
+                        }
+                        self._unit = None
+        if self._fns is None:
+            raise NativeBuildError(self._failure)
+        return self._fns
+
+    def has_entry(self, region, si: int) -> bool:
+        """Whether statement *si* of *region* was lowered (no build)."""
+        return (self._region_index.get(id(region)), si) in self._manifest
 
     def stmt_fn(self, region, si: int):
-        """The native entry for statement *si* of *region*, or None."""
-        ri = self._region_index.get(id(region))
-        if ri is None:
+        """The native entry for statement *si* of *region*, or None.
+
+        Builds the per-statement unit on first use and raises
+        :class:`~repro.errors.NativeBuildError` when it cannot be built.
+        """
+        if not self.has_entry(region, si):
             return None
-        return self._fns.get((ri, si))
+        return self._entries()[(self._region_index[id(region)], si)]
 
 
 def _stmt_fn(cdll: ctypes.CDLL, name: str):
@@ -593,9 +642,30 @@ def _stmt_fn(cdll: ctypes.CDLL, name: str):
     return fn
 
 
+def build_refusal(name: str, nthreads: int, exc) -> tuple[str, str]:
+    """``(warn-once key, reason)`` for a failed build of kernel *name*'s
+    library (``nthreads > 1``: the threaded variant, one rung above the
+    serial native path; else the serial one, above python)."""
+    if nthreads > 1:
+        key, what = "mt-build-failed", "threaded native build"
+        rung = "serial native path — results are identical"
+    else:
+        key, what = "build-failed", "native build"
+        rung = "python backend — results are identical, only slower"
+    return (
+        f"{key}:{name}",
+        f"{what} of kernel {name!r} failed (cache: {native_cache_dir()}); "
+        f"falling back to the {rung}: {exc}",
+    )
+
+
 def library_verdict(kernel, nthreads: int = 1):
     """``(library | None, Verdict)`` — the library rung of the ladder.
 
+    ``native`` means the runners object built and the kernel's
+    per-statement unit was generated; that unit is built later, by the
+    first statement bound to it, and a failure there degrades only the
+    statements that needed it (:class:`~repro.runtime.decisions.Ladder`).
     Memoised on the kernel per thread count with the toolchain used, so
     a memo hit reports the reason the first build did and a toolchain
     change (tests pinning ``REPRO_CC``) revalidates.  Each refusal
@@ -606,11 +676,12 @@ def library_verdict(kernel, nthreads: int = 1):
     """
     cc = native_toolchain()
     nthreads = max(nthreads, 1)
-    if kernel._native is None or kernel._native_cc != cc:
-        kernel._native_cc, kernel._native, kernel._native_why = cc, {}, {}
-    memo = kernel._native
+    memo = kernel._native  # one read: CompiledKernel.release may race
+    if memo is None or kernel._native_cc != cc:
+        memo = {}
+        kernel._native_cc, kernel._native = cc, memo
     if nthreads in memo:
-        return memo[nthreads], kernel._native_why[nthreads]
+        return memo[nthreads]
     lib: NativeLibrary | None = None
     refusal: tuple[str, str] | None = None  # (warn-once key, reason)
     omp: tuple[str, ...] | None = ()
@@ -635,24 +706,14 @@ def library_verdict(kernel, nthreads: int = 1):
     else:
         try:
             source, manifest = generate_native_source(kernel, nthreads)
-            cdll, so_path = _build_and_load(source, cc, _CFLAGS + omp)
+            runners, _ = _build_and_load(generate_runtime_source(), cc)
             lib = NativeLibrary(
-                kernel, cdll, manifest, so_path, nthreads=nthreads
+                kernel, runners, source, manifest, cc, _CFLAGS + omp, nthreads
             )
         except (NativeBuildError, OSError) as exc:
             # OSError covers a cache entry that stays unloadable even
             # after _build_and_load's one-shot self-heal rebuild.
-            if nthreads > 1:
-                key, what = "mt-build-failed", "threaded native build"
-                rung = "serial native path — results are identical"
-            else:
-                key, what = "build-failed", "native build"
-                rung = "python backend — results are identical, only slower"
-            refusal = (
-                f"{key}:{kernel.name}",
-                f"{what} of kernel {kernel.name!r} failed (cache: "
-                f"{native_cache_dir()}); falling back to the {rung}: {exc}",
-            )
+            refusal = build_refusal(kernel.name, nthreads, exc)
     verdict = decisions.Verdict("library", "native")
     if lib is None:
         rung = "serial native" if nthreads > 1 else "python"
@@ -664,7 +725,7 @@ def library_verdict(kernel, nthreads: int = 1):
             lib, serial = library_verdict(kernel, 1)
             if lib is None or refusal is None:
                 verdict = serial
-    memo[nthreads], kernel._native_why[nthreads] = lib, verdict
+    memo[nthreads] = lib, verdict
     return lib, verdict
 
 
@@ -703,25 +764,25 @@ class NativeStatement:
         self.fn(self.ptrs, self.geom)
 
 
-def make_native_statement(
-    lib: NativeLibrary, region, si: int, stmt, arrays, eff
-) -> tuple[NativeStatement | None, str | None]:
-    """Bind statement *si* of *region*: ``(statement, None)``, or
-    ``(None, reason)`` — no library entry (ineligible at lowering time)
-    or *arrays* failing :func:`~repro.runtime.decisions.array_gate`.
+def native_gate(lib: NativeLibrary, region, si: int, stmt, arrays, eff) -> str | None:
+    """Why statement *si* of *region* cannot bind natively to *arrays*,
+    or None: no library entry (ineligible at lowering time) or *arrays*
+    failing :func:`~repro.runtime.decisions.array_gate`.  Builds nothing.
     Lowering gated same-*name* self-reads; arrays aliasing the target
     under a *different* name are only discoverable at the gate.
     """
-    fn = lib.stmt_fn(region, si)
-    if fn is None:
-        return None, "not lowered to C"
-    accesses = (stmt.target, *stmt.reads)
-    why = decisions.array_gate(
-        [(acc, eff) for acc in accesses], arrays, region.dtype,
-        {stmt.target.name},
+    if not lib.has_entry(region, si):
+        return "not lowered to C"
+    return decisions.array_gate(
+        [(acc, eff) for acc in (stmt.target, *stmt.reads)], arrays,
+        region.dtype, {stmt.target.name},
     )
-    if why is not None:
-        return None, why
+
+
+def make_native_statement(fn, stmt, arrays, eff) -> NativeStatement:
+    """Bind a statement that passed :func:`native_gate` to its entry
+    *fn* (:meth:`NativeLibrary.stmt_fn`): pointers, box and strides."""
+    accesses = (stmt.target, *stmt.reads)
     involved = tuple(arrays[acc.name] for acc in accesses)
     itemsize = involved[0].itemsize
     geom_vals = [bound for lo_hi in eff for bound in lo_hi]
@@ -731,7 +792,7 @@ def make_native_statement(
         *(arr.ctypes.data for arr in involved)
     )
     geom = (_I64 * len(geom_vals))(*geom_vals)
-    return NativeStatement(fn, ptrs, geom, involved), None
+    return NativeStatement(fn, ptrs, geom, involved)
 
 
 def make_fused_statement(

@@ -507,6 +507,15 @@ class _ServedKernel:
                 )
             return self._kernel
 
+    def release(self) -> None:
+        """Drop the warm bindings and the compiled kernel's memos: the
+        server evicted this kernel or closed.  Takes no lock (the caller
+        holds the server's, and a compile may hold ours); a request
+        still running keeps what it holds."""
+        self._warm = OrderedDict()
+        if self._kernel is not None:
+            self._kernel.release()
+
     def warm(self, backend: str, sig: tuple, members: int) -> _Warm:
         """The warm binding for a group of *members* requests of one
         state signature; bound on first use, at most ``MAX_WARM`` kept."""
@@ -715,6 +724,8 @@ class KernelServer:
         with self._lock:
             # Compiled code and warm arrays go now, not with the last
             # reference to a server that can never serve again.
+            for served in self._kernels.values():
+                served.release()
             self._kernels.clear()
             self._nests.clear()
         try:
@@ -897,7 +908,7 @@ class KernelServer:
                 if served is None:
                     served = self._kernels[kid] = _ServedKernel(kid, nest, bindings)
                     while len(self._kernels) > MAX_KERNELS:
-                        self._kernels.popitem(last=False)
+                        self._kernels.popitem(last=False)[1].release()
                 else:
                     self._kernels.move_to_end(kid)
             return served

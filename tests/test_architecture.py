@@ -158,6 +158,43 @@ def test_server_maps_segments_only_in_its_tracker_free_helper():
     )
 
 
+# -- build only the rung that runs: one runners unit, a lazy per-statement one --
+
+
+def names_by_function(path: Path) -> dict[str, set[str]]:
+    """The bare names each top-level function of *path* mentions."""
+    return {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_runners_are_emitted_by_one_generator():
+    runners = {"CHAIN_RUNNER_NAME", "PROGRAM_RUNNER_NAME", "COPY_FN_NAME", "ZERO_FN_NAME"}
+    emitters = sorted(
+        name
+        for name, names in names_by_function(SRC / "codegen" / "native_c.py").items()
+        if names & runners
+    )
+    assert emitters == ["generate_runtime_source"], (
+        f"the four runners are emitted only by generate_runtime_source: {emitters}"
+    )
+
+
+def test_per_statement_unit_is_built_only_by_the_library_loader():
+    builds = sorted(
+        (owner, ast.unparse(call.args[0]))
+        for owner, call in calls_by_function(RUNTIME / "native.py")
+        if called_name(call) == "_build_and_load"
+    )
+    assert builds == [
+        ("_entries", "*self._unit"),  # NativeLibrary's loader, on first use
+        ("library_verdict", "generate_runtime_source()"),
+        ("make_fused_statement", "source"),
+    ], f"native.py builds the per-statement unit only in NativeLibrary._entries: {builds}"
+
+
 # -- one parse per spec: the server's parser call sits behind its memo ---------
 
 

@@ -250,7 +250,7 @@ def test_flaky_compiler_is_retried_and_recovers(fresh_native, monkeypatch):
     finally:
         plan.close()
     assert marker.exists()  # the stub really was killed once
-    assert kernel._native[1] is not None  # and the retry recovered native
+    assert kernel._native[1][0] is not None  # and the retry recovered native
     _assert_bitwise(ref, got)
 
 
@@ -367,7 +367,7 @@ def test_so_cache_corruption_self_heals(consumer, fresh_native):
         drive()  # warm: populates the cache
         _corrupt_cache_and_reset()
         kernel, got = drive()
-        assert kernel._native[1] is not None
+        assert kernel._native[1][0] is not None
         _assert_bitwise(ref, got)
     elif consumer == "ensemble":
         states = [prob.allocate_state(N, seed=m) for m in range(2)]
@@ -393,7 +393,7 @@ def test_so_cache_corruption_self_heals(consumer, fresh_native):
         drive()
         _corrupt_cache_and_reset()
         kernel, out = drive()
-        assert kernel._native[1] is not None
+        assert kernel._native[1][0] is not None
         for ref, got in zip(refs, out):
             _assert_bitwise(ref, got)
     else:  # checkpoint

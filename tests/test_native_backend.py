@@ -12,8 +12,11 @@ rests on (``x**2`` is ``x*x``, NumPy min/max tie-breaking) hold on this
 platform.
 """
 
+import gc
+import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +32,14 @@ from repro.apps import (
 from repro.baselines.scatter import tapenade_style_adjoint
 from repro.codegen.native_c import generate_native_source, native_eligibility
 from repro.core import adjoint_loops, make_loop_nest
-from repro.runtime import Bindings, ExecutionConfig, compile_nests, native_available
+from repro.runtime import (
+    Bindings,
+    ExecutionConfig,
+    clear_kernel_cache,
+    compile_nests,
+    interpret_nests,
+    native_available,
+)
 from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
 
@@ -241,7 +251,11 @@ def test_toolchain_change_revalidates_kernel_memo(rng, monkeypatch, tmp_path):
 
 @needs_cc
 def test_shared_object_disk_cache_reuses_builds(rng, monkeypatch, tmp_path):
-    """Same kernel content: second build reuses the .so without compiling."""
+    """Same kernel content: second build reuses the .so without compiling.
+
+    The runners object is built once per cache directory; each kernel's
+    per-statement object is built on first use (here: ``so_path``).
+    """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     prob = heat_problem(2)
     nests = list(adjoint_loops(prob.primal, prob.adjoint_map))
@@ -258,28 +272,29 @@ def test_shared_object_disk_cache_reuses_builds(rng, monkeypatch, tmp_path):
 
     k1 = compile_nests(nests, prob.bindings(12), cache=False)
     lib1 = native_mod.library_for_kernel(k1)
-    assert lib1 is not None and calls["n"] == 1
-    assert lib1.so_path.exists()
+    assert lib1 is not None and calls["n"] == 1  # the runners only
+    assert lib1.so_path.exists() and calls["n"] == 2
     assert lib1.so_path.with_suffix(".c").exists()  # source kept for debugging
 
     # A content-equal kernel compiled separately: cache hit, no cc call.
     k2 = compile_nests(nests, prob.bindings(12), cache=False)
     lib2 = native_mod.library_for_kernel(k2)
-    assert lib2 is not None and calls["n"] == 1
-    assert lib2.so_path == lib1.so_path
+    assert lib2 is not None and calls["n"] == 2
+    assert lib2.so_path == lib1.so_path and calls["n"] == 2
 
     # Grid size lives in the runtime geometry, not the source: a
     # different n still hits the same shared object.
     k3 = compile_nests(nests, prob.bindings(14), cache=False)
     lib3 = native_mod.library_for_kernel(k3)
-    assert lib3 is not None and calls["n"] == 1
-    assert lib3.so_path == lib1.so_path
+    assert lib3 is not None and calls["n"] == 2
+    assert lib3.so_path == lib1.so_path and calls["n"] == 2
 
-    # Different generated code (dtype changes the typedef): rebuild.
+    # Different generated code (dtype changes the typedef): rebuild the
+    # per-statement object; the runners object is shared.
     k4 = compile_nests(nests, prob.bindings(12, dtype=np.float32), cache=False)
     lib4 = native_mod.library_for_kernel(k4)
     assert lib4 is not None and calls["n"] == 2
-    assert lib4.so_path != lib1.so_path
+    assert lib4.so_path != lib1.so_path and calls["n"] == 3
 
 
 @needs_cc
@@ -332,6 +347,221 @@ def test_concurrent_first_binds_compile_once_per_object(monkeypatch, tmp_path):
         for name in state:
             assert state[name].tobytes() == states[0][name].tobytes()
     plan.close()
+
+
+# -- build plan: only the rungs that run are compiled --------------------------
+
+
+def _logging_cc(monkeypatch, tmp_path, fail=()):
+    """Point ``REPRO_CC`` at a stub that logs the C source of every
+    shared-object build and runs the real compiler — or exits 1 on a
+    source matching every ``grep`` pattern in *fail*.  Returns the log's
+    reader: one entry per build, ``"runners"``, ``"fused"`` or the
+    kernel name of a per-statement unit (the probes run beforehand)."""
+    real_cc = native_mod.native_toolchain()
+    log = tmp_path / "cc.log"
+    stub = tmp_path / "logging-cc"
+    failing = "".join(f'grep -q "{p}" "$src" && ' for p in fail)
+    failing = f"{failing}exit 1\n" if fail else ""
+    stub.write_text(
+        "#!/bin/sh\n"
+        'for a; do case "$a" in *.c) src="$a";; esac; done\n'
+        f'case " $* " in *" -shared "*) echo "$src" >> "{log}";; esac\n'
+        f"{failing}"
+        f'exec "{real_cc}" "$@"\n'
+    )
+    stub.chmod(0o755)
+    monkeypatch.setenv("REPRO_CC", str(stub))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(native_mod, "_toolchain_memo", {})
+    native_mod._host_cflags(str(stub))  # the per-compiler probes are not binds
+    native_mod._omp_cflags(str(stub))
+    log.write_text("")
+
+    def built() -> list[str]:
+        kinds = []
+        for path in log.read_text().split():
+            with open(path) as fh:
+                head = fh.read()
+            if "(runners)" in head:
+                kinds.append("runners")
+            elif "(fused)" in head:
+                kinds.append("fused")
+            else:
+                kinds.append(head.split("kernel '")[1].split("'")[0])
+        return sorted(kinds)
+
+    return built
+
+
+def _first_gradient(n=32, native_threads=1):
+    """The cold workload's shape: wave2d primal (one statement: not
+    fused) then its adjoint (35 statements in two fused nests), bound
+    on one state and run once, bitwise equal to ``interpret_nests``;
+    returns the two bindings.  The width is pinned, so the build plan
+    does not follow ``REPRO_NATIVE_THREADS``."""
+    prob = wave_problem(2)
+    adjoint = list(adjoint_loops(prob.primal, prob.adjoint_map))
+    bindings = prob.bindings(n)
+    kernels = [
+        compile_nests([prob.primal], bindings, name="wave2d", cache=False),
+        compile_nests(adjoint, bindings, name="wave2d_b", cache=False),
+    ]
+    state = prob.allocate_state(n, seed=3)
+    want = {k: v.copy() for k, v in state.items()}
+    interpret_nests([prob.primal], want, bindings)
+    interpret_nests(adjoint, want, bindings)
+    plans = [k.plan(backend="native", native_threads=native_threads) for k in kernels]
+    bounds = [p.bind(state) for p in plans]
+    for bound in bounds:
+        bound.run()
+    for plan in plans:
+        plan.close()
+    for name in want:
+        assert state[name].tobytes() == want[name].tobytes(), name
+    return bounds
+
+
+@needs_cc
+def test_cold_first_gradient_builds_only_the_rungs_that_run(monkeypatch, tmp_path):
+    """Runners once, the adjoint's two fused nests and the primal's
+    per-statement unit: the adjoint's per-statement unit (35 functions,
+    none of which runs) is never compiled."""
+    built = _logging_cc(monkeypatch, tmp_path)
+    primal, adjoint = _first_gradient()
+    assert built() == ["fused", "fused", "runners", "wave2d"]
+    assert primal.native_statement_count == primal.statement_count == 1
+    assert adjoint.fused_statement_count == adjoint.statement_count == 35
+    assert adjoint.fused_group_count == 2
+
+
+@needs_cc
+def test_per_statement_unit_builds_once_across_first_binds(monkeypatch, tmp_path):
+    """``fusion="off"``: four threads' first binds need the per-statement
+    unit at once; it is compiled exactly once (single-flight)."""
+    built = _logging_cc(monkeypatch, tmp_path)
+    prob = wave_problem(2)
+    kernel = compile_nests(
+        list(adjoint_loops(prob.primal, prob.adjoint_map)),
+        prob.bindings(32),
+        name="wave2d_b",
+        cache=False,
+    )
+    plan = kernel.plan(backend="native", fusion="off")
+    states = [prob.allocate_state(32, seed=0) for _ in range(4)]
+    bounds, errors = [None] * 4, []
+    go = threading.Barrier(4)
+
+    def first_bind(k):
+        try:
+            go.wait(timeout=30)
+            bounds[k] = plan.bind(states[k])
+            bounds[k].run()
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=first_bind, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the check-then-build densely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    plan.close()
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert built() == ["runners", "wave2d_b"]
+    assert all(b.native_statement_count == b.statement_count == 35 for b in bounds)
+    for state in states[1:]:
+        for name in state:
+            assert state[name].tobytes() == states[0][name].tobytes()
+
+
+# The comment line opening a per-statement unit ("ABI v3, kernel 'x'");
+# runners and fused nests open differently.
+_PER_STATEMENT_UNIT = "^/\\* ABI v[0-9]*, kernel "
+
+
+@needs_cc
+def test_failed_per_statement_unit_degrades_only_its_statements(
+    monkeypatch, tmp_path
+):
+    """A compiler failing only the per-statement unit: the fused nests
+    stay native, the statement that needed the unit binds to python
+    with the ``build-failed`` verdict (one warning), and the results
+    stay bitwise."""
+    built = _logging_cc(monkeypatch, tmp_path, fail=[_PER_STATEMENT_UNIT])
+    decisions_mod._reset_warnings()
+    with pytest.warns(RuntimeWarning, match="native build of kernel 'wave2d' failed"):
+        primal, adjoint = _first_gradient()
+    assert built() == ["fused", "fused", "runners", "wave2d"]
+    assert primal.decisions[0].rung == "native"  # the runners built
+    (verdict,) = primal.decisions[1:]
+    assert verdict.rung == "python"
+    assert "falling back to the python backend" in verdict.reason
+    assert primal.native_statement_count == 0
+    assert adjoint.fused_statement_count == adjoint.statement_count == 35
+
+
+@needs_cc
+def test_failed_threaded_unit_lands_on_the_serial_library(monkeypatch, tmp_path):
+    """The threaded variant: only the OpenMP per-statement unit fails, so
+    its statement binds to the *serial* library's entry — still native,
+    with the ``mt-build-failed`` reason — and the results stay bitwise."""
+    if native_mod._omp_cflags(native_mod.native_toolchain()) is None:
+        pytest.skip("the compiler cannot build OpenMP code")
+    built = _logging_cc(
+        monkeypatch, tmp_path, fail=[_PER_STATEMENT_UNIT, "^/\\* threaded variant"]
+    )
+    decisions_mod._reset_warnings()
+    with pytest.warns(RuntimeWarning, match="threaded native build of kernel 'wave2d'"):
+        primal, adjoint = _first_gradient(native_threads=2)
+    # The threaded unit's failed attempt, then the serial unit.
+    assert built() == ["fused", "fused", "runners", "wave2d", "wave2d"]
+    (verdict,) = primal.decisions[1:]
+    assert verdict.rung == "native"
+    assert "falling back to the serial native path" in verdict.reason
+    kernel = primal.plan.kernel
+    serial = native_mod.library_for_kernel(kernel, 1)
+    (stmt,) = primal._serial_items
+    assert stmt.fn is serial.stmt_fn(kernel.regions[0], 0)
+    assert adjoint.fused_statement_count == adjoint.statement_count == 35
+
+
+@pytest.fixture
+def gc_off():
+    """Reference counting only: what needs the cycle collector survives."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+@needs_cc
+def test_dropped_kernel_is_freed_without_the_cycle_collector(
+    gc_off, monkeypatch, tmp_path
+):
+    """A cached kernel, its plans, a binding and its library go as soon
+    as the last user reference does and the cache drops the kernel — a
+    full collection used to be the only thing that freed a cold build."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    prob = wave_problem(2)
+    kernel = compile_nests(
+        list(adjoint_loops(prob.primal, prob.adjoint_map)), prob.bindings(16)
+    )
+    fused = kernel.plan(backend="native")
+    plan = kernel.plan(backend="native", fusion="off")
+    for p in (fused, plan):
+        bound = p.bind(prob.allocate_state(16, seed=0))
+        bound.run()
+    lib = native_mod.library_for_kernel(kernel)
+    assert lib.so_path.exists() and kernel._fused  # both native rungs built
+    refs = [weakref.ref(o) for o in (kernel, fused, plan, bound, lib)]
+    del kernel, fused, plan, p, bound, lib
+    clear_kernel_cache()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 @needs_cc
@@ -616,7 +846,7 @@ def test_array_gate_names_its_reason_and_stays_exact(case):
     lib = native_mod.library_for_kernel(kernel)
     direct = {
         "statement": [
-            native_mod.make_native_statement(lib, region, si, st, fresh(), eff)[1]
+            native_mod.native_gate(lib, region, si, st, fresh(), eff)
             for region, si, st, eff in decisions_mod.serial_stream(fused_plan)
         ],
         "fused": [

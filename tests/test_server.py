@@ -18,6 +18,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -27,7 +28,7 @@ import repro.runtime.server as server_module
 from repro.core.validate import SpecLimits
 from repro.errors import ServeError, ValidationError
 from repro.frontend import parse_stencil
-from repro.runtime import Bindings, compile_nests, faults
+from repro.runtime import Bindings, clear_kernel_cache, compile_nests, faults
 from repro.runtime.client import KernelClient
 from repro.runtime.ensemble import EnsemblePlan
 from repro.runtime.server import (
@@ -1252,6 +1253,39 @@ def test_an_evicted_kernel_is_registered_again_from_the_memo(
     assert again.kernel_id == first
     assert_bitwise(reference(DECAY, DECAY_SIZES, params(0), state), again.state)
     assert parse_calls == [DECAY]
+
+
+def test_an_evicted_kernel_is_freed_without_the_cycle_collector(
+    server_factory, monkeypatch
+):
+    """Eviction releases the served kernel's warm bindings and its
+    compiled kernel's memos: once the kernel cache lets go too, reference
+    counting alone frees all of it."""
+    monkeypatch.setattr(server_module, "MAX_KERNELS", 1)
+    server = server_factory()
+    gc.collect()
+    gc.disable()
+    try:
+        with KernelClient(server.socket_path) as client:
+            state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=1)
+            kid = client.run(
+                SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state
+            ).kernel_id
+            served = server._kernels[kid]
+            (warm,) = served._warm.values()
+            refs = [
+                weakref.ref(o)
+                for o in (served, warm.ensemble, warm.ensemble.plan, served._kernel)
+            ]
+            del served, warm
+            client.compile(DECAY, sizes=DECAY_SIZES, params=DECAY_PARAMS)
+            assert kid not in server._kernels
+        # Only the kernel cache still holds the compiled kernel.
+        assert [r() is None for r in refs] == [True, True, True, False]
+        clear_kernel_cache()
+        assert refs[-1]() is None
+    finally:
+        gc.enable()
 
 
 def test_close_empties_the_parse_memo(server_factory):
