@@ -1,7 +1,5 @@
 """Extension benchmarks: the paper's future-work directions, measured.
 
-* **Tiling** (Section 6: polyhedral compilers) — cache-blocked execution
-  of the adjoint kernels, verified bitwise-equal and timed.
 * **GPU target** (Section 6: "We plan to test our method also on GPU
   systems") — the V100 extension preset's predictions: the PerforAD
   adjoint keeps the primal's scalability profile on a GPU while the
@@ -10,8 +8,6 @@
   the composition with surrounding-program reversal.
 """
 
-import time
-
 import numpy as np
 
 from repro.core import adjoint_loops
@@ -19,40 +15,6 @@ from repro.driver import AdjointTimeStepper, make_stencil_steps, optimal_cost
 from repro.experiments import wave_descriptors
 from repro.machine import V100
 from repro.runtime import compile_nests
-
-
-def test_tiling_ablation(benchmark, capsys, wave_case):
-    kernel = wave_case.gather_kernel
-    shapes = {"untiled": None, "tile 32^3": (32, 32, 32), "tile 16^3": (16, 16, 16)}
-    # Plans are built once outside the timed region (compile-once,
-    # run-many): the timed loop only executes precomputed tiles.
-    plans = {
-        label: kernel.plan(tile_shape=tile) for label, tile in shapes.items()
-    }
-    results = {}
-    ref = None
-    for label, plan in plans.items():
-        best = float("inf")
-        for _ in range(3):
-            arrays = wave_case.arrays()
-            t0 = time.perf_counter()
-            plan.run(arrays)
-            best = min(best, time.perf_counter() - t0)
-        results[label] = best
-        if ref is None:
-            ref = arrays["u_1_b"]
-        else:
-            np.testing.assert_array_equal(arrays["u_1_b"], ref)
-    benchmark.pedantic(
-        lambda: plans["tile 32^3"].run(wave_case.arrays()),
-        rounds=3, iterations=1,
-    )
-    with capsys.disabled():
-        print(f"\ntiling ablation, wave3d adjoint n={wave_case.n}:")
-        for label, t in results.items():
-            print(f"  {label:10s} {t * 1e3:8.2f} ms")
-    for label, t in results.items():
-        benchmark.extra_info[label + "_ms"] = round(t * 1e3, 2)
 
 
 def test_gpu_extension_predictions(benchmark, capsys):

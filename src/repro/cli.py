@@ -159,18 +159,6 @@ def _thread_count(value: str) -> int:
     return threads
 
 
-def _tile_shape(value: str) -> tuple[int, ...]:
-    try:
-        tile = tuple(int(t) for t in value.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid tile shape {value!r}; expected comma-separated ints"
-        )
-    if not tile or any(t < 1 for t in tile):
-        raise argparse.ArgumentTypeError("tile extents must be >= 1")
-    return tile
-
-
 def _param_values(value: str) -> tuple[str, tuple[float, ...]]:
     name, sep, rest = value.partition("=")
     if not sep or not name:
@@ -229,11 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--threads", type=_thread_count, default=1,
         help="also verify the planned thread-parallel execution at this "
-        "thread count (must match the serial adjoint bitwise)",
-    )
-    ver.add_argument(
-        "--tile", type=_tile_shape, default=None, metavar="T0,T1,...",
-        help="also verify planned tiled execution with this tile shape",
+        "thread count (must match the serial adjoint bitwise): the "
+        "worker pool on the python backend, OpenMP native_threads on "
+        "the native one",
     )
     ver.add_argument(
         "--backend", choices=["python", "native"], default="python",
@@ -456,7 +442,7 @@ def _cmd_generate(args) -> int:
 
 
 def _plan_vs_serial_diff(
-    prob, n: int, strategy: str, threads: int, tile, backend: str = "python"
+    prob, n: int, strategy: str, threads: int, backend: str = "python"
 ) -> float:
     """Max |planned - serial| over active adjoints for one plan config."""
     from .runtime import ExecutionConfig, ExecutionPlan
@@ -468,10 +454,13 @@ def _plan_vs_serial_diff(
     planned = {k: v.copy() for k, v in base.items()}
     # A private (non-memoised) plan: closing its pool afterwards cannot
     # affect other holders of the kernel's shared plans.
-    config = ExecutionConfig(
-        num_threads=threads, tile_shape=tile, min_block_iterations=1,
-        backend=backend,
-    )
+    # One thread knob per backend: OpenMP on native (1 leaves
+    # REPRO_NATIVE_THREADS in charge), the worker pool on python.
+    if backend == "native":
+        knob = {"native_threads": threads if threads > 1 else None}
+    else:
+        knob = {"num_threads": threads}
+    config = ExecutionConfig(min_block_iterations=1, backend=backend, **knob)
     with ExecutionPlan.build(kernel, config) as plan:
         # Bind explicitly: the bound path is the steady-state path and
         # the only one the native backend accelerates.
@@ -525,12 +514,11 @@ def _cmd_verify(args) -> int:
     print(f"  dot-product rel. error : {dp.rel_error:.3e}")
     print(f"  finite-diff rel. error : {fd.rel_error:.3e}")
     ok = cmp_.passed() and dp.passed and fd.passed(5e-5)
-    if args.threads > 1 or args.tile or args.backend != "python":
-        tile = args.tile
+    if args.threads > 1 or args.backend != "python":
         diff = _plan_vs_serial_diff(
-            prob, n, args.strategy, args.threads, tile, backend=args.backend
+            prob, n, args.strategy, args.threads, backend=args.backend
         )
-        desc = f"{args.threads} thread(s)" + (f", tile {tile}" if tile else "")
+        desc = f"{args.threads} thread(s)"
         if args.backend != "python":
             desc += f", backend {args.backend}"
         print(f"  plan [{desc}] vs serial: {diff:.3e}")

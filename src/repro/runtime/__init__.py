@@ -60,7 +60,6 @@ from .scheduler import (
     safe_split_axis,
     split_box,
 )
-from .tiling import safe_to_tile, tile_box
 
 __all__ = [
     "Bindings",
@@ -108,10 +107,8 @@ __all__ = [
     "native_thread_count",
     "native_toolchain",
     "safe_split_axis",
-    "safe_to_tile",
     "seeded_state",
     "state_shapes",
     "split_box",
-    "tile_box",
     "validate_scatter_kernel",
 ]

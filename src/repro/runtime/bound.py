@@ -13,7 +13,7 @@ runs bound units.
 :meth:`ExecutionPlan.bind(arrays) <repro.runtime.plan.ExecutionPlan.bind>`
 resolves, once per (plan, arrays):
 
-* every per-unit per-statement ndarray **view** — the slice/moveaxis/
+* every per-task per-statement ndarray **view** — the slice/moveaxis/
   reshape geometry ``_frame_view``/``_target_view_and_missing`` used to
   rebuild on every call;
 * **counter arrays** — bare loop counters materialise as ``np.arange``
@@ -247,7 +247,7 @@ class _Operand(np.lib.mixins.NDArrayOperatorsMixin):
 
 
 class _BoundStatement:
-    """One statement of one work unit, resolved against concrete arrays.
+    """One statement of one task, resolved against concrete arrays.
 
     Holds the read views, counter arrays, target view and reduction
     geometry that the unbound path rebuilt on every call; :meth:`run`
@@ -483,7 +483,7 @@ class BoundPlan(Lowered):
         self._backups: tuple | None = None
 
         ladder = Ladder(plan, self)
-        self.mode = mode = ladder.mode
+        self.mode = ladder.mode
         python: list[_BoundStatement] = []
 
         def lower(stream, arrays) -> list:
@@ -495,27 +495,27 @@ class BoundPlan(Lowered):
 
         # Serial execution order is the flat statement order, so a
         # serial config lowers one stream across region/task boundaries:
-        # a fully native kernel runs one FFI call per timestep.
-        # Threaded/scatter configs lower per task.  Only the variant
-        # this config's run() uses is bound — the other would be dead
-        # ctypes-array weight per bind.
+        # a fully native kernel runs one FFI call per timestep.  Python
+        # pool configs (num_threads > 1) lower per task.  Only the
+        # variant this config's run() uses is bound — the other would be
+        # dead weight per bind.
         self._serial_items: tuple = ()
         # Per region: (tasks, barrier before it, tasks may run concurrently).
         regions: list[tuple[tuple[_BoundTask, ...], bool, bool]] = []
-        if mode.serial:
+        if plan.config.num_threads == 1:
             self._serial_items = tuple(lower(serial_stream(plan), sources))
         else:
             for rp, barrier in zip(plan.region_plans, plan.barriers):
                 written = sorted({st.target.name for st in rp.region.statements})
                 tasks = []
-                for task in rp.tasks:
+                for boxes in rp.tasks:
                     scratch = None
                     if plan.config.scatter:
                         scratch = {
                             name: np.zeros_like(sources[name]) for name in written
                         }
                     items = lower(
-                        task_stream(rp.region, task), {**sources, **(scratch or {})}
+                        task_stream(rp.region, boxes), {**sources, **(scratch or {})}
                     )
                     tasks.append(_BoundTask(items, scratch))
                 regions.append((tuple(tasks), barrier, rp.parallel))

@@ -535,11 +535,12 @@ class CompiledKernel:
         """The cached :class:`~repro.runtime.plan.ExecutionPlan` for a config.
 
         *config* holds :class:`~repro.runtime.plan.ExecutionConfig`
-        fields (``num_threads``, ``tile_shape``, ``scatter``,
-        ``backend``, ... — documented and validated there).  Plans
-        precompute guard boxes, split axes, thread blocks and tiles
-        once; repeated calls with an equal configuration return the same
-        plan object, so every timestep of a run reuses the decomposition.
+        fields (``backend``, ``num_threads`` for the python backend's
+        worker pool, ``native_threads`` for the native backend's OpenMP
+        nests, ``scatter``, ... — documented and validated there).
+        Plans precompute guard boxes, split axes and thread blocks once;
+        repeated calls with an equal configuration return the same plan
+        object, so every timestep of a run reuses the decomposition.
         """
         from .plan import ExecutionConfig, ExecutionPlan  # avoids cycle
 

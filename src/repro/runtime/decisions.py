@@ -95,12 +95,10 @@ def _reset_warnings() -> None:
 class Mode:
     """What a binding may do; each ``*_off`` is None (on) or the reason.
 
-    ``threads`` is the OpenMP width of native code; ``serial`` whether
-    statements run as one cross-task stream (else one per pool task).
+    ``threads`` is the OpenMP width of native code.
     """
 
     threads: int
-    serial: bool
     native_off: str | None
     chain_off: str | None
     fuse_off: str | None
@@ -111,8 +109,8 @@ def lowering_mode(config, library: Verdict | None = None) -> Mode:
     """The mode gate: what a binding of *config* may lower to.
 
     *library* is the library rung's verdict (None: assume it loads).
-    Disciplines that own the parallelism or need per-statement
-    granularity pin the native width to 1.
+    The scatter discipline, the watchdog and a library that did not
+    load threaded pin the native width to 1.
     """
     threads = config.native_threads
     if threads is None:
@@ -120,9 +118,8 @@ def lowering_mode(config, library: Verdict | None = None) -> Mode:
             threads = int(os.environ.get("REPRO_NATIVE_THREADS", ""))
         except ValueError:
             threads = 1
-    threaded = config.num_threads > 1
     watch = config.check == "nan"
-    if threads < 1 or threaded or config.scatter or watch or (
+    if threads < 1 or config.scatter or watch or (
         library is not None and library.rung != "native"
     ):
         threads = 1
@@ -135,14 +132,10 @@ def lowering_mode(config, library: Verdict | None = None) -> Mode:
         "check='nan' needs per-statement granularity" if watch else None
     )
     fuse_off = chain_off
-    if fuse_off is None and threaded:
-        fuse_off = "num_threads > 1: fused nests bake geometry, not per-task boxes"
-    elif fuse_off is None and config.tile_shape is not None:
-        fuse_off = "tile_shape set: fused nests bake geometry"
-    elif fuse_off is None and config.fusion == "off":
+    if fuse_off is None and config.fusion == "off":
         fuse_off = "fusion='off'"
     return Mode(
-        threads, not threaded, native_off, chain_off, fuse_off,
+        threads, native_off, chain_off, fuse_off,
         None if watch else "check='none'",
     )
 
@@ -205,16 +198,14 @@ def program_gate(bindings) -> str | None:
 
     *bindings* are the ``BoundPlan``/``EnsemblePlan`` parity bindings of
     a checkpointed plan.  A program is a flat sequence of native calls
-    entered once, so it has no place for a python statement, a pool
-    task, a per-statement scan or a per-run backup: each of those keeps
-    the per-action rung, where it keeps its per-*run* meaning.
+    entered once, so it has no place for a python statement, a
+    per-statement scan or a per-run backup: each of those keeps the
+    per-action rung, where it keeps its per-*run* meaning.
     """
     for bound in bindings:
         config, mode = bound.plan.config, bound.mode
         if mode.native_off is not None:
             return mode.native_off
-        if not mode.serial:
-            return "num_threads > 1: tasks run on the worker pool"
         if mode.watch_off is None:
             return "check='nan' scans after every statement of every run"
         if config.transactional:
@@ -291,11 +282,10 @@ class _CheckedStatement:
             )
 
 
-def task_stream(region, task) -> list:
-    """``(region, si, stmt, eff_box)`` of one task's units, in order."""
+def task_stream(region, boxes) -> list:
+    """``(region, si, stmt, eff_box)`` of one task's statements, in order."""
     return [
         (region, si, st, eff)
-        for boxes in task
         for si, (st, eff) in enumerate(zip(region.statements, boxes))
         if eff is not None
     ]
@@ -306,8 +296,8 @@ def serial_stream(plan) -> list:
     return [
         entry
         for rp in plan.region_plans
-        for task in rp.tasks
-        for entry in task_stream(rp.region, task)
+        for boxes in rp.tasks
+        for entry in task_stream(rp.region, boxes)
     ]
 
 

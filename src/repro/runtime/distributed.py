@@ -324,12 +324,14 @@ class ShardedPlan:
             )
         _validate_halo(ranges, halo)
         self.halo = halo
-        # Forked ranks are the parallelism, as num_threads > 1 and
-        # scatter are at the mode gate — and libgomp is not fork-safe:
-        # once the parent has entered one OpenMP region, a forked
-        # worker deadlocks in its first.  An explicit pin, so it beats
-        # REPRO_NATIVE_THREADS; in-process ranks and the single-shard
-        # continuation run in the parent and keep the caller's width.
+        # Forked ranks are the parallelism, as scatter is at the mode
+        # gate — and libgomp is not fork-safe: once the parent has
+        # entered one OpenMP region, a forked worker deadlocks in its
+        # first.  native_threads is the native backend's only thread
+        # knob (num_threads > 1 is refused there), so it is the one
+        # pinned — explicitly, so it beats REPRO_NATIVE_THREADS;
+        # in-process ranks and the single-shard continuation run in the
+        # parent and keep the caller's width.
         forks = use_workers and "fork" in multiprocessing.get_all_start_methods()
         self._rank_config = self.config
         if (

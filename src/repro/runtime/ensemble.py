@@ -239,7 +239,7 @@ class EnsemblePlan(Lowered):
     ----------
     plan:
         The member execution plan.  Any non-scatter configuration works
-        — serial, threaded or tiled decompositions are replayed per
+        — a python-backend ``num_threads`` decomposition is replayed per
         member in the plan's flat serial order (ensemble parallelism
         comes from ``workers``, not from the member plan's threads);
         ``backend="native"`` dispatches member statements to JIT-built C

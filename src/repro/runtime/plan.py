@@ -3,14 +3,14 @@
 The paper's measured workflow fixes the execution configuration (thread
 count, problem size) once and then runs the compiled kernel for every
 timestep and repetition.  Redoing the per-run bookkeeping — guard-box
-intersection, safe-split-axis selection, thread blocking, tile
-decomposition — inside every call would dominate small-grid steps.
+intersection, safe-split-axis selection, thread blocking — inside every
+call would dominate small-grid steps.
 
 An :class:`ExecutionPlan` is built once per ``(kernel, ExecutionConfig)``
 (PyOP2's parallel-plan idea): it freezes the full work decomposition —
-per-region thread tasks, per-task tiles, per-tile guard-intersected
-statement boxes — for every discipline (serial, threaded, tiled,
-tiled+threaded, scatter).  Plans are memoised on the kernel via
+per-region thread tasks, each one box with its guard-intersected
+statement boxes — for every discipline (serial, threaded, scatter).
+Plans are memoised on the kernel via
 :meth:`~repro.runtime.compiler.CompiledKernel.plan`.
 
 There is one route to the machine: ``kernel.plan(...)`` →
@@ -32,10 +32,9 @@ join, exactly as the paper's "no additional synchronisation barriers"
 describes.
 
 Results are bitwise identical to the serial path for every discipline:
-gather regions write disjoint locations per task, tiles partition
-full-rank regions element-wise, the scatter discipline is validated up
-front (see :func:`validate_scatter_kernel`) and its thread-private
-scratches merge in deterministic task order.
+gather regions write disjoint locations per task, the scatter
+discipline is validated up front (see :func:`validate_scatter_kernel`)
+and its thread-private scratches merge in deterministic task order.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .compiler import (
     _boxes_overlap,
 )
 from .scheduler import WorkerPool, safe_split_axis, split_box
-from .tiling import safe_to_tile, tile_box
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .bound import BoundPlan
@@ -86,10 +84,12 @@ _BOUND_MEMO_SIZE = 2
 class ExecutionConfig:
     """Everything that selects an execution discipline for a kernel.
 
-    ``num_threads`` > 1 runs thread-parallel (gather: race-free blocks;
-    scatter: thread-private accumulation with deterministic ordered
-    merge).  ``tile_shape`` cache-blocks each task's box.  ``scatter``
-    selects the conventional-adjoint discipline.
+    One thread knob per backend.  ``num_threads`` > 1 runs the python
+    backend thread-parallel on the plan's worker pool (gather: race-free
+    blocks; scatter: thread-private accumulation with deterministic
+    ordered merge); the native backend refuses it with a
+    :class:`ValueError` and takes ``native_threads`` instead.
+    ``scatter`` selects the conventional-adjoint discipline.
     ``min_block_iterations`` keeps tiny regions on the submitting thread.
     ``backend`` selects how bound statements execute: ``"python"`` runs
     the in-place NumPy slot tape, ``"native"`` dispatches eligible
@@ -98,12 +98,12 @@ class ExecutionConfig:
     toolchain exists — to the python path with identical results.
     ``fusion`` controls the native backend's dependence-aware statement
     fusion (:mod:`repro.core.fusion`): ``"auto"`` (default) merges
-    fusable statement chains of serial untiled native bindings into
-    single C loop nests, ``"off"`` pins the per-statement path (the
-    bitwise reference oracle).  The setting is inert for the python
-    backend and for threaded/tiled/watchdog plans — one mode gate
-    decides (:func:`repro.runtime.decisions.lowering_mode`) and a
-    binding's ``explain()`` names the reason.
+    fusable statement chains of native bindings into single C loop
+    nests, ``"off"`` pins the per-statement path (the bitwise reference
+    oracle).  The setting is inert for the python backend and for
+    watchdog plans — one mode gate decides
+    (:func:`repro.runtime.decisions.lowering_mode`) and a binding's
+    ``explain()`` names the reason.
 
     Two opt-in reliability knobs (see ``docs/reliability.md``), both
     default-off because each costs a memory sweep the fused hot path
@@ -129,17 +129,18 @@ class ExecutionConfig:
     variable at bind time, an explicit integer pins the count and wins
     over the environment.  Results are bitwise identical to the serial
     native path at every count; the knob is inert for the python
-    backend and resolves to serial for threaded/scatter/watchdog plans
-    (see :func:`repro.runtime.native.native_thread_count`).
+    backend and resolves to serial for scatter and watchdog plans (see
+    :func:`repro.runtime.native.native_thread_count`).
 
-    Invalid values raise :class:`ValueError` here; a ``tile_shape``
-    whose rank does not cover the kernel's dimensionality raises
-    :class:`~repro.runtime.compiler.KernelError` at plan build, where
-    the kernel is known.
+    Invalid values raise :class:`ValueError` here.
 
     >>> from repro.runtime import ExecutionConfig
-    >>> ExecutionConfig(num_threads=4, tile_shape=(16, 16)).tile_shape
-    (16, 16)
+    >>> ExecutionConfig(backend="native", native_threads=2).native_threads
+    2
+    >>> ExecutionConfig(backend="native", num_threads=2)  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+        ...
+    ValueError: num_threads=2 runs the python worker pool, ... native_threads=2 ...
     >>> ExecutionConfig(backend="fortran")
     Traceback (most recent call last):
         ...
@@ -151,7 +152,6 @@ class ExecutionConfig:
     """
 
     num_threads: int = 1
-    tile_shape: tuple[int, ...] | None = None
     scatter: bool = False
     min_block_iterations: int = 1024
     backend: str = "python"
@@ -161,13 +161,29 @@ class ExecutionConfig:
     native_threads: int | None = None
 
     def __post_init__(self) -> None:
-        if self.num_threads < 1:
-            raise ValueError("num_threads must be >= 1")
-        if self.native_threads is not None and self.native_threads < 1:
-            raise ValueError("native_threads must be >= 1 (or None)")
+        for name in ("num_threads", "native_threads", "min_block_iterations"):
+            value = getattr(self, name)
+            if value is None and name == "native_threads":
+                continue  # the environment decides at bind time
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}"
+                ) from None
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
         if self.backend not in ("python", "native"):
             raise ValueError(
                 f"backend must be 'python' or 'native', got {self.backend!r}"
+            )
+        if self.backend == "native" and self.num_threads > 1:
+            raise ValueError(
+                f"num_threads={self.num_threads} runs the python worker "
+                f"pool, which the native backend does not use; set "
+                f"native_threads={self.num_threads} for OpenMP-threaded C "
+                f"loop nests"
             )
         if self.fusion not in ("auto", "off"):
             raise ValueError(
@@ -177,44 +193,21 @@ class ExecutionConfig:
             raise ValueError(
                 f"check must be 'none' or 'nan', got {self.check!r}"
             )
-        if self.min_block_iterations < 1:
-            raise ValueError("min_block_iterations must be >= 1")
-        if self.scatter and self.tile_shape is not None:
-            raise ValueError("tiling is not supported for scatter plans")
-        if self.tile_shape is not None:
-            try:
-                tile = tuple(operator.index(t) for t in self.tile_shape)
-            except TypeError:
-                raise ValueError(
-                    f"tile_shape entries must be integers, got "
-                    f"{tuple(self.tile_shape)!r}"
-                ) from None
-            if not tile or any(t < 1 for t in tile):
-                raise ValueError(
-                    f"tile_shape entries must be positive integers, got "
-                    f"{tile!r}"
-                )
-            object.__setattr__(self, "tile_shape", tile)
 
 
 @dataclass(frozen=True)
 class RegionPlan:
     """Frozen decomposition of one region under one config.
 
-    ``tasks`` is the parallel dimension: each task is a sequence of work
-    units executed in order by one worker, and each unit is the
-    per-statement guard-intersected boxes of one sub-box (tile).
+    ``tasks`` is the parallel dimension: each task is the per-statement
+    guard-intersected boxes of one block, executed by one worker.
     ``parallel`` marks whether the tasks may run concurrently; serial
     regions (too small, or no race-free split axis) hold a single task.
     """
 
     region: RegionKernel
-    tasks: tuple[tuple[StmtBoxes, ...], ...]
+    tasks: tuple[StmtBoxes, ...]
     parallel: bool
-
-    @property
-    def unit_count(self) -> int:
-        return sum(len(task) for task in self.tasks)
 
 
 def validate_scatter_kernel(kernel: CompiledKernel) -> None:
@@ -386,15 +379,6 @@ class ExecutionPlan:
     ) -> "ExecutionPlan":
         if config.scatter and config.num_threads > 1:
             validate_scatter_kernel(kernel)
-        if config.tile_shape is not None:
-            dim = len(kernel.counters)
-            if len(config.tile_shape) < dim:
-                raise KernelError(
-                    f"tile_shape {config.tile_shape} has rank "
-                    f"{len(config.tile_shape)} but kernel {kernel.name!r} "
-                    f"iterates over {dim} axes; give one tile extent per "
-                    f"axis (extra trailing entries are ignored)"
-                )
         region_plans = []
         for region in kernel.regions:
             if region.is_empty:
@@ -432,36 +416,22 @@ class ExecutionPlan:
         shift: int = 0,
     ) -> RegionPlan:
         root: Box = region.bounds if bounds is None else bounds
-        if config.scatter:
-            blocks = split_box(root, config.num_threads)
-            tasks = tuple(
-                (_shift_boxes(region.statement_boxes(block), shift),)
-                for block in blocks
-            )
-            return RegionPlan(region, tasks, parallel=config.num_threads > 1)
-
         parallel = False
         blocks: list[Box] = [root]
-        if config.num_threads > 1 and (
+        if config.scatter:
+            blocks = split_box(root, config.num_threads)
+            parallel = config.num_threads > 1
+        elif config.num_threads > 1 and (
             region.iteration_count(root) >= config.min_block_iterations
         ):
             axis = safe_split_axis(region)
             if axis is not None:
                 blocks = split_box(root, config.num_threads, axis=axis)
                 parallel = True
-
-        tile = config.tile_shape
-        tileable = tile is not None and safe_to_tile(region)
-        tasks = []
-        for block in blocks:
-            boxes = tile_box(block, tile) if tileable else [block]
-            tasks.append(
-                tuple(
-                    _shift_boxes(region.statement_boxes(box), shift)
-                    for box in boxes
-                )
-            )
-        return RegionPlan(region, tuple(tasks), parallel=parallel)
+        tasks = tuple(
+            _shift_boxes(region.statement_boxes(block), shift) for block in blocks
+        )
+        return RegionPlan(region, tasks, parallel=parallel)
 
     @staticmethod
     def _compute_barriers(region_plans: tuple[RegionPlan, ...]) -> tuple[bool, ...]:
@@ -502,14 +472,15 @@ class ExecutionPlan:
     # -- queries -----------------------------------------------------------
 
     @property
-    def unit_count(self) -> int:
-        """Total number of serially-executed work units (e.g. tiles)."""
-        return sum(rp.unit_count for rp in self.region_plans)
-
-    @property
     def task_count(self) -> int:
         """Total number of schedulable tasks across regions."""
         return sum(len(rp.tasks) for rp in self.region_plans)
+
+    @property
+    def unit_count(self) -> int:
+        """Work units executed per run: one box per task, so
+        :attr:`task_count` (kept for the benchmark's per-layer record)."""
+        return self.task_count
 
     # -- binding -----------------------------------------------------------
 
@@ -679,9 +650,8 @@ class ExecutionPlan:
             self._run_scatter(arrays)
             return
         for rp in self.region_plans:
-            for task in rp.tasks:
-                for unit in task:
-                    rp.region.execute_boxes(arrays, unit)
+            for boxes in rp.tasks:
+                rp.region.execute_boxes(arrays, boxes)
 
     def _run_scatter(self, arrays: Mapping[str, np.ndarray]) -> None:
         """Scatter reference: private accumulation, deterministic merge.
@@ -703,12 +673,11 @@ class ExecutionPlan:
             if barrier:
                 drain()
             written = sorted({st.target.name for st in rp.region.statements})
-            for task in rp.tasks:
+            for boxes in rp.tasks:
                 scratch = dict(arrays)
                 for name in written:
                     scratch[name] = np.zeros_like(arrays[name])
-                for unit in task:
-                    rp.region.execute_boxes(scratch, unit)
+                rp.region.execute_boxes(scratch, boxes)
                 pending.append((written, scratch))
         drain()
 

@@ -634,7 +634,12 @@ class KernelServer:
         # closes, to cut the leader's window wait short.
         self._groups: dict[tuple, list[_Pending]] = {}
         self._slots = threading.BoundedSemaphore(workers)
-        self._conns: dict[socket.socket, threading.Thread] = {}
+        # Open connections, each removed by its thread as it ends; and
+        # every connection thread started (the accept loop prunes the
+        # finished ones), which close() joins: a thread that has left
+        # _conns may still be cleaning up.
+        self._conns: set[socket.socket] = set()
+        self._threads: list[threading.Thread] = []
         self._listener: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
         self._running = False
@@ -709,7 +714,8 @@ class KernelServer:
         if self._acceptor is not None:
             join(self._acceptor)
         with self._lock:
-            conns = dict(self._conns)
+            conns = list(self._conns)
+            threads = list(self._threads)
             for batch in self._groups.values():
                 batch[0].event.set()  # flush open windows now
         for conn in conns:
@@ -719,7 +725,7 @@ class KernelServer:
                 conn.shutdown(socket.SHUT_RD)
             except OSError:
                 pass
-        for thread in conns.values():
+        for thread in threads:
             join(thread)
         with self._lock:
             # Compiled code and warm arrays go now, not with the last
@@ -783,7 +789,9 @@ class KernelServer:
                 daemon=True,
             )
             with self._lock:
-                self._conns[conn] = thread
+                self._conns.add(conn)
+                self._threads = [t for t in self._threads if t.is_alive()]
+                self._threads.append(thread)
             thread.start()
 
     def _handle_conn(self, conn: socket.socket) -> None:
@@ -818,7 +826,7 @@ class KernelServer:
             while attached:
                 _detach(attached.popitem()[1][0])
             with self._lock:
-                self._conns.pop(conn, None)
+                self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:  # pragma: no cover

@@ -10,6 +10,7 @@ that breaks one fails where every change is tested.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -249,3 +250,26 @@ def test_no_unused_imports():
     )
     unused = [hit for path in files for hit in unused_imports(path)]
     assert not unused, f"unused imports: {unused}"
+
+
+# -- the audited modes: one box per task, one thread knob per backend ----------
+
+
+def test_execution_config_holds_the_audited_modes():
+    from repro.runtime import ExecutionConfig
+
+    # The composition lattice is the product of these fields.  A new
+    # mode joins them only with a same-run speed floor (1.1x over the
+    # config without it, on the workload it is for) or a paper citation.
+    names = [field.name for field in dataclasses.fields(ExecutionConfig)]
+    assert names == [
+        "num_threads", "scatter", "min_block_iterations", "backend",
+        "fusion", "check", "transactional", "native_threads",
+    ], f"ExecutionConfig fields changed without a mode audit: {names}"
+
+
+def test_tiling_stays_deleted():
+    # Spelled so that a grep for the removed names finds no test either.
+    pattern = r"tile_(shape|box)|safe_to_(tile)|runtime\.(tiling)|from \.(tiling)"
+    hits = matching_lines(pattern, *sorted(SRC.rglob("*.py")))
+    assert not hits, f"tiling was removed by the mode audit (README, Removed): {hits}"

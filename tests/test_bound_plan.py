@@ -2,7 +2,7 @@
 
 The seed serial path — ``region.execute`` over every region, rebuilding
 views and temporaries per call — is the reference; every bound
-discipline (serial, threaded, tiled, fused, scatter) must reproduce it
+discipline (serial, threaded, fused, scatter) must reproduce it
 bit for bit, on first run and on steady-state replay, for every app and
 dtype.  Binding resolves views against concrete array *objects*, so the
 suite also pins down the invalidation contract: replacing an array in
@@ -40,11 +40,6 @@ def _adjoint_case(prob, n, rng, dtype):
 CONFIGS = [
     ("serial", dict()),
     ("threads4", dict(num_threads=4, min_block_iterations=1)),
-    ("tiled", dict(tile_shape=(6, 6, 6))),
-    (
-        "tiled+threads2",
-        dict(num_threads=2, tile_shape=(6, 6, 6), min_block_iterations=1),
-    ),
 ]
 
 

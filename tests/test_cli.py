@@ -54,6 +54,27 @@ def test_verify_custom_n(capsys):
     assert main(["verify", "--problem", "heat1d", "--n", "30"]) == 0
 
 
+def test_verify_native_threads_take_the_openmp_knob(monkeypatch, capsys):
+    """``--backend native --threads N`` verifies ``native_threads=N``:
+    the worker pool is the python backend's knob, refused on native."""
+    from repro.runtime import ExecutionConfig, ExecutionPlan
+
+    configs = []
+    real_build = ExecutionPlan.build.__func__
+
+    def spy(cls, kernel, config, shard=None):
+        configs.append(config)
+        return real_build(cls, kernel, config, shard)
+
+    monkeypatch.setattr(ExecutionPlan, "build", classmethod(spy))
+    argv = ["verify", "--problem", "heat2d", "--backend", "native", "--threads", "2"]
+    assert main(argv) == 0
+    assert "vs serial: 0.000e+00" in capsys.readouterr().out
+    assert [c for c in configs if c.backend == "native"] == [
+        ExecutionConfig(backend="native", native_threads=2, min_block_iterations=1)
+    ]
+
+
 def test_figures_single(capsys):
     assert main(["figures", "--figure", "fig10"]) == 0
     out = capsys.readouterr().out

@@ -69,14 +69,6 @@ def test_bound_and_ensemble_record_the_same_rungs(name, backend, fusion, check):
 
 EXPLAIN_CASES = {
     "python-backend": (dict(), "python backend"),
-    "tiled": (
-        dict(backend="native", tile_shape=(4, 4)),
-        "tile_shape set: fused nests bake geometry",
-    ),
-    "threaded": (
-        dict(backend="native", num_threads=2, min_block_iterations=1),
-        "num_threads > 1: fused nests bake geometry, not per-task boxes",
-    ),
     "fusion-off": (dict(backend="native", fusion="off"), "fusion='off'"),
     "watchdog": (
         dict(backend="native", check="nan"),
@@ -133,11 +125,6 @@ SWEEP_REFUSALS = {
     "transactional": (
         "heat2d", np.float64, dict(backend="native", transactional=True),
         "transactional=True backs up written arrays per run",
-    ),
-    "threaded": (
-        "heat2d", np.float64,
-        dict(backend="native", num_threads=2, min_block_iterations=1),
-        "num_threads > 1: tasks run on the worker pool",
     ),
 }
 

@@ -88,21 +88,19 @@ def test_batched_equals_looped(prob_name, dtype, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_equals_looped_threaded_and_tiled_plans(backend):
-    """Threaded/tiled member plans replay their decomposition per member."""
+def test_batched_equals_looped_threaded_plans(backend):
+    """Threaded member plans — the worker pool on python, OpenMP nests
+    on native — match their looped members."""
     prob = heat_problem(2)
     kernel = _kernel(prob, 12)
     states = _member_states(prob, 12, members=4)
-    for plan_kwargs in (
-        dict(num_threads=2, min_block_iterations=1),
-        dict(tile_shape=(4, 4)),
-    ):
-        plan = kernel.plan(backend=backend, **plan_kwargs)
-        refs = _looped_reference(plan, states, steps=2)
-        with EnsemblePlan(plan, stack_arrays(states)) as ensemble:
-            ensemble.run()
-            ensemble.run()
-            _assert_members_match(ensemble, refs)
+    knob = "native_threads" if backend == "native" else "num_threads"
+    plan = kernel.plan(backend=backend, min_block_iterations=1, **{knob: 2})
+    refs = _looped_reference(plan, states, steps=2)
+    with EnsemblePlan(plan, stack_arrays(states)) as ensemble:
+        ensemble.run()
+        ensemble.run()
+        _assert_members_match(ensemble, refs)
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,8 @@ decides from ``(axis, offset)`` footprints which contiguous statement
 runs may share a loop nest — flow/anti/output dependences over the full
 lexicographic order, slot-axis-map compatibility, the group-size cap.
 The runtime integration (``BoundPlan``/``EnsemblePlan`` with
-``fusion="auto"``) must substitute fused groups only on the serial
-untiled native path, fall back group-by-group, and stay *bitwise*
+``fusion="auto"``) must substitute fused groups only on the native
+path, fall back group-by-group, and stay *bitwise*
 identical to the per-statement reference path it replaces.  And the
 hardened build cache underneath (satellite of the same PR) must survive
 corrupt content-keyed entries and never expose half-written objects to
@@ -266,26 +266,6 @@ def test_group_cap_splits_anisotropic(rng):
     assert fbound.statement_count > MAX_GROUP_STATEMENTS
     assert fbound.fused_group_count == 2
     assert fbound.sweep_count == 2
-    for name in base:
-        assert ref[name].tobytes() == fused[name].tobytes(), name
-
-
-@needs_cc
-@pytest.mark.parametrize(
-    "config",
-    [
-        dict(num_threads=2, min_block_iterations=1),
-        dict(tile_shape=(6, 6)),
-    ],
-    ids=["threads", "tiled"],
-)
-def test_fusion_inert_off_serial_path(rng, config):
-    """Threaded/tiled disciplines keep the per-statement path (and its
-    bitwise identity) even with fusion='auto'."""
-    kernel, base = _adjoint_case(heat_problem(2), 24)
-    fused, fbound = _run_bound(kernel, base, fusion="auto", **config)
-    assert fbound.fused_group_count == 0
-    ref, _ = _run_bound(kernel, base, fusion="off", **config)
     for name in base:
         assert ref[name].tobytes() == fused[name].tobytes(), name
 

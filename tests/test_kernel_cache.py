@@ -154,4 +154,4 @@ def test_cached_kernels_share_plans():
         adjoint_loops(prob.primal, prob.adjoint_map), prob.bindings(30)
     )
     assert k1 is k2
-    assert k1.plan(tile_shape=(8,)) is k2.plan(tile_shape=(8,))
+    assert k1.plan(min_block_iterations=8) is k2.plan(min_block_iterations=8)

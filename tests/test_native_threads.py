@@ -182,15 +182,24 @@ def test_environment_knob_defaults_and_invalid_values(monkeypatch):
 @pytest.mark.parametrize(
     "config",
     [
-        ExecutionConfig(num_threads=2, native_threads=4),
-        ExecutionConfig(scatter=True, num_threads=2, native_threads=4),
-        ExecutionConfig(check="nan", native_threads=4),
+        ExecutionConfig(backend="native", scatter=True, native_threads=4),
+        ExecutionConfig(backend="native", check="nan", native_threads=4),
     ],
-    ids=["threaded-statements", "scatter", "nan-watchdog"],
+    ids=["scatter", "nan-watchdog"],
 )
 def test_ineligible_configs_gate_to_serial(config):
-    """Statement-level threading, scatter and the watchdog force serial."""
+    """Scatter and the watchdog force serial."""
     assert native_thread_count(config) == 1
+
+
+def test_native_backend_refuses_the_python_pool():
+    """One thread knob per backend: the native backend threads its C
+    nests through ``native_threads`` and refuses ``num_threads > 1``."""
+    with pytest.raises(ValueError, match="native_threads=2"):
+        ExecutionConfig(backend="native", num_threads=2)
+    with pytest.raises(ValueError, match="native_threads"):
+        ExecutionConfig(backend="native", scatter=True, num_threads=4)
+    assert ExecutionConfig(backend="native", native_threads=2).num_threads == 1
 
 
 def test_config_rejects_nonpositive_thread_counts():

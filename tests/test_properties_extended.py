@@ -1,5 +1,5 @@
 """Additional property-based tests: tangent consistency, front-end round
-trips, tiling invariance, scheduler partitioning."""
+trips, scheduler partitioning."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from repro.core import adjoint_loops, make_loop_nest, tangent_loop
+from repro.core import make_loop_nest, tangent_loop
 from repro.frontend import parse_stencil, to_source
 from repro.runtime import Bindings, compile_nests, split_box
 
@@ -88,26 +88,6 @@ def test_frontend_round_trip(params):
     compile_nests([nest], bind)(a1)
     compile_nests([reparsed], bind)(a2)
     np.testing.assert_allclose(a1["r"], a2["r"], rtol=1e-10, atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(stencils(max_dim=2), st.tuples(st.integers(1, 9), st.integers(1, 9)))
-def test_tiled_adjoint_invariance(params, tile):
-    dim, offsets, coeffs = params
-    nest, amap, radius = build(dim, offsets, coeffs)
-    bind = Bindings(sizes={n: N_VAL})
-    kernel = compile_nests(adjoint_loops(nest, amap), bind)
-    rng = np.random.default_rng(3)
-    shape = (N_VAL + 1,) * dim
-    w = np.zeros(shape)
-    interior = tuple(slice(radius, N_VAL - radius + 1) for _ in range(dim))
-    w[interior] = rng.standard_normal(w[interior].shape)
-    base = {"u": rng.standard_normal(shape), "r_b": w, "u_b": np.zeros(shape)}
-    ref = {k: v.copy() for k, v in base.items()}
-    kernel(ref)
-    tiled = {k: v.copy() for k, v in base.items()}
-    kernel.plan(tile_shape=tile[:dim]).bind(tiled).run()
-    np.testing.assert_array_equal(ref["u_b"], tiled["u_b"])
 
 
 @settings(max_examples=50, deadline=None)

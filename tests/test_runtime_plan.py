@@ -1,5 +1,5 @@
 """ExecutionPlan tests: one entry point, identical results for every
-discipline (serial, tiled, threaded, fused tiled+threaded) on every app.
+discipline (serial, threaded) on every app.
 
 The pointwise interpreter is the semantic oracle; the compiled kernels
 evaluate the same expression trees element-wise, so agreement is exact
@@ -26,14 +26,9 @@ from repro.runtime import (
 
 CONFIGS = [
     ("serial", dict(num_threads=1)),
-    ("tiled", dict(tile_shape=(8, 8, 8))),
     ("threads1", dict(num_threads=1, min_block_iterations=1)),
     ("threads2", dict(num_threads=2, min_block_iterations=1)),
     ("threads4", dict(num_threads=4, min_block_iterations=1)),
-    (
-        "tiled+threads4",
-        dict(num_threads=4, tile_shape=(8, 8, 8), min_block_iterations=1),
-    ),
 ]
 
 # Interpreter results per (problem, n): the oracle is deterministic for
@@ -104,14 +99,16 @@ def test_plan_memoised_per_config():
     kernel = compile_nests(
         adjoint_loops(prob.primal, prob.adjoint_map), prob.bindings(24)
     )
-    p1 = kernel.plan(num_threads=2, tile_shape=(8,))
-    p2 = kernel.plan(num_threads=2, tile_shape=[8])
+    p1 = kernel.plan(num_threads=2, min_block_iterations=8)
+    p2 = kernel.plan(num_threads=np.int64(2), min_block_iterations=8)
     p3 = kernel.plan(num_threads=2)
     assert p1 is p2
     assert p1 is not p3
 
 
-def test_plan_unit_count_counts_tiles():
+def test_plan_task_is_one_box():
+    """A task is one block's statement boxes: ``unit_count`` is
+    ``task_count``."""
     i = sp.Symbol("i", integer=True)
     n = sp.Symbol("n", integer=True)
     u, r = sp.Function("u"), sp.Function("r")
@@ -119,15 +116,17 @@ def test_plan_unit_count_counts_tiles():
         lhs=r(i), rhs=u(i), counters=[i], bounds={i: [0, n]}
     )
     kernel = compile_nests([nest], Bindings(sizes={n: 31}), cache=False)
-    plan = kernel.plan(tile_shape=(8,))
-    assert plan.unit_count == 4  # 32 iterations in tiles of 8
+    plan = kernel.plan(num_threads=4, min_block_iterations=1)
+    (rp,) = plan.region_plans
+    assert rp.tasks == (
+        (((0, 7),),), (((8, 15),),), (((16, 23),),), (((24, 31),),),
+    )
+    assert plan.unit_count == plan.task_count == 4
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         ExecutionConfig(num_threads=0)
-    with pytest.raises(ValueError):
-        ExecutionConfig(scatter=True, tile_shape=(8,))
 
 
 def test_config_validates_min_block_iterations():
@@ -135,24 +134,21 @@ def test_config_validates_min_block_iterations():
         ExecutionConfig(min_block_iterations=0)
 
 
-@pytest.mark.parametrize("tile", [(0,), (8, -1), (8.5,), ()])
-def test_config_validates_tile_shape_entries(tile):
-    with pytest.raises(ValueError, match="tile_shape"):
-        ExecutionConfig(tile_shape=tile)
-
-
-def test_plan_rejects_tile_rank_below_kernel_dim():
-    """A tile shape must cover every kernel axis (clear error, not an
-    unsplit axis silently falling out of the decomposition)."""
-    from repro.apps import heat_problem
-    from repro.core import adjoint_loops
-
-    prob = heat_problem(2)
-    kernel = compile_nests(
-        adjoint_loops(prob.primal, prob.adjoint_map), prob.bindings(16)
-    )
-    with pytest.raises(KernelError, match="tile_shape"):
-        kernel.plan(tile_shape=(8,))
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(backend="native", native_threads=1.5),
+        dict(num_threads=2.5),
+        dict(min_block_iterations=1.5),
+    ],
+    ids=["native_threads", "num_threads", "min_block"],
+)
+def test_config_validates_thread_counts_as_integers(config):
+    """A fractional OpenMP width used to reach the C source as
+    ``num_threads(1.5)``, a fractional pool width ``split_box``."""
+    (name,) = (k for k in config if k != "backend")
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ExecutionConfig(**config)
 
 
 def _dependent_regions_kernel(N, delay):

@@ -605,6 +605,33 @@ def test_a_started_server_owns_one_thread_plus_one_per_connection(
     assert serve_threads() - before == set()
 
 
+def test_close_joins_a_connection_thread_still_cleaning_up(
+    server_factory, monkeypatch
+):
+    """Regression: close() joined only the threads of still-open
+    connections, so one whose client hung up first — gone from the
+    table, its socket not yet closed — outlived it."""
+    real_close = socket.socket.close
+
+    def slow_close(sock):
+        if threading.current_thread().name == "repro-serve-conn":
+            time.sleep(0.5)
+        real_close(sock)
+
+    before = serve_threads()
+    server = server_factory()
+    monkeypatch.setattr(socket.socket, "close", slow_close)
+    with KernelClient(server.socket_path) as client:
+        assert client.ping()
+    wait_for_no_connections(server)
+    # Out of the table, still alive: the thread is in its slow close.
+    assert sorted(t.name for t in serve_threads() - before) == [
+        "repro-serve-accept", "repro-serve-conn",
+    ]
+    server.close()
+    assert serve_threads() - before == set()
+
+
 def test_requests_execute_on_their_connection_thread(
     server_factory, monkeypatch
 ):
