@@ -30,24 +30,26 @@ naive translation and dictates every printing rule here:
 * The build layer compiles with ``-ffp-contract=off`` so the compiler
   cannot fuse multiply-adds the NumPy path performs as two roundings.
 
-The emitted calling convention is uniform for every statement::
+Every C loop nest is printed by one function, :func:`emit_nest`, with
+one calling convention::
 
     void <name>(char **ptrs, const int64_t *geom);
 
-``ptrs`` holds the target array's data pointer followed by one pointer
-per read access; ``geom`` packs the inclusive per-axis bounds followed
-by per-slot element strides for the target and each read.  A statement
-function runs its full loop nest over the box.  The kernel-independent
+``ptrs`` holds one data pointer per distinct array (:func:`operand_ranks`
+order).  A fused group bound to concrete arrays bakes its boxes and
+strides as literals (:func:`generate_fused_source`); a kernel's
+per-statement library reads them from ``geom`` — the inclusive per-axis
+bounds, then each array's element strides — so one build serves every
+binding (:func:`generate_native_source`).  The kernel-independent
 runners live in a translation unit of their own
-(:func:`generate_runtime_source`): one chain runner that executes a
-sequence of statement calls in a single C entry, so a steady-state
-timestep costs one FFI crossing instead of one per statement; two
-whole-buffer memory statements with the same signature (``repro_copy``:
-``memcpy(ptrs[0], ptrs[1], geom[0])``, ``repro_zero``:
-``memset(ptrs[0], 0, geom[0])``); and the program runner, which walks
-an ``int32`` index array over a table of distinct calls — how a whole
-revolve sweep (kernel steps, snapshots, restores, adjoint shifts) runs
-as one FFI crossing (:class:`repro.runtime.native.NativeProgram`).
+(:func:`generate_runtime_source`): two whole-buffer memory statements
+with the same signature (``repro_copy``: ``memcpy(ptrs[0], ptrs[1],
+geom[0])``, ``repro_zero``: ``memset(ptrs[0], 0, geom[0])``) and the
+program runner, which walks an ``int32`` index array over a table of
+distinct calls — how a chain of native statements runs as one FFI
+crossing per timestep, and a whole revolve sweep (kernel steps,
+snapshots, restores, adjoint shifts) as one per sweep
+(:class:`repro.runtime.native.NativeProgram`).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import Sequence
 import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
 
-from ..core.fusion import parallel_safe_group
+from ..core.fusion import FusionEntry, parallel_safe_group
 from .base import CodegenError, Emitter
 from .c import CPrinter
 
@@ -69,11 +71,12 @@ _LAMBDIFY_PRINTER = NumPyPrinter()
 __all__ = [
     "NativeCPrinter",
     "native_eligibility",
-    "parallel_eligibility",
+    "nest_threaded",
+    "operand_ranks",
+    "emit_nest",
     "generate_native_source",
     "generate_runtime_source",
     "generate_fused_source",
-    "CHAIN_RUNNER_NAME",
     "PROGRAM_RUNNER_NAME",
     "COPY_FN_NAME",
     "ZERO_FN_NAME",
@@ -83,9 +86,8 @@ __all__ = [
 
 # Bumped whenever the generated code's ABI or semantics change; folded
 # into the shared-object disk-cache key by the runtime build layer.
-NATIVE_ABI_VERSION = 3
+NATIVE_ABI_VERSION = 4
 
-CHAIN_RUNNER_NAME = "repro_run_chain"
 PROGRAM_RUNNER_NAME = "repro_run_program"
 COPY_FN_NAME = "repro_copy"
 ZERO_FN_NAME = "repro_zero"
@@ -286,38 +288,7 @@ def native_eligibility(stmt, dim: int, dtype) -> str | None:
     return _expr_eligible(stmt.rhs_expr, dtype_name)
 
 
-def parallel_eligibility(stmt, dim: int) -> str | None:
-    """Why *stmt*'s loop nest cannot partition axis 0 across threads.
-
-    The source paper's central property — gather-form (transformed)
-    adjoints write each output element from exactly one iteration — is
-    what makes native statements thread-safe *without* atomics or
-    private scratch: the target covers every frame axis exactly once
-    (enforced by :func:`native_eligibility`), so the iteration-to-
-    element map is injective and contiguous blocks of the outermost
-    axis write disjoint elements, for ``=`` and ``+=`` alike.  Reads of
-    the target itself are pinned to the exact target slots (same
-    gate), so no iteration observes another iteration's write.  The
-    partition therefore reproduces the serial per-element arithmetic
-    bit for bit — determinism by construction, not by merge order.
-
-    The checks restate those invariants defensively: a statement that
-    ever slipped past the native gate with a non-injective target (or a
-    frameless nest) must run serial, statement-wise, like every other
-    native fallback.
-    """
-    if dim < 1:
-        return "zero-dimensional nest has no axis to partition"
-    target_axes = sorted(axis for axis, _ in stmt.target.slots)
-    if target_axes != list(range(dim)):
-        return "target writes are not injective over the frame"
-    for acc in stmt.reads:
-        if acc.name == stmt.target.name and acc.slots != stmt.target.slots:
-            return "shifted self-read could observe another thread's write"
-    return None
-
-
-# -- source generation ---------------------------------------------------------
+# -- the loop-nest printer -----------------------------------------------------
 
 
 def _omp_for(nthreads: int) -> str:
@@ -332,16 +303,266 @@ def _omp_for(nthreads: int) -> str:
     return f"#pragma omp parallel for schedule(static) num_threads({nthreads})"
 
 
-def _access_index(slots, strides_base: int) -> str:
+def _open_loop(em: Emitter, var: str, lo, hi, pragma: str | None = None) -> None:
+    """Open an inclusive ``for`` over *var* — every loop header printed
+    here, nests and the program runner alike, comes from this line."""
+    if pragma is not None:
+        em.line(pragma)
+    em.line(f"for (int64_t {var} = {lo}; {var} <= {hi}; ++{var}) {{")
+    em.push()
+
+
+def _close(em: Emitter, count: int = 1) -> None:
+    for _ in range(count):
+        em.pop()
+        em.line("}")
+
+
+def operand_ranks(stmts) -> dict[str, int]:
+    """The distinct arrays of *stmts* in pointer order — each statement's
+    target, then its reads — mapped to their rank (strides per array)."""
+    ranks: dict[str, int] = {}
+    for st in stmts:
+        for acc in (st.target, *st.reads):
+            ranks.setdefault(acc.name, len(acc.slots))
+    return ranks
+
+
+def nest_threaded(entries: Sequence, nthreads: int) -> bool:
+    """Whether *entries*' nest partitions axis 0 across OpenMP threads.
+
+    The one rule: ``nthreads > 1``, the nest has a loop, the group's
+    cross-statement dependences stay within an outer row
+    (:func:`~repro.core.fusion.parallel_safe_group`, None for one
+    statement: gather-form targets cover every frame axis once, so the
+    iteration-to-element map is injective and blocks of axis 0 write
+    disjoint elements for ``=`` and ``+=`` alike), and — for two or
+    more statements — ``dim >= 2``: a 1-D fused nest interleaves along
+    its only axis, so partitioning it would hand one statement's
+    producer row to another thread.  A refused nest stays serial:
+    still bitwise identical, just not thread-partitioned.
+    """
+    dim = entries[0].dim
+    return (
+        nthreads > 1
+        and dim >= 1
+        and (len(entries) == 1 or dim >= 2)
+        and parallel_safe_group(entries) is None
+    )
+
+
+def _index(slots, strides) -> str:
     """C index expression for an access: sum of (counter+offset)*stride."""
-    if not slots:
-        return "0"
     terms = []
-    for k, (axis, off) in enumerate(slots):
-        counter = f"i{axis}"
-        pos = counter if off == 0 else f"({counter} + ({off}))"
-        terms.append(f"{pos}*geom[{strides_base + k}]")
-    return " + ".join(terms)
+    for (axis, off), stride in zip(slots, strides):
+        pos = f"i{axis}" if off == 0 else f"(i{axis} + ({off}))"
+        terms.append(pos if stride == 1 else f"{pos}*{stride}")
+    return " + ".join(terms) if terms else "0"
+
+
+def emit_nest(
+    em: Emitter,
+    name: str,
+    entries: Sequence,
+    counters: Sequence[sp.Symbol],
+    nthreads: int = 1,
+    arrays=None,
+) -> tuple[str, ...]:
+    """Print ``void name(char **ptrs, const int64_t *geom)`` running
+    *entries* as one C loop nest; return the operand names in the order
+    ``ptrs`` holds their data pointers (:func:`operand_ranks`).
+
+    *entries* are :class:`~repro.core.fusion.FusionEntry` objects in
+    execution order.  The geometry comes from one of two places:
+
+    * **literals**, when *arrays* maps the operand names to the concrete
+      ndarrays of a binding: each entry's box and every element stride
+      are baked, and the innermost loop carries ``GCC unroll 8`` — what
+      lets the compiler vectorise a fused group's merged loop;
+    * **the ``geom`` block**, when *arrays* is None (one entry): bounds
+      ``[lo0, hi0, ..., lo{d-1}, hi{d-1}]``, then each operand's element
+      strides in pointer order, so one build serves every binding.
+
+    Everything else is printed once, here: the statement's stored CSE
+    program as locals, the constants, Min/Max ternaries and float32
+    casts of :class:`NativeCPrinter`, ``=``/``+=``, bare counters, and
+    the OpenMP pragma (:func:`nest_threaded`).  The nest iterates the
+    union box on the outer axes; at each outer point, maximal runs of
+    entries with *equal* boxes execute point-interleaved in one inner
+    loop (with values a member writes and a later member re-reads at
+    the very same point forwarded through a local instead of a reload),
+    and runs with differing boxes execute as consecutive inner loops
+    guarded to their own outer ranges — both respect the lexicographic
+    dependence conditions the fusion planner checked.  Every operand
+    pointer is ``restrict``: the bind-time array gate refuses a written
+    array sharing memory with a differently-named one.
+
+    >>> from repro.apps import heat_problem
+    >>> from repro.core.fusion import FusionEntry
+    >>> from repro.runtime import compile_nests
+    >>> prob = heat_problem(1)
+    >>> kernel = compile_nests([prob.primal], prob.bindings(8))
+    >>> stmt = kernel.regions[0].statements[0]
+    >>> entry = FusionEntry(stmt, ((1, 6),), 1, "float64")
+    >>> em = Emitter()
+    >>> emit_nest(em, "heat", [entry], kernel.counters)   # geom block
+    ('u', 'u_1')
+    >>> print(em.code(), end="")  # doctest: +NORMALIZE_WHITESPACE
+    void heat(char **ptrs, const int64_t *geom) {
+      double *restrict a0 = (double *)ptrs[0];
+      const double *restrict a1 = (const double *)ptrs[1];
+      for (int64_t i0 = geom[0]; i0 <= geom[1]; ++i0) {
+        a0[i0*geom[2]] += ((double)0.6)*a1[i0*geom[3]]
+            + ((double)0.2)*a1[(i0 + (-1))*geom[3]]
+            + ((double)0.2)*a1[(i0 + (1))*geom[3]];
+      }
+    }
+    >>> em = Emitter()
+    >>> _ = emit_nest(em, "heat", [entry], kernel.counters,   # literals
+    ...               arrays=prob.allocate(8))
+    >>> print(em.code(), end="")  # doctest: +NORMALIZE_WHITESPACE
+    void heat(char **ptrs, const int64_t *geom) {
+      (void)geom;  /* bounds and strides are baked below */
+      double *restrict a0 = (double *)ptrs[0];
+      const double *restrict a1 = (const double *)ptrs[1];
+      _Pragma("GCC unroll 8")
+      for (int64_t i0 = 1; i0 <= 6; ++i0) {
+        a0[i0] += ((double)0.6)*a1[i0] + ((double)0.2)*a1[(i0 + (-1))]
+            + ((double)0.2)*a1[(i0 + (1))];
+      }
+    }
+    """
+    first = entries[0]
+    dim = first.dim
+    real = _REAL_OF_DTYPE.get(first.dtype)
+    if real is None:
+        raise CodegenError(f"dtype {first.dtype} unsupported by the native backend")
+    if dim < 1:
+        raise CodegenError("zero-dimensional nest has no loop to print")
+    ranks = operand_ranks(entry.stmt for entry in entries)
+    written = {entry.stmt.target.name for entry in entries}
+    baked = arrays is not None
+    if baked:
+        itemsize = {"double": 8, "float": 4}[real]
+        strides = {
+            n: tuple(s // itemsize for s in arrays[n].strides) for n in ranks
+        }
+        boxes = [entry.box for entry in entries]
+    else:
+        if len(entries) != 1:
+            raise CodegenError("a geom block describes one statement")
+        strides, base = {}, 2 * dim
+        for n, rank in ranks.items():
+            strides[n] = tuple(f"geom[{base + k}]" for k in range(rank))
+            base += rank
+        boxes = [tuple((f"geom[{2 * a}]", f"geom[{2 * a + 1}]") for a in range(dim))]
+    union = tuple(
+        (min(box[a][0] for box in boxes), max(box[a][1] for box in boxes))
+        for a in range(dim)
+    )
+    slot_of = {n: k for k, n in enumerate(ranks)}
+
+    def ref(acc) -> str:
+        return f"a{slot_of[acc.name]}[{_index(acc.slots, strides[acc.name])}]"
+
+    # Maximal runs of equal boxes become point-interleaved chunks.
+    chunks: list[list[int]] = []
+    for k, box in enumerate(boxes):
+        if chunks and boxes[chunks[-1][-1]] == box:
+            chunks[-1].append(k)
+        else:
+            chunks.append([k])
+
+    omp = _omp_for(nthreads) if nest_threaded(entries, nthreads) else None
+    em.line(f"void {name}(char **ptrs, const int64_t *geom) {{")
+    em.push()
+    if baked:
+        em.line("(void)geom;  /* bounds and strides are baked below */")
+    for k, n in enumerate(ranks):
+        qual = "" if n in written else "const "
+        em.line(f"{qual}{real} *restrict a{k} = ({qual}{real} *)ptrs[{k}];")
+    for axis in range(dim - 1):
+        _open_loop(em, f"i{axis}", *union[axis], omp if axis == 0 else None)
+
+    inner = dim - 1
+    for chunk in chunks:
+        box = boxes[chunk[0]]
+        conds = []
+        for axis in range(inner):
+            (lo, hi), (ulo, uhi) = box[axis], union[axis]
+            if lo != ulo:
+                conds.append(f"i{axis} >= {lo}")
+            if hi != uhi:
+                conds.append(f"i{axis} <= {hi}")
+        if conds:
+            em.line(f"if ({' && '.join(conds)}) {{")
+            em.push()
+        if inner == 0 and omp is not None:
+            pragma = omp
+        else:
+            pragma = '_Pragma("GCC unroll 8")' if baked else None
+        _open_loop(em, f"i{inner}", *box[inner], pragma)
+        # Same-point value forwarding: (name, slots) -> local C variable
+        # holding the value most recently stored there at this point.
+        forwarded: dict[tuple[str, tuple], str] = {}
+        for k in chunk:
+            st = entries[k].stmt
+            symbol_map: dict[sp.Symbol, str] = {}
+            for idx, acc in enumerate(st.reads):
+                load = forwarded.get((acc.name, acc.slots)) or ref(acc)
+                symbol_map[sp.Symbol(f"__acc{idx}")] = load
+            for axis in st.bare_axes:
+                symbol_map[counters[axis]] = f"(({real})i{axis})"
+            printer = NativeCPrinter(symbol_map, real=real)
+            # The Python path's eval_fn was lambdified from the
+            # statement's CSE program, and CSE substitution can *regroup*
+            # a product (x0 = 0.2*Min(...) pulls the third factor ahead
+            # of the second), changing the rounding sequence.  Print that
+            # same program, temporaries as locals, so the C performs the
+            # same ops in the same order as the generated Python, not as
+            # the pre-CSE expression tree.
+            cses, reduced = st.cse
+            for sym, sub in cses:
+                em.line(f"const {real} f{k}_{sym} = {printer.doprint(sub)};")
+                symbol_map[sym] = f"f{k}_{sym}"
+            rhs = printer.doprint(reduced)
+            tname, tref = st.target.name, ref(st.target)
+            if len(chunk) == 1:
+                op = "+=" if st.op == "+=" else "="
+                em.line(f"{tref} {op} {rhs};")
+                continue
+            if st.op == "+=":
+                tload = forwarded.get((tname, st.target.slots), tref)
+                value = f"{tload} + ({rhs})"
+            else:
+                value = rhs
+            em.line(f"const {real} v{k} = {value};")
+            em.line(f"{tref} = v{k};")
+            w_axes = tuple(axis for axis, _ in st.target.slots)
+            for key in list(forwarded):
+                if key[0] != tname:
+                    continue
+                if tuple(axis for axis, _ in key[1]) != w_axes:
+                    # A write through a different slot-axis map could
+                    # hit any cached location; drop conservatively.
+                    del forwarded[key]
+            forwarded[(tname, st.target.slots)] = f"v{k}"
+        _close(em)
+        if conds:
+            _close(em)
+    _close(em, dim)  # the outer loops, then the function
+    return tuple(ranks)
+
+
+# -- translation units ---------------------------------------------------------
+
+
+def _header(em: Emitter, what: str, about: str, threads: int | None) -> None:
+    em.line(f"/* Generated by repro.codegen.native_c{what} — do not edit. */")
+    em.line(f"/* ABI v{NATIVE_ABI_VERSION}{about} */")
+    if threads is not None:
+        em.line(f"/* threaded variant: {threads} OpenMP threads */")
+    em.line("#include <stdint.h>")
 
 
 def generate_native_source(
@@ -352,101 +573,44 @@ def generate_native_source(
     *kernel* is a :class:`~repro.runtime.compiler.CompiledKernel`
     (duck-typed).  Returns ``(source, manifest)`` where ``manifest``
     maps ``(region_index, statement_index)`` to the emitted function
-    name.  Ineligible statements are simply absent — the runtime keeps
-    them on the Python path.  The runners that call these functions are
-    not part of the unit (:func:`generate_runtime_source`), so a kernel
-    whose statements all run fused never needs it built.
+    name.  Each function is a one-statement :func:`emit_nest` reading
+    its geometry from ``geom``, so one build serves every binding of
+    the kernel (shards, ensemble members, rotation parities).
+    Ineligible statements are simply absent — the runtime keeps them on
+    the Python path.  The runner that calls these functions is not part
+    of the unit (:func:`generate_runtime_source`), so a kernel whose
+    statements all run fused never needs it built.
 
-    With ``nthreads > 1`` each statement passing
-    :func:`parallel_eligibility` gets an OpenMP ``parallel for`` on its
-    outermost loop (the build layer adds ``-fopenmp`` after probing the
-    compiler); ineligible statements keep their serial nest in the same
-    unit.  The chain runner is a serial loop over statement calls —
-    each call is internally parallel and the implicit barrier at the
-    end of its parallel region preserves statement order, so the
+    With ``nthreads > 1`` each nest gets an OpenMP ``parallel for`` on
+    its outermost loop (:func:`nest_threaded`; the build layer adds
+    ``-fopenmp`` after probing the compiler).  A program runs its calls
+    serially — each call is internally parallel and the implicit barrier
+    at the end of its parallel region preserves statement order, so the
     results are bitwise identical to the serial build at any thread
     count.
     """
     em = Emitter(indent="  ")
-    em.line("/* Generated by repro.codegen.native_c — do not edit. */")
-    em.line(f"/* ABI v{NATIVE_ABI_VERSION}, kernel {kernel.name!r} */")
-    if nthreads > 1:
-        em.line(f"/* threaded variant: {nthreads} OpenMP threads */")
-    em.line("#include <stdint.h>")
+    _header(em, "", f", kernel {kernel.name!r}", nthreads if nthreads > 1 else None)
     em.line("#include <math.h>")
     em.line()
-    # geom layout per statement: [lo0, hi0, ..., lo{d-1}, hi{d-1},
-    #   target slot strides..., read0 slot strides..., read1 ...]
-    # with all strides in elements, not bytes.
     manifest: dict[tuple[int, int], str] = {}
-    counters = kernel.counters
+    dim = len(kernel.counters)
     for ri, region in enumerate(kernel.regions):
-        dim = len(counters)
-        real = _REAL_OF_DTYPE.get(
-            getattr(region.dtype, "__name__", None) or str(region.dtype)
-        )
+        dtype = getattr(region.dtype, "__name__", None) or str(region.dtype)
         for si, stmt in enumerate(region.statements):
             if native_eligibility(stmt, dim, region.dtype) is not None:
                 continue
             name = f"repro_s{ri}_{si}"
-            symbol_map: dict[sp.Symbol, str] = {}
-            strides_base = 2 * dim + len(stmt.target.slots)
-            for idx, acc in enumerate(stmt.reads):
-                expr = f"r{idx}[{_access_index(acc.slots, strides_base)}]"
-                symbol_map[sp.Symbol(f"__acc{idx}")] = expr
-                strides_base += len(acc.slots)
-            for axis in stmt.bare_axes:
-                symbol_map[counters[axis]] = f"(({real})i{axis})"
-            printer = NativeCPrinter(symbol_map, real=real)
-            # The Python path's eval_fn was lambdified from the
-            # statement's CSE program, and CSE substitution can *regroup*
-            # a product (x0 = 0.2*Min(...) pulls the third factor ahead
-            # of the second), changing the rounding sequence.  Print that
-            # same program, temporaries as locals, so the C performs the
-            # same ops in the same order as the generated Python, not as
-            # the pre-CSE expression tree.
-            cses, reduced = stmt.cse
+            nest = Emitter(indent="  ")
             try:
-                temp_lines = []
-                for sym, sub in cses:
-                    temp_lines.append(
-                        f"const {real} {sym} = {printer.doprint(sub)};"
-                    )
-                    symbol_map[sym] = str(sym)
-                rhs = printer.doprint(reduced)
+                emit_nest(
+                    nest, name, [FusionEntry(stmt, None, dim, dtype)],
+                    kernel.counters, nthreads,
+                )
             except CodegenError:
                 continue  # defensive: printer found something the gate missed
-            self_alias = any(acc.name == stmt.target.name for acc in stmt.reads)
-            restrict = "" if self_alias else "restrict "
-            em.line(f"void {name}(char **ptrs, const int64_t *geom) {{")
-            em.push()
-            em.line(f"{real} *{restrict}t = ({real} *)ptrs[0];")
-            for idx in range(len(stmt.reads)):
-                em.line(
-                    f"const {real} *r{idx} = (const {real} *)ptrs[{idx + 1}];"
-                )
-            threaded = (
-                nthreads > 1 and parallel_eligibility(stmt, dim) is None
-            )
-            for axis in range(dim):
-                if axis == 0 and threaded:
-                    em.line(_omp_for(nthreads))
-                em.line(
-                    f"for (int64_t i{axis} = geom[{2 * axis}]; "
-                    f"i{axis} <= geom[{2 * axis + 1}]; ++i{axis}) {{"
-                )
-                em.push()
-            for line in temp_lines:
-                em.line(line)
-            op = "+=" if stmt.op == "+=" else "="
-            em.line(
-                f"t[{_access_index(stmt.target.slots, 2 * dim)}] {op} {rhs};"
-            )
-            for _ in range(dim):
-                em.pop()
-                em.line("}")
-            em.pop()
-            em.line("}")
+            for text in nest.code().splitlines():
+                em.line(text)
             em.line()
             manifest[(ri, si)] = name
     return em.code(), manifest
@@ -455,37 +619,22 @@ def generate_native_source(
 def generate_runtime_source() -> str:
     """The kernel-independent runners as one C translation unit.
 
-    The chain runner executes a sequence of statement calls in a single
-    C entry; the program runner walks an ``int32`` index array over a
-    table of distinct calls; ``repro_copy``/``repro_zero`` are the two
-    whole-buffer memory statements.  None of them depends on a kernel,
-    so every library shares one object built from this source, and a
-    kernel whose statements all run fused never builds its
+    The program runner walks an ``int32`` index array over a table of
+    distinct calls — a chain of native statements and a whole revolve
+    sweep alike; ``repro_copy``/``repro_zero`` are the two whole-buffer
+    memory statements.  None of them depends on a kernel, so every
+    library shares one object built from this source, and a kernel
+    whose statements all run fused never builds its
     :func:`generate_native_source` unit.
     """
     em = Emitter(indent="  ")
-    em.line("/* Generated by repro.codegen.native_c (runners) — do not edit. */")
-    em.line(f"/* ABI v{NATIVE_ABI_VERSION} */")
-    em.line("#include <stdint.h>")
+    _header(em, " (runners)", "", None)
     em.line("#include <string.h>")
     em.line()
     em.line("typedef void (*repro_stmt_fn)(char **, const int64_t *);")
     em.line()
-    em.line(
-        f"void {CHAIN_RUNNER_NAME}(int64_t n, void **fns, char ***ptrss, "
-        "const int64_t **geoms) {"
-    )
-    em.push()
-    em.line("for (int64_t k = 0; k < n; ++k) {")
-    em.push()
-    em.line("((repro_stmt_fn)fns[k])(ptrss[k], geoms[k]);")
-    em.pop()
-    em.line("}")
-    em.pop()
-    em.line("}")
-    em.line()
     # Whole-buffer memory statements in the per-statement ABI (geom[0]
-    # is a byte count), so chains and programs run them like any other.
+    # is a byte count), so programs run them like any other.
     em.line(f"void {COPY_FN_NAME}(char **ptrs, const int64_t *geom) {{")
     em.line("  memcpy(ptrs[0], ptrs[1], (size_t)geom[0]);")
     em.line("}")
@@ -501,27 +650,11 @@ def generate_runtime_source() -> str:
         "void **fns, char ***ptrss, const int64_t **geoms) {"
     )
     em.push()
-    em.line("for (int64_t k = 0; k < n; ++k) {")
-    em.push()
+    _open_loop(em, "k", 0, "n - 1")
     em.line("const int32_t j = idx[k];")
     em.line("((repro_stmt_fn)fns[j])(ptrss[j], geoms[j]);")
-    em.pop()
-    em.line("}")
-    em.pop()
-    em.line("}")
+    _close(em, 2)
     return em.code()
-
-
-# -- fused-group generation ----------------------------------------------------
-
-
-def _baked_index(slots, strides: Sequence[int]) -> str:
-    """C index expression with the element strides baked as literals."""
-    terms = []
-    for (axis, off), stride in zip(slots, strides):
-        pos = f"i{axis}" if off == 0 else f"(i{axis} + ({off}))"
-        terms.append(pos if stride == 1 else f"{pos}*{stride}")
-    return " + ".join(terms) if terms else "0"
 
 
 def generate_fused_source(
@@ -539,175 +672,24 @@ def generate_fused_source(
     ptr_order)`` where ``ptr_order`` names the distinct arrays in the
     order the function expects their data pointers.
 
-    Unlike the per-statement functions — which read bounds and strides
-    from ``geom`` at run time so one build serves every binding — the
-    fused nest **bakes boxes and element strides as compile-time
-    constants**.  The function is built per binding geometry (the
-    runtime's content key covers it), and the constants are what let
-    the compiler vectorise and unroll the merged loop: the fusion win
-    on a memory-bound timestep comes from this codegen quality as much
-    as from touching each row once.
-
-    Execution shape: the nest iterates the union box on the outer axes;
-    at each outer point, maximal runs of entries with *equal* boxes
-    execute point-interleaved in one inner loop (with values a member
-    writes and a later member re-reads at the very same point forwarded
-    through a local instead of a reload), and runs with differing boxes
-    execute as consecutive inner loops guarded to their own outer
-    ranges.  Both shapes respect the pairwise lexicographic dependence
-    conditions checked by the fusion planner.
-
-    The bitwise contract is unchanged: the same stored CSE program, constant
-    printing, Min/Max ternaries and float32 casts as the per-statement
-    emitter, and the build layer keeps ``-ffp-contract=off``.  A
-    statement the printer cannot lower raises
+    The nest is :func:`emit_nest` with **literal geometry**: boxes and
+    element strides are compile-time constants, so the function is
+    built per binding geometry (the runtime's content key covers it),
+    and the constants are what let the compiler vectorise and unroll
+    the merged loop — the fusion win on a memory-bound timestep comes
+    from this codegen quality as much as from touching each row once.
+    A statement the printer cannot lower raises
     :class:`~repro.codegen.base.CodegenError`; the runtime treats that
-    as a per-group fallback.
-
-    With ``nthreads > 1`` the nest's outermost loop gets an OpenMP
-    ``parallel for`` — but only when the group's cross-statement
-    dependences all stay within an outer row
-    (:func:`~repro.core.fusion.parallel_safe_group`) and an outer loop
-    exists (``dim >= 2``; a 1-D fused nest interleaves along its only
-    axis, so partitioning it would hand one statement's producer row to
-    another thread).  An unsafe or 1-D group keeps its serial nest:
-    still fused, still bitwise-identical, just not thread-partitioned.
+    as a per-group fallback.  With ``nthreads > 1`` the nest is threaded
+    where :func:`nest_threaded` allows.
     """
-    first = entries[0]
-    dim = first.dim
-    real = _REAL_OF_DTYPE.get(first.dtype)
-    if real is None:
-        raise CodegenError(f"dtype {first.dtype} unsupported by fusion")
-    itemsize = {"double": 8, "float": 4}[real]
-
-    order: list[str] = []
-    written: set[str] = set()
-    for entry in entries:
-        st = entry.stmt
-        for name in (st.target.name, *(acc.name for acc in st.reads)):
-            if name not in order:
-                order.append(name)
-        written.add(st.target.name)
-    slot_of = {name: k for k, name in enumerate(order)}
-    elem_strides = {
-        name: tuple(s // itemsize for s in arrays[name].strides)
-        for name in order
-    }
-    union = tuple(
-        (
-            min(entry.box[a][0] for entry in entries),
-            max(entry.box[a][1] for entry in entries),
-        )
-        for a in range(dim)
-    )
-
-    # Maximal runs of equal boxes become point-interleaved chunks.
-    chunks: list[list[int]] = []
-    for k, entry in enumerate(entries):
-        if chunks and entries[chunks[-1][-1]].box == entry.box:
-            chunks[-1].append(k)
-        else:
-            chunks.append([k])
-
-    threaded = (
-        nthreads > 1 and dim >= 2 and parallel_safe_group(entries) is None
-    )
     em = Emitter(indent="  ")
-    em.line("/* Generated by repro.codegen.native_c (fused) — do not edit. */")
-    em.line(f"/* ABI v{NATIVE_ABI_VERSION}, {len(entries)}-statement group */")
-    if threaded:
-        em.line(f"/* threaded variant: {nthreads} OpenMP threads */")
-    em.line("#include <stdint.h>")
+    threaded = nest_threaded(entries, nthreads)
+    _header(
+        em, " (fused)", f", {len(entries)}-statement group",
+        nthreads if threaded else None,
+    )
     em.line("#include <math.h>")
     em.line()
-    em.line(f"void {FUSED_FN_NAME}(char **ptrs, const int64_t *geom) {{")
-    em.push()
-    em.line("(void)geom;  /* bounds and strides are baked below */")
-    for k, name in enumerate(order):
-        qual = "" if name in written else "const "
-        em.line(f"{qual}{real} *restrict a{k} = ({qual}{real} *)ptrs[{k}];")
-    for axis in range(dim - 1):
-        lo, hi = union[axis]
-        if axis == 0 and threaded:
-            em.line(_omp_for(nthreads))
-        em.line(
-            f"for (int64_t i{axis} = {lo}; i{axis} <= {hi}; ++i{axis}) {{"
-        )
-        em.push()
-
-    inner = dim - 1
-    for chunk in chunks:
-        box = entries[chunk[0]].box
-        conds = []
-        for axis in range(dim - 1):
-            lo, hi = box[axis]
-            ulo, uhi = union[axis]
-            if lo > ulo:
-                conds.append(f"i{axis} >= {lo}")
-            if hi < uhi:
-                conds.append(f"i{axis} <= {hi}")
-        if conds:
-            em.line(f"if ({' && '.join(conds)}) {{")
-            em.push()
-        lo, hi = box[inner]
-        em.line('_Pragma("GCC unroll 8")')
-        em.line(f"for (int64_t i{inner} = {lo}; i{inner} <= {hi}; ++i{inner}) {{")
-        em.push()
-        # Same-point value forwarding: (name, slots) -> local C variable
-        # holding the value most recently stored there at this point.
-        forwarded: dict[tuple[str, tuple], str] = {}
-        for k in chunk:
-            st = entries[k].stmt
-            symbol_map: dict[sp.Symbol, str] = {}
-            for idx, acc in enumerate(st.reads):
-                load = forwarded.get((acc.name, acc.slots))
-                if load is None:
-                    load = (
-                        f"a{slot_of[acc.name]}"
-                        f"[{_baked_index(acc.slots, elem_strides[acc.name])}]"
-                    )
-                symbol_map[sp.Symbol(f"__acc{idx}")] = load
-            for axis in st.bare_axes:
-                symbol_map[counters[axis]] = f"(({real})i{axis})"
-            printer = NativeCPrinter(symbol_map, real=real)
-            cses, reduced = st.cse
-            for sym, sub in cses:
-                em.line(f"const {real} f{k}_{sym} = {printer.doprint(sub)};")
-                symbol_map[sym] = f"f{k}_{sym}"
-            rhs = printer.doprint(reduced)
-            tname = st.target.name
-            tref = (
-                f"a{slot_of[tname]}"
-                f"[{_baked_index(st.target.slots, elem_strides[tname])}]"
-            )
-            if len(chunk) == 1:
-                op = "+=" if st.op == "+=" else "="
-                em.line(f"{tref} {op} {rhs};")
-            else:
-                if st.op == "+=":
-                    tload = forwarded.get((tname, st.target.slots), tref)
-                    value = f"{tload} + ({rhs})"
-                else:
-                    value = rhs
-                em.line(f"const {real} v{k} = {value};")
-                em.line(f"{tref} = v{k};")
-                w_axes = tuple(axis for axis, _ in st.target.slots)
-                for key in list(forwarded):
-                    if key[0] != tname:
-                        continue
-                    if tuple(axis for axis, _ in key[1]) != w_axes:
-                        # A write through a different slot-axis map could
-                        # hit any cached location; drop conservatively.
-                        del forwarded[key]
-                forwarded[(tname, st.target.slots)] = f"v{k}"
-        em.pop()
-        em.line("}")
-        if conds:
-            em.pop()
-            em.line("}")
-    for _ in range(dim - 1):
-        em.pop()
-        em.line("}")
-    em.pop()
-    em.line("}")
-    return em.code(), FUSED_FN_NAME, tuple(order)
+    order = emit_nest(em, FUSED_FN_NAME, entries, counters, nthreads, arrays)
+    return em.code(), FUSED_FN_NAME, order

@@ -394,8 +394,8 @@ class _BoundTask:
     """One schedulable task: its runnables plus optional scatter scratch.
 
     ``items`` are execution-ordered runnables: Python bound statements,
-    native statements, or chains of consecutive native statements fused
-    into one FFI call.
+    native statements, or sealed programs of consecutive native
+    statements run as one FFI call.
     """
 
     __slots__ = ("items", "scratch")

@@ -20,8 +20,9 @@ Statements lower through the one degradation ladder
 
 * **Native** (native backend) — fused nests and per-statement C entries
   bind per member exactly as in a single-scenario run, and all
-  consecutive native runnables of a chunk collapse into one
-  chain-runner FFI call: a whole chunk-timestep stays one C call.
+  consecutive native runnables of a chunk are sealed into one
+  :class:`~repro.runtime.native.NativeProgram`: a whole chunk-timestep
+  stays one C call.
 * **Batched** — what reaches the python rung with a strictly
   elementwise expression (:func:`batch_safe_statement`) binds a single
   :class:`~repro.runtime.bound._BoundStatement` whose geometry is

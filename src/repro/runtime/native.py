@@ -12,21 +12,21 @@ dispatched through the *same* plan/bind layer — a
 ``ExecutionConfig(backend="native")`` binds the identical preallocated
 buffers and calls the native entry points per unit.
 
-Execution granularity: consecutive native statements of a task collapse
-into a single :class:`NativeChain` dispatched through one C chain-runner
-call, so a steady-state serial timestep costs one FFI crossing; a
-:class:`NativeProgram` goes one level up and runs a whole recorded
-sequence of timesteps and buffer copies (a revolve sweep) in one.
-``ctypes`` releases the GIL around calls, so threaded plans run native
-tasks genuinely in parallel.
+Execution granularity: every multi-call native sequence is a
+:class:`NativeProgram` walked by the one C program runner.  Consecutive
+native statements of a task are sealed into one (:func:`chain_runnables`),
+so a steady-state serial timestep costs one FFI crossing; a revolve
+sweep records its timesteps and buffer copies into one, so the whole
+sweep costs one.  ``ctypes`` releases the GIL around calls, so threaded
+plans run native tasks genuinely in parallel.
 
 In-kernel threading (``docs/threading.md``): with
 ``ExecutionConfig(native_threads=N)`` or ``REPRO_NATIVE_THREADS=N`` the
-library is built as an OpenMP variant — each eligible statement's
-outermost loop is block-partitioned across ``N`` threads
-(:func:`~repro.codegen.native_c.parallel_eligibility`: gather-form
-writes are injective, so the partition is race-free without scratch or
-atomics and bitwise identical to the serial build by construction).
+library is built as an OpenMP variant — each nest's outermost loop is
+block-partitioned across ``N`` threads
+(:func:`~repro.codegen.native_c.nest_threaded`: gather-form writes are
+injective, so the partition is race-free without scratch or atomics and
+bitwise identical to the serial build by construction).
 The ``-fopenmp`` capability is probed once per compiler like the
 ``-march=native`` probe; a compiler without it falls back to the
 serial native library with one warning.  The threaded source text and
@@ -72,7 +72,6 @@ import numpy as np
 
 from ..codegen.base import CodegenError
 from ..codegen.native_c import (
-    CHAIN_RUNNER_NAME,
     COPY_FN_NAME,
     NATIVE_ABI_VERSION,
     PROGRAM_RUNNER_NAME,
@@ -80,6 +79,7 @@ from ..codegen.native_c import (
     generate_fused_source,
     generate_native_source,
     generate_runtime_source,
+    operand_ranks,
 )
 from ..errors import NativeBuildError
 
@@ -96,7 +96,6 @@ __all__ = [
     "library_for_kernel",
     "library_verdict",
     "NativeStatement",
-    "NativeChain",
     "NativeProgram",
     "native_gate",
     "make_native_statement",
@@ -550,8 +549,8 @@ def native_thread_count(config) -> int:
 class NativeLibrary:
     """The loaded native functions of one compiled kernel.
 
-    The chain and program runners and the two memory statements come
-    from the one kernel-independent runners object
+    The program runner and the two memory statements come from the one
+    kernel-independent runners object
     (:func:`~repro.codegen.native_c.generate_runtime_source`), loaded
     when the library is made.  The per-statement entry points (keyed by
     region identity and statement index) live in the kernel's own
@@ -577,13 +576,10 @@ class NativeLibrary:
         self._failure: str | None = None
         self.copy_fn = _stmt_fn(runners, COPY_FN_NAME)
         self.zero_fn = _stmt_fn(runners, ZERO_FN_NAME)
-        blocks = (ctypes.c_void_p,) * 3  # fns, ptrss, geoms
-        self.run_chain = getattr(runners, CHAIN_RUNNER_NAME)
-        self.run_chain.restype = None
-        self.run_chain.argtypes = (_I64, *blocks)
         self.run_program = getattr(runners, PROGRAM_RUNNER_NAME)
         self.run_program.restype = None
-        self.run_program.argtypes = (_I64, ctypes.c_void_p, *blocks)
+        # n, idx, then the fns, ptrss and geoms blocks
+        self.run_program.argtypes = (_I64, *(ctypes.c_void_p,) * 4)
 
     @property
     def statement_count(self) -> int:
@@ -781,20 +777,25 @@ def native_gate(lib: NativeLibrary, region, si: int, stmt, arrays, eff) -> str |
     )
 
 
+def _pack(fn, names, arrays, geom=(0,)) -> NativeStatement:
+    """*fn* bound to one data pointer per name of *names* and the
+    ``geom`` block (unread by a nest with literal geometry)."""
+    arrs = tuple(arrays[name] for name in names)
+    ptrs = (ctypes.c_void_p * len(arrs))(*(a.ctypes.data for a in arrs))
+    return NativeStatement(fn, ptrs, (_I64 * len(geom))(*geom), arrs)
+
+
 def make_native_statement(fn, stmt, arrays, eff) -> NativeStatement:
     """Bind a statement that passed :func:`native_gate` to its entry
-    *fn* (:meth:`NativeLibrary.stmt_fn`): pointers, box and strides."""
-    accesses = (stmt.target, *stmt.reads)
-    involved = tuple(arrays[acc.name] for acc in accesses)
-    itemsize = involved[0].itemsize
-    geom_vals = [bound for lo_hi in eff for bound in lo_hi]
-    for arr, acc in zip(involved, accesses):
-        geom_vals.extend(s // itemsize for s in arr.strides[: len(acc.slots)])
-    ptrs = (ctypes.c_void_p * len(involved))(
-        *(arr.ctypes.data for arr in involved)
-    )
-    geom = (_I64 * len(geom_vals))(*geom_vals)
-    return NativeStatement(fn, ptrs, geom, involved)
+    *fn* (:meth:`NativeLibrary.stmt_fn`): one pointer per distinct
+    array, then ``geom`` = the box's bounds and each array's element
+    strides, in :func:`~repro.codegen.native_c.operand_ranks` order."""
+    ranks = operand_ranks([stmt])
+    geom = [bound for lo_hi in eff for bound in lo_hi]
+    for name, rank in ranks.items():
+        arr = arrays[name]
+        geom.extend(s // arr.itemsize for s in arr.strides[:rank])
+    return _pack(fn, ranks, arrays, geom)
 
 
 def make_fused_statement(
@@ -806,7 +807,7 @@ def make_fused_statement(
     entry tuple (dependence-legal by construction); *arrays* pass the
     same :func:`~repro.runtime.decisions.array_gate` as one statement,
     with every access and written name of the group.  The nest runs
-    like any :class:`NativeStatement`, so chains treat it uniformly.
+    like any :class:`NativeStatement`, so programs treat it uniformly.
     ``nthreads > 1`` requests an OpenMP nest (applied only where
     :func:`repro.core.fusion.parallel_safe_group` allows; a compiler
     without OpenMP quietly builds the serial nest).  A refusal, or the
@@ -869,42 +870,7 @@ def make_fused_statement(
             return None, why
         built = kernel._fused[key] = (_stmt_fn(cdll, fn_name), order, entries)
     fn, order, _ = built
-    arrs = tuple(arrays[name] for name in order)
-    ptrs = (ctypes.c_void_p * len(arrs))(*(a.ctypes.data for a in arrs))
-    geom = (_I64 * 1)(0)  # unused: the fused nest bakes its geometry
-    return NativeStatement(fn, ptrs, geom, arrs), None
-
-
-def _call_blocks(stmts) -> tuple:
-    """``(fns, ptrss, geoms)``: the statements' function pointers and
-    argument-block addresses, packed as the arrays the C runners index."""
-    block = ctypes.c_void_p * len(stmts)
-    return (
-        block(*(ctypes.cast(s.fn, ctypes.c_void_p).value for s in stmts)),
-        block(*(ctypes.addressof(s.ptrs) for s in stmts)),
-        block(*(ctypes.addressof(s.geom) for s in stmts)),
-    )
-
-
-class NativeChain:
-    """A run of consecutive native statements executed in one C call.
-
-    Packs the statements' function pointers and argument blocks into
-    arrays the generated chain runner walks, so an all-native serial
-    plan crosses the FFI once per timestep rather than once per
-    statement.
-    """
-
-    __slots__ = ("run_chain", "n", "fns", "ptrss", "geoms", "stmts")
-
-    def __init__(self, run_chain, stmts: list[NativeStatement]) -> None:
-        self.run_chain = run_chain
-        self.n = len(stmts)
-        self.stmts = tuple(stmts)  # keepalive for the argument blocks
-        self.fns, self.ptrss, self.geoms = _call_blocks(stmts)
-
-    def run(self) -> None:
-        self.run_chain(self.n, self.fns, self.ptrss, self.geoms)
+    return _pack(fn, order, arrays), None
 
 
 # Program entries per foreign call: a long sweep stays interruptible
@@ -916,16 +882,17 @@ PROGRAM_SLICE = 4096
 class NativeProgram:
     """A recorded sequence of native calls, walked by one C loop.
 
-    Where a :class:`NativeChain` is one timestep, a program is a whole
-    schedule of them — every kernel run, snapshot copy, restore, adjoint
-    shift and pre-step zero of a revolve sweep, in order.  Entries are
-    appended at plan-build time (:meth:`call`, :meth:`copy`,
-    :meth:`zero`) and interned: the table holds each distinct
-    ``(fn, ptrs, geom)`` once and the program proper is an ``int32``
-    index per entry, so a sweep of thousands of entries is a few KB.
-    After :meth:`seal`, :meth:`run` is one GIL-released call to the C
-    program runner per :data:`PROGRAM_SLICE` entries and allocates
-    nothing.
+    The one way a multi-call native sequence runs: a chain of a
+    timestep's consecutive native statements (:func:`chain_runnables`)
+    and a whole schedule of timesteps — every kernel run, snapshot copy,
+    restore, adjoint shift and pre-step zero of a revolve sweep, in
+    order — alike.  Entries are appended at plan-build time
+    (:meth:`call`, :meth:`copy`, :meth:`zero`) and interned: the table
+    holds each distinct ``(fn, ptrs, geom)`` once and the program proper
+    is an ``int32`` index per entry, so a sweep of thousands of entries
+    is a few KB.  After :meth:`seal`, :meth:`run` is one GIL-released
+    call to the C program runner per :data:`PROGRAM_SLICE` entries and
+    allocates nothing.
 
     A memory operand must pass
     :func:`~repro.runtime.decisions.memory_gate` against *owned* (the
@@ -934,13 +901,15 @@ class NativeProgram:
     carrying the gate's reason — the caller keeps its per-call rung.
     """
 
-    def __init__(self, lib: NativeLibrary, owned: frozenset[int]) -> None:
+    def __init__(
+        self, lib: NativeLibrary, owned: frozenset[int] = frozenset()
+    ) -> None:
         self._lib = lib
         self._owned = owned
         self._slot: dict = {}  # entry key -> table position
         self._table: list[NativeStatement] = []  # keepalive for the blocks
         self._order: list[int] = []
-        self._slices: tuple[tuple[int, int], ...] = ()
+        self._calls: tuple[tuple, ...] = ()
 
     def __len__(self) -> int:
         return len(self._order)
@@ -968,9 +937,13 @@ class NativeProgram:
         self._order.append(slot)
 
     def call(self, runnable) -> None:
-        """Append a bound runnable: a native statement, or a chain's
-        statements in order."""
-        for stmt in getattr(runnable, "stmts", (runnable,)):
+        """Append a bound runnable: a native statement, or a sealed
+        program's entries in order (a chain stays plain statements)."""
+        if isinstance(runnable, NativeProgram):
+            stmts = [runnable._table[slot] for slot in runnable._order]
+        else:
+            stmts = [runnable]
+        for stmt in stmts:
             if not isinstance(stmt, NativeStatement):
                 raise NativeBuildError(
                     f"{type(stmt).__name__} is not a native runnable"
@@ -1003,30 +976,35 @@ class NativeProgram:
 
     def seal(self) -> "NativeProgram":
         """Pack the table and index blocks the C runner walks."""
-        n = len(self._order)
+        n, table = len(self._order), self._table
         self._idx = (ctypes.c_int32 * n)(*self._order)
-        self._blocks = _call_blocks(self._table)
+        block = ctypes.c_void_p * len(table)
+        self._blocks = (
+            block(*(ctypes.cast(s.fn, ctypes.c_void_p).value for s in table)),
+            block(*(ctypes.addressof(s.ptrs) for s in table)),
+            block(*(ctypes.addressof(s.geom) for s in table)),
+        )
         base = ctypes.addressof(self._idx)
-        self._slices = tuple(
-            (min(PROGRAM_SLICE, n - lo), base + 4 * lo)
+        self._calls = tuple(
+            (min(PROGRAM_SLICE, n - lo), base + 4 * lo, *self._blocks)
             for lo in range(0, n, PROGRAM_SLICE)
         )
         return self
 
     def run(self) -> None:
-        run, blocks = self._lib.run_program, self._blocks
-        for count, idx in self._slices:
-            run(count, idx, *blocks)
+        run = self._lib.run_program
+        for args in self._calls:
+            run(*args)
 
 
 def chain_runnables(lib: NativeLibrary | None, stmts: list) -> list:
-    """Collapse consecutive native statements into chains.
+    """Seal consecutive native statements into programs.
 
     *stmts* is a task's ordered list of bound statements (native or
     Python); the returned list preserves execution order, replacing
-    every maximal run of :class:`NativeStatement` with one
-    :class:`NativeChain`.  With no library (fallback) the list is
-    returned unchanged.
+    every maximal run of two or more :class:`NativeStatement` with one
+    sealed :class:`NativeProgram`.  With no library (fallback) the list
+    is returned unchanged.
 
     >>> from repro.runtime.native import chain_runnables
     >>> chain_runnables(None, ["python-stmt-a", "python-stmt-b"])
@@ -1036,14 +1014,22 @@ def chain_runnables(lib: NativeLibrary | None, stmts: list) -> list:
         return stmts
     out: list = []
     run: list[NativeStatement] = []
+
+    def flush() -> None:
+        if len(run) == 1:
+            out.append(run[0])
+        elif run:
+            program = NativeProgram(lib)
+            for stmt in run:
+                program.call(stmt)
+            out.append(program.seal())
+        run.clear()
+
     for s in stmts:
         if isinstance(s, NativeStatement):
             run.append(s)
-            continue
-        if run:
-            out.append(run[0] if len(run) == 1 else NativeChain(lib.run_chain, run))
-            run = []
-        out.append(s)
-    if run:
-        out.append(run[0] if len(run) == 1 else NativeChain(lib.run_chain, run))
+        else:
+            flush()
+            out.append(s)
+    flush()
     return out

@@ -172,14 +172,47 @@ def names_by_function(path: Path) -> dict[str, set[str]]:
 
 
 def test_runners_are_emitted_by_one_generator():
-    runners = {"CHAIN_RUNNER_NAME", "PROGRAM_RUNNER_NAME", "COPY_FN_NAME", "ZERO_FN_NAME"}
+    runners = {"PROGRAM_RUNNER_NAME", "COPY_FN_NAME", "ZERO_FN_NAME"}
     emitters = sorted(
         name
         for name, names in names_by_function(SRC / "codegen" / "native_c.py").items()
         if names & runners
     )
     assert emitters == ["generate_runtime_source"], (
-        f"the four runners are emitted only by generate_runtime_source: {emitters}"
+        f"the three runners are emitted only by generate_runtime_source: {emitters}"
+    )
+
+
+def test_one_function_prints_c_loop_headers():
+    tree = ast.parse((SRC / "codegen" / "native_c.py").read_text())
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and ast.get_docstring(node) is not None
+    }
+    printers = sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(leaf, ast.Constant)
+            and id(leaf) not in docstrings
+            and "for (" in str(leaf.value)
+            for leaf in ast.walk(node)
+        )
+    )
+    assert printers == ["_open_loop"], (
+        f"every C loop header comes from one function of native_c.py: {printers}"
+    )
+
+
+def test_one_runner_and_one_nest_printer_stay():
+    # Spelled so that a grep for the removed names finds no test either.
+    pattern = r"Native(Chain)\b|repro_run_(chain)|parallel_(eligibility)"
+    hits = matching_lines(pattern, *sorted(SRC.rglob("*.py")))
+    assert not hits, (
+        f"the chain runner and parallel eligibility are gone (README, Removed): {hits}"
     )
 
 

@@ -37,10 +37,10 @@ from repro.apps import (
 from repro.codegen.native_c import (
     generate_fused_source,
     generate_native_source,
-    parallel_eligibility,
+    nest_threaded,
 )
 from repro.core import adjoint_loops
-from repro.core.fusion import parallel_safe_group
+from repro.core.fusion import FusionEntry, parallel_safe_group
 from repro.runtime import (
     ExecutionConfig,
     compile_nests,
@@ -257,18 +257,25 @@ def test_threaded_libraries_are_distinct_cache_entries():
 # -- generated source ---------------------------------------------------------
 
 
-def _heat2d_kernel(n=12):
-    prob = heat_problem(2)
+def _heat_kernel(dim=2, n=12):
+    prob = heat_problem(dim)
     nests = [prob.primal] + list(adjoint_loops(prob.primal, prob.adjoint_map))
     return compile_nests(nests, prob.bindings(n))
 
 
-def test_threaded_source_carries_pragmas_serial_does_not():
-    kernel = _heat2d_kernel()
+def _heat2d_kernel(n=12):
+    return _heat_kernel(2, n)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["heat1d", "heat2d"])
+def test_threaded_source_carries_pragmas_serial_does_not(dim):
+    """Every per-statement nest is threaded — 1-D ones too, on their
+    only loop (1-D *fused* groups stay serial: the dim1 fallback test)."""
+    kernel = _heat_kernel(dim)
     serial_src, _ = generate_native_source(kernel)
-    threaded_src, _ = generate_native_source(kernel, 4)
+    threaded_src, manifest = generate_native_source(kernel, 4)
     assert "#pragma omp" not in serial_src
-    assert "num_threads(4)" in threaded_src
+    assert threaded_src.count("num_threads(4)") == len(manifest) > 0
     assert "schedule(static)" in threaded_src
     assert "/* threaded variant: 4 OpenMP threads */" in threaded_src
     # Stripping the threading artifacts recovers the serial source: the
@@ -281,15 +288,10 @@ def test_threaded_source_carries_pragmas_serial_does_not():
     assert stripped == serial_src.splitlines()
 
 
-def test_parallel_eligibility_rules():
-    kernel = _heat2d_kernel()
-    dim = len(kernel.counters)
-    for region in kernel.regions:
-        for stmt in region.statements:
-            assert parallel_eligibility(stmt, dim) is None
-    # Zero-dimensional statements have nothing to partition.
-    stmt = kernel.regions[0].statements[0]
-    assert "no axis" in parallel_eligibility(stmt, 0)
+def test_a_nest_without_a_loop_is_not_threaded():
+    stmt = _heat2d_kernel().regions[0].statements[0]
+    assert not nest_threaded([FusionEntry(stmt, None, 0, "float64")], 4)
+    assert nest_threaded([FusionEntry(stmt, None, 2, "float64")], 4)
 
 
 def _fused_groups(kernel, base):
