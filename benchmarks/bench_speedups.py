@@ -3,13 +3,14 @@
 Every optimisation layer of the runtime was accepted against a floor:
 cached beats cold, bound beats unbound, native beats python, the batched
 ensemble beats the member loop, fused beats per-statement, threads beat
-serial, sharding overhead shrinks with the grid, a checkpointed sweep
-recorded as one C program beats a bound run per schedule action.  Each row times its
-paths back to back in one process, so none needs a recorded baseline;
-comparing timings *across* commits is ``bench/run.py --compare`` and
-nothing else (README, "Performance gate"), and the bitwise and counting
-contracts live in ``tests/``.  Every row runs the heat2d kernel and checks
-that its paths leave bit-identical state before it times them::
+serial, two ranks beat one, sharding overhead shrinks with the grid, a
+checkpointed sweep recorded as one C program beats a bound run per
+schedule action.  Each row times its paths back to back in one process,
+so none needs a recorded baseline; comparing timings *across* commits is
+``bench/run.py --compare`` and nothing else (README, "Performance
+gate"), and the bitwise and counting contracts live in ``tests/``.
+Every row runs the heat2d kernel and checks that its paths leave
+bit-identical state before it times them::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_speedups.py -q
 """
@@ -26,6 +27,7 @@ import pytest
 from repro.apps import heat_problem
 from repro.core import adjoint_loops
 from repro.runtime import (
+    ExecutionConfig,
     ShardedPlan,
     compile_nests,
     faults,
@@ -122,14 +124,16 @@ def _ensemble_paths(case, stack):
     ]
 
 
-def _shard_paths(nranks):
+def _shard_paths(nranks, **config):
     """Forward timestep (run + rotate): one bound plan vs a ShardedPlan."""
     def paths(case, stack):
         fwd = compile_nests([case.prob.primal], case.bindings, name="speedups_fwd")
         ref = case.prob.allocate(case.n, rng=np.random.default_rng(3))
-        bound = stack.enter_context(fwd.plan()).bind(ref)
+        bound = stack.enter_context(fwd.plan(**config)).bind(ref)
         state = case.prob.allocate(case.n, rng=np.random.default_rng(3))
-        sharded = stack.enter_context(ShardedPlan(fwd, state, nranks=nranks, halo=1))
+        sharded = stack.enter_context(ShardedPlan(
+            fwd, state, nranks=nranks, halo=1, config=ExecutionConfig(**config)
+        ))
 
         def single_step():
             bound.run()
@@ -196,6 +200,11 @@ ROWS = [
     Row("threads",
         _configs(*({**_UNFUSED, "native_threads": w} for w in (1, 2, 4))),
         n=192, reps=50, floor=1.5, native=True, min_cpus=4),
+    # Two ranks each run and rotate half the grid (the caller is rank 0):
+    # a step takes at most 0.8x the single plan's, the ROADMAP's line
+    # between a speed tier and a capacity tier.
+    Row("shard", _shard_paths(2, **_NATIVE), n=1024, reps=50, floor=1.25,
+        native=True, min_cpus=2),
     # Halo exchange is a surface term against volume work, so the
     # shard/single time ratio at n=192 may be at most 1.25x that at n=48.
     *(

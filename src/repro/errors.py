@@ -145,10 +145,12 @@ class SchedulerError(KernelError):
 class ShardError(KernelError):
     """A sharded multi-process run failed in a non-recoverable way.
 
-    Raised when a shard worker reports a kernel failure mid-step or its
-    pipe closes mid-dispatch — states where some ranks may already have
-    advanced, so the documented single-shard degradation (which requires
-    a consistent pre-step state) cannot apply.  Names the failing rank.
+    Raised when a rank fails a command mid-step — a worker reporting a
+    failure or its pipe closing mid-dispatch, or rank 0 failing in the
+    caller — states where some ranks may already have advanced, so the
+    documented single-shard degradation (which requires a consistent
+    pre-step state) cannot apply.  Names the lowest failing rank; the
+    plan then refuses further work.
     A worker found dead *before* dispatch degrades instead: the
     ``shard.worker`` fault point's fallback re-executes on a single
     shard, bitwise-identically.

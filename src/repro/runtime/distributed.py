@@ -8,12 +8,15 @@ in this environment, so transport is shared-memory copies while the
 communication pattern and data ownership stay exact).  The domain is
 block-decomposed along the outermost axis; every rank owns an interior
 slab plus a halo of the stencil radius.  Each rank's slab lives in a
-``multiprocessing.shared_memory`` segment; one
+``multiprocessing.shared_memory`` segment, and one
 :class:`~repro.runtime.bound.BoundPlan` per shard (python or native
-backend) is bound against the slab views and executed by a forked
-worker process (or in-process with ``use_workers=False``); the parent
-performs the forward ghost-cell exchange and the adjoint accumulate-back
-between steps.
+backend) is bound against the slab views.  The caller is rank 0: it
+forks one worker process for each rank 1 .. R-1 (or runs every rank
+itself with ``use_workers=False``).  Whole-slab work — a kernel run, a
+buffer ``copy`` or ``fill`` — runs on the rank that owns the slab, the
+caller doing rank 0's share while the workers do theirs; cross-rank work
+— the forward ghost-cell exchange and the adjoint accumulate-back — runs
+in the caller between steps, in fixed rank order.
 
 The communication pattern:
 
@@ -36,10 +39,11 @@ Failure behaviour (see :mod:`repro.runtime.faults`): the
 ``shard.exchange`` and ``shard.worker`` fault points both carry the
 *fallback* contract — a failed halo copy or a worker found dead before
 dispatch degrades the plan to single-shard execution on the caller's
-global arrays, bitwise-identically, with one warning.  A worker that
-fails *mid-step* (after dispatch) raises a typed
-:class:`~repro.errors.ShardError` instead, because some ranks may
-already have advanced.
+global arrays, bitwise-identically, with one warning.  A rank that
+fails *mid-command* (after dispatch, rank 0 in the caller included)
+raises a typed :class:`~repro.errors.ShardError` instead, once every
+rank has answered, because some ranks may already have advanced; the
+plan then refuses further work.
 """
 
 from __future__ import annotations
@@ -176,25 +180,44 @@ def _accumulate_pairs(
 # -- sharded plan/bind execution -----------------------------------------------
 
 
-def _worker_main(conn, plans) -> None:
+def _rank_command(plans, arrays, msg: tuple) -> None:
+    """Perform one rank command on one rank's bound plans and slab arrays.
+
+    ``("run", key)`` runs the bound plan of kernel *key*;
+    ``("copy", dst, src)`` and ``("fill", name, value)`` act on the
+    rank's whole slab, halos included.  The worker loop and the caller's
+    own ranks both go through here, so a command means the same on every
+    rank.
+    """
+    op = msg[0]
+    if op == "run":
+        plans[msg[1]].run()
+    elif op == "copy":
+        np.copyto(arrays[msg[1]], arrays[msg[2]])
+    else:  # "fill"
+        arrays[msg[1]].fill(msg[2])
+
+
+def _worker_main(conn, plans, arrays) -> None:
     """Command loop of one forked shard worker process.
 
-    *plans* maps kernel key -> the rank's :class:`BoundPlan`, already
-    bound (pre-fork) against views into the rank's shared-memory slab,
-    so ``run()`` writes are visible to the parent and siblings.
+    *plans* maps kernel key -> the rank's :class:`BoundPlan`, and
+    *arrays* maps name -> the rank's slab; both were built (pre-fork)
+    on views into the rank's shared-memory segments, so writes are
+    visible to the caller and siblings.  Every command but ``exit`` is
+    answered with one reply.
     """
     try:
         while True:
             msg = conn.recv()
-            if msg[0] == "run":
-                try:
-                    plans[msg[1]].run()
-                except Exception as exc:
-                    conn.send(("error", f"{type(exc).__name__}: {exc}"))
-                else:
-                    conn.send(("done", msg[1]))
-            elif msg[0] == "exit":
+            if msg[0] == "exit":
                 return
+            try:
+                _rank_command(plans, arrays, msg)
+            except Exception as exc:
+                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            else:
+                conn.send(("done",))
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         return
 
@@ -249,9 +272,12 @@ class ShardedPlan:
     :class:`~repro.runtime.bound.BoundPlan` per (rank, kernel key) is
     bound against views into it — planned with a
     :class:`~repro.runtime.plan.ShardSpec`, so each rank executes only
-    its owned rows, in local slab coordinates.  Forked worker processes
-    (one per rank) run the bound plans; the parent orchestrates halo
-    exchange, dispatch, and adjoint accumulate-back per :meth:`step`.
+    its owned rows, in local slab coordinates.  The caller is rank 0 and
+    forks one worker process per further rank; :meth:`step`,
+    :meth:`copy` and :meth:`fill` send the command to the workers, do
+    rank 0's share in the caller, then read every worker's reply.  Halo
+    exchange and adjoint accumulate-back cross ranks, so the caller
+    performs them between steps, in fixed rank order.
 
     *kernels* is a single :class:`CompiledKernel` (key ``"main"``) or a
     mapping of keys to kernels; *aliases* optionally maps, per key, a
@@ -264,7 +290,10 @@ class ShardedPlan:
     copy failure (``shard.exchange``) or a worker found dead before
     dispatch (``shard.worker``), the plan degrades — permanently, with
     one warning — to single-shard execution on the caller's global
-    arrays, preserving that contract.
+    arrays, preserving that contract.  A rank failing mid-command raises
+    :class:`~repro.errors.ShardError` naming the lowest failing rank,
+    after every rank has answered; the plan then refuses further work
+    until :meth:`close`.
     """
 
     def __init__(
@@ -324,15 +353,20 @@ class ShardedPlan:
             )
         _validate_halo(ranges, halo)
         self.halo = halo
-        # Forked ranks are the parallelism, as scatter is at the mode
-        # gate — and libgomp is not fork-safe: once the parent has
-        # entered one OpenMP region, a forked worker deadlocks in its
-        # first.  native_threads is the native backend's only thread
-        # knob (num_threads > 1 is refused there), so it is the one
-        # pinned — explicitly, so it beats REPRO_NATIVE_THREADS;
-        # in-process ranks and the single-shard continuation run in the
-        # parent and keep the caller's width.
-        forks = use_workers and "fork" in multiprocessing.get_all_start_methods()
+        # Ranks are the parallelism, as scatter is at the mode gate — and
+        # libgomp is not fork-safe: once the parent has entered one
+        # OpenMP region, a forked worker deadlocks in its first.
+        # native_threads is the native backend's only thread knob
+        # (num_threads > 1 is refused there), so it is the one pinned —
+        # explicitly, so it beats REPRO_NATIVE_THREADS — for every rank
+        # plan, rank 0's in the caller included.  In-process ranks, a
+        # single rank (which forks nothing) and the single-shard
+        # continuation keep the caller's width.
+        forks = (
+            use_workers
+            and self.effective_nranks > 1
+            and "fork" in multiprocessing.get_all_start_methods()
+        )
         self._rank_config = self.config
         if (
             forks
@@ -343,14 +377,15 @@ class ShardedPlan:
             self.decisions.append(
                 Verdict(
                     "rank plans", "1 native thread",
-                    "forked shard workers own the parallelism (an OpenMP "
-                    "region in a forked child deadlocks once the parent "
-                    "has run one)",
+                    "the caller and its forked shard workers own the "
+                    "parallelism (an OpenMP region in a forked child "
+                    "deadlocks once the parent has run one)",
                 )
             )
         self._globals = dict(arrays)
         self._names = list(arrays)
         self._degraded = False
+        self._failed: ShardError | None = None
         self._single: dict[object, object] = {}
         self._segments: list[shared_memory.SharedMemory] = []
         self._workers: list[multiprocessing.process.BaseProcess] = []
@@ -414,11 +449,14 @@ class ShardedPlan:
         return per_key
 
     def _start_workers(self) -> None:
+        """Fork one worker for each rank 1 .. R-1; rank 0 is the caller."""
         ctx = multiprocessing.get_context("fork")
-        for plans in self._bound:
+        for plans, slab in zip(self._bound[1:], self.slabs[1:]):
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
-                target=_worker_main, args=(child_conn, plans), daemon=True
+                target=_worker_main,
+                args=(child_conn, plans, slab.arrays),
+                daemon=True,
             )
             proc.start()
             child_conn.close()
@@ -434,7 +472,11 @@ class ShardedPlan:
 
     @property
     def multiprocess(self) -> bool:
-        """Whether steps are executed by forked worker processes."""
+        """Whether ranks 1 .. R-1 run in forked worker processes.
+
+        The caller is always rank 0, so a plan with one rank forks
+        nothing and is not multi-process.
+        """
         return bool(self._workers)
 
     # -- stepping ----------------------------------------------------------
@@ -459,6 +501,7 @@ class ShardedPlan:
             raise ValidationError(
                 f"unknown kernel key {key!r}; have {sorted(map(repr, self._kernels))}"
             )
+        self._refuse_if_failed()
         if self._degraded:
             self._single[key].run()
             return
@@ -470,7 +513,7 @@ class ShardedPlan:
             self._degrade(str(exc))
             self._single[key].run()
             return
-        self._dispatch(key)
+        self._dispatch(("run", key), repr(key))
         _accumulate_pairs(self.slabs, accumulate, self.halo)
 
     def _heartbeat(self) -> None:
@@ -482,32 +525,93 @@ class ShardedPlan:
         """
         for _ in range(self.effective_nranks):
             faults.check("shard.worker")
-        for rank, proc in enumerate(self._workers):
+        self._check_workers()
+
+    def _check_workers(self) -> None:
+        for rank, proc in enumerate(self._workers, start=self._first_worker):
             if not proc.is_alive():
                 raise OSError(f"shard worker for rank {rank} is dead")
 
-    def _dispatch(self, key: object) -> None:
-        if not self._conns:  # in-process mode
-            for plans in self._bound:
-                plans[key].run()
-            return
-        for conn in self._conns:
-            conn.send(("run", key))
-        for rank, conn in enumerate(self._conns):
+    def _sharded(self) -> bool:
+        """Whether a slab command runs on the ranks (else on one shard).
+
+        A worker found dead here, before any rank has the command,
+        degrades the plan just as the step heartbeat does.
+        """
+        if self._degraded:
+            return False
+        try:
+            self._check_workers()
+        except OSError as exc:
+            self._degrade(str(exc))
+            return False
+        return True
+
+    @property
+    def _first_worker(self) -> int:
+        """The rank of the first worker: ranks below it run in the caller."""
+        return len(self._bound) - len(self._conns)
+
+    def _dispatch(self, msg: tuple, what: str) -> None:
+        """Run one rank command on every rank, then read every reply.
+
+        The command goes down every worker pipe first; the caller then
+        performs its own ranks' share, and only then reads each worker's
+        reply — all of them, even after a failure, so no stale reply is
+        left in a pipe for a later command to read.  Any failure marks
+        the plan failed and raises :class:`ShardError` for the lowest
+        failing rank.
+        """
+        failures: list[tuple[int, str, BaseException | None]] = []
+        sent = []
+        for rank, conn in enumerate(self._conns, start=self._first_worker):
+            try:
+                conn.send(msg)
+            except OSError as exc:
+                failures.append(
+                    (rank, f"shard worker for rank {rank} vanished before "
+                     f"running {what}: {exc!r}", exc)
+                )
+            else:
+                sent.append((rank, conn))
+        for rank in range(self._first_worker):
+            try:
+                _rank_command(self._bound[rank], self.slabs[rank].arrays, msg)
+            except BaseException as exc:
+                failures.append(
+                    (rank, f"shard rank {rank} failed in the caller running "
+                     f"{what}: {type(exc).__name__}: {exc}", exc)
+                )
+                break  # the plan is failed; later caller ranks need not run
+        for rank, conn in sent:
             try:
                 reply = conn.recv()
             except (EOFError, OSError) as exc:
-                raise ShardError(
-                    f"shard worker for rank {rank} vanished mid-step "
-                    f"running {key!r}: {exc!r}",
-                    rank=rank,
-                ) from exc
-            if reply[0] != "done":
-                raise ShardError(
-                    f"shard worker for rank {rank} failed running "
-                    f"{key!r}: {reply[1]}",
-                    rank=rank,
+                failures.append(
+                    (rank, f"shard worker for rank {rank} vanished mid-step "
+                     f"running {what}: {exc!r}", exc)
                 )
+                continue
+            if reply[0] != "done":
+                failures.append(
+                    (rank, f"shard worker for rank {rank} failed running "
+                     f"{what}: {reply[1]}", None)
+                )
+        if not failures:
+            return
+        rank, message, cause = min(failures, key=lambda f: f[0])
+        self._failed = ShardError(message, rank=rank)
+        if cause is not None and not isinstance(cause, Exception):
+            raise cause  # KeyboardInterrupt and friends keep their type
+        raise self._failed from cause
+
+    def _refuse_if_failed(self) -> None:
+        if self._failed is not None:
+            raise ShardError(
+                f"sharded plan refuses further work after an earlier "
+                f"failure: {self._failed}",
+                rank=self._failed.rank,
+            ) from self._failed
 
     def _zero_halos(self, names: Sequence[str]) -> None:
         h = self.halo
@@ -526,11 +630,13 @@ class ShardedPlan:
 
     def exchange(self, names: Sequence[str]) -> None:
         """Forward ghost-cell exchange for *names* (no-op when degraded)."""
+        self._refuse_if_failed()
         if not self._degraded:
             _exchange_pairs(self.slabs, names, self.halo)
 
     def accumulate_back(self, names: Sequence[str]) -> None:
         """Adjoint accumulate-back for *names* (no-op when degraded)."""
+        self._refuse_if_failed()
         if not self._degraded:
             _accumulate_pairs(self.slabs, names, self.halo)
 
@@ -572,20 +678,36 @@ class ShardedPlan:
             arr[...] = values[slab.slab_lo : slab.slab_lo + arr.shape[0]]
 
     def fill(self, name: str, value: float = 0.0) -> None:
-        """Fill an array with a constant on every rank (halos included)."""
-        if self._degraded:
+        """Fill an array with a constant on every rank (halos included).
+
+        Each rank fills its own slab, the caller doing rank 0's.
+        """
+        self._refuse_if_failed()
+        self._check_names(name)
+        if self._sharded():
+            self._dispatch(("fill", name, value), f"fill {name}")
+        else:
             self._globals[name].fill(value)
-            return
-        for slab in self.slabs:
-            slab.arrays[name].fill(value)
 
     def copy(self, dst: str, src: str) -> None:
-        """Copy array *src* into *dst* on every rank (halos included)."""
-        if self._degraded:
+        """Copy array *src* into *dst* on every rank (halos included).
+
+        Each rank copies its own slab, the caller doing rank 0's.
+        """
+        self._refuse_if_failed()
+        self._check_names(dst, src)
+        if self._sharded():
+            self._dispatch(("copy", dst, src), f"copy {dst} <- {src}")
+        else:
             np.copyto(self._globals[dst], self._globals[src])
-            return
-        for slab in self.slabs:
-            np.copyto(slab.arrays[dst], slab.arrays[src])
+
+    def _check_names(self, *names: str) -> None:
+        """Reject unknown names here, before any rank is sent a command."""
+        unknown = [name for name in names if name not in self._globals]
+        if unknown:
+            raise ValidationError(
+                f"unknown sharded array(s) {unknown}; have {self._names}"
+            )
 
     # -- degradation and shutdown ------------------------------------------
 
@@ -613,9 +735,7 @@ class ShardedPlan:
             }
             self._single[key] = plan.bind(local)
         self._degraded = True
-        self._bound = []
-        self.slabs = []
-        _release(self._workers, self._conns, self._segments)
+        self._drop_ranks()
 
     def _degraded_to(self, rung: str, reason: str) -> None:
         self.decisions.append(
@@ -623,7 +743,20 @@ class ShardedPlan:
         )
 
     def close(self) -> None:
-        """Stop workers and release shared-memory segments (idempotent)."""
+        """Stop workers and release shared-memory segments (idempotent).
+
+        Also closes the plans this object built, so worker pools the
+        caller's own ranks started do not outlive it.
+        """
+        for bound in self._single.values():
+            bound.plan.close()
+        self._single = {}
+        self._drop_ranks()
+
+    def _drop_ranks(self) -> None:
+        for plans in self._bound:
+            for bound in plans.values():
+                bound.plan.close()
         self._bound = []
         self.slabs = []
         _release(self._workers, self._conns, self._segments)

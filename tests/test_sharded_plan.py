@@ -144,7 +144,7 @@ def test_forked_workers_bitwise(nranks):
 
     state = prob.allocate(n, rng=np.random.default_rng(2))
     with ShardedPlan(fwd, state, nranks=nranks, halo=1) as sp:
-        assert sp.multiprocess
+        assert sp.multiprocess == (nranks > 1)
         for _ in range(4):
             sp.step(exchange=["u_1"])
             sp.copy("u_1", "u")
@@ -153,11 +153,83 @@ def test_forked_workers_bitwise(nranks):
     np.testing.assert_array_equal(got["u_1"], ref["u_1"])
 
 
+def _my_segments():
+    return set(glob.glob(f"/dev/shm/repro_shard_{os.getpid()}_*"))
+
+
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
-def test_forked_workers_threaded_plans_bitwise():
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+@pytest.mark.parametrize("nranks", [1, 2, 3])
+def test_caller_is_rank_zero_and_forks_one_worker_per_further_rank(nranks):
+    """R ranks start exactly R-1 children: the caller is rank 0.  After
+    close() none of them is alive and none of the plan's segments is
+    left in /dev/shm."""
+    prob = heat_problem(2)
+    fwd, _ = _kernels(prob, 12)
+    children, segments = set(multiprocessing.active_children()), _my_segments()
+    sp = ShardedPlan(fwd, prob.allocate(12), nranks=nranks, halo=1)
+    started = set(multiprocessing.active_children()) - children
+    mine = _my_segments() - segments
+    assert len(started) == nranks - 1
+    assert started == set(sp._workers)
+    assert len(mine) == nranks * len(sp._names)
+    sp.step(exchange=["u_1"])
+    sp.close()
+    assert not (started & set(multiprocessing.active_children()))
+    assert not (mine & _my_segments())
+
+
+@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@pytest.mark.parametrize("nranks", [1, 2, 3, 7])
+def test_rank_side_copy_and_fill_bitwise(nranks):
+    """A seeded random sequence of copy, fill and step leaves every slab
+    of a forked plan — halos included — bitwise equal to the in-process
+    plan's, so each rank copying and filling its own slab is exact."""
+    prob = heat_problem(2)
+    fwd, _ = _kernels(prob, 24)
+    names = sorted(prob.allocate(24))
+    r = np.random.default_rng(10 + nranks)
+    ops = []
+    for _ in range(24):
+        kind = r.choice(["step", "copy", "fill"])
+        if kind == "copy":
+            dst, src = r.choice(names, size=2, replace=False)
+            ops.append(("copy", str(dst), str(src)))
+        elif kind == "fill":
+            ops.append(("fill", str(r.choice(names)), float(r.standard_normal())))
+        else:
+            ops.append(("step",))
+
+    def drive(use_workers):
+        state = prob.allocate(24, rng=np.random.default_rng(11))
+        sp = ShardedPlan(
+            fwd, state, nranks=nranks, halo=1, use_workers=use_workers
+        )
+        with sp:
+            assert sp.multiprocess == (use_workers and nranks > 1)
+            for op in ops:
+                if op[0] == "step":
+                    sp.step(exchange=["u_1"])
+                else:
+                    getattr(sp, op[0])(*op[1:])
+            return [
+                {name: arr.copy() for name, arr in slab.arrays.items()}
+                for slab in sp.slabs
+            ]
+
+    forked, in_process = drive(True), drive(False)
+    assert len(forked) == len(in_process) == nranks
+    for got, want in zip(forked, in_process):
+        for name in names:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.skipif(not _FORK, reason="no fork start method")
+def test_forked_workers_threaded_plans_bitwise(new_pool_threads):
     """Threaded per-shard plans create their worker pool on first run,
     inside the forked worker — never at bind time, before the fork,
-    where the threads would not survive into the child."""
+    where the threads would not survive into the child.  Rank 0 runs
+    in the caller, so its pool is the caller's, and close() joins it."""
     prob = heat_problem(2)
     n = 24
     fwd, _ = _kernels(prob, n)
@@ -179,6 +251,8 @@ def test_forked_workers_threaded_plans_bitwise():
             sp.step(exchange=["u_1"])
             sp.copy("u_1", "u")
         got = sp.gather(["u"])
+        assert new_pool_threads()
+    assert not new_pool_threads()
     np.testing.assert_array_equal(got["u"], ref["u"])
 
 
@@ -375,6 +449,12 @@ def test_sharded_plan_rejects_unknown_kernel_key_and_bad_shapes():
     with ShardedPlan(fwd, state, nranks=2, halo=1, use_workers=False) as sp:
         with pytest.raises(ValidationError, match="unknown kernel key"):
             sp.step("nope")
+        # Refused before any rank runs it, so the plan stays usable.
+        with pytest.raises(ValidationError, match="unknown sharded array"):
+            sp.copy("u", "nope")
+        with pytest.raises(ValidationError, match="unknown sharded array"):
+            sp.fill("nope")
+        sp.step()
     with pytest.raises(ValidationError, match="share one shape"):
         ShardedPlan(
             fwd, {"u": np.zeros(11), "u_1": np.zeros(12)},
@@ -461,6 +541,37 @@ def test_dead_worker_degrades_bitwise():
 
 
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
+def test_dead_worker_found_by_copy_degrades_bitwise():
+    """copy and fill are rank commands too: a worker found dead before
+    one is sent degrades the plan there, bitwise, instead of failing."""
+    prob = heat_problem(2)
+    n = 16
+    fwd, _ = _kernels(prob, n)
+    ref = prob.allocate(n, rng=np.random.default_rng(6))
+    with fwd.plan() as plan:
+        bound = plan.bind(ref)
+        for _ in range(2):
+            bound.run()
+            np.copyto(ref["u_1"], ref["u"])
+
+    state = prob.allocate(n, rng=np.random.default_rng(6))
+    with ShardedPlan(fwd, state, nranks=3, halo=1) as sp:
+        sp.step(exchange=["u_1"])
+        sp._workers[0].kill()
+        sp._workers[0].join(timeout=10)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sp.copy("u_1", "u")
+        assert sp.degraded and not sp.multiprocess
+        sp.step(exchange=["u_1"])
+        sp.copy("u_1", "u")
+        got = sp.gather(["u", "u_1"])
+    assert ["rank 1 is dead" in str(w.message) for w in caught] == [True]
+    np.testing.assert_array_equal(got["u"], ref["u"])
+    np.testing.assert_array_equal(got["u_1"], ref["u_1"])
+
+
+@pytest.mark.skipif(not _FORK, reason="no fork start method")
 def test_worker_failure_mid_step_raises_typed_shard_error():
     """A kernel failure inside a worker (after dispatch) cannot degrade
     — some ranks may have advanced — so it raises ShardError naming the
@@ -477,6 +588,44 @@ def test_worker_failure_mid_step_raises_typed_shard_error():
                 sp.step(exchange=["u_1"])
     assert excinfo.value.rank == 0
     assert "rank 0" in str(excinfo.value)
+
+
+@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+def test_failed_step_reads_every_reply_and_refuses_further_work():
+    """Every rank fails its first run (the forked workers inherit the
+    armed injector).  The step reads all three replies before raising
+    for the lowest failing rank, so no stale reply waits in a pipe; the
+    plan is then failed, and every later command names the original
+    failure instead of running on ranks that may have advanced."""
+    prob = heat_problem(2)
+    n = 12
+    fwd, _ = _kernels(prob, n)
+    state = prob.allocate(n, rng=np.random.default_rng(7))
+    segments = _my_segments()
+    with faults.inject("bound.run"):
+        sp = ShardedPlan(fwd, state, nranks=3, halo=1)
+        mine = _my_segments() - segments
+        workers = list(sp._workers)
+        for _ in range(2):
+            with pytest.raises(ShardError) as excinfo:
+                sp.step(exchange=["u_1"])
+            assert excinfo.value.rank == 0
+            assert "rank 0" in str(excinfo.value)
+            assert not any(conn.poll() for conn in sp._conns)
+        assert "earlier failure" in str(excinfo.value)
+        for command in (
+            lambda: sp.copy("u_1", "u"),
+            lambda: sp.fill("u", 0.0),
+            lambda: sp.exchange(["u_1"]),
+            lambda: sp.accumulate_back(["u_1"]),
+        ):
+            with pytest.raises(ShardError, match="rank 0") as excinfo:
+                command()
+            assert excinfo.value.rank == 0
+        sp.close()
+    assert not any(proc.is_alive() for proc in workers)
+    assert not (mine & _my_segments())
 
 
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
@@ -517,9 +666,7 @@ def test_no_shared_memory_segment_outlives_its_plan(ending):
 # -- sharded checkpointed adjoints ------------------------------------------
 
 
-@pytest.mark.parametrize("nranks", [2, 3])
-@pytest.mark.parametrize("problem", ["heat2d", "wave2d"])
-def test_sharded_checkpointed_adjoint_bitwise(problem, nranks):
+def _check_sharded_checkpointed(problem, nranks, backend, use_workers):
     """One revolve schedule driven across shards == the unsharded
     CheckpointedAdjointPlan, bitwise, including constant-field
     gradients (wave2d's velocity model)."""
@@ -529,7 +676,7 @@ def test_sharded_checkpointed_adjoint_bitwise(problem, nranks):
     shape = prob.array_shape(n)
     history = prob.history_fields()
 
-    chk = prob.checkpointed_adjoint(n, steps=steps, snaps=snaps)
+    chk = prob.checkpointed_adjoint(n, steps=steps, snaps=snaps, backend=backend)
     fwd, rev = _kernels(prob, n)
     # The same deterministic constant fields apps.checkpointed_adjoint
     # allocates (seed 0, scaled like Problem.allocate).
@@ -542,8 +689,10 @@ def test_sharded_checkpointed_adjoint_bitwise(problem, nranks):
         fwd, rev, shape,
         nranks=nranks, halo=1, steps=steps, snaps=snaps,
         output=prob.output_name, history=history, constants=constants,
-        adjoint_map=prob.adjoint_name_map(), use_workers=False,
+        adjoint_map=prob.adjoint_name_map(),
+        config=ExecutionConfig(backend=backend), use_workers=use_workers,
     )
+    assert sharded._plan.multiprocess == use_workers
     r = np.random.default_rng(9)
     state0 = [r.standard_normal(shape) * 0.1 for _ in history]
     seed = r.standard_normal(shape) * 0.1
@@ -564,28 +713,19 @@ def test_sharded_checkpointed_adjoint_bitwise(problem, nranks):
     chk.close()
 
 
+@pytest.mark.parametrize("nranks", [2, 3])
+@pytest.mark.parametrize("problem", ["heat2d", "wave2d"])
+def test_sharded_checkpointed_adjoint_bitwise(problem, nranks):
+    _check_sharded_checkpointed(problem, nranks, "python", use_workers=False)
+
+
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
-def test_sharded_checkpointed_adjoint_with_workers():
-    """The sharded revolve sweep stays bitwise when the shards execute
-    in forked worker processes."""
-    prob = heat_problem(2)
-    n = 12
-    steps, snaps = 6, 3
-    shape = prob.array_shape(n)
-    chk = prob.checkpointed_adjoint(n, steps=steps, snaps=snaps)
-    fwd, rev = _kernels(prob, n)
-    sharded = ShardedCheckpointedAdjoint(
-        fwd, rev, shape, nranks=2, halo=1, steps=steps, snaps=snaps,
-        output=prob.output_name, history=prob.history_fields(),
-        adjoint_map=prob.adjoint_name_map(),
-    )
-    assert sharded._plan.multiprocess
-    r = np.random.default_rng(4)
-    state0 = [r.standard_normal(shape) * 0.1]
-    seed = r.standard_normal(shape) * 0.1
-    ref_grad = chk.adjoint([a.copy() for a in state0], seed)
-    got_grad = sharded.adjoint([a.copy() for a in state0], seed)
-    for name in got_grad:
-        np.testing.assert_array_equal(got_grad[name], ref_grad[name])
-    sharded.close()
-    chk.close()
+@pytest.mark.parametrize("backend", _BACKENDS)
+@pytest.mark.parametrize("nranks", [2, 3])
+@pytest.mark.parametrize("problem", ["heat2d", "wave2d"])
+def test_sharded_checkpointed_adjoint_with_workers(problem, nranks, backend):
+    """The sharded revolve sweep stays bitwise when ranks 1 .. R-1 run
+    in forked workers and copy and fill their own slabs: every forward
+    step fills a rotating buffer, and wave2d also carries the
+    constant-field gradient."""
+    _check_sharded_checkpointed(problem, nranks, backend, use_workers=True)
