@@ -18,7 +18,7 @@ extrapolates the thread-contention behaviour to the paper's hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from ..runtime.compiler import (
     CompiledKernel,
     CompiledStatement,
     KernelError,
-    RegionKernel,
-    _frame_view,
+    _statement_args,
 )
 
 __all__ = ["AtomicScatterKernel"]
@@ -49,46 +48,16 @@ class AtomicScatterKernel:
 
     def __call__(self, arrays: Mapping[str, np.ndarray]) -> None:
         for region in self.kernel.regions:
-            if region.is_empty:
-                continue
-            self._execute_region(region, arrays, region.bounds)
-
-    def execute_block(
-        self,
-        region: RegionKernel,
-        arrays: Mapping[str, np.ndarray],
-        bounds: Sequence[tuple[int, int]],
-    ) -> None:
-        self._execute_region(region, arrays, tuple(bounds))
-
-    def _execute_region(
-        self,
-        region: RegionKernel,
-        arrays: Mapping[str, np.ndarray],
-        bounds: tuple[tuple[int, int], ...],
-    ) -> None:
-        for st in region.statements:
-            eff = bounds
-            if st.guard_box is not None:
-                eff = tuple(
-                    (max(lo, glo), min(hi, ghi))
-                    for (lo, hi), (glo, ghi) in zip(bounds, st.guard_box)
-                )
-                if any(lo > hi for lo, hi in eff):
+            for st, eff in zip(region.statements, region.statement_boxes()):
+                if eff is None:
                     continue
-            args = [
-                _frame_view(arrays[acc.name], acc, eff, st.dim) for acc in st.reads
-            ]
-            for axis in st.bare_axes:
-                lo, hi = eff[axis]
-                shape = [1] * st.dim
-                shape[axis] = -1
-                args.append(np.arange(lo, hi + 1).reshape(shape))
-            values = st.eval_fn(*args)
-            full_shape = tuple(hi - lo + 1 for lo, hi in eff)
-            values = np.broadcast_to(np.asarray(values), full_shape)
-            indices = _scatter_indices(st, eff)
-            np.add.at(arrays[st.target.name], indices, values)
+                values = st.eval_fn(
+                    *_statement_args(st, arrays, eff, region.dtype)
+                )
+                full_shape = tuple(hi - lo + 1 for lo, hi in eff)
+                values = np.broadcast_to(np.asarray(values), full_shape)
+                indices = _scatter_indices(st, eff)
+                np.add.at(arrays[st.target.name], indices, values)
 
 
 def _scatter_indices(

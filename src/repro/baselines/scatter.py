@@ -88,7 +88,7 @@ def print_function_c_atomic(name: str, nest: LoopNest) -> str:
         # Tapenade iterates the adjoint loop backwards.
         lines.append(
             f"{indent}for ({c} = {printer.doprint(hi)}; {c} >= "
-            f"{printer.doprint(lo)}; --{c})"
+            f"{printer.doprint(lo)}; --{c}) {{"
         )
         indent += "  "
     for st in nest.statements:
@@ -96,5 +96,8 @@ def print_function_c_atomic(name: str, nest: LoopNest) -> str:
         rhs = printer.doprint(st.rhs)
         lines.append(f"{indent}#pragma omp atomic")
         lines.append(f"{indent}{st.target_name}{idx} += {rhs};")
+    for _ in nest.counters:
+        indent = indent[:-2]
+        lines.append(f"{indent}}}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -442,12 +442,12 @@ def _cmd_generate(args) -> int:
 
 
 def _plan_vs_serial_diff(
-    prob, n: int, strategy: str, threads: int, backend: str = "python"
+    prob, kernel, n: int, threads: int, backend: str = "python"
 ) -> float:
-    """Max |planned - serial| over active adjoints for one plan config."""
+    """Max |planned - serial| over active adjoints of one adjoint *kernel*
+    of *prob* for one plan config."""
     from .runtime import ExecutionConfig, ExecutionPlan
 
-    kernel = _adjoint_kernel(prob, n, strategy=strategy)
     base = prob.allocate_state(n, seed=0)
     serial = {k: v.copy() for k, v in base.items()}
     kernel(serial)
@@ -515,14 +515,28 @@ def _cmd_verify(args) -> int:
     print(f"  finite-diff rel. error : {fd.rel_error:.3e}")
     ok = cmp_.passed() and dp.passed and fd.passed(5e-5)
     if args.threads > 1 or args.backend != "python":
-        diff = _plan_vs_serial_diff(
-            prob, n, args.strategy, args.threads, backend=args.backend
-        )
+        from .baselines import tapenade_style_adjoint
+        from .runtime import compile_nests
+
         desc = f"{args.threads} thread(s)"
         if args.backend != "python":
             desc += f", backend {args.backend}"
-        print(f"  plan [{desc}] vs serial: {diff:.3e}")
-        ok = ok and diff == 0.0
+        # The conventional scatter adjoint too: its regions must run
+        # unsplit wherever a split would race, so it is bitwise as well.
+        scatter = compile_nests(
+            [tapenade_style_adjoint(prob.primal, prob.adjoint_map)],
+            prob.bindings(n),
+            name=prob.name + "_scatter",
+        )
+        for label, kernel in (
+            ("plan", _adjoint_kernel(prob, n, strategy=args.strategy)),
+            ("scatter plan", scatter),
+        ):
+            diff = _plan_vs_serial_diff(
+                prob, kernel, n, args.threads, backend=args.backend
+            )
+            print(f"  {label} [{desc}] vs serial: {diff:.3e}")
+            ok = ok and diff == 0.0
     print("  VERDICT: " + ("all adjoints agree" if ok else "MISMATCH"))
     return 0 if ok else 1
 

@@ -331,16 +331,17 @@ def operand_ranks(stmts) -> dict[str, int]:
 def nest_threaded(entries: Sequence, nthreads: int) -> bool:
     """Whether *entries*' nest partitions axis 0 across OpenMP threads.
 
-    The one rule: ``nthreads > 1``, the nest has a loop, the group's
-    cross-statement dependences stay within an outer row
-    (:func:`~repro.core.fusion.parallel_safe_group`, None for one
-    statement: gather-form targets cover every frame axis once, so the
-    iteration-to-element map is injective and blocks of axis 0 write
-    disjoint elements for ``=`` and ``+=`` alike), and — for two or
-    more statements — ``dim >= 2``: a 1-D fused nest interleaves along
-    its only axis, so partitioning it would hand one statement's
-    producer row to another thread.  A refused nest stays serial:
-    still bitwise identical, just not thread-partitioned.
+    True when ``nthreads > 1``, the nest has a loop, the partition rule
+    a python region's tasks also follow admits the group
+    (:func:`~repro.core.fusion.parallel_safe_group`: blocks of axis 0
+    write disjoint elements and no dependence crosses an outer row), and
+    — for two or more statements — ``dim >= 2``: a 1-D fused nest
+    interleaves along its only axis, so partitioning it would hand one
+    statement's producer row to another thread.  Every statement that
+    reaches here passed :func:`native_eligibility`, whose target and
+    self-read conditions imply the rule's per-statement ones.  A
+    refused nest stays serial: still bitwise identical, just not
+    thread-partitioned.
     """
     dim = entries[0].dim
     return (

@@ -230,19 +230,25 @@ def fusable_pair(a: FusionEntry, b: FusionEntry) -> str | None:
 
 
 def parallel_safe_group(entries: Sequence[FusionEntry]) -> str | None:
-    """Why *entries*' fused nest cannot partition axis 0 across threads.
+    """Why *entries* cannot partition axis 0 across threads, or None.
 
-    Returns None when a contiguous block decomposition of the outermost
-    axis is race-free and order-preserving.  A single statement is
-    always safe: the gather-form IR writes each target element from
-    exactly one iteration (the native eligibility gate requires the
-    target to cover every frame axis once), so per-iteration writes are
-    disjoint and reads of other arrays see only pre-statement values.
-    For a multi-statement nest the outer rows interleave *across*
-    statements, so every cross-statement dependence — flow, anti and
-    output — must have **zero distance on axis 0**: a nonzero outer
-    component means one thread's row produces or clobbers a value
-    another thread's row consumes, with no ordering between them.
+    The one partition rule, for an OpenMP C nest
+    (:func:`~repro.codegen.native_c.nest_threaded`) and a python
+    region's worker-pool tasks (:class:`~repro.runtime.plan.ExecutionPlan`)
+    alike.  None means contiguous blocks of the outermost axis are
+    race-free and order-preserving:
+
+    * every target indexes axis 0 exactly once, so blocks write
+      disjoint elements, for ``=`` and ``+=`` alike;
+    * a statement reads its own target only at the written slots, so no
+      block observes an element another block writes;
+    * every cross-statement dependence — flow, anti and output — has
+      **zero distance on axis 0**: a nonzero outer component means one
+      thread's row produces or clobbers a value another thread's row
+      consumes, with no ordering between them.
+
+    A refused group runs as one block: still bitwise identical, just
+    not partitioned.
 
     >>> class Acc:
     ...     def __init__(self, name, slots): self.name, self.slots = name, slots
@@ -260,11 +266,19 @@ def parallel_safe_group(entries: Sequence[FusionEntry]) -> str | None:
     >>> entries[1] = FusionEntry(up_row, ((1, 8), (1, 8)), 2, "float64")
     >>> print(parallel_safe_group(entries))
     dependence on 'u' crosses thread rows (outer distance -1)
+    >>> prefix = St(Acc("u", ((0, 0),)), (Acc("u", ((0, -1),)),), op="+=")
+    >>> print(parallel_safe_group([FusionEntry(prefix, ((1, 8),), 1, "float64")]))
+    read of target 'u' at shifted offsets
     """
-    if len(entries) <= 1:
-        return None
-    dim = entries[0].dim
+    for entry in entries:
+        target = entry.stmt.target
+        if [axis for axis, _ in target.slots].count(0) != 1:
+            return f"target {target.name!r} does not index axis 0 exactly once"
+        for acc in entry.stmt.reads:
+            if acc.name == target.name and acc.slots != target.slots:
+                return f"read of target {target.name!r} at shifted offsets"
     for i, a in enumerate(entries):
+        dim = a.dim
         writes_a, reads_a = _accesses(a.stmt)
         for b in entries[i + 1:]:
             writes_b, reads_b = _accesses(b.stmt)

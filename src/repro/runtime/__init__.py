@@ -46,20 +46,10 @@ from .compiler import (
     compile_nests,
 )
 from .interpreter import interpret_nests
-from .plan import (
-    ExecutionConfig,
-    ExecutionPlan,
-    ShardSpec,
-    validate_scatter_kernel,
-)
+from .plan import ExecutionConfig, ExecutionPlan, ShardSpec
 from .server import KernelServer, seeded_state, state_shapes
 from .client import KernelClient, ServeResult
-from .scheduler import (
-    WorkerPool,
-    choose_split_axis,
-    safe_split_axis,
-    split_box,
-)
+from .scheduler import WorkerPool, choose_split_axis, split_box
 
 __all__ = [
     "Bindings",
@@ -106,9 +96,7 @@ __all__ = [
     "native_cache_dir",
     "native_thread_count",
     "native_toolchain",
-    "safe_split_axis",
     "seeded_state",
     "state_shapes",
     "split_box",
-    "validate_scatter_kernel",
 ]

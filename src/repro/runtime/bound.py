@@ -20,10 +20,7 @@ resolves, once per (plan, arrays):
   arrays shared per ``(axis, lo, hi, dim, dtype)`` among all live
   bindings instead of being reallocated per statement per call;
 * a per-statement **ufunc slot pool** so the expression itself evaluates
-  through ``out=``-style in-place NumPy ops (see below);
-* for the scatter discipline, **persistent thread-private scratch**
-  arrays that are zeroed in place per run instead of ``np.zeros_like``
-  per task per run.
+  through ``out=``-style in-place NumPy ops (see below).
 
 After a warm-up call (which lets NumPy size and type the slot buffers),
 a steady-state :meth:`BoundPlan.run` performs **zero NumPy array
@@ -47,7 +44,7 @@ compilation), so slot ``k`` of a statement always receives the result of
 the same operation on the same shapes and dtypes: the first call
 allocates each slot from the ufunc's own natural result, and subsequent
 calls replay into it.  The computation is therefore bitwise identical to
-the allocating path by construction, for every discipline.
+the allocating path by construction, at every thread count.
 
 Statements whose expression contains constructs that do not evaluate as
 pure ufunc calls (user-bound functions, ``Heaviside``/``DiracDelta``
@@ -66,14 +63,14 @@ replacing any array object in the mapping; resizing is impossible
 without replacement, and in-place value updates (``arr[...] = ...``)
 never invalidate a binding.
 
-Threading caveats: slot pools and scatter scratch are private to one
-work task, so one ``BoundPlan`` may run its own tasks concurrently; but
-a single ``BoundPlan`` must not be entered by two *callers* at once (the
-same arrays would be mutated from both).  Two callers running their
+Threading caveats: slot pools are private to one work task, so one
+``BoundPlan`` may run its own tasks concurrently; but a single
+``BoundPlan`` must not be entered by two *callers* at once (the same
+arrays would be mutated from both).  Two callers running their
 *own* bindings of one plan share the plan's worker pool safely: each
 ``run()`` is its own :class:`~repro.runtime.scheduler.Batch`.
 
-Threaded and scatter runs go through one method,
+Threaded runs go through one method,
 :meth:`BoundPlan._run_parallel`; it is the only place this module
 submits to a pool, and every policy about worker threads, joins and
 failing tasks lives in :mod:`repro.runtime.scheduler`.
@@ -391,24 +388,18 @@ class _BoundStatement:
 
 
 class _BoundTask:
-    """One schedulable task: its runnables plus optional scatter scratch.
+    """One schedulable task: its execution-ordered runnables.
 
-    ``items`` are execution-ordered runnables: Python bound statements,
-    native statements, or sealed programs of consecutive native
-    statements run as one FFI call.
+    ``items`` are Python bound statements, native statements, or sealed
+    programs of consecutive native statements run as one FFI call.
     """
 
-    __slots__ = ("items", "scratch")
+    __slots__ = ("items",)
 
-    def __init__(self, items, scratch=None) -> None:
+    def __init__(self, items) -> None:
         self.items = tuple(items)
-        self.scratch = scratch  # {name: persistent private array} | None
 
     def __call__(self) -> None:
-        scratch = self.scratch
-        if scratch is not None:
-            for buf in scratch.values():
-                buf[...] = 0
         for s in self.items:
             faults.check("bound.run")
             s.run()
@@ -506,19 +497,11 @@ class BoundPlan(Lowered):
             self._serial_items = tuple(lower(serial_stream(plan), sources))
         else:
             for rp, barrier in zip(plan.region_plans, plan.barriers):
-                written = sorted({st.target.name for st in rp.region.statements})
-                tasks = []
-                for boxes in rp.tasks:
-                    scratch = None
-                    if plan.config.scatter:
-                        scratch = {
-                            name: np.zeros_like(sources[name]) for name in written
-                        }
-                    items = lower(
-                        task_stream(rp.region, boxes), {**sources, **(scratch or {})}
-                    )
-                    tasks.append(_BoundTask(items, scratch))
-                regions.append((tuple(tasks), barrier, rp.parallel))
+                tasks = tuple(
+                    _BoundTask(lower(task_stream(rp.region, boxes), sources))
+                    for boxes in rp.tasks
+                )
+                regions.append((tasks, barrier, rp.parallel))
         self._regions = tuple(regions)
         self.decisions = tuple(ladder.decisions)
         # Statements running through the allocation-free ufunc slots.
@@ -584,7 +567,7 @@ class BoundPlan(Lowered):
                 s.run()
 
     def _run_parallel(self) -> None:
-        """Gather and scatter disciplines: one batch on the plan's pool.
+        """Threaded runs: one batch on the plan's pool.
 
         Parallel regions' tasks are submitted as they are reached and
         joined at the plan's barriers and at the end — for disjoint-
@@ -595,32 +578,13 @@ class BoundPlan(Lowered):
         joined before the failure leaves the ``with`` block, so
         :meth:`run`'s transactional restore sees quiescent arrays.
         """
-        config = self.plan.config
-        unmerged: list[_BoundTask] = []  # scatter tasks, submission order
-
-        def join() -> None:
-            batch.join()
-            for task in unmerged:
-                # The deterministic merge: private scratches fold into
-                # the global arrays in task-submission order.  A failure
-                # here leaves the arrays partially merged — exactly the
-                # state the transactional guard exists to restore, so
-                # the fault point sits inside the loop.
-                faults.check("scatter.merge")
-                for name, buf in task.scratch.items():
-                    tgt = self._sources[name]
-                    np.add(tgt, buf, out=tgt)
-            unmerged.clear()
-
-        with self.plan.worker_pool(config.num_threads).batch() as batch:
+        pool = self.plan.worker_pool(self.plan.config.num_threads)
+        with pool.batch() as batch:
             for tasks, barrier, parallel in self._regions:
                 if barrier:
-                    join()
+                    batch.join()
                 if parallel:
                     batch.submit(tasks)
-                    if config.scatter:
-                        unmerged.extend(tasks)
                 else:
                     for task in tasks:
                         task()
-            join()

@@ -492,12 +492,6 @@ class CheckpointedAdjointPlan(_RevolveDriver):
     ) -> None:
         if members is not None and members < 1:
             raise ValueError("members must be >= 1")
-        if forward_plan.config.scatter or reverse_plan.config.scatter:
-            raise KernelError(
-                "checkpointed adjoints do not support scatter plans: the "
-                "sweep replays bound runs, and ensembles of scatter plans "
-                "are rejected outright; use the gather discipline"
-            )
         constants = dict(constants or {})
         shape = tuple(shape)
         full_shape = shape if members is None else (members, *shape)

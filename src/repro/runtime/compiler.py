@@ -106,6 +106,28 @@ class CompiledStatement:
     batch_safe: bool | None = None
 
 
+def _statement_args(
+    st: CompiledStatement,
+    arrays: Mapping[str, np.ndarray],
+    eff: Sequence[tuple[int, int]],
+    dtype,
+) -> list[np.ndarray]:
+    """The operands of *st*'s ``eval_fn`` over box *eff*.
+
+    One frame view per read, then one counter array per bare axis.
+    Counter values enter the expression in the kernel *dtype*: an int64
+    ``arange`` would silently promote float32 math to float64
+    mid-expression.
+    """
+    args = [_frame_view(arrays[acc.name], acc, eff, st.dim) for acc in st.reads]
+    for axis in st.bare_axes:
+        lo, hi = eff[axis]
+        shape = [1] * st.dim
+        shape[axis] = -1
+        args.append(np.arange(lo, hi + 1, dtype=dtype).reshape(shape))
+    return args
+
+
 def _frame_view(
     arr: np.ndarray, acc: CompiledAccess, bounds: Sequence[tuple[int, int]], dim: int
 ) -> np.ndarray:
@@ -413,18 +435,7 @@ class RegionKernel:
         arrays: Mapping[str, np.ndarray],
         eff: tuple[tuple[int, int], ...],
     ) -> None:
-        args = [
-            _frame_view(arrays[acc.name], acc, eff, st.dim) for acc in st.reads
-        ]
-        for axis in st.bare_axes:
-            lo, hi = eff[axis]
-            shape = [1] * st.dim
-            shape[axis] = -1
-            # Counter values enter the expression in the kernel dtype:
-            # an int64 arange would silently promote float32 math to
-            # float64 mid-expression.
-            args.append(np.arange(lo, hi + 1, dtype=self.dtype).reshape(shape))
-        rhs = st.eval_fn(*args)
+        rhs = st.eval_fn(*_statement_args(st, arrays, eff, self.dtype))
         tview, missing = _target_view_and_missing(
             arrays[st.target.name], st.target, eff, st.dim
         )
@@ -537,8 +548,8 @@ class CompiledKernel:
         *config* holds :class:`~repro.runtime.plan.ExecutionConfig`
         fields (``backend``, ``num_threads`` for the python backend's
         worker pool, ``native_threads`` for the native backend's OpenMP
-        nests, ``scatter``, ... — documented and validated there).
-        Plans precompute guard boxes, split axes and thread blocks once;
+        nests, ... — documented and validated there).
+        Plans precompute guard boxes and thread blocks once;
         repeated calls with an equal configuration return the same plan
         object, so every timestep of a run reuses the decomposition.
         """

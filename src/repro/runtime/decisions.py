@@ -109,8 +109,8 @@ def lowering_mode(config, library: Verdict | None = None) -> Mode:
     """The mode gate: what a binding of *config* may lower to.
 
     *library* is the library rung's verdict (None: assume it loads).
-    The scatter discipline, the watchdog and a library that did not
-    load threaded pin the native width to 1.
+    The watchdog and a library that did not load threaded pin the
+    native width to 1.
     """
     threads = config.native_threads
     if threads is None:
@@ -119,7 +119,7 @@ def lowering_mode(config, library: Verdict | None = None) -> Mode:
         except ValueError:
             threads = 1
     watch = config.check == "nan"
-    if threads < 1 or config.scatter or watch or (
+    if threads < 1 or watch or (
         library is not None and library.rung != "native"
     ):
         threads = 1

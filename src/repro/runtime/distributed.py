@@ -353,9 +353,9 @@ class ShardedPlan:
             )
         _validate_halo(ranges, halo)
         self.halo = halo
-        # Ranks are the parallelism, as scatter is at the mode gate — and
-        # libgomp is not fork-safe: once the parent has entered one
-        # OpenMP region, a forked worker deadlocks in its first.
+        # Ranks are the parallelism — and libgomp is not fork-safe: once
+        # the parent has entered one OpenMP region, a forked worker
+        # deadlocks in its first.
         # native_threads is the native backend's only thread knob
         # (num_threads > 1 is refused there), so it is the one pinned —
         # explicitly, so it beats REPRO_NATIVE_THREADS — for every rank

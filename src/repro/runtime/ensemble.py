@@ -239,15 +239,14 @@ class EnsemblePlan(Lowered):
     Parameters
     ----------
     plan:
-        The member execution plan.  Any non-scatter configuration works
+        The member execution plan.  Any configuration works
         — a python-backend ``num_threads`` decomposition is replayed per
         member in the plan's flat serial order (ensemble parallelism
         comes from ``workers``, not from the member plan's threads);
         ``backend="native"`` dispatches member statements to JIT-built C
         and chains them across members; ``check="nan"`` watches every
-        member statement.  Scatter plans are rejected (their
-        thread-private merge has no batched equivalent), and so is
-        ``transactional=True`` (a backup of the stacked arrays per run).
+        member statement.  ``transactional=True`` is rejected (a backup
+        of the stacked arrays per run).
     batched:
         Mapping of array name to ``(members, *shape)`` array; every
         kernel array must be present with the same leading extent (see
@@ -267,12 +266,6 @@ class EnsemblePlan(Lowered):
         workers: int = 1,
     ) -> None:
         config = plan.config
-        if config.scatter:
-            raise KernelError(
-                "ensemble execution does not support scatter plans: the "
-                "thread-private zero-seeded merge has no batched "
-                "equivalent; use the gather discipline"
-            )
         if config.transactional:
             raise KernelError(
                 "ensemble execution does not support transactional=True: "

@@ -169,12 +169,6 @@ _register(
     _default("bound.run", RuntimeError),
 )
 _register(
-    "scatter.merge",
-    "merging thread-private scatter scratch raises mid-merge",
-    "typed-error",
-    _default("scatter.merge", RuntimeError),
-)
-_register(
     "server.accept",
     "the daemon drops a freshly accepted connection (transient OSError)",
     "fallback",

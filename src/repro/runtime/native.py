@@ -528,16 +528,16 @@ def native_thread_count(config) -> int:
     verdict.  Precedence: ``ExecutionConfig(native_threads=…)``, then
     ``REPRO_NATIVE_THREADS`` (read at bind time), then 1; invalid values
     resolve to 1 — a misconfigured knob must not take the run down.
-    The scatter discipline and the divergence watchdog resolve to serial
-    regardless.  It is the native backend's only thread knob:
-    ``num_threads > 1`` is the python backend's and ``ExecutionConfig``
-    refuses it on ``backend="native"``.
+    The divergence watchdog resolves to serial regardless.  It is the
+    native backend's only thread knob: ``num_threads > 1`` is the
+    python backend's and ``ExecutionConfig`` refuses it on
+    ``backend="native"``.
 
     >>> from repro.runtime import ExecutionConfig, native_thread_count
     >>> native_thread_count(ExecutionConfig(backend="native", native_threads=4))
     4
-    >>> native_thread_count(                # scatter owns its threading
-    ...     ExecutionConfig(backend="native", scatter=True, native_threads=4))
+    >>> native_thread_count(                # the watchdog checks per statement
+    ...     ExecutionConfig(backend="native", check="nan", native_threads=4))
     1
     """
     return decisions.lowering_mode(config).threads

@@ -3,13 +3,13 @@
 The paper's measured workflow fixes the execution configuration (thread
 count, problem size) once and then runs the compiled kernel for every
 timestep and repetition.  Redoing the per-run bookkeeping — guard-box
-intersection, safe-split-axis selection, thread blocking — inside every
+intersection, the partition verdict, thread blocking — inside every
 call would dominate small-grid steps.
 
 An :class:`ExecutionPlan` is built once per ``(kernel, ExecutionConfig)``
 (PyOP2's parallel-plan idea): it freezes the full work decomposition —
 per-region thread tasks, each one box with its guard-intersected
-statement boxes — for every discipline (serial, threaded, scatter).
+statement boxes — for serial and threaded configurations alike.
 Plans are memoised on the kernel via
 :meth:`~repro.runtime.compiler.CompiledKernel.plan`.
 
@@ -31,10 +31,13 @@ regions (the Section 3.3.4 property) still all run with a single final
 join, exactly as the paper's "no additional synchronisation barriers"
 describes.
 
-Results are bitwise identical to the serial path for every discipline:
-gather regions write disjoint locations per task, the scatter
-discipline is validated up front (see :func:`validate_scatter_kernel`)
-and its thread-private scratches merge in deterministic task order.
+Results are bitwise identical to the serial path at every thread
+count: a region is split into tasks along axis 0 only when
+:func:`~repro.core.fusion.parallel_safe_group` — the rule that also
+decides whether an OpenMP C nest is threaded — admits its statements,
+so tasks write disjoint locations and read nothing a sibling writes.
+Any other region (the conventional scatter adjoint's, for one) runs as
+one task.
 """
 
 from __future__ import annotations
@@ -48,14 +51,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from ..core.fusion import FusionEntry, parallel_safe_group
 from ..errors import ValidationError
-from .compiler import (
-    CompiledKernel,
-    KernelError,
-    RegionKernel,
-    _boxes_overlap,
-)
-from .scheduler import WorkerPool, safe_split_axis, split_box
+from .compiler import CompiledKernel, RegionKernel, _boxes_overlap
+from .scheduler import WorkerPool, split_box
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .bound import BoundPlan
@@ -64,7 +63,6 @@ __all__ = [
     "ExecutionConfig",
     "ExecutionPlan",
     "ShardSpec",
-    "validate_scatter_kernel",
 ]
 
 Box = tuple[tuple[int, int], ...]
@@ -85,11 +83,10 @@ class ExecutionConfig:
     """Everything that selects an execution discipline for a kernel.
 
     One thread knob per backend.  ``num_threads`` > 1 runs the python
-    backend thread-parallel on the plan's worker pool (gather: race-free
-    blocks; scatter: thread-private accumulation with deterministic
-    ordered merge); the native backend refuses it with a
+    backend thread-parallel on the plan's worker pool, splitting axis 0
+    of each region :func:`~repro.core.fusion.parallel_safe_group` admits
+    into race-free blocks; the native backend refuses it with a
     :class:`ValueError` and takes ``native_threads`` instead.
-    ``scatter`` selects the conventional-adjoint discipline.
     ``min_block_iterations`` keeps tiny regions on the submitting thread.
     ``backend`` selects how bound statements execute: ``"python"`` runs
     the in-place NumPy slot tape, ``"native"`` dispatches eligible
@@ -129,7 +126,7 @@ class ExecutionConfig:
     variable at bind time, an explicit integer pins the count and wins
     over the environment.  Results are bitwise identical to the serial
     native path at every count; the knob is inert for the python
-    backend and resolves to serial for scatter and watchdog plans (see
+    backend and resolves to serial for watchdog plans (see
     :func:`repro.runtime.native.native_thread_count`).
 
     Invalid values raise :class:`ValueError` here.
@@ -152,7 +149,6 @@ class ExecutionConfig:
     """
 
     num_threads: int = 1
-    scatter: bool = False
     min_block_iterations: int = 1024
     backend: str = "python"
     fusion: str = "auto"
@@ -202,50 +198,13 @@ class RegionPlan:
     ``tasks`` is the parallel dimension: each task is the per-statement
     guard-intersected boxes of one block, executed by one worker.
     ``parallel`` marks whether the tasks may run concurrently; serial
-    regions (too small, or no race-free split axis) hold a single task.
+    regions (too small, or refused by
+    :func:`~repro.core.fusion.parallel_safe_group`) hold a single task.
     """
 
     region: RegionKernel
     tasks: tuple[StmtBoxes, ...]
     parallel: bool
-
-
-def validate_scatter_kernel(kernel: CompiledKernel) -> None:
-    """Check that thread-private scatter accumulation is exact for *kernel*.
-
-    The scatter discipline computes each block into zero-seeded private
-    copies of the written arrays and merges them into the global arrays
-    with ``+=``.  That merge is only correct when every statement is a
-    pure ``+=`` scatter and no statement reads an array its region
-    writes: an ``=`` statement's value would be *added* to the global
-    array instead of stored, and a read of a written array would observe
-    the zeroed scratch instead of the accumulated values.  Raises
-    :class:`~repro.runtime.compiler.KernelError` on either violation.
-
-    >>> from repro import heat_problem
-    >>> from repro.runtime import compile_nests, validate_scatter_kernel
-    >>> prob = heat_problem(1)
-    >>> kernel = compile_nests([prob.primal], prob.bindings(16))
-    >>> validate_scatter_kernel(kernel)   # '+=' gather stencil: accepted
-    """
-    for region in kernel.regions:
-        written = {st.target.name for st in region.statements}
-        for st in region.statements:
-            if st.op != "+=":
-                raise KernelError(
-                    f"scatter execution requires pure '+=' statements, but "
-                    f"region {region.name!r} writes {st.target.name!r} with "
-                    f"'{st.op}'; the thread-private zero-seeded merge would "
-                    f"add the value instead of storing it"
-                )
-            for acc in st.reads:
-                if acc.name in written:
-                    raise KernelError(
-                        f"scatter execution forbids reading an array the "
-                        f"region writes, but region {region.name!r} reads "
-                        f"{acc.name!r}; the read would observe the zeroed "
-                        f"thread-private scratch"
-                    )
 
 
 def _group_boxes(
@@ -331,7 +290,7 @@ class ExecutionPlan:
     :meth:`ExecutionPlan.build`; execute with :meth:`run` (which binds
     and memoises per arrays identity) or hold a long-lived binding
     explicitly via :meth:`bind`.  The plan owns the worker pools its
-    threaded and scatter bindings and its ensembles borrow (see
+    threaded bindings and its ensembles borrow (see
     :meth:`worker_pool`).
 
     >>> from repro import heat_problem
@@ -377,8 +336,6 @@ class ExecutionPlan:
         config: ExecutionConfig,
         shard: ShardSpec | None = None,
     ) -> "ExecutionPlan":
-        if config.scatter and config.num_threads > 1:
-            validate_scatter_kernel(kernel)
         region_plans = []
         for region in kernel.regions:
             if region.is_empty:
@@ -416,18 +373,17 @@ class ExecutionPlan:
         shift: int = 0,
     ) -> RegionPlan:
         root: Box = region.bounds if bounds is None else bounds
-        parallel = False
-        blocks: list[Box] = [root]
-        if config.scatter:
-            blocks = split_box(root, config.num_threads)
-            parallel = config.num_threads > 1
-        elif config.num_threads > 1 and (
-            region.iteration_count(root) >= config.min_block_iterations
-        ):
-            axis = safe_split_axis(region)
-            if axis is not None:
-                blocks = split_box(root, config.num_threads, axis=axis)
-                parallel = True
+        parallel = (
+            config.num_threads > 1
+            and region.iteration_count(root) >= config.min_block_iterations
+            and parallel_safe_group([
+                FusionEntry(st, root, len(root), np.dtype(region.dtype).name)
+                for st in region.statements
+            ]) is None
+        )
+        blocks = [root]
+        if parallel:
+            blocks = split_box(root, config.num_threads, axis=0)
         tasks = tuple(
             _shift_boxes(region.statement_boxes(block), shift) for block in blocks
         )
@@ -643,51 +599,20 @@ class ExecutionPlan:
         Executes the plan's decomposition serially, in task order, with
         no binding and no threads — the baseline the bound path is
         benchmarked (and bitwise-verified) against.  Serial execution
-        defines the same bits as the threaded disciplines: gather tasks
-        write disjoint boxes, and the scatter merge order is task order.
+        defines the same bits as threaded runs: the tasks of a split
+        region write disjoint boxes and read nothing a sibling writes.
         """
-        if self.config.scatter and self.config.num_threads > 1:
-            self._run_scatter(arrays)
-            return
         for rp in self.region_plans:
             for boxes in rp.tasks:
                 rp.region.execute_boxes(arrays, boxes)
-
-    def _run_scatter(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Scatter reference: private accumulation, deterministic merge.
-
-        Each task computes into zero-seeded private scratch; the
-        scratches merge into *arrays* in task order, at the plan's
-        barriers and at the end — the order that defines the
-        discipline's bits (the bound path reproduces it with threads).
-        """
-        pending: list[tuple[list[str], dict[str, np.ndarray]]] = []
-
-        def drain() -> None:
-            for written, scratch in pending:
-                for name in written:
-                    arrays[name] += scratch[name]
-            pending.clear()
-
-        for rp, barrier in zip(self.region_plans, self.barriers):
-            if barrier:
-                drain()
-            written = sorted({st.target.name for st in rp.region.statements})
-            for boxes in rp.tasks:
-                scratch = dict(arrays)
-                for name in written:
-                    scratch[name] = np.zeros_like(arrays[name])
-                rp.region.execute_boxes(scratch, boxes)
-                pending.append((written, scratch))
-        drain()
 
     # -- pool lifecycle ----------------------------------------------------
 
     def worker_pool(self, width: int) -> WorkerPool:
         """This plan's pool of *width* workers, created on first use.
 
-        Every binding of the plan borrows it — threaded and scatter
-        bound plans at ``config.num_threads``, ensembles at their
+        Every binding of the plan borrows it — threaded bound plans at
+        ``config.num_threads``, ensembles at their
         ``workers`` — one :class:`~repro.runtime.scheduler.Batch` per
         run.  Called from ``run()`` only, never at build or bind time:
         ``ShardedPlan`` forks after binding, and threads do not survive

@@ -2,16 +2,17 @@
 
 Two schedulers live here, one per parallelism axis of the runtime:
 
-* :func:`split_box` / :func:`safe_split_axis` mirror OpenMP's static
-  schedule — the outermost parallelisable axis of a region is divided
-  into near-equal contiguous chunks, one per thread.  The chunks
-  partition the box, so for gather kernels (distinct write indices per
-  iteration) chunk execution is race-free — the property that makes the
-  PerforAD adjoint parallelisable "in the same way as the primal".
-* :class:`WorkerPool` runs those chunks — and scatter tasks, ensemble
-  member chunks and checkpointed-ensemble members — on persistent
-  threads, as :class:`Batch` es with one join contract: in-flight tasks
-  drain, queued tasks of the failed batch are cancelled, and the first
+* :func:`split_box` mirrors OpenMP's static schedule — a region's
+  axis 0 is divided into near-equal contiguous chunks, one per thread,
+  when :func:`~repro.core.fusion.parallel_safe_group` admits the
+  region.  The chunks partition the box, so for gather kernels
+  (distinct write indices per iteration) chunk execution is race-free —
+  the property that makes the PerforAD adjoint parallelisable "in the
+  same way as the primal".
+* :class:`WorkerPool` runs those chunks — and ensemble member chunks
+  and checkpointed-ensemble members — on persistent threads, as
+  :class:`Batch` es with one join contract: in-flight tasks drain,
+  queued tasks of the failed batch are cancelled, and the first
   failure surfaces typed.  This is the only place the runtime decides
   who owns worker threads, when a batch is joined, and what a failing
   task does to its siblings and its caller.
@@ -29,31 +30,11 @@ from . import faults
 __all__ = [
     "split_box",
     "choose_split_axis",
-    "safe_split_axis",
     "Batch",
     "WorkerPool",
 ]
 
 Box = tuple[tuple[int, int], ...]
-
-
-def safe_split_axis(region) -> int | None:
-    """Widest axis indexed by *every* statement's write target of *region*.
-
-    Splitting along an axis a target does not use would make two blocks
-    write the same reduced locations — a race.  Returns None when no axis
-    is safe (pure-reduction region), in which case the region runs
-    serially.  *region* is a :class:`~repro.runtime.compiler.RegionKernel`
-    (typed loosely to keep this module free of compiler imports).
-    """
-    common: set[int] | None = None
-    for st in region.statements:
-        axes = {axis for axis, _ in st.target.slots}
-        common = axes if common is None else (common & axes)
-    if not common:
-        return None
-    extents = {a: region.bounds[a][1] - region.bounds[a][0] + 1 for a in common}
-    return max(sorted(common), key=lambda a: extents[a])
 
 
 def choose_split_axis(bounds: Box) -> int:
@@ -152,7 +133,7 @@ class Batch:
 class WorkerPool:
     """Persistent worker threads: the runtime's one thread pool.
 
-    Threaded and scatter bound plans, ensemble member chunks and the
+    Threaded bound plans, ensemble member chunks and the
     members of a checkpointed ensemble all run here, as per-call
     :class:`Batch` es — :meth:`batch` to submit region by region and
     join at barriers, :meth:`run` for submit-all-then-join.  Tasks are

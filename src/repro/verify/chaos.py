@@ -230,7 +230,7 @@ def _scenario_omp_probe() -> str:
 
 
 def _transactional_scenario(plan, base, ref, point: str, skip: int = 0) -> None:
-    """Shared shape of the two transactional-run fault points.
+    """The transactional-run contract for one plan.
 
     Fires *point* inside a bound run of *plan* (``transactional=True``)
     on a copy of *base* and asserts the contract: one typed
@@ -260,30 +260,6 @@ def _transactional_scenario(plan, base, ref, point: str, skip: int = 0) -> None:
             raise AssertionError(f"post-restore rerun diverged on {bad}")
     finally:
         plan.close()
-
-
-def _scenario_scatter_merge() -> str:
-    from ..apps import heat_problem
-    from ..baselines.scatter import tapenade_style_adjoint
-    from ..runtime import compile_nests
-
-    prob = heat_problem(1)
-    n = 24
-    nest = tapenade_style_adjoint(prob.primal, prob.adjoint_map)
-    kernel = compile_nests(
-        [nest], prob.bindings(n), name="chaos_scatter", cache=False
-    )
-    rng = np.random.default_rng(0)
-    base = prob.allocate(n, rng=rng)
-    base.update(prob.allocate_adjoints(n, rng=rng))
-    plan = kernel.plan(scatter=True, num_threads=2, transactional=True)
-    ref = {k: v.copy() for k, v in base.items()}
-    plan.bind(ref).run()
-    _transactional_scenario(plan, base, ref, "scatter.merge")
-    return (
-        "typed KernelError mid-merge; arrays restored; "
-        "clean rerun bitwise-identical"
-    )
 
 
 def _scenario_scheduler_task() -> str:
@@ -639,7 +615,6 @@ _SCENARIOS = {
     "native.cache.write": _scenario_cache_write,
     "native.cache.load": _scenario_cache_load,
     "native.omp.probe": _scenario_omp_probe,
-    "scatter.merge": _scenario_scatter_merge,
     "scheduler.task": _scenario_scheduler_task,
     "checkpoint.snapshot": _scenario_checkpoint_snapshot,
     "ensemble.bind": _scenario_ensemble_bind,

@@ -296,7 +296,7 @@ def test_execution_config_holds_the_audited_modes():
     # config without it, on the workload it is for) or a paper citation.
     names = [field.name for field in dataclasses.fields(ExecutionConfig)]
     assert names == [
-        "num_threads", "scatter", "min_block_iterations", "backend",
+        "num_threads", "min_block_iterations", "backend",
         "fusion", "check", "transactional", "native_threads",
     ], f"ExecutionConfig fields changed without a mode audit: {names}"
 
@@ -306,3 +306,14 @@ def test_tiling_stays_deleted():
     pattern = r"tile_(shape|box)|safe_to_(tile)|runtime\.(tiling)|from \.(tiling)"
     hits = matching_lines(pattern, *sorted(SRC.rglob("*.py")))
     assert not hits, f"tiling was removed by the mode audit (README, Removed): {hits}"
+
+
+def test_scatter_discipline_stays_deleted():
+    # The python pool partitions by core.fusion.parallel_safe_group alone;
+    # spelled so that a grep for the removed names finds no test either.
+    pattern = (
+        r"validate_(scatter)_kernel|_run_(scatter)\b|safe_(split)_axis"
+        r"|scatter\.(merge)|config\.(scatter)\b|\b(scatter): bool"
+    )
+    hits = matching_lines(pattern, *sorted(SRC.rglob("*.py")))
+    assert not hits, f"the scatter discipline was removed (README, Removed): {hits}"

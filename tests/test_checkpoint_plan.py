@@ -599,21 +599,6 @@ def test_plan_rejects_bad_arguments():
         prob.checkpointed_adjoint(12, steps=4, snaps=2, members=0)
 
 
-def test_plan_rejects_scatter_plans():
-    prob = heat_problem(1)
-    n = 12
-    fwd = compile_nests([prob.primal], prob.bindings(n))
-    rev = compile_nests(
-        adjoint_loops(prob.primal, prob.adjoint_map, strategy="guarded"),
-        prob.bindings(n),
-    )
-    scatter_plan = fwd.plan(scatter=True)
-    with pytest.raises(KernelError, match="scatter"):
-        scatter_plan.checkpointed_adjoint(
-            rev.plan(), prob.array_shape(n), steps=4, snaps=2
-        )
-
-
 def test_plan_rejects_state_model_mismatches():
     prob = wave_problem(1)
     n = 12

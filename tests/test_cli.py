@@ -69,10 +69,22 @@ def test_verify_native_threads_take_the_openmp_knob(monkeypatch, capsys):
     monkeypatch.setattr(ExecutionPlan, "build", classmethod(spy))
     argv = ["verify", "--problem", "heat2d", "--backend", "native", "--threads", "2"]
     assert main(argv) == 0
-    assert "vs serial: 0.000e+00" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "  plan [2 thread(s), backend native] vs serial: 0.000e+00" in out
+    assert "  scatter plan [2 thread(s), backend native] vs serial: 0.000e+00" in out
+    # One config, run on the gather adjoint and on the scatter adjoint.
     assert [c for c in configs if c.backend == "native"] == [
         ExecutionConfig(backend="native", native_threads=2, min_block_iterations=1)
-    ]
+    ] * 2
+
+
+def test_verify_threads_checks_the_scatter_adjoint(capsys):
+    """``verify --threads N`` also runs the conventional scatter adjoint
+    through the threaded plan and requires it bitwise equal to serial."""
+    assert main(["verify", "--problem", "wave2d", "--threads", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "  plan [4 thread(s)] vs serial: 0.000e+00" in out
+    assert "  scatter plan [4 thread(s)] vs serial: 0.000e+00" in out
 
 
 def test_figures_single(capsys):

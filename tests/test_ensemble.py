@@ -256,30 +256,10 @@ def test_ensemble_rejects_bad_batches_and_configs():
         EnsemblePlan(plan, ragged)
     with pytest.raises(ValueError, match="workers"):
         EnsemblePlan(plan, batched, workers=0)
-    scatter_plan = compile_nests(
-        [tapenade_like_nest()], prob.bindings(10), name="ens_scatter"
-    ).plan(scatter=True)
-    with pytest.raises(KernelError, match="scatter"):
-        EnsemblePlan(scatter_plan, batched)
     # A per-run backup of the stacked arrays is a sweep nobody asked
     # for; silently dropping the knob (the parent's behaviour) is worse.
     with pytest.raises(KernelError, match="transactional"):
         kernel.plan(transactional=True).ensemble(batched)
-
-
-def tapenade_like_nest():
-    """A minimal pure-'+=' nest a scatter plan accepts."""
-    i = sp.Symbol("i", integer=True)
-    n = sp.Symbol("n", integer=True)
-    u_b, r_b = sp.Function("u_b"), sp.Function("r_b")
-    return make_loop_nest(
-        lhs=u_b(i),
-        rhs=2.0 * r_b(i),
-        counters=[i],
-        bounds={i: [1, n - 1]},
-        op="+=",
-        name="scatterish",
-    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -113,11 +113,9 @@ def test_ensemble_rejects_mismatched_member_extents():
         EnsemblePlan(kernel.plan(), batched)
 
 
-def test_ensemble_rejects_scatter_plans_and_bad_workers():
+def test_ensemble_rejects_bad_workers():
     prob, kernel, n = _kernel()
     batched = stack_arrays([prob.allocate_state(n, seed=0)])
-    with pytest.raises(KernelError, match="scatter"):
-        EnsemblePlan(kernel.plan(scatter=True, num_threads=2), batched)
     with pytest.raises(ValueError, match="workers"):
         EnsemblePlan(kernel.plan(), batched, workers=0)
 

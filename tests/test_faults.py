@@ -30,7 +30,6 @@ import pytest
 
 from repro import cli
 from repro.apps import heat_problem
-from repro.baselines.scatter import tapenade_style_adjoint
 from repro.core import adjoint_loops
 from repro.core.validate import SpecLimits
 from repro.errors import (
@@ -556,28 +555,21 @@ def test_transactional_run_restores_arrays_and_types_error():
         plan.close()
 
 
-@pytest.mark.parametrize("discipline", ["gather", "scatter"])
-def test_transactional_restore_waits_for_sibling_tasks(discipline):
+def test_transactional_restore_waits_for_sibling_tasks():
     """A task failing under ``num_threads=2`` must not be rolled back
     while its sibling is still writing: the arrays equal their pre-run
     copies at the raise *and* once every thread has had time to finish.
     """
     prob = heat_problem(2)
     n = 768  # large enough that the two tasks of a region overlap
-    if discipline == "gather":
-        nests = adjoint_loops(prob.primal, prob.adjoint_map)
-    else:
-        nests = [tapenade_style_adjoint(prob.primal, prob.adjoint_map)]
+    nests = adjoint_loops(prob.primal, prob.adjoint_map)
     kernel = compile_nests(nests, prob.bindings(n), cache=False)
     rng = np.random.default_rng(0)
     base = prob.allocate(n, rng=rng)
     base.update(prob.allocate_adjoints(n, rng=rng))
     got = {k: v.copy() for k, v in base.items()}
     plan = kernel.plan(
-        num_threads=2,
-        scatter=discipline == "scatter",
-        transactional=True,
-        min_block_iterations=1,
+        num_threads=2, transactional=True, min_block_iterations=1
     )
     try:
         bound = plan.bind(got)
@@ -590,7 +582,7 @@ def test_transactional_restore_waits_for_sibling_tasks(discipline):
         _assert_bitwise(base, got)  # no straggler wrote after the restore
         bound.run()
         ref = {k: v.copy() for k, v in base.items()}
-        plan.run_unbound(ref)  # the serial reference of either discipline
+        plan.run_unbound(ref)  # the serial reference
         _assert_bitwise(ref, got)
     finally:
         plan.close()

@@ -127,13 +127,17 @@ def test_adjoint_apps_bitwise(factory, n, rng, fusion):
 
 
 @needs_cc
-def test_scatter_discipline_bitwise(rng):
+@pytest.mark.parametrize("native_threads", [1, 2])
+def test_scatter_kernel_bitwise(rng, native_threads):
+    """The conventional scatter adjoint runs natively — OpenMP-threaded
+    where the partition rule admits a nest — bitwise equal to serial
+    python."""
     prob = heat_problem(2)
     kernel, base = _case(prob, 18, rng, scatter=True)
     ref = {k: v.copy() for k, v in base.items()}
-    kernel.plan(scatter=True).run_unbound(ref)
+    _seed_serial(kernel, ref)
     got = {k: v.copy() for k, v in base.items()}
-    plan = kernel.plan(backend="native", scatter=True)
+    plan = kernel.plan(backend="native", native_threads=native_threads)
     try:
         bound = plan.bind(got)
         bound.run()

@@ -181,14 +181,11 @@ def test_environment_knob_defaults_and_invalid_values(monkeypatch):
 
 @pytest.mark.parametrize(
     "config",
-    [
-        ExecutionConfig(backend="native", scatter=True, native_threads=4),
-        ExecutionConfig(backend="native", check="nan", native_threads=4),
-    ],
-    ids=["scatter", "nan-watchdog"],
+    [ExecutionConfig(backend="native", check="nan", native_threads=4)],
+    ids=["nan-watchdog"],
 )
 def test_ineligible_configs_gate_to_serial(config):
-    """Scatter and the watchdog force serial."""
+    """The watchdog forces serial."""
     assert native_thread_count(config) == 1
 
 
@@ -197,8 +194,8 @@ def test_native_backend_refuses_the_python_pool():
     nests through ``native_threads`` and refuses ``num_threads > 1``."""
     with pytest.raises(ValueError, match="native_threads=2"):
         ExecutionConfig(backend="native", num_threads=2)
-    with pytest.raises(ValueError, match="native_threads"):
-        ExecutionConfig(backend="native", scatter=True, num_threads=4)
+    with pytest.raises(ValueError, match="native_threads=4"):
+        ExecutionConfig(backend="native", num_threads=4)
     assert ExecutionConfig(backend="native", native_threads=2).num_threads == 1
 
 

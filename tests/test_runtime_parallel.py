@@ -9,25 +9,32 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from repro.apps import heat_problem, wave_problem
 from repro.baselines.scatter import tapenade_style_adjoint
 from repro.core import adjoint_loops
 from repro.core.loopnest import LoopNest, Statement
-from repro.runtime import (
-    Bindings,
-    KernelError,
-    compile_nests,
-    split_box,
-)
+from repro.runtime import Bindings, compile_nests, split_box
 from repro.runtime.scheduler import choose_split_axis
 
 
-def _run(kernel, arrays, threads, scatter=False, min_block_iterations=1):
-    """The one execution route, at a given thread count and discipline."""
+def _run(kernel, arrays, threads, min_block_iterations=1):
+    """The one execution route, at a given thread count."""
     kernel.plan(
-        num_threads=threads,
-        scatter=scatter,
-        min_block_iterations=min_block_iterations,
+        num_threads=threads, min_block_iterations=min_block_iterations
     ).bind(arrays).run()
+
+
+def _assert_threaded_bitwise(kernel, base, threads):
+    """A plain threaded plan of *kernel* on *base* equals its serial run
+    bit for bit; returns the plan's task count."""
+    serial = {k: v.copy() for k, v in base.items()}
+    kernel(serial)
+    threaded = {k: v.copy() for k, v in base.items()}
+    with kernel.plan(num_threads=threads, min_block_iterations=1) as plan:
+        plan.bind(threaded).run()
+        for name in base:
+            assert serial[name].tobytes() == threaded[name].tobytes(), name
+        return plan.task_count
 
 
 # -- scheduler ---------------------------------------------------------------
@@ -98,33 +105,44 @@ def test_gather_identical_across_thread_counts(any_problem, rng, threads):
         )
 
 
-def test_scatter_locked_execution_matches_serial(rng):
-    from repro.apps import wave_problem
-
-    prob = wave_problem(2)
-    N = 16
+@pytest.mark.parametrize("threads", [2, 3, 4])
+@pytest.mark.parametrize(
+    "factory, dim, n",
+    [
+        (heat_problem, 1, 40),
+        (heat_problem, 2, 24),
+        (wave_problem, 2, 24),
+        (wave_problem, 3, 12),
+    ],
+    ids=["heat1d", "heat2d", "wave2d", "wave3d"],
+)
+def test_tapenade_adjoint_threaded_bitwise(factory, dim, n, threads, rng):
+    """The conventional scatter adjoint under a plain threaded plan is
+    bitwise equal to serial: its ``+=`` updates at neighbouring rows
+    cross thread blocks, so the partition rule keeps it one task."""
+    prob = factory(dim)
     scat = tapenade_style_adjoint(prob.primal, prob.adjoint_map)
-    kernel = compile_nests([scat], prob.bindings(N))
-    base = prob.allocate(N, rng=rng)
-    base.update(prob.allocate_adjoints(N, rng=rng))
+    kernel = compile_nests([scat], prob.bindings(n), cache=False)
+    base = prob.allocate(n, rng=rng)
+    base.update(prob.allocate_adjoints(n, rng=rng))
+    assert _assert_threaded_bitwise(kernel, base, threads) == 1
 
-    serial = {k: v.copy() for k, v in base.items()}
-    kernel(serial)
-    parallel = {k: v.copy() for k, v in base.items()}
-    _run(kernel, parallel, 4, scatter=True)
-    np.testing.assert_allclose(
-        serial["u_1_b"], parallel["u_1_b"], rtol=1e-12, atol=1e-13
+
+def test_gather_adjoint_keeps_its_splits():
+    """The partition rule refuses the scatter adjoint, not threading: the
+    heat2d gather adjoint still splits every region across threads."""
+    prob = heat_problem(2)
+    kernel = compile_nests(
+        adjoint_loops(prob.primal, prob.adjoint_map), prob.bindings(64)
     )
+    regions = sum(1 for region in kernel.regions if not region.is_empty)
+    with kernel.plan(num_threads=2, min_block_iterations=1) as plan:
+        assert plan.task_count > regions
+        assert all(rp.parallel for rp in plan.region_plans)
 
 
 def _mixed_op_kernel(N: int):
-    """A kernel with one '=' and one '+=' statement on the same target.
-
-    Regression case for the scatter-merge bug: the threaded scatter
-    discipline used to merge thread-private scratch with ``+=``
-    unconditionally, which silently *adds* the '='-statement's values to
-    the global array instead of storing them.
-    """
+    """A kernel with one '=' and one '+=' statement on the same target."""
     i = sp.Symbol("i", integer=True)
     n = sp.Symbol("n", integer=True)
     u, r = sp.Function("u"), sp.Function("r")
@@ -139,29 +157,17 @@ def _mixed_op_kernel(N: int):
     return compile_nests([nest], Bindings(sizes={n: N}), cache=False)
 
 
-def test_scatter_rejects_mixed_assignment_kernel(rng):
-    """Scatter plans must refuse kernels whose merge would corrupt results."""
+def test_mixed_assignment_kernel_threaded_bitwise(rng):
+    """Both statements write ``r`` at the iteration's own row, so the
+    region splits — and stays bitwise."""
     N = 64
-    kernel = _mixed_op_kernel(N)
-    arrays = {"u": rng.standard_normal(N + 1), "r": rng.standard_normal(N + 1)}
-    with pytest.raises(KernelError, match="scatter"):
-        _run(kernel, arrays, 2, scatter=True)
-
-
-def test_scatter_single_thread_runs_mixed_kernel(rng):
-    """Serial scatter execution needs no merge, so mixed kernels are fine."""
-    N = 64
-    kernel = _mixed_op_kernel(N)
     base = {"u": rng.standard_normal(N + 1), "r": rng.standard_normal(N + 1)}
-    serial = {k: v.copy() for k, v in base.items()}
-    kernel(serial)
-    scat = {k: v.copy() for k, v in base.items()}
-    _run(kernel, scat, 1, scatter=True)
-    np.testing.assert_array_equal(serial["r"], scat["r"])
+    assert _assert_threaded_bitwise(_mixed_op_kernel(N), base, 2) == 2
 
 
-def test_scatter_rejects_read_of_written_array():
-    """Reads of a region-written array would observe zeroed scratch."""
+def test_target_reading_kernel_threaded_bitwise(rng):
+    """``r[i] += r[i-1]`` reads the target a row back: the region runs
+    as one task, bitwise equal to serial."""
     i = sp.Symbol("i", integer=True)
     n = sp.Symbol("n", integer=True)
     u, r = sp.Function("u"), sp.Function("r")
@@ -171,9 +177,8 @@ def test_scatter_rejects_read_of_written_array():
         bounds={i: (1, n - 1)},
     )
     kernel = compile_nests([nest], Bindings(sizes={n: 32}), cache=False)
-    arrays = {"u": np.ones(33), "r": np.zeros(33)}
-    with pytest.raises(KernelError, match="reads"):
-        _run(kernel, arrays, 2, scatter=True)
+    base = {"u": rng.standard_normal(33), "r": rng.standard_normal(33)}
+    assert _assert_threaded_bitwise(kernel, base, 2) == 1
 
 
 def test_invalid_thread_count():
@@ -183,8 +188,6 @@ def test_invalid_thread_count():
 
 def test_small_regions_run_inline(rng):
     """Regions below the blocking threshold execute serially (no futures)."""
-    from repro.apps import heat_problem
-
     prob = heat_problem(1)
     N = 30
     nests = adjoint_loops(prob.primal, prob.adjoint_map)
