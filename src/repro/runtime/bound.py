@@ -484,16 +484,17 @@ class BoundPlan(Lowered):
 
             return ladder.lower(stream, {None: arrays}, python_rung)
 
-        # Serial execution order is the flat statement order, so a
-        # serial config lowers one stream across region/task boundaries:
-        # a fully native kernel runs one FFI call per timestep.  Python
-        # pool configs (num_threads > 1) lower per task.  Only the
-        # variant this config's run() uses is bound — the other would be
-        # dead weight per bind.
+        # Serial execution order is the flat statement order, so a plan
+        # with no parallel region lowers one stream across region/task
+        # boundaries: a fully native kernel runs one FFI call per
+        # timestep, and a pool config whose regions were all refused a
+        # split never starts the pool.  Plans with a parallel region
+        # lower per task.  Only the variant this plan's run() uses is
+        # bound — the other would be dead weight per bind.
         self._serial_items: tuple = ()
         # Per region: (tasks, barrier before it, tasks may run concurrently).
         regions: list[tuple[tuple[_BoundTask, ...], bool, bool]] = []
-        if plan.config.num_threads == 1:
+        if not any(rp.parallel for rp in plan.region_plans):
             self._serial_items = tuple(lower(serial_stream(plan), sources))
         else:
             for rp, barrier in zip(plan.region_plans, plan.barriers):
@@ -559,7 +560,7 @@ class BoundPlan(Lowered):
             ) from exc
 
     def _run_inner(self) -> None:
-        if self.plan.config.num_threads > 1:
+        if self._regions:
             self._run_parallel()
         else:
             for s in self._serial_items:

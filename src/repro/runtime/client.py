@@ -1,16 +1,19 @@
 """Client for the kernel-as-a-service daemon (:mod:`repro.runtime.server`).
 
 A :class:`KernelClient` holds one persistent Unix-domain connection and
-speaks the length-prefixed JSON protocol.  State arrays at or above
+speaks the length-prefixed frame protocol: a JSON header, then raw
+bytes.  State arrays at or above
 ``shm_threshold`` bytes travel through ``multiprocessing.shared_memory``
 segments the client owns end to end: it *leases* them — creates one
 per page-rounded byte size on first use, reuses it on every later
 request that got an ``ok`` reply, and unlinks it on :meth:`close`, on a
 failed request, or when the pool passes ``MAX_LEASES``; smaller
-arrays travel inline through the server's one array codec
-(:func:`~repro.runtime.server.encode_array` /
-:func:`~repro.runtime.server.decode_array`: the raw bytes, bitwise-exact,
-unlike printing floats through JSON).
+arrays travel inline as the frame's raw payload, bitwise-exact, through
+the server's one frame codec: :func:`~repro.runtime.server.send_frame`
+writes them from the caller's own buffers in one gather write, and the
+result arrays are views into the one buffer
+:func:`~repro.runtime.server.recv_frame` received the reply's payload
+into (:func:`~repro.runtime.server.inline_arrays`).
 
 Error responses are re-raised as the matching typed
 :class:`~repro.errors.ReproError` subclass, so remote failures are
@@ -41,7 +44,7 @@ import numpy as np
 
 from .. import errors
 from ..errors import ServeError, ValidationError
-from .server import MAX_LEASES, decode_array, encode_array, recv_frame, send_frame
+from .server import MAX_LEASES, Frame, inline_arrays, recv_frame, send_frame
 
 __all__ = ["KernelClient", "ServeResult"]
 
@@ -173,13 +176,13 @@ class KernelClient:
         self._leases.update(reversed(kept.items()))
         _release(doomed)
 
-    def _request(self, payload: Mapping, *, allow_retry: bool = True) -> dict:
+    def _request(self, message: Mapping, *, allow_retry: bool = True) -> Frame:
         attempts = (self.retries if allow_retry else 0) + 1
         last: BaseException | None = None
         for _ in range(attempts):
             try:
                 sock = self._connect()
-                send_frame(sock, payload)
+                send_frame(sock, message)
                 resp = recv_frame(sock)
                 if resp is None:
                     raise ServeError(
@@ -264,7 +267,8 @@ class KernelClient:
         taken: list[shared_memory.SharedMemory] = []
         ok = False
         try:
-            enc_state: dict[str, dict] = {}
+            # Arrays go to send_frame as they are: it writes them inline.
+            enc_state: dict[str, dict | np.ndarray] = {}
             for name, arr in state.items():
                 arr = np.ascontiguousarray(arr)
                 if (
@@ -282,29 +286,31 @@ class KernelClient:
                         "shm": seg.name,
                     }
                 else:
-                    enc_state[name] = encode_array(arr)
-            payload: dict = {
+                    enc_state[name] = arr
+            message: dict = {
                 "op": "run",
                 "steps": steps,
                 "backend": backend,
                 "state": enc_state,
             }
             if spec is not None:
-                payload["spec"] = spec
-                payload["sizes"] = _plain(sizes)
-                payload["params"] = _plain(params)
-                payload["dtype"] = dtype
+                message["spec"] = spec
+                message["sizes"] = _plain(sizes)
+                message["params"] = _plain(params)
+                message["dtype"] = dtype
             else:
-                payload["kernel_id"] = kernel_id
-            resp = self._request(payload, allow_retry=not taken)
+                message["kernel_id"] = kernel_id
+            resp = self._request(message, allow_retry=not taken)
             ok = resp.get("status") == "ok"
             if not ok:
                 self._raise_remote(resp)
             by_name = {seg.name: seg for seg in taken}
-            out: dict[str, np.ndarray] = {}
-            for name, meta in resp.get("state", {}).items():
-                if not (isinstance(meta, dict) and "shm" in meta):
-                    out[name] = decode_array(meta, name, error=ServeError)
+            # Inline results are views into the reply's payload buffer:
+            # fresh, writable, and aligned.
+            state_meta = resp.get("state", {})
+            out = inline_arrays(state_meta, resp.payload, error=ServeError)
+            for name, meta in state_meta.items():
+                if name in out:
                     continue
                 seg = by_name.get(meta["shm"])
                 if seg is None:

@@ -14,8 +14,10 @@ Protocol
 --------
 
 Length-prefixed JSON frames in both directions: a 4-byte big-endian
-payload length followed by that many bytes of UTF-8 JSON (one object
-per frame, at most ``MAX_FRAME_BYTES``).  Requests carry an ``op``:
+length followed by that many bytes of UTF-8 JSON (one object per
+frame), then the ``"payload"`` raw bytes that object announces (JSON
+and payload together at most ``MAX_FRAME_BYTES``).  Requests carry an
+``op``:
 ``run``, ``compile``, ``ping``, ``stats`` or ``shutdown``.  A ``run``
 request names its kernel either by inline ``spec`` source (parsed with
 :func:`~repro.frontend.parser.parse_stencil` under
@@ -26,7 +28,9 @@ nest is memoised by the spec's SHA-256 digest and the limits in force
 (at most ``MAX_KERNELS`` of them), and every check after the parse runs
 on each request, so a steady by-spec request costs a by-id one plus a
 hash.  State arrays travel either
-inline (base64 of the raw bytes, bitwise-exact) or zero-copy as named
+inline — their raw bytes in the frame's payload, received into one
+buffer the arrays are views of and sent back from it in one gather
+write — or zero-copy as named
 ``multiprocessing.shared_memory`` segments the server maps and
 writes results back into.  Segments are *leases*: the client reuses
 them request after request, and the server keeps each mapping for
@@ -94,6 +98,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import mmap
 import os
 import re
@@ -123,8 +128,10 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "MAX_LEASES",
     "MAX_WARM",
+    "Frame",
     "decode_array",
     "encode_array",
+    "inline_arrays",
     "recv_frame",
     "send_frame",
     "seeded_state",
@@ -173,6 +180,21 @@ _DTYPES = {"f64": np.float64, "f32": np.float32}
 
 # -- framing ------------------------------------------------------------------
 
+#: Every inline array starts at a multiple of this many payload bytes.
+_ALIGN = 8
+_PADDING = bytes(_ALIGN)
+
+#: Most buffers handed to one ``sendmsg`` call (Linux's ``IOV_MAX`` is
+#: 1024); a longer gather write is split.
+_IOV_MAX = 512
+
+
+class Frame(dict):
+    """One received message: its JSON object, plus :attr:`payload` —
+    the raw bytes that followed it (empty when it announced none)."""
+
+    __slots__ = ("payload",)
+
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     """Read exactly *n* bytes; None on EOF at a frame boundary."""
@@ -189,8 +211,29 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> dict | None:
-    """Read one length-prefixed JSON frame; None on clean EOF."""
+def _recv_payload(sock: socket.socket, size: int) -> bytearray:
+    """Read a frame's *size* payload bytes into one buffer, in place."""
+    payload = bytearray(size)
+    view = memoryview(payload)
+    got = 0
+    while got < size:
+        n = sock.recv_into(view[got:])
+        if not n:
+            raise ServeError(f"connection closed mid-payload ({got}/{size} bytes)")
+        got += n
+    return payload
+
+
+def recv_frame(sock: socket.socket) -> Frame | None:
+    """Read one frame; None on clean EOF.
+
+    The JSON object's ``"payload"`` (an int, 0 when absent) announces
+    how many raw bytes follow it; they are read with ``recv_into`` into
+    one ``bytearray``, :attr:`Frame.payload`.  Every framing violation —
+    a truncated frame, bad JSON, a payload size that is not an int in
+    ``[0, MAX_FRAME_BYTES - JSON length]`` — is a :class:`ServeError`
+    raised before any buffer of the announced size exists.
+    """
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
@@ -208,24 +251,119 @@ def recv_frame(sock: socket.socket) -> dict | None:
         raise ServeError(f"frame is not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise ServeError("frame must decode to a JSON object")
-    return message
+    size = message.get("payload", 0)
+    if type(size) is not int or not 0 <= size <= MAX_FRAME_BYTES - length:
+        raise ServeError(
+            f"frame payload {size!r:.32} must be an int in "
+            f"[0, {MAX_FRAME_BYTES - length}] (the {MAX_FRAME_BYTES}-byte "
+            f"cap less the JSON)"
+        )
+    frame = Frame(message)
+    frame.payload = _recv_payload(sock, size)
+    return frame
+
+
+def _send_all(sock: socket.socket, buffers: list) -> None:
+    """One gather write of *buffers*, looping on partial sends."""
+    views = [memoryview(b) for b in buffers]
+    i = 0
+    while i < len(views):
+        sent = sock.sendmsg(views[i : i + _IOV_MAX])
+        while i < len(views) and sent >= views[i].nbytes:
+            sent -= views[i].nbytes
+            i += 1
+        if sent:
+            views[i] = views[i][sent:]
 
 
 def send_frame(sock: socket.socket, message: Mapping) -> None:
-    """Serialise *message* and write it as one length-prefixed frame."""
+    """Serialise *message* and write it as one frame.
+
+    NumPy arrays among the values of ``message["state"]`` travel as raw
+    bytes: each becomes an inline entry ``{"shape", "dtype"}``, their
+    bytes follow the JSON in sorted-name order, each padded to a
+    multiple of 8, and ``"payload"`` carries the padded total.  The
+    arrays are written straight from their own buffers in one gather
+    write — nothing joins them first.
+    """
+    buffers: list = []
+    size = 0
+    state = message.get("state")
+    if isinstance(state, Mapping):
+        entries = {}
+        for name in sorted(state):
+            value = state[name]
+            if not isinstance(value, np.ndarray):
+                entries[name] = value
+                continue
+            arr = np.ascontiguousarray(value)
+            entries[name] = {"shape": list(arr.shape), "dtype": arr.dtype.str}
+            pad = -arr.nbytes % _ALIGN
+            if arr.nbytes:
+                buffers.append(arr.reshape(-1).view(np.uint8))
+            if pad:
+                buffers.append(_PADDING[:pad])
+            size += arr.nbytes + pad
+        message = {**message, "state": entries, "payload": size}
     body = json.dumps(message, sort_keys=True).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
+    if len(body) + size > MAX_FRAME_BYTES:
         raise ServeError(
-            f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+            f"frame of {len(body) + size} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte cap"
         )
-    sock.sendall(_HEADER.pack(len(body)) + body)
+    _send_all(sock, [_HEADER.pack(len(body)) + body, *buffers])
+
+
+def inline_arrays(state, payload, error=ValidationError) -> dict[str, np.ndarray]:
+    """The inline arrays of a received ``state`` mapping, as views into
+    the frame's *payload* — the inverse of :func:`send_frame`.
+
+    Entries carrying ``"shm"`` are skipped.  The others are laid out in
+    sorted-name order, each at a multiple of 8 bytes, and their padded
+    total must equal the payload's length exactly.  Malformed input
+    raises *error* — the server's requests a :class:`ValidationError`,
+    the client's responses a :class:`ServeError`.
+
+    >>> import numpy as np
+    >>> payload = bytearray(np.array([1.5, -2.25]).tobytes())
+    >>> inline_arrays({"u": {"shape": [2], "dtype": "<f8"}}, payload)
+    {'u': array([ 1.5 , -2.25])}
+    """
+    if not isinstance(state, dict):
+        raise error("'state' must be an object")
+    layout = []
+    size = 0
+    for name in sorted(state):
+        meta = state[name]
+        if isinstance(meta, dict) and "shm" in meta:
+            continue
+        if isinstance(meta, dict) and "data" in meta:
+            raise error(
+                f"state entry {name!r} carries base64 'data': inline arrays "
+                f"travel as raw bytes in the frame's payload"
+            )
+        shape, dtype, nbytes = _array_meta(meta, name, error)
+        layout.append((name, shape, dtype, size))
+        size += nbytes + -nbytes % _ALIGN
+    if size != len(payload):
+        raise error(
+            f"the inline state needs a frame payload of {size} bytes, "
+            f"the frame carries {len(payload)}"
+        )
+    return {
+        name: np.ndarray(shape, dtype=dtype, buffer=payload, offset=offset)
+        for name, shape, dtype, offset in layout
+    }
 
 
 # -- array codec --------------------------------------------------------------
 
 
 def encode_array(arr: np.ndarray) -> dict:
-    """Inline wire form of *arr*: raw bytes, base64 — bitwise exact.
+    """Base64 form of *arr*: raw bytes, base64 — bitwise exact.  The
+    wire no longer uses it (inline state travels in the frame's raw
+    payload, see :func:`send_frame`); it stays for callers that want a
+    JSON-only form.
 
     >>> import numpy as np
     >>> meta = encode_array(np.array([1.5, -2.25]))
@@ -259,18 +397,17 @@ def _array_meta(
         raise error(
             f"state entry {name!r} has unsupported dtype {dtype.str!r}"
         )
-    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    nbytes = math.prod(shape) * dtype.itemsize
     if nbytes > MAX_FRAME_BYTES:
         raise error(f"state entry {name!r} is {nbytes} bytes, over the cap")
     return shape, dtype, nbytes
 
 
 def decode_array(meta, name: str, error=ValidationError) -> np.ndarray:
-    """Inverse of :func:`encode_array`: a fresh array from its wire form.
+    """Inverse of :func:`encode_array`: a fresh array from its base64 form.
 
-    Malformed input raises *error* — the server's requests are a
-    :class:`ValidationError`, the client's responses a
-    :class:`ServeError`.
+    Malformed input raises *error* (a :class:`ValidationError` unless
+    the caller names another).
 
     >>> import numpy as np
     >>> decode_array(encode_array(np.array([1.5, -2.25])), "u")
@@ -832,7 +969,7 @@ class KernelServer:
             except OSError:  # pragma: no cover
                 pass
 
-    def _handle_op(self, op, msg: dict, attached: OrderedDict) -> dict:
+    def _handle_op(self, op, msg: Frame, attached: OrderedDict) -> dict:
         if op == "ping":
             return {"status": "ok", "op": "ping"}
         if op == "stats":
@@ -934,20 +1071,23 @@ class KernelServer:
         return served
 
     def _attach_state(
-        self, state, pending: _Pending, attached: OrderedDict
+        self, msg: Frame, pending: _Pending, attached: OrderedDict
     ) -> None:
-        """Decode every inline array of *state* into *pending*, and map
-        every shared-memory one through the connection's *attached*."""
+        """View every inline array of *msg*'s state in its payload, and
+        map every shared-memory one through the connection's *attached*,
+        into *pending*."""
+        state = msg.get("state")
         if not isinstance(state, dict) or not state:
             raise ValidationError(
                 "run request needs a non-empty 'state' mapping"
             )
-        for name in sorted(state):
-            if not isinstance(name, str) or not name.isidentifier():
+        for name in state:
+            if not name.isidentifier():
                 raise ValidationError(f"bad array name {name!r}")
+        pending.arrays.update(inline_arrays(state, msg.payload))
+        for name in sorted(state):
             meta = state[name]
-            if not (isinstance(meta, dict) and "shm" in meta):
-                pending.arrays[name] = decode_array(meta, name)
+            if name in pending.arrays:
                 continue
             shape, dtype, nbytes = _array_meta(meta, name)
             segment = meta["shm"]
@@ -977,7 +1117,7 @@ class KernelServer:
             pending.arrays[name] = np.ndarray(shape, dtype=dtype, buffer=seg)
             pending.shm[name] = segment
 
-    def _decode_run(self, msg: dict, attached: OrderedDict) -> _Pending:
+    def _decode_run(self, msg: Frame, attached: OrderedDict) -> _Pending:
         steps = msg.get("steps", 1)
         if not isinstance(steps, int) or not 1 <= steps <= 1_000_000:
             raise ValidationError(
@@ -991,7 +1131,7 @@ class KernelServer:
         served = self._resolve_kernel(msg)
         pending = _Pending(served, backend, steps)
         try:
-            self._attach_state(msg.get("state"), pending, attached)
+            self._attach_state(msg, pending, attached)
             arrays = pending.arrays
             missing = sorted(served.required - set(arrays))
             if missing:
@@ -1022,7 +1162,7 @@ class KernelServer:
 
     # -- run execution -------------------------------------------------------
 
-    def _serve_run(self, msg: dict, attached: OrderedDict) -> dict:
+    def _serve_run(self, msg: Frame, attached: OrderedDict) -> dict:
         with self._lock:
             self._counters["requests"] += 1
         try:
@@ -1044,9 +1184,10 @@ class KernelServer:
     def _build_response(self, pending: _Pending) -> dict:
         if pending.error is not None:
             return _error_payload(pending.error)
-        state_meta: dict[str, dict] = {}
-        for name in sorted(pending.arrays):
-            arr = pending.arrays[name]
+        # Inline results were copied back into the request's own payload
+        # views, and send_frame writes those buffers after the JSON.
+        state_meta: dict[str, dict | np.ndarray] = {}
+        for name, arr in pending.arrays.items():
             if name in pending.shm:
                 # Zero-copy: the result was written into the segment in
                 # place; echo the reference, not the bytes.
@@ -1056,7 +1197,7 @@ class KernelServer:
                     "shm": pending.shm[name],
                 }
             else:
-                state_meta[name] = encode_array(arr)
+                state_meta[name] = arr
         meta = pending.meta or {}
         return {
             "status": "ok",

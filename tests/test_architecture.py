@@ -83,7 +83,7 @@ def test_native_printer_runs_no_cse_pass():
 
 def test_client_decodes_through_the_server_codec():
     hits = matching_lines(r"base64", RUNTIME / "client.py")
-    assert not hits, f"client.py decodes arrays through server.decode_array: {hits}"
+    assert not hits, f"client.py decodes arrays through server.inline_arrays: {hits}"
 
 
 # -- one stopwatch, one direction ---------------------------------------------
@@ -145,6 +145,20 @@ def test_client_unlinks_segments_only_in_its_release_helper():
     assert owners == ["_release"], (
         f"client.py unlinks segments only in its release helper: {owners}"
     )
+
+
+def test_the_wire_carries_no_base64():
+    """Inline state is the frame's raw payload: only the kept
+    encode_array/decode_array pair calls the base64 codec, and nothing
+    in the server or the client calls that pair."""
+    owners = [
+        (path.name, owner)
+        for path in (RUNTIME / "server.py", RUNTIME / "client.py")
+        for owner, call in calls_by_function(path)
+        if re.match(r"b64|(en|de)code_array$", called_name(call))
+        and owner not in ("encode_array", "decode_array")
+    ]
+    assert not owners, f"the wire carries raw bytes, never base64: {owners}"
 
 
 def test_server_maps_segments_only_in_its_tracker_free_helper():

@@ -141,6 +141,29 @@ def test_gather_adjoint_keeps_its_splits():
         assert all(rp.parallel for rp in plan.region_plans)
 
 
+def test_plan_without_a_parallel_region_starts_no_pool(rng, new_pool_threads):
+    """Every region of the heat2d scatter adjoint is refused a split, so
+    a threaded plan binds the serial stream: no worker thread starts,
+    and the result is bitwise equal to serial."""
+    prob = heat_problem(2)
+    n = 64
+    scat = tapenade_style_adjoint(prob.primal, prob.adjoint_map)
+    kernel = compile_nests([scat], prob.bindings(n), cache=False)
+    base = prob.allocate(n, rng=rng)
+    base.update(prob.allocate_adjoints(n, rng=rng))
+    serial = {k: v.copy() for k, v in base.items()}
+    with kernel.plan() as plan:
+        plan.bind(serial).run()
+    threaded = {k: v.copy() for k, v in base.items()}
+    with kernel.plan(num_threads=4, min_block_iterations=1) as plan:
+        assert plan.task_count == 1
+        assert not any(rp.parallel for rp in plan.region_plans)
+        plan.bind(threaded).run()
+        assert new_pool_threads() == set()
+    for name in serial:
+        assert serial[name].tobytes() == threaded[name].tobytes(), name
+
+
 def _mixed_op_kernel(N: int):
     """A kernel with one '=' and one '+=' statement on the same target."""
     i = sp.Symbol("i", integer=True)

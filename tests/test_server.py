@@ -2,7 +2,7 @@
 
 Every response must be bitwise identical to a fresh single-process
 bound run of the same kernel on the same state — batched or not, over
-shared memory or inline base64, and under chaos at the three server
+shared memory or as the frame's raw payload, and under chaos at the three server
 fault points.  The batching assertions are plan-level: the server's
 ``last_batch`` evidence records how many members one
 :class:`~repro.runtime.EnsemblePlan` run covered.
@@ -38,6 +38,7 @@ from repro.runtime.server import (
     MAX_WARM,
     decode_array,
     encode_array,
+    inline_arrays,
     recv_frame,
     seeded_state,
     send_frame,
@@ -417,7 +418,8 @@ def test_oversized_frame_rejected(server_factory):
 
 
 def test_response_frames_are_deterministic_json(server_factory):
-    """Same request twice -> byte-identical response frames (sorted keys)."""
+    """Same request twice -> byte-identical response frames (sorted keys,
+    the same payload bytes)."""
     server = server_factory()
     state = make_state(DECAY, DECAY_SIZES, DECAY_PARAMS, seed=0)
     frames = []
@@ -425,29 +427,228 @@ def test_response_frames_are_deterministic_json(server_factory):
         raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         raw.connect(server.socket_path)
         try:
-            enc = {
-                name: {
-                    "shape": list(arr.shape),
-                    "dtype": arr.dtype.str,
-                    "data": __import__("base64").b64encode(
-                        np.ascontiguousarray(arr).tobytes()
-                    ).decode("ascii"),
-                }
-                for name, arr in state.items()
-            }
-            msg = {
+            send_frame(raw, {
                 "op": "run", "spec": DECAY, "sizes": DECAY_SIZES,
                 "params": DECAY_PARAMS, "dtype": "f64", "steps": 1,
-                "backend": "python", "state": enc,
-            }
-            body = json.dumps(msg, sort_keys=True).encode()
-            raw.sendall(struct.pack(">I", len(body)) + body)
+                "backend": "python", "state": state,
+            })
             header = raw.recv(4, socket.MSG_WAITALL)
             (length,) = struct.unpack(">I", header)
-            frames.append(raw.recv(length, socket.MSG_WAITALL))
+            body = raw.recv(length, socket.MSG_WAITALL)
+            size = json.loads(body)["payload"]
+            frames.append(body + raw.recv(size, socket.MSG_WAITALL))
         finally:
             raw.close()
+    assert json.loads(frames[0][:length])["status"] == "ok"
+    assert size == sum(a.nbytes for a in state.values())
     assert frames[0] == frames[1]
+
+
+# -- the frame: a JSON header, then the inline arrays as raw bytes ------------
+
+
+def raw_request(server, message: dict, payload: bytes = b"") -> socket.socket:
+    """A raw connection that has sent *message* as JSON, then *payload*."""
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(30)
+    raw.connect(server.socket_path)
+    body = json.dumps(message).encode()
+    raw.sendall(struct.pack(">I", len(body)) + body + payload)
+    return raw
+
+
+def smooth_run(**state) -> dict:
+    return {
+        "op": "run", "spec": SMOOTH, "sizes": SMOOTH_SIZES,
+        "params": SMOOTH_PARAMS, "state": state,
+    }
+
+
+F64 = {"dtype": "<f8"}
+
+
+@pytest.mark.parametrize("delta", [-8, 8], ids=["short", "long"])
+def test_a_payload_that_does_not_match_its_entries_is_a_validation_error(
+    server_factory, delta
+):
+    server = server_factory()
+    state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=0)
+    payload = state["u"].tobytes() + state["v"].tobytes()  # 248 + 256 bytes
+    payload = payload[:delta] if delta < 0 else payload + bytes(delta)
+    msg = smooth_run(u={"shape": [31], **F64}, v={"shape": [32], **F64})
+    raw = raw_request(server, {**msg, "payload": len(payload)}, payload)
+    try:
+        resp = recv_frame(raw)
+        assert resp["error"] == "ValidationError", resp
+        assert "payload of 504 bytes" in resp["message"]
+        # The whole frame was read: the connection is still in step.
+        send_frame(raw, {"op": "ping"})
+        assert recv_frame(raw)["status"] == "ok"
+    finally:
+        raw.close()
+
+
+@pytest.mark.parametrize(
+    "size", [-1, 1.5, "8", True, None, MAX_FRAME_BYTES],
+    ids=["negative", "float", "string", "bool", "null", "over-cap"],
+)
+def test_a_bad_payload_size_is_a_framing_error_before_any_allocation(
+    server_factory, size
+):
+    server = server_factory()
+    raw = raw_request(server, {"op": "ping", "payload": size})
+    try:
+        resp = recv_frame(raw)
+        assert resp["error"] == "ServeError", resp
+        assert "payload" in resp["message"]
+        assert raw.recv(1) == b""  # dropped, like a garbage frame
+    finally:
+        raw.close()
+    # Nothing the size announces is ever allocated: the client side of
+    # the same check reads it over a socket pair under tracemalloc.
+    import tracemalloc
+
+    left, right = socket.socketpair()
+    try:
+        body = json.dumps({"status": "ok", "payload": size}).encode()
+        left.sendall(struct.pack(">I", len(body)) + body)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ServeError, match="payload"):
+                recv_frame(right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        left.close()
+        right.close()
+    assert peak < 1 << 20
+
+
+def test_a_connection_closed_mid_payload_is_a_serve_error(server_factory):
+    server = server_factory()
+    raw = raw_request(server, {"op": "ping", "payload": 64}, bytes(10))
+    try:
+        raw.shutdown(socket.SHUT_WR)
+        resp = recv_frame(raw)
+        assert resp["error"] == "ServeError", resp
+        assert "mid-payload (10/64 bytes)" in resp["message"]
+    finally:
+        raw.close()
+    left, right = socket.socketpair()
+    try:
+        body = json.dumps({"status": "ok", "payload": 64}).encode()
+        left.sendall(struct.pack(">I", len(body)) + body + bytes(10))
+        left.close()
+        with pytest.raises(ServeError, match="mid-payload"):
+            recv_frame(right)
+    finally:
+        right.close()
+
+
+def test_a_base64_data_entry_names_the_payload_frame(server_factory):
+    server = server_factory()
+    state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=0)
+    raw = raw_request(server, smooth_run(
+        u=encode_array(state["u"]), v=encode_array(state["v"])
+    ))
+    try:
+        resp = recv_frame(raw)
+    finally:
+        raw.close()
+    assert resp["error"] == "ValidationError", resp
+    assert "'data'" in resp["message"]
+    assert "raw bytes in the frame's payload" in resp["message"]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_inline_round_trips_are_bitwise(server_factory, dtype):
+    server = server_factory()
+    nest = parse_stencil(SMOOTH)
+    bindings = Bindings(
+        sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS,
+        dtype={"f32": np.float32, "f64": np.float64}[dtype],
+    )
+    state = seeded_state(nest, bindings, seed=4)
+    kernel = compile_nests([nest], bindings, name=nest.name)
+    want = {k: v.copy() for k, v in state.items()}
+    bound = kernel.plan().bind(want)
+    for _ in range(3):
+        bound.run()
+    with KernelClient(server.socket_path, shm_threshold=None) as client:
+        got = client.run(
+            SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, dtype=dtype,
+            state=state, steps=3,
+        ).state
+    assert_bitwise(want, got)
+    for arr in got.values():  # views into the reply's payload, not copies
+        assert arr.flags.writeable and arr.flags.aligned
+        assert isinstance(arr.base, bytearray)
+
+
+def test_a_zero_length_array_travels_inline(server_factory):
+    server = server_factory()
+    state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=5)
+    want = reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state)
+    with KernelClient(server.socket_path, shm_threshold=None) as client:
+        got = client.run(
+            SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS,
+            state={**state, "empty": np.zeros(0)},
+        ).state
+    assert got.pop("empty").shape == (0,)
+    assert_bitwise(want, got)
+    left, right = socket.socketpair()
+    try:
+        send_frame(left, {"state": {"a": np.zeros((0, 3), np.float32)}})
+        frame = recv_frame(right)
+    finally:
+        left.close()
+        right.close()
+    assert frame["payload"] == 0 and frame.payload == bytearray()
+    (empty,) = inline_arrays(frame["state"], frame.payload).values()
+    assert empty.shape == (0, 3) and empty.dtype == np.float32
+
+
+def test_frame_pads_each_array_to_eight_bytes():
+    arrays = {"b": np.arange(3, dtype=np.float32), "a": np.arange(5, dtype=np.int8)}
+    left, right = socket.socketpair()
+    try:
+        send_frame(left, {"state": arrays})
+        frame = recv_frame(right)
+    finally:
+        left.close()
+        right.close()
+    assert frame["payload"] == len(frame.payload) == 8 + 16
+    got = inline_arrays(frame["state"], frame.payload)
+    assert_bitwise(arrays, got)
+    assert frame.payload[5:8] == bytes(3)  # "a" padded, "b" at offset 8
+
+
+def test_a_frame_of_more_arrays_than_one_gather_write_takes():
+    arrays = {f"a{k:04d}": np.full(k % 3, k, np.float32) for k in range(1800)}
+    left, right = socket.socketpair()
+    try:
+        send_frame(left, {"state": arrays})
+        frame = recv_frame(right)
+    finally:
+        left.close()
+        right.close()
+    assert_bitwise(arrays, inline_arrays(frame["state"], frame.payload))
+
+
+def test_one_request_mixes_a_shm_array_and_an_inline_one(
+    server_factory, segment_calls
+):
+    server = server_factory()
+    state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=6)
+    want = reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state)
+    # u is 31 doubles (248 bytes), v 32 (256 bytes): only v reaches shm.
+    with KernelClient(server.socket_path, shm_threshold=256) as client:
+        got = client.run(
+            SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state
+        ).state
+        assert len(kinds(segment_calls, "create")) == 1
+    assert_bitwise(want, got)
 
 
 def test_shutdown_op_stops_the_server(server_factory):
@@ -1036,13 +1237,14 @@ def test_a_segment_recreated_under_its_name_is_attached_again(
             "params": SMOOTH_PARAMS,
             "state": {
                 "u": {"shape": list(u.shape), "dtype": u.dtype.str, "shm": name},
-                "v": encode_array(state["v"]),
+                "v": state["v"],
             },
         })
         resp = recv_frame(raw)
         assert resp["status"] == "ok", resp
         assert u.tobytes() == want["u"].tobytes()
-        assert decode_array(resp["state"]["v"], "v").tobytes() == want["v"].tobytes()
+        v = inline_arrays(resp["state"], resp.payload)["v"]
+        assert v.tobytes() == want["v"].tobytes()
 
     seg = shared_memory.SharedMemory(name=name, create=True, size=512)
     try:
@@ -1102,7 +1304,7 @@ def test_bad_segment_names_never_reach_shared_memory(
             "params": SMOOTH_PARAMS,
             "state": {
                 "u": {"shape": [31], "dtype": "<f8", "shm": name},
-                "v": encode_array(np.zeros(32)),
+                "v": np.zeros(32),
             },
         })
         resp = recv_frame(raw)
