@@ -5,9 +5,10 @@ cached beats cold, bound beats unbound, native beats python, the batched
 ensemble beats the member loop, fused beats per-statement, threads beat
 serial, two ranks beat one, sharding overhead shrinks with the grid, a
 checkpointed sweep recorded as one C program beats a bound run per
-schedule action, and inline served state stays within 3x of shared
-memory.  Each row times its paths back to back in one process,
-so none needs a recorded baseline; comparing timings *across* commits is
+schedule action, inline served state stays within 3x of shared
+memory, and a lone client's batch window costs at most 2x no window.
+Each row times its paths back to back in one process, so none needs a
+recorded baseline; comparing timings *across* commits is
 ``bench/run.py --compare`` and nothing else (README, "Performance
 gate"), and the bitwise and counting contracts live in ``tests/``.
 Every row runs the heat2d kernel and checks that its paths leave
@@ -156,31 +157,42 @@ def _shard_paths(nranks, **config):
     return paths
 
 
-def _serve_paths(case, stack):
-    """One served heat2d primal step by kernel id on 2 MiB arrays, one
-    server: state through leased shared memory vs inline in the frame's
-    raw payload.  Inline may cost at most 3x shm."""
+def _served(case, stack, *, window_ms, by_id, shm_threshold=1 << 15):
+    """One served heat2d primal step per call, from a client of its own
+    against a server of its own, by kernel id or by spec."""
     tmp = stack.enter_context(tempfile.TemporaryDirectory())
-    server = stack.enter_context(
-        KernelServer(os.path.join(tmp, "serve.sock"), batch_window_ms=0.0)
+    server = stack.enter_context(KernelServer(
+        os.path.join(tmp, "serve.sock"), batch_window_ms=window_ms
+    ))
+    client = stack.enter_context(
+        KernelClient(server.socket_path, shm_threshold=shm_threshold)
     )
-    spec = to_source(case.prob.primal)
-    sizes, params = {"n": case.n}, dict(case.prob.param_defaults)
+    kernel = {"spec": to_source(case.prob.primal), "sizes": {"n": case.n},
+              "params": dict(case.prob.param_defaults)}
+    if by_id:
+        kernel = {"kernel_id": client.compile(**kernel)}
+    state = {k: case.base[k].copy() for k in ("u", "u_1")}
 
-    def served(shm_threshold):
-        client = stack.enter_context(
-            KernelClient(server.socket_path, shm_threshold=shm_threshold)
-        )
-        kid = client.compile(spec, sizes=sizes, params=params)
-        state = {k: case.base[k].copy() for k in ("u", "u_1")}
-        assert state["u"].nbytes >= 2 << 20
+    def run():
+        state.update(client.run(state=state, **kernel).state)
 
-        def run():
-            state.update(client.run(kernel_id=kid, state=state).state)
+    return Path(run, lambda: state)
 
-        return Path(run, lambda: state)
 
-    return [served(1 << 15), served(None)]
+def _serve_paths(case, stack):
+    """One served step by kernel id on 2 MiB arrays: state through
+    leased shared memory vs inline in the frame's raw payload.  Inline
+    may cost at most 3x shm."""
+    assert case.base["u"].nbytes >= 2 << 20
+    return [_served(case, stack, window_ms=0.0, by_id=True),
+            _served(case, stack, window_ms=0.0, by_id=True, shm_threshold=None)]
+
+
+def _window_paths(case, stack):
+    """One client sends a small step by spec: to a server with window 0
+    vs one with a 2 ms window.  A lone connection has nobody to wait
+    for, so the window may cost at most 2x."""
+    return [_served(case, stack, window_ms=w, by_id=False) for w in (0.0, 2.0)]
 
 
 def _sweep_paths(case, stack):
@@ -230,6 +242,9 @@ ROWS = [
     # Raw inline frames against zero-copy shm: 0.93x on a 2-vCPU VM,
     # where the base64 frame this replaced read 0.05x.
     Row("serve_inline", _serve_paths, n=512, reps=5, floor=1 / 3),
+    # A lone client's 2 ms window against none: 0.77-1.19x on a 2-vCPU
+    # VM, where a leader that always waited out its window read 0.09x.
+    Row("serve_window", _window_paths, n=32, reps=100, floor=1 / 2),
     # Threads cannot beat serial without cores to spare: on 2 vCPUs the
     # best width measures 0.82x, so the floor engages from 4.
     Row("threads",

@@ -343,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--batch-window-ms", type=float, default=2.0,
-        help="how long the first request of a batch waits for company "
-        "before dispatch (default: 2.0; <= 0 dispatches immediately)",
+        help="longest the first request of a batch waits for company, "
+        "and no wait once every other connection is parked "
+        "(default: 2.0; 0 dispatches immediately)",
     )
 
     req = sub.add_parser(

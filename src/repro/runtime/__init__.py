@@ -49,7 +49,7 @@ from .interpreter import interpret_nests
 from .plan import ExecutionConfig, ExecutionPlan, ShardSpec
 from .server import KernelServer, seeded_state, state_shapes
 from .client import KernelClient, ServeResult
-from .scheduler import WorkerPool, choose_split_axis, split_box
+from .scheduler import WorkerPool, split_box
 
 __all__ = [
     "Bindings",
@@ -86,7 +86,6 @@ __all__ = [
     "SnapshotPool",
     "RegionKernel",
     "assert_disjoint_writes",
-    "choose_split_axis",
     "clear_kernel_cache",
     "compile_nests",
     "get_kernel_cache",

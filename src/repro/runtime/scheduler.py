@@ -29,19 +29,11 @@ from . import faults
 
 __all__ = [
     "split_box",
-    "choose_split_axis",
     "Batch",
     "WorkerPool",
 ]
 
 Box = tuple[tuple[int, int], ...]
-
-
-def choose_split_axis(bounds: Box) -> int:
-    """Pick the axis with the largest extent (ties -> outermost)."""
-    extents = [hi - lo + 1 for lo, hi in bounds]
-    best = max(extents)
-    return extents.index(best)
 
 
 class Batch:
@@ -231,19 +223,17 @@ class WorkerPool:
         self.close()
 
 
-def split_box(bounds: Box, nblocks: int, axis: int | None = None) -> list[Box]:
+def split_box(bounds: Box, nblocks: int, axis: int = 0) -> list[Box]:
     """Partition an inclusive box into up to *nblocks* disjoint sub-boxes.
 
-    The split is along *axis* (default: the widest).  Returns fewer blocks
-    when the axis extent is smaller than ``nblocks``.  Empty input boxes
-    yield an empty list.
+    The split is along *axis*.  Returns fewer blocks when the axis
+    extent is smaller than ``nblocks``.  Empty input boxes yield an
+    empty list.
     """
     if any(lo > hi for lo, hi in bounds):
         return []
     if nblocks <= 1:
         return [tuple(bounds)]
-    if axis is None:
-        axis = choose_split_axis(bounds)
     lo, hi = bounds[axis]
     extent = hi - lo + 1
     nblocks = min(nblocks, extent)

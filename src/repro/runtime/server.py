@@ -14,40 +14,31 @@ Protocol
 --------
 
 Length-prefixed JSON frames in both directions: a 4-byte big-endian
-length followed by that many bytes of UTF-8 JSON (one object per
-frame), then the ``"payload"`` raw bytes that object announces (JSON
-and payload together at most ``MAX_FRAME_BYTES``).  Requests carry an
-``op``:
-``run``, ``compile``, ``ping``, ``stats`` or ``shutdown``.  A ``run``
-request names its kernel either by inline ``spec`` source (parsed with
-:func:`~repro.frontend.parser.parse_stencil` under
-:class:`~repro.core.validate.SpecLimits` — this is an untrusted input
-path) plus ``sizes``/``params``/``dtype``, or by the content-addressed
-``kernel_id`` a previous response returned.  A spec is parsed once: the
-nest is memoised by the spec's SHA-256 digest and the limits in force
-(at most ``MAX_KERNELS`` of them), and every check after the parse runs
-on each request, so a steady by-spec request costs a by-id one plus a
-hash.  State arrays travel either
-inline — their raw bytes in the frame's payload, received into one
-buffer the arrays are views of and sent back from it in one gather
-write — or zero-copy as named
-``multiprocessing.shared_memory`` segments the server maps and
-writes results back into.  Segments are *leases*: the client reuses
-them request after request, and the server keeps each mapping for
-the life of the connection, so a steady request maps nothing.  The
-server maps a segment without registering it with its resource
-tracker: the client owns it, and only the client unlinks it.
-``docs/serving.md`` specifies the frame and message formats in full.
+length, that many bytes of UTF-8 JSON (one object), then the raw bytes
+its ``"payload"`` announces — at most ``MAX_FRAME_BYTES`` in all.  A
+request's ``op`` is ``run``, ``compile``, ``ping``, ``stats`` or
+``shutdown``.  A ``run`` names its kernel by inline ``spec`` source plus
+``sizes``/``params``/``dtype`` — parsed under
+:class:`~repro.core.validate.SpecLimits`, as an untrusted input, once
+per SHA-256 digest and limits (at most ``MAX_KERNELS`` kept) — or by
+the ``kernel_id`` a previous response returned.  State arrays travel
+inline, as views into the frame's payload sent back in one gather
+write, or zero-copy as leased ``multiprocessing.shared_memory``
+segments: the client reuses them, and the server keeps each mapping
+for the connection's life without registering it with its resource
+tracker (only the client unlinks).  ``docs/serving.md`` specifies the
+frame and message formats in full.
 
 Batching semantics
 ------------------
 
 Requests are grouped by ``(kernel_id, backend, steps, state
-signature)``, on the connection threads themselves: the first request
-of a group is its *leader* — it holds the group open for
-``batch_window_ms`` (cut short when a follower fills it to
-``max_batch``), then runs it on its own thread — and every later one a
-*follower* that appends itself and waits for the leader's result.
+signature)`` on the connection threads themselves.  A group's first
+request, its *leader*, holds it open for at most ``batch_window_ms`` —
+no longer once every other open connection is *parked* (leading,
+following or running a group, so none is left to join) or the group
+holds ``max_batch`` — then runs it on its own thread; every later
+request is a *follower* that appends itself and waits for the result.
 There is no queue, no dispatcher and no executor: a started server owns
 the accept thread plus one thread per open connection, and at most
 ``workers`` groups execute at once.  A group of any size runs through
@@ -728,8 +719,9 @@ class KernelServer:
     max_batch:
         A group flushes as soon as it holds this many requests.
     batch_window_ms:
-        How long the oldest request of a group may wait for batchmates
-        before the group flushes; ``0`` disables coalescing.
+        Longest the oldest request of a group waits for batchmates; it
+        stops waiting once every other connection is parked.  ``0``
+        disables coalescing.
     limits:
         :class:`SpecLimits` applied to every inbound spec (``None``
         trusts the peer — only for in-process tests).
@@ -748,14 +740,13 @@ class KernelServer:
         limits: SpecLimits | None = DEFAULT_SPEC_LIMITS,
         request_timeout: float = 300.0,
     ) -> None:
-        if workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {workers}")
-        if max_batch < 1:
-            raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_window_ms < 0:
-            raise ValidationError(
-                f"batch_window_ms must be >= 0, got {batch_window_ms}"
-            )
+        for name, value, least in (
+            ("workers", workers, 1),
+            ("max_batch", max_batch, 1),
+            ("batch_window_ms", batch_window_ms, 0),
+        ):
+            if value < least:
+                raise ValidationError(f"{name} must be >= {least}, got {value}")
         self.socket_path = str(socket_path)
         self.workers = workers
         self.max_batch = max_batch
@@ -764,12 +755,15 @@ class KernelServer:
         self.request_timeout = request_timeout
         self._lock = threading.Lock()
         self._kernels: OrderedDict[str, _ServedKernel] = OrderedDict()
-        # Parsed nests by (sha256 of the spec, limits): see _parse.
-        self._nests: OrderedDict[tuple, LoopNest] = OrderedDict()
+        # Parsed specs by (sha256 of the spec, limits): see _parse.
+        self._nests: OrderedDict[tuple, tuple] = OrderedDict()
         # Open groups by group key.  batch[0] is the leader, and its
-        # event is the group's: set when the group fills or the server
-        # closes, to cut the leader's window wait short.
+        # event is the group's: set when the group fills, when no other
+        # connection can join it or when the server closes, to cut the
+        # leader's window wait short.
         self._groups: dict[tuple, list[_Pending]] = {}
+        # Members of open or running groups: see _flush_windows.
+        self._parked = 0
         self._slots = threading.BoundedSemaphore(workers)
         # Open connections, each removed by its thread as it ends; and
         # every connection thread started (the accept loop prunes the
@@ -853,8 +847,7 @@ class KernelServer:
         with self._lock:
             conns = list(self._conns)
             threads = list(self._threads)
-            for batch in self._groups.values():
-                batch[0].event.set()  # flush open windows now
+            self._flush_windows(force=True)
         for conn in conns:
             # Wake idle readers with EOF; the write side stays open so
             # a request in flight still gets its reply.
@@ -889,9 +882,7 @@ class KernelServer:
         with self._lock:
             out = dict(self._counters)
             out["kernels"] = len(self._kernels)
-            out["last_batch"] = (
-                dict(self._last_batch) if self._last_batch else None
-            )
+            out["last_batch"] = self._last_batch and dict(self._last_batch)
             out["last_batch_fallback"] = self._last_batch_fallback
         out["workers"] = self.workers
         out["max_batch"] = self.max_batch
@@ -964,6 +955,7 @@ class KernelServer:
                 _detach(attached.popitem()[1][0])
             with self._lock:
                 self._conns.discard(conn)
+                self._flush_windows()
             try:
                 conn.close()
             except OSError:  # pragma: no cover
@@ -988,17 +980,17 @@ class KernelServer:
 
     # -- request decoding ----------------------------------------------------
 
-    def _parse(self, spec: str) -> LoopNest:
-        """*spec* parsed under ``self.limits``, memoised.
+    def _parse(self, spec: str) -> tuple[LoopNest, list[str], list[str]]:
+        """*spec* parsed under ``self.limits``, memoised with the names of
+        its size symbols and scalar parameters.
 
         The key is the spec's SHA-256 digest, not its text (so the memo
         pins no peer-sized strings), and the limits in force: tightening
         them makes every spec parse — and be judged — again.  At most
-        ``MAX_KERNELS`` nests are kept, least-recently-used evicted
-        first.  Only successful parses are kept, so a bad spec raises
-        the same typed error on every request.  The parse runs outside
-        the lock; two concurrent misses may both parse, and the first
-        insert wins.
+        ``MAX_KERNELS`` are kept, least-recently-used evicted first;
+        only successful parses, so a bad spec raises the same typed
+        error on every request.  The parse runs outside the lock; of two
+        concurrent misses that both parse, the first insert wins.
         """
         limits = self.limits
         # A JSON string may hold lone surrogates; hash them rather than
@@ -1008,16 +1000,18 @@ class KernelServer:
             limits,
         )
         with self._lock:
-            nest = self._nests.get(key)
-            if nest is not None:
+            entry = self._nests.get(key)
+            if entry is not None:
                 self._nests.move_to_end(key)
-                return nest
+                return entry
         nest = parse_stencil(spec, limits=limits)
+        entry = (nest, [s.name for s in nest.size_symbols()],
+                 [s.name for s in nest.scalar_parameters()])
         with self._lock:
-            nest = self._nests.setdefault(key, nest)
+            entry = self._nests.setdefault(key, entry)
             while len(self._nests) > MAX_KERNELS:
                 self._nests.popitem(last=False)
-        return nest
+        return entry
 
     def _resolve_kernel(self, msg: dict) -> _ServedKernel:
         spec = msg.get("spec")
@@ -1031,23 +1025,18 @@ class KernelServer:
                 raise ValidationError(
                     f"dtype must be one of {sorted(_DTYPES)}, got {dtype_tag!r}"
                 )
-            nest = self._parse(spec)
-            missing = [
-                s.name for s in nest.size_symbols() if s.name not in sizes
-            ]
-            if missing:
-                raise ValidationError(f"unbound size symbols: {missing}")
-            missing = [
-                s.name for s in nest.scalar_parameters()
-                if s.name not in params
-            ]
-            if missing:
-                raise ValidationError(f"unbound scalar parameters: {missing}")
+            nest, size_names, param_names = self._parse(spec)
+            for what, names, given in (
+                ("size symbols", size_names, sizes),
+                ("scalar parameters", param_names, params),
+            ):
+                missing = [name for name in names if name not in given]
+                if missing:
+                    raise ValidationError(f"unbound {what}: {missing}")
             bindings = Bindings(
                 sizes=sizes, params=params, dtype=_DTYPES[dtype_tag]
             )
-            name = nest.name or "served"
-            kid = kernel_key([nest], bindings, name)
+            kid = kernel_key([nest], bindings, nest.name or "served")
             with self._lock:
                 served = self._kernels.get(kid)
                 if served is None:
@@ -1185,19 +1174,14 @@ class KernelServer:
         if pending.error is not None:
             return _error_payload(pending.error)
         # Inline results were copied back into the request's own payload
-        # views, and send_frame writes those buffers after the JSON.
-        state_meta: dict[str, dict | np.ndarray] = {}
-        for name, arr in pending.arrays.items():
-            if name in pending.shm:
-                # Zero-copy: the result was written into the segment in
-                # place; echo the reference, not the bytes.
-                state_meta[name] = {
-                    "shape": list(arr.shape),
-                    "dtype": arr.dtype.str,
-                    "shm": pending.shm[name],
-                }
-            else:
-                state_meta[name] = arr
+        # views, and send_frame writes those buffers after the JSON;
+        # shared-memory ones were written into their segments in place,
+        # so the reply echoes the reference, not the bytes.
+        state_meta = {
+            name: {"shape": list(arr.shape), "dtype": arr.dtype.str,
+                   "shm": pending.shm[name]} if name in pending.shm else arr
+            for name, arr in pending.arrays.items()
+        }
         meta = pending.meta or {}
         return {
             "status": "ok",
@@ -1213,9 +1197,10 @@ class KernelServer:
 
         Returns with ``pending.meta`` or ``pending.error`` set.  The
         leader — the first request of its group key, and every request
-        when coalescing is off — holds the group open for the batch
-        window, then runs it here, on its connection's thread; a
-        follower's only hand-off is the wait for that run.
+        when coalescing is off — holds the group open for at most the
+        batch window, then runs it here, on its connection's thread; a
+        follower's only hand-off is the wait for that run.  A group's
+        members count as parked until its leader's run is over.
         """
         key = pending.group_key
         with self._lock:
@@ -1232,6 +1217,9 @@ class KernelServer:
                 if len(batch) >= self.max_batch:
                     del self._groups[key]
                     batch[0].event.set()  # full: the leader need not wait
+            if not leads or window:  # parked in an open group
+                self._parked += 1
+                self._flush_windows()
         if not leads:
             if not pending.event.wait(self.request_timeout):
                 pending.error = ServeError(
@@ -1250,6 +1238,9 @@ class KernelServer:
         except Exception as exc:
             failure = exc
         finally:
+            if window:  # the group is closed: its size is final
+                with self._lock:
+                    self._parked -= len(batch)
             # Whatever happened above, nobody waits out request_timeout
             # for a leader that is gone.
             for member in batch:
@@ -1258,6 +1249,13 @@ class KernelServer:
                         "the request's group leader stopped before running it"
                     )
                 member.event.set()
+
+    def _flush_windows(self, force: bool = False) -> None:
+        """Under the lock: end every open group's window — on *force*, or
+        once every open connection is parked, since none is left to join."""
+        if force or self._parked >= len(self._conns):
+            for batch in self._groups.values():
+                batch[0].event.set()
 
     def _run_group(self, batch: list[_Pending]) -> None:
         """Execute one flushed group, of any size, on its warm binding."""

@@ -451,11 +451,16 @@ def _scenario_server_batch_bind() -> str:
     refs = {seed: _serve_reference(seed) for seed in (0, 1)}
     results: dict[int, object] = {}
     errors: list[BaseException] = []
+    ready = threading.Barrier(2)
     with _serve_daemon(workers=2, max_batch=2, batch_window_ms=500.0) as server:
 
         def worker(seed: int) -> None:
             try:
                 with KernelClient(server.socket_path) as client:
+                    # Both connections are open before either sends, so
+                    # the first request's window waits for the second.
+                    client.ping()
+                    ready.wait(timeout=60)
                     results[seed] = client.run(
                         _SERVE_SPEC,
                         sizes=_SERVE_SIZES,

@@ -14,7 +14,6 @@ from repro.baselines.scatter import tapenade_style_adjoint
 from repro.core import adjoint_loops
 from repro.core.loopnest import LoopNest, Statement
 from repro.runtime import Bindings, compile_nests, split_box
-from repro.runtime.scheduler import choose_split_axis
 
 
 def _run(kernel, arrays, threads, min_block_iterations=1):
@@ -68,10 +67,6 @@ def test_split_box_empty():
 
 def test_split_box_single_block():
     assert split_box(((0, 9),), 1) == [((0, 9),)]
-
-
-def test_choose_split_axis_widest():
-    assert choose_split_axis(((0, 3), (0, 99), (0, 9))) == 1
 
 
 def test_uneven_split_sizes_balanced():

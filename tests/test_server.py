@@ -195,10 +195,13 @@ def test_concurrent_requests_coalesce_into_one_ensemble_run(server_factory):
     }
     results: dict[int, object] = {}
     errors: list[BaseException] = []
+    ready = threading.Barrier(len(seeds))
 
     def worker(seed):
         try:
             with KernelClient(server.socket_path) as client:
+                client.ping()  # every connection is open before any sends
+                ready.wait(timeout=60)
                 results[seed] = client.run(
                     SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS,
                     state=states[seed],
@@ -233,9 +236,12 @@ def test_batched_and_window_zero_responses_are_identical_bytes(server_factory):
         for s in (0, 1)
     }
     batched: dict[int, object] = {}
+    ready = threading.Barrier(2)
 
     def worker(seed):
         with KernelClient(batching.socket_path) as client:
+            client.ping()  # every connection is open before any sends
+            ready.wait(timeout=60)
             batched[seed] = client.run(
                 SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS,
                 state=states[seed],
@@ -703,10 +709,13 @@ def test_fault_batch_bind_falls_back_to_singles_bitwise(server_factory):
     }
     results: dict[int, object] = {}
     errors: list[BaseException] = []
+    ready = threading.Barrier(2)
 
     def worker(seed):
         try:
             with KernelClient(server.socket_path) as client:
+                client.ping()  # every connection is open before any sends
+                ready.wait(timeout=60)
                 results[seed] = client.run(
                     SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS,
                     state=states[seed],
@@ -761,12 +770,17 @@ def serve_threads():
 
 def fire(server, states, spec=SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS):
     """One client thread per state, all in flight at once; returns
-    ``{key: ServeResult | exception}`` once every reply is in."""
+    ``{key: ServeResult | exception}`` once every reply is in.  Every
+    client connects and pings before any sends, so no request is from a
+    connection the server has not yet accepted."""
     out: dict = {}
+    ready = threading.Barrier(len(states))
 
     def worker(key):
         try:
             with KernelClient(server.socket_path) as client:
+                client.ping()
+                ready.wait(timeout=60)
                 out[key] = client.run(
                     spec, sizes=sizes, params=params, state=states[key]
                 )
@@ -903,6 +917,9 @@ def test_close_flushes_an_open_window_and_leaves_nothing(server_factory):
     clients = threading.Thread(
         target=lambda: results.update(fire(server, states))
     )
+    # An idle connection could still join, so only close() ends the wait.
+    idle = KernelClient(server.socket_path)
+    assert idle.ping()
     t0 = time.monotonic()
     clients.start()
     while time.monotonic() - t0 < 60.0:  # both requests sit in one open group
@@ -919,6 +936,134 @@ def test_close_flushes_an_open_window_and_leaves_nothing(server_factory):
     assert serve_threads() - before == set()
     assert not server._conns and not server._groups
     assert not os.path.exists(server.socket_path)
+    idle.close()
+
+
+# -- a work-conserving window: no wait once no connection can join -----------
+
+
+def smooth_run_of(client, state):
+    return client.run(
+        SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS, state=state
+    )
+
+
+def test_a_lone_connection_does_not_wait_out_the_window(server_factory):
+    server = server_factory(batch_window_ms=30_000.0)
+    state = smooth_states(0)[0]
+    ref = reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state)
+    with KernelClient(server.socket_path) as client:
+        t0 = time.monotonic()
+        result = smooth_run_of(client, state)
+        elapsed = time.monotonic() - t0
+    assert elapsed < 1.0  # nobody else could join: no wait at all
+    assert result.batch_size == 1
+    assert_bitwise(ref, result.state)
+
+
+def test_two_parked_connections_form_one_group_at_once(server_factory):
+    # max_batch 8: the group never fills, so only the new rule ends the wait
+    server = server_factory(max_batch=8, batch_window_ms=30_000.0)
+    immediate = server_factory(batch_window_ms=0.0)
+    states = smooth_states(0, 1)
+    with KernelClient(immediate.socket_path) as client:  # also compiles
+        singles = {s: smooth_run_of(client, st) for s, st in states.items()}
+    t0 = time.monotonic()
+    results = fire(server, states)
+    assert time.monotonic() - t0 < 1.0
+    stats = server.stats()
+    assert stats["batched_runs"] == 1 and stats["single_runs"] == 0
+    for seed in states:
+        assert results[seed].batched and results[seed].batch_size == 2
+        assert not singles[seed].batched
+        assert_bitwise(singles[seed].state, results[seed].state)
+
+
+def test_an_idle_connection_keeps_the_window_an_upper_bound(server_factory):
+    server = server_factory(max_batch=8, batch_window_ms=300.0)
+    states = smooth_states(0, 1)
+    with KernelClient(server.socket_path) as idle:
+        assert idle.ping()  # open, between requests: it could still join
+        t0 = time.monotonic()
+        results = fire(server, states)
+        elapsed = time.monotonic() - t0
+    assert 0.25 <= elapsed < 30.0
+    for seed, state in states.items():
+        assert results[seed].batch_size == 2
+        assert_bitwise(
+            reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state),
+            results[seed].state,
+        )
+
+
+def test_closing_an_idle_connection_flushes_a_waiting_leader(server_factory):
+    server = server_factory(batch_window_ms=30_000.0)
+    state = smooth_states(0)[0]
+    ref = reference(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, state)
+    idle = KernelClient(server.socket_path)
+    assert idle.ping()
+    results: dict = {}
+    sender = threading.Thread(target=lambda: results.update(fire(server, {0: state})))
+    sender.start()
+    deadline = time.monotonic() + 30.0
+    while not server._groups and time.monotonic() < deadline:
+        time.sleep(0.005)  # the leader is waiting on the idle connection
+    assert [len(b) for b in server._groups.values()] == [1]
+    t0 = time.monotonic()
+    idle.close()
+    sender.join(timeout=60.0)
+    assert not sender.is_alive()
+    assert time.monotonic() - t0 < 5.0  # flushed, not waited out
+    assert results[0].batch_size == 1
+    assert_bitwise(ref, results[0].state)
+
+
+def test_the_parked_count_holds_under_many_closed_loop_clients(
+    server_factory,
+):
+    """Eight closed-loop clients, more than the cores, on two kernels
+    under a short switch interval.  A lost update to the parked count
+    would leave a leader waiting out the 30 s window, or a count behind
+    once every connection is gone."""
+    server = server_factory(workers=2, max_batch=8, batch_window_ms=30_000.0)
+    jobs = [
+        (SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS),
+        (DECAY, DECAY_SIZES, DECAY_PARAMS),
+    ]
+    cases = [
+        (*jobs[c % 2], make_state(*jobs[c % 2], seed=c)) for c in range(8)
+    ]
+    refs = [reference(*case) for case in cases]
+    failures: list = []
+
+    def client(c):
+        spec, sizes, params, state = cases[c]
+        try:
+            with KernelClient(server.socket_path) as conn:
+                for _ in range(10):
+                    got = conn.run(spec, sizes=sizes, params=params, state=state)
+                    assert_bitwise(refs[c], got.state)
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            failures.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t0 = time.monotonic()
+        threads = [threading.Thread(target=client, args=(c,)) for c in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        elapsed = time.monotonic() - t0
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert elapsed < 20.0  # no leader waited out its window
+    assert server.stats()["ok"] == 80
+    wait_for_no_connections(server)
+    assert server._parked == 0 and not server._groups
 
 
 def test_warm_table_is_bounded_by_a_constant(server_factory):
@@ -1391,6 +1536,37 @@ def test_compile_then_by_spec_run_parse_once(server_factory, parse_calls):
     assert result.kernel_id == kid
     assert_bitwise(reference(DECAY, DECAY_SIZES, DECAY_PARAMS, state), result.state)
     assert parse_calls == [DECAY]
+
+
+def test_a_memo_hit_checks_names_without_walking_the_nest(
+    server_factory, parse_calls, monkeypatch
+):
+    """The size and parameter names are kept with the memoised nest: a
+    hit walks no SymPy expression, and unbound names are still the same
+    typed errors."""
+    from repro.core.loopnest import LoopNest
+
+    server = server_factory()
+    state = smooth_states(0)[0]
+    with KernelClient(server.socket_path) as client:
+        smooth_run_of(client, state)  # parses, memoises and compiles
+        walks = []
+        for method in ("size_symbols", "scalar_parameters"):
+            real = getattr(LoopNest, method)
+            monkeypatch.setattr(
+                LoopNest, method,
+                lambda self, _real=real: walks.append(1) or _real(self),
+            )
+        for _ in range(3):
+            smooth_run_of(client, state)
+        with pytest.raises(ValidationError, match=r"unbound size symbols: \['n'\]"):
+            client.run(SMOOTH, sizes={}, params=SMOOTH_PARAMS, state=state)
+        with pytest.raises(
+            ValidationError, match=r"unbound scalar parameters: \['c'\]"
+        ):
+            client.run(SMOOTH, sizes=SMOOTH_SIZES, params={}, state=state)
+    assert parse_calls == [SMOOTH]
+    assert walks == []
 
 
 def test_tightened_limits_parse_again_and_reject(server_factory, parse_calls):
