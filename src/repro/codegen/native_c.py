@@ -36,11 +36,12 @@ one calling convention::
     void <name>(char **ptrs, const int64_t *geom);
 
 ``ptrs`` holds one data pointer per distinct array (:func:`operand_ranks`
-order).  A fused group bound to concrete arrays bakes its boxes and
-strides as literals (:func:`generate_fused_source`); a kernel's
-per-statement library reads them from ``geom`` — the inclusive per-axis
-bounds, then each array's element strides — so one build serves every
-binding (:func:`generate_native_source`).  The kernel-independent
+order).  A nest bound to concrete arrays bakes its strides and bounds
+as literals (:func:`generate_fused_source`) — all of them for a fused
+group, all but the axis-0 bounds (``geom[0..1]``) for one statement;
+a kernel's per-statement library reads them from ``geom`` — the
+inclusive per-axis bounds, then each array's element strides — so one
+build serves every binding (:func:`generate_native_source`).  The kernel-independent
 runners live in a translation unit of their own
 (:func:`generate_runtime_source`): two whole-buffer memory statements
 with the same signature (``repro_copy``: ``memcpy(ptrs[0], ptrs[1],
@@ -75,6 +76,7 @@ __all__ = [
     "operand_ranks",
     "emit_nest",
     "generate_native_source",
+    "native_unit",
     "generate_runtime_source",
     "generate_fused_source",
     "PROGRAM_RUNNER_NAME",
@@ -267,11 +269,14 @@ def native_eligibility(stmt, dim: int, dtype) -> str | None:
       slots, otherwise the fused C loop would observe freshly written
       elements the NumPy gather/assign never sees;
     * the RHS expression must pass the bitwise whitelist;
-    * the kernel dtype must be float64 or float32.
+    * the kernel dtype must be float64 or float32, and the frame must
+      have an axis to loop over.
     """
     dtype_name = getattr(dtype, "__name__", None) or str(dtype)
     if dtype_name not in _REAL_OF_DTYPE:
         return f"dtype {dtype_name} unsupported by the native backend"
+    if dim < 1:
+        return "zero-dimensional statement has no loop to print"
     target_axes = [axis for axis, _ in stmt.target.slots]
     if sorted(target_axes) != list(range(dim)):
         return "target does not cover each frame axis exactly once"
@@ -377,9 +382,12 @@ def emit_nest(
     execution order.  The geometry comes from one of two places:
 
     * **literals**, when *arrays* maps the operand names to the concrete
-      ndarrays of a binding: each entry's box and every element stride
-      are baked, and the innermost loop carries ``GCC unroll 8`` — what
-      lets the compiler vectorise a fused group's merged loop;
+      ndarrays of a binding: every element stride is baked, and the
+      innermost loop carries ``GCC unroll 8`` — what lets the compiler
+      vectorise the inner loop.  A group of two or more bakes each
+      entry's box too.  One entry bakes every bound but axis 0's, which
+      it reads from ``geom[0..1]``: shard ranks differ only in their
+      axis-0 slab rows, so they all run one build;
     * **the ``geom`` block**, when *arrays* is None (one entry): bounds
       ``[lo0, hi0, ..., lo{d-1}, hi{d-1}]``, then each operand's element
       strides in pointer order, so one build serves every binding.
@@ -423,15 +431,30 @@ def emit_nest(
     ...               arrays=prob.allocate(8))
     >>> print(em.code(), end="")  # doctest: +NORMALIZE_WHITESPACE
     void heat(char **ptrs, const int64_t *geom) {
-      (void)geom;  /* bounds and strides are baked below */
       double *restrict a0 = (double *)ptrs[0];
       const double *restrict a1 = (const double *)ptrs[1];
       _Pragma("GCC unroll 8")
-      for (int64_t i0 = 1; i0 <= 6; ++i0) {
+      for (int64_t i0 = geom[0]; i0 <= geom[1]; ++i0) {
         a0[i0] += ((double)0.6)*a1[i0] + ((double)0.2)*a1[(i0 + (-1))]
             + ((double)0.2)*a1[(i0 + (1))];
       }
     }
+
+    The one-statement literal nest above keeps its axis-0 bounds in
+    ``geom``; a heat2d statement shows the inner bounds and the row
+    stride baked:
+
+    >>> prob = heat_problem(2)
+    >>> kernel = compile_nests([prob.primal], prob.bindings(8))
+    >>> stmt = kernel.regions[0].statements[0]
+    >>> entry = FusionEntry(stmt, ((1, 6), (1, 6)), 2, "float64")
+    >>> em = Emitter()
+    >>> _ = emit_nest(em, "heat", [entry], kernel.counters,
+    ...               arrays=prob.allocate(8))
+    >>> print(*em.code().splitlines()[3:6], sep="\\n")
+      for (int64_t i0 = geom[0]; i0 <= geom[1]; ++i0) {
+        _Pragma("GCC unroll 8")
+        for (int64_t i1 = 1; i1 <= 6; ++i1) {
     """
     first = entries[0]
     dim = first.dim
@@ -449,6 +472,8 @@ def emit_nest(
             n: tuple(s // itemsize for s in arrays[n].strides) for n in ranks
         }
         boxes = [entry.box for entry in entries]
+        if len(entries) == 1:
+            boxes = [(("geom[0]", "geom[1]"), *first.box[1:])]
     else:
         if len(entries) != 1:
             raise CodegenError("a geom block describes one statement")
@@ -477,7 +502,7 @@ def emit_nest(
     omp = _omp_for(nthreads) if nest_threaded(entries, nthreads) else None
     em.line(f"void {name}(char **ptrs, const int64_t *geom) {{")
     em.push()
-    if baked:
+    if baked and len(entries) > 1:
         em.line("(void)geom;  /* bounds and strides are baked below */")
     for k, n in enumerate(ranks):
         qual = "" if n in written else "const "
@@ -590,31 +615,47 @@ def generate_native_source(
     results are bitwise identical to the serial build at any thread
     count.
     """
+    source, manifest, _refused = native_unit(
+        kernel.name, kernel.regions, kernel.counters, nthreads
+    )
+    return source, manifest
+
+
+def native_unit(
+    name: str, regions, counters: Sequence[sp.Symbol], nthreads: int = 1
+) -> tuple[str, dict[tuple[int, int], str], dict[tuple[int, int], str]]:
+    """:func:`generate_native_source` over a kernel's parts, plus
+    ``refused``: ``(region_index, statement_index)`` -> the printer's
+    reason, for each statement :func:`native_eligibility` passed but
+    :func:`emit_nest` could not print (a gap in the gate; it runs on
+    the Python path and says why)."""
     em = Emitter(indent="  ")
-    _header(em, "", f", kernel {kernel.name!r}", nthreads if nthreads > 1 else None)
+    _header(em, "", f", kernel {name!r}", nthreads if nthreads > 1 else None)
     em.line("#include <math.h>")
     em.line()
     manifest: dict[tuple[int, int], str] = {}
-    dim = len(kernel.counters)
-    for ri, region in enumerate(kernel.regions):
+    refused: dict[tuple[int, int], str] = {}
+    dim = len(counters)
+    for ri, region in enumerate(regions):
         dtype = getattr(region.dtype, "__name__", None) or str(region.dtype)
         for si, stmt in enumerate(region.statements):
             if native_eligibility(stmt, dim, region.dtype) is not None:
                 continue
-            name = f"repro_s{ri}_{si}"
+            fn_name = f"repro_s{ri}_{si}"
             nest = Emitter(indent="  ")
             try:
                 emit_nest(
-                    nest, name, [FusionEntry(stmt, None, dim, dtype)],
-                    kernel.counters, nthreads,
+                    nest, fn_name, [FusionEntry(stmt, None, dim, dtype)],
+                    counters, nthreads,
                 )
-            except CodegenError:
-                continue  # defensive: printer found something the gate missed
+            except CodegenError as exc:
+                refused[(ri, si)] = str(exc)
+                continue
             for text in nest.code().splitlines():
                 em.line(text)
             em.line()
-            manifest[(ri, si)] = name
-    return em.code(), manifest
+            manifest[(ri, si)] = fn_name
+    return em.code(), manifest, refused
 
 
 def generate_runtime_source() -> str:
@@ -664,7 +705,8 @@ def generate_fused_source(
     counters: Sequence[sp.Symbol],
     nthreads: int = 1,
 ) -> tuple[str, str, tuple[str, ...]]:
-    """Lower one fused statement group to a single C loop nest.
+    """Lower one fused statement group — or one statement — to a single
+    C loop nest.
 
     *entries* are :class:`repro.core.fusion.FusionEntry` objects whose
     legality :func:`repro.core.fusion.plan_groups` has already
@@ -679,6 +721,8 @@ def generate_fused_source(
     and the constants are what let the compiler vectorise and unroll
     the merged loop — the fusion win on a memory-bound timestep comes
     from this codegen quality as much as from touching each row once.
+    A one-statement nest reads its axis-0 bounds from ``geom[0..1]``,
+    so bindings that differ only there (shard slabs) share its build.
     A statement the printer cannot lower raises
     :class:`~repro.codegen.base.CodegenError`; the runtime treats that
     as a per-group fallback.  With ``nthreads > 1`` the nest is threaded
@@ -686,10 +730,11 @@ def generate_fused_source(
     """
     em = Emitter(indent="  ")
     threaded = nest_threaded(entries, nthreads)
-    _header(
-        em, " (fused)", f", {len(entries)}-statement group",
-        nthreads if threaded else None,
-    )
+    if len(entries) == 1:
+        what, about = " (literal nest)", ", one statement"
+    else:
+        what, about = " (fused)", f", {len(entries)}-statement group"
+    _header(em, what, about, nthreads if threaded else None)
     em.line("#include <math.h>")
     em.line()
     order = emit_nest(em, FUSED_FN_NAME, entries, counters, nthreads, arrays)

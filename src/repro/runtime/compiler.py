@@ -16,6 +16,7 @@ iteration space, which is how the shared-memory parallel executor
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -506,9 +507,10 @@ class CompiledKernel:
     # `_native_cc`.
     _native: dict | None = field(default=None, repr=False, compare=False)
     _native_cc: str | None = field(default=None, repr=False, compare=False)
-    # Loaded fused nests by (group, strides, threads, cc, flags), filled
-    # by runtime.native.make_fused_statement.
-    _fused: dict = field(default_factory=dict, repr=False, compare=False)
+    # Loaded literal nests by (group, strides, threads, cc, flags), least
+    # recently used first; filled by runtime.native.make_fused_statement,
+    # at most native.MAX_LITERAL_NESTS kept.
+    _fused: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
 
     def __call__(self, arrays: Mapping[str, np.ndarray]) -> None:
         # Shorthand for the one execution route: the default serial
@@ -529,7 +531,7 @@ class CompiledKernel:
         """
         self._plans = {}
         self._native = None
-        self._fused = {}
+        self._fused = OrderedDict()
 
     @cached_property
     def array_names(self) -> frozenset[str]:

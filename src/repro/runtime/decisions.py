@@ -1,7 +1,9 @@
 """The degradation ladder: which rung each statement binds to, and why.
 
-Every tier lands on a rung of one ladder — fused C nest, per-statement
-C, python slot tape — bitwise identical at each; this module is the one
+Every tier lands on a rung of one ladder — a C nest with literal
+geometry (a fused group, or one statement), the per-statement C entry
+reading its geometry at run time, python slot tape — bitwise identical
+at each; this module is the one
 place that decides which (``docs/reliability.md``).  :func:`lowering_mode`
 is the mode gate (what a binding may do, each "off" with its reason),
 :func:`array_gate` checks concrete arrays against what generated C
@@ -31,6 +33,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
+from ..codegen.base import CodegenError
 from ..codegen.native_c import native_eligibility
 from ..core.fusion import FusionEntry, FusionGroup, describe_groups, plan_groups
 from ..errors import NativeBuildError, NumericalDivergenceError
@@ -52,6 +55,10 @@ class Verdict:
 
     ``statements`` source statements are covered as ``count`` bound
     instances (x array sets; a batch-shifted statement is one).
+    ``geometry`` says where a native statement's bounds and strides
+    come from: ``"literal nest"`` (baked at bind time, axis-0 bounds
+    excepted) or ``"geom entry"`` (the per-statement library's, read
+    per call).
     """
 
     subject: str
@@ -60,6 +67,7 @@ class Verdict:
     statements: int = 1
     count: int = 1
     group: FusionGroup | None = field(default=None, repr=False, compare=False)
+    geometry: str | None = None
 
 
 _warned_lock = threading.Lock()
@@ -307,7 +315,8 @@ def _name(entry) -> str:
 
 
 class Ladder:
-    """One binding's degradation ladder: fused → native → python.
+    """One binding's degradation ladder: literal nest (a fused group or
+    one statement) → per-statement ``geom`` entry → python.
 
     Resolves the library rung and the mode once; :meth:`lower` appends
     one :class:`Verdict` per statement or fused group to ``decisions``
@@ -352,11 +361,14 @@ class Ladder:
         passed the native gate, its unit built on first need.  A failed
         build degrades one rung at a time and says why — a threaded unit
         to the serial library's entry, a serial one to python
-        (``(None, reason)``)."""
+        (``(None, reason)``); so does a statement the unit's printer
+        left out."""
         lib, why = self.lib, None
         while lib is not None:
             try:
                 return lib.stmt_fn(region, si), why
+            except CodegenError as exc:
+                return None, f"C printer refused the statement: {exc}"
             except NativeBuildError as exc:
                 key, why = native.build_refusal(self.kernel.name, lib.nthreads, exc)
                 serial = lib.nthreads == 1
@@ -391,10 +403,14 @@ class Ladder:
 
         *stream* is ``[(region, si, stmt, eff_box)]`` in execution
         order; *members* maps a label (None for a single scenario) to
-        its arrays.  Per fusion group: one fused nest, else each
-        statement's native entry, else ``python_rung(region, si, stmt,
-        eff) -> (rung, runnables)`` — a rung applying only when every
-        member passes its gate.  Returns the runnables in order.
+        its arrays.  Per fusion group: one nest with literal geometry
+        (rung ``fused`` for two or more statements, ``native`` for an
+        unblocked singleton), else each statement's per-statement entry,
+        else ``python_rung(region, si, stmt, eff) -> (rung,
+        runnables)`` — a rung applying only when every member passes
+        its gate.  ``fusion="off"`` plans no groups, so its statements
+        start at the per-statement entry.  Returns the runnables in
+        order.
         """
         mode, lib, kernel = self.mode, self.lib, self.kernel
         dim = len(kernel.counters)
@@ -420,31 +436,39 @@ class Ladder:
         pos = 0
         for n, group in spans:
             fused, unfused = None, mode.fuse_off
-            if group is not None and group.fused:
+            if group is not None and group.entries[0].blocker is None:
                 fused, why = self._every(
                     members,
                     lambda a: native.make_fused_statement(
                         kernel, group.entries, a, nthreads=mode.threads
                     ),
                 )
-                unfused = f"fused nest refused: {why}"
+                kind = "fused" if group.fused else "literal"
+                unfused = f"{kind} nest refused: {why}"
             elif group is not None:
                 unfused = group.reason or "no fusable neighbour"
             if fused is not None:
-                subject = f"statements {_name(stream[pos])} .. {_name(stream[pos + n - 1])}"
-                self.decisions.append(
-                    Verdict(subject, "fused", None, n, n * len(fused), group)
-                )
+                if group.fused:
+                    subject = f"statements {_name(stream[pos])} .. {_name(stream[pos + n - 1])}"
+                    verdict = Verdict(subject, "fused", None, n, n * len(fused), group)
+                else:
+                    verdict = Verdict(
+                        f"statement {_name(stream[pos])}", "native",
+                        group.reason or "no fusable neighbour", 1, len(fused),
+                        group, "literal nest",
+                    )
+                self.decisions.append(verdict)
                 items.extend(fused)
                 pos += n
                 continue
             for i in range(pos, pos + n):
                 region, si, st, eff = stream[i]
-                rung, bound, why = "native", None, refusals[i]
+                rung, bound, why, geometry = "native", None, refusals[i], None
                 if why is None:
                     fn, degraded_why = self._entry(region, si)
                     why = degraded_why or unfused
                     if fn is not None:
+                        geometry = "geom entry"
                         bound = [
                             self.guard(m, lambda: native.make_native_statement(fn, st, a, eff))
                             for m, a in members.items()
@@ -452,7 +476,10 @@ class Ladder:
                 if bound is None:
                     rung, bound = python_rung(region, si, st, eff)
                 self.decisions.append(
-                    Verdict(f"statement {_name(stream[i])}", rung, why, 1, len(bound), group)
+                    Verdict(
+                        f"statement {_name(stream[i])}", rung, why, 1, len(bound),
+                        group, geometry,
+                    )
                 )
                 if mode.watch_off is None:
                     label = f"{st.target.name!r} of region {region.name!r}"
@@ -479,7 +506,15 @@ class Ladder:
 
 
 def _line(v: Verdict, more: str = "") -> str:
-    return f"{v.subject}{more}: {v.rung}" + (f" — {v.reason}" if v.reason else "")
+    return (
+        f"{v.subject}{more}: {v.rung}"
+        + (f" ({v.geometry})" if v.geometry else "")
+        + (f" — {v.reason}" if v.reason else "")
+    )
+
+
+def _fold_key(v: Verdict) -> tuple:
+    return v.rung, v.geometry, v.reason
 
 
 class Lowered:
@@ -535,8 +570,9 @@ class Lowered:
 
     def explain(self) -> list[str]:
         """Human lines (``repro fuse --explain``): the mode, the library
-        rung, each fusion group, each rung with the cause of its refusal;
-        consecutive statements sharing one verdict are folded."""
+        rung, each fusion group, each rung — with a native statement's
+        geometry — and the cause of its refusal; consecutive statements
+        sharing one verdict are folded."""
         lines = [f"mode: {self.mode.threads} native thread(s)"]
         for gate in ("native", "fuse", "chain", "watch"):
             off = getattr(self.mode, f"{gate}_off")
@@ -550,7 +586,7 @@ class Lowered:
         lines.extend(describe_groups(groups))
         run: list[Verdict] = []
         for v in [*verdicts, None]:
-            if run and (v is None or (v.rung, v.reason) != (run[0].rung, run[0].reason)):
+            if run and (v is None or _fold_key(v) != _fold_key(run[0])):
                 lines.append(
                     _line(run[0], f" (+{len(run) - 1} more)" if len(run) > 1 else "")
                 )

@@ -77,8 +77,9 @@ from ..codegen.native_c import (
     PROGRAM_RUNNER_NAME,
     ZERO_FN_NAME,
     generate_fused_source,
-    generate_native_source,
     generate_runtime_source,
+    native_eligibility,
+    native_unit,
     operand_ranks,
 )
 from ..errors import NativeBuildError
@@ -100,6 +101,7 @@ __all__ = [
     "native_gate",
     "make_native_statement",
     "make_fused_statement",
+    "MAX_LITERAL_NESTS",
     "build_refusal",
     "chain_runnables",
 ]
@@ -554,24 +556,34 @@ class NativeLibrary:
     (:func:`~repro.codegen.native_c.generate_runtime_source`), loaded
     when the library is made.  The per-statement entry points (keyed by
     region identity and statement index) live in the kernel's own
-    translation unit, generated eagerly so the manifest is exact but
-    built and loaded single-flight on the first :meth:`stmt_fn` that
-    needs one: a kernel whose statements all run fused never compiles
-    it.  Constructed once per kernel via :func:`library_for_kernel` and
-    shared by every plan/binding of that kernel; it holds no reference
-    to the kernel.
+    translation unit, which is generated, built and loaded
+    single-flight on the first :meth:`stmt_fn` that needs one: a kernel
+    whose statements all run as literal nests never prints or compiles
+    it.  Which statements have an entry is known before that, from
+    :func:`~repro.codegen.native_c.native_eligibility`.  Constructed
+    once per kernel via :func:`library_for_kernel` and shared by every
+    plan/binding of that kernel; it holds the kernel's regions, not the
+    kernel.
     """
 
     def __init__(
-        self, kernel, runners: ctypes.CDLL, source: str, manifest,
-        cc: str, flags: tuple[str, ...], nthreads: int = 1,
+        self, kernel, runners: ctypes.CDLL, cc: str, flags: tuple[str, ...],
+        nthreads: int = 1,
     ):
         self.nthreads = nthreads
         self._region_index = {id(r): ri for ri, r in enumerate(kernel.regions)}
-        self._manifest = manifest
-        self._unit = (source, cc, flags)  # dropped once built
+        dim = len(kernel.counters)
+        self._eligible = frozenset(
+            (ri, si)
+            for ri, region in enumerate(kernel.regions)
+            for si, stmt in enumerate(region.statements)
+            if native_eligibility(stmt, dim, region.dtype) is None
+        )
+        # What the unit is printed and built from; dropped once built.
+        self._unit = (kernel.name, kernel.regions, kernel.counters, cc, flags)
         self._lock = threading.Lock()
         self._fns: dict[tuple[int, int], ctypes._CFuncPtr] | None = None
+        self._refused: dict[tuple[int, int], str] = {}
         self._so_path: Path | None = None
         self._failure: str | None = None
         self.copy_fn = _stmt_fn(runners, COPY_FN_NAME)
@@ -583,7 +595,7 @@ class NativeLibrary:
 
     @property
     def statement_count(self) -> int:
-        return len(self._manifest)
+        return len(self._eligible)
 
     @property
     def so_path(self) -> Path:
@@ -592,7 +604,8 @@ class NativeLibrary:
         return self._so_path
 
     def _entries(self) -> dict:
-        """The per-statement entries, building the unit on first use.
+        """The per-statement entries, printing and building the unit on
+        first use.
 
         Single-flight per library; a failure is kept and raised again
         as :class:`~repro.errors.NativeBuildError` on every later use.
@@ -600,8 +613,12 @@ class NativeLibrary:
         if self._fns is None:
             with self._lock:
                 if self._fns is None and self._failure is None:
+                    name, regions, counters, cc, flags = self._unit
+                    source, manifest, self._refused = native_unit(
+                        name, regions, counters, self.nthreads
+                    )
                     try:
-                        cdll, so_path = _build_and_load(*self._unit)
+                        cdll, so_path = _build_and_load(source, cc, flags)
                     except (NativeBuildError, OSError) as exc:
                         # OSError: an entry still unloadable after
                         # _build_and_load's one-shot self-heal rebuild.
@@ -609,8 +626,8 @@ class NativeLibrary:
                     else:
                         self._so_path = so_path
                         self._fns = {
-                            key: _stmt_fn(cdll, name)
-                            for key, name in self._manifest.items()
+                            key: _stmt_fn(cdll, fn_name)
+                            for key, fn_name in manifest.items()
                         }
                         self._unit = None
         if self._fns is None:
@@ -618,18 +635,24 @@ class NativeLibrary:
         return self._fns
 
     def has_entry(self, region, si: int) -> bool:
-        """Whether statement *si* of *region* was lowered (no build)."""
-        return (self._region_index.get(id(region)), si) in self._manifest
+        """Whether statement *si* of *region* is lowered (no build)."""
+        return (self._region_index.get(id(region)), si) in self._eligible
 
     def stmt_fn(self, region, si: int):
         """The native entry for statement *si* of *region*, or None.
 
         Builds the per-statement unit on first use and raises
-        :class:`~repro.errors.NativeBuildError` when it cannot be built.
+        :class:`~repro.errors.NativeBuildError` when it cannot be built,
+        :class:`~repro.codegen.base.CodegenError` with the printer's
+        reason when it left this statement out.
         """
         if not self.has_entry(region, si):
             return None
-        return self._entries()[(self._region_index[id(region)], si)]
+        key = (self._region_index[id(region)], si)
+        fn = self._entries().get(key)
+        if fn is None:
+            raise CodegenError(self._refused[key])
+        return fn
 
 
 def _stmt_fn(cdll: ctypes.CDLL, name: str):
@@ -660,9 +683,9 @@ def build_refusal(name: str, nthreads: int, exc) -> tuple[str, str]:
 def library_verdict(kernel, nthreads: int = 1):
     """``(library | None, Verdict)`` — the library rung of the ladder.
 
-    ``native`` means the runners object built and the kernel's
-    per-statement unit was generated; that unit is built later, by the
-    first statement bound to it, and a failure there degrades only the
+    ``native`` means the runners object built; the kernel's
+    per-statement unit is printed and built later, by the first
+    statement bound to it, and a failure there degrades only the
     statements that needed it (:class:`~repro.runtime.decisions.Ladder`).
     Memoised on the kernel per thread count with the toolchain used, so
     a memo hit reports the reason the first build did and a toolchain
@@ -703,11 +726,8 @@ def library_verdict(kernel, nthreads: int = 1):
         )
     else:
         try:
-            source, manifest = generate_native_source(kernel, nthreads)
             runners, _ = _build_and_load(generate_runtime_source(), cc)
-            lib = NativeLibrary(
-                kernel, runners, source, manifest, cc, _CFLAGS + omp, nthreads
-            )
+            lib = NativeLibrary(kernel, runners, cc, _CFLAGS + omp, nthreads)
         except (NativeBuildError, OSError) as exc:
             # OSError covers a cache entry that stays unloadable even
             # after _build_and_load's one-shot self-heal rebuild.
@@ -779,7 +799,7 @@ def native_gate(lib: NativeLibrary, region, si: int, stmt, arrays, eff) -> str |
 
 def _pack(fn, names, arrays, geom=(0,)) -> NativeStatement:
     """*fn* bound to one data pointer per name of *names* and the
-    ``geom`` block (unread by a nest with literal geometry)."""
+    ``geom`` block (unread by a fused group's literal nest)."""
     arrs = tuple(arrays[name] for name in names)
     ptrs = (ctypes.c_void_p * len(arrs))(*(a.ctypes.data for a in arrs))
     return NativeStatement(fn, ptrs, (_I64 * len(geom))(*geom), arrs)
@@ -798,16 +818,25 @@ def make_native_statement(fn, stmt, arrays, eff) -> NativeStatement:
     return _pack(fn, ranks, arrays, geom)
 
 
+# Literal nests memoised per kernel (least recently used evicted): one
+# per fusion group or statement and distinct geometry, so a kernel bound
+# at many sizes cannot grow its memo without bound.
+MAX_LITERAL_NESTS = 64
+
+_fused_lock = threading.Lock()
+
+
 def make_fused_statement(
     kernel, entries, arrays, nthreads: int = 1
 ) -> tuple[NativeStatement | None, str | None]:
-    """Bind one fusion group to one generated nest, or ``(None, reason)``.
+    """Bind one fusion group — or one statement — to one generated
+    nest with literal geometry, or ``(None, reason)``.
 
-    *entries* is a fused :class:`~repro.core.fusion.FusionGroup`'s
-    entry tuple (dependence-legal by construction); *arrays* pass the
-    same :func:`~repro.runtime.decisions.array_gate` as one statement,
-    with every access and written name of the group.  The nest runs
-    like any :class:`NativeStatement`, so programs treat it uniformly.
+    *entries* is a :class:`~repro.core.fusion.FusionGroup`'s entry
+    tuple (dependence-legal by construction); *arrays* pass the same
+    :func:`~repro.runtime.decisions.array_gate` as one statement, with
+    every access and written name of the group.  The nest runs like any
+    :class:`NativeStatement`, so programs treat it uniformly.
     ``nthreads > 1`` requests an OpenMP nest (applied only where
     :func:`repro.core.fusion.parallel_safe_group` allows; a compiler
     without OpenMP quietly builds the serial nest).  A refusal, or the
@@ -815,12 +844,16 @@ def make_fused_statement(
     per-statement rungs.
 
     The generated source depends on *arrays* only through their strides
-    (addresses enter through the per-binding pointer block), so the
-    loaded function is memoised on the kernel per (group, strides,
-    thread count, compiler, flags): the rotation parities of a
-    checkpointed plan and the members of an ensemble generate once.
-    The array gate still runs, and the pointer block is still packed,
-    per binding.
+    (addresses enter through the per-binding pointer block), and a
+    one-statement nest's axis-0 bounds enter through its ``geom`` block,
+    so the loaded function is memoised on the kernel per (group, boxes
+    without a singleton's axis 0, strides, thread count, compiler,
+    flags): the rotation parities of a checkpointed plan, the members
+    of an ensemble and the ranks of a sharded plan generate once.  The
+    memo keeps the :data:`MAX_LITERAL_NESTS` most recently used; a
+    binding whose entry was evicted keeps its loaded function.  The
+    array gate still runs, and the pointer and ``geom`` blocks are
+    still packed, per binding.
     """
     cc = native_toolchain()
     if cc is None:
@@ -846,12 +879,20 @@ def make_fused_statement(
     # cannot be reused while it lives; racing binds of one key build the
     # same content-addressed object twice at worst.
     names = dict.fromkeys(acc.name for acc, _box in uses)
+    single = len(entries) == 1
     key = (
-        tuple((id(entry.stmt), entry.box) for entry in entries),
+        tuple(
+            (id(entry.stmt), entry.box[1:] if single else entry.box)
+            for entry in entries
+        ),
         tuple(arrays[name].strides for name in names),
         nthreads, cc, flags,
     )
-    built = kernel._fused.get(key)
+    memo = kernel._fused
+    with _fused_lock:
+        built = memo.get(key)
+        if built is not None:
+            memo.move_to_end(key)
     if built is None:
         try:
             source, fn_name, order = generate_fused_source(
@@ -859,18 +900,26 @@ def make_fused_statement(
             )
             cdll, _ = _build_and_load(source, cc, flags)
         except (CodegenError, NativeBuildError, OSError) as exc:
+            what, rest = (
+                ("literal nest", "the statement falls back to its per-statement entry")
+                if single
+                else ("fused native", "the group falls back to per-statement execution")
+            )
             why = (
-                f"fused native build for kernel {kernel.name!r} failed "
-                f"(cache: {native_cache_dir()}); the group falls back to "
-                f"per-statement execution: {exc}"
+                f"{what} build for kernel {kernel.name!r} failed "
+                f"(cache: {native_cache_dir()}); {rest}: {exc}"
             )
             decisions.degraded(
                 "fused nest", "native", why, key=f"fused-build-failed:{kernel.name}"
             )
             return None, why
-        built = kernel._fused[key] = (_stmt_fn(cdll, fn_name), order, entries)
+        built = (_stmt_fn(cdll, fn_name), order, entries)
+        with _fused_lock:
+            memo[key] = built
+            while len(memo) > MAX_LITERAL_NESTS:
+                memo.popitem(last=False)
     fn, order, _ = built
-    return _pack(fn, order, arrays), None
+    return _pack(fn, order, arrays, entries[0].box[0] if single else (0,)), None
 
 
 # Program entries per foreign call: a long sweep stays interruptible

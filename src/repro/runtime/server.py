@@ -980,9 +980,10 @@ class KernelServer:
 
     # -- request decoding ----------------------------------------------------
 
-    def _parse(self, spec: str) -> tuple[LoopNest, list[str], list[str]]:
+    def _parse(self, spec: str) -> tuple[LoopNest, list[str], list[str], dict]:
         """*spec* parsed under ``self.limits``, memoised with the names of
-        its size symbols and scalar parameters.
+        its size symbols and scalar parameters and a dict from its
+        bindings to their kernel ids (filled by :meth:`_resolve_kernel`).
 
         The key is the spec's SHA-256 digest, not its text (so the memo
         pins no peer-sized strings), and the limits in force: tightening
@@ -1006,7 +1007,7 @@ class KernelServer:
                 return entry
         nest = parse_stencil(spec, limits=limits)
         entry = (nest, [s.name for s in nest.size_symbols()],
-                 [s.name for s in nest.scalar_parameters()])
+                 [s.name for s in nest.scalar_parameters()], {})
         with self._lock:
             entry = self._nests.setdefault(key, entry)
             while len(self._nests) > MAX_KERNELS:
@@ -1025,7 +1026,7 @@ class KernelServer:
                 raise ValidationError(
                     f"dtype must be one of {sorted(_DTYPES)}, got {dtype_tag!r}"
                 )
-            nest, size_names, param_names = self._parse(spec)
+            nest, size_names, param_names, kids = self._parse(spec)
             for what, names, given in (
                 ("size symbols", size_names, sizes),
                 ("scalar parameters", param_names, params),
@@ -1033,14 +1034,27 @@ class KernelServer:
                 missing = [name for name in names if name not in given]
                 if missing:
                     raise ValidationError(f"unbound {what}: {missing}")
-            bindings = Bindings(
-                sizes=sizes, params=params, dtype=_DTYPES[dtype_tag]
-            )
-            kid = kernel_key([nest], bindings, nest.name or "served")
+            # The values' reprs, as kernel_key reads them: 0.0 and -0.0
+            # are equal floats but different kernels.
+            signature = tuple(
+                tuple(sorted((k, repr(v)) for k, v in given.items()))
+                for given in (sizes, params)
+            ) + (dtype_tag,)
+
+            def bindings() -> Bindings:
+                return Bindings(sizes=sizes, params=params, dtype=_DTYPES[dtype_tag])
+
+            kid = kids.get(signature)
+            if kid is None:
+                kid = kernel_key([nest], bindings(), nest.name or "served")
+                with self._lock:
+                    kids[signature] = kid
+                    while len(kids) > MAX_KERNELS:
+                        del kids[next(iter(kids))]
             with self._lock:
                 served = self._kernels.get(kid)
                 if served is None:
-                    served = self._kernels[kid] = _ServedKernel(kid, nest, bindings)
+                    served = self._kernels[kid] = _ServedKernel(kid, nest, bindings())
                     while len(self._kernels) > MAX_KERNELS:
                         self._kernels.popitem(last=False)[1].release()
                 else:

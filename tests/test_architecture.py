@@ -237,7 +237,7 @@ def test_per_statement_unit_is_built_only_by_the_library_loader():
         if called_name(call) == "_build_and_load"
     )
     assert builds == [
-        ("_entries", "*self._unit"),  # NativeLibrary's loader, on first use
+        ("_entries", "source"),  # NativeLibrary's loader, on first use
         ("library_verdict", "generate_runtime_source()"),
         ("make_fused_statement", "source"),
     ], f"native.py builds the per-statement unit only in NativeLibrary._entries: {builds}"

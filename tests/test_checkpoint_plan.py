@@ -398,9 +398,10 @@ def test_ensemble_program_sweep_is_one_batch_one_join(monkeypatch):
 @needs_cc
 @pytest.mark.parametrize("members", [None, 4], ids=["single", "members4"])
 def test_fused_source_is_generated_once_per_group(monkeypatch, members):
-    """The fused C depends on the arrays through their strides only, so
+    """The literal C depends on the arrays through their strides only, so
     the rotation parities (and the ensemble members) of one build share
-    one generated nest per fusion group; a different stride regenerates."""
+    one generated nest per fusion group and per one-statement nest (the
+    primal's); a different stride regenerates."""
     calls = []
     real = native_mod.generate_fused_source
     monkeypatch.setattr(
@@ -412,10 +413,15 @@ def test_fused_source_is_generated_once_per_group(monkeypatch, members):
     plan = prob.checkpointed_adjoint(
         10, steps=4, snaps=2, backend="native", members=members
     )
-    groups = sum(b.fused_group_count for b in (plan._fwd[0], plan._rev[0]))
+    bindings = (plan._fwd[0], plan._rev[0])
+    groups = sum(b.fused_group_count for b in bindings)
+    nests = groups + sum(
+        v.count for b in bindings for v in b.decisions if v.geometry == "literal nest"
+    )
     if members:
         groups //= members
-    assert groups == 2 and len(calls) == groups
+        nests //= members
+    assert groups == 2 and nests == 3 and len(calls) == nests
     plan.close()
 
     # Same kernel, same group, Fortran-ordered arrays: new strides, new C.
@@ -425,9 +431,9 @@ def test_fused_source_is_generated_once_per_group(monkeypatch, members):
         name: np.asfortranarray(np.zeros(shape)) for name in rev_plan.kernel.array_names
     }
     rev_plan.bind(arrays)
-    assert len(calls) == 2 * groups
+    assert len(calls) == nests + groups
     rev_plan.bind({name: arr.copy(order="F") for name, arr in arrays.items()})
-    assert len(calls) == 2 * groups  # same strides again: memo hit
+    assert len(calls) == nests + groups  # same strides again: memo hit
 
 
 # -- ensemble mode ---------------------------------------------------------------

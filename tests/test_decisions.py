@@ -59,8 +59,10 @@ def test_bound_and_ensemble_record_the_same_rungs(name, backend, fusion, check):
     with plan.ensemble(stack_arrays([state])) as ensemble:
         assert ensemble.mode == bound.mode
         assert ensemble.decisions[0] == bound.decisions[0]  # the library rung
-        assert [(d.subject, d.rung, d.reason) for d in ensemble.decisions[1:]] == [
-            (d.subject, ensemble_rung.get(d.rung, d.rung), d.reason)
+        assert [
+            (d.subject, d.rung, d.geometry, d.reason) for d in ensemble.decisions[1:]
+        ] == [
+            (d.subject, ensemble_rung.get(d.rung, d.rung), d.geometry, d.reason)
             for d in bound.decisions[1:]
         ]
         assert ensemble.statement_count == bound.statement_count
@@ -105,6 +107,26 @@ def test_explain_names_the_cause(case, monkeypatch, tmp_path):
         assert bound.fused_group_count == 0
     finally:
         plan.close()
+
+
+@pytest.mark.skipif(not native_available(), reason="no C toolchain")
+@pytest.mark.parametrize(
+    "fusion, line",
+    [
+        ("auto", "native (literal nest) — no fusable neighbour"),
+        ("off", "native (geom entry) — fusion='off'"),
+    ],
+)
+def test_explain_names_each_native_statements_geometry(fusion, line):
+    """A one-statement nest binds with literal geometry unless fusion
+    is off, and ``explain()`` says which one it got."""
+    prob = heat_problem(2)
+    kernel = compile_nests([prob.primal], prob.bindings(12), name="primal")
+    with kernel.plan(backend="native", fusion=fusion) as plan:
+        bound = plan.bind(prob.allocate_state(12, seed=0))
+        assert f"statement heat2d[0] 'u': {line}" in bound.explain()
+        assert bound.native_statement_count == bound.sweep_count == 1
+        assert bound.fused_group_count == 0
 
 
 # -- the sweep rung --------------------------------------------------------------

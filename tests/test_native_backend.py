@@ -345,8 +345,9 @@ def _logging_cc(monkeypatch, tmp_path, fail=()):
     """Point ``REPRO_CC`` at a stub that logs the C source of every
     shared-object build and runs the real compiler — or exits 1 on a
     source matching every ``grep`` pattern in *fail*.  Returns the log's
-    reader: one entry per build, ``"runners"``, ``"fused"`` or the
-    kernel name of a per-statement unit (the probes run beforehand)."""
+    reader: one entry per build, ``"runners"``, ``"fused"``,
+    ``"literal"`` (a one-statement literal nest) or the kernel name of a
+    per-statement unit (the probes run beforehand)."""
     real_cc = native_mod.native_toolchain()
     log = tmp_path / "cc.log"
     stub = tmp_path / "logging-cc"
@@ -376,6 +377,8 @@ def _logging_cc(monkeypatch, tmp_path, fail=()):
                 kinds.append("runners")
             elif "(fused)" in head:
                 kinds.append("fused")
+            elif "(literal nest)" in head:
+                kinds.append("literal")
             else:
                 kinds.append(head.split("kernel '")[1].split("'")[0])
         return sorted(kinds)
@@ -383,12 +386,13 @@ def _logging_cc(monkeypatch, tmp_path, fail=()):
     return built
 
 
-def _first_gradient(n=32, native_threads=1):
-    """The cold workload's shape: wave2d primal (one statement: not
-    fused) then its adjoint (35 statements in two fused nests), bound
-    on one state and run once, bitwise equal to ``interpret_nests``;
-    returns the two bindings.  The width is pinned, so the build plan
-    does not follow ``REPRO_NATIVE_THREADS``."""
+def _first_gradient(n=32, native_threads=1, primal_fusion="auto"):
+    """The cold workload's shape: wave2d primal (one statement: a
+    literal nest, or its per-statement entry under
+    ``primal_fusion="off"``) then its adjoint (35 statements in two
+    fused nests), bound on one state and run once, bitwise equal to
+    ``interpret_nests``; returns the two bindings.  The width is pinned,
+    so the build plan does not follow ``REPRO_NATIVE_THREADS``."""
     prob = wave_problem(2)
     adjoint = list(adjoint_loops(prob.primal, prob.adjoint_map))
     bindings = prob.bindings(n)
@@ -400,7 +404,10 @@ def _first_gradient(n=32, native_threads=1):
     want = {k: v.copy() for k, v in state.items()}
     interpret_nests([prob.primal], want, bindings)
     interpret_nests(adjoint, want, bindings)
-    plans = [k.plan(backend="native", native_threads=native_threads) for k in kernels]
+    plans = [
+        k.plan(backend="native", native_threads=native_threads, fusion=fusion)
+        for k, fusion in zip(kernels, (primal_fusion, "auto"))
+    ]
     bounds = [p.bind(state) for p in plans]
     for bound in bounds:
         bound.run()
@@ -414,12 +421,20 @@ def _first_gradient(n=32, native_threads=1):
 @needs_cc
 def test_cold_first_gradient_builds_only_the_rungs_that_run(monkeypatch, tmp_path):
     """Runners once, the adjoint's two fused nests and the primal's
-    per-statement unit: the adjoint's per-statement unit (35 functions,
-    none of which runs) is never compiled."""
+    literal nest: neither kernel's per-statement unit (35 functions and
+    one, none of which runs) is printed or compiled."""
     built = _logging_cc(monkeypatch, tmp_path)
+    printed = []
+    real = native_mod.native_unit
+    monkeypatch.setattr(
+        native_mod, "native_unit", lambda *a: (printed.append(a[0]), real(*a))[1]
+    )
     primal, adjoint = _first_gradient()
-    assert built() == ["fused", "fused", "runners", "wave2d"]
+    assert built() == ["fused", "fused", "literal", "runners"]
+    assert printed == []
     assert primal.native_statement_count == primal.statement_count == 1
+    assert primal.decisions[1].geometry == "literal nest"
+    assert primal.fused_group_count == 0 and primal.sweep_count == 1
     assert adjoint.fused_statement_count == adjoint.statement_count == 35
     assert adjoint.fused_group_count == 2
 
@@ -478,13 +493,13 @@ def test_failed_per_statement_unit_degrades_only_its_statements(
     monkeypatch, tmp_path
 ):
     """A compiler failing only the per-statement unit: the fused nests
-    stay native, the statement that needed the unit binds to python
-    with the ``build-failed`` verdict (one warning), and the results
-    stay bitwise."""
+    stay native, the statement that needed the unit (the primal under
+    ``fusion="off"``) binds to python with the ``build-failed`` verdict
+    (one warning), and the results stay bitwise."""
     built = _logging_cc(monkeypatch, tmp_path, fail=[_PER_STATEMENT_UNIT])
     decisions_mod._reset_warnings()
     with pytest.warns(RuntimeWarning, match="native build of kernel 'wave2d' failed"):
-        primal, adjoint = _first_gradient()
+        primal, adjoint = _first_gradient(primal_fusion="off")
     assert built() == ["fused", "fused", "runners", "wave2d"]
     assert primal.decisions[0].rung == "native"  # the runners built
     (verdict,) = primal.decisions[1:]
@@ -497,8 +512,9 @@ def test_failed_per_statement_unit_degrades_only_its_statements(
 @needs_cc
 def test_failed_threaded_unit_lands_on_the_serial_library(monkeypatch, tmp_path):
     """The threaded variant: only the OpenMP per-statement unit fails, so
-    its statement binds to the *serial* library's entry — still native,
-    with the ``mt-build-failed`` reason — and the results stay bitwise."""
+    its statement (the primal under ``fusion="off"``) binds to the
+    *serial* library's entry — still native, with the ``mt-build-failed``
+    reason — and the results stay bitwise."""
     if native_mod._omp_cflags(native_mod.native_toolchain()) is None:
         pytest.skip("the compiler cannot build OpenMP code")
     built = _logging_cc(
@@ -506,7 +522,7 @@ def test_failed_threaded_unit_lands_on_the_serial_library(monkeypatch, tmp_path)
     )
     decisions_mod._reset_warnings()
     with pytest.warns(RuntimeWarning, match="threaded native build of kernel 'wave2d'"):
-        primal, adjoint = _first_gradient(native_threads=2)
+        primal, adjoint = _first_gradient(native_threads=2, primal_fusion="off")
     # The threaded unit's failed attempt, then the serial unit.
     assert built() == ["fused", "fused", "runners", "wave2d", "wave2d"]
     (verdict,) = primal.decisions[1:]
@@ -517,6 +533,112 @@ def test_failed_threaded_unit_lands_on_the_serial_library(monkeypatch, tmp_path)
     (stmt,) = primal._serial_items
     assert stmt.fn is serial.stmt_fn(kernel.regions[0], 0)
     assert adjoint.fused_statement_count == adjoint.statement_count == 35
+
+
+@needs_cc
+def test_failed_literal_nest_lands_a_singleton_on_its_per_statement_entry(
+    monkeypatch, tmp_path
+):
+    """A compiler failing only the one-statement literal nest: the
+    primal binds to its per-statement ``geom`` entry — still native,
+    with the refusal as its reason and one warning — the adjoint's
+    fused nests are untouched, and the results stay bitwise."""
+    built = _logging_cc(monkeypatch, tmp_path, fail=["(literal nest)"])
+    decisions_mod._reset_warnings()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        primal, adjoint = _first_gradient()
+    said = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    assert len(said) == 1 and "literal nest build for kernel 'wave2d'" in said[0]
+    assert built() == ["fused", "fused", "literal", "runners", "wave2d"]
+    (verdict,) = primal.decisions[1:]
+    assert (verdict.rung, verdict.geometry) == ("native", "geom entry")
+    assert verdict.reason.startswith("literal nest refused: literal nest build")
+    assert primal.native_statement_count == primal.statement_count == 1
+    assert adjoint.fused_statement_count == adjoint.statement_count == 35
+
+
+@needs_cc
+def test_a_statement_the_unit_printer_refuses_runs_python_and_says_why(monkeypatch):
+    """The per-statement unit is printed on first need, after the gate
+    admitted its statements: one the printer then leaves out binds to
+    python with the printer's reason, and its neighbours stay native."""
+    real = native_mod.native_unit
+
+    def refusing(*args):
+        source, manifest, refused = real(*args)
+        refused[min(manifest)] = "pretend the printer choked"
+        del manifest[min(manifest)]
+        return source, manifest, refused
+
+    monkeypatch.setattr(native_mod, "native_unit", refusing)
+    prob = heat_problem(2)
+    kernel = compile_nests(
+        list(adjoint_loops(prob.primal, prob.adjoint_map)), prob.bindings(10),
+        cache=False,
+    )
+    base = prob.allocate_state(10, seed=3)
+    want = {k: v.copy() for k, v in base.items()}
+    _seed_serial(kernel, want)
+    with kernel.plan(backend="native", fusion="off") as plan:
+        bound = plan.bind(base)
+        bound.run()
+    (verdict,) = [v for v in bound.decisions[1:] if v.rung == "python"]
+    assert verdict.reason == (
+        "C printer refused the statement: pretend the printer choked"
+    )
+    assert bound.native_statement_count == bound.statement_count - 1
+    for name in want:
+        assert base[name].tobytes() == want[name].tobytes(), name
+
+
+@needs_cc
+def test_literal_nest_memo_is_bounded_and_evicted_bindings_keep_running(monkeypatch):
+    """One one-statement kernel bound at more geometries (row strides)
+    than the memo's cap: the memo stays at the cap, every binding —
+    those whose entry was evicted included — runs bitwise equal to the
+    python plan, and an evicted geometry regenerates on its next bind."""
+    monkeypatch.setattr(native_mod, "MAX_LITERAL_NESTS", 3)
+    calls = []
+    real = native_mod.generate_fused_source
+    monkeypatch.setattr(
+        native_mod, "generate_fused_source",
+        lambda *a, **k: (calls.append(1), real(*a, **k))[1],
+    )
+    prob = heat_problem(2)
+    n = 12
+    kernel = compile_nests([prob.primal], prob.bindings(n), cache=False)
+    native, python = kernel.plan(backend="native"), kernel.plan()
+    base = prob.allocate(n, rng=np.random.default_rng(5))
+
+    def padded(pad):
+        """*base* as row-padded views: the same values, another stride."""
+        out = {}
+        for name, arr in base.items():
+            rows, cols = arr.shape
+            out[name] = np.zeros((rows, cols + pad))[:, :cols]
+            out[name][...] = arr
+        return out
+
+    bindings = []
+    for pad in range(5):
+        arrays = padded(pad)
+        bound = native.bind(arrays)
+        assert bound.decisions[1].geometry == "literal nest"
+        bindings.append((arrays, bound))
+        assert len(kernel._fused) <= 3
+    assert len(calls) == 5 and len(kernel._fused) == 3
+    for _ in range(2):
+        for pad, (arrays, bound) in enumerate(bindings):
+            want = {k: v.copy() for k, v in arrays.items()}
+            python.bind(want).run()
+            bound.run()
+            for name in want:
+                assert arrays[name].tobytes() == want[name].tobytes(), (pad, name)
+    native.bind(padded(0))  # evicted first: generated again
+    assert len(calls) == 6 and len(kernel._fused) == 3
+    native.close()
+    python.close()
 
 
 @pytest.fixture

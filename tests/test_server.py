@@ -1569,6 +1569,54 @@ def test_a_memo_hit_checks_names_without_walking_the_nest(
     assert walks == []
 
 
+def raw_reply(raw: socket.socket) -> bytes:
+    """One whole response frame, as the bytes the server sent."""
+
+    def exact(n: int) -> bytes:
+        out = b""
+        while len(out) < n:
+            chunk = raw.recv(n - len(out))
+            assert chunk, "connection closed mid-frame"
+            out += chunk
+        return out
+
+    head = exact(4)
+    body = exact(struct.unpack(">I", head)[0])
+    return head + body + exact(json.loads(body).get("payload", 0))
+
+
+def test_a_memo_hit_computes_no_kernel_key(server_factory, monkeypatch):
+    """A spec's kernel ids are memoised beside its names, per bindings:
+    a hit computes no ``kernel_key`` and replies with the same bytes;
+    new bindings (``-0.0`` is not ``0.0``) compute their own key."""
+    keys = []
+    real = server_module.kernel_key
+    monkeypatch.setattr(
+        server_module, "kernel_key", lambda *a, **k: keys.append(1) or real(*a, **k)
+    )
+    server = server_factory()
+    state = make_state(SMOOTH, SMOOTH_SIZES, SMOOTH_PARAMS, seed=4)
+    payload = b"".join(state[name].tobytes() for name in sorted(state))
+    meta = {name: {"shape": list(state[name].shape), **F64} for name in sorted(state)}
+
+    def reply(params) -> bytes:
+        msg = {**smooth_run(**meta), "params": params, "payload": len(payload)}
+        raw = raw_request(server, msg, payload)
+        try:
+            return raw_reply(raw)
+        finally:
+            raw.close()
+
+    first = reply(SMOOTH_PARAMS)
+    assert len(keys) == 1
+    assert [reply(SMOOTH_PARAMS) for _ in range(3)] == [first] * 3
+    assert len(keys) == 1
+    zeros = [reply({"c": 0.0}), reply({"c": -0.0})]
+    assert len(keys) == 3 and server.stats()["kernels"] == 3
+    assert zeros[0] != zeros[1]  # two kernel ids
+    assert reply({"c": -0.0}) == zeros[1] and len(keys) == 3
+
+
 def test_tightened_limits_parse_again_and_reject(server_factory, parse_calls):
     """``limits`` is public: a nest accepted under looser limits is never
     served once they are tightened, and trusting the peer is its own key."""

@@ -361,6 +361,56 @@ def test_in_process_ranks_keep_the_requested_native_width():
         } == {2}
 
 
+@pytest.mark.skipif(not native_available(), reason="no C toolchain")
+@pytest.mark.parametrize(
+    "use_workers",
+    [pytest.param(True, marks=pytest.mark.skipif(not _FORK, reason="no fork")), False],
+    ids=["forked", "in-process"],
+)
+@pytest.mark.parametrize("nranks", [2, 3])
+@pytest.mark.parametrize("problem", ["heat2d", "wave2d"])
+def test_ranks_share_one_literal_nest_per_statement(
+    monkeypatch, problem, nranks, use_workers
+):
+    """Slabs differ only in their axis-0 rows, which a one-statement
+    literal nest reads from ``geom``: every rank binds the primal to one
+    generated nest (all ranks bind in the caller, before any fork), and
+    the steps stay bitwise equal to the single shard."""
+    from repro.runtime import native as native_mod
+
+    calls = []
+    real = native_mod.generate_fused_source
+    monkeypatch.setattr(
+        native_mod, "generate_fused_source",
+        lambda *a, **k: (calls.append(1), real(*a, **k))[1],
+    )
+    prob = _PROBLEMS[problem]()
+    n = 21
+    fwd = compile_nests([prob.primal], prob.bindings(n), cache=False)
+    ref = prob.allocate(n, rng=np.random.default_rng(4))
+    state = {k: v.copy() for k, v in ref.items()}
+    chain = [prob.output_name, *prob.history_fields()]
+    with fwd.plan() as plan:
+        bound = plan.bind(ref)
+        for _ in range(2):
+            bound.run()
+            _rotate_np(ref, chain)
+    with ShardedPlan(
+        fwd, state, nranks=nranks, halo=1, use_workers=use_workers,
+        config=ExecutionConfig(backend="native"),
+    ) as sp:
+        assert sp.multiprocess == use_workers
+        verdicts = [plans["main"].decisions[1] for plans in sp._bound]
+        assert {(v.rung, v.geometry) for v in verdicts} == {("native", "literal nest")}
+        assert len(calls) == 1
+        for _ in range(2):
+            sp.step(exchange=chain[1:])
+            _rotate_sharded(sp, chain)
+        got = sp.gather(chain)
+    for name in chain:
+        assert got[name].tobytes() == ref[name].tobytes(), name
+
+
 def test_exchange_accumulate_transpose_identity():
     """<F x, y> == <x, F^T y> at the ShardedPlan layer: the forward
     exchange and the accumulate-back are adjoint linear maps on the
