@@ -151,6 +151,20 @@ def _shard_paths(nranks, **config):
             sharded.step(exchange=["u_1"])
             sharded.copy("u_1", "u")
 
+        # For about two seconds after the fork the kernel scheduler keeps
+        # the caller and its worker on one CPU, where the ranks take turns
+        # (timed then, two ranks read 0.82-0.99x of one on a 2-vCPU VM),
+        # and only sharded steps back to back move them apart.  So the
+        # single plan steps for three seconds, then the sharded plan as
+        # many times, which leaves both states equal.
+        steps = 0
+        end = time.perf_counter() + 3.0
+        while time.perf_counter() < end:
+            single_step()
+            steps += 1
+        for _ in range(steps):
+            shard_step()
+
         return [
             Path(single_step, lambda: {k: ref[k] for k in ("u", "u_1")}),
             Path(shard_step, lambda: sharded.gather(["u", "u_1"])),

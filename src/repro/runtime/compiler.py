@@ -10,8 +10,9 @@ becomes a view aligned to that frame, so a statement evaluates in a single
 vectorised expression per region — the Python idiom for a stencil loop.
 
 ``RegionKernel.execute`` accepts an optional sub-box of the region's
-iteration space, which is how the shared-memory parallel executor
-(:mod:`repro.runtime.parallel`) assigns disjoint blocks to threads.
+iteration space, which is how a threaded
+:class:`~repro.runtime.plan.ExecutionPlan` assigns disjoint blocks to
+the threads of its :class:`~repro.runtime.scheduler.WorkerPool`.
 """
 
 from __future__ import annotations

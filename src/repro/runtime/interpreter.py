@@ -1,15 +1,21 @@
 """Reference pointwise interpreter.
 
-Executes loop nests with explicit Python loops, point by point, in exactly
-the order the generated C code would (row-major over the iteration box,
-statements in body order).  It is orders of magnitude slower than the
-compiled slice kernels but serves as the semantic oracle for the test
-suite — in particular for the determinism/ordering discussion of
-Section 3.5, where the *order* of floating-point accumulation matters.
+Executes loop nests with explicit Python loops, point by point: the
+statements of a nest in body order, each over the whole iteration box in
+row-major order — the order every execution tier keeps (NumPy slices and
+per-statement C run a statement over its box before the next, and fusion
+merges statements only where that cannot change a bit).  The order is
+observable where statements ``+=`` into the same element from different
+points (the conventional scatter adjoint).  It is orders of magnitude
+slower than the compiled slice kernels but serves as the semantic oracle
+for the test suite — in particular for the determinism/ordering
+discussion of Section 3.5, where the *order* of floating-point
+accumulation matters.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Mapping, Sequence
 
@@ -23,9 +29,13 @@ from .compiler import _rewrite_derivative_calls
 
 __all__ = ["interpret_nests"]
 
+# The compiled path's Heaviside and DiracDelta evaluate to float64
+# arrays, so a float32 statement using them computes in float64 (which
+# is why the C printer refuses it); strong float64 scalars reproduce that
+# promotion point by point.
 _SCALAR_FALLBACKS = {
-    "Heaviside": lambda x, h=None: 1.0 if x >= 0 else 0.0,
-    "DiracDelta": lambda x: 0.0,
+    "Heaviside": lambda x, h=None: np.float64(1.0 if x >= 0 else 0.0),
+    "DiracDelta": lambda x: np.float64(0.0),
     "Max": max,
     "Min": min,
 }
@@ -39,8 +49,23 @@ def _compile_pointwise(
     """Lambdify a statement RHS for scalar (pointwise) evaluation.
 
     Returns ``(fn, access_patterns, bare_counters)``; the caller evaluates
-    ``fn(*[array[index] for each access], *[counter values])``.
+    ``fn(*[array[index] for each access], *[counter values])``.  Memoised
+    on the statement and the values substituted into it: SymPy's
+    substitution, CSE and lambdify cost more than interpreting a small
+    grid.
     """
+    subs = {**bindings.size_subs(), **bindings.param_subs()}
+    return _pointwise(
+        stmt_rhs,
+        tuple(counters),
+        tuple(sorted(subs.items())),
+        tuple(sorted(bindings.functions.items())),
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _pointwise(stmt_rhs, counters, subs, functions):
+    bindings = Bindings(sizes=dict(subs), functions=dict(functions))
     rhs = bindings.substitute(_rewrite_derivative_calls(stmt_rhs))
     accesses, _calls = classify_applied(rhs, counters)
     placeholders = []
@@ -56,8 +81,15 @@ def _compile_pointwise(
         (s for s in rhs_sub.free_symbols if s in counters),
         key=lambda s: list(counters).index(s),
     )
-    modules = [dict(_SCALAR_FALLBACKS), dict(bindings.functions), "math"]
-    fn = sp.lambdify(placeholders + bare, rhs_sub, modules=modules)
+    # NumPy's functions keep a float32 operand in float32 (``math`` would
+    # widen it), and the statement is evaluated in the compiler's CSE
+    # form, which can regroup a product: the same operations on the same
+    # operands as the compiled code, one point at a time.
+    modules = [dict(_SCALAR_FALLBACKS), dict(bindings.functions), "numpy"]
+    program = sp.cse(rhs_sub, list=False)
+    fn = sp.lambdify(
+        placeholders + bare, rhs_sub, modules=modules, cse=lambda _expr: program
+    )
     return fn, patterns, bare
 
 
@@ -67,6 +99,7 @@ def interpret_nests(
     bindings: Bindings,
 ) -> None:
     """Execute loop nests pointwise on the given arrays, in order."""
+    counter_type = np.dtype(bindings.dtype).type
     for nest in nests:
         counters = nest.counters
         axis_of = {c: d for d, c in enumerate(counters)}
@@ -90,23 +123,28 @@ def interpret_nests(
                 guard_expr = bindings.substitute(stmt.guard)
                 guard_fn = sp.lambdify(list(counters), guard_expr, modules=["math"])
             compiled.append((stmt, fn, patterns, bare, lhs_pat, guard_fn))
-        for point in itertools.product(*ranges):
-            env = dict(zip(counters, point))
-            for stmt, fn, patterns, bare, lhs_pat, guard_fn in compiled:
+        for stmt, fn, patterns, bare, lhs_pat, guard_fn in compiled:
+            for point in itertools.product(*ranges):
                 if guard_fn is not None and not guard_fn(*point):
                     continue
+                env = dict(zip(counters, point))
                 args = []
                 for pat in patterns:
                     idx = tuple(
                         env[c] + o for c, o in zip(pat.counters, pat.offsets)
                     )
                     args.append(arrays[pat.name][idx])
-                args.extend(env[c] for c in bare)
-                val = fn(*args)
+                # Counters enter in the kernel dtype, as the compiled
+                # statements' counter ranges do.
+                args.extend(counter_type(env[c]) for c in bare)
+                target = arrays[lhs_pat.name]
+                # A value is rounded to the target's dtype before it is
+                # accumulated, as the compiled statements do.
+                val = target.dtype.type(fn(*args))
                 tidx = tuple(
                     env[c] + o for c, o in zip(lhs_pat.counters, lhs_pat.offsets)
                 )
                 if stmt.op == "+=":
-                    arrays[lhs_pat.name][tidx] += val
+                    target[tidx] += val
                 else:
-                    arrays[lhs_pat.name][tidx] = val
+                    target[tidx] = val

@@ -46,8 +46,8 @@ Compiler invocation is hardened against the real world: every build
 runs under a subprocess timeout (``REPRO_CC_TIMEOUT``, default 300 s —
 a hung compiler must not hang the runtime), transient spawn failures
 and signal-killed compilers are retried with exponential backoff
-(``REPRO_CC_RETRIES``/``REPRO_CC_BACKOFF``), and anything that still
-fails degrades to the python path through
+(:data:`CC_RETRIES` retries from :data:`CC_BACKOFF` seconds), and
+anything that still fails degrades to the python path through
 :class:`~repro.errors.NativeBuildError`.  The fault points
 ``native.toolchain``, ``native.cc.spawn``, ``native.cc.timeout``,
 ``native.cache.write`` and ``native.cache.load`` (see
@@ -231,22 +231,23 @@ def _env_limit(name: str, default: float, minimum: float = 0.0) -> float:
     return value if value >= minimum else default
 
 
+# Extra attempts after a *transient* compiler failure, and the first
+# sleep between attempts in seconds (doubled each retry).
+CC_RETRIES = 2
+CC_BACKOFF = 0.05
+
+
 def _cc_limits() -> tuple[float, int, float]:
     """(timeout seconds, retries, initial backoff seconds) for cc runs.
 
-    Environment knobs, all optional (invalid values fall back to the
-    defaults rather than erroring — a misconfigured knob must not take
-    the build path down):
-
-    ``REPRO_CC_TIMEOUT``  seconds before a compile is declared hung
-    (default 300); ``REPRO_CC_RETRIES`` extra attempts after a
-    *transient* failure (default 2); ``REPRO_CC_BACKOFF`` initial sleep
-    between attempts, doubled each retry (default 0.05).
+    The timeout is the one environment knob, for slow build machines:
+    ``REPRO_CC_TIMEOUT`` seconds before a compile is declared hung
+    (default 300; an invalid value falls back to the default rather
+    than erroring — a misconfigured knob must not take the build path
+    down).  Retries and backoff are :data:`CC_RETRIES` and
+    :data:`CC_BACKOFF`.
     """
-    timeout = _env_limit("REPRO_CC_TIMEOUT", 300.0)
-    retries = int(_env_limit("REPRO_CC_RETRIES", 2.0))
-    backoff = _env_limit("REPRO_CC_BACKOFF", 0.05)
-    return timeout, retries, backoff
+    return _env_limit("REPRO_CC_TIMEOUT", 300.0), CC_RETRIES, CC_BACKOFF
 
 
 def _invoke_cc(cmd: list[str], what: str) -> subprocess.CompletedProcess:
@@ -260,7 +261,7 @@ def _invoke_cc(cmd: list[str], what: str) -> subprocess.CompletedProcess:
     * **Transient** (``OSError``/``SubprocessError`` from the spawn,
       or the compiler killed by a signal — negative returncode, e.g.
       the OOM killer or a crashing wrapper script): retried up to
-      ``REPRO_CC_RETRIES`` times with exponential backoff.
+      :data:`CC_RETRIES` times with exponential backoff.
     * **Deterministic** (nonzero exit status): the source does not
       compile; retrying cannot help.  Returned to the caller, which
       raises :class:`~repro.errors.NativeBuildError` with the diagnostics.

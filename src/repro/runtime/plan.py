@@ -357,6 +357,17 @@ class ExecutionPlan:
                     f"(offset {shard.slab_lo}), which would change the "
                     f"counter's value"
                 )
+            if shard.slab_extent > shard.own_hi - shard.own_lo + 1:
+                for st in region.statements:
+                    if any(axis == 0 and off for axis, off in st.target.slots):
+                        raise ValidationError(
+                            f"kernel {kernel.name!r} region {region.name!r} "
+                            f"writes {st.target.name!r} at an axis-0 offset "
+                            f"(scatter form); rows a rank writes in its "
+                            f"halo belong to a neighbour, and merging them "
+                            f"back would add them in a different order "
+                            f"than the unsharded run"
+                        )
             bounds = ((lo, hi),) + tuple(region.bounds[1:])
             region_plans.append(
                 cls._plan_region(

@@ -120,7 +120,6 @@ __all__ = [
     "MAX_LEASES",
     "MAX_WARM",
     "Frame",
-    "decode_array",
     "encode_array",
     "inline_arrays",
     "recv_frame",
@@ -354,12 +353,15 @@ def encode_array(arr: np.ndarray) -> dict:
     """Base64 form of *arr*: raw bytes, base64 — bitwise exact.  The
     wire no longer uses it (inline state travels in the frame's raw
     payload, see :func:`send_frame`); it stays for callers that want a
-    JSON-only form.
+    JSON-only form; ``base64.b64decode(meta["data"])`` reads it back.
 
+    >>> import base64
     >>> import numpy as np
     >>> meta = encode_array(np.array([1.5, -2.25]))
     >>> sorted(meta)
     ['data', 'dtype', 'shape']
+    >>> np.frombuffer(base64.b64decode(meta["data"]), dtype=meta["dtype"])
+    array([ 1.5 , -2.25])
     """
     arr = np.ascontiguousarray(arr)
     return {
@@ -392,30 +394,6 @@ def _array_meta(
     if nbytes > MAX_FRAME_BYTES:
         raise error(f"state entry {name!r} is {nbytes} bytes, over the cap")
     return shape, dtype, nbytes
-
-
-def decode_array(meta, name: str, error=ValidationError) -> np.ndarray:
-    """Inverse of :func:`encode_array`: a fresh array from its base64 form.
-
-    Malformed input raises *error* (a :class:`ValidationError` unless
-    the caller names another).
-
-    >>> import numpy as np
-    >>> decode_array(encode_array(np.array([1.5, -2.25])), "u")
-    array([ 1.5 , -2.25])
-    """
-    shape, dtype, nbytes = _array_meta(meta, name, error)
-    try:
-        raw = base64.b64decode(meta["data"], validate=True)
-    except Exception as exc:
-        raise error(
-            f"state entry {name!r} carries undecodable data: {exc}"
-        ) from exc
-    if len(raw) != nbytes:
-        raise error(
-            f"state entry {name!r}: got {len(raw)} bytes, expected {nbytes}"
-        )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 # -- state-shape inference ----------------------------------------------------

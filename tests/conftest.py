@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import glob
+import os
+import threading
+from multiprocessing import resource_tracker
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -16,24 +23,83 @@ from repro.apps import (
 )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "lattice_full: the full product of the execution lattice's axes "
+        "(tests/test_lattice.py; the default run covers every pair)",
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture
-def new_pool_threads():
-    """Callable: the live worker-pool threads started since the test began
-    (memoised plans from earlier tests may still hold theirs)."""
-    import threading
+@dataclasses.dataclass(frozen=True)
+class Resources:
+    """What a test can start and must close: the runtime's named threads,
+    this process's children, its sharded-plan segments and its open file
+    descriptors."""
 
-    def pool_threads():
-        return {
-            t for t in threading.enumerate() if t.name.startswith("repro-pool-")
-        }
+    threads: frozenset = frozenset()
+    children: frozenset = frozenset()
+    segments: frozenset = frozenset()
+    fds: frozenset = frozenset()
 
-    before = pool_threads()
-    return lambda: pool_threads() - before
+    @classmethod
+    def now(cls) -> "Resources":
+        children = set()
+        for task in os.listdir("/proc/self/task"):
+            try:
+                with open(f"/proc/self/task/{task}/children") as f:
+                    children.update(f.read().split())
+            except OSError:  # the thread exited meanwhile
+                pass
+        return cls(
+            threads=frozenset(
+                t for t in threading.enumerate()
+                if t.name.startswith(("repro-pool-", "repro-serve-"))
+            ),
+            children=frozenset(children),
+            segments=frozenset(glob.glob(f"/dev/shm/repro_shard_{os.getpid()}_*")),
+            fds=frozenset(os.listdir("/proc/self/fd")),
+        )
+
+    def __sub__(self, other: "Resources") -> "Resources":
+        return Resources(*(
+            getattr(self, f.name) - getattr(other, f.name)
+            for f in dataclasses.fields(self)
+        ))
+
+    def __bool__(self) -> bool:
+        return any(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    def threads_named(self, prefix: str) -> set:
+        return {t for t in self.threads if t.name.startswith(prefix)}
+
+
+# The shared-memory resource tracker is one helper process per
+# interpreter, started by the first segment anyone creates; starting it
+# up front keeps it out of every test's census.
+resource_tracker.ensure_running()
+
+
+@pytest.fixture(autouse=True)
+def started():
+    """Callable: the :class:`Resources` started since the test began.
+
+    After the test, anything it started and did not close fails it (a
+    garbage collection first, so an object freed only by the cycle
+    collector is not counted).
+    """
+    before = Resources.now()
+    yield lambda: Resources.now() - before
+    left = Resources.now() - before
+    if left:
+        gc.collect()
+        left = Resources.now() - before
+    assert not left, f"the test left behind {left}"
 
 
 @pytest.fixture

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from repro.apps import heat_problem, wave_problem
-from repro.baselines.scatter import tapenade_style_adjoint
+from repro.apps import heat_problem
 from repro.core import adjoint_loops, make_loop_nest
 from repro.runtime import Bindings, KernelError, compile_nests
 from repro.runtime.bound import _COUNTER_CACHE
+from test_lattice import app, runs
 
 
 def _seed_serial(kernel, arrays):
@@ -37,79 +37,17 @@ def _adjoint_case(prob, n, rng, dtype):
     return kernel, base
 
 
-CONFIGS = [
-    ("serial", dict()),
-    ("threads4", dict(num_threads=4, min_block_iterations=1)),
-]
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
-@pytest.mark.parametrize("label,config", CONFIGS, ids=[c[0] for c in CONFIGS])
-def test_bound_bitwise_identical_to_seed_serial(
-    any_problem, rng, dtype, label, config
-):
-    """Unbound reference and bound runs (first run and replay) equal the
-    seed serial path bitwise."""
-    prob, n = any_problem
-    kernel, base = _adjoint_case(prob, n, rng, dtype)
-
-    ref = {k: v.copy() for k, v in base.items()}
-    _seed_serial(kernel, ref)
-
-    got = {k: v.copy() for k, v in base.items()}
-    plan = kernel.plan(**config)
-    try:
-        # The allocating reference walks this config's decomposition
-        # serially and never binds.
-        plan.close()
-        unbound = {k: v.copy() for k, v in base.items()}
-        plan.run_unbound(unbound)
-        assert not plan._bound_memo
-        for name in ref:
-            np.testing.assert_array_equal(ref[name], unbound[name])
-        bound = plan.bind(got)
-        bound.run()
-        for name in ref:
-            np.testing.assert_array_equal(ref[name], got[name])
-        # Steady-state replay (in-place value reset keeps the binding
-        # valid) must stay bitwise identical to the first run.
-        for name, arr in base.items():
-            got[name][...] = arr
-        bound.run()
-        for name in ref:
-            np.testing.assert_array_equal(ref[name], got[name])
-    finally:
-        plan.close()
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("threads", [1, 4], ids=["serial", "threads4"])
+def test_bound_bitwise_identical_to_seed_serial(any_problem, dtype, threads, request):
+    """Alias of the lattice's bound node (``tests/test_lattice.py``)."""
+    runs("bound", app(request), dtype=dtype, num_threads=min(threads, 3))
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-def test_bound_scatter_matches_unbound(rng, threads):
-    """The bound scatter adjoint equals the unbound reference path,
-    on the first run and on a replay."""
-    prob = wave_problem(2)
-    n = 16
-    scat = tapenade_style_adjoint(prob.primal, prob.adjoint_map)
-    kernel = compile_nests([scat], prob.bindings(n))
-    base = prob.allocate(n, rng=rng)
-    base.update(prob.allocate_adjoints(n, rng=rng))
-
-    unbound = {k: v.copy() for k, v in base.items()}
-    bound_arrays = {k: v.copy() for k, v in base.items()}
-    plan = kernel.plan(num_threads=threads, min_block_iterations=1)
-    try:
-        plan.run_unbound(unbound)
-        bound = plan.bind(bound_arrays)
-        bound.run()
-        for name in base:
-            np.testing.assert_array_equal(unbound[name], bound_arrays[name])
-        # Replay from the same inputs: still identical.
-        for name, arr in base.items():
-            bound_arrays[name][...] = arr
-        bound.run()
-        for name in base:
-            np.testing.assert_array_equal(unbound[name], bound_arrays[name])
-    finally:
-        plan.close()
+def test_bound_scatter_matches_unbound(threads):
+    """Alias of the lattice's bound node of the scatter adjoint."""
+    runs("bound", "scatter_wave2d", num_threads=min(threads, 3))
 
 
 def _bare_counter_kernel(size):

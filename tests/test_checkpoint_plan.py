@@ -39,6 +39,7 @@ from repro.runtime import (
     native_available,
 )
 from repro.runtime import native as native_mod
+from test_lattice import runs
 
 needs_cc = pytest.mark.skipif(not native_available(), reason="no C toolchain")
 
@@ -68,75 +69,13 @@ def _inputs(prob, n, dtype=np.float64, seed_offset=0):
     return state0, seed, constants
 
 
-def _reference_store_all(prob, n, steps, state0, seed, constants, dtype):
-    """Store-all adjoint via unbound kernel calls — independent of the
-    checkpoint runtime's buffers, bindings and schedule execution."""
-    shape = prob.array_shape(n)
-    bindings = prob.bindings(n, dtype=dtype)
-    fwd = compile_nests([prob.primal], bindings)
-    adj = compile_nests(adjoint_loops(prob.primal, prob.adjoint_map), bindings)
-    history = prob.history_fields()
-    name_map = prob.adjoint_name_map()
-    h = len(history)
-
-    states = [tuple(arr.copy() for arr in state0)]
-    for _ in range(steps):
-        arrays = {prob.output_name: np.zeros(shape, dtype=dtype), **constants}
-        arrays.update(
-            {history[k]: states[-1][k] for k in range(h)}
-        )
-        fwd(arrays)
-        states.append((arrays[prob.output_name], *states[-1][:h - 1]))
-
-    lam = [seed.copy()] + [np.zeros(shape, dtype=dtype) for _ in range(h - 1)]
-    const_adj = {
-        name_map[c]: np.zeros(shape, dtype=dtype)
-        for c in prob.constant_fields()
-        if c in name_map
-    }
-    for t in reversed(range(steps)):
-        arrays = {
-            name_map[prob.output_name]: lam[0].copy(),
-            **{history[k]: states[t][k] for k in range(h)},
-            **{
-                name_map[history[k]]: (
-                    lam[k + 1].copy() if k + 1 < h else np.zeros(shape, dtype=dtype)
-                )
-                for k in range(h)
-            },
-            **constants,
-            **const_adj,
-        }
-        adj(arrays)
-        lam = [arrays[name_map[history[k]]] for k in range(h)]
-    out = {name_map[history[k]]: lam[k] for k in range(h)}
-    out.update(const_adj)
-    return out
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
 @pytest.mark.parametrize("label", sorted(PROBLEMS))
 def test_checkpointed_bitwise_identical_to_store_all(label, backend, dtype):
-    factory, n = PROBLEMS[label]
-    prob = factory()
-    steps, snaps = 9, 3
-    state0, seed, constants = _inputs(prob, n, dtype)
-    plan = prob.checkpointed_adjoint(
-        n, steps=steps, snaps=snaps, dtype=dtype, backend=backend,
-        constants=constants,
-    )
-    ref = {k: v.copy() for k, v in plan.run_store_all(state0, seed).items()}
-    out = plan.adjoint(state0, seed)
-    assert sorted(out) == sorted(ref)
-    for k in ref:
-        assert _bitwise(out[k], ref[k]), f"{k} diverged from store-all"
-
-    indep = _reference_store_all(prob, n, steps, state0, seed, constants, dtype)
-    for k in indep:
-        assert _bitwise(out[k], indep[k]), (
-            f"{k} diverged from the independent unbound reference"
-        )
+    """Alias of the lattice's checkpointed node (``tests/test_lattice.py``)."""
+    runs("checkpointed", label, dtype=dtype, backend=backend, snaps=3,
+         rung="per-action", transactional=False)
 
 
 @pytest.mark.parametrize("snaps", [1, 2, 4, 9])
@@ -266,57 +205,15 @@ def _copied(result):
     "members, workers", [(None, 1), (3, 1), (3, 2)], ids=["single", "m3w1", "m3w2"]
 )
 @pytest.mark.parametrize("snaps", [1, 3, 7])
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
 @pytest.mark.parametrize("label", ["heat1d", "heat2d", "wave2d"])
 def test_program_sweep_bitwise_identical_to_every_oracle(
     label, dtype, snaps, members, workers
 ):
-    """Program rung == per-action rung == store-all == the independent
-    unbound reference, for ``adjoint`` and ``run_forward``, and the
-    bookkeeping a sweep leaves behind is the per-action sweep's."""
-    factory, n = PROBLEMS[label]
-    prob = factory()
-    steps = 7
-    cases = [_inputs(prob, n, dtype, seed_offset=m) for m in range(members or 1)]
-    constants = cases[0][2]
-    if members is None:
-        state0, seed = cases[0][0], cases[0][1]
-    else:
-        state0 = [np.stack(fields) for fields in zip(*(c[0] for c in cases))]
-        seed = np.stack([c[1] for c in cases])
-    with prob.checkpointed_adjoint(
-        n, steps=steps, snaps=snaps, dtype=dtype, backend="native",
-        constants=constants, members=members, workers=workers,
-    ) as plan:
-        assert plan.sweep.rung == "program" and plan.sweep.reason is None
-        assert plan.explain()[0].startswith("sweep: program (")
-
-        out = _copied(plan.adjoint(state0, seed))
-        after = (plan.forward_steps, plan._live)
-        again = _copied(plan.adjoint(state0, seed))
-        final = plan.run_forward(state0)
-        after_forward = (plan.forward_steps, plan._live)
-        with _per_action():
-            oracle = _copied(plan.adjoint(state0, seed))
-            assert (plan.forward_steps, plan._live) == after
-            oracle_final = plan.run_forward(state0)
-            assert (plan.forward_steps, plan._live) == after_forward
-        store_all = _copied(plan.run_store_all(state0, seed))
-
-    assert after[0] == optimal_cost(steps, snaps) - steps
-    assert after_forward == (steps, steps % (len(state0) + 1))
-    assert sorted(out) == sorted(oracle)
-    for k in out:
-        assert _bitwise(out[k], oracle[k]), f"{k}: program != per-action"
-        assert _bitwise(again[k], oracle[k]), f"{k}: second program sweep"
-        assert _bitwise(out[k], store_all[k]), f"{k}: program != store-all"
-    for got, want in zip(final, oracle_final):
-        assert _bitwise(got, want), "run_forward: program != per-action"
-    for m, (s0, sd, _) in enumerate(cases):
-        indep = _reference_store_all(prob, n, steps, s0, sd, constants, dtype)
-        for k in indep:
-            member = out[k] if members is None else out[k][m]
-            assert _bitwise(member, indep[k]), f"{k}: member {m} != reference"
+    """Alias of the lattice's native checkpointed node on the program
+    rung: the one-FFI-call sweep equals the interpreter's store-all."""
+    runs("checkpointed", label, dtype=dtype, backend="native", check="none",
+         snaps=min(snaps, 3), members=members and 2, transactional=False)
 
 
 @needs_cc
@@ -482,7 +379,7 @@ def test_ensemble_workers_do_not_change_bits():
             assert _bitwise(out[k], ref[k])
 
 
-def test_checkpointed_ensemble_holds_one_pool_per_plan(new_pool_threads):
+def test_checkpointed_ensemble_holds_one_pool_per_plan(started):
     """The 2 * (h + 1) parity bindings borrow their plan's worker pool:
     one pool for the forward plan, one for the reverse plan — never one
     per binding — and ``close()`` releases both."""
@@ -496,9 +393,9 @@ def test_checkpointed_ensemble_holds_one_pool_per_plan(new_pool_threads):
     assert len(plan._fwd) + len(plan._rev) == 6
     state0 = [rng.standard_normal((members, *shape)) * 0.1 for _ in range(2)]
     plan.adjoint(state0, rng.standard_normal((members, *shape)))
-    assert 0 < len(new_pool_threads()) <= 2 * workers
+    assert 0 < len(started().threads_named("repro-pool-")) <= 2 * workers
     plan.close()
-    assert not new_pool_threads()
+    assert not started().threads_named("repro-pool-")
 
 
 @pytest.mark.parametrize(

@@ -21,9 +21,10 @@ import pytest
 from repro.apps import burgers_problem, heat_problem, wave_problem
 from repro.core import adjoint_loops
 from repro.errors import NativeBuildError
-from repro.runtime import compile_nests, faults, native_available, stack_arrays
+from repro.runtime import compile_nests, faults, native_available
 from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
+from test_lattice import runs
 
 PROBLEMS = {
     "heat2d": (lambda: heat_problem(2), 12),
@@ -45,28 +46,11 @@ def _kernel(name, **kwargs):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_bound_and_ensemble_record_the_same_rungs(name, backend, fusion, check):
-    """A one-member ensemble decides exactly what a bound plan decides.
-
-    The single exception is the ensemble's own last rung: a statement
-    that reaches the python rung and evaluates elementwise (every
-    statement of these apps) binds batch-shifted instead.
-    """
-    ensemble_rung = {"python": "batched"}
-    prob, n, kernel = _kernel(name)
-    plan = kernel.plan(backend=backend, fusion=fusion, check=check)
-    state = prob.allocate_state(n, seed=0)
-    bound = plan.bind(state)
-    with plan.ensemble(stack_arrays([state])) as ensemble:
-        assert ensemble.mode == bound.mode
-        assert ensemble.decisions[0] == bound.decisions[0]  # the library rung
-        assert [
-            (d.subject, d.rung, d.geometry, d.reason) for d in ensemble.decisions[1:]
-        ] == [
-            (d.subject, ensemble_rung.get(d.rung, d.rung), d.geometry, d.reason)
-            for d in bound.decisions[1:]
-        ]
-        assert ensemble.statement_count == bound.statement_count
-        assert ensemble.sweep_count == bound.sweep_count
+    """Alias of the lattice's one-member ensemble node, which asserts that
+    the ensemble decides exactly what a bound plan decides (an
+    elementwise python statement binds batch-shifted instead)."""
+    runs("ensemble", name, backend=backend, fusion=fusion, check=check,
+         members=1, transactional=False)
 
 
 EXPLAIN_CASES = {

@@ -4,8 +4,10 @@ The contract: an :class:`~repro.runtime.ensemble.EnsemblePlan` over
 stacked member states produces, for every member, exactly the bits a
 single-scenario :class:`~repro.runtime.bound.BoundPlan` run produces —
 across applications, backends, plan disciplines, dtypes, worker counts
-and chunkings.  Plus unit coverage of the work-stealing scheduler and
-the binding/validation surface.
+and chunkings (asserted by the execution lattice,
+``tests/test_lattice.py``).  Plus unit coverage of the runtime's one
+thread pool, :class:`~repro.runtime.scheduler.WorkerPool` (one shared
+first-in first-out task deque), and the binding/validation surface.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.runtime import (
     native_available,
     stack_arrays,
 )
+from test_lattice import runs
 
 PROBLEMS = {
     "heat2d": (lambda: heat_problem(2), 12),
@@ -72,57 +75,32 @@ def _assert_members_match(ensemble, refs):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
 @pytest.mark.parametrize("prob_name", sorted(PROBLEMS))
 def test_batched_equals_looped(prob_name, dtype, backend):
-    factory, n = PROBLEMS[prob_name]
-    prob = factory()
-    kernel = _kernel(prob, n, dtype=dtype)
-    plan = kernel.plan(backend=backend)
-    states = _member_states(prob, n, members=5, dtype=dtype)
-    refs = _looped_reference(plan, states, steps=3)
-    with EnsemblePlan(plan, stack_arrays(states)) as ensemble:
-        for _ in range(3):  # first run records replay tapes, then replays
-            ensemble.run()
-        _assert_members_match(ensemble, refs)
+    """Alias of the lattice's ensemble node (``tests/test_lattice.py``)."""
+    runs("ensemble", prob_name, dtype=dtype, backend=backend, members=3,
+         transactional=False)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_batched_equals_looped_threaded_plans(backend):
-    """Threaded member plans — the worker pool on python, OpenMP nests
-    on native — match their looped members."""
-    prob = heat_problem(2)
-    kernel = _kernel(prob, 12)
-    states = _member_states(prob, 12, members=4)
+    """Alias of the lattice's ensemble node over threaded member plans —
+    the worker pool on python, OpenMP nests on native."""
     knob = "native_threads" if backend == "native" else "num_threads"
-    plan = kernel.plan(backend=backend, min_block_iterations=1, **{knob: 2})
-    refs = _looped_reference(plan, states, steps=2)
-    with EnsemblePlan(plan, stack_arrays(states)) as ensemble:
-        ensemble.run()
-        ensemble.run()
-        _assert_members_match(ensemble, refs)
+    runs("ensemble", "heat2d", backend=backend, members=3,
+         transactional=False, **{knob: 2})
 
 
 @pytest.mark.parametrize(
     "workers,members",
-    # None: the suite's usual 7 members.  11 x 2 and 17 x 3 split into
-    # uneven chunks (8 of 2,2,2,1,...; 12 of 2,2,2,2,2,1,...).
     [(1, None), (2, None), (3, 5), (2, 4), (2, 11), (3, 17)],
 )
 def test_worker_and_chunk_count_never_change_results(workers, members):
-    """Scheduler determinism: results are bitwise independent of threading."""
-    prob = wave_problem(2)
-    kernel = _kernel(prob, 10)
-    plan = kernel.plan()
-    states = _member_states(prob, 10, members=members or 7)
-    refs = _looped_reference(plan, states, steps=2)
-    with EnsemblePlan(plan, stack_arrays(states), workers=workers) as ensemble:
-        assert ensemble.chunk_count == (
-            1 if workers == 1 else min(len(states), 4 * workers)
-        )
-        ensemble.run()
-        ensemble.run()
-        _assert_members_match(ensemble, refs)
+    """Alias of the lattice's ensemble node: nine members over two
+    workers run as eight uneven chunks."""
+    runs("ensemble", "wave2d", workers=min(workers, 2), transactional=False,
+         members=3 if members is not None and members < 9 else 9)
 
 
 @pytest.mark.skipif(not native_available(), reason="no C toolchain")
@@ -328,7 +306,7 @@ def test_plan_ensemble_entry_point():
         ensemble.run()
 
 
-# -- the work-stealing scheduler ----------------------------------------------
+# -- the worker pool -----------------------------------------------------------
 
 
 def test_scheduler_runs_every_task_and_is_reusable():

@@ -239,7 +239,7 @@ def test_flaky_compiler_is_retried_and_recovers(fresh_native, monkeypatch):
     with native_mod._toolchain_lock:
         native_mod._toolchain_memo.clear()
     monkeypatch.setenv("REPRO_CC", cc)
-    monkeypatch.setenv("REPRO_CC_BACKOFF", "0")
+    monkeypatch.setattr(native_mod, "CC_BACKOFF", 0.0)
     kernel, base = _fresh_case()
     ref = _reference(kernel, base)
     got = {k: v.copy() for k, v in base.items()}
@@ -264,7 +264,7 @@ def test_deterministic_compile_failure_is_not_retried(fresh_native, monkeypatch)
         "echo 'fatal error: no' >&2\nexit 1\n",
     )
     monkeypatch.setenv("REPRO_CC", cc)
-    monkeypatch.setenv("REPRO_CC_BACKOFF", "0")
+    monkeypatch.setattr(native_mod, "CC_BACKOFF", 0.0)
     kernel, base = _fresh_case()
     ref = _reference(kernel, base)
     got = {k: v.copy() for k, v in base.items()}
@@ -280,12 +280,11 @@ def test_deterministic_compile_failure_is_not_retried(fresh_native, monkeypatch)
 
 def test_cc_limit_knobs_fall_back_on_invalid_values(monkeypatch):
     monkeypatch.setenv("REPRO_CC_TIMEOUT", "not-a-number")
-    monkeypatch.setenv("REPRO_CC_RETRIES", "-3")
-    monkeypatch.setenv("REPRO_CC_BACKOFF", "0.25")
-    timeout, retries, backoff = native_mod._cc_limits()
-    assert timeout == 300.0  # unparsable -> default
-    assert retries == 2  # negative -> default
-    assert backoff == 0.25  # valid values win
+    assert native_mod._cc_limits()[0] == 300.0  # unparsable -> default
+    monkeypatch.setenv("REPRO_CC_TIMEOUT", "-3")
+    assert native_mod._cc_limits()[0] == 300.0  # negative -> default
+    monkeypatch.setenv("REPRO_CC_TIMEOUT", "0.25")
+    assert native_mod._cc_limits()[0] == 0.25  # valid values win
 
 
 def test_warn_once_is_thread_safe():

@@ -319,7 +319,7 @@ def test_lex_error_carries_line_and_column():
 def _sin_free_fuzz_nest(seed: int) -> LoopNest:
     """A guard-free fuzz kernel; sin() is not in the front-end grammar,
     so nests containing it are deterministically regenerated."""
-    from test_fuzz_identity import _random_nest
+    from test_lattice import _random_nest
 
     for attempt in range(64):
         rng = np.random.default_rng(0xD51 + 1009 * seed + attempt)
@@ -353,12 +353,12 @@ def test_fuzz_kernel_print_parse_print_fixed_point(seed):
 
 @pytest.mark.parametrize("seed", range(0, 20, 4))
 def test_fuzz_kernel_reparse_executes_bitwise_identically(seed):
-    from test_fuzz_identity import _base_arrays
+    from test_lattice import _fuzz
 
     nest = _sin_free_fuzz_nest(seed)
     reparsed = parse_stencil(to_source(nest))
     grid = 9
-    base = _base_arrays(nest, np.dtype(np.float64))
+    base = _fuzz("roundtrip", nest, "f64").state(np.float64, 0)
     results = []
     for candidate in (nest, reparsed):
         kernel = compile_nests(

@@ -22,13 +22,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from repro.apps import (
-    advection_problem,
-    anisotropic_problem,
-    burgers_problem,
-    heat_problem,
-    wave_problem,
-)
+from repro.apps import burgers_problem, heat_problem, wave_problem
 from repro.baselines.scatter import tapenade_style_adjoint
 from repro.codegen.native_c import generate_native_source, native_eligibility
 from repro.core import adjoint_loops, make_loop_nest
@@ -42,6 +36,7 @@ from repro.runtime import (
 )
 from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
+from test_lattice import runs
 
 needs_cc = pytest.mark.skipif(
     not native_available(), reason="no C toolchain on this machine"
@@ -92,60 +87,37 @@ def _assert_native_matches_seed(kernel, base, replays=2, **plan_kwargs):
 
 
 @needs_cc
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
-def test_heat2d_forward_and_adjoint_bitwise(rng, dtype):
-    """The acceptance case: heat2d primal + adjoint, fully native, exact."""
-    kernel, base = _case(heat_problem(2), 18, rng, dtype=dtype)
-    bound = _assert_native_matches_seed(kernel, base)
-    assert bound.native_statement_count == bound.statement_count
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_heat2d_forward_and_adjoint_bitwise(dtype):
+    """Alias of the lattice's native bound node (``tests/test_lattice.py``)."""
+    runs("bound", "heat2d", dtype=dtype, backend="native")
 
 
 @needs_cc
 @pytest.mark.parametrize("fusion", ["auto", "off"])
 @pytest.mark.parametrize(
-    "factory,n",
+    "label",
     [
-        (lambda: heat_problem(1), 40),
-        (lambda: heat_problem(3), 10),
-        (lambda: wave_problem(1), 40),
-        (lambda: wave_problem(2), 18),
-        (lambda: burgers_problem(1), 40),
-        (lambda: burgers_problem(2), 16),
-        (lambda: anisotropic_problem(), 16),
-        (lambda: anisotropic_problem(active_k=True), 14),
-        (lambda: advection_problem(1), 40),
-        (lambda: advection_problem(2), 40),
+        "heat1d", "heat3d", "wave1d", "wave2d", "burgers1d", "burgers2d",
+        "anisotropic", "anisotropic_k", "advection1", "advection2",
     ],
     ids=[
         "heat1d", "heat3d", "wave1d", "wave2d", "burgers1d", "burgers2d",
         "anisotropic", "anisotropic-activek", "advection1", "advection2",
     ],
 )
-def test_adjoint_apps_bitwise(factory, n, rng, fusion):
-    kernel, base = _case(factory(), n, rng)
-    _assert_native_matches_seed(kernel, base, fusion=fusion)
+def test_adjoint_apps_bitwise(label, fusion):
+    """Alias of the lattice's native bound node (``tests/test_lattice.py``)."""
+    runs("bound", label, backend="native", fusion=fusion)
 
 
 @needs_cc
 @pytest.mark.parametrize("native_threads", [1, 2])
-def test_scatter_kernel_bitwise(rng, native_threads):
-    """The conventional scatter adjoint runs natively — OpenMP-threaded
-    where the partition rule admits a nest — bitwise equal to serial
-    python."""
-    prob = heat_problem(2)
-    kernel, base = _case(prob, 18, rng, scatter=True)
-    ref = {k: v.copy() for k, v in base.items()}
-    _seed_serial(kernel, ref)
-    got = {k: v.copy() for k, v in base.items()}
-    plan = kernel.plan(backend="native", native_threads=native_threads)
-    try:
-        bound = plan.bind(got)
-        bound.run()
-        assert bound.native_statement_count > 0
-        for name in ref:
-            assert ref[name].tobytes() == got[name].tobytes()
-    finally:
-        plan.close()
+def test_scatter_kernel_bitwise(native_threads):
+    """Alias of the lattice's native bound node of the scatter adjoint,
+    OpenMP-threaded where the partition rule admits a nest."""
+    runs("bound", "scatter_heat2d", backend="native",
+         native_threads=None if native_threads == 1 else 2)
 
 
 @needs_cc

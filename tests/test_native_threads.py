@@ -28,12 +28,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.apps import (
-    anisotropic_problem,
-    burgers_problem,
-    heat_problem,
-    wave_problem,
-)
+from repro.apps import heat_problem
 from repro.codegen.native_c import (
     generate_fused_source,
     generate_native_source,
@@ -47,21 +42,16 @@ from repro.runtime import (
     faults,
     native_available,
     native_thread_count,
-    stack_arrays,
 )
 from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
+from test_lattice import runs
 
 needs_cc = pytest.mark.skipif(
     not native_available(), reason="no C toolchain on this machine"
 )
 
-PROBLEMS = [
-    ("heat2d", lambda: heat_problem(2), 18),
-    ("wave2d", lambda: wave_problem(2), 18),
-    ("burgers1d", lambda: burgers_problem(1), 40),
-    ("anisotropic", lambda: anisotropic_problem(), 16),
-]
+PROBLEMS = ["heat2d", "wave2d", "burgers1d", "anisotropic"]
 THREADS = [1, 2, 4]
 
 
@@ -98,68 +88,35 @@ def _assert_bitwise(ref, got, label):
 
 
 @needs_cc
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
-@pytest.mark.parametrize("name,factory,n", PROBLEMS, ids=[p[0] for p in PROBLEMS])
-def test_bound_bitwise_across_thread_counts(name, factory, n, dtype):
-    """Bound plans: serial native == threaded native, bit for bit."""
-    _, kernel, base = _case(factory, n, dtype=dtype)
-    ref, _ = _run(kernel, base, fusion="off")
-    for nthreads in THREADS[1:]:
-        got, bound = _run(kernel, base, fusion="off", native_threads=nthreads)
-        _assert_bitwise(ref, got, f"{name} native_threads={nthreads}")
-        assert bound.native_threads == nthreads
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_bound_bitwise_across_thread_counts(name, dtype):
+    """Alias of the lattice's threaded native bound node."""
+    runs("bound", name, dtype=dtype, backend="native", fusion="off",
+         native_threads=2)
 
 
 @needs_cc
-@pytest.mark.parametrize("name,factory,n", PROBLEMS, ids=[p[0] for p in PROBLEMS])
-def test_fused_bitwise_across_thread_counts(name, factory, n):
-    """Fused nests: the parallel variant matches the serial fused path."""
-    _, kernel, base = _case(factory, n)
-    ref, _ = _run(kernel, base, fusion="auto")
-    for nthreads in THREADS[1:]:
-        got, _ = _run(kernel, base, fusion="auto", native_threads=nthreads)
-        _assert_bitwise(ref, got, f"{name} fused native_threads={nthreads}")
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_fused_bitwise_across_thread_counts(name):
+    """Alias of the lattice's threaded fused native bound node."""
+    runs("bound", name, backend="native", native_threads=2)
 
 
 @needs_cc
-@pytest.mark.parametrize("name,factory,n", PROBLEMS, ids=[p[0] for p in PROBLEMS])
-def test_ensemble_bitwise_across_thread_counts(name, factory, n):
-    """Ensembles inherit in-kernel threading; members stay bitwise exact."""
-    prob, kernel, _ = _case(factory, n)
-    states = [prob.allocate_state(n, seed=m) for m in range(2)]
-    refs = []
-    for st in states:
-        ref = {k: v.copy() for k, v in st.items()}
-        kernel(ref)
-        refs.append(ref)
-    for nthreads in (1, 2):
-        ens = kernel.plan(backend="native", native_threads=nthreads).ensemble(
-            stack_arrays(states)
-        )
-        with ens:
-            ens.run()
-            for m, ref in enumerate(refs):
-                got = ens.member_arrays(m)
-                _assert_bitwise(
-                    ref, got, f"{name} ensemble member {m} at {nthreads} threads"
-                )
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_ensemble_bitwise_across_thread_counts(name):
+    """Alias of the lattice's threaded native ensemble node."""
+    runs("ensemble", name, backend="native", native_threads=2, members=3,
+         transactional=False)
 
 
 @needs_cc
 @pytest.mark.parametrize("nthreads", THREADS)
 def test_checkpointed_adjoint_bitwise(nthreads):
-    """Revolve-checkpointed adjoints: same gradients at every width."""
-    prob = heat_problem(1)
-    n = 32
-    u0 = prob.allocate_state(n, seed=0)["u_1"]
-    seed = prob.allocate_adjoints(n)["u_b"]
-    with prob.checkpointed_adjoint(n, steps=6, snaps=2) as py_plan:
-        ref = {k: v.copy() for k, v in py_plan.adjoint([u0], seed).items()}
-    with prob.checkpointed_adjoint(
-        n, steps=6, snaps=2, backend="native", native_threads=nthreads
-    ) as plan:
-        got = plan.adjoint([u0], seed)
-    _assert_bitwise(ref, got, f"checkpointed adjoint at {nthreads} threads")
+    """Alias of the lattice's native checkpointed node."""
+    runs("checkpointed", "heat1d", backend="native", snaps=1, check="none",
+         transactional=False, native_threads=None if nthreads == 1 else 2)
 
 
 # -- knob precedence and bind-time gates --------------------------------------
@@ -216,7 +173,7 @@ def test_no_openmp_falls_back_one_rung_to_serial_native():
     # so the probe must be hit by a kernel nothing has threaded yet; the
     # reference run pins width 1 explicitly so an ambient
     # REPRO_NATIVE_THREADS (the CI thread matrix) cannot pre-probe.
-    _, kernel, base = _case(*PROBLEMS[0][1:], cache=False)
+    _, kernel, base = _case(lambda: heat_problem(2), 18, cache=False)
     ref, _ = _run(kernel, base, native_threads=1)
     decisions_mod._reset_warnings()
     native_mod._omp_flags_memo.clear()
@@ -238,7 +195,7 @@ def test_no_openmp_falls_back_one_rung_to_serial_native():
 @needs_cc
 def test_threaded_libraries_are_distinct_cache_entries():
     """One .so per threading mode: the build key covers the width."""
-    _, kernel, base = _case(*PROBLEMS[0][1:])
+    _, kernel, base = _case(lambda: heat_problem(2), 18)
     _run(kernel, base)  # serial verdict
     lib2 = native_mod.library_for_kernel(kernel, 2)
     lib4 = native_mod.library_for_kernel(kernel, 4)

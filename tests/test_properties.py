@@ -197,7 +197,8 @@ def test_parallel_determinism(params, threads):
     ref = {"u": uv, "r_b": w.copy(), "u_b": np.zeros(shape)}
     kernel(ref)
     par = {"u": uv, "r_b": w.copy(), "u_b": np.zeros(shape)}
-    kernel.plan(num_threads=threads, min_block_iterations=1).bind(par).run()
+    with kernel.plan(num_threads=threads, min_block_iterations=1) as plan:
+        plan.bind(par).run()
     np.testing.assert_array_equal(ref["u_b"], par["u_b"])  # bitwise
 
 

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from repro.apps import heat_problem, wave_problem
+from repro.apps import heat_problem
 from repro.baselines.scatter import tapenade_style_adjoint
 from repro.core import adjoint_loops
 from repro.core.loopnest import LoopNest, Statement
 from repro.runtime import Bindings, compile_nests, split_box
+from test_lattice import app, runs
 
 
 def _run(kernel, arrays, threads, min_block_iterations=1):
@@ -80,47 +81,18 @@ def test_uneven_split_sizes_balanced():
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 7])
-def test_gather_identical_across_thread_counts(any_problem, rng, threads):
-    prob, N = any_problem
-    nests = adjoint_loops(prob.primal, prob.adjoint_map)
-    kernel = compile_nests(nests, prob.bindings(N))
-    base = prob.allocate(N, rng=rng)
-    base.update(prob.allocate_adjoints(N, rng=rng))
-
-    serial = {k: v.copy() for k, v in base.items()}
-    kernel(serial)
-
-    parallel = {k: v.copy() for k, v in base.items()}
-    _run(kernel, parallel, threads)
-
-    name_map = prob.adjoint_name_map()
-    for prim in prob.active_input_names():
-        np.testing.assert_array_equal(
-            serial[name_map[prim]], parallel[name_map[prim]]
-        )
+def test_gather_identical_across_thread_counts(any_problem, threads, request):
+    """Alias of the lattice's bound node (``tests/test_lattice.py``)."""
+    runs("bound", app(request), num_threads=min(threads, 3))
 
 
 @pytest.mark.parametrize("threads", [2, 3, 4])
-@pytest.mark.parametrize(
-    "factory, dim, n",
-    [
-        (heat_problem, 1, 40),
-        (heat_problem, 2, 24),
-        (wave_problem, 2, 24),
-        (wave_problem, 3, 12),
-    ],
-    ids=["heat1d", "heat2d", "wave2d", "wave3d"],
-)
-def test_tapenade_adjoint_threaded_bitwise(factory, dim, n, threads, rng):
-    """The conventional scatter adjoint under a plain threaded plan is
-    bitwise equal to serial: its ``+=`` updates at neighbouring rows
-    cross thread blocks, so the partition rule keeps it one task."""
-    prob = factory(dim)
-    scat = tapenade_style_adjoint(prob.primal, prob.adjoint_map)
-    kernel = compile_nests([scat], prob.bindings(n), cache=False)
-    base = prob.allocate(n, rng=rng)
-    base.update(prob.allocate_adjoints(n, rng=rng))
-    assert _assert_threaded_bitwise(kernel, base, threads) == 1
+@pytest.mark.parametrize("label", ["heat1d", "heat2d", "wave2d", "wave3d"])
+def test_tapenade_adjoint_threaded_bitwise(label, threads):
+    """Alias of the lattice's bound node of the scatter adjoint: its
+    ``+=`` updates at neighbouring rows cross thread blocks, so the
+    partition rule keeps it one task."""
+    runs("bound", f"scatter_{label}", num_threads=min(threads, 3))
 
 
 def test_gather_adjoint_keeps_its_splits():
@@ -136,7 +108,7 @@ def test_gather_adjoint_keeps_its_splits():
         assert all(rp.parallel for rp in plan.region_plans)
 
 
-def test_plan_without_a_parallel_region_starts_no_pool(rng, new_pool_threads):
+def test_plan_without_a_parallel_region_starts_no_pool(rng, started):
     """Every region of the heat2d scatter adjoint is refused a split, so
     a threaded plan binds the serial stream: no worker thread starts,
     and the result is bitwise equal to serial."""
@@ -154,7 +126,7 @@ def test_plan_without_a_parallel_region_starts_no_pool(rng, new_pool_threads):
         assert plan.task_count == 1
         assert not any(rp.parallel for rp in plan.region_plans)
         plan.bind(threaded).run()
-        assert new_pool_threads() == set()
+        assert started().threads_named("repro-pool-") == set()
     for name in serial:
         assert serial[name].tobytes() == threaded[name].tobytes(), name
 

@@ -20,76 +20,24 @@ from repro.runtime import (
     ExecutionConfig,
     KernelError,
     compile_nests,
-    interpret_nests,
     stack_arrays,
 )
+from test_lattice import app, runs
 
-CONFIGS = [
-    ("serial", dict(num_threads=1)),
-    ("threads1", dict(num_threads=1, min_block_iterations=1)),
-    ("threads2", dict(num_threads=2, min_block_iterations=1)),
-    ("threads4", dict(num_threads=4, min_block_iterations=1)),
-]
-
-# Interpreter results per (problem, n): the oracle is deterministic for
-# the fixture rng seed, so it is computed once and shared across configs.
-_ORACLE: dict = {}
+# (id, num_threads) of the replaced plan-vs-interpreter matrix.
+CONFIGS = [("serial", 1), ("threads1", 1), ("threads2", 2), ("threads4", 4)]
 
 
-def _oracle(prob, n, nests, base, bindings):
-    key = (prob.name, n)
-    if key not in _ORACLE:
-        interp = {k: v.copy() for k, v in base.items()}
-        interpret_nests(nests, interp, bindings)
-        _ORACLE[key] = interp
-    return _ORACLE[key]
+@pytest.mark.parametrize("label,threads", CONFIGS, ids=[c[0] for c in CONFIGS])
+def test_plan_matches_interpreter_bitwise(any_problem, label, threads, request):
+    """Alias of the lattice's bound node (``tests/test_lattice.py``)."""
+    runs("bound", app(request), num_threads=min(threads, 3))
 
 
-@pytest.mark.parametrize("label,config", CONFIGS, ids=[c[0] for c in CONFIGS])
-def test_plan_matches_interpreter_bitwise(any_problem, rng, label, config):
-    prob, n = any_problem
-    bindings = prob.bindings(n)
-    nests = adjoint_loops(prob.primal, prob.adjoint_map)
-    kernel = compile_nests(nests, bindings)
-    base = prob.allocate(n, rng=rng)
-    base.update(prob.allocate_adjoints(n, rng=rng))
-    interp = _oracle(prob, n, nests, base, bindings)
-
-    planned = {k: v.copy() for k, v in base.items()}
-    plan = kernel.plan(**config)
-    try:
-        plan.run(planned)
-    finally:
-        plan.close()
-
-    name_map = prob.adjoint_name_map()
-    for prim in prob.active_input_names():
-        np.testing.assert_array_equal(
-            planned[name_map[prim]], interp[name_map[prim]]
-        )
-
-
-@pytest.mark.parametrize("label,config", CONFIGS[1:], ids=[c[0] for c in CONFIGS[1:]])
-def test_plan_bitwise_identical_to_serial_kernel(any_problem, rng, label, config):
-    """Every planned discipline reproduces the serial path bit for bit."""
-    prob, n = any_problem
-    nests = adjoint_loops(prob.primal, prob.adjoint_map)
-    kernel = compile_nests(nests, prob.bindings(n))
-    base = prob.allocate(n, rng=rng)
-    base.update(prob.allocate_adjoints(n, rng=rng))
-
-    serial = {k: v.copy() for k, v in base.items()}
-    kernel(serial)
-
-    planned = {k: v.copy() for k, v in base.items()}
-    plan = kernel.plan(**config)
-    try:
-        plan.run(planned)
-    finally:
-        plan.close()
-
-    for name in serial:
-        np.testing.assert_array_equal(serial[name], planned[name])
+@pytest.mark.parametrize("label,threads", CONFIGS[1:], ids=[c[0] for c in CONFIGS[1:]])
+def test_plan_bitwise_identical_to_serial_kernel(any_problem, label, threads, request):
+    """Alias of the lattice's bound node (``tests/test_lattice.py``)."""
+    runs("bound", app(request), num_threads=min(threads, 3))
 
 
 def test_plan_memoised_per_config():
@@ -288,7 +236,7 @@ def test_concurrent_callers_share_one_memoised_threaded_plan():
             assert ref[name].tobytes() == state[name].tobytes(), name
 
 
-def test_close_releases_the_plans_pool_threads(new_pool_threads):
+def test_close_releases_the_plans_pool_threads(started):
     prob = heat_problem(2)
     n = 16
     kernel = compile_nests(  # uncached: no earlier test holds its pools
@@ -297,13 +245,13 @@ def test_close_releases_the_plans_pool_threads(new_pool_threads):
     )
     plan = kernel.plan(num_threads=2, min_block_iterations=1)
     plan.bind(prob.allocate_state(n, seed=0)).run()
-    assert len(new_pool_threads()) == 2
+    assert len(started().threads_named("repro-pool-")) == 2
     plan.close()
-    assert not new_pool_threads()
+    assert not started().threads_named("repro-pool-")
 
     batched = stack_arrays([prob.allocate_state(n, seed=m) for m in range(6)])
     ensemble = kernel.plan().ensemble(batched, workers=2)
     ensemble.run()
-    assert len(new_pool_threads()) == 2
+    assert len(started().threads_named("repro-pool-")) == 2
     ensemble.close()
-    assert not new_pool_threads()
+    assert not started().threads_named("repro-pool-")

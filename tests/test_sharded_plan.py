@@ -22,12 +22,12 @@ from repro.runtime import (
     ExecutionConfig,
     ExecutionPlan,
     ShardSpec,
-    ShardedCheckpointedAdjoint,
     ShardedPlan,
     compile_nests,
     faults,
     native_available,
 )
+from test_lattice import runs
 
 _PROBLEMS = {
     "heat2d": lambda: heat_problem(2),
@@ -58,125 +58,44 @@ def _rotate_sharded(plan, chain):
         plan.copy(chain[i], chain[i - 1])
 
 
-def _adjoint_names(prob, rev):
-    """(exchange, accumulate, compare) name sets for one reverse step."""
-    seed = prob.output_name + "_b"
-    targets = sorted(
-        {st.target.name for rg in rev.regions for st in rg.statements}
-    )
-    reads = sorted(
-        {acc.name for rg in rev.regions for st in rg.statements
-         for acc in st.reads}
-    )
-    return reads, [t for t in targets if t != seed], targets
-
-
 # -- the bitwise contract matrix -------------------------------------------
 
 
 @pytest.mark.parametrize("backend", _BACKENDS)
-@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
 @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
 @pytest.mark.parametrize("nranks", [1, 2, 3, 7])
 def test_forward_and_adjoint_bitwise(problem, nranks, dtype, backend):
-    """Sharded forward state and adjoint gradients == single-shard run,
-    bit for bit, for every rank count x dtype x problem x backend."""
-    prob = _PROBLEMS[problem]()
-    n = 24
-    steps = 3
-    fwd, rev = _kernels(prob, n, dtype)
-    config = ExecutionConfig(backend=backend)
-    chain = [prob.output_name, *prob.history_fields()]
-    hist = list(prob.history_fields())
-
-    ref = prob.allocate(n, rng=np.random.default_rng(0), dtype=dtype)
-    plan = fwd.plan(backend=backend)
-    bound = plan.bind(ref)
-    for _ in range(steps):
-        bound.run()
-        _rotate_np(ref, chain)
-    plan.close()
-
-    state = prob.allocate(n, rng=np.random.default_rng(0), dtype=dtype)
-    with ShardedPlan(
-        fwd, state, nranks=nranks, halo=1, config=config, use_workers=False
-    ) as sp:
-        assert sp.effective_nranks == nranks
-        for _ in range(steps):
-            sp.step(exchange=hist)
-            _rotate_sharded(sp, chain)
-        got = sp.gather(chain)
-    for name in chain:
-        assert got[name].dtype == np.dtype(dtype)
-        np.testing.assert_array_equal(got[name], ref[name])
-
-    exchange, accumulate, compare = _adjoint_names(prob, rev)
-    adj_ref = prob.allocate_state(n, seed=1, dtype=dtype)
-    rplan = rev.plan(backend=backend)
-    rplan.bind(adj_ref).run()
-    rplan.close()
-
-    astate = prob.allocate_state(n, seed=1, dtype=dtype)
-    with ShardedPlan(
-        rev, astate, nranks=nranks, halo=1, config=config, use_workers=False
-    ) as ap:
-        ap.step(exchange=exchange, accumulate=accumulate)
-        agot = ap.gather(compare)
-    for name in compare:
-        np.testing.assert_array_equal(agot[name], adj_ref[name])
+    """Alias of the lattice's in-process sharded node."""
+    runs("sharded", problem, dtype=dtype, backend=backend,
+         ranks=min(nranks, 3), forked=False, mode="plain")
 
 
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
 @pytest.mark.parametrize("nranks", [1, 2, 3, 7])
 def test_forked_workers_bitwise(nranks):
-    """The real multi-process path (forked workers running the bound
-    plans over shared memory) preserves the forward bitwise contract."""
-    prob = heat_problem(2)
-    n = 24
-    fwd, _ = _kernels(prob, n)
-    ref = prob.allocate(n, rng=np.random.default_rng(2))
-    plan = fwd.plan()
-    bound = plan.bind(ref)
-    for _ in range(4):
-        bound.run()
-        np.copyto(ref["u_1"], ref["u"])
-    plan.close()
-
-    state = prob.allocate(n, rng=np.random.default_rng(2))
-    with ShardedPlan(fwd, state, nranks=nranks, halo=1) as sp:
-        assert sp.multiprocess == (nranks > 1)
-        for _ in range(4):
-            sp.step(exchange=["u_1"])
-            sp.copy("u_1", "u")
-        got = sp.gather(["u", "u_1"])
-    np.testing.assert_array_equal(got["u"], ref["u"])
-    np.testing.assert_array_equal(got["u_1"], ref["u_1"])
-
-
-def _my_segments():
-    return set(glob.glob(f"/dev/shm/repro_shard_{os.getpid()}_*"))
+    """Alias of the lattice's forked sharded node."""
+    runs("sharded", "heat2d", ranks=min(nranks, 3), forked=True, mode="plain")
 
 
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 @pytest.mark.parametrize("nranks", [1, 2, 3])
-def test_caller_is_rank_zero_and_forks_one_worker_per_further_rank(nranks):
+def test_caller_is_rank_zero_and_forks_one_worker_per_further_rank(
+    nranks, started
+):
     """R ranks start exactly R-1 children: the caller is rank 0.  After
     close() none of them is alive and none of the plan's segments is
-    left in /dev/shm."""
+    left in /dev/shm (the census fixture checks that)."""
     prob = heat_problem(2)
     fwd, _ = _kernels(prob, 12)
-    children, segments = set(multiprocessing.active_children()), _my_segments()
     sp = ShardedPlan(fwd, prob.allocate(12), nranks=nranks, halo=1)
-    started = set(multiprocessing.active_children()) - children
-    mine = _my_segments() - segments
-    assert len(started) == nranks - 1
-    assert started == set(sp._workers)
-    assert len(mine) == nranks * len(sp._names)
+    new = started()
+    assert new.children == {str(p.pid) for p in sp._workers}
+    assert len(sp._workers) == nranks - 1
+    assert len(new.segments) == nranks * len(sp._names)
     sp.step(exchange=["u_1"])
     sp.close()
-    assert not (started & set(multiprocessing.active_children()))
-    assert not (mine & _my_segments())
 
 
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
@@ -225,7 +144,7 @@ def test_rank_side_copy_and_fill_bitwise(nranks):
 
 
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
-def test_forked_workers_threaded_plans_bitwise(new_pool_threads):
+def test_forked_workers_threaded_plans_bitwise(started):
     """Threaded per-shard plans create their worker pool on first run,
     inside the forked worker — never at bind time, before the fork,
     where the threads would not survive into the child.  Rank 0 runs
@@ -251,8 +170,8 @@ def test_forked_workers_threaded_plans_bitwise(new_pool_threads):
             sp.step(exchange=["u_1"])
             sp.copy("u_1", "u")
         got = sp.gather(["u"])
-        assert new_pool_threads()
-    assert not new_pool_threads()
+        assert started().threads_named("repro-pool-")
+    assert not started().threads_named("repro-pool-")
     np.testing.assert_array_equal(got["u"], ref["u"])
 
 
@@ -642,7 +561,7 @@ def test_worker_failure_mid_step_raises_typed_shard_error():
 
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
-def test_failed_step_reads_every_reply_and_refuses_further_work():
+def test_failed_step_reads_every_reply_and_refuses_further_work(started):
     """Every rank fails its first run (the forked workers inherit the
     armed injector).  The step reads all three replies before raising
     for the lowest failing rank, so no stale reply waits in a pipe; the
@@ -652,10 +571,9 @@ def test_failed_step_reads_every_reply_and_refuses_further_work():
     n = 12
     fwd, _ = _kernels(prob, n)
     state = prob.allocate(n, rng=np.random.default_rng(7))
-    segments = _my_segments()
     with faults.inject("bound.run"):
         sp = ShardedPlan(fwd, state, nranks=3, halo=1)
-        mine = _my_segments() - segments
+        assert len(started().segments) == 3 * len(sp._names)
         workers = list(sp._workers)
         for _ in range(2):
             with pytest.raises(ShardError) as excinfo:
@@ -675,7 +593,6 @@ def test_failed_step_reads_every_reply_and_refuses_further_work():
             assert excinfo.value.rank == 0
         sp.close()
     assert not any(proc.is_alive() for proc in workers)
-    assert not (mine & _my_segments())
 
 
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
@@ -716,57 +633,11 @@ def test_no_shared_memory_segment_outlives_its_plan(ending):
 # -- sharded checkpointed adjoints ------------------------------------------
 
 
-def _check_sharded_checkpointed(problem, nranks, backend, use_workers):
-    """One revolve schedule driven across shards == the unsharded
-    CheckpointedAdjointPlan, bitwise, including constant-field
-    gradients (wave2d's velocity model)."""
-    prob = _PROBLEMS[problem]()
-    n = 12
-    steps, snaps = 7, 3
-    shape = prob.array_shape(n)
-    history = prob.history_fields()
-
-    chk = prob.checkpointed_adjoint(n, steps=steps, snaps=snaps, backend=backend)
-    fwd, rev = _kernels(prob, n)
-    # The same deterministic constant fields apps.checkpointed_adjoint
-    # allocates (seed 0, scaled like Problem.allocate).
-    rng = np.random.default_rng(0)
-    constants = {
-        name: rng.standard_normal(shape) * 0.1
-        for name in prob.constant_fields()
-    }
-    sharded = ShardedCheckpointedAdjoint(
-        fwd, rev, shape,
-        nranks=nranks, halo=1, steps=steps, snaps=snaps,
-        output=prob.output_name, history=history, constants=constants,
-        adjoint_map=prob.adjoint_name_map(),
-        config=ExecutionConfig(backend=backend), use_workers=use_workers,
-    )
-    assert sharded._plan.multiprocess == use_workers
-    r = np.random.default_rng(9)
-    state0 = [r.standard_normal(shape) * 0.1 for _ in history]
-    seed = r.standard_normal(shape) * 0.1
-
-    ref_final = chk.run_forward([a.copy() for a in state0])
-    got_final = sharded.run_forward([a.copy() for a in state0])
-    for ref_arr, got_arr in zip(ref_final, got_final):
-        np.testing.assert_array_equal(got_arr, ref_arr)
-
-    ref_grad = chk.adjoint([a.copy() for a in state0], seed)
-    got_grad = sharded.adjoint([a.copy() for a in state0], seed)
-    assert sorted(got_grad) == sorted(ref_grad)
-    for name in got_grad:
-        np.testing.assert_array_equal(got_grad[name], ref_grad[name])
-
-    assert sharded.evaluation_cost == chk.evaluation_cost
-    sharded.close()
-    chk.close()
-
-
 @pytest.mark.parametrize("nranks", [2, 3])
 @pytest.mark.parametrize("problem", ["heat2d", "wave2d"])
 def test_sharded_checkpointed_adjoint_bitwise(problem, nranks):
-    _check_sharded_checkpointed(problem, nranks, "python", use_workers=False)
+    """Alias of the lattice's in-process sharded checkpointed node."""
+    runs("sharded", problem, ranks=nranks, forked=False, mode="checkpointed")
 
 
 @pytest.mark.skipif(not _FORK, reason="no fork start method")
@@ -774,8 +645,8 @@ def test_sharded_checkpointed_adjoint_bitwise(problem, nranks):
 @pytest.mark.parametrize("nranks", [2, 3])
 @pytest.mark.parametrize("problem", ["heat2d", "wave2d"])
 def test_sharded_checkpointed_adjoint_with_workers(problem, nranks, backend):
-    """The sharded revolve sweep stays bitwise when ranks 1 .. R-1 run
-    in forked workers and copy and fill their own slabs: every forward
-    step fills a rotating buffer, and wave2d also carries the
+    """Alias of the lattice's forked sharded checkpointed node: ranks
+    1 .. R-1 copy and fill their own slabs, and wave2d also carries the
     constant-field gradient."""
-    _check_sharded_checkpointed(problem, nranks, backend, use_workers=True)
+    runs("sharded", problem, backend=backend, ranks=nranks,
+         forked=True, mode="checkpointed")
