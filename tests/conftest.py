@@ -31,6 +31,23 @@ def pytest_configure(config):
     )
 
 
+def pytest_collection_finish(session):
+    # What collection built (kernels, SymPy's caches, the lattice's
+    # tables) lives for the whole session: freeze it, so that each cycle
+    # collection scans only what the tests allocate.
+    gc.freeze()
+
+
+def pytest_collection_modifyitems(config, items):
+    # The full product runs only when asked for: ``-m lattice_full``.
+    if "lattice_full" in config.getoption("markexpr"):
+        return
+    full = [item for item in items if item.get_closest_marker("lattice_full")]
+    if full:
+        config.hook.pytest_deselected(items=full)
+        items[:] = [item for item in items if not item.get_closest_marker("lattice_full")]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -20,7 +20,7 @@ from repro.apps import heat_problem
 from repro.core import adjoint_loops, make_loop_nest
 from repro.runtime import Bindings, KernelError, compile_nests
 from repro.runtime.bound import _COUNTER_CACHE
-from test_lattice import app, runs
+from test_lattice import replaced
 
 
 def _seed_serial(kernel, arrays):
@@ -37,17 +37,8 @@ def _adjoint_case(prob, n, rng, dtype):
     return kernel, base
 
 
-@pytest.mark.parametrize("dtype", ["f64", "f32"])
-@pytest.mark.parametrize("threads", [1, 4], ids=["serial", "threads4"])
-def test_bound_bitwise_identical_to_seed_serial(any_problem, dtype, threads, request):
-    """Alias of the lattice's bound node (``tests/test_lattice.py``)."""
-    runs("bound", app(request), dtype=dtype, num_threads=min(threads, 3))
-
-
-@pytest.mark.parametrize("threads", [1, 4])
-def test_bound_scatter_matches_unbound(threads):
-    """Alias of the lattice's bound node of the scatter adjoint."""
-    runs("bound", "scatter_wave2d", num_threads=min(threads, 3))
+test_bound_bitwise_identical_to_seed_serial = replaced("test_bound_bitwise_identical_to_seed_serial")
+test_bound_scatter_matches_unbound = replaced("test_bound_scatter_matches_unbound")
 
 
 def _bare_counter_kernel(size):

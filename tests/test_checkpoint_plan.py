@@ -39,17 +39,9 @@ from repro.runtime import (
     native_available,
 )
 from repro.runtime import native as native_mod
-from test_lattice import runs
+from test_lattice import replaced
 
 needs_cc = pytest.mark.skipif(not native_available(), reason="no C toolchain")
-
-PROBLEMS = {
-    "heat1d": (lambda: heat_problem(1), 16),
-    "heat2d": (lambda: heat_problem(2), 12),
-    "wave1d": (lambda: wave_problem(1), 16),
-    "wave2d": (lambda: wave_problem(2), 10),
-    "burgers1d": (lambda: burgers_problem(1), 20),
-}
 
 BACKENDS = ["python"] + (["native"] if native_available() else [])
 
@@ -69,13 +61,7 @@ def _inputs(prob, n, dtype=np.float64, seed_offset=0):
     return state0, seed, constants
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("dtype", ["f64", "f32"])
-@pytest.mark.parametrize("label", sorted(PROBLEMS))
-def test_checkpointed_bitwise_identical_to_store_all(label, backend, dtype):
-    """Alias of the lattice's checkpointed node (``tests/test_lattice.py``)."""
-    runs("checkpointed", label, dtype=dtype, backend=backend, snaps=3,
-         rung="per-action", transactional=False)
+test_checkpointed_bitwise_identical_to_store_all = replaced("test_checkpointed_bitwise_identical_to_store_all")
 
 
 @pytest.mark.parametrize("snaps", [1, 2, 4, 9])
@@ -200,20 +186,7 @@ def _copied(result):
     return {k: v.copy() for k, v in result.items()}
 
 
-@needs_cc
-@pytest.mark.parametrize(
-    "members, workers", [(None, 1), (3, 1), (3, 2)], ids=["single", "m3w1", "m3w2"]
-)
-@pytest.mark.parametrize("snaps", [1, 3, 7])
-@pytest.mark.parametrize("dtype", ["f64", "f32"])
-@pytest.mark.parametrize("label", ["heat1d", "heat2d", "wave2d"])
-def test_program_sweep_bitwise_identical_to_every_oracle(
-    label, dtype, snaps, members, workers
-):
-    """Alias of the lattice's native checkpointed node on the program
-    rung: the one-FFI-call sweep equals the interpreter's store-all."""
-    runs("checkpointed", label, dtype=dtype, backend="native", check="none",
-         snaps=min(snaps, 3), members=members and 2, transactional=False)
+test_program_sweep_bitwise_identical_to_every_oracle = needs_cc(replaced("test_program_sweep_bitwise_identical_to_every_oracle"))
 
 
 @needs_cc

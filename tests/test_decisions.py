@@ -24,14 +24,13 @@ from repro.errors import NativeBuildError
 from repro.runtime import compile_nests, faults, native_available
 from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
-from test_lattice import runs
+from test_lattice import replaced
 
 PROBLEMS = {
     "heat2d": (lambda: heat_problem(2), 12),
     "wave2d": (lambda: wave_problem(2), 10),
     "burgers1d": (lambda: burgers_problem(1), 24),
 }
-BACKENDS = ["python"] + (["native"] if native_available() else [])
 
 
 def _kernel(name, **kwargs):
@@ -41,16 +40,7 @@ def _kernel(name, **kwargs):
     return prob, n, compile_nests(nests, prob.bindings(n), name="ladder", **kwargs)
 
 
-@pytest.mark.parametrize("check", ["none", "nan"])
-@pytest.mark.parametrize("fusion", ["auto", "off"])
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", sorted(PROBLEMS))
-def test_bound_and_ensemble_record_the_same_rungs(name, backend, fusion, check):
-    """Alias of the lattice's one-member ensemble node, which asserts that
-    the ensemble decides exactly what a bound plan decides (an
-    elementwise python statement binds batch-shifted instead)."""
-    runs("ensemble", name, backend=backend, fusion=fusion, check=check,
-         members=1, transactional=False)
+test_bound_and_ensemble_record_the_same_rungs = replaced("test_bound_and_ensemble_record_the_same_rungs")
 
 
 EXPLAIN_CASES = {

@@ -32,13 +32,7 @@ from repro.runtime import (
     native_available,
     stack_arrays,
 )
-from test_lattice import runs
-
-PROBLEMS = {
-    "heat2d": (lambda: heat_problem(2), 12),
-    "wave2d": (lambda: wave_problem(2), 10),
-    "burgers1d": (lambda: burgers_problem(1), 24),
-}
+from test_lattice import replaced
 
 BACKENDS = ["python"] + (["native"] if native_available() else [])
 
@@ -74,33 +68,9 @@ def _assert_members_match(ensemble, refs):
 # -- bitwise identity across apps x backends x dtypes -------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("dtype", ["f64", "f32"])
-@pytest.mark.parametrize("prob_name", sorted(PROBLEMS))
-def test_batched_equals_looped(prob_name, dtype, backend):
-    """Alias of the lattice's ensemble node (``tests/test_lattice.py``)."""
-    runs("ensemble", prob_name, dtype=dtype, backend=backend, members=3,
-         transactional=False)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_equals_looped_threaded_plans(backend):
-    """Alias of the lattice's ensemble node over threaded member plans —
-    the worker pool on python, OpenMP nests on native."""
-    knob = "native_threads" if backend == "native" else "num_threads"
-    runs("ensemble", "heat2d", backend=backend, members=3,
-         transactional=False, **{knob: 2})
-
-
-@pytest.mark.parametrize(
-    "workers,members",
-    [(1, None), (2, None), (3, 5), (2, 4), (2, 11), (3, 17)],
-)
-def test_worker_and_chunk_count_never_change_results(workers, members):
-    """Alias of the lattice's ensemble node: nine members over two
-    workers run as eight uneven chunks."""
-    runs("ensemble", "wave2d", workers=min(workers, 2), transactional=False,
-         members=3 if members is not None and members < 9 else 9)
+test_batched_equals_looped = replaced("test_batched_equals_looped")
+test_batched_equals_looped_threaded_plans = replaced("test_batched_equals_looped_threaded_plans")
+test_worker_and_chunk_count_never_change_results = replaced("test_worker_and_chunk_count_never_change_results")
 
 
 @pytest.mark.skipif(not native_available(), reason="no C toolchain")

@@ -14,15 +14,7 @@ still fails — and prints the minimal kernel.
 
 from __future__ import annotations
 
-import pytest
-
-from test_lattice import FUZZ_SEEDS, check, default_nodes
+from test_lattice import replaced
 
 
-@pytest.mark.parametrize("seed", range(FUZZ_SEEDS))
-def test_random_kernel_paths_agree_bitwise(seed):
-    """Alias of every node of kernel ``fuzz<seed>`` in the lattice's
-    default run."""
-    for n in default_nodes():
-        if n.kernel == f"fuzz{seed:02d}":
-            check(n)
+test_random_kernel_paths_agree_bitwise = replaced("test_random_kernel_paths_agree_bitwise")

@@ -24,11 +24,13 @@ with the error or :class:`~repro.runtime.decisions.Verdict` its gate
 records.  Ensemble and checkpointed bindings also record the verdicts a
 bound plan of the same config records (one ``Ladder``).
 
-By default a seeded all-pairs generator picks the nodes (every pair of
-axis values of a tier appears in some node); ``-m lattice_full`` runs
-the full product instead.  A failing fuzz node prints its kernel shrunk
-to a minimal reproducer.  The ids of the per-tier matrices this table
-replaced stay as aliases that run one node each (:func:`runs`).
+By default a seeded all-pairs generator picks the nodes: it starts from
+the nodes the replaced per-tier matrices' ids name (:data:`REPLACED`;
+those ids stay in their modules and run those nodes) and adds rows until
+every pair of axis values of a tier appears in some node.
+``-m lattice_full`` runs the full product instead, one item per tier and
+kernel.  A failing fuzz node prints its kernel shrunk to a minimal
+reproducer.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from repro.core import adjoint_loops
 from repro.core.accesses import extract_access
 from repro.core.loopnest import LoopNest, Statement
 from repro.core.validate import StencilRestrictionError, validate_loop_nest
+from repro.driver.revolve import optimal_cost
 from repro.errors import KernelError, ValidationError
 from repro.frontend.parser import parse_stencil
 from repro.frontend.printer import to_source
@@ -80,7 +83,7 @@ from repro.runtime import (
     interpret_nests,
     stack_arrays,
 )
-from repro.runtime import decisions
+from repro.runtime import decisions, distributed
 from repro.runtime.server import state_shapes
 
 STEPS = 2  # applications per plain node: the first run, then a replay
@@ -103,6 +106,9 @@ class Sweep(typing.NamedTuple):
     adjoint_map: dict
     forward: tuple
     reverse: tuple
+
+
+_COMPILED: dict = {}
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -129,7 +135,11 @@ class Kernel:
         return Bindings(sizes=self.sizes, params=self.params, dtype=dtype)
 
     def compiled(self, dtype, nests=None):
-        return compile_nests(list(nests or self.nests), self.bindings(dtype))
+        nests = tuple(nests or self.nests)
+        key = (self, np.dtype(dtype), tuple(map(id, nests)))
+        if key not in _COMPILED:
+            _COMPILED[key] = compile_nests(list(nests), self.bindings(dtype))
+        return _COMPILED[key]
 
     def state(self, dtype, seed):
         return self.make_state(np.dtype(dtype), seed)
@@ -139,14 +149,16 @@ class Kernel:
             np.copyto(arrays[dst], arrays[src])
 
     @functools.cached_property
-    def servable(self) -> bool:
-        """Whether every nest survives print -> parse as a served spec."""
+    def specs(self) -> tuple:
+        """Each nest printed as a served spec, or () when one does not
+        survive print -> parse (the kernel is not servable)."""
         try:
-            for nest in self.nests:
-                parse_stencil(to_source(nest))
+            specs = tuple(map(to_source, self.nests))
+            for spec in specs:
+                parse_stencil(spec)
         except Exception:
-            return False
-        return True
+            return ()
+        return specs
 
     @functools.cached_property
     def halo(self) -> int:
@@ -285,10 +297,12 @@ def _fuzz(label, nest, dtype):
     adjoint = tuple(adjoint_loops(nest, amap))
     shape = _tight((nest, *adjoint), Bindings(sizes={_n: FUZZ_N}))
 
+    # crc32, not hash(): a failing kernel must reproduce with the same
+    # data under any PYTHONHASHSEED.
+    crc = zlib.crc32(str(nest).encode())
+
     def make_state(dtype, seed):
-        # crc32, not hash(): a failing kernel must reproduce with the
-        # same data under any PYTHONHASHSEED.
-        rng = np.random.default_rng(zlib.crc32(str(nest).encode()) + seed)
+        rng = np.random.default_rng(crc + seed)
         return {
             name: (rng.standard_normal(shape) * 0.5).astype(dtype)
             for name in names
@@ -429,14 +443,14 @@ CONFIG_AXES = {
     "fusion": ("auto", "off"),
     "check": ("none", "nan"),
     "transactional": (False, True),
-    "num_threads": (1, 2, 3),
-    "native_threads": (None, 2),
+    "num_threads": (1, 2, 3, 4, 7),
+    "native_threads": (None, 1, 2, 4),
 }
 ALL_CONFIG = tuple(CONFIG_AXES)
 DTYPES = {"f64": np.float64, "f32": np.float32}
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Tier:
     name: str
     config: tuple  # the config axes the tier takes
@@ -448,23 +462,29 @@ TIERS = {
     tier.name: tier
     for tier in (
         Tier("bound", ALL_CONFIG, {}, lambda k: True),
-        # Nine members over two workers split into eight uneven chunks.
-        Tier("ensemble", ALL_CONFIG, {"members": (1, 3, 9), "workers": (1, 2)},
-             lambda k: True),
+        # Eleven members over two workers split into eight uneven chunks.
+        Tier(
+            "ensemble", ALL_CONFIG,
+            {"members": (1, 4, 5, 7, 11, 17), "workers": (1, 2, 3)},
+            lambda k: True,
+        ),
         Tier(
             "checkpointed", ALL_CONFIG,
-            {"snaps": (1, 3), "members": (None, 2), "rung": ("program", "per-action")},
+            {
+                "snaps": (1, 2, 3, 7), "members": (None, 3), "workers": (1, 2),
+                "rung": ("program", "per-action"),
+            },
             lambda k: k.model is not None,
         ),
         Tier(
             "sharded", ALL_CONFIG,
-            {"ranks": (1, 2, 3), "forked": (False, True), "mode": ("plain", "checkpointed")},
+            {"ranks": (1, 2, 3, 7), "forked": (False, True), "mode": ("plain", "checkpointed")},
             lambda k: True,
         ),
         Tier(
             "served", ("dtype", "backend"),
             {"window": (0, "batched"), "transport": ("shm", "inline")},
-            lambda k: k.servable,
+            lambda k: bool(k.specs),
         ),
     )
 }
@@ -510,16 +530,14 @@ class Node:
 
 
 def node(tier: str, kernel_label: str, **values) -> Node:
-    """A node with every axis the tier takes; unnamed axes take their
-    first value."""
+    """A node with every axis the tier takes; an unnamed axis takes its
+    first value (the kernel's first dtype)."""
     t = TIERS[tier]
-    axes = {**{a: CONFIG_AXES[a] for a in t.config}, **t.axes}
-    unknown = set(values) - set(axes)
-    assert not unknown, f"tier {tier} takes no axis {sorted(unknown)}"
-    return Node(
-        tier, kernel_label,
-        tuple((a, values.get(a, choices[0])) for a, choices in axes.items()),
-    )
+    axes = _axes(t)
+    values.setdefault("dtype", kernel(kernel_label).dtypes[0])
+    unknown = {a for a, v in values.items() if v not in axes.get(a, ())}
+    assert not unknown, f"tier {tier} takes no value {sorted(unknown)}"
+    return _as_node(t, {**{a: c[0] for a, c in axes.items()}, "kernel": kernel_label, **values})
 
 
 def _feasible(t: Tier, assignment: dict) -> bool:
@@ -534,17 +552,23 @@ def _feasible(t: Tier, assignment: dict) -> bool:
     return assignment.get("mode") != "checkpointed" or k.model is not None
 
 
-def _admitted(row: dict) -> bool:
-    """Whether ``ExecutionConfig`` accepts the row's config values so far.
-    The generator asks the gate itself, to prefer rows it admits; a pair
-    that only a refused row can hold still gets its (refused) node."""
+@functools.cache
+def _admitted_config(config: tuple) -> bool:
     try:
-        ExecutionConfig(**{a: v for a, v in row.items() if a in ALL_CONFIG[1:]})
+        ExecutionConfig(**dict(config))
     except ValueError:
         return False
     return True
 
 
+def _admitted(row: dict) -> bool:
+    """Whether ``ExecutionConfig`` accepts the row's config values so far.
+    The generator asks the gate itself, to prefer rows it admits; a pair
+    that only a refused row can hold still gets its (refused) node."""
+    return _admitted_config(tuple((a, row[a]) for a in ALL_CONFIG[1:] if a in row))
+
+
+@functools.cache
 def _axes(t: Tier) -> dict:
     return {
         "kernel": tuple(label for label in KERNELS if t.accepts(kernel(label))),
@@ -557,23 +581,30 @@ def _as_node(t: Tier, row: dict) -> Node:
     return Node(t.name, row["kernel"], tuple((a, row[a]) for a in _axes(t) if a != "kernel"))
 
 
-def all_pairs(t: Tier, seed: int = 0) -> list[Node]:
-    """Seeded greedy all-pairs cover of tier *t*'s axes: every feasible
-    pair of axis values appears in at least one node."""
+def all_pairs(t: Tier, pinned=(), seed: int = 0) -> list[Node]:
+    """Seeded greedy all-pairs cover of tier *t*'s axes: the *pinned*
+    nodes, then rows until every feasible pair of axis values appears
+    in at least one node."""
     axes = _axes(t)
     names = list(axes)
-    rng = random.Random(seed)
-    uncovered = {
+
+    def pairs(row):
+        return {((a, row[a]), (b, row[b])) for a, b in itertools.combinations(names, 2)}
+
+    order = [
         ((a, va), (b, vb))
         for a, b in itertools.combinations(names, 2)
         for va in axes[a]
         for vb in axes[b]
         if _feasible(t, {a: va, b: vb})
-    }
-    rows = []
-    while uncovered:
-        (a, va), (b, vb) = min(uncovered, key=repr)
-        row = {a: va, b: vb}
+    ]
+    rows = [{"kernel": n.kernel, **dict(n.values)} for n in pinned]
+    uncovered = set(order).difference(*map(pairs, rows))
+    rng = random.Random(seed)
+    for first in order:
+        if first not in uncovered:
+            continue
+        row = dict(first)
         rest = [name for name in names if name not in row]
         rng.shuffle(rest)
         for name in rest:
@@ -582,27 +613,26 @@ def all_pairs(t: Tier, seed: int = 0) -> list[Node]:
                 if not _feasible(t, {**row, name: value}):
                     continue
                 gain = sum(
-                    (tuple(sorted([(name, value), (other, row[other])],
-                                  key=lambda p: names.index(p[0]))) in uncovered)
+                    (((other, row[other]), (name, value)) if names.index(other) < names.index(name)
+                     else ((name, value), (other, row[other]))) in uncovered
                     for other in row
                 )
-                if score is None or (_admitted({**row, name: value}), gain) > score:
-                    best, score = value, (_admitted({**row, name: value}), gain)
+                candidate = (_admitted({**row, name: value}), gain)
+                if score is None or candidate > score:
+                    best, score = value, candidate
             row[name] = best
-        for x, y in itertools.combinations(names, 2):
-            uncovered.discard(((x, row[x]), (y, row[y])))
-        rows.append(_as_node(t, row))
-    return rows
+        uncovered -= pairs(row)
+        rows.append(row)
+    return [_as_node(t, row) for row in rows]
 
 
-def full_product(t: Tier) -> list[Node]:
-    axes = _axes(t)
-    return [
-        _as_node(t, row)
-        for values in itertools.product(*axes.values())
-        for row in [dict(zip(axes, values))]
-        if _feasible(t, row)
-    ]
+def full_product(t: Tier, label: str):
+    """Every node of tier *t* on kernel *label*, lazily."""
+    axes = {**_axes(t), "kernel": (label,)}
+    for values in itertools.product(*axes.values()):
+        row = dict(zip(axes, values))
+        if _feasible(t, row):
+            yield _as_node(t, row)
 
 
 # -- building and running a node -------------------------------------------------
@@ -613,6 +643,7 @@ GATES = {
     ExecutionConfig.__post_init__.__code__: ("ExecutionConfig", ValueError),
     EnsemblePlan.__init__.__code__: ("EnsemblePlan", KernelError),
     ExecutionPlan.build.__func__.__code__: ("ExecutionPlan.build", ValidationError),
+    distributed._validate_halo.__code__: ("ShardedPlan", ValidationError),
 }
 
 
@@ -736,7 +767,7 @@ def _run_checkpointed(n, k, dtype):
     chk = _gated(lambda: fwd_plan.checkpointed_adjoint(
         rev_plan, shape, steps=SWEEP_STEPS, snaps=n["snaps"], output=output,
         history=history, constants=consts, adjoint_map=amap,
-        dtype=np.dtype(dtype), members=n["members"],
+        dtype=np.dtype(dtype), members=n["members"], workers=n["workers"],
     ))
     with chk:
         member = (lambda a: a) if n["members"] is None else (lambda a: a[0])
@@ -751,6 +782,7 @@ def _run_checkpointed(n, k, dtype):
                 decisions.program_gate((*chk._fwd, *chk._rev)),
             )
             raise _Refusal(Refused("program_gate", chk.sweep))
+        assert n["rung"] == "per-action" or chk.explain()[0].startswith("sweep: program (")
         forced = faults.inject("bound.run", times=0) if n["rung"] == "per-action" else None
         with forced or contextlib.nullcontext():
             grads = {g: a.copy() for g, a in chk.adjoint(state0, seed).items()}
@@ -775,6 +807,7 @@ def _run_sharded(n, k, dtype):
             adjoint_map=amap, dtype=dtype, **kwargs,
         ))
         try:
+            assert sharded.evaluation_cost == optimal_cost(SWEEP_STEPS, 2)
             final = sharded.run_forward([a.copy() for a in state0])
             grads = sharded.adjoint([a.copy() for a in state0], seed)
         finally:
@@ -785,6 +818,8 @@ def _run_sharded(n, k, dtype):
     reads = sorted({a for nest in k.nests for a in nest.read_arrays()})
     written = sorted({a for nest in k.nests for a in nest.written_arrays()})
     with _gated(lambda: ShardedPlan(k.compiled(dtype), state, halo=k.halo, **kwargs)) as sp_:
+        # Fewer ranks only when the axis-0 extent has fewer rows.
+        assert sp_.effective_nranks == min(n["ranks"], sp_.extent)
         for _ in range(STEPS):
             sp_.step(exchange=reads, accumulate=written)
             for dst, src in k.rotation:
@@ -799,10 +834,10 @@ def _serve(client, k, n, dtype, state):
     params = {str(s): v for s, v in k.params.items()}
     batched = 0
     for _ in range(SERVED_STEPS):
-        for nest in k.nests:
+        for nest, spec in zip(k.nests, k.specs):
             names = {*nest.read_arrays(), *nest.written_arrays()}
             result = client.run(
-                to_source(nest), state={a: state[a] for a in names},
+                spec, state={a: state[a] for a in names},
                 sizes=sizes, params=params, dtype=tag, backend=n["backend"],
             )
             batched += result.batched
@@ -869,22 +904,6 @@ def _execute(n: Node, k: Kernel):
     return None
 
 
-_OUTCOMES: dict = {}
-
-
-def outcome(n: Node):
-    """:func:`_execute`, memoised per node (legacy ids share nodes)."""
-    if n not in _OUTCOMES:
-        try:
-            _OUTCOMES[n] = ("ok", _execute(n, kernel(n.kernel)))
-        except BaseException as exc:
-            _OUTCOMES[n] = ("failed", exc)
-    state, value = _OUTCOMES[n]
-    if state == "failed":
-        raise value
-    return value
-
-
 # -- shrinking a failing fuzz kernel ---------------------------------------------
 
 
@@ -936,7 +955,7 @@ def check(n: Node) -> Refused | None:
     """Assert node *n*: bitwise against the interpreter, or refused by a
     gate.  A failing fuzz node reports its shrunk kernel."""
     try:
-        return outcome(n)
+        return _execute(n, kernel(n.kernel))
     except Exception:
         if not n.kernel.startswith("fuzz"):
             raise
@@ -944,27 +963,150 @@ def check(n: Node) -> Refused | None:
         pytest.fail(f"{traceback.format_exc()}\nminimal failing kernel:\n{minimal}")
 
 
-def runs(tier: str, kernel_label: str, **values) -> None:
-    """Assert that a node of *tier* on the kernel that holds *values* runs
-    bitwise against the interpreter: a gate refusing it fails.  The node
-    is one of the default run's where one holds *values* (and
-    ``ExecutionConfig`` admits it), so a replaced test id shares its run."""
-    n = next(
-        (
-            d for d in default_nodes()
-            if (d.tier, d.kernel) == (tier, kernel_label)
-            and all(d[a] == v for a, v in values.items())
-            and _admitted(dict(d.values))
-        ),
-        None,
-    ) or node(tier, kernel_label, **values)
-    refused = check(n)
-    assert refused is None, f"{n.id}: refused by {refused.gate}: {refused.reason}"
+# A node that several replaced ids name runs once.
+_checked = functools.cache(check)
 
 
-def app(request) -> str:
-    """The kernel label of a test parametrised by ``any_problem``."""
-    return request.node.callspec.params["any_problem"][0]
+def runs(*nodes: Node) -> None:
+    """Assert that each node runs bitwise against the interpreter: a
+    gate refusing it fails."""
+    for n in nodes:
+        refused = _checked(n)
+        assert refused is None, f"{n.id}: refused by {refused.gate}: {refused.reason}"
+
+
+# -- the replaced matrices -------------------------------------------------------
+#
+# The per-tier matrices this table replaced, by test name: each of their
+# ids and the node(s) that now cover it.  The ids stay in their modules
+# (``replaced(name)``) as the one name of those nodes, and the default
+# run starts from them.
+
+_DT = ("f64", "f32")
+_BACKENDS = ("python", "native")
+_THREADS = {"serial": 1, "threads1": 1, "threads2": 2, "threads4": 4}
+_BATCH = {"single": (None, 1), "m3w1": (3, 1), "m3w2": (3, 2)}
+_NATIVE_APPS = {"anisotropic-activek": "anisotropic_k", **{a: a for a in (
+    "heat1d", "heat3d", "wave1d", "wave2d", "burgers1d", "burgers2d",
+    "anisotropic", "advection1", "advection2",
+)}}
+_NT_APPS = ("anisotropic", "burgers1d", "heat2d", "wave2d")
+_B, _E, _C, _S = (functools.partial(node, t) for t in ("bound", "ensemble", "checkpointed", "sharded"))
+
+REPLACED = {
+    "test_bound_bitwise_identical_to_seed_serial": {
+        f"{a}-{tag}-{d}": (_B(a, dtype=d, num_threads=_THREADS[tag]),)
+        for a in APPS for tag in ("serial", "threads4") for d in _DT
+    },
+    "test_bound_scatter_matches_unbound": {
+        str(t): (_B("scatter_wave2d", num_threads=t),) for t in (1, 4)
+    },
+    "test_plan_matches_interpreter_bitwise": {
+        f"{a}-{tag}": (_B(a, num_threads=t),) for a in APPS for tag, t in _THREADS.items()
+    },
+    "test_plan_bitwise_identical_to_serial_kernel": {
+        f"{a}-{tag}": (_B(a, num_threads=t),)
+        for a in APPS for tag, t in _THREADS.items() if tag != "serial"
+    },
+    "test_gather_identical_across_thread_counts": {
+        f"{a}-{t}": (_B(a, num_threads=t),) for a in APPS for t in (1, 2, 3, 7)
+    },
+    "test_tapenade_adjoint_threaded_bitwise": {
+        f"{a}-{t}": (_B(f"scatter_{a}", num_threads=t),) for a in SCATTER for t in (2, 3, 4)
+    },
+    "test_heat2d_forward_and_adjoint_bitwise": {
+        d: (_B("heat2d", dtype=d, backend="native"),) for d in _DT
+    },
+    "test_adjoint_apps_bitwise": {
+        f"{i}-{f}": (_B(a, backend="native", fusion=f),)
+        for i, a in _NATIVE_APPS.items() for f in ("auto", "off")
+    },
+    "test_scatter_kernel_bitwise": {
+        str(t): (_B("scatter_heat2d", backend="native", native_threads=t),) for t in (1, 2)
+    },
+    "test_bound_bitwise_across_thread_counts": {
+        f"{a}-{d}": tuple(_B(a, dtype=d, backend="native", fusion="off", native_threads=t)
+                          for t in (2, 4))
+        for a in _NT_APPS for d in _DT
+    },
+    "test_fused_bitwise_across_thread_counts": {
+        a: tuple(_B(a, backend="native", native_threads=t) for t in (2, 4)) for a in _NT_APPS
+    },
+    "test_ensemble_bitwise_across_thread_counts": {
+        a: tuple(_E(a, backend="native", native_threads=t, members=4) for t in (1, 2))
+        for a in _NT_APPS
+    },
+    "test_checkpointed_adjoint_bitwise": {
+        str(t): (_C("heat1d", backend="native", native_threads=t, snaps=2),) for t in (1, 2, 4)
+    },
+    "test_batched_equals_looped": {
+        f"{a}-{d}-{b}": (_E(a, dtype=d, backend=b, members=5),)
+        for a in ("burgers1d", "heat2d", "wave2d") for d in _DT for b in _BACKENDS
+    },
+    "test_batched_equals_looped_threaded_plans": {
+        b: (_E("heat2d", backend=b, members=4,
+               **{"native_threads" if b == "native" else "num_threads": 2}),)
+        for b in _BACKENDS
+    },
+    "test_worker_and_chunk_count_never_change_results": {
+        f"{w}-{m}": (_E("wave2d", workers=w, members=m or 7),)
+        for w, m in ((1, None), (2, None), (3, 5), (2, 4), (2, 11), (3, 17))
+    },
+    "test_bound_and_ensemble_record_the_same_rungs": {
+        f"{a}-{b}-{f}-{c}": (_E(a, backend=b, fusion=f, check=c, members=1),)
+        for a in ("burgers1d", "heat2d", "wave2d") for b in _BACKENDS
+        for f in ("auto", "off") for c in ("none", "nan")
+    },
+    "test_checkpointed_bitwise_identical_to_store_all": {
+        f"{a}-{d}-{b}": (_C(a, dtype=d, backend=b, snaps=3, rung="per-action"),)
+        for a in ("burgers1d", "heat1d", "heat2d", "wave1d", "wave2d") for d in _DT
+        for b in _BACKENDS
+    },
+    "test_program_sweep_bitwise_identical_to_every_oracle": {
+        f"{a}-{d}-{s}-{tag}": (_C(a, dtype=d, backend="native", snaps=s, rung="program",
+                                  members=_BATCH[tag][0], workers=_BATCH[tag][1]),)
+        for a in ("heat1d", "heat2d", "wave2d") for d in _DT for s in (1, 3, 7) for tag in _BATCH
+    },
+    "test_forward_and_adjoint_bitwise": {
+        f"{r}-{a}-{d}-{b}": (_S(a, dtype=d, backend=b, ranks=r),)
+        for r in (1, 2, 3, 7) for a in ("burgers1d", "heat2d", "wave2d") for d in _DT
+        for b in _BACKENDS
+    },
+    "test_forked_workers_bitwise": {
+        str(r): (_S("heat2d", ranks=r, forked=True),) for r in (1, 2, 3, 7)
+    },
+    "test_sharded_checkpointed_adjoint_bitwise": {
+        f"{a}-{r}": (_S(a, ranks=r, mode="checkpointed"),) for a in ("heat2d", "wave2d") for r in (2, 3)
+    },
+    "test_sharded_checkpointed_adjoint_with_workers": {
+        f"{a}-{r}-{b}": (_S(a, backend=b, ranks=r, forked=True, mode="checkpointed"),)
+        for a in ("heat2d", "wave2d") for r in (2, 3) for b in _BACKENDS
+    },
+    # Each fuzz kernel along the replaced fuzz test's paths: the python
+    # plan, the native plan per statement and fused, and an ensemble.
+    "test_random_kernel_paths_agree_bitwise": {
+        str(seed): (
+            _B(f"fuzz{seed:02d}"),
+            *(_B(f"fuzz{seed:02d}", backend="native", fusion=f) for f in ("off", "auto")),
+            _E(f"fuzz{seed:02d}", members=4),
+        )
+        for seed in range(FUZZ_SEEDS)
+    },
+}
+NAMED = frozenset(n for cases in REPLACED.values() for ns in cases.values() for n in ns)
+
+
+def replaced(name: str):
+    """The replaced matrix *name* as a test: each of its ids asserts that
+    the node(s) covering it run bitwise."""
+
+    def test(nodes):
+        runs(*nodes)
+
+    test.__name__ = test.__qualname__ = name
+    return pytest.mark.parametrize(
+        "nodes", [pytest.param(ns, id=case) for case, ns in REPLACED[name].items()]
+    )(test)
 
 
 # -- the lattice -----------------------------------------------------------------
@@ -972,32 +1114,45 @@ def app(request) -> str:
 
 @functools.cache
 def default_nodes() -> tuple[Node, ...]:
-    return tuple(n for t in TIERS.values() for n in all_pairs(t))
+    """The default run: an all-pairs cover of each tier that starts from
+    the nodes the replaced ids name."""
+    return tuple(
+        n for t in TIERS.values()
+        for n in all_pairs(t, sorted((p for p in NAMED if p.tier == t.name), key=lambda p: p.id))
+    )
 
 
-def pytest_generate_tests(metafunc):
-    if "lattice_node" not in metafunc.fixturenames:
-        return
-    if metafunc.config.getoption("markexpr") == "lattice_full":
-        params = [
-            pytest.param(n, id=n.id, marks=pytest.mark.lattice_full)
-            for t in TIERS.values()
-            for n in full_product(t)
-        ]
-    else:
-        params = [pytest.param(n, id=n.id) for n in default_nodes()]
-    metafunc.parametrize("lattice_node", params)
-
-
+@pytest.mark.parametrize(
+    "lattice_node", [pytest.param(n, id=n.id) for n in default_nodes() if n not in NAMED]
+)
 def test_node(lattice_node):
     """Every node runs bitwise against the interpreter or is refused by
-    the runtime gate that recorded it."""
+    the runtime gate that recorded it (the nodes a replaced id names run
+    under that id)."""
     check(lattice_node)
+
+
+@pytest.mark.lattice_full
+@pytest.mark.parametrize(
+    "tier, label",
+    [pytest.param(t, k, id=f"{t}-{k}") for t, tier in TIERS.items() for k in _axes(tier)["kernel"]],
+)
+def test_full_product(tier, label):
+    """Every node of *tier* on kernel *label*: the full product of the
+    tier's other axes (``-m lattice_full``; one item per kernel, so
+    collection stays small)."""
+    failed = []
+    for n in full_product(TIERS[tier], label):
+        try:
+            check(n)
+        except (Exception, pytest.fail.Exception) as exc:
+            failed.append(f"{n.id}: {type(exc).__name__}: {exc}")
+    assert not failed, f"{len(failed)} node(s) failed:\n" + "\n".join(failed[:10])
 
 
 def test_default_run_covers_every_pair_and_reaches_every_tier():
     nodes = default_nodes()
-    assert len(set(nodes)) == len(nodes)
+    assert len(set(nodes)) == len(nodes) and NAMED <= set(nodes)
     served = [n for n in nodes if n.tier == "served"]
     assert any(n["backend"] == "native" for n in served)
     for tier in ("sharded", "served"):

@@ -36,7 +36,7 @@ from repro.runtime import (
 )
 from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
-from test_lattice import runs
+from test_lattice import replaced
 
 needs_cc = pytest.mark.skipif(
     not native_available(), reason="no C toolchain on this machine"
@@ -86,38 +86,9 @@ def _assert_native_matches_seed(kernel, base, replays=2, **plan_kwargs):
 # -- bitwise identity ---------------------------------------------------------
 
 
-@needs_cc
-@pytest.mark.parametrize("dtype", ["f64", "f32"])
-def test_heat2d_forward_and_adjoint_bitwise(dtype):
-    """Alias of the lattice's native bound node (``tests/test_lattice.py``)."""
-    runs("bound", "heat2d", dtype=dtype, backend="native")
-
-
-@needs_cc
-@pytest.mark.parametrize("fusion", ["auto", "off"])
-@pytest.mark.parametrize(
-    "label",
-    [
-        "heat1d", "heat3d", "wave1d", "wave2d", "burgers1d", "burgers2d",
-        "anisotropic", "anisotropic_k", "advection1", "advection2",
-    ],
-    ids=[
-        "heat1d", "heat3d", "wave1d", "wave2d", "burgers1d", "burgers2d",
-        "anisotropic", "anisotropic-activek", "advection1", "advection2",
-    ],
-)
-def test_adjoint_apps_bitwise(label, fusion):
-    """Alias of the lattice's native bound node (``tests/test_lattice.py``)."""
-    runs("bound", label, backend="native", fusion=fusion)
-
-
-@needs_cc
-@pytest.mark.parametrize("native_threads", [1, 2])
-def test_scatter_kernel_bitwise(native_threads):
-    """Alias of the lattice's native bound node of the scatter adjoint,
-    OpenMP-threaded where the partition rule admits a nest."""
-    runs("bound", "scatter_heat2d", backend="native",
-         native_threads=None if native_threads == 1 else 2)
+test_heat2d_forward_and_adjoint_bitwise = needs_cc(replaced("test_heat2d_forward_and_adjoint_bitwise"))
+test_adjoint_apps_bitwise = needs_cc(replaced("test_adjoint_apps_bitwise"))
+test_scatter_kernel_bitwise = needs_cc(replaced("test_scatter_kernel_bitwise"))
 
 
 @needs_cc

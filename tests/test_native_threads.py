@@ -45,14 +45,12 @@ from repro.runtime import (
 )
 from repro.runtime import decisions as decisions_mod
 from repro.runtime import native as native_mod
-from test_lattice import runs
+from test_lattice import replaced
 
 needs_cc = pytest.mark.skipif(
     not native_available(), reason="no C toolchain on this machine"
 )
 
-PROBLEMS = ["heat2d", "wave2d", "burgers1d", "anisotropic"]
-THREADS = [1, 2, 4]
 
 
 def _case(factory, n, dtype=np.float64, seed=0, cache=True):
@@ -87,36 +85,10 @@ def _assert_bitwise(ref, got, label):
 # -- the acceptance matrix ----------------------------------------------------
 
 
-@needs_cc
-@pytest.mark.parametrize("dtype", ["f64", "f32"])
-@pytest.mark.parametrize("name", PROBLEMS)
-def test_bound_bitwise_across_thread_counts(name, dtype):
-    """Alias of the lattice's threaded native bound node."""
-    runs("bound", name, dtype=dtype, backend="native", fusion="off",
-         native_threads=2)
-
-
-@needs_cc
-@pytest.mark.parametrize("name", PROBLEMS)
-def test_fused_bitwise_across_thread_counts(name):
-    """Alias of the lattice's threaded fused native bound node."""
-    runs("bound", name, backend="native", native_threads=2)
-
-
-@needs_cc
-@pytest.mark.parametrize("name", PROBLEMS)
-def test_ensemble_bitwise_across_thread_counts(name):
-    """Alias of the lattice's threaded native ensemble node."""
-    runs("ensemble", name, backend="native", native_threads=2, members=3,
-         transactional=False)
-
-
-@needs_cc
-@pytest.mark.parametrize("nthreads", THREADS)
-def test_checkpointed_adjoint_bitwise(nthreads):
-    """Alias of the lattice's native checkpointed node."""
-    runs("checkpointed", "heat1d", backend="native", snaps=1, check="none",
-         transactional=False, native_threads=None if nthreads == 1 else 2)
+test_bound_bitwise_across_thread_counts = needs_cc(replaced("test_bound_bitwise_across_thread_counts"))
+test_fused_bitwise_across_thread_counts = needs_cc(replaced("test_fused_bitwise_across_thread_counts"))
+test_ensemble_bitwise_across_thread_counts = needs_cc(replaced("test_ensemble_bitwise_across_thread_counts"))
+test_checkpointed_adjoint_bitwise = needs_cc(replaced("test_checkpointed_adjoint_bitwise"))
 
 
 # -- knob precedence and bind-time gates --------------------------------------

@@ -14,7 +14,7 @@ from repro.baselines.scatter import tapenade_style_adjoint
 from repro.core import adjoint_loops
 from repro.core.loopnest import LoopNest, Statement
 from repro.runtime import Bindings, compile_nests, split_box
-from test_lattice import app, runs
+from test_lattice import replaced
 
 
 def _run(kernel, arrays, threads, min_block_iterations=1):
@@ -80,19 +80,8 @@ def test_uneven_split_sizes_balanced():
 # -- parallel gather execution -------------------------------------------------
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3, 7])
-def test_gather_identical_across_thread_counts(any_problem, threads, request):
-    """Alias of the lattice's bound node (``tests/test_lattice.py``)."""
-    runs("bound", app(request), num_threads=min(threads, 3))
-
-
-@pytest.mark.parametrize("threads", [2, 3, 4])
-@pytest.mark.parametrize("label", ["heat1d", "heat2d", "wave2d", "wave3d"])
-def test_tapenade_adjoint_threaded_bitwise(label, threads):
-    """Alias of the lattice's bound node of the scatter adjoint: its
-    ``+=`` updates at neighbouring rows cross thread blocks, so the
-    partition rule keeps it one task."""
-    runs("bound", f"scatter_{label}", num_threads=min(threads, 3))
+test_gather_identical_across_thread_counts = replaced("test_gather_identical_across_thread_counts")
+test_tapenade_adjoint_threaded_bitwise = replaced("test_tapenade_adjoint_threaded_bitwise")
 
 
 def test_gather_adjoint_keeps_its_splits():

@@ -22,22 +22,10 @@ from repro.runtime import (
     compile_nests,
     stack_arrays,
 )
-from test_lattice import app, runs
+from test_lattice import replaced
 
-# (id, num_threads) of the replaced plan-vs-interpreter matrix.
-CONFIGS = [("serial", 1), ("threads1", 1), ("threads2", 2), ("threads4", 4)]
-
-
-@pytest.mark.parametrize("label,threads", CONFIGS, ids=[c[0] for c in CONFIGS])
-def test_plan_matches_interpreter_bitwise(any_problem, label, threads, request):
-    """Alias of the lattice's bound node (``tests/test_lattice.py``)."""
-    runs("bound", app(request), num_threads=min(threads, 3))
-
-
-@pytest.mark.parametrize("label,threads", CONFIGS[1:], ids=[c[0] for c in CONFIGS[1:]])
-def test_plan_bitwise_identical_to_serial_kernel(any_problem, label, threads, request):
-    """Alias of the lattice's bound node (``tests/test_lattice.py``)."""
-    runs("bound", app(request), num_threads=min(threads, 3))
+test_plan_matches_interpreter_bitwise = replaced("test_plan_matches_interpreter_bitwise")
+test_plan_bitwise_identical_to_serial_kernel = replaced("test_plan_bitwise_identical_to_serial_kernel")
 
 
 def test_plan_memoised_per_config():

@@ -762,12 +762,6 @@ def test_fault_shm_attach_is_typed_and_arrays_intact(server_factory):
 # -- one request, one thread, one path ----------------------------------------
 
 
-def serve_threads():
-    return {
-        t for t in threading.enumerate() if t.name.startswith("repro-serve-")
-    }
-
-
 def fire(server, states, spec=SMOOTH, sizes=SMOOTH_SIZES, params=SMOOTH_PARAMS):
     """One client thread per state, all in flight at once; returns
     ``{key: ServeResult | exception}`` once every reply is in.  Every
@@ -804,24 +798,23 @@ def smooth_states(*seeds):
 
 
 def test_a_started_server_owns_one_thread_plus_one_per_connection(
-    server_factory,
+    server_factory, started
 ):
-    before = serve_threads()
     server = server_factory(batch_window_ms=2.0)
     with KernelClient(server.socket_path) as a, KernelClient(
         server.socket_path
     ) as b:
         assert a.ping() and b.ping()
-        names = sorted(t.name for t in serve_threads() - before)
+        names = sorted(t.name for t in started().threads_named("repro-serve-"))
         assert names == [
             "repro-serve-accept", "repro-serve-conn", "repro-serve-conn",
         ]
     server.close()
-    assert serve_threads() - before == set()
+    assert not started().threads_named("repro-serve-")
 
 
 def test_close_joins_a_connection_thread_still_cleaning_up(
-    server_factory, monkeypatch
+    server_factory, monkeypatch, started
 ):
     """Regression: close() joined only the threads of still-open
     connections, so one whose client hung up first — gone from the
@@ -833,18 +826,17 @@ def test_close_joins_a_connection_thread_still_cleaning_up(
             time.sleep(0.5)
         real_close(sock)
 
-    before = serve_threads()
     server = server_factory()
     monkeypatch.setattr(socket.socket, "close", slow_close)
     with KernelClient(server.socket_path) as client:
         assert client.ping()
     wait_for_no_connections(server)
     # Out of the table, still alive: the thread is in its slow close.
-    assert sorted(t.name for t in serve_threads() - before) == [
+    assert sorted(t.name for t in started().threads_named("repro-serve-")) == [
         "repro-serve-accept", "repro-serve-conn",
     ]
     server.close()
-    assert serve_threads() - before == set()
+    assert not started().threads_named("repro-serve-")
 
 
 def test_requests_execute_on_their_connection_thread(
@@ -905,8 +897,7 @@ def test_a_leader_that_dies_answers_itself_and_its_follower(
         )
 
 
-def test_close_flushes_an_open_window_and_leaves_nothing(server_factory):
-    before = serve_threads()
+def test_close_flushes_an_open_window_and_leaves_nothing(server_factory, started):
     server = server_factory(max_batch=8, batch_window_ms=60_000.0)
     states = smooth_states(0, 1)
     refs = {
@@ -933,7 +924,7 @@ def test_close_flushes_an_open_window_and_leaves_nothing(server_factory):
     for seed in states:
         assert results[seed].batch_size == 2
         assert_bitwise(refs[seed], results[seed].state)
-    assert serve_threads() - before == set()
+    assert not started().threads_named("repro-serve-")
     assert not server._conns and not server._groups
     assert not os.path.exists(server.socket_path)
     idle.close()
@@ -1458,8 +1449,9 @@ def test_bad_segment_names_never_reach_shared_memory(
     assert segment_calls == []
 
 
-def test_close_returns_at_once_idle_or_with_an_idle_client(server_factory):
-    before = serve_threads()
+def test_close_returns_at_once_idle_or_with_an_idle_client(
+    server_factory, started
+):
     idle = server_factory()
     t0 = time.monotonic()
     idle.close()
@@ -1470,7 +1462,7 @@ def test_close_returns_at_once_idle_or_with_an_idle_client(server_factory):
         t0 = time.monotonic()
         busy.close()
         assert time.monotonic() - t0 < 0.05
-    assert serve_threads() - before == set()
+    assert not started().threads_named("repro-serve-")
 
 
 # -- one parse per spec -------------------------------------------------------

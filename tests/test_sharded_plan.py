@@ -27,15 +27,15 @@ from repro.runtime import (
     faults,
     native_available,
 )
-from test_lattice import runs
+from test_lattice import replaced
 
 _PROBLEMS = {
     "heat2d": lambda: heat_problem(2),
     "wave2d": lambda: wave_problem(2),
     "burgers1d": lambda: burgers_problem(1),
 }
-_BACKENDS = ["python"] + (["native"] if native_available() else [])
 _FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_fork = pytest.mark.skipif(not _FORK, reason="no fork start method")
 
 
 def _kernels(prob, n, dtype=np.float64):
@@ -61,24 +61,11 @@ def _rotate_sharded(plan, chain):
 # -- the bitwise contract matrix -------------------------------------------
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
-@pytest.mark.parametrize("dtype", ["f64", "f32"])
-@pytest.mark.parametrize("problem", sorted(_PROBLEMS))
-@pytest.mark.parametrize("nranks", [1, 2, 3, 7])
-def test_forward_and_adjoint_bitwise(problem, nranks, dtype, backend):
-    """Alias of the lattice's in-process sharded node."""
-    runs("sharded", problem, dtype=dtype, backend=backend,
-         ranks=min(nranks, 3), forked=False, mode="plain")
+test_forward_and_adjoint_bitwise = replaced("test_forward_and_adjoint_bitwise")
+test_forked_workers_bitwise = needs_fork(replaced("test_forked_workers_bitwise"))
 
 
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
-@pytest.mark.parametrize("nranks", [1, 2, 3, 7])
-def test_forked_workers_bitwise(nranks):
-    """Alias of the lattice's forked sharded node."""
-    runs("sharded", "heat2d", ranks=min(nranks, 3), forked=True, mode="plain")
-
-
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@needs_fork
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 @pytest.mark.parametrize("nranks", [1, 2, 3])
 def test_caller_is_rank_zero_and_forks_one_worker_per_further_rank(
@@ -98,7 +85,7 @@ def test_caller_is_rank_zero_and_forks_one_worker_per_further_rank(
     sp.close()
 
 
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@needs_fork
 @pytest.mark.parametrize("nranks", [1, 2, 3, 7])
 def test_rank_side_copy_and_fill_bitwise(nranks):
     """A seeded random sequence of copy, fill and step leaves every slab
@@ -143,7 +130,7 @@ def test_rank_side_copy_and_fill_bitwise(nranks):
             assert got[name].tobytes() == want[name].tobytes(), name
 
 
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@needs_fork
 def test_forked_workers_threaded_plans_bitwise(started):
     """Threaded per-shard plans create their worker pool on first run,
     inside the forked worker — never at bind time, before the fork,
@@ -175,7 +162,7 @@ def test_forked_workers_threaded_plans_bitwise(started):
     np.testing.assert_array_equal(got["u"], ref["u"])
 
 
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@needs_fork
 @pytest.mark.skipif(not native_available(), reason="no C toolchain")
 def test_forked_workers_native_backend_bitwise():
     """Native-backend bound plans survive the fork (the ctypes-loaded
@@ -238,7 +225,7 @@ print("BITWISE")
 """
 
 
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@needs_fork
 @pytest.mark.skipif(not native_available(), reason="no C toolchain")
 @pytest.mark.parametrize("pinned_by", ["config", "environment"])
 def test_forked_ranks_survive_a_parent_openmp_region(pinned_by):
@@ -475,7 +462,7 @@ def test_exchange_failure_degrades_bitwise_mid_run():
     np.testing.assert_array_equal(state["u"], ref["u"])
 
 
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@needs_fork
 def test_dead_worker_degrades_bitwise():
     """A worker found dead by the pre-dispatch heartbeat degrades to a
     single shard with the run still bitwise-identical."""
@@ -509,7 +496,7 @@ def test_dead_worker_degrades_bitwise():
     np.testing.assert_array_equal(got["u"], ref["u"])
 
 
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@needs_fork
 def test_dead_worker_found_by_copy_degrades_bitwise():
     """copy and fill are rank commands too: a worker found dead before
     one is sent degrades the plan there, bitwise, instead of failing."""
@@ -540,7 +527,7 @@ def test_dead_worker_found_by_copy_degrades_bitwise():
     np.testing.assert_array_equal(got["u_1"], ref["u_1"])
 
 
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@needs_fork
 def test_worker_failure_mid_step_raises_typed_shard_error():
     """A kernel failure inside a worker (after dispatch) cannot degrade
     — some ranks may have advanced — so it raises ShardError naming the
@@ -559,7 +546,7 @@ def test_worker_failure_mid_step_raises_typed_shard_error():
     assert "rank 0" in str(excinfo.value)
 
 
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@needs_fork
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 def test_failed_step_reads_every_reply_and_refuses_further_work(started):
     """Every rank fails its first run (the forked workers inherit the
@@ -595,7 +582,7 @@ def test_failed_step_reads_every_reply_and_refuses_further_work(started):
     assert not any(proc.is_alive() for proc in workers)
 
 
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
+@needs_fork
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
 @pytest.mark.parametrize("ending", ["closed", "worker_killed", "exception"])
 def test_no_shared_memory_segment_outlives_its_plan(ending):
@@ -633,20 +620,5 @@ def test_no_shared_memory_segment_outlives_its_plan(ending):
 # -- sharded checkpointed adjoints ------------------------------------------
 
 
-@pytest.mark.parametrize("nranks", [2, 3])
-@pytest.mark.parametrize("problem", ["heat2d", "wave2d"])
-def test_sharded_checkpointed_adjoint_bitwise(problem, nranks):
-    """Alias of the lattice's in-process sharded checkpointed node."""
-    runs("sharded", problem, ranks=nranks, forked=False, mode="checkpointed")
-
-
-@pytest.mark.skipif(not _FORK, reason="no fork start method")
-@pytest.mark.parametrize("backend", _BACKENDS)
-@pytest.mark.parametrize("nranks", [2, 3])
-@pytest.mark.parametrize("problem", ["heat2d", "wave2d"])
-def test_sharded_checkpointed_adjoint_with_workers(problem, nranks, backend):
-    """Alias of the lattice's forked sharded checkpointed node: ranks
-    1 .. R-1 copy and fill their own slabs, and wave2d also carries the
-    constant-field gradient."""
-    runs("sharded", problem, backend=backend, ranks=nranks,
-         forked=True, mode="checkpointed")
+test_sharded_checkpointed_adjoint_bitwise = replaced("test_sharded_checkpointed_adjoint_bitwise")
+test_sharded_checkpointed_adjoint_with_workers = needs_fork(replaced("test_sharded_checkpointed_adjoint_with_workers"))
