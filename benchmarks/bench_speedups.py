@@ -4,7 +4,8 @@ Every optimisation layer of the runtime was accepted against a floor:
 cached beats cold, bound beats unbound, native beats python, the batched
 ensemble beats the member loop, fused beats per-statement, threads beat
 serial, a one-statement nest with literal geometry beats the entry
-that reads it per call, two ranks beat one, sharding overhead shrinks
+that reads it per call, a bind's objects compiled as one concurrent
+batch beat one compile after another, two ranks beat one, sharding overhead shrinks
 with the grid, a
 checkpointed sweep recorded as one C program beats a bound run per
 schedule action, inline served state stays within 3x of shared
@@ -29,7 +30,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from repro.apps import heat_problem
+from repro.apps import heat_problem, wave_problem
+from repro.codegen.native_c import generate_fused_source, generate_runtime_source
 from repro.core import adjoint_loops
 from repro.frontend.printer import to_source
 from repro.runtime import (
@@ -42,6 +44,7 @@ from repro.runtime import (
     native_available,
     stack_arrays,
 )
+from repro.runtime import native
 from repro.verify import bitwise_equal
 
 
@@ -247,6 +250,65 @@ def _sweep_paths(case, stack):
     return [sweep(lambda: faults.inject("bound.run", times=0)), sweep(nullcontext)]
 
 
+def _cold_build_paths(case, stack):
+    """The cold workload's four objects — the runners, the wave2d
+    primal's literal nest and its adjoint's two fused nests — built into
+    a fresh cache directory: one ``build_objects`` call per source vs
+    one batch of all four.  Each path then runs the nests it loaded."""
+    prob = wave_problem(2)
+    adjoint = adjoint_loops(prob.primal, prob.adjoint_map)
+    bindings = prob.bindings(case.n)
+    base = prob.allocate_state(case.n, seed=0)
+    cc = native.native_toolchain()
+    flags = native._CFLAGS + native._host_cflags(cc)
+    jobs = [(generate_runtime_source(), cc, native._CFLAGS)]
+    nests = []  # (function name, operand order, geom) per job after the runners
+    for name, nests_of in (("cold_primal", [prob.primal]), ("cold_adjoint", adjoint)):
+        kernel = compile_nests(nests_of, bindings, name=name, cache=False)
+        with kernel.plan(backend="native") as plan:
+            bound = plan.bind({k: v.copy() for k, v in base.items()})
+        groups = {
+            id(v.group): v.group
+            for v in bound.decisions[1:]
+            if v.rung == "fused" or v.geometry == "literal nest"
+        }
+        for group in groups.values():
+            source, fn_name, order = generate_fused_source(
+                group.entries, base, kernel.counters
+            )
+            single = len(group.entries) == 1
+            nests.append((fn_name, order, group.entries[0].box[0] if single else (0,)))
+            jobs.append((source, cc, flags))
+    assert len(jobs) == 4, len(jobs)
+    root = stack.enter_context(tempfile.TemporaryDirectory())
+
+    def build(batched: bool) -> Path:
+        out = {}
+
+        def run():
+            old = os.environ.get("REPRO_CACHE_DIR")
+            os.environ["REPRO_CACHE_DIR"] = tempfile.mkdtemp(dir=root)
+            try:
+                if batched:
+                    results = native.build_objects(jobs)
+                else:
+                    results = [r for job in jobs for r in native.build_objects([job])]
+            finally:
+                if old is None:
+                    del os.environ["REPRO_CACHE_DIR"]
+                else:
+                    os.environ["REPRO_CACHE_DIR"] = old
+            arrays = {k: v.copy() for k, v in base.items()}
+            for (fn_name, order, geom), (cdll, _path) in zip(nests, results[1:]):
+                fn = native._stmt_fn(cdll, fn_name)
+                native._pack(fn, order, arrays, geom).run()
+            out.update(arrays)
+
+        return Path(run, lambda: out)
+
+    return [build(False), build(True)]
+
+
 class Row(NamedTuple):
     id: str
     paths: Callable  # (case, stack) -> [slow, fast, ...]; the best fast counts
@@ -287,6 +349,10 @@ ROWS = [
     # a step takes at most 0.8x the single plan's, the ROADMAP's line
     # between a speed tier and a capacity tier.
     Row("shard", _shard_paths(2, **_NATIVE), n=1024, reps=50, floor=1.25,
+        native=True, min_cpus=2),
+    # One cc per object at once against one after another: each run pays
+    # cc1's start-up and the link, and the batch runs two on two CPUs.
+    Row("cold_build", _cold_build_paths, n=64, reps=2, floor=1.25,
         native=True, min_cpus=2),
     # Halo exchange is a surface term against volume work, so the
     # shard/single time ratio at n=192 may be at most 1.25x that at n=48.

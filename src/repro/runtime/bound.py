@@ -474,7 +474,6 @@ class BoundPlan(Lowered):
         self._backups: tuple | None = None
 
         ladder = Ladder(plan, self)
-        self.mode = ladder.mode
         python: list[_BoundStatement] = []
 
         def lower(stream, arrays) -> list:
@@ -504,6 +503,9 @@ class BoundPlan(Lowered):
                 )
                 regions.append((tasks, barrier, rp.parallel))
         self._regions = tuple(regions)
+        # Read after lowering: a runners object failing in the bind's
+        # batch moves the library rung, and the mode with it.
+        self.mode = ladder.mode
         self.decisions = tuple(ladder.decisions)
         # Statements running through the allocation-free ufunc slots.
         self.inplace_statement_count = sum(1 for b in python if b.inplace)

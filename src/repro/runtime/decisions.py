@@ -331,6 +331,8 @@ class Ladder:
             self.lib, library = native.library_verdict(plan.kernel, mode.threads)
         else:
             self.lib, library = None, Verdict("library", "python", mode.native_off)
+        self.config = plan.config
+        self.threads = mode.threads  # the width asked for
         self.mode = lowering_mode(plan.config, library)
         self.kernel = plan.kernel
         self.owner = owner
@@ -393,6 +395,68 @@ class Ladder:
             self._planned = (stream, plan_groups(entries))
         return self._planned[1]
 
+    def _spans(self, stream, members) -> tuple[list, list]:
+        """``(refusals, spans)``: each statement's native gate reason
+        (building nothing: a refusal here is what blocks a statement
+        from fusing), and the ``(length, group)`` spans the group loop
+        walks — one group per span, or ``(1, None)`` per statement when
+        fusion is off."""
+        mode, lib = self.mode, self.lib
+        dim = len(self.kernel.counters)
+        refusals: list[str | None] = []
+        for region, si, st, eff in stream:
+            why = mode.native_off
+            if why is None:
+                why = self._refusal(
+                    members,
+                    lambda a: native.native_gate(lib, region, si, st, a, eff),
+                )
+                if why is not None:
+                    why = native_eligibility(st, dim, region.dtype) or why
+            refusals.append(why)
+        if mode.fuse_off is None:
+            spans = [(len(g.entries), g) for g in self._groups(stream, refusals)]
+        else:
+            spans = [(1, None)] * len(stream)
+        return refusals, spans
+
+    def _build(self, spans, members, refusals) -> "native.Batch":
+        """Print and build, as one batch, every object the group loop
+        will load: the runners object unless the library has it, each
+        unblocked group's literal nest per distinct stride geometry of
+        *members* unless the kernel's memo has it, and the per-statement
+        unit when a statement will need its entry (one outside any
+        group, or in a group whose nest the array gate refuses).  Each
+        compile starts as soon as its source is printed.  A nest that
+        fails to build leaves its statements to build the unit on first
+        need, after the batch."""
+        lib, kernel, threads = self.lib, self.kernel, self.mode.threads
+        batch = native.Batch(kernel)
+        nests: list = []
+        unit, pos = False, 0
+        for n, group in spans:
+            keys = []
+            if group is not None and group.entries[0].blocker is None:
+                keys = [
+                    (arrays, batch.key(group.entries, arrays, threads)[0])
+                    for arrays in members.values()
+                ]
+            if keys and all(key is not None for _arrays, key in keys):
+                nests.extend((group.entries, arrays, key) for arrays, key in keys)
+            else:
+                unit = unit or any(why is None for why in refusals[pos:pos + n])
+            pos += n
+
+        def jobs():
+            yield batch.runners(lib)
+            if unit:
+                yield batch.unit(lib)
+            for entries, arrays, key in nests:
+                yield batch.literal(entries, arrays, key)
+
+        batch.build(jobs())
+        return batch
+
     def lower(
         self,
         stream: Sequence[tuple],
@@ -412,26 +476,19 @@ class Ladder:
         start at the per-statement entry.  Returns the runnables in
         order.
         """
-        mode, lib, kernel = self.mode, self.lib, self.kernel
-        dim = len(kernel.counters)
-        # The native gate first, building nothing: a refusal here is what
-        # blocks a statement from fusing.  Entries are resolved (and the
-        # per-statement unit built) only for what no fused nest covers.
-        refusals: list[str | None] = []
-        for region, si, st, eff in stream:
-            why = mode.native_off
-            if why is None:
-                why = self._refusal(
-                    members,
-                    lambda a: native.native_gate(lib, region, si, st, a, eff),
+        refusals, spans = self._spans(stream, members)
+        batch = None
+        if self.lib is not None:
+            batch = self._build(spans, members, refusals)
+            if batch.runners_failure is not None:
+                # The library rung's refusal, as if the runners object
+                # had been built before the bind: python throughout.
+                self.lib, self.decisions[0] = native.library_verdict(
+                    self.kernel, self.threads, batch.runners_failure
                 )
-                if why is not None:
-                    why = native_eligibility(st, dim, region.dtype) or why
-            refusals.append(why)
-        if mode.fuse_off is None:
-            spans = [(len(g.entries), g) for g in self._groups(stream, refusals)]
-        else:
-            spans = [(1, None)] * len(stream)
+                self.mode = lowering_mode(self.config, self.decisions[0])
+                refusals, spans = self._spans(stream, members)
+        mode, lib, kernel = self.mode, self.lib, self.kernel
         items: list = []
         pos = 0
         for n, group in spans:
@@ -440,7 +497,7 @@ class Ladder:
                 fused, why = self._every(
                     members,
                     lambda a: native.make_fused_statement(
-                        kernel, group.entries, a, nthreads=mode.threads
+                        kernel, group.entries, a, mode.threads, batch
                     ),
                 )
                 kind = "fused" if group.fused else "literal"

@@ -308,7 +308,6 @@ class EnsemblePlan(Lowered):
         # bitwise contract tolerates — each member's arithmetic is
         # partition-invariant — but docs/threading.md flags for cost.
         ladder = Ladder(plan, self, guard=self._member_bind)
-        self.mode = ladder.mode
         # One stream object for every chunk: the ladder plans fusion
         # groups once per stream.  Member views of one stacked array
         # share strides, so every member's fused nest is one build.
@@ -330,6 +329,7 @@ class EnsemblePlan(Lowered):
             )
             for lo, hi in self.chunk_members
         )
+        self.mode = ladder.mode  # after lowering, like BoundPlan's
         self.decisions = tuple(ladder.decisions)
 
     # -- binding -----------------------------------------------------------

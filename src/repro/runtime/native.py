@@ -42,12 +42,16 @@ the first of ``cc``, ``gcc``, ``clang`` on ``PATH``.  Build flags pin
 ``-ffp-contract=off`` — fused multiply-adds would break bitwise
 identity with NumPy's two-rounding multiply-then-add.
 
-Compiler invocation is hardened against the real world: every build
-runs under a subprocess timeout (``REPRO_CC_TIMEOUT``, default 300 s —
-a hung compiler must not hang the runtime), transient spawn failures
-and signal-killed compilers are retried with exponential backoff
-(:data:`CC_RETRIES` retries from :data:`CC_BACKOFF` seconds), and
-anything that still fails degrades to the python path through
+Compiler invocation is hardened against the real world and batched: a
+bind builds every object it needs in one :func:`build_objects` call,
+which starts one ``cc`` child process per object missing from the disk
+cache, at most one per CPU at a time across the process.  Each process
+runs under its own deadline (``REPRO_CC_TIMEOUT``, default 300 s — a
+hung compiler must not hang the runtime, and is killed with whatever it
+started), transient spawn failures and signal-killed compilers are
+retried with exponential backoff (:data:`CC_RETRIES` retries from
+:data:`CC_BACKOFF` seconds), and an object that still fails degrades
+only its own group — or, for the runners object, the library — through
 :class:`~repro.errors.NativeBuildError`.  The fault points
 ``native.toolchain``, ``native.cc.spawn``, ``native.cc.timeout``,
 ``native.cache.write`` and ``native.cache.load`` (see
@@ -62,11 +66,13 @@ import hashlib
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
 import time
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -101,6 +107,8 @@ __all__ = [
     "native_gate",
     "make_native_statement",
     "make_fused_statement",
+    "Batch",
+    "build_objects",
     "MAX_LITERAL_NESTS",
     "build_refusal",
     "chain_runnables",
@@ -132,8 +140,9 @@ def _flight(*key) -> threading.Lock:
     """The lock making check → compute → publish for *key* single-flight.
 
     Bind threads (server and ensemble workers) race first uses of one
-    compiler or one build; under the key's lock the second finds the
-    first one's result.  Per key, so unrelated builds stay parallel.
+    compiler; under the key's lock the second finds the first one's
+    result.  Per key, so unrelated probes stay parallel.  (Builds are
+    single-flight through :func:`build_objects`' in-flight table.)
     """
     with _flight_guard:
         return _flights.setdefault(key, threading.Lock())
@@ -217,7 +226,7 @@ def _compiler_id(cc: str) -> str:
     return _once(_compiler_id_memo, cc, probe)
 
 
-# -- compiler invocation: timeout, bounded retry, backoff ---------------------
+# -- compiler limits: timeout, bounded retry, backoff -------------------------
 
 
 def _env_limit(name: str, default: float, minimum: float = 0.0) -> float:
@@ -250,52 +259,7 @@ def _cc_limits() -> tuple[float, int, float]:
     return _env_limit("REPRO_CC_TIMEOUT", 300.0), CC_RETRIES, CC_BACKOFF
 
 
-def _invoke_cc(cmd: list[str], what: str) -> subprocess.CompletedProcess:
-    """Run the compiler command with the timeout/retry/backoff ladder.
-
-    The failure taxonomy, from field experience with JIT caches:
-
-    * **Timeout** (:class:`subprocess.TimeoutExpired`): the compiler
-      hung.  No retry — a hung compiler hangs again, and the caller's
-      deadline is already blown.  Degrades immediately.
-    * **Transient** (``OSError``/``SubprocessError`` from the spawn,
-      or the compiler killed by a signal — negative returncode, e.g.
-      the OOM killer or a crashing wrapper script): retried up to
-      :data:`CC_RETRIES` times with exponential backoff.
-    * **Deterministic** (nonzero exit status): the source does not
-      compile; retrying cannot help.  Returned to the caller, which
-      raises :class:`~repro.errors.NativeBuildError` with the diagnostics.
-    """
-    timeout, retries, backoff = _cc_limits()
-    for attempt in range(retries + 1):
-        try:
-            faults.check("native.cc.timeout")
-            faults.check("native.cc.spawn")
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=timeout or None
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise NativeBuildError(
-                f"{cmd[0]} timed out after {timeout:g}s building {what} "
-                f"(set REPRO_CC_TIMEOUT to adjust)"
-            ) from exc
-        except (OSError, subprocess.SubprocessError) as exc:
-            if attempt < retries:
-                time.sleep(backoff * (2.0**attempt))
-                continue
-            raise NativeBuildError(
-                f"invoking {cmd[0]} failed after {attempt + 1} "
-                f"attempt(s): {exc}"
-            ) from exc
-        if proc.returncode < 0 and attempt < retries:
-            # Killed by a signal: transient (OOM kill, crashed wrapper).
-            time.sleep(backoff * (2.0**attempt))
-            continue
-        return proc
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
-# -- disk-cached build --------------------------------------------------------
+# -- the build: one batch of cc child processes ---------------------------------
 
 _lib_lock = threading.Lock()
 _lib_memo: dict[str, ctypes.CDLL] = {}
@@ -314,74 +278,285 @@ def _build_key(source: str, cc: str, flags: tuple[str, ...] = _CFLAGS) -> str:
     return hashlib.sha256("\n".join([*parts, source]).encode()).hexdigest()
 
 
-def _build_shared_object(
-    source: str, cc: str, flags: tuple[str, ...] = _CFLAGS
-) -> Path:
-    """Compile *source* into the disk cache; return the ``.so`` path.
+class _Flight:
+    """One object a batch is compiling: other batches wanting it wait on
+    ``done`` and take its ``error`` (None: the object is on disk)."""
 
-    Content-addressed: an existing object for the same (source,
-    compiler, flags) is reused without invoking the compiler; check,
-    compile and rename share the key's :func:`_flight` lock, so threads
-    binding one fresh kernel run the compiler once.  The compile
-    targets a temporary file atomically renamed into place, so a
-    concurrent *process* building the same key either sees nothing at
-    the final path or a complete object, never a partial write; racing
-    processes produce identical bytes and the last rename wins
-    benignly.  The temporary carries a ``.so.tmp`` suffix so cache
-    scans matching ``*.so`` cannot pick up an in-flight object, and the
-    finished file is opened up to the usual read bits (``mkstemp``
-    creates mode 0600, which would break a cache shared between users).
+    __slots__ = ("done", "error")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.error: Exception | None = None
+
+
+# The .so path of every object some batch is compiling (under _flight_guard).
+_inflight: dict[Path, _Flight] = {}
+
+# cc child processes running at once, over every batch of the process.
+_cc_slots = threading.Semaphore(len(os.sched_getaffinity(0)))
+
+
+class _Compile:
+    """One source a batch compiles: its cc child process and retry count."""
+
+    __slots__ = (
+        "cmd", "c_path", "tmp_so", "so_path", "flight",
+        "proc", "stderr", "deadline", "attempt", "error",
+    )
+
+    def __init__(self, so_path: Path, flight: _Flight) -> None:
+        self.so_path, self.flight = so_path, flight
+        self.cmd: list[str] = []
+        self.c_path = self.tmp_so = self.proc = self.stderr = self.deadline = None
+        self.attempt = 0
+        self.error: Exception | None = None
+
+    def close(self) -> None:
+        if self.stderr is not None:
+            self.stderr.close()
+            self.stderr = None
+
+    def kill(self) -> None:
+        """Kill the compiler and everything it started (its own session)."""
+        if self.proc.poll() is None:
+            try:
+                os.killpg(self.proc.pid, signal.SIGKILL)
+            except OSError:  # exited meanwhile
+                pass
+            self.proc.wait()
+        self.close()
+
+
+def _stage(c: _Compile, source: str, cc: str, flags, cache: Path) -> bool:
+    """Write *c*'s source into the cache and reserve its temporary object."""
+    try:
+        faults.check("native.cache.write")
+        cache.mkdir(parents=True, exist_ok=True)
+        c.c_path = cache / f"{c.so_path.stem}.c"
+        if not c.c_path.exists():
+            tmp_c = tempfile.NamedTemporaryFile(
+                "w", dir=cache, suffix=".c.tmp", delete=False
+            )
+            with tmp_c as fh:
+                fh.write(source)
+            os.chmod(tmp_c.name, 0o644)
+            os.replace(tmp_c.name, c.c_path)
+        tmp_fd, c.tmp_so = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
+        os.close(tmp_fd)
+    except OSError as exc:
+        # Unwritable cache dir (read-only volume, permissions): a cache
+        # problem must degrade like a build problem, not crash the run.
+        c.error = NativeBuildError(f"cannot write native cache at {cache}: {exc}")
+        c.error.__cause__ = exc
+        return False
+    c.cmd = [cc, *flags, "-o", c.tmp_so, str(c.c_path), "-lm"]
+    return True
+
+
+def _launch(c: _Compile, timeout: float, retries: int, backoff: float) -> bool:
+    """Start *c*'s compiler; False when it cannot run (``c.error`` says why).
+
+    The failure taxonomy, from field experience with JIT caches:
+
+    * **Timeout** (a hung compiler, see :func:`_reap`): no retry — a
+      hung compiler hangs again, and the deadline is already blown.
+    * **Transient** (``OSError``/``SubprocessError`` from the spawn,
+      or the compiler killed by a signal — negative returncode, e.g.
+      the OOM killer or a crashing wrapper script): retried up to
+      :data:`CC_RETRIES` times with exponential backoff.
+    * **Deterministic** (nonzero exit status): the source does not
+      compile; retrying cannot help.  The diagnostics go into the
+      :class:`~repro.errors.NativeBuildError`.
+
+    Each compiler runs in a session of its own, so a hung one is killed
+    with whatever it started; its stderr goes to an unlinked temporary
+    file, so no pipe can fill while the batch waits on a sibling.
+    """
+    while True:
+        try:
+            faults.check("native.cc.timeout")
+            faults.check("native.cc.spawn")
+            c.stderr = tempfile.TemporaryFile()
+            c.proc = subprocess.Popen(
+                c.cmd,
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                stderr=c.stderr,
+                start_new_session=True,
+            )
+        except subprocess.TimeoutExpired as exc:
+            c.error = _timed_out(c, timeout)
+            c.error.__cause__ = exc
+            return False
+        except (OSError, subprocess.SubprocessError) as exc:
+            c.close()
+            if c.attempt < retries:
+                time.sleep(backoff * (2.0**c.attempt))
+                c.attempt += 1
+                continue
+            c.error = NativeBuildError(
+                f"invoking {c.cmd[0]} failed after {c.attempt + 1} "
+                f"attempt(s): {exc}"
+            )
+            c.error.__cause__ = exc
+            return False
+        c.deadline = time.monotonic() + timeout if timeout else None
+        return True
+
+
+def _timed_out(c: _Compile, timeout: float) -> NativeBuildError:
+    return NativeBuildError(
+        f"{c.cmd[0]} timed out after {timeout:g}s building {c.c_path} "
+        f"(set REPRO_CC_TIMEOUT to adjust)"
+    )
+
+
+def _reap(c: _Compile, timeout: float, retries: int, backoff: float) -> bool:
+    """Wait for *c*'s compiler under its own deadline and move the object
+    into place; True when a signal-killed compiler was started again."""
+    wait = None if c.deadline is None else max(0.0, c.deadline - time.monotonic())
+    try:
+        code = c.proc.wait(wait)
+    except subprocess.TimeoutExpired:
+        c.kill()
+        c.error = _timed_out(c, timeout)
+        return False
+    if code < 0 and c.attempt < retries:
+        # Killed by a signal: transient (OOM kill, crashed wrapper).
+        c.close()
+        time.sleep(backoff * (2.0**c.attempt))
+        c.attempt += 1
+        return _launch(c, timeout, retries, backoff)
+    if code != 0:
+        c.stderr.seek(0)
+        diagnostics = c.stderr.read().decode(errors="replace")
+        c.error = NativeBuildError(
+            f"{c.cmd[0]} failed (exit {code}) on {c.c_path}:\n{diagnostics}"
+        )
+    else:
+        try:
+            os.chmod(c.tmp_so, 0o755)
+            os.replace(c.tmp_so, c.so_path)
+        except OSError as exc:
+            c.error = NativeBuildError(
+                f"cannot finalise native cache entry {c.so_path}: {exc}"
+            )
+    c.close()
+    return False
+
+
+def build_objects(
+    jobs: Iterable[tuple[str, str, tuple[str, ...]]], *, heal: bool = True
+) -> list:
+    """Build and load every ``(source, cc, flags)`` of *jobs* as one batch.
+
+    Returns, per job in order, ``(cdll, so_path)`` or the exception
+    (:class:`~repro.errors.NativeBuildError`, ``OSError``) that refused
+    it: a failure stays with its own object.
+
+    Content-addressed: a source whose object is in the disk cache starts
+    no compiler, so a warm batch is a hash and a ``dlopen`` per job.
+    Every other source starts one ``cc`` child process as soon as it is
+    drawn from *jobs* — consumed lazily, so a caller printing sources in
+    a generator overlaps its printing with the compiles already running
+    — with at most one process per CPU running at once across the
+    process (:func:`os.sched_getaffinity`; a batch needing a slot while
+    all are taken reaps its own oldest compile first).  Each process is
+    then waited for under its own ``REPRO_CC_TIMEOUT`` deadline with
+    :func:`_launch`'s retry ladder, and the fault points fire in this
+    thread, in job order.  Single-flight: a job whose object another
+    batch is compiling waits for that batch's outcome — after this
+    batch's own processes are done, so no batch holds anything while
+    it waits.  Compiles target a temporary ``.so.tmp`` atomically renamed
+    into place (a concurrent *process* sees nothing or a complete object;
+    racing processes write identical bytes), opened up to the usual read
+    bits (``mkstemp`` creates mode 0600, which would break a cache shared
+    between users).  *jobs* must not start a batch of its own.
+
+    A truncated or garbage ``.so`` at a content-keyed path — left by a
+    crashed writer, or by disk corruption — makes ``dlopen`` raise
+    ``OSError`` on a pure cache hit; with *heal* the entry is deleted
+    and rebuilt once, which is always safe for content-addressed files.
     """
     cache = native_cache_dir()
-    key = _build_key(source, cc, flags)
-    so_path = cache / f"{key}.so"
-    with _flight(str(so_path)):
-        if so_path.exists():
-            return so_path
+    limits = _cc_limits()
+    wanted: list[tuple[tuple, Path, _Flight | None]] = []
+    owned: list[_Compile] = []
+    running: list[_Compile] = []
+
+    def reap_oldest() -> None:
+        if _reap(running[0], *limits):
+            running.append(running.pop(0))
+        else:
+            running.pop(0)
+            _cc_slots.release()
+
+    try:
+        for job in jobs:
+            source, cc, flags = job
+            so_path = cache / f"{_build_key(source, cc, flags)}.so"
+            with _flight_guard:
+                flight = _inflight.get(so_path)
+                fresh = flight is None and not so_path.exists()
+                if fresh:
+                    flight = _inflight[so_path] = _Flight()
+            wanted.append((job, so_path, flight))
+            if not fresh:
+                continue
+            c = _Compile(so_path, flight)
+            owned.append(c)
+            if not _stage(c, source, cc, flags, cache):
+                continue
+            while not _cc_slots.acquire(blocking=not running):
+                reap_oldest()
+            started = False
+            try:
+                started = _launch(c, *limits)
+            finally:
+                if started:
+                    running.append(c)
+                else:
+                    _cc_slots.release()
+        while running:
+            reap_oldest()
+    finally:
+        for c in running:  # interrupted: nothing may outlive the batch
+            c.kill()
+            _cc_slots.release()
+        for c in owned:
+            if c.error is None and not c.so_path.exists():
+                c.error = NativeBuildError(f"build of {c.c_path} was interrupted")
+            if c.error is not None and c.tmp_so is not None:
+                _unlink_quiet(c.tmp_so)
+            c.flight.error = c.error
+            with _flight_guard:
+                del _inflight[c.so_path]
+            c.flight.done.set()
+    out: list = []
+    rebuild: list[int] = []
+    for job, so_path, flight in wanted:
+        if flight is not None:
+            flight.done.wait()
+            if flight.error is not None:
+                out.append(flight.error)
+                continue
         try:
-            faults.check("native.cache.write")
-            cache.mkdir(parents=True, exist_ok=True)
-            c_path = cache / f"{key}.c"
-            if not c_path.exists():
-                tmp_c = tempfile.NamedTemporaryFile(
-                    "w", dir=cache, suffix=".c.tmp", delete=False
-                )
-                with tmp_c as fh:
-                    fh.write(source)
-                os.chmod(tmp_c.name, 0o644)
-                os.replace(tmp_c.name, c_path)
-            tmp_fd, tmp_so = tempfile.mkstemp(dir=cache, suffix=".so.tmp")
-            os.close(tmp_fd)
+            out.append((_load_library(so_path), so_path))
         except OSError as exc:
-            # Unwritable cache dir (read-only volume, permissions): a
-            # cache problem must degrade like a build problem, not
-            # crash the run.
-            raise NativeBuildError(
-                f"cannot write native cache at {cache}: {exc}"
-            ) from exc
-        cmd = [cc, *flags, "-o", tmp_so, str(c_path), "-lm"]
-        try:
-            proc = _invoke_cc(cmd, what=str(c_path))
-        except NativeBuildError:
-            _unlink_quiet(tmp_so)
-            raise
-        if proc.returncode != 0:
-            _unlink_quiet(tmp_so)
-            raise NativeBuildError(
-                f"{cc} failed (exit {proc.returncode}) on {c_path}:\n{proc.stderr}"
-            )
-        try:
-            os.chmod(tmp_so, 0o755)
-            os.replace(tmp_so, so_path)
-        except OSError as exc:
-            _unlink_quiet(tmp_so)
-            raise NativeBuildError(
-                f"cannot finalise native cache entry {so_path}: {exc}"
-            ) from exc
-        return so_path
+            out.append(exc)
+            if heal:
+                with _lib_lock:
+                    _lib_memo.pop(str(so_path), None)
+                _unlink_quiet(so_path)
+                rebuild.append(len(out) - 1)
+    if rebuild:
+        again = build_objects([wanted[i][0] for i in rebuild], heal=False)
+        for i, result in zip(rebuild, again):
+            out[i] = result
+    return out
 
 
-def _unlink_quiet(path: str) -> None:
+def _unlink_quiet(path) -> None:
     try:
         os.unlink(path)
     except OSError:
@@ -396,31 +571,6 @@ def _load_library(so_path: Path) -> ctypes.CDLL:
             faults.check("native.cache.load")
             lib = _lib_memo[key] = ctypes.CDLL(key)
         return lib
-
-
-def _build_and_load(
-    source: str, cc: str, flags: tuple[str, ...] = _CFLAGS
-) -> tuple[ctypes.CDLL, Path]:
-    """Build (or reuse) and load *source*, recovering a corrupt cache entry.
-
-    A truncated or garbage ``.so`` at the content-keyed path — left by a
-    crashed writer predating the atomic-rename scheme, or by disk
-    corruption — makes ``CDLL`` raise ``OSError`` forever on a pure
-    cache-hit path.  Since the file is content-addressed, deleting it
-    and rebuilding once is always safe and self-heals the cache.
-    """
-    so_path = _build_shared_object(source, cc, flags)
-    try:
-        return _load_library(so_path), so_path
-    except OSError:
-        with _lib_lock:
-            _lib_memo.pop(str(so_path), None)
-        try:
-            os.unlink(so_path)
-        except OSError:
-            pass
-        so_path = _build_shared_object(source, cc, flags)
-        return _load_library(so_path), so_path
 
 
 # -- host-targeted flags for fused builds -------------------------------------
@@ -473,13 +623,10 @@ def _host_cflags(cc: str) -> tuple[str, ...]:
         flags = (_HOST_FLAG,)
         if not _host_isa():
             return ()
-        try:
-            _build_shared_object(
-                "int repro_march_probe(void) { return 0; }\n", cc, _CFLAGS + flags
-            )
-        except NativeBuildError:
-            flags = ()
-        return flags
+        (built,) = build_objects(
+            [("int repro_march_probe(void) { return 0; }\n", cc, _CFLAGS + flags)]
+        )
+        return () if isinstance(built, Exception) else flags
 
     return _once(_host_flags_memo, cc, probe)
 
@@ -515,10 +662,10 @@ def _omp_cflags(cc: str) -> tuple[str, ...] | None:
         flags = ("-fopenmp",)
         try:
             faults.check("native.omp.probe")
-            _build_shared_object(_OMP_PROBE_SOURCE, cc, _CFLAGS + flags)
         except NativeBuildError:
             return None
-        return flags
+        (built,) = build_objects([(_OMP_PROBE_SOURCE, cc, _CFLAGS + flags)])
+        return None if isinstance(built, Exception) else flags
 
     return _once(_omp_flags_memo, cc, probe)
 
@@ -554,13 +701,15 @@ class NativeLibrary:
 
     The program runner and the two memory statements come from the one
     kernel-independent runners object
-    (:func:`~repro.codegen.native_c.generate_runtime_source`), loaded
-    when the library is made.  The per-statement entry points (keyed by
-    region identity and statement index) live in the kernel's own
-    translation unit, which is generated, built and loaded
-    single-flight on the first :meth:`stmt_fn` that needs one: a kernel
-    whose statements all run as literal nests never prints or compiles
-    it.  Which statements have an entry is known before that, from
+    (:func:`~repro.codegen.native_c.generate_runtime_source`), built and
+    loaded in the batch of the first bind that uses the library
+    (:class:`Batch`), or by :meth:`runners`.  The per-statement entry
+    points (keyed by region identity and statement index) live in the
+    kernel's own translation unit, printed single-flight and built in
+    the batch of the first bind with a statement that needs one, or on
+    the first :meth:`stmt_fn` that does: a kernel whose statements all
+    run as literal nests never prints or compiles it.  Which statements
+    have an entry is known before that, from
     :func:`~repro.codegen.native_c.native_eligibility`.  Constructed
     once per kernel via :func:`library_for_kernel` and shared by every
     plan/binding of that kernel; it holds the kernel's regions, not the
@@ -568,10 +717,10 @@ class NativeLibrary:
     """
 
     def __init__(
-        self, kernel, runners: ctypes.CDLL, cc: str, flags: tuple[str, ...],
-        nthreads: int = 1,
+        self, kernel, cc: str, flags: tuple[str, ...], nthreads: int = 1
     ):
         self.nthreads = nthreads
+        self.cc = cc
         self._region_index = {id(r): ri for ri, r in enumerate(kernel.regions)}
         dim = len(kernel.counters)
         self._eligible = frozenset(
@@ -580,19 +729,17 @@ class NativeLibrary:
             for si, stmt in enumerate(region.statements)
             if native_eligibility(stmt, dim, region.dtype) is None
         )
-        # What the unit is printed and built from; dropped once built.
+        # What the unit is printed from, then its build job and manifest;
+        # both dropped once built.
         self._unit = (kernel.name, kernel.regions, kernel.counters, cc, flags)
+        self._printed: tuple | None = None
         self._lock = threading.Lock()
         self._fns: dict[tuple[int, int], ctypes._CFuncPtr] | None = None
         self._refused: dict[tuple[int, int], str] = {}
         self._so_path: Path | None = None
         self._failure: str | None = None
-        self.copy_fn = _stmt_fn(runners, COPY_FN_NAME)
-        self.zero_fn = _stmt_fn(runners, ZERO_FN_NAME)
-        self.run_program = getattr(runners, PROGRAM_RUNNER_NAME)
-        self.run_program.restype = None
-        # n, idx, then the fns, ptrss and geoms blocks
-        self.run_program.argtypes = (_I64, *(ctypes.c_void_p,) * 4)
+        # The runners' entries; run_program is set last, once all are.
+        self.copy_fn = self.zero_fn = self.run_program = None
 
     @property
     def statement_count(self) -> int:
@@ -604,33 +751,65 @@ class NativeLibrary:
         self._entries()
         return self._so_path
 
+    def runners(self) -> None:
+        """Load the runners object unless a bind's batch did (a batch of
+        it alone); :class:`~repro.errors.NativeBuildError` when it
+        cannot be built."""
+        if self.run_program is None:
+            batch = Batch()
+            batch.build([batch.runners(self)])
+            if batch.runners_failure is not None:
+                raise NativeBuildError(str(batch.runners_failure))
+
+    def _take_runners(self, cdll: ctypes.CDLL) -> None:
+        self.copy_fn = _stmt_fn(cdll, COPY_FN_NAME)
+        self.zero_fn = _stmt_fn(cdll, ZERO_FN_NAME)
+        run = getattr(cdll, PROGRAM_RUNNER_NAME)
+        run.restype = None
+        # n, idx, then the fns, ptrss and geoms blocks
+        run.argtypes = (_I64, *(ctypes.c_void_p,) * 4)
+        self.run_program = run
+
+    def _unit_job(self) -> tuple | None:
+        """The per-statement unit's build job, printed once per library;
+        None once the unit loaded or failed."""
+        with self._lock:
+            if self._fns is not None or self._failure is not None:
+                return None
+            if self._printed is None:
+                name, regions, counters, cc, flags = self._unit
+                source, manifest, self._refused = native_unit(
+                    name, regions, counters, self.nthreads
+                )
+                self._printed = (source, cc, flags), manifest
+            return self._printed[0]
+
+    def _take_unit(self, result) -> None:
+        with self._lock:
+            if self._fns is not None or self._failure is not None:
+                return
+            if isinstance(result, Exception):
+                # OSError: an entry still unloadable after the batch's
+                # one-shot self-heal rebuild.
+                self._failure = str(result)
+                return
+            cdll, self._so_path = result
+            self._fns = {
+                key: _stmt_fn(cdll, fn_name)
+                for key, fn_name in self._printed[1].items()
+            }
+            self._unit = self._printed = None
+
     def _entries(self) -> dict:
-        """The per-statement entries, printing and building the unit on
-        first use.
+        """The per-statement entries, building the unit (a batch of it
+        alone) unless a bind's batch did.
 
         Single-flight per library; a failure is kept and raised again
         as :class:`~repro.errors.NativeBuildError` on every later use.
         """
         if self._fns is None:
-            with self._lock:
-                if self._fns is None and self._failure is None:
-                    name, regions, counters, cc, flags = self._unit
-                    source, manifest, self._refused = native_unit(
-                        name, regions, counters, self.nthreads
-                    )
-                    try:
-                        cdll, so_path = _build_and_load(source, cc, flags)
-                    except (NativeBuildError, OSError) as exc:
-                        # OSError: an entry still unloadable after
-                        # _build_and_load's one-shot self-heal rebuild.
-                        self._failure = str(exc)
-                    else:
-                        self._so_path = so_path
-                        self._fns = {
-                            key: _stmt_fn(cdll, fn_name)
-                            for key, fn_name in manifest.items()
-                        }
-                        self._unit = None
+            batch = Batch()
+            batch.build([batch.unit(self)])
         if self._fns is None:
             raise NativeBuildError(self._failure)
         return self._fns
@@ -681,15 +860,18 @@ def build_refusal(name: str, nthreads: int, exc) -> tuple[str, str]:
     )
 
 
-def library_verdict(kernel, nthreads: int = 1):
+def library_verdict(kernel, nthreads: int = 1, failure: Exception | None = None):
     """``(library | None, Verdict)`` — the library rung of the ladder.
 
-    ``native`` means the runners object built; the kernel's
-    per-statement unit is printed and built later, by the first
-    statement bound to it, and a failure there degrades only the
-    statements that needed it (:class:`~repro.runtime.decisions.Ladder`).
+    Compiles nothing: ``native`` means a toolchain (and, threaded,
+    OpenMP) is there.  The runners object is built by the first bind's
+    batch (:class:`Batch`); when it fails there, the bind calls again
+    with *failure* and gets the refusal a failed library build earns,
+    memoised in place of the library.  The kernel's per-statement unit
+    is printed and built only for statements bound to it, and a failure
+    there degrades only them (:class:`~repro.runtime.decisions.Ladder`).
     Memoised on the kernel per thread count with the toolchain used, so
-    a memo hit reports the reason the first build did and a toolchain
+    a memo hit reports the reason the first verdict did and a toolchain
     change (tests pinning ``REPRO_CC``) revalidates.  Each refusal
     warns once per process.  ``nthreads > 1`` requests the OpenMP
     variant and degrades one rung at a time: no OpenMP or a failed
@@ -702,8 +884,9 @@ def library_verdict(kernel, nthreads: int = 1):
     if memo is None or kernel._native_cc != cc:
         memo = {}
         kernel._native_cc, kernel._native = cc, memo
-    if nthreads in memo:
-        return memo[nthreads]
+    known = memo.get(nthreads)
+    if known is not None and (failure is None or known[0] is None):
+        return known
     lib: NativeLibrary | None = None
     refusal: tuple[str, str] | None = None  # (warn-once key, reason)
     omp: tuple[str, ...] | None = ()
@@ -725,14 +908,10 @@ def library_verdict(kernel, nthreads: int = 1):
             "(checked REPRO_CC, cc, gcc, clang); falling back to the "
             "python backend — results are identical, only slower",
         )
+    elif failure is None:
+        lib = NativeLibrary(kernel, cc, _CFLAGS + omp, nthreads)
     else:
-        try:
-            runners, _ = _build_and_load(generate_runtime_source(), cc)
-            lib = NativeLibrary(kernel, runners, cc, _CFLAGS + omp, nthreads)
-        except (NativeBuildError, OSError) as exc:
-            # OSError covers a cache entry that stays unloadable even
-            # after _build_and_load's one-shot self-heal rebuild.
-            refusal = build_refusal(kernel.name, nthreads, exc)
+        refusal = build_refusal(kernel.name, nthreads, failure)
     verdict = decisions.Verdict("library", "native")
     if lib is None:
         rung = "serial native" if nthreads > 1 else "python"
@@ -741,7 +920,7 @@ def library_verdict(kernel, nthreads: int = 1):
                 "library", rung, refusal[1], key=refusal[0]
             )
         if nthreads > 1:
-            lib, serial = library_verdict(kernel, 1)
+            lib, serial = library_verdict(kernel, 1, failure)
             if lib is None or refusal is None:
                 verdict = serial
     memo[nthreads] = lib, verdict
@@ -827,34 +1006,23 @@ MAX_LITERAL_NESTS = 64
 _fused_lock = threading.Lock()
 
 
-def make_fused_statement(
-    kernel, entries, arrays, nthreads: int = 1
-) -> tuple[NativeStatement | None, str | None]:
-    """Bind one fusion group — or one statement — to one generated
-    nest with literal geometry, or ``(None, reason)``.
-
-    *entries* is a :class:`~repro.core.fusion.FusionGroup`'s entry
-    tuple (dependence-legal by construction); *arrays* pass the same
-    :func:`~repro.runtime.decisions.array_gate` as one statement, with
-    every access and written name of the group.  The nest runs like any
-    :class:`NativeStatement`, so programs treat it uniformly.
-    ``nthreads > 1`` requests an OpenMP nest (applied only where
-    :func:`repro.core.fusion.parallel_safe_group` allows; a compiler
-    without OpenMP quietly builds the serial nest).  A refusal, or the
-    generate/build step raising (warns once), leaves the group on its
-    per-statement rungs.
+def _literal_key(kernel, entries, arrays, nthreads: int = 1):
+    """``(key, None)``: what the literal nest of *entries* on *arrays* is
+    memoised under on the kernel — or ``(None, reason)`` when the arrays
+    fail its :func:`~repro.runtime.decisions.array_gate` (or there is no
+    toolchain).  Builds nothing but the per-compiler flag probes.
 
     The generated source depends on *arrays* only through their strides
     (addresses enter through the per-binding pointer block), and a
     one-statement nest's axis-0 bounds enter through its ``geom`` block,
-    so the loaded function is memoised on the kernel per (group, boxes
-    without a singleton's axis 0, strides, thread count, compiler,
-    flags): the rotation parities of a checkpointed plan, the members
-    of an ensemble and the ranks of a sharded plan generate once.  The
-    memo keeps the :data:`MAX_LITERAL_NESTS` most recently used; a
-    binding whose entry was evicted keeps its loaded function.  The
-    array gate still runs, and the pointer and ``geom`` blocks are
-    still packed, per binding.
+    so the key is (group, boxes without a singleton's axis 0, strides,
+    thread count, compiler, flags): the rotation parities of a
+    checkpointed plan, the members of an ensemble and the ranks of a
+    sharded plan share one.  ``nthreads > 1`` requests an OpenMP nest
+    (applied only where :func:`repro.core.fusion.parallel_safe_group`
+    allows; a compiler without OpenMP quietly keys the serial nest).
+    The key holds ``id`` of each statement, so it is only meaningful
+    while something holds *entries*: the memo entry does.
     """
     cc = native_toolchain()
     if cc is None:
@@ -876,9 +1044,6 @@ def make_fused_statement(
             nthreads = 1
         else:
             flags += omp
-    # The memo entry holds *entries*, so the statement ids in its key
-    # cannot be reused while it lives; racing binds of one key build the
-    # same content-addressed object twice at worst.
     names = dict.fromkeys(acc.name for acc, _box in uses)
     single = len(entries) == 1
     key = (
@@ -889,36 +1054,150 @@ def make_fused_statement(
         tuple(arrays[name].strides for name in names),
         nthreads, cc, flags,
     )
-    memo = kernel._fused
-    with _fused_lock:
-        built = memo.get(key)
-        if built is not None:
-            memo.move_to_end(key)
-    if built is None:
+    return key, None
+
+
+class Batch:
+    """The objects one bind builds together, and where each result goes.
+
+    :meth:`runners`, :meth:`unit` and :meth:`literal` return a build job
+    — printing its source — or None when there is nothing to build, and
+    note where the job's result goes; :meth:`build` runs the jobs as one
+    :func:`build_objects` batch.  It draws them lazily, so a generator
+    of these calls starts each compile as soon as its source is printed.
+    Literal nests land in :attr:`built` and the kernel's memo (the
+    :data:`MAX_LITERAL_NESTS` most recently used), or in :attr:`failed`;
+    a runners failure in :attr:`runners_failure`.
+    """
+
+    def __init__(self, kernel=None) -> None:
+        self.kernel = kernel
+        self.built: dict = {}  # literal key -> (fn, order, entries)
+        self.failed: dict = {}  # literal key -> the exception refusing it
+        self.runners_failure: Exception | None = None
+        self._takes: list = []  # per job drawn: where its result goes
+        self._drawn: set = set()  # literal keys drawn as jobs
+        self._keys: dict = {}  # (group, array set, width) -> _literal_key
+
+    def key(self, entries, arrays, nthreads: int = 1):
+        """:func:`_literal_key`, computed once per group and array set."""
+        ident = (id(entries), id(arrays), nthreads)
+        got = self._keys.get(ident)
+        if got is None:
+            got = self._keys[ident] = _literal_key(
+                self.kernel, entries, arrays, nthreads
+            )
+        return got
+
+    def runners(self, lib: NativeLibrary) -> tuple | None:
+        """The runners object's job, unless *lib* loaded it."""
+        if lib.run_program is not None:
+            return None
+
+        def take(result) -> None:
+            if isinstance(result, Exception):
+                self.runners_failure = result
+            else:
+                lib._take_runners(result[0])
+
+        self._takes.append(take)
+        return generate_runtime_source(), lib.cc, _CFLAGS
+
+    def unit(self, lib: NativeLibrary) -> tuple | None:
+        """*lib*'s per-statement unit's job, unless it loaded or failed."""
+        job = lib._unit_job()
+        if job is not None:
+            self._takes.append(lib._take_unit)
+        return job
+
+    def literal(self, entries, arrays, key) -> tuple | None:
+        """The job of the literal nest *key* (:func:`_literal_key`), unless
+        the kernel's memo holds it or this batch has it already."""
+        if key in self.built or key in self.failed or key in self._drawn:
+            return None
+        memo = self.kernel._fused
+        with _fused_lock:
+            hit = memo.get(key)
+            if hit is not None:
+                memo.move_to_end(key)
+        if hit is not None:
+            self.built[key] = hit
+            return None
+        nthreads, cc, flags = key[2:]
         try:
             source, fn_name, order = generate_fused_source(
-                entries, arrays, kernel.counters, nthreads
+                entries, arrays, self.kernel.counters, nthreads
             )
-            cdll, _ = _build_and_load(source, cc, flags)
         except (CodegenError, NativeBuildError, OSError) as exc:
-            what, rest = (
-                ("literal nest", "the statement falls back to its per-statement entry")
-                if single
-                else ("fused native", "the group falls back to per-statement execution")
-            )
-            why = (
-                f"{what} build for kernel {kernel.name!r} failed "
-                f"(cache: {native_cache_dir()}); {rest}: {exc}"
-            )
-            decisions.degraded(
-                "fused nest", "native", why, key=f"fused-build-failed:{kernel.name}"
-            )
-            return None, why
-        built = (_stmt_fn(cdll, fn_name), order, entries)
-        with _fused_lock:
-            memo[key] = built
-            while len(memo) > MAX_LITERAL_NESTS:
-                memo.popitem(last=False)
+            self.failed[key] = exc
+            return None
+        self._drawn.add(key)
+
+        def take(result) -> None:
+            if isinstance(result, Exception):
+                self.failed[key] = result
+                return
+            built = self.built[key] = (_stmt_fn(result[0], fn_name), order, entries)
+            with _fused_lock:
+                memo[key] = built
+                while len(memo) > MAX_LITERAL_NESTS:
+                    memo.popitem(last=False)
+
+        self._takes.append(take)
+        return source, cc, flags
+
+    def build(self, jobs: Iterable[tuple | None]) -> None:
+        """Build every job of *jobs* (None: nothing to build) at once."""
+        try:
+            results = build_objects(job for job in jobs if job is not None)
+            for take, result in zip(self._takes, results):
+                take(result)
+        finally:
+            self._takes.clear()  # the takes hold this batch: no cycle left
+
+
+def make_fused_statement(
+    kernel, entries, arrays, nthreads: int = 1, batch: Batch | None = None
+) -> tuple[NativeStatement | None, str | None]:
+    """Bind one fusion group — or one statement — to one generated
+    nest with literal geometry, or ``(None, reason)``.
+
+    *entries* is a :class:`~repro.core.fusion.FusionGroup`'s entry
+    tuple (dependence-legal by construction); *arrays* pass the same
+    :func:`~repro.runtime.decisions.array_gate` as one statement, with
+    every access and written name of the group.  The nest runs like any
+    :class:`NativeStatement`, so programs treat it uniformly.  The loaded
+    function comes from *batch* — the bind's, which built it with the
+    bind's other objects — or the kernel's memo (:func:`_literal_key`),
+    else from a batch of this nest alone.  A refusal, or the
+    generate/build step failing (warns once), leaves the group on its
+    per-statement rungs.  A binding whose memo entry was evicted keeps
+    its loaded function.  The array gate still runs, and the pointer and
+    ``geom`` blocks are still packed, per binding.
+    """
+    if batch is None:
+        batch = Batch(kernel)
+    key, why = batch.key(entries, arrays, nthreads)
+    if key is None:
+        return None, why
+    if not (key in batch.built or key in batch.failed):
+        batch.build([batch.literal(entries, arrays, key)])
+    built = batch.built.get(key)
+    single = len(entries) == 1
+    if built is None:
+        what, rest = (
+            ("literal nest", "the statement falls back to its per-statement entry")
+            if single
+            else ("fused native", "the group falls back to per-statement execution")
+        )
+        why = (
+            f"{what} build for kernel {kernel.name!r} failed "
+            f"(cache: {native_cache_dir()}); {rest}: {batch.failed[key]}"
+        )
+        decisions.degraded(
+            "fused nest", "native", why, key=f"fused-build-failed:{kernel.name}"
+        )
+        return None, why
     fn, order, _ = built
     return _pack(fn, order, arrays, entries[0].box[0] if single else (0,)), None
 
@@ -948,12 +1227,14 @@ class NativeProgram:
     :func:`~repro.runtime.decisions.memory_gate` against *owned* (the
     ids of the buffers the program may touch); a refusal, like a
     non-native runnable, raises :class:`~repro.errors.NativeBuildError`
-    carrying the gate's reason — the caller keeps its per-call rung.
+    carrying the gate's reason — the caller keeps its per-call rung, as
+    it does when *lib*'s runners object cannot be built.
     """
 
     def __init__(
         self, lib: NativeLibrary, owned: frozenset[int] = frozenset()
     ) -> None:
+        lib.runners()
         self._lib = lib
         self._owned = owned
         self._slot: dict = {}  # entry key -> table position

@@ -53,11 +53,24 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def _open_fds() -> frozenset:
+    """``"<fd> socket"``, ``"<fd> pipe"`` or ``"<fd> file"`` per open
+    descriptor: what a leaked one is, named in a failure message."""
+    out = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            kind = os.readlink(f"/proc/self/fd/{fd}").split(":")[0]
+        except OSError:  # closed meanwhile: the listing's own descriptor
+            continue
+        out.add(f"{fd} {kind if kind in ('socket', 'pipe') else 'file'}")
+    return frozenset(out)
+
+
 @dataclasses.dataclass(frozen=True)
 class Resources:
     """What a test can start and must close: the runtime's named threads,
     this process's children, its sharded-plan segments and its open file
-    descriptors."""
+    descriptors, each named with its kind (socket, pipe or file)."""
 
     threads: frozenset = frozenset()
     children: frozenset = frozenset()
@@ -80,7 +93,7 @@ class Resources:
             ),
             children=frozenset(children),
             segments=frozenset(glob.glob(f"/dev/shm/repro_shard_{os.getpid()}_*")),
-            fds=frozenset(os.listdir("/proc/self/fd")),
+            fds=_open_fds(),
         )
 
     def __sub__(self, other: "Resources") -> "Resources":

@@ -361,7 +361,7 @@ def test_corrupt_cache_entry_self_heals(monkeypatch, tmp_path):
     so_path = native_mod.native_cache_dir() / f"{key}.so"
     so_path.parent.mkdir(parents=True, exist_ok=True)
     so_path.write_bytes(b"this is not an ELF object")
-    cdll, path = native_mod._build_and_load(source, cc)
+    ((cdll, path),) = native_mod.build_objects([(source, cc, native_mod._CFLAGS)])
     assert path == so_path
     assert so_path.read_bytes()[:4] != b"this"  # rebuilt in place
     fn = cdll.repro_heal_probe
@@ -426,21 +426,21 @@ def test_build_leaves_no_partial_objects(monkeypatch, tmp_path):
     files are world-readable (mkstemp's 0600 would break shared caches)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     cc = native_mod.native_toolchain()
-    real_run = native_mod.subprocess.run
+    real_popen = native_mod.subprocess.Popen
 
     seen: list[list[str]] = []
 
-    def checking_run(cmd, **kwargs):
+    def checking_popen(cmd, **kwargs):
         if isinstance(cmd, list) and "-shared" in cmd:
             out = cmd[cmd.index("-o") + 1]
             assert out.endswith(".so.tmp"), out
             seen.append(cmd)
             assert not list(native_mod.native_cache_dir().glob("*.so"))
-        return real_run(cmd, **kwargs)
+        return real_popen(cmd, **kwargs)
 
-    monkeypatch.setattr(native_mod.subprocess, "run", checking_run)
+    monkeypatch.setattr(native_mod.subprocess, "Popen", checking_popen)
     source = "double repro_tmp_probe(double x) { return x + 1.0; }\n"
-    so_path = native_mod._build_shared_object(source, cc)
+    ((_cdll, so_path),) = native_mod.build_objects([(source, cc, native_mod._CFLAGS)])
     assert seen and so_path.exists() and so_path.suffix == ".so"
     mode = so_path.stat().st_mode & 0o777
     assert mode & 0o044 == 0o044, oct(mode)

@@ -13,6 +13,7 @@ platform.
 """
 
 import gc
+import os
 import sys
 import threading
 import warnings
@@ -183,32 +184,36 @@ def test_toolchain_change_revalidates_kernel_memo(rng, monkeypatch, tmp_path):
 def test_shared_object_disk_cache_reuses_builds(rng, monkeypatch, tmp_path):
     """Same kernel content: second build reuses the .so without compiling.
 
-    The runners object is built once per cache directory; each kernel's
-    per-statement object is built on first use (here: ``so_path``).
+    The library rung compiles nothing; the runners object is built once
+    per cache directory (here: ``runners()``), each kernel's
+    per-statement object on first use (here: ``so_path``).
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     prob = heat_problem(2)
     nests = list(adjoint_loops(prob.primal, prob.adjoint_map))
 
     calls = {"n": 0}
-    real_run = native_mod.subprocess.run
+    real_popen = native_mod.subprocess.Popen
 
-    def counting_run(cmd, **kwargs):
+    def counting_popen(cmd, **kwargs):
         if isinstance(cmd, list) and "-shared" in cmd:
             calls["n"] += 1
-        return real_run(cmd, **kwargs)
+        return real_popen(cmd, **kwargs)
 
-    monkeypatch.setattr(native_mod.subprocess, "run", counting_run)
+    monkeypatch.setattr(native_mod.subprocess, "Popen", counting_popen)
 
     k1 = compile_nests(nests, prob.bindings(12), cache=False)
     lib1 = native_mod.library_for_kernel(k1)
-    assert lib1 is not None and calls["n"] == 1  # the runners only
+    assert lib1 is not None and calls["n"] == 0
+    lib1.runners()
+    assert calls["n"] == 1  # the runners only
     assert lib1.so_path.exists() and calls["n"] == 2
     assert lib1.so_path.with_suffix(".c").exists()  # source kept for debugging
 
     # A content-equal kernel compiled separately: cache hit, no cc call.
     k2 = compile_nests(nests, prob.bindings(12), cache=False)
     lib2 = native_mod.library_for_kernel(k2)
+    lib2.runners()
     assert lib2 is not None and calls["n"] == 2
     assert lib2.so_path == lib1.so_path and calls["n"] == 2
 
@@ -223,6 +228,7 @@ def test_shared_object_disk_cache_reuses_builds(rng, monkeypatch, tmp_path):
     # per-statement object; the runners object is shared.
     k4 = compile_nests(nests, prob.bindings(12, dtype=np.float32), cache=False)
     lib4 = native_mod.library_for_kernel(k4)
+    lib4.runners()
     assert lib4 is not None and calls["n"] == 2
     assert lib4.so_path != lib1.so_path and calls["n"] == 3
 
@@ -284,24 +290,33 @@ def test_concurrent_first_binds_compile_once_per_object(monkeypatch, tmp_path):
 # -- build plan: only the rungs that run are compiled --------------------------
 
 
-def _logging_cc(monkeypatch, tmp_path, fail=()):
+def _logging_cc(monkeypatch, tmp_path, fail=(), hang=()):
     """Point ``REPRO_CC`` at a stub that logs the C source of every
     shared-object build and runs the real compiler — or exits 1 on a
-    source matching every ``grep`` pattern in *fail*.  Returns the log's
-    reader: one entry per build, ``"runners"``, ``"fused"``,
+    source matching every ``grep`` pattern in *fail*, or sleeps (in a
+    child of its own) on one matching every pattern in *hang*.  Returns
+    the log's reader: one entry per build, ``"runners"``, ``"fused"``,
     ``"literal"`` (a one-statement literal nest) or the kernel name of a
-    per-statement unit (the probes run beforehand)."""
+    per-statement unit (the probes run beforehand); its ``spans()``
+    gives each kind's ``(start, end)`` wall-clock times."""
     real_cc = native_mod.native_toolchain()
     log = tmp_path / "cc.log"
+    times = tmp_path / "cc.times"
     stub = tmp_path / "logging-cc"
-    failing = "".join(f'grep -q "{p}" "$src" && ' for p in fail)
-    failing = f"{failing}exit 1\n" if fail else ""
+
+    def matching(patterns, then):
+        return "".join(f'grep -q "{p}" "$src" && ' for p in patterns) + then if patterns else ""
+
     stub.write_text(
         "#!/bin/sh\n"
         'for a; do case "$a" in *.c) src="$a";; esac; done\n'
         f'case " $* " in *" -shared "*) echo "$src" >> "{log}";; esac\n'
-        f"{failing}"
-        f'exec "{real_cc}" "$@"\n'
+        + matching(fail, "exit 1\n")
+        + matching(hang, "{ sleep 60; exit 1; }\n")
+        + "start=$(date +%s.%N)\n"
+        f'"{real_cc}" "$@"; code=$?\n'
+        f'echo "$src $start $(date +%s.%N)" >> "{times}"\n'
+        "exit $code\n"
     )
     stub.chmod(0o755)
     monkeypatch.setenv("REPRO_CC", str(stub))
@@ -310,23 +325,33 @@ def _logging_cc(monkeypatch, tmp_path, fail=()):
     native_mod._host_cflags(str(stub))  # the per-compiler probes are not binds
     native_mod._omp_cflags(str(stub))
     log.write_text("")
+    times.write_text("")
+
+    def kind(path: str) -> str:
+        with open(path) as fh:
+            head = fh.read()
+        for mark, name in (("(runners)", "runners"), ("(fused)", "fused"),
+                           ("(literal nest)", "literal")):
+            if mark in head:
+                return name
+        return head.split("kernel '")[1].split("'")[0]
 
     def built() -> list[str]:
-        kinds = []
-        for path in log.read_text().split():
-            with open(path) as fh:
-                head = fh.read()
-            if "(runners)" in head:
-                kinds.append("runners")
-            elif "(fused)" in head:
-                kinds.append("fused")
-            elif "(literal nest)" in head:
-                kinds.append("literal")
-            else:
-                kinds.append(head.split("kernel '")[1].split("'")[0])
-        return sorted(kinds)
+        return sorted(kind(path) for path in log.read_text().split())
 
+    def spans() -> dict[str, list[tuple[float, float]]]:
+        out: dict = {}
+        for line in times.read_text().splitlines():
+            path, start, end = line.split()
+            out.setdefault(kind(path), []).append((float(start), float(end)))
+        return out
+
+    built.spans = spans
     return built
+
+
+def _overlap(a, b) -> bool:
+    return max(a[0], b[0]) < min(a[1], b[1])
 
 
 def _first_gradient(n=32, native_threads=1, primal_fusion="auto"):
@@ -499,6 +524,142 @@ def test_failed_literal_nest_lands_a_singleton_on_its_per_statement_entry(
     assert verdict.reason.startswith("literal nest refused: literal nest build")
     assert primal.native_statement_count == primal.statement_count == 1
     assert adjoint.fused_statement_count == adjoint.statement_count == 35
+
+
+@needs_cc
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_a_bind_compiles_its_objects_at_once(monkeypatch, tmp_path):
+    """One batch per bind: the primal's literal nest compiles while the
+    runners object does, and the adjoint's two fused nests compile
+    together — four objects, two rounds, bitwise equal to python.  A
+    warm bind compiles nothing."""
+    built = _logging_cc(monkeypatch, tmp_path)
+    _first_gradient()
+    assert built() == ["fused", "fused", "literal", "runners"]
+    spans = built.spans()
+    assert _overlap(spans["runners"][0], spans["literal"][0]), spans
+    assert _overlap(*spans["fused"]), spans
+    _first_gradient()  # fresh kernels, warm cache: their batches start no cc
+    assert built() == ["fused", "fused", "literal", "runners"]
+
+
+@needs_cc
+def test_a_failed_object_degrades_only_its_own_group(monkeypatch, tmp_path):
+    """A compiler failing only the 32-statement group's source: that group
+    lands on its per-statement entries with one warning and the refusal
+    in ``explain()``; the 3-statement group compiled beside it and the
+    primal stay literal nests, and the results stay bitwise."""
+    built = _logging_cc(monkeypatch, tmp_path, fail=["32-statement group"])
+    decisions_mod._reset_warnings()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        primal, adjoint = _first_gradient()
+    said = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    assert len(said) == 1
+    assert said[0].startswith("fused native build for kernel 'wave2d_b' failed (cache: ")
+    assert "the group falls back to per-statement execution" in said[0]
+    assert built() == ["fused", "fused", "literal", "runners", "wave2d_b"]
+    assert primal.decisions[1].geometry == "literal nest"
+    assert adjoint.fused_group_count == 1 and adjoint.fused_statement_count == 3
+    assert adjoint.native_statement_count == adjoint.statement_count == 35
+    refused = f"native (geom entry) — fused nest refused: {said[0]}"
+    assert any(line.endswith(refused) for line in adjoint.explain())
+
+
+@needs_cc
+def test_a_hung_compile_is_killed_and_its_siblings_load(monkeypatch, tmp_path, started):
+    """A compiler hanging on the 3-statement group's source under a small
+    ``REPRO_CC_TIMEOUT``: that compile (and the child it started) is
+    killed at its deadline, no process or descriptor outlives the batch,
+    and the 32-statement group built beside it still loads."""
+    built = _logging_cc(monkeypatch, tmp_path, hang=["3-statement group"])
+    monkeypatch.setenv("REPRO_CC_TIMEOUT", "2")
+    decisions_mod._reset_warnings()
+    with pytest.warns(RuntimeWarning, match="timed out after 2s"):
+        _primal, adjoint = _first_gradient()
+    assert not started().children and not started().fds
+    assert built() == ["fused", "fused", "literal", "runners", "wave2d_b"]
+    assert adjoint.fused_group_count == 1 and adjoint.fused_statement_count == 32
+    assert adjoint.native_statement_count == adjoint.statement_count == 35
+
+
+@needs_cc
+def test_fault_points_fire_in_batch_order(monkeypatch, tmp_path):
+    """The bind's batch draws the runners object, then each group's nest
+    in stream order, and the fault points fire as they are drawn: a
+    cache write failing on its second occurrence fails exactly the
+    32-statement group, the first nest of the adjoint's batch."""
+    from repro.runtime import faults
+
+    built = _logging_cc(monkeypatch, tmp_path)
+    decisions_mod._reset_warnings()
+    prob = wave_problem(2)
+    adjoint = list(adjoint_loops(prob.primal, prob.adjoint_map))
+    kernel = compile_nests(adjoint, prob.bindings(32), name="wave2d_b", cache=False)
+    state = prob.allocate_state(32, seed=3)
+    want = {k: v.copy() for k, v in state.items()}
+    interpret_nests(adjoint, want, prob.bindings(32))
+    with kernel.plan(backend="native") as plan:
+        with faults.inject("native.cache.write", skip=1) as inj:
+            with pytest.warns(RuntimeWarning, match="cannot write native cache"):
+                bound = plan.bind(state)
+        bound.run()
+    assert inj.fired("native.cache.write") == 1
+    assert built() == ["fused", "runners", "wave2d_b"]
+    assert bound.fused_group_count == 1 and bound.fused_statement_count == 3
+    for name in want:
+        assert state[name].tobytes() == want[name].tobytes(), name
+
+
+def test_the_leak_census_names_each_descriptor_kind(started, tmp_path):
+    """A pipe left open (what a killed compile could leak) reads "pipe"
+    in the census, a socket "socket" and anything else "file"."""
+    import socket
+
+    r, w = os.pipe()
+    a, b = socket.socketpair()
+    f = open(tmp_path / "x", "w")
+    try:
+        kinds = sorted(fd.split()[1] for fd in started().fds)
+    finally:
+        for x in (a, b, f):
+            x.close()
+        os.close(r)
+        os.close(w)
+    assert kinds == ["file", "pipe", "pipe", "socket", "socket"]
+
+
+@needs_cc
+def test_failed_runners_in_a_batch_fall_back_like_a_failed_library(
+    monkeypatch, tmp_path
+):
+    """The runners object fails in the bind's batch: the library verdict,
+    the one warning and the python run are a failed library build's."""
+    built = _logging_cc(monkeypatch, tmp_path, fail=["(runners)"])
+    decisions_mod._reset_warnings()
+    prob = wave_problem(2)
+    adjoint = list(adjoint_loops(prob.primal, prob.adjoint_map))
+    kernel = compile_nests(adjoint, prob.bindings(32), name="wave2d_b", cache=False)
+    state = prob.allocate_state(32, seed=3)
+    want = {k: v.copy() for k, v in state.items()}
+    interpret_nests(adjoint, want, prob.bindings(32))
+    with kernel.plan(backend="native") as plan:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bound = plan.bind(state)
+            plan.bind({k: v.copy() for k, v in state.items()})  # memoised
+        bound.run()
+    said = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    assert len(said) == 1 and said[0].startswith(
+        "native build of kernel 'wave2d_b' failed (cache: "
+    )
+    assert "falling back to the python backend" in said[0]
+    assert bound.decisions[0] == decisions_mod.Verdict("library", "python", said[0])
+    assert native_mod.library_verdict(kernel) == (None, bound.decisions[0])
+    assert bound.mode.native_off == said[0]
+    assert bound.native_statement_count == 0 and "runners" in built()
+    for name in want:
+        assert state[name].tobytes() == want[name].tobytes(), name
 
 
 @needs_cc

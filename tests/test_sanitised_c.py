@@ -42,7 +42,9 @@ source = (
     "  return s;\\n"
     "}\\n"
 )
-lib, _ = native._build_and_load(source, native.native_toolchain())
+((lib, _),) = native.build_objects(
+    [(source, native.native_toolchain(), native._CFLAGS)]
+)
 fn = lib.repro_sum_to
 fn.restype, fn.argtypes = ctypes.c_double, (ctypes.c_void_p, ctypes.c_long)
 a = np.ones(4096)
